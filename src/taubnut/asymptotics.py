@@ -206,7 +206,7 @@ def sphere_sandwich(params: InstantonParams, r_tilde: float,
     gaps = []
     cs = []
     for i in range(n):
-        psi = 0.5 * math.pi * i / (n - 1)
+        psi = 0.5 * math.pi * (i / (n - 1))
         u, v = uv_from_almost_polar(params, r_tilde, psi)
         R = distance(params, u, v, tol=tol)
         gap = r_tilde - R

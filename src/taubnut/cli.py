@@ -160,7 +160,11 @@ def _cmd_eval(args) -> int:
     c1, c2 = _parse_point(args.point)
     try:
         chart = Chart(args.chart)
-        u, v = family.uv_from_chart(params, chart, c1, c2)
+        if chart is Chart.POLAR:
+            rec = geodesics.point_from_polar(params, c1, c2, tol=args.tol)
+            u, v = rec.u, rec.v
+        else:
+            u, v = family.uv_from_chart(params, chart, c1, c2)
     except (BadParams, WrongFamily, ValueError) as exc:
         raise UsageError(str(exc))
 
@@ -652,7 +656,7 @@ def _suite_curvature() -> list[tuple[str, callable]]:
     def energy_identity():
         for k in (0.3, 0.8):
             pp = InstantonParams(Family.GENERALIZED_TN, k=k)
-            gap = curvature.l2_riemann(pp) - 4.0 * curvature.l2_ricci(pp).closed_form
+            gap = curvature.l2_riemann(pp) - 4.0 * curvature.l2_ricci_closed(pp)
             assert abs(gap - 32.0 * math.pi ** 2) < 1e-9, f"identity gap {gap}"
         return "l2_riemann - 4 l2_ricci = 32 pi^2 exactly"
 
@@ -886,8 +890,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="pointwise quantities as JSON")
     _add_common(p)
-    p.add_argument("--chart", choices=["uv", "xy", "moment"], default="uv")
-    p.add_argument("--point", default="1,1", help="chart coordinates 'c1,c2'")
+    p.add_argument("--chart", choices=[c.value for c in Chart], default="uv")
+    p.add_argument("--point", default="1,1",
+                   help="chart coordinates 'c1,c2' ('R,eta' for polar, "
+                        "'Rtilde,psi' for almostpolar)")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("geodesic", help="radial geodesic trajectory as CSV")

@@ -217,6 +217,19 @@ def ricci_norm(params: InstantonParams, u: float, v: float) -> float:
 # L^2 energies
 # --------------------------------------------------------------------------
 
+def l2_ricci_closed(params: InstantonParams) -> float:
+    """Closed form of the total L^2 Ricci energy, without quadrature:
+    4 pi^2 k^2/(1-k^2) for GeneralizedTN, 0 for Flat, math.inf for the
+    exceptional families."""
+    fam = params.family
+    if fam is Family.FLAT:
+        return 0.0
+    if fam is Family.GENERALIZED_TN:
+        k = params.k
+        return 4.0 * math.pi ** 2 * k * k / (1.0 - k * k)
+    return INFINITE
+
+
 def l2_ricci(params: InstantonParams, *, rel_tol: float = 1e-9,
              growth_radii: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
              ) -> EnergyReport:
@@ -233,9 +246,8 @@ def l2_ricci(params: InstantonParams, *, rel_tol: float = 1e-9,
     if fam is Family.FLAT:
         return EnergyReport(0.0, None, 0.0)
     if fam is Family.GENERALIZED_TN:
-        k = params.k
-        closed = 4.0 * math.pi ** 2 * k * k / (1.0 - k * k)
-        if k == 0.0:
+        closed = l2_ricci_closed(params)
+        if params.k == 0.0:
             return EnergyReport(0.0, None, 0.0)
 
         def f(u, v):
@@ -277,8 +289,7 @@ def l2_riemann(params: InstantonParams) -> float:
     """
     require(params, Family.GENERALIZED_TN,
             what="the finite Riemann energy (exceptional families diverge)")
-    k = params.k
-    return 32.0 * math.pi ** 2 + 4.0 * (4.0 * math.pi ** 2 * k * k / (1.0 - k * k))
+    return 32.0 * math.pi ** 2 + 4.0 * l2_ricci_closed(params)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,11 @@ differences and log-log fits.
 Everything here is geometry-agnostic.  The rest of the package layers the
 metric-specific formulas on top of these routines, so the tolerances and
 failure modes of each helper are spelled out in its docstring.
+
+scipy is imported inside the quadrature and ODE routines, on their first
+call, not when this module loads: the closed-form charts, root solves and
+finite differences need only numpy, so commands such as ``eval``,
+``contour``, ``volume`` and ``blowdown`` start without paying for it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _sciint
 
 
 class NoBracket(Exception):
@@ -157,6 +161,8 @@ def integrate_2d_improper(
     Raises SlowDecay when p <= 1 or when the sampled arcs show the integrand
     shrinking slower than promised.
     """
+    from scipy import integrate as _sciint
+
     p = float(decay_exponent)
     if p <= 1.0:
         raise SlowDecay(f"decay exponent {p} <= 1: the quadrant integral need not converge")
@@ -248,6 +254,8 @@ def integrate_2d_region(
     """Integrate f over {0 < u < u_max, 0 < v < v_max_of_u(u)} by nested
     adaptive quadrature.  Suited to the bounded sublevel-set regions used for
     volume comparisons; no tail estimate is involved."""
+    from scipy import integrate as _sciint
+
     nfev = 0
 
     def inner(u: float) -> float:
@@ -294,6 +302,8 @@ def ode_solve(
     which in this package invariably means the trajectory ran into a
     coordinate degeneracy rather than a genuinely stiff problem.
     """
+    from scipy import integrate as _sciint
+
     sol = _sciint.solve_ivp(
         rhs,
         t_span,

@@ -176,6 +176,20 @@ def test_sphere_sandwich_gap_sign():
     assert s.gap_min > -0.5 * math.log(500.0)
 
 
+# With the angle written as 0.5*pi*i/(n-1), the last angle of these sample
+# counts rounded above pi/2 and the last point fell off the chart.
+ROUNDING_SAMPLE_COUNTS = (14, 27, 48, 53, 84, 95, 100, 105, 167, 168, 178,
+                          188, 189, 199, 209, 220)
+
+
+@pytest.mark.parametrize("params", [GEN05, EXC], ids=["GEN05", "EXC"])
+def test_sphere_sandwich_any_sample_count(params):
+    for n in ROUNDING_SAMPLE_COUNTS:
+        s = sphere_sandwich(params, 100.0, n=n)
+        assert math.isfinite(s.gap_min) and s.gap_min <= s.gap_max
+        assert -2.0 < s.c_min <= s.c_max <= 0.5
+
+
 def test_sphere_sandwich_validation():
     with pytest.raises(BadParams):
         sphere_sandwich(GEN05, 0.0)

@@ -59,6 +59,27 @@ def test_eval_moment_chart_roundtrip():
     assert doc2["point"]["v"] == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("family,k,chart,point,key", [
+    ("generalized", "0.5", "polar", (3.0, 0.5), "distance"),
+    ("exceptional", None, "polar", (3.0, 0.5), "distance"),
+    ("generalized", "0.5", "almostpolar", (10.0, 0.3), "almost_distance"),
+    ("exceptional", None, "almostpolar", (10.0, 0.3), "almost_distance"),
+])
+def test_eval_radial_charts_give_back_the_radius(family, k, chart, point, key):
+    args = ["eval", "--family", family, "--chart", chart,
+            "--point", f"{point[0]!r},{point[1]!r}"]
+    if k is not None:
+        args += ["--k", k]
+    cp = run_cli(*args)
+    assert cp.returncode == 0, cp.stderr
+    doc = json.loads(cp.stdout)
+    assert doc["point"]["chart"] == chart
+    assert doc["quantities"][key] == pytest.approx(point[0], rel=1e-10)
+    if chart == "polar":
+        assert doc["quantities"]["launch_angle"] == pytest.approx(point[1],
+                                                                  rel=1e-9)
+
+
 def test_eval_out_file(tmp_path: Path):
     out = tmp_path / "point.json"
     cp = run_cli("eval", "--point", "1,1", "--out", str(out))
@@ -87,6 +108,47 @@ def test_bad_arguments_exit_2(args):
     assert cp.returncode == 2
     assert cp.stdout == "" or "usage" in cp.stderr.lower() \
         or "error" in cp.stderr.lower()
+
+
+# ----------------------------------------------------------------- cold start
+
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+import taubnut, taubnut.cli
+from taubnut import numerics
+for argv in (["eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"],
+             ["contour", "--family", "halfplane", "--eta", "0.3", "--levels", "3",
+              "--R", "4", "--format", "svg"],
+             ["volume", "--family", "generalized", "--R", "5,50,500"],
+             ["blowdown", "--construction", "pointed", "--format", "json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert taubnut.cli.main(argv) == 0, argv
+before = "scipy" in sys.modules
+ode = numerics.ode_solve(lambda t, y: y, (0.0, 1.0), [1.0]).ys[-1, 0]
+quad = numerics.integrate_2d_improper(
+    lambda u, v: (1.0 + u * u + v * v) ** -2, decay_exponent=2.0).value
+print(json.dumps({"before": before, "after": "scipy" in sys.modules,
+                  "ode": ode.hex(), "quad": quad.hex()}))
+"""
+
+
+def test_closed_form_commands_start_without_scipy():
+    cp = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    doc = json.loads(cp.stdout)
+    assert doc["before"] is False
+    assert doc["after"] is True
+    # the first call, which imports scipy, gives the same bits as a call
+    # in a process where scipy is already loaded
+    from taubnut import numerics
+    ode = numerics.ode_solve(lambda t, y: y, (0.0, 1.0), [1.0]).ys[-1, 0]
+    quad = numerics.integrate_2d_improper(
+        lambda u, v: (1.0 + u * u + v * v) ** -2, decay_exponent=2.0).value
+    assert float.fromhex(doc["ode"]) == ode
+    assert float.fromhex(doc["quad"]) == quad
+    assert ode == pytest.approx(math.e, rel=1e-10)
+    assert quad == pytest.approx(math.pi / 4.0, rel=1e-7)
 
 
 # ------------------------------------------------------------------- geodesic
