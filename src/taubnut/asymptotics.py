@@ -24,14 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .family import (BadParams, Family, InstantonParams, WrongFamily,
+from .family import (SQRT2, BadParams, Family, InstantonParams, WrongFamily,
                      almost_distance, require, uv_from_almost_polar)
 from .geodesics import distance, point_from_polar
 from .metrics import TORUS_VOLUME, volume_density
 from .numerics import (InsufficientSamples, QuadratureResult, fit_power_law,
                        integrate_2d_region)
-
-SQRT2 = math.sqrt(2.0)
 
 
 class SmallRadius(Exception):

@@ -40,11 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import BadParams, Family, InstantonParams, moment_map
+from .family import SQRT2, BadParams, Family, InstantonParams, moment_map
 from .metrics import conformal_factor, fiber_matrix
-from .numerics import BoundaryTooClose, fd_gradient, fd_laplacian
-
-SQRT2 = math.sqrt(2.0)
+from .numerics import BoundaryTooClose, fd_curvature, fd_gradient, fd_laplacian
 
 
 class SingularAxis(Exception):
@@ -184,36 +182,22 @@ def _g3(k: float, u: float, v: float) -> np.ndarray:
     return np.diag([P, P, W])
 
 
-def _christoffel3(k: float, u: float, v: float, step: float):
-    g = _g3(k, u, v)
-    ginv = np.linalg.inv(g)
-    dg = np.zeros((3, 3, 3))
-    dg[0] = (_g3(k, u + step, v) - _g3(k, u - step, v)) / (2.0 * step)
-    dg[1] = (_g3(k, u, v + step) - _g3(k, u, v - step)) / (2.0 * step)
-    gam = 0.5 * (np.einsum('lm,imj->lij', ginv, dg)
-                 + np.einsum('lm,jmi->lij', ginv, dg)
-                 - np.einsum('lm,mij->lij', ginv, dg))
-    return gam, g, ginv
-
-
 def conifold_ricci_fd(k: float, u: float, v: float,
                       *, step: float = 1e-4) -> tuple[float, float, float, float]:
     """Ricci tensor of the conifold 3-metric by central finite differences
-    of the Christoffel symbols: entries (uu, uv, vv, theta), O(step^2)."""
+    of the Christoffel symbols: entries (uu, uv, vv, theta), O(step^2).
+    The metric derivatives are themselves central differences of g3."""
     _check_k(k)
     if u - 2.0 * step <= 0.0 or v - 2.0 * step <= 0.0:
         raise BoundaryTooClose(
             f"FD stencil at ({u}, {v}) reaches the degenerate axes")
-    gam0, _, _ = _christoffel3(k, u, v, step)
-    dgam = np.zeros((3, 3, 3, 3))   # dgam[m, l, i, j] = d_m Gamma^l_ij
-    dgam[0] = (_christoffel3(k, u + step, v, step)[0]
-               - _christoffel3(k, u - step, v, step)[0]) / (2.0 * step)
-    dgam[1] = (_christoffel3(k, u, v + step, step)[0]
-               - _christoffel3(k, u, v - step, step)[0]) / (2.0 * step)
-    riem = (np.einsum('iljk->lkij', dgam) - np.einsum('jlik->lkij', dgam)
-            + np.einsum('lim,mjk->lkij', gam0, gam0)
-            - np.einsum('ljm,mik->lkij', gam0, gam0))
-    ric = np.einsum('lkli->ki', riem)
+
+    def metric_derivs(a, b):
+        return (_g3(k, a, b),
+                (_g3(k, a + step, b) - _g3(k, a - step, b)) / (2.0 * step),
+                (_g3(k, a, b + step) - _g3(k, a, b - step)) / (2.0 * step))
+
+    ric = fd_curvature(metric_derivs, u, v, step=step)[3]
     return float(ric[0, 0]), float(ric[0, 1]), float(ric[1, 1]), float(ric[2, 2])
 
 

@@ -33,16 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .family import (BadParams, Chart, ChartPoint, Family, InstantonParams,
-                     require)
+from .family import (SQRT2, BadParams, Chart, ChartPoint, Family,
+                     InstantonParams, require)
 from .geodesics import point_from_polar
 from .metrics import (TORUS_VOLUME, conformal_factor, fiber_matrix,
-                      volume_density)
+                      generalized_D)
 from .numerics import (BoundaryTooClose, QuadratureResult, dual_partials,
-                       fd_jacobian2, fd_laplacian, fit_power_law,
+                       fd_curvature, fd_jacobian2, fd_laplacian, fit_power_law,
                        integrate_2d_improper, integrate_2d_region)
-
-SQRT2 = math.sqrt(2.0)
 
 # FD tensor norm -> closed-form |Ric| divisor, frozen against symbolic Ricci
 # norms of the three 4-metrics (|Ric|^2_tensor = 8 M^2 k^2 / D^4,
@@ -53,8 +51,6 @@ RICCI_NORM_CALIBRATION = {
     Family.EXCEPTIONAL_HALF_PLANE: SQRT2,
     Family.FLAT: 2.0,
 }
-
-INFINITE = math.inf
 
 
 class OriginSingularity(Exception):
@@ -97,12 +93,10 @@ def polytope_curvature(params: InstantonParams, u: float, v: float) -> float:
     fam = params.family
     if fam is Family.GENERALIZED_TN:
         k, M = params.k, params.M
-        D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
+        D = generalized_D(k, u, v)
         return (M / SQRT2) * (-1.0 + k * (1.0 + k) * u * u
                               - k * (1.0 - k) * v * v) / D ** 3
-    if fam is Family.EXCEPTIONAL_TN:
-        return -(1.0 - u * u) / (1.0 + u * u) ** 3
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
+    if fam in (Family.EXCEPTIONAL_TN, Family.EXCEPTIONAL_HALF_PLANE):
         return -(1.0 - u * u) / (1.0 + u * u) ** 3
     return 0.0
 
@@ -154,7 +148,7 @@ def ricci_potentials(params: InstantonParams, u, v) -> RicciPotentials:
     fam = params.family
     if fam is Family.GENERALIZED_TN:
         k = params.k
-        D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
+        D = generalized_D(k, u, v)
         r1 = (1.0 + (1.0 + k) * (u * u + v * v)) / D / SQRT2
         r2 = (1.0 + (1.0 - k) * (u * u + v * v)) / D / SQRT2
         return RicciPotentials(r1, r2)
@@ -178,7 +172,7 @@ def ricci_pseudo_volume_density(params: InstantonParams, u: float, v: float) -> 
     fam = params.family
     if fam is Family.GENERALIZED_TN:
         k = params.k
-        D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
+        D = generalized_D(k, u, v)
         return 8.0 * k * k * u * v / D ** 3
     if fam is Family.EXCEPTIONAL_TN:
         return 2.0 * u * v / (1.0 + u * u) ** 3
@@ -204,7 +198,7 @@ def ricci_norm(params: InstantonParams, u: float, v: float) -> float:
     fam = params.family
     if fam is Family.GENERALIZED_TN:
         k, M = params.k, params.M
-        D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
+        D = generalized_D(k, u, v)
         return SQRT2 * abs(k) * M / D ** 2
     if fam is Family.EXCEPTIONAL_TN:
         return 2.0 / (1.0 + u * u) ** 2
@@ -227,7 +221,7 @@ def l2_ricci_closed(params: InstantonParams) -> float:
     if fam is Family.GENERALIZED_TN:
         k = params.k
         return 4.0 * math.pi ** 2 * k * k / (1.0 - k * k)
-    return INFINITE
+    return math.inf
 
 
 def l2_ricci(params: InstantonParams, *, rel_tol: float = 1e-9,
@@ -245,14 +239,14 @@ def l2_ricci(params: InstantonParams, *, rel_tol: float = 1e-9,
     fam = params.family
     if fam is Family.FLAT:
         return EnergyReport(0.0, None, 0.0)
+
+    def f(u, v):
+        return TORUS_VOLUME * ricci_pseudo_volume_density(params, u, v)
+
     if fam is Family.GENERALIZED_TN:
         closed = l2_ricci_closed(params)
         if params.k == 0.0:
             return EnergyReport(0.0, None, 0.0)
-
-        def f(u, v):
-            return TORUS_VOLUME * ricci_pseudo_volume_density(params, u, v)
-
         quad = integrate_2d_improper(f, decay_exponent=2.0,
                                      rel_tol=rel_tol, abs_tol=1e-12)
         return EnergyReport(closed, quad, abs(quad.value - closed) / closed)
@@ -265,18 +259,14 @@ def l2_ricci(params: InstantonParams, *, rel_tol: float = 1e-9,
             def v_max(u, R=R):
                 return R - u * u / 2.0
 
-            quad = integrate_2d_region(
-                lambda u, v: TORUS_VOLUME * ricci_pseudo_volume_density(params, u, v),
-                u_max, v_max)
+            quad = integrate_2d_region(f, u_max, v_max)
             val = quad.value
         else:  # half-plane: strip |y| <= R (density is y-independent)
-            quad = integrate_2d_region(
-                lambda u, v: TORUS_VOLUME * ricci_pseudo_volume_density(params, u, v),
-                1e4, lambda u: R)
+            quad = integrate_2d_region(f, 1e4, lambda u: R)
             val = 2.0 * quad.value
         samples.append((R, val))
     fit = fit_power_law([s[0] for s in samples], [s[1] for s in samples])
-    return EnergyReport(INFINITE, None, INFINITE,
+    return EnergyReport(math.inf, None, math.inf,
                         growth_samples=samples, growth_exponent=fit.exponent)
 
 
@@ -321,17 +311,6 @@ def _metric_and_first_derivs(params: InstantonParams, u: float, v: float):
     return g, gu, gv
 
 
-def _christoffel(params: InstantonParams, u: float, v: float):
-    g, gu, gv = _metric_and_first_derivs(params, u, v)
-    ginv = np.linalg.inv(g)
-    dg = np.zeros((4, 4, 4))        # dg[m, i, j] = d_m g_ij; theta-derivs are 0
-    dg[0] = gu
-    dg[1] = gv
-    # Gamma^l_{ij} = (1/2) g^{lm} (d_i g_mj + d_j g_mi - d_m g_ij)
-    term = np.einsum('imj->mij', dg) + np.einsum('jmi->mij', dg) - dg
-    return 0.5 * np.einsum('lm,mij->lij', ginv, term), g, ginv
-
-
 def curvature4_fd(params: InstantonParams, u: float, v: float,
                   *, step: float = 1e-3) -> Curvature4Sample:
     """Scalar curvature, |Ric| and |Rm|^2 of the full 4-metric by finite
@@ -346,20 +325,10 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
             and v - 2 * step <= 0.0:
         raise BoundaryTooClose(f"v={v} too close to the fiber-degenerate axis")
 
-    gam0, g, ginv = _christoffel(params, u, v)
+    g, ginv, riem, ric = fd_curvature(
+        lambda a, b: _metric_and_first_derivs(params, a, b), u, v, step=step)
     if np.linalg.cond(g) > 1e12:
         raise IllConditioned(f"cond(g) = {np.linalg.cond(g):.2e} at ({u}, {v})")
-    dgam = np.zeros((4, 4, 4, 4))   # dgam[m, l, i, j] = d_m Gamma^l_ij
-    dgam[0] = (_christoffel(params, u + step, v)[0]
-               - _christoffel(params, u - step, v)[0]) / (2 * step)
-    dgam[1] = (_christoffel(params, u, v + step)[0]
-               - _christoffel(params, u, v - step)[0]) / (2 * step)
-
-    # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
-    riem = (np.einsum('iljk->lkij', dgam) - np.einsum('jlik->lkij', dgam)
-            + np.einsum('lim,mjk->lkij', gam0, gam0)
-            - np.einsum('ljm,mik->lkij', gam0, gam0))
-    ric = np.einsum('lkli->ki', riem)
     scalar = float(np.einsum('ki,ki->', ginv, ric))
     ric_sq = float(np.einsum('ij,kl,ik,jl->', ric, ric, ginv, ginv))
     riem_low = np.einsum('lm,mkij->lkij', g, riem)

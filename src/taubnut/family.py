@@ -107,12 +107,16 @@ class InstantonParams:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self) -> str:
-        payload: dict = {"family": self.family.value}
+    def as_dict(self) -> dict:
+        """The family name, plus M and k for the generalized family."""
+        out: dict = {"family": self.family.value}
         if self.family is Family.GENERALIZED_TN:
-            payload["M"] = self.M
-            payload["k"] = self.k
-        return json.dumps(payload, sort_keys=True)
+            out["M"] = self.M
+            out["k"] = self.k
+        return out
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "InstantonParams":

@@ -30,16 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import (BadParams, Family, InstantonParams, almost_distance,  # noqa: F401
-                     require)
+from .family import SQRT2, BadParams, Family, InstantonParams, require
 from .metrics import conformal_factor
 from .numerics import find_root_monotone, ode_solve
-
-SQRT2 = math.sqrt(2.0)
-
-
-class ChartAxis(Exception):
-    """The requested curve degenerates to a coordinate axis."""
 
 
 @dataclass
@@ -141,30 +134,6 @@ def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float,
 # unparametrized geodesics and the launch-angle solve
 # --------------------------------------------------------------------------
 
-def unparam_geodesic_v_of_u(params: InstantonParams, eta: float, u: float) -> float:
-    """Height v(u) of the radial geodesic with launch angle eta in (0, pi/2).
-
-    eta = 0 returns 0 identically (the u-axis); eta = pi/2 raises ChartAxis
-    since the geodesic is the v-axis and v is not a function of u there.
-    """
-    if eta == 0.0:
-        return 0.0
-    if not 0.0 < eta < math.pi / 2:
-        if eta == math.pi / 2:
-            raise ChartAxis("the eta = pi/2 geodesic is the v-axis, u == 0")
-        raise BadParams(f"launch angle must lie in [0, pi/2], got {eta}")
-    c, s = math.cos(eta), math.sin(eta)
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        a, b = _ab(params)
-        return s * math.sinh((b / a) * math.asinh(a * u / c)) / b
-    if fam is Family.EXCEPTIONAL_TN:
-        return s * math.asinh(u / c)
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
-        return s * math.asinh(u / c)
-    return u * s / c  # flat: straight ray
-
-
 def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13) -> float:
     """Unique launch angle whose radial geodesic passes through (u, v).
 
@@ -173,6 +142,8 @@ def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13
     on (0, pi/2) with a log-scaled residual so extreme aspect ratios stay in
     floating range.  Half-plane families accept v < 0 and return eta < 0.
     """
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise BadParams(f"({u}, {v}) is not a finite point")
     fam = params.family
     if fam is Family.FLAT:
         return math.atan2(v, u)
@@ -327,10 +298,16 @@ def point_from_polar(params: InstantonParams, R: float, eta: float,
     The F field is exp of the logarithmic radial parameter: log F = s for the
     generalized family; for the exceptional family it is the parameter sigma
     with u = cos(eta) sinh(sigma), v = sigma sin(eta).
+
+    eta must lie in [0, pi/2] for the quadrant families and in
+    [-pi/2, pi/2] for the half-plane family; BadParams otherwise.
     """
     fam = params.family
     if R < 0.0:
         raise BadParams(f"distance must be >= 0, got R={R}")
+    lo = -math.pi / 2 if fam is Family.EXCEPTIONAL_HALF_PLANE else 0.0
+    if fam is not Family.FLAT and not lo <= eta <= math.pi / 2:
+        raise BadParams(f"launch angle must lie in [{lo}, {math.pi / 2}], got {eta}")
     c, s_ang = math.cos(eta), math.sin(eta)
     if fam is Family.GENERALIZED_TN:
         F = solve_F(params, R, eta, tol=tol)
@@ -393,9 +370,9 @@ def distance(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13)
     """
     fam = params.family
     if fam in (Family.EXCEPTIONAL_TN, Family.EXCEPTIONAL_HALF_PLANE):
+        eta = solve_eta(params, u, v, tol=tol)
         if abs(v) == 0.0:
             return _leg(u, 1.0)
-        eta = solve_eta(params, u, v, tol=tol)
         c, s = math.cos(eta), abs(math.sin(eta))
         return 0.5 * u * math.hypot(c, u) + 0.5 * abs(v) * (1.0 + s * s) / s
     return polar_from_point(params, u, v, tol=tol)[0]

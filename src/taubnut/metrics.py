@@ -20,11 +20,15 @@ import math
 
 import numpy as np
 
-from .family import Family, InstantonParams, require
-from .numerics import dsqrt
+from .family import SQRT2, Family, InstantonParams, require
 
-SQRT2 = math.sqrt(2.0)
 TORUS_VOLUME = 4.0 * math.pi ** 2  # integral of dtheta1 ^ dtheta2
+
+
+def generalized_D(k, u, v):
+    """D = 1 + (1+k) u^2 + (1-k) v^2, the quadratic form every generalized
+    family kernel is built from.  Works for floats, Duals and arrays."""
+    return 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
 
 
 def conformal_factor(params: InstantonParams, u, v):
@@ -32,13 +36,10 @@ def conformal_factor(params: InstantonParams, u, v):
     fam = params.family
     if fam is Family.GENERALIZED_TN:
         k, M = params.k, params.M
-        D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
+        D = generalized_D(k, u, v)
         return 2.0 * SQRT2 * D / M
-    if fam is Family.EXCEPTIONAL_TN:
+    if fam in (Family.EXCEPTIONAL_TN, Family.EXCEPTIONAL_HALF_PLANE):
         return 1.0 + u * u
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
-        x = u
-        return 1.0 + x * x
     return 1.0 + 0.0 * u  # flat
 
 
@@ -48,7 +49,7 @@ def fiber_matrix(params: InstantonParams, u, v):
     fam = params.family
     if fam is Family.GENERALIZED_TN:
         k, M = params.k, params.M
-        D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
+        D = generalized_D(k, u, v)
         pre = SQRT2 / (M * D)
         e11 = pre * v * v * ((1.0 + (1.0 + k) * u * u) ** 2 + (1.0 + k) ** 2 * u * u * v * v)
         e12 = pre * u * u * v * v * (2.0 + (1.0 - k * k) * (u * u + v * v))

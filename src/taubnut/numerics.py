@@ -394,6 +394,43 @@ def fd_jacobian2(
     ])
 
 
+def fd_curvature(
+    metric_derivs: Callable[[float, float], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    u: float,
+    v: float,
+    *,
+    step: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Riemann and Ricci tensors of an n-metric that depends on its first two
+    coordinates (u, v) only, from ``metric_derivs(a, b) = (g, dg/du, dg/dv)``.
+
+    The Christoffel symbols are differentiated by central differences:
+    O(step^2) on top of the error of the metric derivatives.  Returns
+    (g, g^-1, riem, ric) at (u, v), riem[l, k, i, j] = R^l_{kij}.
+    """
+    def christoffel(a, b):
+        g, gu, gv = metric_derivs(a, b)
+        ginv = np.linalg.inv(g)
+        dg = np.zeros((len(g),) * 3)    # dg[m, i, j] = d_m g_ij; zero for m >= 2
+        dg[0] = gu
+        dg[1] = gv
+        # Gamma^l_{ij} = (1/2) g^{lm} (d_i g_mj + d_j g_mi - d_m g_ij)
+        term = np.einsum('imj->mij', dg) + np.einsum('jmi->mij', dg) - dg
+        return 0.5 * np.einsum('lm,mij->lij', ginv, term), g, ginv
+
+    gam0, g, ginv = christoffel(u, v)
+    dgam = np.zeros((len(g),) * 4)      # dgam[m, l, i, j] = d_m Gamma^l_ij
+    dgam[0] = (christoffel(u + step, v)[0] - christoffel(u - step, v)[0]) / (2 * step)
+    dgam[1] = (christoffel(u, v + step)[0] - christoffel(u, v - step)[0]) / (2 * step)
+
+    # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
+    riem = (np.einsum('iljk->lkij', dgam) - np.einsum('jlik->lkij', dgam)
+            + np.einsum('lim,mjk->lkij', gam0, gam0)
+            - np.einsum('ljm,mik->lkij', gam0, gam0))
+    ric = np.einsum('lkli->ki', riem)
+    return g, ginv, riem, ric
+
+
 # --------------------------------------------------------------------------
 # power-law fitting
 # --------------------------------------------------------------------------

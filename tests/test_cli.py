@@ -1,19 +1,26 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
-    import os
+
+def _child_env() -> dict:
+    """The test environment with src/ first on the child's PYTHONPATH, so
+    the CLI runs from this checkout whether or not it is installed."""
     env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "taubnut", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
 
 
 def test_version_and_help():
@@ -102,6 +109,10 @@ def test_eval_deterministic():
     ("eval", "--point", "1,b"),
     ("eval", "--family", "exceptional", "--M", "2", "--point", "1,1"),
     ("nosuchcommand",),
+    ("verify", "--suite", "nosuch"),
+    ("verify", "--k", "0.5"),
+    ("blowdown", "--M", "2"),
+    ("eval", "--family", "exceptional", "--chart", "polar", "--point", "3,2.0"),
 ])
 def test_bad_arguments_exit_2(args):
     cp = run_cli(*args)
@@ -134,7 +145,7 @@ print(json.dumps({"before": before, "after": "scipy" in sys.modules,
 
 def test_closed_form_commands_start_without_scipy():
     cp = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=_child_env())
     assert cp.returncode == 0, cp.stderr
     doc = json.loads(cp.stdout)
     assert doc["before"] is False
@@ -262,21 +273,8 @@ def test_verify_single_suite():
                for l in cp.stdout.strip().splitlines())
 
 
-def test_verify_all_and_thread_determinism():
-    serial = run_cli("verify", "--suite", "all")
-    assert serial.returncode == 0, serial.stdout + serial.stderr
-    assert "30/30 checks passed" in serial.stdout
-    threaded = run_cli("verify", "--suite", "all",
-                       env_extra={"INSTANTON_THREADS": "4"})
-    assert threaded.returncode == 0
-    assert threaded.stdout == serial.stdout
-
-
-def test_verify_bad_suite_and_bad_threads():
-    assert run_cli("verify", "--suite", "nosuch").returncode == 2
-    cp = run_cli("verify", "--suite", "metrics",
-                 env_extra={"INSTANTON_THREADS": "abc"})
-    assert cp.returncode == 2
-    cp = run_cli("verify", "--suite", "metrics",
-                 env_extra={"INSTANTON_THREADS": "0"})
-    assert cp.returncode == 2
+def test_verify_all_is_deterministic():
+    first = run_cli("verify", "--suite", "all")
+    assert first.returncode == 0, first.stdout + first.stderr
+    assert "30/30 checks passed" in first.stdout
+    assert run_cli("verify", "--suite", "all").stdout == first.stdout

@@ -79,6 +79,17 @@ def test_solve_eta_monotone_in_v():
     assert all(b > a for a, b in zip(etas, etas[1:]))
 
 
+@pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT])
+@pytest.mark.parametrize("u,v", [(math.nan, 1.0), (1.0, math.nan),
+                                 (math.inf, 1.0), (1.0, -math.inf)])
+def test_non_finite_point_is_bad_params(params, u, v):
+    # a NaN used to fall through to the bracket search (NoBracket)
+    with pytest.raises(BadParams):
+        solve_eta(params, u, v)
+    with pytest.raises(BadParams):
+        distance(params, u, v)
+
+
 # ------------------------------------------------------------ polar round trip
 
 @pytest.mark.parametrize("params", [GEN, GEN05, GEN09, EXC])
@@ -91,6 +102,18 @@ def test_polar_roundtrip(params, R):
         R2, eta2 = polar_from_point(params, rec.u, rec.v)
         assert abs(R2 - R) < 1e-8 * max(1.0, R)
         assert abs(eta2 - eta) < 1e-8
+
+
+@pytest.mark.parametrize("params,lo", [(GEN05, 0.0), (EXC, 0.0),
+                                       (HP, -math.pi / 2)])
+def test_launch_angle_range(params, lo):
+    # the endpoints are the axis geodesics; anything beyond is off the chart
+    for eta in (lo, math.pi / 2):
+        rec = point_from_polar(params, 3.0, eta)
+        assert distance(params, rec.u, rec.v) == pytest.approx(3.0, rel=1e-10)
+    for eta in (lo - 0.3, math.pi / 2 + 1e-9, 2.0, math.nan):
+        with pytest.raises(BadParams):
+            point_from_polar(params, 3.0, eta)
 
 
 def test_distance_closed_form_exceptional():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from taubnut.numerics import (BoundaryTooClose, Dual, InsufficientSamples,
                               NoBracket, StepUnderflow, dual_partials,
-                              fd_gradient, fd_jacobian2, fd_laplacian,
+                              fd_curvature, fd_gradient, fd_jacobian2,
+                              fd_laplacian,
                               find_root_monotone, fit_power_law,
                               integrate_2d_improper, integrate_2d_region,
                               ode_solve)
@@ -106,6 +107,23 @@ def test_fd_jacobian2():
     J = fd_jacobian2(lambda x, y: (x * y, x - y), 0.5, 0.25)
     expect = np.array([[0.25, 0.5], [1.0, -1.0]])
     assert np.abs(np.asarray(J) - expect).max() < 1e-8
+
+
+def _round_sphere(a, b):
+    s, c = math.sin(a), math.cos(a)
+    return np.diag([1.0, s * s]), np.diag([0.0, 2.0 * s * c]), np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("u", [0.4, 1.0, 2.5])
+def test_fd_curvature_round_sphere_is_einstein(u):
+    # the unit 2-sphere diag(1, sin^2 u) has Ric = g, with O(step^2) error
+    errs = []
+    for step in (2e-3, 1e-3):
+        g, ginv, _, ric = fd_curvature(_round_sphere, u, 0.7, step=step)
+        assert np.abs(g @ ginv - np.eye(2)).max() < 1e-15
+        errs.append(np.abs(ric - g).max())
+    assert errs[1] < 1e-4
+    assert 3.5 < errs[0] / errs[1] < 4.5
 
 
 # -------------------------------------------------------------------- fitting
