@@ -103,14 +103,13 @@ def almost_ball_volume(params: InstantonParams, R: float) -> float:
     return math.pi ** 2 / 6.0 * (R ** 4 + 2.0 * R ** 3)
 
 
-def almost_ball_volume_quadrature(params: InstantonParams, R: float,
-                                  *, rel_tol: float = 1e-10) -> QuadratureResult:
+def almost_ball_volume_quadrature(params: InstantonParams, R: float) -> QuadratureResult:
     """Independent route: adaptive quadrature of the volume density over the
     almost-ball region.  Used to validate the closed forms."""
     spec = almost_ball_spec(params, R)
     return integrate_2d_region(
         lambda u, v: TORUS_VOLUME * volume_density(params, u, v),
-        spec.u_max, spec.v_max, rel_tol=rel_tol)
+        spec.u_max, spec.v_max)
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +194,7 @@ class SandwichSample:
 
 
 def sphere_sandwich(params: InstantonParams, r_tilde: float,
-                    *, n: int = 50, tol: float = 1e-12) -> SandwichSample:
+                    *, n: int = 50) -> SandwichSample:
     """Sample AS(r_tilde) at n angles and measure Rtilde - distance."""
     require(params, Family.GENERALIZED_TN, Family.EXCEPTIONAL_TN,
             what="the almost-sphere parametrization")
@@ -206,7 +205,7 @@ def sphere_sandwich(params: InstantonParams, r_tilde: float,
     for i in range(n):
         psi = 0.5 * math.pi * (i / (n - 1))
         u, v = uv_from_almost_polar(params, r_tilde, psi)
-        R = distance(params, u, v, tol=tol)
+        R = distance(params, u, v)
         gap = r_tilde - R
         gaps.append(gap)
         cs.append(gap / math.log(R))

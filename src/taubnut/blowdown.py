@@ -42,7 +42,8 @@ import numpy as np
 
 from .family import SQRT2, BadParams, Family, InstantonParams, moment_map
 from .metrics import conformal_factor, fiber_matrix
-from .numerics import BoundaryTooClose, fd_curvature, fd_gradient, fd_laplacian
+from .numerics import (BoundaryTooClose, fd_conformal_curvature, fd_curvature,
+                       fd_gradient)
 
 
 class SingularAxis(Exception):
@@ -100,6 +101,17 @@ def conifold_metric(k: float, u: float, v: float) -> ConifoldMetric:
     return ConifoldMetric(k, P, scal)
 
 
+def _large_mass_scaled(k: float, u: float, v: float,
+                       M: float) -> tuple[float, np.ndarray]:
+    """(lam_scaled, unscaled torus matrix) of the generalized family at mass
+    M, evaluated at the blowdown-chart point (u, v), i.e. at (c u, c v) with
+    c = (M / (2 sqrt2))^(1/4) (see the module docstring)."""
+    params = InstantonParams(Family.GENERALIZED_TN, M=M, k=k)
+    c = (M / (2.0 * SQRT2)) ** 0.25
+    lam_scaled = conformal_factor(params, c * u, c * v) * c * c
+    return lam_scaled, np.array(fiber_matrix(params, c * u, c * v), dtype=float)
+
+
 def conifold_limit_residual(k: float, u: float, v: float,
                             M: float) -> tuple[float, float]:
     """(leaf residual, fiber residual) of the scaled generalized family at
@@ -110,13 +122,9 @@ def conifold_limit_residual(k: float, u: float, v: float,
     matrix to the rank-one form S * w w^T, where w = ((1+k)/2, (1-k)/2) is
     the collapsed combination and S is the measured limit coefficient."""
     _check_k(k)
-    params = InstantonParams(Family.GENERALIZED_TN, M=M, k=k)
-    c = (M / (2.0 * SQRT2)) ** 0.25
-    lam_scaled = conformal_factor(params, c * u, c * v) * c * c
+    lam_scaled, F = _large_mass_scaled(k, u, v, M)
     lim = conifold_metric(k, u, v)
     leaf_res = abs(lam_scaled - lim.conformal)
-
-    F = np.array(fiber_matrix(params, c * u, c * v), dtype=float)
     w = np.array([(1.0 + k) / 2.0, (1.0 - k) / 2.0])
     S = CONIFOLD_FIBER_LIMIT_FACTOR * lim.fiber_scalar
     fiber_res = float(np.abs(F - S * np.outer(w, w)).max())
@@ -176,43 +184,35 @@ def conifold_ricci_diagonal_variant(k: float, u: float,
             -2.0 * k * u * v * (u2 - v2) / P ** 3)
 
 
-def _g3(k: float, u: float, v: float) -> np.ndarray:
-    P = (1.0 + k) * u * u + (1.0 - k) * v * v
-    W = u * u * v * v * (u * u + v * v) / P
-    return np.diag([P, P, W])
-
-
-def conifold_ricci_fd(k: float, u: float, v: float,
-                      *, step: float = 1e-4) -> tuple[float, float, float, float]:
+def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float, float]:
     """Ricci tensor of the conifold 3-metric by central finite differences
-    of the Christoffel symbols: entries (uu, uv, vv, theta), O(step^2).
-    The metric derivatives are themselves central differences of g3."""
+    of step 1e-4 of the Christoffel symbols: entries (uu, uv, vv, theta),
+    O(step^2).  The metric derivatives are themselves central differences
+    of conifold_metric."""
     _check_k(k)
+    step = 1e-4
     if u - 2.0 * step <= 0.0 or v - 2.0 * step <= 0.0:
         raise BoundaryTooClose(
             f"FD stencil at ({u}, {v}) reaches the degenerate axes")
 
+    def g3(a, b):
+        m = conifold_metric(k, a, b)
+        return np.diag([m.conformal, m.conformal, m.fiber_scalar])
+
     def metric_derivs(a, b):
-        return (_g3(k, a, b),
-                (_g3(k, a + step, b) - _g3(k, a - step, b)) / (2.0 * step),
-                (_g3(k, a, b + step) - _g3(k, a, b - step)) / (2.0 * step))
+        return (g3(a, b),
+                (g3(a + step, b) - g3(a - step, b)) / (2.0 * step),
+                (g3(a, b + step) - g3(a, b - step)) / (2.0 * step))
 
     ric = fd_curvature(metric_derivs, u, v, step=step)[3]
     return float(ric[0, 0]), float(ric[0, 1]), float(ric[1, 1]), float(ric[2, 2])
 
 
-def conifold_polytope_curvature_fd(k: float, u: float, v: float,
-                                   *, step: float = 1e-4) -> float:
-    """Conformal-oracle K of the polytope factor P (du^2 + dv^2)."""
+def conifold_polytope_curvature_fd(k: float, u: float, v: float) -> float:
+    """Conformal-oracle K of the polytope factor P (du^2 + dv^2), step 1e-4."""
     _check_k(k)
-
-    def logP(a, b):
-        return math.log((1.0 + k) * a * a + (1.0 - k) * b * b)
-
-    lap = fd_laplacian(logP, u, v, step=step,
-                       bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
-    P = (1.0 + k) * u * u + (1.0 - k) * v * v
-    return -lap / (2.0 * P)
+    return fd_conformal_curvature(lambda a, b: conifold_metric(k, a, b).conformal,
+                                  u, v, step=1e-4)
 
 
 # --------------------------------------------------------------------------
@@ -226,12 +226,12 @@ def blowdown_distance(k: float, u: float, v: float) -> float:
     return 0.5 * math.sqrt(1.0 + k) * u * u + 0.5 * math.sqrt(1.0 - k) * v * v
 
 
-def blowdown_distance_gradient_deficit(k: float, u: float, v: float,
-                                       *, step: float = 1e-6) -> float:
-    """| |grad S|_{g_Sigma} - 1 | by central differences (the closed-form
-    identity (1+k)u^2 + (1-k)v^2 = P makes this zero up to FD error)."""
+def blowdown_distance_gradient_deficit(k: float, u: float, v: float) -> float:
+    """| |grad S|_{g_Sigma} - 1 | by central differences of step 1e-6 (the
+    closed-form identity (1+k)u^2 + (1-k)v^2 = P makes this zero up to FD
+    error)."""
     gx, gy = fd_gradient(lambda a, b: blowdown_distance(k, a, b), u, v,
-                         step=step,
+                         step=1e-6,
                          bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
     P = (1.0 + k) * u * u + (1.0 - k) * v * v
     return abs(math.sqrt((gx * gx + gy * gy) / P) - 1.0)
@@ -318,13 +318,9 @@ def second_blowdown_limit_residual(k: float, u: float, v: float,
              [sqrt(2 sqrt2 M)(1-k)/2, -sqrt(2 sqrt2 M)(1+k)/2]].
     """
     _check_k(k)
-    params = InstantonParams(Family.GENERALIZED_TN, M=M, k=k)
-    c = (M / (2.0 * SQRT2)) ** 0.25
+    lam_scaled, F = _large_mass_scaled(k, u, v, M)
     lim = second_blowdown_metric(k, u, v)
-    lam_scaled = conformal_factor(params, c * u, c * v) * c * c
     leaf_res = abs(lam_scaled - lim.conformal)
-
-    F = np.array(fiber_matrix(params, c * u, c * v), dtype=float)
     root = math.sqrt(2.0 * SQRT2 * M)
     T = np.array([[SQRT2 / (1.0 + k), 0.0],
                   [root * (1.0 - k) / 2.0, -root * (1.0 + k) / 2.0]])
@@ -381,12 +377,12 @@ def exceptional_blowdown_curvature(u: float) -> float:
     return 1.0 / u ** 4
 
 
-def exceptional_blowdown_curvature_fd(u: float, *, step: float = 1e-5) -> float:
-    if u - step <= 0.0:
+def exceptional_blowdown_curvature_fd(u: float) -> float:
+    """Conformal-oracle K of the polytope factor u^2 (du^2 + dv^2), step 1e-5."""
+    if u - 1e-5 <= 0.0:
         raise BoundaryTooClose(f"FD stencil at u={u} reaches the singular axis")
-    lap = fd_laplacian(lambda a, b: 2.0 * math.log(a), u, 1.0, step=step,
-                       bounds=((0.0, math.inf), (-math.inf, math.inf)))
-    return -lap / (2.0 * u * u)
+    return fd_conformal_curvature(lambda a, b: exceptional_blowdown_metric(a, b)[0],
+                                  u, 1.0, step=1e-5)
 
 
 def exceptional_blowdown_limit_residual(u: float, v: float,

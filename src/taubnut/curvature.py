@@ -33,14 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .asymptotics import almost_ball_spec
 from .family import (SQRT2, BadParams, Chart, ChartPoint, Family,
                      InstantonParams, require)
 from .geodesics import point_from_polar
 from .metrics import (TORUS_VOLUME, conformal_factor, fiber_matrix,
                       generalized_D)
 from .numerics import (BoundaryTooClose, QuadratureResult, dual_partials,
-                       fd_curvature, fd_jacobian2, fd_laplacian, fit_power_law,
-                       integrate_2d_improper, integrate_2d_region)
+                       fd_conformal_curvature, fd_curvature, fd_jacobian2,
+                       fit_power_law, integrate_2d_improper, integrate_2d_region)
 
 # FD tensor norm -> closed-form |Ric| divisor, frozen against symbolic Ricci
 # norms of the three 4-metrics (|Ric|^2_tensor = 8 M^2 k^2 / D^4,
@@ -122,20 +123,17 @@ def polytope_curvature_polar_form(params: InstantonParams, r: float,
     return M * (-1.0 + SQRT2 * M * k * r * (k + math.sin(theta))) / den ** 3
 
 
-def polytope_curvature_fd(params: InstantonParams, u: float, v: float,
-                          *, step: float = 1e-3) -> float:
-    """Conformal-metric Gauss curvature oracle K = -Lap(log lambda)/(2 lambda),
-    O(step^2).  Needs 2*step of clearance from the chart boundary."""
+def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
+    """Conformal-metric Gauss curvature oracle K = -Lap(log lambda)/(2 lambda)
+    at step 1e-3, O(step^2).  Needs 2*step of clearance from the chart
+    boundary."""
+    step = 1e-3
     if u - 2 * step < 0.0:
         raise BoundaryTooClose(f"u={u} < 2*step")
     if params.family is not Family.EXCEPTIONAL_HALF_PLANE and v - 2 * step < 0.0:
         raise BoundaryTooClose(f"v={v} < 2*step")
-
-    def loglam(a, b):
-        return math.log(conformal_factor(params, a, b))
-
-    lap = fd_laplacian(loglam, u, v, step=step, bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
-    return -lap / (2.0 * conformal_factor(params, u, v))
+    return fd_conformal_curvature(lambda a, b: conformal_factor(params, a, b),
+                                  u, v, step=step)
 
 
 # --------------------------------------------------------------------------
@@ -181,15 +179,14 @@ def ricci_pseudo_volume_density(params: InstantonParams, u: float, v: float) -> 
     return 0.0
 
 
-def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float,
-                             *, step: float = 1e-4) -> float:
+def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> float:
     """FD oracle for the pseudo-volume density: |det of the potential
-    Jacobian| by central differences."""
+    Jacobian| by central differences of step 1e-4."""
     def pots(a, b):
         p = ricci_potentials(params, a, b)
         return p.r1, p.r2
 
-    jac = fd_jacobian2(pots, u, v, step=step, bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
+    jac = fd_jacobian2(pots, u, v, step=1e-4, bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
     return abs(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
 
 
@@ -224,17 +221,16 @@ def l2_ricci_closed(params: InstantonParams) -> float:
     return math.inf
 
 
-def l2_ricci(params: InstantonParams, *, rel_tol: float = 1e-9,
-             growth_radii: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
-             ) -> EnergyReport:
+def l2_ricci(params: InstantonParams) -> EnergyReport:
     """Total L^2 Ricci energy: the fiber volume 4 pi^2 times the integral of
     the pseudo-volume density over the polytope.
 
     GeneralizedTN (|k|<1): finite, closed form 4 pi^2 k^2/(1-k^2), verified
-    by improper quadrature.  The exceptional families diverge; the report
-    then carries partial energies over growing almost-balls (quadratic
-    growth for ExceptionalTN) or strips of growing height (linear growth for
-    the half-plane), with the fitted growth exponent.
+    by improper quadrature to 1e-9 relative.  The exceptional families
+    diverge; the report then carries partial energies over the almost-balls
+    (quadratic growth for ExceptionalTN) or strips of height (linear growth
+    for the half-plane) of radius 25, 50, 100 and 200, with the fitted
+    growth exponent.
     """
     fam = params.family
     if fam is Family.FLAT:
@@ -248,22 +244,16 @@ def l2_ricci(params: InstantonParams, *, rel_tol: float = 1e-9,
         if params.k == 0.0:
             return EnergyReport(0.0, None, 0.0)
         quad = integrate_2d_improper(f, decay_exponent=2.0,
-                                     rel_tol=rel_tol, abs_tol=1e-12)
+                                     rel_tol=1e-9, abs_tol=1e-12)
         return EnergyReport(closed, quad, abs(quad.value - closed) / closed)
 
     samples = []
-    for R in growth_radii:
+    for R in (25.0, 50.0, 100.0, 200.0):
         if fam is Family.EXCEPTIONAL_TN:
-            u_max = math.sqrt(2.0 * R)
-
-            def v_max(u, R=R):
-                return R - u * u / 2.0
-
-            quad = integrate_2d_region(f, u_max, v_max)
-            val = quad.value
+            spec = almost_ball_spec(params, R)
+            val = integrate_2d_region(f, spec.u_max, spec.v_max).value
         else:  # half-plane: strip |y| <= R (density is y-independent)
-            quad = integrate_2d_region(f, 1e4, lambda u: R)
-            val = 2.0 * quad.value
+            val = 2.0 * integrate_2d_region(f, 1e4, lambda u: R).value
         samples.append((R, val))
     fit = fit_power_law([s[0] for s in samples], [s[1] for s in samples])
     return EnergyReport(math.inf, None, math.inf,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +59,6 @@ def find_root_monotone(
     x0: float | None = None,
     abs_tol: float = 1e-13,
     rel_tol: float = 4e-16,
-    max_iter: int = 200,
 ) -> float:
     """Solve f(x) = 0 on [lo, hi] where f changes sign exactly once.
 
@@ -71,7 +70,7 @@ def find_root_monotone(
 
     Raises NoBracket if f(lo) and f(hi) have the same strict sign, and
     MaxIterExceeded if the bracket fails to shrink below
-    ``abs_tol + rel_tol * |x|`` within ``max_iter`` evaluations.
+    ``abs_tol + rel_tol * |x|`` within 200 evaluations.
     """
     flo = f(lo)
     if flo == 0.0:
@@ -86,7 +85,7 @@ def find_root_monotone(
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     x_prev, f_prev = a, fa
 
-    for _ in range(max_iter):
+    for _ in range(200):
         fx = f(x)
         if fx == 0.0:
             return x
@@ -120,7 +119,7 @@ def find_root_monotone(
         x = 0.5 * (a + b)
 
     raise MaxIterExceeded(
-        f"no convergence after {max_iter} iterations; bracket [{a}, {b}]"
+        f"no convergence after 200 iterations; bracket [{a}, {b}]"
     )
 
 
@@ -143,8 +142,6 @@ def integrate_2d_improper(
     decay_exponent: float,
     abs_tol: float = 1e-10,
     rel_tol: float = 1e-8,
-    initial_radius: float = 8.0,
-    max_radius: float = 1e7,
 ) -> QuadratureResult:
     """Integrate f over the open first quadrant when f decays like a power.
 
@@ -155,11 +152,11 @@ def integrate_2d_improper(
         tail(T) <= A * (pi/4) * (1 + T^2)^(1 - p) / (p - 1)
 
     (integrate the envelope in polar coordinates over rho > T).  The
-    truncation radius T is grown until the bound fits inside the requested
-    tolerance, then scipy's adaptive quadrature handles [0, T]^2.
+    truncation radius T is grown from 8 until the bound fits inside the
+    requested tolerance, then scipy's adaptive quadrature handles [0, T]^2.
 
-    Raises SlowDecay when p <= 1 or when the sampled arcs show the integrand
-    shrinking slower than promised.
+    Raises SlowDecay when p <= 1, when the sampled arcs show the integrand
+    shrinking slower than promised, or when T would pass 1e7.
     """
     from scipy import integrate as _sciint
 
@@ -204,7 +201,7 @@ def integrate_2d_improper(
             val, err = _sciint.dblquad(counted, u0, u1, v0, v1, epsabs=eab, epsrel=erl)
         return val, err
 
-    T0 = float(initial_radius)
+    T0 = 8.0
     rough, _ = box(0.0, T0, 0.0, T0, 1e-6, 1e-6)
     budget = abs_tol + rel_tol * (abs(rough) + tail_bound_at(T0))
 
@@ -212,7 +209,7 @@ def integrate_2d_improper(
     tail = tail_bound_at(T)
     while tail > 0.25 * budget:
         T *= 2.0
-        if T > max_radius:
+        if T > 1e7:
             raise SlowDecay(
                 f"tail bound {tail:.3g} still exceeds budget {budget:.3g} at radius {T / 2:.3g}"
             )
@@ -247,15 +244,14 @@ def integrate_2d_region(
     f: Callable[[float, float], float],
     u_max: float,
     v_max_of_u: Callable[[float], float],
-    *,
-    abs_tol: float = 1e-11,
-    rel_tol: float = 1e-10,
 ) -> QuadratureResult:
     """Integrate f over {0 < u < u_max, 0 < v < v_max_of_u(u)} by nested
-    adaptive quadrature.  Suited to the bounded sublevel-set regions used for
-    volume comparisons; no tail estimate is involved."""
+    adaptive quadrature to 1e-11 absolute or 1e-10 relative.  Suited to the
+    bounded sublevel-set regions used for volume comparisons; no tail
+    estimate is involved."""
     from scipy import integrate as _sciint
 
+    abs_tol, rel_tol = 1e-11, 1e-10
     nfev = 0
 
     def inner(u: float) -> float:
@@ -283,7 +279,6 @@ class OdeResult:
     ts: np.ndarray
     ys: np.ndarray   # shape (len(ts), dim)
     nfev: int
-    interpolant: Callable[[float], np.ndarray] | None = field(default=None, repr=False)
 
 
 def ode_solve(
@@ -294,7 +289,6 @@ def ode_solve(
     rel_tol: float = 1e-12,
     abs_tol: float = 1e-12,
     t_eval: Sequence[float] | None = None,
-    max_step: float = math.inf,
 ) -> OdeResult:
     """High-order nonstiff integration (explicit Runge-Kutta 8(5,3)).
 
@@ -312,12 +306,10 @@ def ode_solve(
         rtol=rel_tol,
         atol=abs_tol,
         t_eval=None if t_eval is None else np.asarray(t_eval, dtype=float),
-        max_step=max_step,
-        dense_output=True,
     )
     if not sol.success:
         raise StepUnderflow(f"integrator stopped at t = {sol.t[-1]!r}: {sol.message}")
-    return OdeResult(ts=sol.t, ys=sol.y.T, nfev=sol.nfev, interpolant=lambda t: sol.sol(t))
+    return OdeResult(ts=sol.t, ys=sol.y.T, nfev=sol.nfev)
 
 
 # --------------------------------------------------------------------------
@@ -355,6 +347,15 @@ def fd_laplacian(
         f(x + step, y) + f(x - step, y) + f(x, y + step) + f(x, y - step)
         - 4.0 * f(x, y)
     ) / h2
+
+
+def fd_conformal_curvature(lam: Callable[[float, float], float], x: float, y: float,
+                           *, step: float) -> float:
+    """Gauss curvature K = -Lap(log lam)/(2 lam) of lam (dx^2 + dy^2) by the
+    five-point Laplacian, O(step^2); callers keep the stencil where lam > 0."""
+    lap = fd_laplacian(lambda a, b: math.log(lam(a, b)), x, y, step=step,
+                       bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
+    return -lap / (2.0 * lam(x, y))
 
 
 def fd_gradient(

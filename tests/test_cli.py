@@ -177,6 +177,29 @@ def test_geodesic_csv():
     assert float(last[4]) < 1e-8 and float(last[5]) < 1e-8
 
 
+def test_geodesic_solves_each_sample_once(tmp_path: Path, monkeypatch):
+    from taubnut import cli, geodesics
+    from taubnut.family import Family, InstantonParams
+
+    calls = []
+    distance = geodesics.distance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return distance(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "distance", counted)
+    out = tmp_path / "g.csv"
+    assert cli.main(["geodesic", "--family", "exceptional", "--eta", "0.7",
+                     "--R", "5", "--samples", "50", "--out", str(out)]) == 0
+    assert len(calls) == 50
+    monkeypatch.undo()
+    traj = geodesics.geodesic_shoot(InstantonParams(Family.EXCEPTIONAL_TN),
+                                    0.7, 5.0, n_samples=50, tol=1e-12)
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [float(r.split(",")[3]) for r in rows] == list(traj.distances)
+
+
 # -------------------------------------------------------------------- contour
 
 def test_contour_level0_origin_only():
@@ -278,3 +301,18 @@ def test_verify_all_is_deterministic():
     assert first.returncode == 0, first.stdout + first.stderr
     assert "30/30 checks passed" in first.stdout
     assert run_cli("verify", "--suite", "all").stdout == first.stdout
+
+
+VERIFY_UNDER_O_SCRIPT = """
+import numpy as np
+from taubnut import cli, metrics
+metrics.fiber_matrix = lambda p, u, v: np.eye(2)
+raise SystemExit(cli.main(["verify", "--suite", "metrics"]))
+"""
+
+
+def test_verify_fails_a_broken_check_under_python_O():
+    cp = subprocess.run([sys.executable, "-O", "-c", VERIFY_UNDER_O_SCRIPT],
+                        capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 1, cp.stdout + cp.stderr
+    assert "FAIL metrics.det-fiber" in cp.stdout

@@ -203,7 +203,7 @@ def test_exceptional_energy_growth():
 
 
 def test_halfplane_energy_growth_linear():
-    rep = l2_ricci(HP, growth_radii=(25.0, 50.0, 100.0, 200.0))
+    rep = l2_ricci(HP)
     assert rep.growth_exponent == pytest.approx(1.0, abs=1e-3)
     # E(strip of half-height R) = 32 pi^2 R exactly
     for R, val in rep.growth_samples:

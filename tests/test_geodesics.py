@@ -232,3 +232,13 @@ def test_polar_coefficient_regularity():
 def test_polar_coefficient_needs_generalized():
     with pytest.raises(WrongFamily):
         polar_metric_coefficient(EXC, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("v", [1e-8, 1e-10, 1e-12, 1e-14, 1e-200])
+@pytest.mark.parametrize("params, sign", [(EXC, 1.0), (HP, 1.0), (HP, -1.0)])
+def test_distance_near_the_u_axis(params, sign, v):
+    # the launch angle is only known to 1e-13 absolutely here, but S_eta is
+    # stationary in eta, so the distance still lands on the axis value
+    got = distance(params, 1.0, sign * v)
+    assert math.isfinite(got)
+    assert abs(got - distance(params, 1.0, 0.0)) <= 1e-12 + v

@@ -74,11 +74,6 @@ def test_ode_harmonic_oscillator():
     assert abs(sol.ys[-1][1]) < 1e-9
 
 
-def test_ode_interpolant():
-    sol = ode_solve(lambda t, y: np.array([y[0]]), (0.0, 1.0), [1.0])
-    assert abs(sol.interpolant(0.5)[0] - math.exp(0.5)) < 1e-10
-
-
 def test_ode_blowup_raises():
     with pytest.raises(StepUnderflow):
         ode_solve(lambda t, y: np.array([y[0] ** 2]), (0.0, 3.0), [1.0])
