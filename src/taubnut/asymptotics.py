@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .family import (SQRT2, BadParams, Family, InstantonParams, WrongFamily,
-                     almost_distance, require, uv_from_almost_polar)
+from .family import (BadParams, InstantonParams, almost_distance,
+                     uv_from_almost_polar)
 from .geodesics import distance, point_from_polar
 from .metrics import TORUS_VOLUME, volume_density
 from .numerics import (InsufficientSamples, QuadratureResult, fit_power_law,
@@ -50,30 +50,16 @@ class AlmostBallSpec:
     u_max: float
 
     def v_max(self, u: float) -> float:
-        p = self.params
-        if p.family is Family.GENERALIZED_TN:
-            budget = (math.sqrt(SQRT2 * p.M) * self.radius
-                      - math.sqrt(1.0 + p.k) * u * u)
-            if budget <= 0.0:
-                return 0.0
-            return math.sqrt(budget / math.sqrt(1.0 - p.k))
-        return max(self.radius - 0.5 * u * u, 0.0)
+        return self.params.geometry.almost_ball_v_max(self.radius, u)
 
     def contains(self, u: float, v: float) -> bool:
         return almost_distance(self.params, u, v) <= self.radius
 
 
 def almost_ball_spec(params: InstantonParams, R: float) -> AlmostBallSpec:
-    require(params, Family.GENERALIZED_TN, Family.EXCEPTIONAL_TN,
-            what="the almost-ball region")
     if R <= 0.0:
         raise BadParams(f"almost-ball radius must be positive, got {R}")
-    if params.family is Family.GENERALIZED_TN:
-        u_max = math.sqrt(math.sqrt(SQRT2 * params.M) * R
-                          / math.sqrt(1.0 + params.k))
-    else:
-        u_max = math.sqrt(2.0 * R)
-    return AlmostBallSpec(params, R, u_max)
+    return AlmostBallSpec(params, R, params.geometry.almost_ball_u_max(R))
 
 
 def almost_ball_volume(params: InstantonParams, R: float) -> float:
@@ -88,19 +74,9 @@ def almost_ball_volume(params: InstantonParams, R: float) -> float:
     The half-plane family has unbounded fibers (infinite volume per unit of
     the noncompact fiber coordinate) and is rejected rather than normalized.
     """
-    if params.family in (Family.EXCEPTIONAL_HALF_PLANE, Family.FLAT):
-        raise WrongFamily(
-            "almost-ball volume is defined for the GeneralizedTN and "
-            f"ExceptionalTN families, not {params.family.value}")
     if R < 0.0:
         raise BadParams(f"almost-ball radius must be >= 0, got {R}")
-    if params.family is Family.GENERALIZED_TN:
-        k, M = params.k, params.M
-        pre = 2.0 * SQRT2 * math.pi ** 2 / (M * math.sqrt(1.0 - k * k))
-        cubic = (math.sqrt(1.0 + k) + math.sqrt(1.0 - k)) \
-            * math.sqrt(SQRT2 * M) / 3.0
-        return pre * (R * R + cubic * R ** 3)
-    return math.pi ** 2 / 6.0 * (R ** 4 + 2.0 * R ** 3)
+    return params.geometry.almost_ball_volume(R)
 
 
 def almost_ball_volume_quadrature(params: InstantonParams, R: float) -> QuadratureResult:
@@ -196,8 +172,6 @@ class SandwichSample:
 def sphere_sandwich(params: InstantonParams, r_tilde: float,
                     *, n: int = 50) -> SandwichSample:
     """Sample AS(r_tilde) at n angles and measure Rtilde - distance."""
-    require(params, Family.GENERALIZED_TN, Family.EXCEPTIONAL_TN,
-            what="the almost-sphere parametrization")
     if r_tilde <= 0.0:
         raise BadParams(f"need a positive radius, got {r_tilde}")
     gaps = []

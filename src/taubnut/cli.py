@@ -98,13 +98,9 @@ def _csv(header: list[str], rows: list[list]) -> str:
 # --------------------------------------------------------------------------
 
 def _params(args) -> InstantonParams:
-    fam = FAMILY_NAMES[args.family]
-    try:
-        # the library rejects stray parameters (e.g. --M for a family with a
-        # fixed normalization) rather than silently dropping them
-        return InstantonParams(fam, M=args.M, k=args.k)
-    except BadParams as exc:
-        raise UsageError(str(exc))
+    # the library rejects stray parameters (e.g. --M for a family with a
+    # fixed normalization) with BadParams, an exit-2 usage error
+    return InstantonParams(FAMILY_NAMES[args.family_name], M=args.M, k=args.k)
 
 
 def _parse_point(text: str) -> tuple[float, float]:
@@ -221,9 +217,9 @@ def _cmd_contour(args) -> int:
     params = _params(args)
     if args.levels < 2:
         raise UsageError(f"--levels must be >= 2, got {args.levels}")
-    half_plane = params.family is Family.EXCEPTIONAL_HALF_PLANE
-    phi_lo = -0.5 * math.pi if half_plane else 0.0
-    phis = np.linspace(phi_lo, 0.5 * math.pi, args.phi_samples)
+    # rays and launch angles both sweep the chart domain
+    eta_lo, eta_hi = params.geometry.eta_range
+    phis = np.linspace(eta_lo, eta_hi, args.phi_samples)
 
     rows = []
     levels = [args.R * i / (args.levels - 1) for i in range(args.levels)]
@@ -233,9 +229,7 @@ def _cmd_contour(args) -> int:
         for phi, u, v in pts:
             rows.append([f"level-{i}", "level", phi, u, v, level])
 
-    fan = [j * math.pi / 12.0 for j in range(7)]
-    if half_plane:
-        fan = sorted(set(fan) | {-e for e in fan})
+    fan = [e for e in (j * math.pi / 12.0 for j in range(-6, 7)) if e >= eta_lo]
     for j, eta_ray in enumerate(fan):
         for t in np.linspace(0.0, args.R, args.phi_samples):
             if t == 0.0:
@@ -301,8 +295,10 @@ def _cmd_energy(args) -> int:
         "growth_exponent": rep.growth_exponent,
         "growth_samples": [list(s) for s in rep.growth_samples],
     }
-    if params.family is Family.GENERALIZED_TN:
+    try:
         doc["l2_riemann"] = curvature.l2_riemann(params)
+    except WrongFamily:
+        pass
     if args.format == "csv":
         rows = [["l2_ricci_closed", doc["l2_ricci_closed"]],
                 ["l2_ricci_quadrature",
@@ -328,22 +324,19 @@ def _cmd_volume(args) -> int:
         raise UsageError(f"--R expects comma-separated radii, got {args.R!r}")
     if not radii or any(r <= 0 for r in radii):
         raise UsageError("--R radii must be positive")
-    try:
-        rows = []
-        brackets = []
-        for R in radii:
-            vol = asymptotics.almost_ball_volume(params, R)
-            try:
-                lo, hi = asymptotics.ball_volume_bracket(params, R, tol=args.tol)
-                rows.append([R, vol, lo, hi])
-                brackets.append([lo, hi])
-            except asymptotics.SmallRadius:
-                rows.append([R, vol, "", ""])
-                brackets.append(None)
-        exponent = (asymptotics.volume_growth_exponent(params, radii)
-                    if len(radii) >= 4 else None)
-    except WrongFamily as exc:
-        raise UsageError(str(exc))
+    rows = []
+    brackets = []
+    for R in radii:
+        vol = asymptotics.almost_ball_volume(params, R)
+        try:
+            lo, hi = asymptotics.ball_volume_bracket(params, R, tol=args.tol)
+            rows.append([R, vol, lo, hi])
+            brackets.append([lo, hi])
+        except asymptotics.SmallRadius:
+            rows.append([R, vol, "", ""])
+            brackets.append(None)
+    exponent = (asymptotics.volume_growth_exponent(params, radii)
+                if len(radii) >= 4 else None)
     if args.format == "json":
         doc = {
             "version": __version__,
@@ -453,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # shared options; each subcommand takes only the groups it reads
     params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--family", choices=sorted(FAMILY_NAMES), default="generalized")
+    params.add_argument("--family", dest="family_name", choices=sorted(FAMILY_NAMES),
+                        default="generalized")
     params.add_argument("--M", type=float, default=None,
                         help="mass parameter of the generalized family "
                              "(default sqrt(2), the standard scale)")

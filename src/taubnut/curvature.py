@@ -22,8 +22,14 @@ Conventions fixed here once:
   the product identity is asserted, not hidden.
 
 * The FD oracle's Ricci tensor norm relates to ricci_norm by a frozen
-  per-family calibration factor (RICCI_NORM_CALIBRATION): 2 for the
-  Taub-NUT-type families, sqrt(2) for the half-plane instanton.
+  per-family calibration factor (``ricci_calibration`` of the family's
+  geometry): 2 for the Taub-NUT-type families, sqrt(2) for the half-plane
+  instanton.  It is frozen against symbolic Ricci norms of the three
+  4-metrics (|Ric|^2_tensor = 8 M^2 k^2 / D^4, 16/(1+u^2)^4, 16/(1+x^2)^4).
+
+The closed forms themselves are written in the family classes of
+:mod:`taubnut.family`; this module holds the family-blind integrals and
+oracles around them.
 """
 
 from __future__ import annotations
@@ -33,25 +39,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import almost_ball_spec
-from .family import (SQRT2, BadParams, Chart, ChartPoint, Family,
-                     InstantonParams, require)
+from .family import BadParams, Chart, ChartPoint, InstantonParams
 from .geodesics import point_from_polar
-from .metrics import (TORUS_VOLUME, conformal_factor, fiber_matrix,
-                      generalized_D)
-from .numerics import (BoundaryTooClose, QuadratureResult, dual_partials,
+from .metrics import TORUS_VOLUME, conformal_factor, fiber_matrix
+from .numerics import (QuadratureResult, check_stencil, dual_partials,
                        fd_conformal_curvature, fd_curvature, fd_jacobian2,
                        fit_power_law, integrate_2d_improper, integrate_2d_region)
-
-# FD tensor norm -> closed-form |Ric| divisor, frozen against symbolic Ricci
-# norms of the three 4-metrics (|Ric|^2_tensor = 8 M^2 k^2 / D^4,
-# 16/(1+u^2)^4, 16/(1+x^2)^4 respectively).
-RICCI_NORM_CALIBRATION = {
-    Family.GENERALIZED_TN: 2.0,
-    Family.EXCEPTIONAL_TN: 2.0,
-    Family.EXCEPTIONAL_HALF_PLANE: SQRT2,
-    Family.FLAT: 2.0,
-}
 
 
 class OriginSingularity(Exception):
@@ -91,22 +84,13 @@ class Curvature4Sample:
 
 def polytope_curvature(params: InstantonParams, u: float, v: float) -> float:
     """Gauss curvature of the leaf metric at (u, v) (or (x, y))."""
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        k, M = params.k, params.M
-        D = generalized_D(k, u, v)
-        return (M / SQRT2) * (-1.0 + k * (1.0 + k) * u * u
-                              - k * (1.0 - k) * v * v) / D ** 3
-    if fam in (Family.EXCEPTIONAL_TN, Family.EXCEPTIONAL_HALF_PLANE):
-        return -(1.0 - u * u) / (1.0 + u * u) ** 3
-    return 0.0
+    return params.geometry.polytope_curvature(u, v)
 
 
 def polytope_curvature_overscaled(params: InstantonParams, u: float, v: float) -> float:
     """The M-prefactor variant of the generalized-family Gauss curvature
     (exactly sqrt(2) times the oracle value; see module docstring)."""
-    require(params, Family.GENERALIZED_TN, what="this curvature variant")
-    return SQRT2 * polytope_curvature(params, u, v)
+    return params.geometry.polytope_curvature_overscaled(u, v)
 
 
 def polytope_curvature_polar_form(params: InstantonParams, r: float,
@@ -115,12 +99,9 @@ def polytope_curvature_polar_form(params: InstantonParams, r: float,
     (r, theta), x = r cos(theta), y = r sin(theta).  Provided to cross-check
     that the polar and quadratic-coordinate forms agree identically (they
     do, for every M, once 2*eta is read as the (u,v) polar angle)."""
-    require(params, Family.GENERALIZED_TN, what="the polar-form curvature")
     if r == 0.0:
         raise OriginSingularity("use the (u,v) form at the polytope corner")
-    k, M = params.k, params.M
-    den = 1.0 + SQRT2 * M * r * (1.0 + k * math.sin(theta))
-    return M * (-1.0 + SQRT2 * M * k * r * (k + math.sin(theta))) / den ** 3
+    return params.geometry.polytope_curvature_polar_form(r, theta)
 
 
 def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
@@ -128,10 +109,7 @@ def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
     at step 1e-3, O(step^2).  Needs 2*step of clearance from the chart
     boundary."""
     step = 1e-3
-    if u - 2 * step < 0.0:
-        raise BoundaryTooClose(f"u={u} < 2*step")
-    if params.family is not Family.EXCEPTIONAL_HALF_PLANE and v - 2 * step < 0.0:
-        raise BoundaryTooClose(f"v={v} < 2*step")
+    check_stencil(u, v, 2 * step, params.geometry.bounds)
     return fd_conformal_curvature(lambda a, b: conformal_factor(params, a, b),
                                   u, v, step=step)
 
@@ -143,21 +121,7 @@ def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
 def ricci_potentials(params: InstantonParams, u, v) -> RicciPotentials:
     """The invariant potential pair whose exterior product is the Ricci
     pseudo-volume form.  Accepts Dual arguments in the scalar slots."""
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        k = params.k
-        D = generalized_D(k, u, v)
-        r1 = (1.0 + (1.0 + k) * (u * u + v * v)) / D / SQRT2
-        r2 = (1.0 + (1.0 - k) * (u * u + v * v)) / D / SQRT2
-        return RicciPotentials(r1, r2)
-    if fam is Family.EXCEPTIONAL_TN:
-        lam = 1.0 + u * u
-        return RicciPotentials((1.0 + u * u + v * v) / lam / SQRT2,
-                               (1.0 / SQRT2) / lam)
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
-        lam = 1.0 + u * u
-        return RicciPotentials(2.0 / lam, 4.0 * v / lam)
-    return RicciPotentials(1.0 / SQRT2, 1.0 / SQRT2)  # flat: constants
+    return RicciPotentials(*params.geometry.ricci_potentials(u, v))
 
 
 def ricci_pseudo_volume_density(params: InstantonParams, u: float, v: float) -> float:
@@ -167,16 +131,7 @@ def ricci_pseudo_volume_density(params: InstantonParams, u: float, v: float) -> 
     ExceptionalHalfPlane: 16 x / (1+x^2)^3; the Jacobian cross-check
     (ricci_pseudo_jacobian_fd) pins the prefactor 16, not 8.
     """
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        k = params.k
-        D = generalized_D(k, u, v)
-        return 8.0 * k * k * u * v / D ** 3
-    if fam is Family.EXCEPTIONAL_TN:
-        return 2.0 * u * v / (1.0 + u * u) ** 3
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
-        return 16.0 * u / (1.0 + u * u) ** 3
-    return 0.0
+    return params.geometry.ricci_density(u, v)
 
 
 def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> float:
@@ -192,16 +147,7 @@ def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> flo
 
 def ricci_norm(params: InstantonParams, u: float, v: float) -> float:
     """|Ric| in the convention of the module docstring."""
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        k, M = params.k, params.M
-        D = generalized_D(k, u, v)
-        return SQRT2 * abs(k) * M / D ** 2
-    if fam is Family.EXCEPTIONAL_TN:
-        return 2.0 / (1.0 + u * u) ** 2
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
-        return math.sqrt(8.0) / (1.0 + u * u) ** 2
-    return 0.0
+    return params.geometry.ricci_norm(u, v)
 
 
 # --------------------------------------------------------------------------
@@ -212,13 +158,7 @@ def l2_ricci_closed(params: InstantonParams) -> float:
     """Closed form of the total L^2 Ricci energy, without quadrature:
     4 pi^2 k^2/(1-k^2) for GeneralizedTN, 0 for Flat, math.inf for the
     exceptional families."""
-    fam = params.family
-    if fam is Family.FLAT:
-        return 0.0
-    if fam is Family.GENERALIZED_TN:
-        k = params.k
-        return 4.0 * math.pi ** 2 * k * k / (1.0 - k * k)
-    return math.inf
+    return params.geometry.l2_ricci_closed
 
 
 def l2_ricci(params: InstantonParams) -> EnergyReport:
@@ -230,31 +170,24 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
     diverge; the report then carries partial energies over the almost-balls
     (quadratic growth for ExceptionalTN) or strips of height (linear growth
     for the half-plane) of radius 25, 50, 100 and 200, with the fitted
-    growth exponent.
+    growth exponent.  Flat space and k = 0 carry no Ricci energy.
     """
-    fam = params.family
-    if fam is Family.FLAT:
+    closed = l2_ricci_closed(params)
+    if closed == 0.0:
         return EnergyReport(0.0, None, 0.0)
 
     def f(u, v):
         return TORUS_VOLUME * ricci_pseudo_volume_density(params, u, v)
 
-    if fam is Family.GENERALIZED_TN:
-        closed = l2_ricci_closed(params)
-        if params.k == 0.0:
-            return EnergyReport(0.0, None, 0.0)
+    if math.isfinite(closed):
         quad = integrate_2d_improper(f, decay_exponent=2.0,
                                      rel_tol=1e-9, abs_tol=1e-12)
         return EnergyReport(closed, quad, abs(quad.value - closed) / closed)
 
     samples = []
     for R in (25.0, 50.0, 100.0, 200.0):
-        if fam is Family.EXCEPTIONAL_TN:
-            spec = almost_ball_spec(params, R)
-            val = integrate_2d_region(f, spec.u_max, spec.v_max).value
-        else:  # half-plane: strip |y| <= R (density is y-independent)
-            val = 2.0 * integrate_2d_region(f, 1e4, lambda u: R).value
-        samples.append((R, val))
+        u_max, v_max, weight = params.geometry.energy_region(R)
+        samples.append((R, weight * integrate_2d_region(f, u_max, v_max).value))
     fit = fit_power_law([s[0] for s in samples], [s[1] for s in samples])
     return EnergyReport(math.inf, None, math.inf,
                         growth_samples=samples, growth_exponent=fit.exponent)
@@ -267,9 +200,7 @@ def l2_riemann(params: InstantonParams) -> float:
         integral |Rm|^2 = 32 pi^2 + 4 * integral |Ric|^2
                         = 16 pi^2 (2 - k^2) / (1 - k^2).
     """
-    require(params, Family.GENERALIZED_TN,
-            what="the finite Riemann energy (exceptional families diverge)")
-    return 32.0 * math.pi ** 2 + 4.0 * l2_ricci_closed(params)
+    return params.geometry.l2_riemann
 
 
 # --------------------------------------------------------------------------
@@ -306,14 +237,12 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     """Scalar curvature, |Ric| and |Rm|^2 of the full 4-metric by finite
     differences (exact metric first derivatives, central FD of the
     Christoffel symbols).  The reported ricci_norm is already divided by the
-    frozen RICCI_NORM_CALIBRATION factor, so it is directly comparable to
-    ricci_norm(params, u, v); errors are O(step^2).
+    family's frozen ``ricci_calibration`` factor, so it is directly
+    comparable to ricci_norm(params, u, v); errors are O(step^2).  The
+    stencil keeps 2*step clear of the chart domain's edges, where the fiber
+    degenerates.
     """
-    if u - 2 * step <= 0.0:
-        raise BoundaryTooClose(f"u={u} too close to the fiber-degenerate axis")
-    if params.family in (Family.GENERALIZED_TN, Family.EXCEPTIONAL_TN) \
-            and v - 2 * step <= 0.0:
-        raise BoundaryTooClose(f"v={v} too close to the fiber-degenerate axis")
+    check_stencil(u, v, 2 * step, params.geometry.bounds)
 
     g, ginv, riem, ric = fd_curvature(
         lambda a, b: _metric_and_first_derivs(params, a, b), u, v, step=step)
@@ -324,7 +253,7 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     riem_low = np.einsum('lm,mkij->lkij', g, riem)
     rm_sq = float(np.einsum('abcd,efgh,ae,bf,cg,dh->',
                             riem_low, riem_low, ginv, ginv, ginv, ginv))
-    cal = RICCI_NORM_CALIBRATION[params.family]
+    cal = params.geometry.ricci_calibration
     return Curvature4Sample(scalar=scalar,
                             ricci_norm=math.sqrt(max(ric_sq, 0.0)) / cal,
                             rm_norm_sq=rm_sq,
@@ -340,11 +269,12 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
     """Fitted power-law exponent of |quantity| vs R along the eta-geodesic.
 
     quantity: "K_sigma" | "Ric" | "Rm_fd".  Samples are taken with
-    point_from_polar; Rm_fd nudges axis points into the interior by a
+    point_from_polar; Rm_fd nudges points off the chart domain's edges by a
     distance-proportional offset since the FD oracle cannot sit on an axis.
     """
     if len(R_samples) < 4:
         raise BadParams("need at least 4 radii for a decay fit")
+    (u_lo, _), (v_lo, _) = params.geometry.bounds
     vals = []
     for R in R_samples:
         rec = point_from_polar(params, float(R), eta)
@@ -354,7 +284,7 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
         elif quantity == "Ric":
             q = ricci_norm(params, u, v)
         elif quantity == "Rm_fd":
-            u, v = max(u, 1e-2 * R), max(v, 1e-2 * R)
+            u, v = max(u, u_lo + 1e-2 * R), max(v, v_lo + 1e-2 * R)
             q = math.sqrt(curvature4_fd(params, u, v,
                                         step=min(1e-3 * R, 1e-2)).rm_norm_sq)
         else:

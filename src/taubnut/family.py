@@ -1,41 +1,50 @@
-"""Instanton families, their parameters and coordinate charts.
+"""Instanton families: one geometry class per family, plus the charts.
 
-Four families share one toric template: a half-plane (or quadrant) factor
-carrying a conformal metric, plus a two-torus fiber.  This module owns the
-bookkeeping -- parameter validation, the charts, and the transition maps
-between them:
+Four families share one toric template: a half-plane (or quadrant) leaf
+carrying a conformal metric lambda (du^2 + dv^2), plus a two-torus fiber.
+Every formula that differs between families lives in that family's class
+here, next to its parameter validation and its chart domain: ``bounds``,
+the (u range, v range) pair :func:`taubnut.numerics.check_stencil` takes,
+and ``eta_range``, the launch angles of the radial geodesics (the closed
+quadrant with eta in [0, pi/2], or the half-plane u >= 0 with eta in
+[-pi/2, pi/2]).  :class:`InstantonParams` builds the object once, as
+``params.geometry``; the other modules hold the family-blind root solves,
+quadratures, shoots and finite-difference oracles and read the formulas
+from it, so adding a family or a domain rule touches one class.  Asking a
+family for a quantity it lacks raises WrongFamily (Geometry.__getattr__).
 
-* ``xy``    -- half-plane coordinates (x, y), x > 0; x^2 equals the fiber
-  determinant, which makes x the natural "axial distance".
-* ``uv``    -- quadrant coordinates (u, v) in which the leaf metric is
-  conformally flat with the simplest conformal factor.  For the half-plane
-  and flat families this chart coincides with ``xy``.
-* ``moment``      -- the two torus moment maps (phi1, phi2).
-* ``almostpolar`` -- (Rtilde, psi): Rtilde is the closed-form distance
-  surrogate used for volume growth, psi an angle along its level sets.
-
-Geodesic polar coordinates also exist but their transition needs a root
-solve, so it lives in :mod:`taubnut.geodesics`.
+Charts: ``xy`` -- half-plane coordinates (x, y), x > 0, with x^2 the fiber
+determinant (the "axial distance"); ``uv`` -- the family's own chart, in
+which the leaf metric has the simplest conformal factor (the ``xy`` chart
+itself for the half-plane families); ``moment`` -- the two torus moment
+maps; ``almostpolar`` -- (Rtilde, psi), the closed-form distance surrogate
+used for volume growth and an angle along its level sets.  Geodesic polar
+coordinates need a root solve and live in :mod:`taubnut.geodesics`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .numerics import dsqrt, fd_laplacian, fd_gradient
+import numpy as np
+
+from .numerics import dsqrt, fd_gradient, fd_laplacian
 
 SQRT2 = math.sqrt(2.0)
+QUADRANT = ((0.0, math.inf), (0.0, math.inf))
+HALF_PLANE = ((0.0, math.inf), (-math.inf, math.inf))
 
 
 class BadParams(Exception):
     """Parameter combination outside the family's domain."""
 
 
-class WrongFamily(Exception):
-    """The requested quantity is not defined for this family."""
+class WrongFamily(AttributeError):
+    """The requested quantity is not defined for this family (its geometry
+    has no such attribute)."""
 
 
 class Family(Enum):
@@ -60,60 +69,552 @@ class ChartPoint:
     c2: float
 
 
+def generalized_D(k, u, v):
+    """D = 1 + (1+k) u^2 + (1-k) v^2, the quadratic form every generalized
+    family kernel is built from.  Works for floats, Duals and arrays."""
+    return 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
+
+
+def _leg(p: float, c: float) -> float:
+    """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for p, c >= 0.
+
+    This is the one-variable building block of S_eta, written so the c -> 0
+    limit (value p^2/2) needs no special series: the asinh term carries the
+    c^2 prefactor and vanishes with it.
+    """
+    if c == 0.0:
+        return 0.5 * p * p
+    return 0.5 * (p * math.hypot(c, p) + c * c * math.asinh(p / c))
+
+
+def _logsinh(x: float) -> float:
+    """log(sinh x) for x > 0, without overflow for large x and without
+    exp(-2x) rounding to 1 for small x."""
+    if x < 1.0:
+        return math.log(math.sinh(x))
+    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+
+
+def _unsquare(x, y, c):
+    """(u, v) with y + ix = (u + iv)^2 / (2c), the inverse of the quadrant
+    families' squaring map."""
+    r = dsqrt(x * x + y * y)
+    return dsqrt(c * (r + y)), dsqrt(c * (r - y))
+
+
+def _check_quadrant_moments(phi1, phi2):
+    if phi1 < 0.0 or phi2 < 0.0:
+        raise BadParams(f"({phi1}, {phi2}) outside the moment image (first quadrant)")
+
+
+def _half_plane_x(phi1):
+    if phi1 < 0.0:
+        raise BadParams(f"phi1 = {phi1} outside the moment image")
+    return math.sqrt(2.0 * phi1)
+
+
+# --------------------------------------------------------------------------
+# the geometries
+# --------------------------------------------------------------------------
+#
+# Kernels take the family's (u, v) and accept floats and Duals; (c, s) is
+# (cos eta, sin eta).  radial_relation(R, eta) = (f, f', f'' or None, s0):
+# S_eta along the eta-geodesic minus R, as a function of its log radial
+# parameter s, with a warm start; polar_point(R, eta, solve) = (u, v, e^s),
+# where solve is the root solve of taubnut.geodesics for such a relation.
+
+class Geometry:
+    """What all families share: the quadrant domain by default, the point
+    check against it, and WrongFamily for a quantity a family lacks."""
+
+    family: Family
+    M = None
+    k = None
+    bounds = QUADRANT
+    eta_range = (0.0, math.pi / 2)
+
+    def __getattr__(self, name):
+        # reached only when the family's class does not define ``name``
+        raise WrongFamily(f"{name} is not defined for {self.family.value}")
+
+    def check_point(self, u, v):
+        """BadParams unless (u, v) is a finite point of the chart domain."""
+        (u_lo, u_hi), (v_lo, v_hi) = self.bounds
+        if not (math.isfinite(u) and math.isfinite(v)
+                and u_lo <= u <= u_hi and v_lo <= v <= v_hi):
+            raise BadParams(f"({u}, {v}) is not a finite point of the chart domain "
+                            f"u in [{u_lo}, {u_hi}], v in [{v_lo}, {v_hi}]")
+
+    def exact_launch_angle(self, u, v):
+        """The launch angle through (u, v) in closed form, or None when it
+        needs the root solve."""
+        return None
+
+
+class GeneralizedTN(Geometry):
+    """Donaldson's twisted Taub-NUT: mass M > 0 (default sqrt 2) and
+    chirality |k| < 1 (default 0); the limits k -> +-1 leave the family
+    (their rescaled limits are the exceptional geometries).
+
+    In the log radial parameter s = log F the radial geodesic is
+    u = cos(eta) sinh(a s)/a, v = sin(eta) sinh(b s)/b with a = sqrt(1+k),
+    b = sqrt(1-k), and S_eta along it is _lhs(s) / sqrt(M / (2 sqrt 2)),
+
+        _lhs = cos^2(eta)/(2a) [sinh(2as)/2 + as] + sin^2(eta)/(2b) [sinh(2bs)/2 + bs],
+
+    whose s-derivative cos^2(eta) cosh^2(as) + sin^2(eta) cosh^2(bs) >= 1
+    keeps Newton on s uniformly well conditioned in eta.
+    """
+
+    family = Family.GENERALIZED_TN
+    ricci_calibration = 2.0
+
+    def __init__(self, M, k):
+        mass = SQRT2 if M is None else float(M)
+        chi = 0.0 if k is None else float(k)
+        if not (mass > 0.0 and math.isfinite(mass)):
+            raise BadParams(f"mass must be positive and finite, got M={M}")
+        if not abs(chi) < 1.0:
+            if abs(chi) == 1.0:
+                raise BadParams(
+                    "k = +-1 is not a GeneralizedTN member; the degeneration "
+                    "is the ExceptionalTN geometry (after rescaling)")
+            raise BadParams(f"chirality must satisfy |k| < 1, got k={k}")
+        self.M, self.k = mass, chi
+        self.a, self.b = math.sqrt(1.0 + chi), math.sqrt(1.0 - chi)
+        # sqrt(M / (2 sqrt 2)) converts the reduced radial variable to R
+        self.mass_root = math.sqrt(mass / (2.0 * SQRT2))
+        self.l2_ricci_closed = 4.0 * math.pi ** 2 * chi * chi / (1.0 - chi * chi)
+        # Gauss-Bonnet for scalar-flat 4-manifolds of Euler characteristic 1
+        self.l2_riemann = 32.0 * math.pi ** 2 + 4.0 * self.l2_ricci_closed
+
+    # charts: y + ix = (u + iv)^2 / (sqrt(2) M)
+    def xy_from_uv(self, u, v):
+        return SQRT2 * u * v / self.M, (u * u - v * v) / (SQRT2 * self.M)
+
+    def uv_from_xy(self, x, y):
+        return _unsquare(x, y, self.M / SQRT2)
+
+    def moment_map(self, u, v):
+        return (v * v * (1.0 + (1.0 + self.k) * u * u) / self.M,
+                u * u * (1.0 + (1.0 - self.k) * v * v) / self.M)
+
+    def uv_from_moment(self, phi1, phi2):
+        # interleaves the two explicit solve-for-one-variable formulas, a
+        # contraction on the quadrant; a few dozen sweeps reach roundoff
+        _check_quadrant_moments(phi1, phi2)
+        k, M = self.k, self.M
+        uu, vv = M * phi2, M * phi1  # leading-order seed
+        for _ in range(400):
+            uu_next = M * phi2 / (1.0 + (1.0 - k) * vv)
+            vv_next = M * phi1 / (1.0 + (1.0 + k) * uu_next)
+            if abs(uu_next - uu) + abs(vv_next - vv) <= 1e-16 * (1.0 + uu + vv):
+                uu, vv = uu_next, vv_next
+                break
+            uu, vv = uu_next, vv_next
+        return math.sqrt(uu), math.sqrt(vv)
+
+    def almost_distance(self, u, v):
+        return (self.a * u * u + self.b * v * v) / math.sqrt(SQRT2 * self.M)
+
+    def _almost_axes(self):
+        scale = (SQRT2 * self.M) ** 0.25
+        return scale / (1.0 + self.k) ** 0.25, scale / (1.0 - self.k) ** 0.25
+
+    def almost_angle(self, rtilde, u, v):
+        a0, b0 = self._almost_axes()
+        return math.atan2(v / b0, u / a0)
+
+    def uv_from_almost_polar(self, rtilde, psi):
+        a0, b0 = self._almost_axes()
+        s = math.sqrt(rtilde)
+        return a0 * s * math.cos(psi), b0 * s * math.sin(psi)
+
+    def conformal_factor(self, u, v):
+        return 2.0 * SQRT2 * generalized_D(self.k, u, v) / self.M
+
+    def fiber(self, u, v):
+        k = self.k
+        pre = SQRT2 / (self.M * generalized_D(k, u, v))
+        return (pre * v * v * ((1.0 + (1.0 + k) * u * u) ** 2 + (1.0 + k) ** 2 * u * u * v * v),
+                pre * u * u * v * v * (2.0 + (1.0 - k * k) * (u * u + v * v)),
+                pre * u * u * ((1.0 + (1.0 - k) * v * v) ** 2 + (1.0 - k) ** 2 * u * u * v * v))
+
+    def collapsing_directions(self):
+        """The torus direction of bounded length and its complement."""
+        return (1.0 - self.k, -(1.0 + self.k)), (1.0 + self.k, 1.0 - self.k)
+
+    def eikonal_S(self, c, s, u, v):
+        a, b = self.a, self.b
+        return (_leg(a * u, c) / a + _leg(b * v, s) / b) / self.mass_root
+
+    def launch_residual(self, u, v):
+        a, b = self.a, self.b
+        q = b / a
+
+        def h(eta):
+            A = math.asinh(a * u / math.cos(eta))
+            return math.log(math.sin(eta)) + _logsinh(q * A) - math.log(b * v)
+        return h
+
+    def unparam_residual(self, c, s, u, v):
+        return abs(math.asinh(self.a * u / c) / self.a - math.asinh(self.b * v / s) / self.b)
+
+    def _lhs(self, c2, s2, s):
+        a, b = self.a, self.b
+        return (c2 / (2 * a) * (0.5 * math.sinh(2 * a * s) + a * s)
+                + s2 / (2 * b) * (0.5 * math.sinh(2 * b * s) + b * s))
+
+    def radius_of_s(self, eta, s):
+        return self._lhs(math.cos(eta) ** 2, math.sin(eta) ** 2, s) / self.mass_root
+
+    def approx_F(self, R, eta):
+        a, b = self.a, self.b
+        rho = self.mass_root * R
+        q = a / b
+        num = rho ** (q - 1.0)
+        threshold = math.asin(num / (num + 0.75 * 8.0 * a / (8.0 * b) ** q))
+        if eta < threshold:
+            return (8.0 * a * rho / math.cos(eta) ** 2) ** (1.0 / (2.0 * a)), "u-dominant"
+        return (8.0 * b * rho / math.sin(eta) ** 2) ** (1.0 / (2.0 * b)), "v-dominant"
+
+    def radial_relation(self, R, eta):
+        a, b = self.a, self.b
+        c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
+        rho = self.mass_root * R
+        s0 = rho  # exact as R -> 0
+        if rho > 1.0:
+            s0 = math.log(self.approx_F(R, eta)[0])
+        return (lambda s: self._lhs(c2, s2, s) - rho,
+                lambda s: c2 * math.cosh(a * s) ** 2 + s2 * math.cosh(b * s) ** 2,
+                lambda s: c2 * a * math.sinh(2 * a * s) + s2 * b * math.sinh(2 * b * s),
+                s0)
+
+    def polar_point(self, R, eta, solve):
+        F = 1.0 if R == 0.0 else math.exp(solve(self.radial_relation(R, eta)))
+        s = math.log(F)  # (u, v) from log F, so they match the record's F
+        return (math.cos(eta) * math.sinh(self.a * s) / self.a,
+                math.sin(eta) * math.sinh(self.b * s) / self.b, F)
+
+    def polar_coefficient(self, eta, s):
+        a, b = self.a, self.b
+        c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
+        w = (s2 * math.sinh(a * s) * math.cosh(b * s) / a
+             + c2 * math.cosh(a * s) * math.sinh(b * s) / b)
+        return 2.0 * SQRT2 / self.M * w * w
+
+    def shoot_rhs(self, eta):
+        c, s = math.cos(eta), math.sin(eta)
+        a, b, pre = self.a, self.b, self.mass_root
+
+        def rhs(t, y):
+            u, v = y
+            P = math.hypot(c, a * u)
+            Q = math.hypot(s, b * v)
+            D = 1.0 + (a * u) ** 2 + (b * v) ** 2
+            return np.array([pre * P / D, pre * Q / D])
+        return rhs
+
+    def polytope_curvature(self, u, v):
+        k = self.k
+        return (self.M / SQRT2) * (-1.0 + k * (1.0 + k) * u * u
+                                   - k * (1.0 - k) * v * v) / generalized_D(k, u, v) ** 3
+
+    def polytope_curvature_overscaled(self, u, v):
+        return SQRT2 * self.polytope_curvature(u, v)
+
+    def polytope_curvature_polar_form(self, r, theta):
+        k, M = self.k, self.M
+        den = 1.0 + SQRT2 * M * r * (1.0 + k * math.sin(theta))
+        return M * (-1.0 + SQRT2 * M * k * r * (k + math.sin(theta))) / den ** 3
+
+    def ricci_potentials(self, u, v):
+        k = self.k
+        D = generalized_D(k, u, v)
+        return ((1.0 + (1.0 + k) * (u * u + v * v)) / D / SQRT2,
+                (1.0 + (1.0 - k) * (u * u + v * v)) / D / SQRT2)
+
+    def ricci_density(self, u, v):
+        return 8.0 * self.k * self.k * u * v / generalized_D(self.k, u, v) ** 3
+
+    def ricci_norm(self, u, v):
+        return SQRT2 * abs(self.k) * self.M / generalized_D(self.k, u, v) ** 2
+
+    # almost-balls {Rtilde <= R}: the region under v_max(u), 0 <= u <= u_max
+    def almost_ball_u_max(self, R):
+        return math.sqrt(math.sqrt(SQRT2 * self.M) * R / self.a)
+
+    def almost_ball_v_max(self, R, u):
+        budget = math.sqrt(SQRT2 * self.M) * R - self.a * u * u
+        if budget <= 0.0:
+            return 0.0
+        return math.sqrt(budget / self.b)
+
+    def almost_ball_volume(self, R):
+        k, M = self.k, self.M
+        pre = 2.0 * SQRT2 * math.pi ** 2 / (M * math.sqrt(1.0 - k * k))
+        cubic = (self.a + self.b) * math.sqrt(SQRT2 * M) / 3.0
+        return pre * (R * R + cubic * R ** 3)
+
+
+class ExceptionalTN(Geometry):
+    """The k = +1 exceptional instanton on the quadrant; no free parameters
+    (k = -1 is its axis swap)."""
+
+    family = Family.EXCEPTIONAL_TN
+    k = 1.0
+    ricci_calibration = 2.0
+    l2_ricci_closed = math.inf
+
+    def __init__(self, M, k):
+        if M is not None:
+            raise BadParams("ExceptionalTN has a fixed normalization; drop M")
+        chi = 1.0 if k is None else float(k)
+        if chi == -1.0:
+            raise BadParams(
+                "the k = -1 exceptional geometry is the axis swap u <-> v "
+                "of the k = +1 one; use k = +1 and relabel")
+        if chi != 1.0:
+            raise BadParams(f"ExceptionalTN requires k = +1, got k={k}")
+
+    # charts: y + ix = (u + iv)^2 / 4
+    def xy_from_uv(self, u, v):
+        return u * v / 2.0, (u * u - v * v) / 4.0
+
+    def uv_from_xy(self, x, y):
+        return _unsquare(x, y, 2.0)
+
+    def moment_map(self, u, v):
+        a = 2.0 * SQRT2
+        return v * v * (1.0 + u * u) / a, u * u / a
+
+    def uv_from_moment(self, phi1, phi2):
+        _check_quadrant_moments(phi1, phi2)
+        a = 2.0 * SQRT2
+        u = math.sqrt(a * phi2)
+        return u, math.sqrt(a * phi1 / (1.0 + u * u))
+
+    # u = sqrt(2 Rtilde) cos(psi), v = Rtilde sin(psi)^2
+    def almost_distance(self, u, v):
+        return u * u / 2.0 + v
+
+    def almost_angle(self, rtilde, u, v):
+        return math.asin(min(1.0, math.sqrt(v / rtilde)))
+
+    def uv_from_almost_polar(self, rtilde, psi):
+        return math.sqrt(2.0 * rtilde) * math.cos(psi), rtilde * math.sin(psi) ** 2
+
+    def conformal_factor(self, u, v):
+        return 1.0 + u * u
+
+    def fiber(self, u, v):
+        lam = 1.0 + u * u
+        return (0.5 * v * v * (lam * lam + u * u * v * v) / lam,
+                0.5 * u * u * v * v / lam, 0.5 * u * u / lam)
+
+    # distance: the radial geodesic is u = c sinh(sigma), v = s sigma
+    def eikonal_S(self, c, s, u, v):
+        return _leg(u, c) + v * s
+
+    def launch_residual(self, u, v):
+        def h(eta):
+            A = math.asinh(u / math.cos(eta))
+            return math.log(math.sin(eta)) + math.log(A) - math.log(v)
+        return h
+
+    def unparam_residual(self, c, s, u, v):
+        return abs(math.asinh(u / c) - v / s)
+
+    def radial_relation(self, R, eta):
+        c, s = math.cos(eta), math.sin(eta)
+        half = 0.5 * (1.0 + s * s)
+        return (lambda sig: 0.5 * c * c * math.sinh(sig) * math.cosh(sig) + half * sig - R,
+                lambda sig: c * c * math.cosh(sig) ** 2 + half - 0.5 * c * c,
+                None, 0.0)
+
+    def polar_point(self, R, eta, solve):
+        c, s = math.cos(eta), math.sin(eta)
+        if eta == math.pi / 2 or c < 1e-300:
+            return 0.0, R, math.exp(R)
+        sigma = 0.0 if R == 0.0 else solve(self.radial_relation(R, eta))
+        return c * math.sinh(sigma), s * sigma, math.exp(sigma)
+
+    def shoot_rhs(self, eta):
+        c, s = math.cos(eta), math.sin(eta)
+
+        def rhs(t, y):
+            u, v = y
+            lam = 1.0 + u * u
+            return np.array([math.hypot(c, u) / lam, s / lam])
+        return rhs
+
+    def polytope_curvature(self, u, v):
+        return -(1.0 - u * u) / (1.0 + u * u) ** 3
+
+    def ricci_potentials(self, u, v):
+        lam = 1.0 + u * u
+        return (1.0 + u * u + v * v) / lam / SQRT2, (1.0 / SQRT2) / lam
+
+    def ricci_density(self, u, v):
+        return 2.0 * u * v / (1.0 + u * u) ** 3
+
+    def ricci_norm(self, u, v):
+        return 2.0 / (1.0 + u * u) ** 2
+
+    def energy_region(self, R):
+        # (u_max, v_max(u), weight) of the region whose Ricci energy is measured
+        return self.almost_ball_u_max(R), lambda u: self.almost_ball_v_max(R, u), 1.0
+
+    def almost_ball_u_max(self, R):
+        return math.sqrt(2.0 * R)
+
+    def almost_ball_v_max(self, R, u):
+        return max(R - 0.5 * u * u, 0.0)
+
+    def almost_ball_volume(self, R):
+        return math.pi ** 2 / 6.0 * (R ** 4 + 2.0 * R ** 3)
+
+
+class _HalfPlane(Geometry):
+    """The half-plane families: no parameters, and (u, v) is the (x, y)
+    chart itself."""
+
+    bounds = HALF_PLANE
+    eta_range = (-math.pi / 2, math.pi / 2)
+
+    def __init__(self, M, k):
+        if M is not None or k is not None:
+            raise BadParams(f"{self.family.value} takes no parameters")
+
+    def xy_from_uv(self, u, v):
+        return u, v
+
+    uv_from_xy = xy_from_uv
+
+
+class ExceptionalHalfPlane(_HalfPlane):
+    """The half-plane exceptional instanton.  It shares lambda = 1 + x^2,
+    the Gauss curvature, the launch-angle and radial relations and the
+    shoot right-hand side with ExceptionalTN."""
+
+    family = Family.EXCEPTIONAL_HALF_PLANE
+    ricci_calibration = SQRT2
+    l2_ricci_closed = math.inf
+
+    conformal_factor = ExceptionalTN.conformal_factor
+    polytope_curvature = ExceptionalTN.polytope_curvature
+    launch_residual = ExceptionalTN.launch_residual
+    unparam_residual = ExceptionalTN.unparam_residual
+    radial_relation = ExceptionalTN.radial_relation
+    shoot_rhs = ExceptionalTN.shoot_rhs
+
+    def moment_map(self, u, v):
+        return u * u / 2.0, v * (1.0 + u * u)
+
+    def uv_from_moment(self, phi1, phi2):
+        x = _half_plane_x(phi1)
+        return x, phi2 / (1.0 + x * x)
+
+    def fiber(self, u, v):
+        lam = 1.0 + u * u
+        return (u * u / lam, 2.0 * u * u * v / lam,
+                (lam * lam + 4.0 * u * u * v * v) / lam)
+
+    def eikonal_S(self, c, s, u, v):
+        return _leg(u, abs(c)) + v * s
+
+    def polar_point(self, R, eta, solve):
+        u, v, F = ExceptionalTN.polar_point(self, R, abs(eta), solve)
+        return u, math.copysign(v, eta), F
+
+    def ricci_potentials(self, u, v):
+        lam = 1.0 + u * u
+        return 2.0 / lam, 4.0 * v / lam
+
+    def ricci_density(self, u, v):
+        return 16.0 * u / (1.0 + u * u) ** 3
+
+    def ricci_norm(self, u, v):
+        return math.sqrt(8.0) / (1.0 + u * u) ** 2
+
+    def energy_region(self, R):
+        # the strip |y| <= R, twice its upper half (the density is y-independent)
+        return 1e4, lambda u: R, 2.0
+
+
+class Flat(_HalfPlane):
+    """Flat R^2 x T^2, the sanity baseline: every curvature vanishes."""
+
+    family = Family.FLAT
+    ricci_calibration = 2.0
+    l2_ricci_closed = 0.0
+
+    def moment_map(self, u, v):
+        return u * u / 2.0, v
+
+    def uv_from_moment(self, phi1, phi2):
+        return _half_plane_x(phi1), phi2
+
+    def conformal_factor(self, u, v):
+        return 1.0 + 0.0 * u
+
+    def fiber(self, u, v):
+        return u * u, 0.0 * u, 1.0 + 0.0 * u
+
+    def eikonal_S(self, c, s, u, v):
+        return u * c + v * s
+
+    def exact_launch_angle(self, u, v):
+        return math.atan2(v, u)
+
+    def unparam_residual(self, c, s, u, v):
+        return abs(u * s - v * c)
+
+    def polar_point(self, R, eta, solve):
+        return R * math.cos(eta), R * math.sin(eta), math.exp(R)
+
+    def shoot_rhs(self, eta):
+        c, s = math.cos(eta), math.sin(eta)
+        return lambda t, y: np.array([c, s])
+
+    def ricci_potentials(self, u, v):
+        return 1.0 / SQRT2, 1.0 / SQRT2
+
+    def polytope_curvature(self, u, v):
+        return 0.0
+
+    ricci_density = ricci_norm = polytope_curvature   # every curvature vanishes
+
+
+GEOMETRIES = {cls.family: cls for cls in
+              (GeneralizedTN, ExceptionalTN, ExceptionalHalfPlane, Flat)}
+
+
 @dataclass(frozen=True)
 class InstantonParams:
-    """Which instanton, and where in its parameter space.
-
-    GENERALIZED_TN carries a mass M > 0 and a chirality parameter k with
-    |k| < 1; the limits k -> +-1 leave the family (their rescaled limits are
-    the exceptional geometries, which carry no free parameters at all).
-    """
+    """Which instanton, and where in its parameter space: M and k for
+    GENERALIZED_TN, nothing for the others (ExceptionalTN reports k = 1).
+    ``geometry`` is the family's formula object, built and validated once."""
 
     family: Family = Family.GENERALIZED_TN
     M: float | None = None
     k: float | None = None
+    geometry: Geometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fam = self.family
-        if fam is Family.GENERALIZED_TN:
-            M = SQRT2 if self.M is None else float(self.M)
-            k = 0.0 if self.k is None else float(self.k)
-            if not (M > 0.0 and math.isfinite(M)):
-                raise BadParams(f"mass must be positive and finite, got M={self.M}")
-            if abs(k) >= 1.0:
-                if abs(k) == 1.0:
-                    raise BadParams(
-                        "k = +-1 is not a GeneralizedTN member; the degeneration "
-                        "is the ExceptionalTN geometry (after rescaling)"
-                    )
-                raise BadParams(f"chirality must satisfy |k| < 1, got k={self.k}")
-            object.__setattr__(self, "M", M)
-            object.__setattr__(self, "k", k)
-        elif fam is Family.EXCEPTIONAL_TN:
-            if self.M is not None:
-                raise BadParams("ExceptionalTN has a fixed normalization; drop M")
-            k = 1.0 if self.k is None else float(self.k)
-            if k == -1.0:
-                raise BadParams(
-                    "the k = -1 exceptional geometry is the axis swap u <-> v "
-                    "of the k = +1 one; use k = +1 and relabel"
-                )
-            if k != 1.0:
-                raise BadParams(f"ExceptionalTN requires k = +1, got k={self.k}")
-            object.__setattr__(self, "k", 1.0)
-        else:
-            if self.M is not None or self.k is not None:
-                raise BadParams(f"{fam.value} takes no parameters")
+        geo = GEOMETRIES[self.family](self.M, self.k)
+        object.__setattr__(self, "geometry", geo)
+        object.__setattr__(self, "M", geo.M)
+        object.__setattr__(self, "k", geo.k)
 
     # -- serialization ----------------------------------------------------
 
     def as_dict(self) -> dict:
-        """The family name, plus M and k for the generalized family."""
-        out: dict = {"family": self.family.value}
-        if self.family is Family.GENERALIZED_TN:
-            out["M"] = self.M
-            out["k"] = self.k
-        return out
+        """The family name, plus M and k for the generalized family (the
+        only one with a mass)."""
+        if self.M is None:
+            return {"family": self.family.value}
+        return {"family": self.family.value, "M": self.M, "k": self.k}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
@@ -125,14 +626,8 @@ class InstantonParams:
         return cls(family=fam, M=raw.get("M"), k=raw.get("k"))
 
 
-def require(params: InstantonParams, *families: Family, what: str = "this quantity"):
-    if params.family not in families:
-        allowed = ", ".join(f.value for f in families)
-        raise WrongFamily(f"{what} is defined for {allowed}, not {params.family.value}")
-
-
 # --------------------------------------------------------------------------
-# chart transitions
+# chart transitions and moment maps
 # --------------------------------------------------------------------------
 #
 # The quadrant families map to the half plane through y + ix = q(u + iv)^2
@@ -142,49 +637,18 @@ def require(params: InstantonParams, *families: Family, what: str = "this quanti
 # and the half-plane families use (u, v) = (x, y) verbatim.
 
 def xy_from_uv(params: InstantonParams, u, v):
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        return SQRT2 * u * v / params.M, (u * u - v * v) / (SQRT2 * params.M)
-    if fam is Family.EXCEPTIONAL_TN:
-        return u * v / 2.0, (u * u - v * v) / 4.0
-    return u, v
+    return params.geometry.xy_from_uv(u, v)
 
 
 def uv_from_xy(params: InstantonParams, x, y):
-    fam = params.family
-    if fam in (Family.EXCEPTIONAL_HALF_PLANE, Family.FLAT):
-        return x, y
-    r = dsqrt(x * x + y * y)
-    if fam is Family.GENERALIZED_TN:
-        c = params.M / SQRT2
-    else:
-        c = 2.0
-    return dsqrt(c * (r + y)), dsqrt(c * (r - y))
+    return params.geometry.uv_from_xy(x, y)
 
-
-# --------------------------------------------------------------------------
-# moment maps
-# --------------------------------------------------------------------------
 
 def moment_map(params: InstantonParams, u, v):
     """Moment maps (phi1, phi2) of the two torus circles, as functions of the
     family's own (u, v) chart.  Accepts Dual arguments, so exact gradients are
     available through :func:`taubnut.numerics.dual_partials`."""
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        k, M = params.k, params.M
-        return (
-            v * v * (1.0 + (1.0 + k) * u * u) / M,
-            u * u * (1.0 + (1.0 - k) * v * v) / M,
-        )
-    if fam is Family.EXCEPTIONAL_TN:
-        a = 2.0 * SQRT2
-        return v * v * (1.0 + u * u) / a, u * u / a
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
-        x, y = u, v
-        return x * x / 2.0, y * (1.0 + x * x)
-    x, y = u, v
-    return x * x / 2.0, y
+    return params.geometry.moment_map(u, v)
 
 
 def uv_from_moment(params: InstantonParams, phi1: float, phi2: float):
@@ -194,33 +658,7 @@ def uv_from_moment(params: InstantonParams, phi1: float, phi2: float):
     case interleaves the two explicit solve-for-one-variable formulas, which
     is a contraction on the quadrant; a few dozen sweeps reach roundoff.
     """
-    fam = params.family
-    if fam is Family.FLAT:
-        if phi1 < 0.0:
-            raise BadParams(f"phi1 = {phi1} outside the moment image")
-        return math.sqrt(2.0 * phi1), phi2
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
-        if phi1 < 0.0:
-            raise BadParams(f"phi1 = {phi1} outside the moment image")
-        x = math.sqrt(2.0 * phi1)
-        return x, phi2 / (1.0 + x * x)
-    if phi1 < 0.0 or phi2 < 0.0:
-        raise BadParams(f"({phi1}, {phi2}) outside the moment image (first quadrant)")
-    if fam is Family.EXCEPTIONAL_TN:
-        a = 2.0 * SQRT2
-        u = math.sqrt(a * phi2)
-        v = math.sqrt(a * phi1 / (1.0 + u * u))
-        return u, v
-    k, M = params.k, params.M
-    uu, vv = M * phi2, M * phi1  # leading-order seed
-    for _ in range(400):
-        uu_next = M * phi2 / (1.0 + (1.0 - k) * vv)
-        vv_next = M * phi1 / (1.0 + (1.0 + k) * uu_next)
-        if abs(uu_next - uu) + abs(vv_next - vv) <= 1e-16 * (1.0 + uu + vv):
-            uu, vv = uu_next, vv_next
-            break
-        uu, vv = uu_next, vv_next
-    return math.sqrt(uu), math.sqrt(vv)
+    return params.geometry.uv_from_moment(phi1, phi2)
 
 
 def moment_pde_residual(params: InstantonParams, x: float, y: float,
@@ -235,12 +673,11 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
         u, v = uv_from_xy(params, xx, yy)
         return moment_map(params, u, v)
 
-    bounds = ((0.0, math.inf), (-math.inf, math.inf))
     out = []
     for i in (0, 1):
         f = lambda xx, yy: phi_pair(xx, yy)[i]
-        lap = fd_laplacian(f, x, y, step=step, bounds=bounds)
-        dx, _ = fd_gradient(f, x, y, step=step, bounds=bounds)
+        lap = fd_laplacian(f, x, y, step=step, bounds=HALF_PLANE)
+        dx, _ = fd_gradient(f, x, y, step=step, bounds=HALF_PLANE)
         out.append(x * lap - dx)
     return out[0], out[1]
 
@@ -258,13 +695,7 @@ def almost_distance(params: InstantonParams, u: float, v: float) -> float:
     at fixed Rtilde) and by |Rtilde/R - 1| -> 0 along every geodesic; with
     squared coefficients the ratio would tend to sqrt(1+-k) on the axes.
     """
-    require(params, Family.GENERALIZED_TN, Family.EXCEPTIONAL_TN,
-            what="the distance surrogate")
-    if params.family is Family.GENERALIZED_TN:
-        k, M = params.k, params.M
-        return ((math.sqrt(1.0 + k) * u * u + math.sqrt(1.0 - k) * v * v)
-                / math.sqrt(SQRT2 * M))
-    return u * u / 2.0 + v
+    return params.geometry.almost_distance(u, v)
 
 
 def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
@@ -273,30 +704,13 @@ def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[f
     rt = almost_distance(params, u, v)
     if rt == 0.0:
         return 0.0, 0.0
-    if params.family is Family.GENERALIZED_TN:
-        a0, b0 = _gen_almost_axes(params)
-        return rt, math.atan2(v / b0, u / a0)
-    # exceptional: u = sqrt(2 Rtilde) cos(psi), v = Rtilde sin(psi)^2
-    s = min(1.0, math.sqrt(v / rt))
-    return rt, math.asin(s)
+    return rt, params.geometry.almost_angle(rt, u, v)
 
 
 def uv_from_almost_polar(params: InstantonParams, rtilde: float, psi: float) -> tuple[float, float]:
-    require(params, Family.GENERALIZED_TN, Family.EXCEPTIONAL_TN,
-            what="the distance surrogate")
     if rtilde < 0.0:
         raise BadParams(f"Rtilde must be >= 0, got {rtilde}")
-    if params.family is Family.GENERALIZED_TN:
-        a0, b0 = _gen_almost_axes(params)
-        s = math.sqrt(rtilde)
-        return a0 * s * math.cos(psi), b0 * s * math.sin(psi)
-    return math.sqrt(2.0 * rtilde) * math.cos(psi), rtilde * math.sin(psi) ** 2
-
-
-def _gen_almost_axes(params: InstantonParams) -> tuple[float, float]:
-    scale = (SQRT2 * params.M) ** 0.25
-    return (scale / (1.0 + params.k) ** 0.25,
-            scale / (1.0 - params.k) ** 0.25)
+    return params.geometry.uv_from_almost_polar(rtilde, psi)
 
 
 # --------------------------------------------------------------------------

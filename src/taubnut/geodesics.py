@@ -10,19 +10,10 @@ function) unwinds that one fact.  At the launch angle through a point,
 S_eta is stationary in eta, so an error in the solved angle enters the
 distance only to second order; every distance goes through that route.
 
-Internally the generalized family is handled through the log-parameter
-s = log F, where the radial geodesic is
-
-    u = cos(eta) sinh(a s) / a,   v = sin(eta) sinh(b s) / b,
-    a = sqrt(1 + k),  b = sqrt(1 - k),
-
-and the implicit distance relation collapses to
-
-    cos^2(eta)/(2a) [sinh(2as)/2 + as] + sin^2(eta)/(2b) [sinh(2bs)/2 + bs]
-        = sqrt(M / (2 sqrt 2)) * R,
-
-whose s-derivative is cos^2(eta) cosh^2(as) + sin^2(eta) cosh^2(bs) >= 1.
-Newton iteration on s is therefore uniformly well conditioned in eta.
+The formulas (S_eta, the launch-angle residual, the radial relation in the
+log radial parameter s = log F) are the family's, in :mod:`taubnut.family`;
+the root solves, the ODE shoot and the FD oracles here work for every
+family alike.
 """
 
 from __future__ import annotations
@@ -32,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import SQRT2, BadParams, Family, InstantonParams, require
+from .family import BadParams, InstantonParams
 from .metrics import conformal_factor
-from .numerics import BoundaryTooClose, find_root_monotone, ode_solve
+from .numerics import check_stencil, find_root_monotone, ode_solve
 
 
 @dataclass
@@ -67,32 +58,6 @@ class Trajectory:
     nfev: int
 
 
-def _ab(params: InstantonParams) -> tuple[float, float]:
-    return math.sqrt(1.0 + params.k), math.sqrt(1.0 - params.k)
-
-
-def _mass_root(params: InstantonParams) -> float:
-    """sqrt(M / (2 sqrt 2)): converts the reduced radial variable to R."""
-    return math.sqrt(params.M / (2.0 * SQRT2))
-
-
-def _leg(p: float, c: float) -> float:
-    """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for p, c >= 0.
-
-    This is the one-variable building block of S_eta, written so the c -> 0
-    limit (value p^2/2) needs no special series: the asinh term carries the
-    c^2 prefactor and vanishes with it.
-    """
-    if c == 0.0:
-        return 0.5 * p * p
-    return 0.5 * (p * math.hypot(c, p) + c * c * math.asinh(p / c))
-
-
-def _logsinh(x: float) -> float:
-    """log(sinh x) for x > 0 without overflow."""
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-
-
 # --------------------------------------------------------------------------
 # eikonal potentials
 # --------------------------------------------------------------------------
@@ -103,29 +68,18 @@ def eikonal_S(params: InstantonParams, eta: float, u: float, v: float) -> float:
     For the half-plane families the second coordinate may be negative and eta
     ranges over [-pi/2, pi/2]; the quadrant families take eta in [0, pi/2].
     """
-    fam = params.family
     c, s = math.cos(eta), math.sin(eta)
     if abs(c) < 1e-300:
         c = 0.0
     if abs(s) < 1e-300:
         s = 0.0
-    if fam is Family.GENERALIZED_TN:
-        a, b = _ab(params)
-        return (_leg(a * u, c) / a + _leg(b * v, s) / b) / _mass_root(params)
-    if fam is Family.EXCEPTIONAL_TN:
-        return _leg(u, c) + v * s
-    if fam is Family.EXCEPTIONAL_HALF_PLANE:
-        return _leg(u, abs(c)) + v * s
-    return u * c + v * s  # flat
+    return params.geometry.eikonal_S(c, s, u, v)
 
 
 def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
     """|  |grad S_eta|^2 - 1 |  by central differences of step 1e-4; O(step^2)."""
     step = 1e-4
-    if u - step < 0.0:
-        raise BoundaryTooClose(f"u={u} is within one step of the chart edge")
-    if params.family is not Family.EXCEPTIONAL_HALF_PLANE and v - step < 0.0:
-        raise BoundaryTooClose(f"v={v} is within one step of the chart edge")
+    check_stencil(u, v, step, params.geometry.bounds)
     su = (eikonal_S(params, eta, u + step, v) - eikonal_S(params, eta, u - step, v)) / (2 * step)
     sv = (eikonal_S(params, eta, u, v + step) - eikonal_S(params, eta, u, v - step)) / (2 * step)
     lam = conformal_factor(params, u, v)
@@ -139,37 +93,26 @@ def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) ->
 def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13) -> float:
     """Unique launch angle whose radial geodesic passes through (u, v).
 
-    Points on the axes return the endpoint angles 0 / pi/2 directly.  The
-    interior solve exploits that v(eta; u) is strictly increasing, bracketing
-    on (0, pi/2) with a log-scaled residual so extreme aspect ratios stay in
-    floating range.  Half-plane families accept v < 0 and return eta < 0.
+    A point that is not finite or lies off the chart domain raises
+    BadParams first.  Points on the axes return the endpoint angles 0 / pi/2
+    directly.  The interior solve exploits that v(eta; u) is strictly
+    increasing, bracketing on (0, pi/2) with the family's log-scaled residual
+    h(eta) so extreme aspect ratios stay in floating range.  Half-plane
+    families accept v < 0 and return eta < 0.
     """
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise BadParams(f"({u}, {v}) is not a finite point")
-    fam = params.family
-    if fam is Family.FLAT:
-        return math.atan2(v, u)
-    if fam is Family.EXCEPTIONAL_HALF_PLANE and v < 0.0:
+    geo = params.geometry
+    geo.check_point(u, v)
+    eta = geo.exact_launch_angle(u, v)
+    if eta is not None:
+        return eta
+    if v < 0.0:   # a half-plane domain: S_eta is even under (v, eta) -> -(v, eta)
         return -solve_eta(params, u, -v, tol=tol)
     if v == 0.0:
         return 0.0
     if u == 0.0:
         return math.pi / 2
-    if u < 0.0 or v < 0.0:
-        raise BadParams(f"({u}, {v}) is outside the chart quadrant")
 
-    if fam is Family.GENERALIZED_TN:
-        a, b = _ab(params)
-        q = b / a
-
-        def h(eta: float) -> float:
-            A = math.asinh(a * u / math.cos(eta))
-            return math.log(math.sin(eta)) + _logsinh(q * A) - math.log(b * v)
-    else:
-        def h(eta: float) -> float:
-            A = math.asinh(u / math.cos(eta))
-            return math.log(math.sin(eta)) + math.log(A) - math.log(v)
-
+    h = geo.launch_residual(u, v)
     lo, hi = 1e-12, math.pi / 2 - 1e-12
     while h(hi) < 0.0:
         # v is astronomically larger than u; push the bracket into the corner
@@ -193,13 +136,7 @@ def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) ->
         return abs(v)
     if c == 0.0 or eta == math.pi / 2:
         return abs(u)
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        a, b = _ab(params)
-        return abs(math.asinh(a * u / c) / a - math.asinh(b * v / s) / b)
-    if fam in (Family.EXCEPTIONAL_TN, Family.EXCEPTIONAL_HALF_PLANE):
-        return abs(math.asinh(u / c) - v / s)
-    return abs(u * s - v * c)
+    return params.geometry.unparam_residual(c, s, u, v)
 
 
 # --------------------------------------------------------------------------
@@ -209,30 +146,10 @@ def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) ->
 def radius_from_F(params: InstantonParams, eta: float, F: float) -> float:
     """The calibration map R(F, eta): evaluates the implicit distance relation
     at the given F, returning the distance it would correspond to.  Strictly
-    increasing in F with value 0 at F = 1."""
-    require(params, Family.GENERALIZED_TN, what="the radial parameter F")
+    increasing in F with value 0 at F = 1.  GeneralizedTN only."""
     if F < 1.0:
         raise BadParams(f"F must be >= 1, got {F}")
-    return _lhs_of_s(params, eta, math.log(F)) / _mass_root(params)
-
-
-def _lhs_of_s(params: InstantonParams, eta: float, s: float) -> float:
-    a, b = _ab(params)
-    c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
-    return (c2 / (2 * a) * (0.5 * math.sinh(2 * a * s) + a * s)
-            + s2 / (2 * b) * (0.5 * math.sinh(2 * b * s) + b * s))
-
-
-def _dlhs_ds(params: InstantonParams, eta: float, s: float) -> float:
-    a, b = _ab(params)
-    return (math.cos(eta) ** 2 * math.cosh(a * s) ** 2
-            + math.sin(eta) ** 2 * math.cosh(b * s) ** 2)
-
-
-def _d2lhs_ds2(params: InstantonParams, eta: float, s: float) -> float:
-    a, b = _ab(params)
-    return (math.cos(eta) ** 2 * a * math.sinh(2 * a * s)
-            + math.sin(eta) ** 2 * b * math.sinh(2 * b * s))
+    return params.geometry.radius_of_s(eta, math.log(F))
 
 
 def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]:
@@ -241,52 +158,38 @@ def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]
     Two power-law branches meet at an angle threshold; which branch applies
     depends on whether the u- or v-term of the implicit relation dominates.
     Exact for neither, but radius_from_F(approx_F) stays within roughly a
-    factor of two of R uniformly in eta once R is large.
+    factor of two of R uniformly in eta once R is large.  GeneralizedTN only.
     """
-    require(params, Family.GENERALIZED_TN, what="the radial parameter F")
     if R <= 0.0:
         raise BadParams(f"the approximant needs R > 0, got R={R}")
-    a, b = _ab(params)
-    rho = _mass_root(params) * R
-    q = a / b
-    num = rho ** (q - 1.0)
-    threshold = math.asin(num / (num + 0.75 * 8.0 * a / (8.0 * b) ** q))
-    if eta < threshold:
-        return (8.0 * a * rho / math.cos(eta) ** 2) ** (1.0 / (2.0 * a)), "u-dominant"
-    return (8.0 * b * rho / math.sin(eta) ** 2) ** (1.0 / (2.0 * b)), "v-dominant"
+    return params.geometry.approx_F(R, eta)
+
+
+def _solve_radial(relation, tol: float) -> float:
+    """Root s >= 0 of a family's radial relation (f, f', f'', s0): a
+    safeguarded Newton/Halley iteration warm-started at s0."""
+    f, fprime, fprime2, s0 = relation
+    hi = max(2.0 * s0, 1.0)
+    while f(hi) < 0.0:
+        hi *= 2.0
+    return find_root_monotone(f, 0.0, hi, fprime=fprime, fprime2=fprime2,
+                              x0=min(s0, 0.999 * hi),
+                              abs_tol=tol * max(1.0, abs(s0)), rel_tol=4e-16)
 
 
 def solve_F(params: InstantonParams, R: float, eta: float, *, tol: float = 1e-13) -> float:
-    """Unique F >= 1 with radius_from_F(F, eta) = R.
+    """Unique F >= 1 with radius_from_F(F, eta) = R: F = e^s at the root s
+    of the family's radial relation.
 
-    Solved as a safeguarded Newton/Halley iteration in s = log F (see module
-    docstring), warm-started from the closed-form approximant when R is large
-    enough for it to apply.
+    For the generalized family s = log F solves the relation of the module
+    docstring, warm-started from the closed-form approximant when R is large
+    enough for it to apply; for the exceptional families s is sigma.
     """
-    require(params, Family.GENERALIZED_TN, what="the radial parameter F")
     if R < 0.0:
         raise BadParams(f"distance must be >= 0, got R={R}")
     if R == 0.0:
         return 1.0
-    rho = _mass_root(params) * R
-
-    def f(s):
-        return _lhs_of_s(params, eta, s) - rho
-
-    s0 = rho  # exact as R -> 0
-    if rho > 1.0:
-        s0 = math.log(approx_F(params, R, eta)[0])
-    hi = max(2.0 * s0, 1.0)
-    while f(hi) < 0.0:
-        hi *= 2.0
-    s = find_root_monotone(
-        f, 0.0, hi,
-        fprime=lambda s: _dlhs_ds(params, eta, s),
-        fprime2=lambda s: _d2lhs_ds2(params, eta, s),
-        x0=min(s0, 0.999 * hi),
-        abs_tol=tol * max(1.0, abs(s0)), rel_tol=4e-16,
-    )
-    return math.exp(s)
+    return math.exp(_solve_radial(params.geometry.radial_relation(R, eta), tol))
 
 
 # --------------------------------------------------------------------------
@@ -301,55 +204,22 @@ def point_from_polar(params: InstantonParams, R: float, eta: float,
     generalized family; for the exceptional family it is the parameter sigma
     with u = cos(eta) sinh(sigma), v = sigma sin(eta).
 
-    eta must lie in [0, pi/2] for the quadrant families and in
-    [-pi/2, pi/2] for the half-plane family; BadParams otherwise.
+    eta must lie in the family's ``eta_range``: [0, pi/2] on the quadrant,
+    [-pi/2, pi/2] on the half-plane; BadParams otherwise.
     """
-    fam = params.family
+    geo = params.geometry
     if R < 0.0:
         raise BadParams(f"distance must be >= 0, got R={R}")
-    lo = -math.pi / 2 if fam is Family.EXCEPTIONAL_HALF_PLANE else 0.0
-    if fam is not Family.FLAT and not lo <= eta <= math.pi / 2:
-        raise BadParams(f"launch angle must lie in [{lo}, {math.pi / 2}], got {eta}")
-    c, s_ang = math.cos(eta), math.sin(eta)
-    if fam is Family.GENERALIZED_TN:
-        F = solve_F(params, R, eta, tol=tol)
-        a, b = _ab(params)
-        s = math.log(F)
-        u = c * math.sinh(a * s) / a
-        v = s_ang * math.sinh(b * s) / b
-    elif fam is Family.EXCEPTIONAL_TN:
-        if eta == math.pi / 2 or c < 1e-300:
-            u, v, F = 0.0, R, math.exp(R)
-        else:
-            half = 0.5 * (1.0 + s_ang * s_ang)
-
-            def g(sig):
-                return 0.5 * c * c * math.sinh(sig) * math.cosh(sig) + half * sig - R
-
-            hi = 1.0
-            while g(hi) < 0.0:
-                hi *= 2.0
-            sigma = 0.0 if R == 0.0 else find_root_monotone(
-                g, 0.0, hi,
-                fprime=lambda x: c * c * math.cosh(x) ** 2 + half - 0.5 * c * c,
-                abs_tol=tol, rel_tol=4e-16)
-            u = c * math.sinh(sigma)
-            v = s_ang * sigma
-            F = math.exp(sigma)
-    elif fam is Family.EXCEPTIONAL_HALF_PLANE:
-        rec = point_from_polar(
-            InstantonParams(Family.EXCEPTIONAL_TN), R, abs(eta), tol=tol)
-        u, v, F = rec.u, math.copysign(rec.v, eta), rec.F
-        # strip the torus-normalized residuals; recompute below for this family
-    else:
-        u, v, F = R * c, R * s_ang, math.exp(R)
-
-    # Note: g(sigma) above is S_eta restricted to the geodesic; both residuals
-    # are genuine re-checks through independent code paths.
+    lo, hi = geo.eta_range
+    if not lo <= eta <= hi:
+        raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
+    u, v, F = geo.polar_point(R, eta, lambda relation: _solve_radial(relation, tol))
+    # the radial relation is S_eta restricted to the geodesic; both residuals
+    # are genuine re-checks through independent code paths
     eik = abs(eikonal_S(params, eta, u, v) - R)
-    geo = unparam_residual(params, eta, u, v)
+    res = unparam_residual(params, eta, u, v)
     return GeodesicRecord(eta=eta, R=R, u=u, v=v, F=F,
-                          eikonal_residual=eik, geodesic_residual=geo)
+                          eikonal_residual=eik, geodesic_residual=res)
 
 
 def polar_from_point(params: InstantonParams, u: float, v: float,
@@ -379,16 +249,11 @@ def polar_metric_coefficient(params: InstantonParams, R: float,
     d(u,v)/d(eta) at fixed R.  A ~ R near the origin, as polar regularity
     demands.  Cross-checked against finite differences of point_from_polar
     by polar_metric_coefficient_fd."""
-    require(params, Family.GENERALIZED_TN, what="the polar coefficient")
+    coefficient = params.geometry.polar_coefficient   # WrongFamily even at R = 0
     if R == 0.0:
         return PolarMetricSample(R=0.0, eta=eta, A_squared=0.0)
-    a, b = _ab(params)
-    s = math.log(solve_F(params, R, eta))
-    c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
-    w = (s2 * math.sinh(a * s) * math.cosh(b * s) / a
-         + c2 * math.cosh(a * s) * math.sinh(b * s) / b)
-    return PolarMetricSample(R=R, eta=eta,
-                             A_squared=2.0 * SQRT2 / params.M * w * w)
+    return PolarMetricSample(R=R, eta=eta, A_squared=coefficient(
+        eta, math.log(solve_F(params, R, eta))))
 
 
 def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -> float:
@@ -407,32 +272,6 @@ def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -
 # parametrized geodesics (ODE route)
 # --------------------------------------------------------------------------
 
-def _shoot_rhs(params: InstantonParams, eta: float):
-    fam = params.family
-    c, s = math.cos(eta), math.sin(eta)
-    if fam is Family.GENERALIZED_TN:
-        a, b = _ab(params)
-        pre = _mass_root(params)
-
-        def rhs(t, y):
-            u, v = y
-            P = math.hypot(c, a * u)
-            Q = math.hypot(s, b * v)
-            D = 1.0 + (a * u) ** 2 + (b * v) ** 2
-            return np.array([pre * P / D, pre * Q / D])
-        return rhs
-    if fam in (Family.EXCEPTIONAL_TN, Family.EXCEPTIONAL_HALF_PLANE):
-        def rhs(t, y):
-            u, v = y
-            lam = 1.0 + u * u
-            return np.array([math.hypot(c, u) / lam, s / lam])
-        return rhs
-
-    def rhs(t, y):
-        return np.array([c, s])
-    return rhs
-
-
 def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
                    *, n_samples: int = 64, tol: float = 1e-12) -> Trajectory:
     """Integrate the unit-speed radial geodesic from the origin to t = t_end.
@@ -443,7 +282,7 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     the parameter t (this is what "unit speed" means once the curve is known
     to be the right one).
     """
-    sol = ode_solve(_shoot_rhs(params, eta), (0.0, t_end), (0.0, 0.0),
+    sol = ode_solve(params.geometry.shoot_rhs(eta), (0.0, t_end), (0.0, 0.0),
                     rel_tol=tol, abs_tol=tol,
                     t_eval=np.linspace(0.0, t_end, n_samples))
     us, vs = sol.ys[:, 0], sol.ys[:, 1]

@@ -1,4 +1,4 @@
-"""Closed-form metric data for each family.
+"""Closed-form metric data, read from the family's geometry object.
 
 The four-metric is block diagonal over the leaf space,
 
@@ -20,67 +20,27 @@ import math
 
 import numpy as np
 
-from .family import SQRT2, Family, InstantonParams, require
+from .family import InstantonParams, generalized_D  # noqa: F401 (public here)
 
 TORUS_VOLUME = 4.0 * math.pi ** 2  # integral of dtheta1 ^ dtheta2
 
 
-def generalized_D(k, u, v):
-    """D = 1 + (1+k) u^2 + (1-k) v^2, the quadratic form every generalized
-    family kernel is built from.  Works for floats, Duals and arrays."""
-    return 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
-
-
 def conformal_factor(params: InstantonParams, u, v):
     """Leaf conformal factor lam(u, v) (the coefficient of du^2 + dv^2)."""
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        k, M = params.k, params.M
-        D = generalized_D(k, u, v)
-        return 2.0 * SQRT2 * D / M
-    if fam in (Family.EXCEPTIONAL_TN, Family.EXCEPTIONAL_HALF_PLANE):
-        return 1.0 + u * u
-    return 1.0 + 0.0 * u  # flat
+    return params.geometry.conformal_factor(u, v)
 
 
 def fiber_matrix(params: InstantonParams, u, v):
     """Torus fiber matrix Ginv as a 2x2 array (entries share the argument
     type, so Dual input yields Dual entries)."""
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        k, M = params.k, params.M
-        D = generalized_D(k, u, v)
-        pre = SQRT2 / (M * D)
-        e11 = pre * v * v * ((1.0 + (1.0 + k) * u * u) ** 2 + (1.0 + k) ** 2 * u * u * v * v)
-        e12 = pre * u * u * v * v * (2.0 + (1.0 - k * k) * (u * u + v * v))
-        e22 = pre * u * u * ((1.0 + (1.0 - k) * v * v) ** 2 + (1.0 - k) ** 2 * u * u * v * v)
-    elif fam is Family.EXCEPTIONAL_TN:
-        lam = 1.0 + u * u
-        e11 = 0.5 * v * v * (lam * lam + u * u * v * v) / lam
-        e12 = 0.5 * u * u * v * v / lam
-        e22 = 0.5 * u * u / lam
-    elif fam is Family.EXCEPTIONAL_HALF_PLANE:
-        x, y = u, v
-        lam = 1.0 + x * x
-        e11 = x * x / lam
-        e12 = 2.0 * x * x * y / lam
-        e22 = (lam * lam + 4.0 * x * x * y * y) / lam
-    else:
-        x = u
-        e11 = x * x
-        e12 = 0.0 * u
-        e22 = 1.0 + 0.0 * u
+    e11, e12, e22 = params.geometry.fiber(u, v)
     return np.array([[e11, e12], [e12, e22]])
 
 
 def axial_coordinate(params: InstantonParams, u, v):
-    """x = sqrt(det Ginv): distance to the degeneracy locus of the fibration."""
-    fam = params.family
-    if fam is Family.GENERALIZED_TN:
-        return SQRT2 * u * v / params.M
-    if fam is Family.EXCEPTIONAL_TN:
-        return u * v / 2.0
-    return u  # half-plane families: x itself
+    """x = sqrt(det Ginv): distance to the degeneracy locus of the fibration,
+    the first coordinate of the half-plane chart."""
+    return params.geometry.xy_from_uv(u, v)[0]
 
 
 def volume_density(params: InstantonParams, u, v):
@@ -106,9 +66,6 @@ def collapsing_direction_norms(params: InstantonParams, u: float, v: float) -> t
     geometry collapses to three dimensions), while the complement
     ((1 + k), (1 - k)) grows.  Returns (|w|^2, |w_perp|^2).
     """
-    require(params, Family.GENERALIZED_TN, what="the collapsing direction")
-    k = params.k
+    w, w_perp = (np.array(d) for d in params.geometry.collapsing_directions())
     G = fiber_matrix(params, u, v)
-    w = np.array([1.0 - k, -(1.0 + k)])
-    w_perp = np.array([1.0 + k, 1.0 - k])
     return float(w @ G @ w), float(w_perp @ G @ w_perp)

@@ -316,8 +316,10 @@ def ode_solve(
 # finite differences
 # --------------------------------------------------------------------------
 
-def _check_stencil(x: float, y: float, step: float,
+def check_stencil(x: float, y: float, step: float,
                    bounds: tuple[tuple[float, float], tuple[float, float]]) -> None:
+    """BoundaryTooClose unless [x - step, x + step] x [y - step, y + step]
+    lies strictly inside bounds = ((x_lo, x_hi), (y_lo, y_hi))."""
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if not (x_lo < x - step and x + step < x_hi and y_lo < y - step and y + step < y_hi):
         raise BoundaryTooClose(
@@ -341,7 +343,7 @@ def fd_laplacian(
     fields defined on a half plane.  Raises BoundaryTooClose when the stencil
     would cross the declared domain edge.
     """
-    _check_stencil(x, y, step, bounds)
+    check_stencil(x, y, step, bounds)
     h2 = step * step
     return (
         f(x + step, y) + f(x - step, y) + f(x, y + step) + f(x, y - step)
@@ -368,7 +370,7 @@ def fd_gradient(
         (0.0, math.inf), (0.0, math.inf)),
 ) -> tuple[float, float]:
     """Central-difference gradient, O(step^2)."""
-    _check_stencil(x, y, step, bounds)
+    check_stencil(x, y, step, bounds)
     gx = (f(x + step, y) - f(x - step, y)) / (2.0 * step)
     gy = (f(x, y + step) - f(x, y - step)) / (2.0 * step)
     return gx, gy
@@ -384,7 +386,7 @@ def fd_jacobian2(
         (0.0, math.inf), (0.0, math.inf)),
 ) -> np.ndarray:
     """2x2 Jacobian of a pair of scalar fields by central differences."""
-    _check_stencil(x, y, step, bounds)
+    check_stencil(x, y, step, bounds)
     fxp = fpair(x + step, y)
     fxm = fpair(x - step, y)
     fyp = fpair(x, y + step)

@@ -26,3 +26,34 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names_the_family(node) -> bool:
+    """Family.X, a .family attribute, or a tuple, list or set holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_the_family(elt) for elt in node.elts)
+    return isinstance(node, ast.Attribute) and (
+        node.attr == "family"
+        or (isinstance(node.value, ast.Name) and node.value.id == "Family"))
+
+
+def test_only_family_py_branches_on_the_family():
+    # every family formula and the chart domain live in the family's class
+    # in family.py; elsewhere no comparison with a family, no require(...)
+    # gate and no dict indexed by family may come back
+    found = []
+    for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
+        if path.name == "family.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                hit = any(map(_names_the_family, [node.left, *node.comparators]))
+            elif isinstance(node, ast.Call):
+                hit = getattr(node.func, "id", getattr(node.func, "attr", "")) == "require"
+            elif isinstance(node, ast.Subscript):
+                hit = _names_the_family(node.slice)
+            else:
+                hit = False
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -113,6 +113,9 @@ def test_eval_deterministic():
     ("verify", "--k", "0.5"),
     ("blowdown", "--M", "2"),
     ("eval", "--family", "exceptional", "--chart", "polar", "--point", "3,2.0"),
+    ("eval", "--point=-1,0"),
+    ("eval", "--family", "exceptional", "--point=0,-2"),
+    ("eval", "--family", "flat", "--chart", "polar", "--point", "1,3.0"),
 ])
 def test_bad_arguments_exit_2(args):
     cp = run_cli(*args)

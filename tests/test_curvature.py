@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.curvature import (RICCI_NORM_CALIBRATION, OriginSingularity,
+from taubnut.curvature import (OriginSingularity,
                                curvature4_fd, decay_rate_along_geodesic,
                                l2_ricci, l2_riemann, polytope_curvature,
                                polytope_curvature_fd,
@@ -229,9 +229,8 @@ def test_k0_is_ricci_flat():
 
 
 def test_calibration_table():
-    assert RICCI_NORM_CALIBRATION[Family.GENERALIZED_TN] == 2.0
-    assert RICCI_NORM_CALIBRATION[Family.EXCEPTIONAL_HALF_PLANE] \
-        == pytest.approx(SQRT2)
+    assert GEN.geometry.ricci_calibration == 2.0
+    assert HP.geometry.ricci_calibration == pytest.approx(SQRT2)
 
 
 def test_rm_norm_positive():

@@ -38,6 +38,8 @@ def test_param_validation():
     with pytest.raises(BadParams):
         InstantonParams(k=-1.3)
     with pytest.raises(BadParams):
+        InstantonParams(k=math.nan)
+    with pytest.raises(BadParams):
         InstantonParams(family=Family.EXCEPTIONAL_TN, M=2.0)
     with pytest.raises(BadParams):
         InstantonParams(family=Family.EXCEPTIONAL_TN, k=0.5)

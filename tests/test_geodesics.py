@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from taubnut.curvature import polytope_curvature_fd
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.geodesics import (approx_F, distance, eikonal_S,
                                eikonal_residual, geodesic_shoot,
@@ -88,6 +89,48 @@ def test_non_finite_point_is_bad_params(params, u, v):
         solve_eta(params, u, v)
     with pytest.raises(BadParams):
         distance(params, u, v)
+
+
+@pytest.mark.parametrize("params,u,v", [
+    (GEN, -1.0, 0.0), (GEN05, 0.0, -2.0), (GEN05, -1.0, 2.0), (EXC, 0.0, -2.0),
+    (EXC, -1.0, 0.0), (HP, -1.0, 0.0), (HP, -1.0, -2.0), (FLAT, -1.0, 0.0)])
+def test_off_chart_point_is_bad_params(params, u, v):
+    # the axis shortcuts used to answer before the domain check, with a
+    # negative distance: distance(GEN, -1, 0) was -1.71
+    with pytest.raises(BadParams):
+        solve_eta(params, u, v)
+    with pytest.raises(BadParams):
+        distance(params, u, v)
+
+
+def test_flat_chart_is_the_half_plane():
+    assert eikonal_residual(FLAT, 0.3, 1.0, -1.0) < 1e-6
+    assert polytope_curvature_fd(FLAT, 1.0, -1.0) == 0.0
+    with pytest.raises(BadParams):
+        point_from_polar(FLAT, 1.0, 3.0)
+    rec = point_from_polar(FLAT, 2.0, -0.4)
+    assert rec.v < 0.0
+    assert polar_from_point(FLAT, rec.u, rec.v) == pytest.approx((2.0, -0.4), rel=1e-15)
+
+
+PROPERTY_PARAMS = ([InstantonParams(k=k) for k in (1 - 1e-6, -(1 - 1e-6), 0.5, -0.5, 0.0)]
+                   + [InstantonParams(M=M, k=0.5) for M in (1e-8, 1e8)]
+                   + [EXC, HP, FLAT])
+COORDINATE = st.one_of(st.just(0.0), st.floats(1e-300, 1e12), st.floats(-1e12, -1e-300),
+                       st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@given(st.sampled_from(PROPERTY_PARAMS), COORDINATE, COORDINATE)
+@example(GEN05, 1e-30, 1.0)      # exp(-2x) rounded to 1 in log(sinh x)
+@example(GEN05, 1e-300, 1e-300)
+@example(GEN, -1.0, 0.0)         # off the chart, on the v = 0 axis
+@settings(max_examples=500, deadline=None)
+def test_distance_is_finite_and_nonnegative_or_bad_params(params, u, v):
+    try:
+        d = distance(params, u, v)
+    except BadParams:
+        return
+    assert math.isfinite(d) and d >= 0.0
 
 
 # ------------------------------------------------------------ polar round trip
