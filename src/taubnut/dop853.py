@@ -1,0 +1,142 @@
+"""The Dormand-Prince 8(5,3) Runge-Kutta tableau and its 7th-order dense output.
+
+Coefficients of Hairer, Norsett & Wanner, *Solving Ordinary Differential
+Equations I*, 2nd ed., Sec. II.10 (the DOP853 code), as IEEE doubles.  Rows
+of ``A`` are stored sparsely, {column: coefficient}; stages 12-15 are the
+three extra stages of the dense output (stage 12 is the FSAL stage
+f(t + h, y_new)).  :func:`taubnut.numerics.ode_solve` drives the step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+N_STAGES = 12           # stages of one step; K[12] holds f(t + h, y_new)
+N_STAGES_EXTENDED = 16  # plus the three extra stages of the dense output
+ERROR_ORDER = 7         # step control: error_norm ~ h^(ERROR_ORDER + 1)
+
+C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778])
+
+_A_ROWS = {
+    1: {0: 0.05260015195876773},
+    2: {0: 0.0197250569845379, 1: 0.0591751709536137},
+    3: {0: 0.02958758547680685, 2: 0.08876275643042054},
+    4: {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    5: {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+        5: -0.017578125},
+    7: {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+        5: -0.015319437748624402, 6: 0.008273789163814023},
+    8: {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+        5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    9: {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+        8: -0.020331201708508627},
+    10: {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+         5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+    11: {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+         5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+         8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+         10: 0.20136540080403034, 11: 0.04471061572777259},
+    13: {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+         8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+         11: 0.007567897660545699, 12: -0.008298},
+    14: {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+         7: -0.05492374857139099, 10: -0.00010834732869724932,
+         11: 0.0003825710908356584, 12: -0.00034046500868740456,
+         13: 0.1413124436746325},
+    15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+         7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+         13: 2.9475147891527724, 14: -9.15095847217987},
+}
+
+
+def _dense(rows: dict[int, dict[int, float]], shape) -> np.ndarray:
+    out = np.zeros(shape)
+    for i, row in rows.items():
+        for j, a in row.items():
+            out[i, j] = a
+    return out
+
+
+A = _dense(_A_ROWS, (N_STAGES_EXTENDED, N_STAGES_EXTENDED))
+B = A[N_STAGES, :N_STAGES]   # the 8th-order weights (the FSAL stage's row)
+
+# Error estimators over K[0..12]: the 5th-order one, and the 3rd-order one
+# B - bhh with bhh = (0.2440944881889764, 0.7338466882816118, 0.02205882352941176)
+# at stages 0, 8 and 11.
+E5, E3 = _dense({
+    0: {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+        7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+        10: 0.08192320648511571, 11: -0.022355307863886294},
+    1: {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+        7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+        10: 0.20136540080403034, 11: 0.02265179219836082},
+}, (2, N_STAGES + 1))
+
+# Coefficients of the dense output's four highest terms (the first three
+# come from y_old, y_new and the end slopes), over all 16 stages.
+D = _dense({
+    0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+        7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+        10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+        13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    1: {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+        7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+        10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+        13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    2: {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+        7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+        10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+        13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    3: {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+        7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+        10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+        13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+}, (4, N_STAGES_EXTENDED))
+
+
+def stages(fun, t: float, y: np.ndarray, h: float, K: np.ndarray,
+           first: int, last: int) -> None:
+    """Fill K[first:last] with the stage slopes of the step (t, y, h); the
+    rows below ``first`` must already hold the earlier stages."""
+    for s in range(first, last):
+        K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+
+
+def error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """RMS norm of the step's error estimate relative to ``scale``: the 5th-
+    order estimate, damped by the 3rd-order one where the two disagree."""
+    err5 = np.dot(K.T, E5) / scale
+    err3 = np.dot(K.T, E3) / scale
+    err5_2 = np.linalg.norm(err5) ** 2
+    err3_2 = np.linalg.norm(err3) ** 2
+    if err5_2 == 0.0 and err3_2 == 0.0:
+        return 0.0
+    return abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+
+
+def interpolant(fun, t_old: float, h: float, y_old: np.ndarray, y: np.ndarray,
+                f: np.ndarray, K: np.ndarray):
+    """The 7th-order dense output over the step [t_old, t_old + h] just
+    taken (K[:13] its stages, f the slope at its end).  Evaluates the three
+    extra stages into K[13:16]; returns t_array -> y of shape (len, n)."""
+    stages(fun, t_old, y_old, h, K, N_STAGES + 1, N_STAGES_EXTENDED)
+    delta = y - y_old
+    F = [delta, h * K[0] - delta, 2 * delta - h * (f + K[0]), *(h * np.dot(D, K))]
+
+    def at(ts: np.ndarray) -> np.ndarray:
+        x = ((ts - t_old) / h)[:, None]
+        out = np.zeros((len(ts), len(y_old)))
+        for i, term in enumerate(reversed(F)):
+            out += term
+            out *= x if i % 2 == 0 else 1 - x
+        return out + y_old
+    return at

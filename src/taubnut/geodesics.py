@@ -19,6 +19,7 @@ family alike.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,10 @@ def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13
     BadParams first.  Points on the axes return the endpoint angles 0 / pi/2
     directly.  The interior solve exploits that v(eta; u) is strictly
     increasing, bracketing on (0, pi/2) with the family's log-scaled residual
-    h(eta) so extreme aspect ratios stay in floating range.  Half-plane
-    families accept v < 0 and return eta < 0.
+    h(eta) so extreme aspect ratios stay in floating range.  The angle is
+    found to ``tol`` absolutely and, when it lies below 1e-3, refined by two
+    steps in log(eta) to roundoff relatively.  Half-plane families accept
+    v < 0 and return eta < 0.
     """
     geo = params.geometry
     geo.check_point(u, v)
@@ -123,7 +126,15 @@ def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13
         lo *= 1e-6
         if lo < 1e-200:
             return 0.0
-    return find_root_monotone(h, lo, hi, abs_tol=tol, rel_tol=tol)
+    eta = find_root_monotone(h, lo, hi, abs_tol=tol, rel_tol=tol)
+    if eta < 1e-3:
+        # next to the u axis an absolute tol is coarse.  h is log(sin eta)
+        # plus terms whose eta-derivative is O(eta), so in x = log(eta) it
+        # has slope 1 + O(eta^2): each step x -= h(e^x) shrinks the error
+        # by that O(eta^2), and two make it relative to roundoff
+        for _ in range(2):
+            eta *= math.exp(-h(eta))
+    return eta
 
 
 def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
@@ -205,7 +216,9 @@ def point_from_polar(params: InstantonParams, R: float, eta: float,
     with u = cos(eta) sinh(sigma), v = sigma sin(eta).
 
     eta must lie in the family's ``eta_range``: [0, pi/2] on the quadrant,
-    [-pi/2, pi/2] on the half-plane; BadParams otherwise.
+    [-pi/2, pi/2] on the half-plane; BadParams otherwise.  A point whose F
+    (or a term of its radial relation) overflows a float raises BadParams
+    too.
     """
     geo = params.geometry
     if R < 0.0:
@@ -213,7 +226,12 @@ def point_from_polar(params: InstantonParams, R: float, eta: float,
     lo, hi = geo.eta_range
     if not lo <= eta <= hi:
         raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
-    u, v, F = geo.polar_point(R, eta, lambda relation: _solve_radial(relation, tol))
+    try:
+        u, v, F = geo.polar_point(R, eta, lambda relation: _solve_radial(relation, tol))
+    except OverflowError:
+        raise BadParams(f"the point at R={R}, eta={eta} is beyond the float range: its "
+                        f"radial parameter F = e^s, or a term of its radial relation, "
+                        f"passes {sys.float_info.max:.4g}") from None
     # the radial relation is S_eta restricted to the geodesic; both residuals
     # are genuine re-checks through independent code paths
     eik = abs(eikonal_S(params, eta, u, v) - R)

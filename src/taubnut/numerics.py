@@ -4,21 +4,17 @@ differences and log-log fits.
 Everything here is geometry-agnostic.  The rest of the package layers the
 metric-specific formulas on top of these routines, so the tolerances and
 failure modes of each helper are spelled out in its docstring.
-
-scipy is imported inside the quadrature and ODE routines, on their first
-call, not when this module loads: the closed-form charts, root solves and
-finite differences need only numpy, so commands such as ``eval``,
-``contour``, ``volume`` and ``blowdown`` start without paying for it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import dop853
 
 
 class NoBracket(Exception):
@@ -126,6 +122,10 @@ def find_root_monotone(
 # --------------------------------------------------------------------------
 # quadrature
 # --------------------------------------------------------------------------
+#
+# Both integrators take f(u, v) on numpy arrays: they call it once per round
+# on whole grids of nodes, and f must broadcast its two arguments and return
+# an array of their broadcast shape (every density in the package does).
 
 @dataclass
 class QuadratureResult:
@@ -133,11 +133,83 @@ class QuadratureResult:
     error: float              # quadrature error estimate plus tail bound
     tail_bound: float         # analytic bound on the discarded tail
     truncation_radius: float  # integration was carried out on [0, T]^2
-    evaluations: int
+    evaluations: int          # integrand points evaluated, arc probes included
+
+
+GAUSS_ORDER = 10   # nodes per axis of the tensor rule on each box
+MAX_BOXES = 1024   # open boxes per round; past it every box closes
+_EPS = float(np.finfo(float).eps)
+_gauss_rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    cached per order; made on first use, so that commands which never
+    integrate skip the 10 ms import of numpy.polynomial."""
+    rule = _gauss_rules.get(n)
+    if rule is None:
+        rule = _gauss_rules[n] = np.polynomial.legendre.leggauss(n)
+    return rule
+
+
+def _tensor_rule(f, boxes: np.ndarray) -> np.ndarray:
+    """The n x n tensor Gauss rule of f over each row (u0, u1, v0, v1)."""
+    x, w = _gauss_legendre(GAUSS_ORDER)
+    hu = 0.5 * (boxes[:, 1] - boxes[:, 0])
+    hv = 0.5 * (boxes[:, 3] - boxes[:, 2])
+    u = (0.5 * (boxes[:, 0] + boxes[:, 1]) + hu * x[:, None]).T
+    v = (0.5 * (boxes[:, 2] + boxes[:, 3]) + hv * x[:, None]).T
+    vals = np.broadcast_to(f(u[:, :, None], v[:, None, :]),
+                           (len(boxes), GAUSS_ORDER, GAUSS_ORDER))
+    return hu * hv * np.einsum("bij,i,j->b", vals, w, w)
+
+
+def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
+    """Integrate f over the union of boxes (u0, u1, v0, v1) by the adaptive
+    tensor Gauss rule; returns (value, error, evaluations).
+
+    Each round splits every open box into quarters: an n-point rule per axis
+    against the composite 2n-point one.  The error of a box is
+    |rule(box) - sum of rule(quarters)| plus 50 ulp of that sum for its
+    roundoff: the error of the coarser rule, so it overstates that of the
+    quarters' sum, which is what a closed box adds to the value.  A box
+    closes once its error is within its share of the tolerance
+    max(abs_tol, rel_tol * |value so far|): 1 / len(boxes) for each starting
+    box, a quarter of its parent's share for a quarter.  A NaN closes its
+    box too, so it shows in the value instead of splitting on.  Past
+    MAX_BOXES open boxes (a singular integrand) every box closes, and an
+    unresolved one adds its whole |value| to the error.
+    """
+    boxes = np.asarray(boxes, dtype=float)
+    share = np.full(len(boxes), 1.0 / len(boxes))
+    whole = _tensor_rule(f, boxes)
+    evaluations = len(boxes) * GAUSS_ORDER ** 2
+    value = error = 0.0
+    while len(boxes):
+        u0, u1, v0, v1 = boxes.T
+        um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
+        quarters = np.stack([np.stack(q, axis=1) for q in (
+            (u0, um, v0, vm), (um, u1, v0, vm), (u0, um, vm, v1), (um, u1, vm, v1))],
+            axis=1).reshape(-1, 4)
+        parts = _tensor_rule(f, quarters).reshape(-1, 4)
+        evaluations += quarters.shape[0] * GAUSS_ORDER ** 2
+        refined = parts.sum(axis=1)
+        err = np.abs(refined - whole) + 50.0 * _EPS * np.abs(refined)
+        tol = max(abs_tol, rel_tol * abs(value + refined.sum()))
+        split = err > share * tol
+        if 4 * np.count_nonzero(split) > MAX_BOXES:
+            err[split] += np.abs(refined[split])   # unresolved: own up to all of it
+            split[:] = False
+        value += refined[~split].sum()
+        error += err[~split].sum()
+        boxes = quarters.reshape(-1, 4, 4)[split].reshape(-1, 4)
+        whole = parts[split].ravel()
+        share = np.repeat(share[split] / 4.0, 4)
+    return float(value), float(error), evaluations
 
 
 def integrate_2d_improper(
-    f: Callable[[float, float], float],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
     decay_exponent: float,
     abs_tol: float = 1e-10,
@@ -152,32 +224,29 @@ def integrate_2d_improper(
         tail(T) <= A * (pi/4) * (1 + T^2)^(1 - p) / (p - 1)
 
     (integrate the envelope in polar coordinates over rho > T).  The
-    truncation radius T is grown from 8 until the bound fits inside the
-    requested tolerance, then scipy's adaptive quadrature handles [0, T]^2.
+    truncation radius T is grown from 8 until the bound fits inside a
+    quarter of the budget abs_tol + rel_tol * |value|.  [0, T]^2 is cut into
+    dyadic L-shells, [0, 8]^2 and for each edge pair lo < hi the slabs
+    [lo, hi] x [0, hi] and [0, lo] x [lo, hi], and the adaptive tensor
+    Gauss-Legendre rule (GAUSS_ORDER^2 nodes per box) integrates them to a
+    tenth of the budget, each piece its equal share.  ``error`` is the quadrature
+    error estimate plus the tail bound.  f is called on arrays (see above).
 
     Raises SlowDecay when p <= 1, when the sampled arcs show the integrand
     shrinking slower than promised, or when T would pass 1e7.
     """
-    from scipy import integrate as _sciint
-
     p = float(decay_exponent)
     if p <= 1.0:
         raise SlowDecay(f"decay exponent {p} <= 1: the quadrant integral need not converge")
 
-    nfev = 0
-
-    def counted(v: float, u: float) -> float:  # dblquad passes (inner, outer)
-        nonlocal nfev
-        nfev += 1
-        return f(u, v)
+    angles = np.linspace(1e-3, math.pi / 2 - 1e-3, 33)
+    probes = 0
 
     def arc_amplitude(radius: float) -> float:
-        angles = np.linspace(1e-3, math.pi / 2 - 1e-3, 33)
-        amp = 0.0
-        for t in angles:
-            u, v = radius * math.cos(t), radius * math.sin(t)
-            amp = max(amp, abs(f(u, v)) * (1.0 + u * u + v * v) ** p)
-        return amp
+        nonlocal probes
+        probes += angles.size
+        u, v = radius * np.cos(angles), radius * np.sin(angles)
+        return float(np.max(np.abs(f(u, v)) * (1.0 + u * u + v * v) ** p))
 
     def tail_bound_at(radius: float) -> float:
         # Envelope amplitude measured on two arcs, with a decay sanity check.
@@ -195,14 +264,8 @@ def integrate_2d_improper(
             )
         return max(amp_1, amp_2) * (math.pi / 4.0) * (1.0 + radius ** 2) ** (1.0 - p) / (p - 1.0)
 
-    def box(u0, u1, v0, v1, eab, erl):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _sciint.IntegrationWarning)
-            val, err = _sciint.dblquad(counted, u0, u1, v0, v1, epsabs=eab, epsrel=erl)
-        return val, err
-
     T0 = 8.0
-    rough, _ = box(0.0, T0, 0.0, T0, 1e-6, 1e-6)
+    rough, _, rough_evals = _adaptive_boxes(f, [(0.0, T0, 0.0, T0)], 1e-6, 1e-6)
     budget = abs_tol + rel_tol * (abs(rough) + tail_bound_at(T0))
 
     T = T0
@@ -215,59 +278,57 @@ def integrate_2d_improper(
             )
         tail = tail_bound_at(T)
 
-    # Accurate pass over [0, T]^2, split into dyadic L-shells so each call to
-    # the adaptive routine works on a well-scaled box.
-    edges = [0.0, min(T0, T)]
+    edges = [0.0, T0]
     while edges[-1] < T:
-        edges.append(min(2.0 * edges[-1], T))
-    n_pieces = 2 * len(edges) - 1
-    eab = 0.5 * budget / n_pieces
-    erl = 0.1 * rel_tol
-
-    value, quad_err = box(0.0, edges[1], 0.0, edges[1], eab, erl)
+        edges.append(2.0 * edges[-1])
+    pieces = [(0.0, T0, 0.0, T0)]
     for lo, hi in zip(edges[1:], edges[2:]):
-        v1, e1 = box(lo, hi, 0.0, hi, eab, erl)       # right slab
-        v2, e2 = box(0.0, lo, lo, hi, eab, erl)       # top slab
-        value += v1 + v2
-        quad_err += e1 + e2
+        pieces += [(lo, hi, 0.0, hi), (0.0, lo, lo, hi)]   # right and top slabs
+    # a tenth keeps the quadrature's part of the error below the tail's:
+    # boxes closed near their share can all err with one sign
+    value, quad_err, evals = _adaptive_boxes(f, pieces, 0.1 * budget)
 
     return QuadratureResult(
         value=value,
         error=quad_err + tail,
         tail_bound=tail,
         truncation_radius=T,
-        evaluations=nfev,
+        evaluations=rough_evals + probes + evals,
     )
 
 
 def integrate_2d_region(
-    f: Callable[[float, float], float],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     u_max: float,
     v_max_of_u: Callable[[float], float],
 ) -> QuadratureResult:
-    """Integrate f over {0 < u < u_max, 0 < v < v_max_of_u(u)} by nested
-    adaptive quadrature to 1e-11 absolute or 1e-10 relative.  Suited to the
-    bounded sublevel-set regions used for volume comparisons; no tail
-    estimate is involved."""
-    from scipy import integrate as _sciint
+    """Integrate f over {0 < u < u_max, 0 < v < v_max_of_u(u)} to 1e-11
+    absolute or 1e-10 relative, whichever is looser; no tail is involved.
 
-    abs_tol, rel_tol = 1e-11, 1e-10
-    nfev = 0
+    The outer variable is u = u_max sin(t), t in [0, pi/2], which absorbs a
+    square-root end of the region such as the almost-ball boundary
+    v_max ~ sqrt(u_max - u); the inner one is v = v_max(u) w, w in [0, 1].
+    The adaptive tensor Gauss-Legendre rule of integrate_2d_improper then
+    integrates f(u, v) u_max cos(t) v_max(u) over the (t, w) rectangle:
+    an outer Gauss rule in t over inner Gauss rules on [0, v_max(u)].
+    f is called on arrays; v_max_of_u is called on one float per outer node.
+    """
+    def mapped(t, w):
+        u = u_max * np.sin(t)
+        top = np.array([max(v_max_of_u(x), 0.0) for x in u.ravel()]).reshape(u.shape)
+        return f(u, top * w) * (u_max * np.cos(t) * top)
 
-    def inner(u: float) -> float:
-        nonlocal nfev
-        top = v_max_of_u(u)
-        if top <= 0.0:
-            return 0.0
-        val, _ = _sciint.quad(
-            lambda v: f(u, v), 0.0, top, epsabs=abs_tol, epsrel=rel_tol, limit=200
-        )
-        nfev += 1
-        return val
-
-    value, err = _sciint.quad(inner, 0.0, u_max, epsabs=abs_tol, epsrel=rel_tol, limit=200)
+    # start on the t-images of u = 0, ..., u_max/4, u_max/2, u_max with the
+    # first cut at u <= 1: the densities vary on the unit scale in u, and
+    # a single coarse box could miss them when u_max is far beyond it
+    cuts = [1.0]
+    while u_max * cuts[-1] > 1.0:
+        cuts.append(0.5 * cuts[-1])
+    ts = [0.0] + [math.asin(c) for c in reversed(cuts)]
+    value, err, evals = _adaptive_boxes(
+        mapped, [(t0, t1, 0.0, 1.0) for t0, t1 in zip(ts, ts[1:])], 1e-11, 1e-10)
     return QuadratureResult(value=value, error=err, tail_bound=0.0,
-                            truncation_radius=u_max, evaluations=nfev)
+                            truncation_radius=u_max, evaluations=evals)
 
 
 # --------------------------------------------------------------------------
@@ -290,26 +351,105 @@ def ode_solve(
     abs_tol: float = 1e-12,
     t_eval: Sequence[float] | None = None,
 ) -> OdeResult:
-    """High-order nonstiff integration (explicit Runge-Kutta 8(5,3)).
+    """High-order nonstiff integration: the embedded Runge-Kutta 8(5,3) pair
+    of Dormand and Prince (DOP853, tableau in :mod:`taubnut.dop853`).
 
-    Raises StepUnderflow if the integrator gives up before reaching t_end,
-    which in this package invariably means the trajectory ran into a
-    coordinate degeneracy rather than a genuinely stiff problem.
+    Each step is accepted when the RMS norm of its error estimate, scaled
+    by abs_tol + rel_tol * max(|y|, |y_new|), is below 1; the next step is
+    h * min(10, 0.9 norm^(-1/8)), and a rejected one shrinks by at least
+    0.2.  Without ``t_eval`` the result holds every step's end; with it,
+    the points of t_eval (sorted along t_span) come from the 7th-order dense
+    output of the step that covers them, at three extra evaluations a step.
+    ``nfev`` counts every call of rhs.
+
+    Raises StepUnderflow when the step would fall below ten units in the
+    last place of t before t_end, which in this package invariably means the
+    trajectory ran into a coordinate degeneracy rather than a genuinely
+    stiff problem.
     """
-    from scipy import integrate as _sciint
+    t, t_end = float(t_span[0]), float(t_span[1])
+    direction = 1.0 if t_end >= t else -1.0
+    y = np.asarray(y0, dtype=float)
+    nfev = 0
 
-    sol = _sciint.solve_ivp(
-        rhs,
-        t_span,
-        np.asarray(y0, dtype=float),
-        method="DOP853",
-        rtol=rel_tol,
-        atol=abs_tol,
-        t_eval=None if t_eval is None else np.asarray(t_eval, dtype=float),
-    )
-    if not sol.success:
-        raise StepUnderflow(f"integrator stopped at t = {sol.t[-1]!r}: {sol.message}")
-    return OdeResult(ts=sol.t, ys=sol.y.T, nfev=sol.nfev)
+    def fun(tt, yy):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(rhs(tt, yy), dtype=float)
+
+    pending = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    ts = [np.array([t])] if pending is None else []
+    ys = [y[None, :]] if pending is None else []
+    K = np.empty((dop853.N_STAGES_EXTENDED, len(y)))
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_end, direction, rel_tol, abs_tol)
+    exponent = -1.0 / (dop853.ERROR_ORDER + 1)
+
+    while direction * (t - t_end) < 0.0:
+        min_step = 10.0 * abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        K[0] = f
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow(f"integrator stopped at t = {t!r}: step size "
+                                    f"{h_abs!r} fell below the spacing of floats")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            dop853.stages(fun, t, y, h, K, 1, dop853.N_STAGES)
+            y_new = y + h * np.dot(K[:dop853.N_STAGES].T, dop853.B)
+            f_new = K[dop853.N_STAGES] = fun(t_new, y_new)
+            scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
+            norm = dop853.error_norm(K[:dop853.N_STAGES + 1], h, scale)
+            if norm < 1.0:
+                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** exponent)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * norm ** exponent)
+            rejected = True
+
+        if pending is None:
+            ts.append(np.array([t_new]))
+            ys.append(y_new[None, :])
+        else:
+            here = (pending <= t_new) if direction > 0 else (pending >= t_new)
+            if here.any():
+                at = dop853.interpolant(fun, t, h, y, y_new, f_new, K)
+                ts.append(pending[here])
+                ys.append(at(pending[here]))
+                pending = pending[~here]
+        t, y, f = t_new, y_new, f_new
+
+    if pending is not None and pending.size:   # t_span of zero length
+        ts.append(pending)
+        ys.append(np.repeat(y[None, :], pending.size, axis=0))
+    return OdeResult(ts=np.concatenate(ts), ys=np.concatenate(ys), nfev=nfev)
+
+
+def _initial_step(fun, t, y, f, t_end, direction, rel_tol, abs_tol) -> float:
+    """First step size from the size of y, y' and an estimate of y''
+    (Hairer, Norsett & Wanner, Sec. II.4), one evaluation of fun."""
+    span = abs(t_end - t)
+    if span == 0.0:
+        return 0.0
+    scale = abs_tol + np.abs(y) * rel_tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(t + h0 * direction, y + h0 * direction * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / (dop853.ERROR_ORDER + 1))
+    return min(100.0 * h0, h1, span)
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x) / x.size ** 0.5)
 
 
 # --------------------------------------------------------------------------

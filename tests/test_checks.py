@@ -57,3 +57,19 @@ def test_only_family_py_branches_on_the_family():
             if hit:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_package_does_not_import_scipy():
+    # scipy is an oracle of the tests, not a dependency of the package
+    found = []
+    for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

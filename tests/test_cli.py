@@ -116,6 +116,10 @@ def test_eval_deterministic():
     ("eval", "--point=-1,0"),
     ("eval", "--family", "exceptional", "--point=0,-2"),
     ("eval", "--family", "flat", "--chart", "polar", "--point", "1,3.0"),
+    ("eval", "--k", "0.9999", "--chart", "polar", "--point", "1000,0.5"),
+    ("eval", "--family", "exceptional", "--chart", "polar",
+     "--point", "800,1.5707963267948966"),
+    ("eval", "--family", "flat", "--chart", "polar", "--point", "800,0.3"),
 ])
 def test_bad_arguments_exit_2(args):
     cp = run_cli(*args)
@@ -124,45 +128,43 @@ def test_bad_arguments_exit_2(args):
         or "error" in cp.stderr.lower()
 
 
-# ----------------------------------------------------------------- cold start
+# ------------------------------------------------------------------- no scipy
 
-COLD_START_SCRIPT = """
+NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
-import taubnut, taubnut.cli
+sys.modules["scipy"] = None     # any import of scipy now raises ImportError
+import taubnut.cli
 from taubnut import numerics
 for argv in (["eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"],
+             ["geodesic", "--family", "exceptional", "--eta", "0.7", "--R", "5"],
              ["contour", "--family", "halfplane", "--eta", "0.3", "--levels", "3",
               "--R", "4", "--format", "svg"],
+             ["energy", "--family", "generalized", "--k", "0.5"],
+             ["energy", "--family", "exceptional"],
              ["volume", "--family", "generalized", "--R", "5,50,500"],
-             ["blowdown", "--construction", "pointed", "--format", "json"]):
+             ["blowdown", "--construction", "pointed", "--format", "json"],
+             ["verify", "--suite", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert taubnut.cli.main(argv) == 0, argv
-before = "scipy" in sys.modules
 ode = numerics.ode_solve(lambda t, y: y, (0.0, 1.0), [1.0]).ys[-1, 0]
 quad = numerics.integrate_2d_improper(
     lambda u, v: (1.0 + u * u + v * v) ** -2, decay_exponent=2.0).value
-print(json.dumps({"before": before, "after": "scipy" in sys.modules,
-                  "ode": ode.hex(), "quad": quad.hex()}))
+print(json.dumps({"scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"
+                            and sys.modules[m] is not None],
+                  "ode": ode, "quad": quad}))
 """
 
 
-def test_closed_form_commands_start_without_scipy():
-    cp = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT],
+def test_every_command_runs_without_scipy():
+    # scipy is a test-only oracle: with its import blocked every subcommand
+    # still runs, and no scipy module is loaded afterwards
+    cp = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
                         capture_output=True, text=True, env=_child_env())
     assert cp.returncode == 0, cp.stderr
     doc = json.loads(cp.stdout)
-    assert doc["before"] is False
-    assert doc["after"] is True
-    # the first call, which imports scipy, gives the same bits as a call
-    # in a process where scipy is already loaded
-    from taubnut import numerics
-    ode = numerics.ode_solve(lambda t, y: y, (0.0, 1.0), [1.0]).ys[-1, 0]
-    quad = numerics.integrate_2d_improper(
-        lambda u, v: (1.0 + u * u + v * v) ** -2, decay_exponent=2.0).value
-    assert float.fromhex(doc["ode"]) == ode
-    assert float.fromhex(doc["quad"]) == quad
-    assert ode == pytest.approx(math.e, rel=1e-10)
-    assert quad == pytest.approx(math.pi / 4.0, rel=1e-7)
+    assert doc["scipy"] == []
+    assert doc["ode"] == pytest.approx(math.e, rel=1e-10)
+    assert doc["quad"] == pytest.approx(math.pi / 4.0, rel=1e-7)
 
 
 # ------------------------------------------------------------------- geodesic

@@ -70,6 +70,37 @@ def test_solve_eta_recovers_launch_angle():
                 eta, abs=1e-10)
 
 
+@pytest.mark.parametrize("params", [GEN05, EXC], ids=["GEN05", "EXC"])
+@pytest.mark.parametrize("v", [1e-8, 1e-10, 1e-14])
+def test_solve_eta_is_relatively_accurate_next_to_the_u_axis(params, v):
+    # 50-digit reference of the launch-angle relation through (1, v):
+    # sin(eta) sinh((b/a) asinh(a u / cos eta)) = b v, with a = b = 1 and
+    # sinh -> identity for the exceptional family
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    if params is EXC:
+        def h(eta):
+            return mp.sin(eta) * mp.asinh(1 / mp.cos(eta)) - v
+    else:
+        a, b = mp.sqrt(1 + mp.mpf(params.k)), mp.sqrt(1 - mp.mpf(params.k))
+        def h(eta):
+            return mp.sin(eta) * mp.sinh(b / a * mp.asinh(a / mp.cos(eta))) - b * v
+    ref = mp.findroot(h, mp.mpf(v))
+    got = solve_eta(params, 1.0, v)
+    assert abs(got / float(ref) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("params,R,eta", [
+    (InstantonParams(k=0.9999), 1000.0, 0.5),
+    (EXC, 800.0, math.pi / 2),
+    (FLAT, 800.0, 0.3),
+])
+def test_point_from_polar_beyond_float_range_raises_badparams(params, R, eta):
+    with pytest.raises(BadParams, match="float range"):
+        point_from_polar(params, R, eta)
+
+
 def test_solve_eta_axes():
     assert solve_eta(GEN05, 2.0, 0.0) == 0.0
     assert solve_eta(GEN05, 0.0, 2.0) == pytest.approx(math.pi / 2.0)

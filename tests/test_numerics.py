@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taubnut.asymptotics import almost_ball_spec, almost_ball_volume
+from taubnut.curvature import ricci_pseudo_volume_density
+from taubnut.family import Family, InstantonParams
+from taubnut.metrics import TORUS_VOLUME, volume_density
 from taubnut.numerics import (BoundaryTooClose, Dual, InsufficientSamples,
                               NoBracket, StepUnderflow, dual_partials,
                               fd_curvature, fd_gradient, fd_jacobian2,
@@ -52,7 +56,7 @@ def test_region_quadrature_polynomial():
 
 def test_improper_gaussian():
     got = integrate_2d_improper(
-        lambda u, v: math.exp(-u * u - v * v), decay_exponent=4.0)
+        lambda u, v: np.exp(-u * u - v * v), decay_exponent=4.0)
     assert abs(got.value - math.pi / 4.0) < 1e-8
     assert got.tail_bound >= 0.0
 
@@ -65,6 +69,90 @@ def test_improper_power_tail():
     assert abs(got.value - math.pi / 8.0) < 1e-7
 
 
+class _Counted:
+    """An integrand that counts the points it is evaluated at."""
+
+    def __init__(self, f):
+        self.f, self.points = f, 0
+
+    def __call__(self, u, v):
+        out = self.f(u, v)
+        self.points += np.broadcast(u, v, out).size
+        return out
+
+
+def test_evaluations_count_every_integrand_point():
+    f = _Counted(lambda u, v: (1.0 + u * u + v * v) ** -3.0)
+    got = integrate_2d_improper(f, decay_exponent=3.0)
+    assert got.evaluations == f.points
+    f = _Counted(lambda u, v: u + v)
+    got = integrate_2d_region(f, 1.0, lambda u: 1.0 - u)
+    assert got.evaluations == f.points
+
+
+# ------------------------------------------------------- scipy as the oracle
+
+GEN09 = InstantonParams(k=0.9)
+EXC = InstantonParams(family=Family.EXCEPTIONAL_TN)
+
+IMPROPER_CASES = {
+    # name: (integrand, decay exponent, exact value)
+    "gaussian": (lambda u, v: np.exp(-u * u - v * v), 4.0, math.pi / 4.0),
+    "power3": (lambda u, v: (1.0 + u * u + v * v) ** -3.0, 3.0, math.pi / 8.0),
+    "power2": (lambda u, v: (1.0 + u * u + v * v) ** -2.0, 2.0, math.pi / 4.0),
+    # the L^2 Ricci integrand at k = 0.9: its integral is k^2 / (1 - k^2)
+    "ricci-k0.9": (lambda u, v: ricci_pseudo_volume_density(GEN09, u, v), 2.0,
+                   0.81 / 0.19),
+}
+
+
+@pytest.mark.parametrize("name", IMPROPER_CASES)
+def test_improper_against_scipy_and_exact(name):
+    integrate = pytest.importorskip("scipy.integrate")
+    f, p, exact = IMPROPER_CASES[name]
+    got = integrate_2d_improper(f, decay_exponent=p, abs_tol=1e-12, rel_tol=1e-9)
+    assert got.error >= abs(got.value - exact)
+    assert abs(got.value - exact) <= 1e-9 * exact
+    ref, _ = integrate.dblquad(lambda v, u: float(f(u, v)), 0.0, math.inf,
+                               0.0, math.inf, epsabs=1e-12, epsrel=1e-9)
+    assert got.value == pytest.approx(ref, rel=1e-7)
+
+
+def _almost_ball(params, R):
+    # the volume density over AB(R), per unit torus volume
+    spec = almost_ball_spec(params, R)
+    return (lambda u, v: volume_density(params, u, v), spec.u_max, spec.v_max,
+            almost_ball_volume(params, R) / TORUS_VOLUME)
+
+
+REGION_CASES = {
+    # name: (integrand, u_max, v_max(u), exact value or None)
+    "triangle": (lambda u, v: u + v, 1.0, lambda u: 1.0 - u, 1.0 / 3.0),
+    "ab-gen-k0-R4": _almost_ball(InstantonParams(), 4.0),
+    "ab-gen-k0.7-R7": _almost_ball(InstantonParams(k=0.7), 7.0),
+    "ab-exc-R1": _almost_ball(EXC, 1.0),
+    "ab-exc-R100": _almost_ball(EXC, 100.0),
+    # the exceptional L^2 Ricci density over AB(25): no closed form
+    "ricci-exc-R25": (lambda u, v: ricci_pseudo_volume_density(EXC, u, v),
+                      math.sqrt(50.0), lambda u: max(25.0 - 0.5 * u * u, 0.0), None),
+}
+
+
+@pytest.mark.parametrize("name", REGION_CASES)
+def test_region_against_scipy_and_exact(name):
+    integrate = pytest.importorskip("scipy.integrate")
+    f, u_max, v_max, exact = REGION_CASES[name]
+    got = integrate_2d_region(f, u_max, v_max)
+    ref, _ = integrate.quad(
+        lambda u: integrate.quad(lambda v: float(f(u, v)), 0.0, v_max(u),
+                                 epsabs=1e-13, epsrel=1e-13, limit=200)[0],
+        0.0, u_max, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert got.value == pytest.approx(ref, rel=1e-12)
+    if exact is not None:
+        assert got.error >= abs(got.value - exact)
+        assert got.value == pytest.approx(exact, rel=1e-14)
+
+
 # ------------------------------------------------------------------------ ode
 
 def test_ode_harmonic_oscillator():
@@ -72,6 +160,41 @@ def test_ode_harmonic_oscillator():
                     [1.0, 0.0])
     assert abs(sol.ys[-1][0] - 1.0) < 1e-9
     assert abs(sol.ys[-1][1]) < 1e-9
+
+
+def _oscillator(t, y):
+    return np.array([y[1], -y[0]])
+
+
+@pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 10.0, 41)])
+def test_ode_against_scipy(t_eval):
+    integrate = pytest.importorskip("scipy.integrate")
+    sol = ode_solve(_oscillator, (0.0, 10.0), [1.0, 0.0], t_eval=t_eval)
+    ref = integrate.solve_ivp(_oscillator, (0.0, 10.0), [1.0, 0.0], method="DOP853",
+                              rtol=1e-12, atol=1e-12, t_eval=t_eval)
+    assert np.array_equal(sol.ts, ref.t)
+    assert np.abs(sol.ys - ref.y.T).max() < 1e-13
+    assert abs(sol.nfev - ref.nfev) <= 0.05 * ref.nfev
+    exact = np.stack([np.cos(sol.ts), -np.sin(sol.ts)], axis=1)
+    assert np.abs(sol.ys - exact).max() < 1e-10
+
+
+def test_ode_geodesic_against_scipy():
+    integrate = pytest.importorskip("scipy.integrate")
+    rhs = InstantonParams(k=0.5).geometry.shoot_rhs(0.7)
+    t_eval = np.linspace(0.0, 20.0, 40)
+    sol = ode_solve(rhs, (0.0, 20.0), [0.0, 0.0], t_eval=t_eval)
+    ref = integrate.solve_ivp(rhs, (0.0, 20.0), [0.0, 0.0], method="DOP853",
+                              rtol=1e-12, atol=1e-12, t_eval=t_eval)
+    assert np.abs(sol.ys - ref.y.T).max() < 1e-12
+    assert abs(sol.nfev - ref.nfev) <= 0.05 * ref.nfev
+
+
+def test_ode_backward_and_empty_span():
+    sol = ode_solve(_oscillator, (0.0, -2.0), [1.0, 0.0], t_eval=[0.0, -1.0, -2.0])
+    assert np.abs(sol.ys[:, 0] - np.cos(sol.ts)).max() < 1e-10
+    sol = ode_solve(_oscillator, (1.0, 1.0), [1.0, 0.0], t_eval=[1.0])
+    assert sol.ts.tolist() == [1.0] and sol.ys.tolist() == [[1.0, 0.0]]
 
 
 def test_ode_blowup_raises():
