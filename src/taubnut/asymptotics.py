@@ -43,13 +43,13 @@ class SmallRadius(Exception):
 @dataclass(frozen=True)
 class AlmostBallSpec:
     """Quadrant region AB(R) = {Rtilde <= R} described by its boundary graph
-    v = v_max(u), 0 <= u <= u_max."""
+    v = v_max(u), 0 <= u <= u_max; v_max takes a float or an array of u."""
 
     params: InstantonParams
     radius: float
     u_max: float
 
-    def v_max(self, u: float) -> float:
+    def v_max(self, u):
         return self.params.geometry.almost_ball_v_max(self.radius, u)
 
     def contains(self, u: float, v: float) -> bool:

@@ -187,8 +187,8 @@ def conifold_ricci_diagonal_variant(k: float, u: float,
 def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float, float]:
     """Ricci tensor of the conifold 3-metric by central finite differences
     of step 1e-4 of the Christoffel symbols: entries (uu, uv, vv, theta),
-    O(step^2).  The metric derivatives are themselves central differences
-    of conifold_metric."""
+    O(step^2).  The metric derivatives are exact complex steps of
+    conifold_metric."""
     _check_k(k)
     step = 1e-4
     if u - 2.0 * step <= 0.0 or v - 2.0 * step <= 0.0:
@@ -199,12 +199,7 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
         m = conifold_metric(k, a, b)
         return np.diag([m.conformal, m.conformal, m.fiber_scalar])
 
-    def metric_derivs(a, b):
-        return (g3(a, b),
-                (g3(a + step, b) - g3(a - step, b)) / (2.0 * step),
-                (g3(a, b + step) - g3(a, b - step)) / (2.0 * step))
-
-    ric = fd_curvature(metric_derivs, u, v, step=step)[3]
+    ric = fd_curvature(g3, u, v, step=step)[3]
     return float(ric[0, 0]), float(ric[0, 1]), float(ric[1, 1]), float(ric[2, 2])
 
 

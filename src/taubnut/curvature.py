@@ -41,8 +41,8 @@ import numpy as np
 
 from .family import BadParams, Chart, ChartPoint, InstantonParams
 from .geodesics import point_from_polar
-from .metrics import TORUS_VOLUME, conformal_factor, fiber_matrix
-from .numerics import (QuadratureResult, check_stencil, dual_partials,
+from .metrics import TORUS_VOLUME, conformal_factor, metric4
+from .numerics import (QuadratureResult, check_stencil,
                        fd_conformal_curvature, fd_curvature, fd_jacobian2,
                        fit_power_law, integrate_2d_improper, integrate_2d_region)
 
@@ -120,7 +120,8 @@ def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
 
 def ricci_potentials(params: InstantonParams, u, v) -> RicciPotentials:
     """The invariant potential pair whose exterior product is the Ricci
-    pseudo-volume form.  Accepts Dual arguments in the scalar slots."""
+    pseudo-volume form.  Accepts complex (u, v) (the complex-step contract
+    of :mod:`taubnut.numerics`)."""
     return RicciPotentials(*params.geometry.ricci_potentials(u, v))
 
 
@@ -207,45 +208,20 @@ def l2_riemann(params: InstantonParams) -> float:
 # FD curvature of the 4-metric
 # --------------------------------------------------------------------------
 
-def _metric_and_first_derivs(params: InstantonParams, u: float, v: float):
-    """g, dg/du, dg/dv as 4x4 arrays; first derivatives are exact
-    (forward-mode duals on the rational metric entries)."""
-    g = np.zeros((4, 4))
-    gu = np.zeros((4, 4))
-    gv = np.zeros((4, 4))
-    idx = [(0, 0), (1, 1), (2, 2), (2, 3), (3, 3)]
-
-    def entry(i, j, a, b):
-        # Block-diagonal: low block lam * I, fiber block from fiber_matrix.
-        # Both helpers accept dual numbers (metric4 packs into a float array
-        # and cannot).
-        if i < 2:
-            return conformal_factor(params, a, b)
-        m = fiber_matrix(params, a, b)
-        return m[i - 2][j - 2]
-
-    for (i, j) in idx:
-        val, du_, dv_ = dual_partials(lambda a, b, i=i, j=j: entry(i, j, a, b), u, v)
-        g[i, j] = g[j, i] = val
-        gu[i, j] = gu[j, i] = du_
-        gv[i, j] = gv[j, i] = dv_
-    return g, gu, gv
-
-
 def curvature4_fd(params: InstantonParams, u: float, v: float,
                   *, step: float = 1e-3) -> Curvature4Sample:
     """Scalar curvature, |Ric| and |Rm|^2 of the full 4-metric by finite
-    differences (exact metric first derivatives, central FD of the
-    Christoffel symbols).  The reported ricci_norm is already divided by the
-    family's frozen ``ricci_calibration`` factor, so it is directly
-    comparable to ricci_norm(params, u, v); errors are O(step^2).  The
-    stencil keeps 2*step clear of the chart domain's edges, where the fiber
-    degenerates.
+    differences (metric4's first derivatives by exact complex steps, central
+    FD of the Christoffel symbols).  The reported ricci_norm is already
+    divided by the family's frozen ``ricci_calibration`` factor, so it is
+    directly comparable to ricci_norm(params, u, v); errors are O(step^2).
+    The stencil keeps 2*step clear of the chart domain's edges, where the
+    fiber degenerates.
     """
     check_stencil(u, v, 2 * step, params.geometry.bounds)
 
-    g, ginv, riem, ric = fd_curvature(
-        lambda a, b: _metric_and_first_derivs(params, a, b), u, v, step=step)
+    g, ginv, riem, ric = fd_curvature(lambda a, b: metric4(params, a, b),
+                                      u, v, step=step)
     if np.linalg.cond(g) > 1e12:
         raise IllConditioned(f"cond(g) = {np.linalg.cond(g):.2e} at ({u}, {v})")
     scalar = float(np.einsum('ki,ki->', ginv, ric))

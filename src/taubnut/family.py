@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import dsqrt, fd_gradient, fd_laplacian
+from .numerics import fd_gradient, fd_laplacian
 
 SQRT2 = math.sqrt(2.0)
 QUADRANT = ((0.0, math.inf), (0.0, math.inf))
@@ -71,7 +71,8 @@ class ChartPoint:
 
 def generalized_D(k, u, v):
     """D = 1 + (1+k) u^2 + (1-k) v^2, the quadratic form every generalized
-    family kernel is built from.  Works for floats, Duals and arrays."""
+    family kernel is built from.  Works for floats, complex numbers and
+    arrays."""
     return 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
 
 
@@ -98,8 +99,8 @@ def _logsinh(x: float) -> float:
 def _unsquare(x, y, c):
     """(u, v) with y + ix = (u + iv)^2 / (2c), the inverse of the quadrant
     families' squaring map."""
-    r = dsqrt(x * x + y * y)
-    return dsqrt(c * (r + y)), dsqrt(c * (r - y))
+    r = math.sqrt(x * x + y * y)
+    return math.sqrt(c * (r + y)), math.sqrt(c * (r - y))
 
 
 def _check_quadrant_moments(phi1, phi2):
@@ -117,11 +118,14 @@ def _half_plane_x(phi1):
 # the geometries
 # --------------------------------------------------------------------------
 #
-# Kernels take the family's (u, v) and accept floats and Duals; (c, s) is
-# (cos eta, sin eta).  radial_relation(R, eta) = (f, f', f'' or None, s0):
-# S_eta along the eta-geodesic minus R, as a function of its log radial
-# parameter s, with a warm start; polar_point(R, eta, solve) = (u, v, e^s),
-# where solve is the root solve of taubnut.geodesics for such a relation.
+# Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
+# moment_map and ricci_potentials also take complex (u, v), under the
+# complex-step contract of taubnut.numerics, and almost_ball_v_max takes
+# arrays of u.  (c, s) is (cos eta, sin eta).  radial_relation(R, eta) =
+# (f, f', f'' or None, s0): S_eta along the eta-geodesic minus R, as a
+# function of its log radial parameter s, with a warm start;
+# polar_point(R, eta, solve) = (u, v, e^s), where solve is the root solve
+# of taubnut.geodesics for such a relation.
 
 class Geometry:
     """What all families share: the quadrant domain by default, the point
@@ -200,19 +204,18 @@ class GeneralizedTN(Geometry):
                 u * u * (1.0 + (1.0 - self.k) * v * v) / self.M)
 
     def uv_from_moment(self, phi1, phi2):
-        # interleaves the two explicit solve-for-one-variable formulas, a
-        # contraction on the quadrant; a few dozen sweeps reach roundoff
+        # eliminating V = v^2 = M phi1 / (1 + (1+k) U) leaves the quadratic
+        # (1+k) U^2 + B U - M phi2 = 0 in U = u^2; its positive root, taken
+        # in the form that does not cancel, followed by V
         _check_quadrant_moments(phi1, phi2)
         k, M = self.k, self.M
-        uu, vv = M * phi2, M * phi1  # leading-order seed
-        for _ in range(400):
-            uu_next = M * phi2 / (1.0 + (1.0 - k) * vv)
-            vv_next = M * phi1 / (1.0 + (1.0 + k) * uu_next)
-            if abs(uu_next - uu) + abs(vv_next - vv) <= 1e-16 * (1.0 + uu + vv):
-                uu, vv = uu_next, vv_next
-                break
-            uu, vv = uu_next, vv_next
-        return math.sqrt(uu), math.sqrt(vv)
+        B = 1.0 + M * ((1.0 - k) * phi1 - (1.0 + k) * phi2)
+        root = math.hypot(B, 2.0 * math.sqrt((1.0 + k) * M * phi2))
+        if B >= 0.0:
+            uu = 2.0 * M * phi2 / (B + root)
+        else:
+            uu = (root - B) / (2.0 * (1.0 + k))
+        return math.sqrt(uu), math.sqrt(M * phi1 / (1.0 + (1.0 + k) * uu))
 
     def almost_distance(self, u, v):
         return (self.a * u * u + self.b * v * v) / math.sqrt(SQRT2 * self.M)
@@ -236,9 +239,12 @@ class GeneralizedTN(Geometry):
     def fiber(self, u, v):
         k = self.k
         pre = SQRT2 / (self.M * generalized_D(k, u, v))
-        return (pre * v * v * ((1.0 + (1.0 + k) * u * u) ** 2 + (1.0 + k) ** 2 * u * u * v * v),
+        # p * p, not p ** 2, so the complex-step real part is the float
+        # value bit for bit (see taubnut.numerics)
+        p, q = 1.0 + (1.0 + k) * u * u, 1.0 + (1.0 - k) * v * v
+        return (pre * v * v * (p * p + (1.0 + k) ** 2 * u * u * v * v),
                 pre * u * u * v * v * (2.0 + (1.0 - k * k) * (u * u + v * v)),
-                pre * u * u * ((1.0 + (1.0 - k) * v * v) ** 2 + (1.0 - k) ** 2 * u * u * v * v))
+                pre * u * u * (q * q + (1.0 - k) ** 2 * u * u * v * v))
 
     def collapsing_directions(self):
         """The torus direction of bounded length and its complement."""
@@ -346,9 +352,7 @@ class GeneralizedTN(Geometry):
 
     def almost_ball_v_max(self, R, u):
         budget = math.sqrt(SQRT2 * self.M) * R - self.a * u * u
-        if budget <= 0.0:
-            return 0.0
-        return math.sqrt(budget / self.b)
+        return np.sqrt(np.maximum(budget, 0.0) / self.b)
 
     def almost_ball_volume(self, R):
         k, M = self.k, self.M
@@ -469,7 +473,7 @@ class ExceptionalTN(Geometry):
         return math.sqrt(2.0 * R)
 
     def almost_ball_v_max(self, R, u):
-        return max(R - 0.5 * u * u, 0.0)
+        return np.maximum(R - 0.5 * u * u, 0.0)
 
     def almost_ball_volume(self, R):
         return math.pi ** 2 / 6.0 * (R ** 4 + 2.0 * R ** 3)
@@ -646,17 +650,17 @@ def uv_from_xy(params: InstantonParams, x, y):
 
 def moment_map(params: InstantonParams, u, v):
     """Moment maps (phi1, phi2) of the two torus circles, as functions of the
-    family's own (u, v) chart.  Accepts Dual arguments, so exact gradients are
-    available through :func:`taubnut.numerics.dual_partials`."""
+    family's own (u, v) chart.  Accepts complex (u, v), so exact gradients are
+    available through :func:`taubnut.numerics.complex_partials`."""
     return params.geometry.moment_map(u, v)
 
 
 def uv_from_moment(params: InstantonParams, phi1: float, phi2: float):
     """Invert the moment map on the open quadrant / half plane.
 
-    All but the generalized family invert in closed form.  The generalized
-    case interleaves the two explicit solve-for-one-variable formulas, which
-    is a contraction on the quadrant; a few dozen sweeps reach roundoff.
+    Every family inverts in closed form; the generalized one through the
+    positive root of a quadratic in u^2, accurate to the map's own
+    conditioning (about u^2 times the unit roundoff, relatively).
     """
     return params.geometry.uv_from_moment(phi1, phi2)
 

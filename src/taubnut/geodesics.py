@@ -124,7 +124,7 @@ def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13
             return math.pi / 2
     while h(lo) > 0.0:
         lo *= 1e-6
-        if lo < 1e-200:
+        if lo == 0.0:   # below the smallest subnormal: eta rounds to 0
             return 0.0
     eta = find_root_monotone(h, lo, hi, abs_tol=tol, rel_tol=tol)
     if eta < 1e-3:

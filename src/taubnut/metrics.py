@@ -10,8 +10,9 @@ volume density below is the coefficient of du ^ dv ^ dtheta1 ^ dtheta2, i.e.
 lam * x.  Each torus coordinate runs over a circle of circumference 2*pi, so
 fiber integrals carry a factor (2 pi)^2.
 
-All kernels accept :class:`taubnut.numerics.Dual` arguments, which gives
-exact first derivatives for the curvature stencils.
+conformal_factor, fiber_matrix and metric4 accept complex (u, v), so that
+:func:`taubnut.numerics.fd_curvature` differentiates metric4 by complex
+steps (the contract is in :mod:`taubnut.numerics`).
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ def conformal_factor(params: InstantonParams, u, v):
 
 
 def fiber_matrix(params: InstantonParams, u, v):
-    """Torus fiber matrix Ginv as a 2x2 array (entries share the argument
-    type, so Dual input yields Dual entries)."""
+    """Torus fiber matrix Ginv as a 2x2 array (complex for a complex point)."""
     e11, e12, e22 = params.geometry.fiber(u, v)
     return np.array([[e11, e12], [e12, e22]])
 
@@ -48,13 +48,13 @@ def volume_density(params: InstantonParams, u, v):
     return conformal_factor(params, u, v) * axial_coordinate(params, u, v)
 
 
-def metric4(params: InstantonParams, u: float, v: float) -> np.ndarray:
-    """Full 4x4 metric in the ordering (u, v, theta1, theta2)."""
+def metric4(params: InstantonParams, u, v) -> np.ndarray:
+    """Full 4x4 metric in the ordering (u, v, theta1, theta2).  Its dtype
+    comes from every entry: lam may stay real while the fiber is complex."""
     lam = conformal_factor(params, u, v)
-    g = np.zeros((4, 4))
-    g[0, 0] = g[1, 1] = lam
-    g[2:, 2:] = fiber_matrix(params, u, v)
-    return g
+    e11, e12, e22 = params.geometry.fiber(u, v)
+    return np.array([[lam, 0.0, 0.0, 0.0], [0.0, lam, 0.0, 0.0],
+                     [0.0, 0.0, e11, e12], [0.0, 0.0, e12, e22]])
 
 
 def collapsing_direction_norms(params: InstantonParams, u: float, v: float) -> tuple[float, float]:

@@ -1,9 +1,20 @@
 """Shared numerical machinery: root finding, quadrature, ODE driving, finite
-differences and log-log fits.
+differences, complex-step derivatives and log-log fits.
 
 Everything here is geometry-agnostic.  The rest of the package layers the
 metric-specific formulas on top of these routines, so the tolerances and
 failure modes of each helper are spelled out in its docstring.
+
+Exact first derivatives come from complex steps (Squire & Trapp, SIAM
+Review 40, 1998): for an analytic f, f(x + ih) = f(x) + i h f'(x) + O(h^2).
+With h = COMPLEX_STEP = 2^-600, whose square underflows, Im f(x + ih) / h
+is f'(x) to roundoff, with no truncation error and no cancellation, and
+for f built from +, -, * and / the real part is f(x) bit for bit (float
+``**`` calls pow() where complex ``**`` multiplies, so a kernel that
+must match bit for bit writes p * p).  A kernel on this path takes
+complex u, v without abs(), comparisons or math.* on them: abs() would
+silently give a wrong derivative and the others raise TypeError.  numpy
+ufuncs such as np.sin take complex arguments.
 """
 
 from __future__ import annotations
@@ -300,7 +311,7 @@ def integrate_2d_improper(
 def integrate_2d_region(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     u_max: float,
-    v_max_of_u: Callable[[float], float],
+    v_max_of_u: Callable[[np.ndarray], np.ndarray],
 ) -> QuadratureResult:
     """Integrate f over {0 < u < u_max, 0 < v < v_max_of_u(u)} to 1e-11
     absolute or 1e-10 relative, whichever is looser; no tail is involved.
@@ -311,11 +322,12 @@ def integrate_2d_region(
     The adaptive tensor Gauss-Legendre rule of integrate_2d_improper then
     integrates f(u, v) u_max cos(t) v_max(u) over the (t, w) rectangle:
     an outer Gauss rule in t over inner Gauss rules on [0, v_max(u)].
-    f is called on arrays; v_max_of_u is called on one float per outer node.
+    f is called on arrays, and so is v_max_of_u: once per round, on the
+    array of all outer nodes; a negative v_max counts as 0.
     """
     def mapped(t, w):
         u = u_max * np.sin(t)
-        top = np.array([max(v_max_of_u(x), 0.0) for x in u.ravel()]).reshape(u.shape)
+        top = np.maximum(v_max_of_u(u), 0.0)
         return f(u, top * w) * (u_max * np.cos(t) * top)
 
     # start on the t-images of u = 0, ..., u_max/4, u_max/2, u_max with the
@@ -537,22 +549,35 @@ def fd_jacobian2(
     ])
 
 
+COMPLEX_STEP = 2.0 ** -600   # a power of two: Im / h is exact; h^2 underflows
+
+
+def complex_partials(fn: Callable[[complex, complex], object], u: float, v: float):
+    """(fn(u, v), d fn/du, d fn/dv) by complex steps, exact to roundoff; fn
+    must follow the complex-step contract of the module docstring and may
+    return a scalar or an array."""
+    fu = fn(complex(u, COMPLEX_STEP), v)
+    fv = fn(u, complex(v, COMPLEX_STEP))
+    return np.real(fu), np.imag(fu) / COMPLEX_STEP, np.imag(fv) / COMPLEX_STEP
+
+
 def fd_curvature(
-    metric_derivs: Callable[[float, float], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    metric: Callable[[complex, complex], np.ndarray],
     u: float,
     v: float,
     *,
     step: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Riemann and Ricci tensors of an n-metric that depends on its first two
-    coordinates (u, v) only, from ``metric_derivs(a, b) = (g, dg/du, dg/dv)``.
+    coordinates (u, v) only; ``metric(a, b)`` returns the n x n matrix.
 
-    The Christoffel symbols are differentiated by central differences:
-    O(step^2) on top of the error of the metric derivatives.  Returns
-    (g, g^-1, riem, ric) at (u, v), riem[l, k, i, j] = R^l_{kij}.
+    The metric's first derivatives are complex steps (complex_partials), so
+    metric must take complex a, b; they are exact to roundoff.  The
+    Christoffel symbols are differentiated by central differences, O(step^2).
+    Returns (g, g^-1, riem, ric) at (u, v), riem[l, k, i, j] = R^l_{kij}.
     """
     def christoffel(a, b):
-        g, gu, gv = metric_derivs(a, b)
+        g, gu, gv = complex_partials(metric, a, b)
         ginv = np.linalg.inv(g)
         dg = np.zeros((len(g),) * 3)    # dg[m, i, j] = d_m g_ij; zero for m >= 2
         dg[0] = gu
@@ -605,85 +630,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     ss_res = float(res[0]) if res.size else 0.0
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return PowerLawFit(exponent=float(m), prefactor=float(math.exp(c)), r_squared=r2)
-
-
-# --------------------------------------------------------------------------
-# forward-mode duals
-# --------------------------------------------------------------------------
-
-class Dual:
-    """Minimal forward-mode dual number: value plus one directional derivative.
-
-    The closed-form metric kernels in this package are built from +, -, *, /,
-    powers and sqrt, so evaluating them on Dual inputs yields derivatives that
-    are exact to roundoff -- no truncation error, no step-size tuning.  Used
-    wherever an "analytic first derivative" is called for.
-    """
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val: float, dot: float = 0.0):
-        self.val = float(val)
-        self.dot = float(dot)
-
-    def __add__(self, o):
-        o = _as_dual(o)
-        return Dual(self.val + o.val, self.dot + o.dot)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        o = _as_dual(o)
-        return Dual(self.val - o.val, self.dot - o.dot)
-
-    def __rsub__(self, o):
-        o = _as_dual(o)
-        return Dual(o.val - self.val, o.dot - self.dot)
-
-    def __mul__(self, o):
-        o = _as_dual(o)
-        return Dual(self.val * o.val, self.dot * o.val + self.val * o.dot)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = _as_dual(o)
-        return Dual(self.val / o.val,
-                    (self.dot * o.val - self.val * o.dot) / (o.val * o.val))
-
-    def __rtruediv__(self, o):
-        return _as_dual(o).__truediv__(self)
-
-    def __pow__(self, n):
-        if isinstance(n, Dual):
-            raise TypeError("dual exponents are not needed here")
-        return Dual(self.val ** n, n * self.val ** (n - 1) * self.dot)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def sqrt(self):
-        r = math.sqrt(self.val)
-        return Dual(r, 0.5 * self.dot / r)
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.dot!r})"
-
-
-def _as_dual(x) -> Dual:
-    return x if isinstance(x, Dual) else Dual(float(x))
-
-
-def dsqrt(x):
-    """sqrt that works for floats and Duals alike."""
-    return x.sqrt() if isinstance(x, Dual) else math.sqrt(x)
-
-
-def dual_partials(fn: Callable[..., object], u: float, v: float) -> tuple[float, float, float]:
-    """Evaluate fn(u, v) built from Dual-compatible arithmetic; return
-    (value, d/du, d/dv) with derivatives exact to roundoff."""
-    fu = fn(Dual(u, 1.0), Dual(v, 0.0))
-    fv = fn(Dual(u, 0.0), Dual(v, 1.0))
-    fu = _as_dual(fu)
-    fv = _as_dual(fv)
-    return fu.val, fu.dot, fv.dot

@@ -57,13 +57,14 @@ def test_eval_defaults_standard_scale():
 
 
 def test_eval_moment_chart_roundtrip():
-    cp1 = run_cli("eval", "--k", "0.5", "--chart", "uv", "--point", "1,1")
-    q = json.loads(cp1.stdout)["quantities"]
-    cp2 = run_cli("eval", "--k", "0.5", "--chart", "moment", "--point",
-                  f"{q['moment_1']!r},{q['moment_2']!r}".replace("'", ""))
-    doc2 = json.loads(cp2.stdout)
-    assert doc2["point"]["u"] == pytest.approx(1.0, rel=1e-9)
-    assert doc2["point"]["v"] == pytest.approx(1.0, rel=1e-9)
+    for u, v in ((1, 1), (30, 30)):
+        cp1 = run_cli("eval", "--k", "0.5", "--chart", "uv", "--point", f"{u},{v}")
+        q = json.loads(cp1.stdout)["quantities"]
+        cp2 = run_cli("eval", "--k", "0.5", "--chart", "moment", "--point",
+                      f"{q['moment_1']!r},{q['moment_2']!r}".replace("'", ""))
+        doc2 = json.loads(cp2.stdout)
+        assert doc2["point"]["u"] == pytest.approx(u, rel=1e-9)
+        assert doc2["point"]["v"] == pytest.approx(v, rel=1e-9)
 
 
 @pytest.mark.parametrize("family,k,chart,point,key", [

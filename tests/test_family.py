@@ -1,15 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.family import (BadParams, Chart, Family, InstantonParams,
+from taubnut.family import (GEOMETRIES, BadParams, Chart, Family, InstantonParams,
                             WrongFamily, almost_distance,
                             almost_polar_from_uv, chart_from_uv, moment_map,
                             moment_pde_residual, uv_from_almost_polar,
                             uv_from_chart, uv_from_moment, uv_from_xy,
                             xy_from_uv)
+from taubnut.numerics import COMPLEX_STEP
 
 SQRT2 = math.sqrt(2.0)
 
@@ -89,14 +91,17 @@ def test_halfplane_chart_is_identity():
     assert uv_from_chart(HP, Chart.XY, 0.3, -0.8) == (0.3, -0.8)
 
 
-@given(st.floats(min_value=0.05, max_value=6.0),
-       st.floats(min_value=0.05, max_value=6.0))
-@settings(max_examples=60, deadline=None)
-def test_moment_roundtrip(u, v):
-    p1, p2 = moment_map(GEN05, u, v)
-    u2, v2 = uv_from_moment(GEN05, p1, p2)
-    assert abs(u2 - u) < 1e-10 * max(1.0, u)
-    assert abs(v2 - v) < 1e-10 * max(1.0, v)
+@given(st.floats(min_value=1e-3, max_value=100.0),
+       st.floats(min_value=1e-3, max_value=100.0),
+       st.floats(min_value=-0.99, max_value=0.99),
+       st.floats(min_value=-2.0, max_value=2.0))
+@settings(max_examples=200, deadline=None)
+def test_moment_roundtrip(u, v, k, log10_M):
+    params = InstantonParams(M=10.0 ** log10_M, k=k)
+    p1, p2 = moment_map(params, u, v)
+    u2, v2 = uv_from_moment(params, p1, p2)
+    assert abs(u2 / u - 1.0) < 1e-10
+    assert abs(v2 / v - 1.0) < 1e-10
 
 
 def test_moment_map_exceptional_closed_form():
@@ -122,6 +127,34 @@ def test_chart_dispatch_roundtrip():
             u1, v1 = uv_from_chart(params, chart, c1, c2)
             assert abs(u1 - u0) < 1e-10
             assert abs(v1 - v0) < 1e-10
+
+
+# ------------------------------------------------------ complex-step contract
+
+@pytest.mark.parametrize("params", [InstantonParams(family) for family in GEOMETRIES]
+                         + [GEN05, InstantonParams(M=0.3, k=-0.9)],
+                         ids=lambda p: f"{p.family.value}-M{p.M}-k{p.k}")
+@pytest.mark.parametrize("kernel", ["conformal_factor", "fiber", "moment_map",
+                                    "ricci_potentials"])
+@pytest.mark.parametrize("u,v", [(0.7, 1.3), (1.6, 0.4), (23.0, 0.05)])
+def test_kernels_take_complex_steps(params, kernel, u, v):
+    # Re f(u + ih) is the float value bit for bit; Im f(u + ih) / h is the
+    # derivative, checked against a central difference
+    if params.geometry.bounds[1][0] < 0.0:   # a half plane: try v < 0
+        v = -v
+    fn = getattr(params.geometry, kernel)
+
+    def parts(a, b):
+        return np.atleast_1d(np.asarray(fn(a, b)))
+
+    base = parts(u, v)
+    d = 1e-6 * max(u, abs(v))
+    for shifted in (lambda z: parts(u + z, v), lambda z: parts(u, v + z)):
+        got = shifted(complex(0.0, COMPLEX_STEP))
+        assert np.array_equal(got.real, base)
+        fd = (shifted(d) - shifted(-d)) / (2.0 * d)
+        assert np.allclose(got.imag / COMPLEX_STEP, fd, rtol=1e-6,
+                           atol=1e-6 * np.abs(base).max())
 
 
 # ----------------------------------------------------------------- moment PDE

@@ -71,7 +71,7 @@ def test_solve_eta_recovers_launch_angle():
 
 
 @pytest.mark.parametrize("params", [GEN05, EXC], ids=["GEN05", "EXC"])
-@pytest.mark.parametrize("v", [1e-8, 1e-10, 1e-14])
+@pytest.mark.parametrize("v", [1e-8, 1e-10, 1e-14, 1e-210, 1e-300])
 def test_solve_eta_is_relatively_accurate_next_to_the_u_axis(params, v):
     # 50-digit reference of the launch-angle relation through (1, v):
     # sin(eta) sinh((b/a) asinh(a u / cos eta)) = b v, with a = b = 1 and

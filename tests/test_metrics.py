@@ -9,7 +9,7 @@ from taubnut.family import Family, InstantonParams, WrongFamily, moment_map
 from taubnut.metrics import (TORUS_VOLUME, axial_coordinate,
                              collapsing_direction_norms, conformal_factor,
                              fiber_matrix, metric4, volume_density)
-from taubnut.numerics import dual_partials
+from taubnut.numerics import complex_partials
 
 GEN = InstantonParams()
 GEN05 = InstantonParams(k=0.5)
@@ -76,7 +76,7 @@ def test_fiber_vs_moment_gradients(u, v):
         F = fiber_matrix(params, u, v)
         grads = []
         for i in (0, 1):
-            _, du, dv = dual_partials(
+            _, du, dv = complex_partials(
                 lambda a, b, i=i: moment_map(params, a, b)[i], u, v)
             grads.append((du, dv))
         for i in (0, 1):
