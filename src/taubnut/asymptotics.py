@@ -97,8 +97,7 @@ def almost_ball_volume_quadrature(params: InstantonParams, R: float) -> Quadratu
 EPSILON_GRID = tuple(j * math.pi / 24.0 for j in range(13))
 
 
-def measured_epsilon_bar(params: InstantonParams, R: float,
-                         *, tol: float = 1e-12) -> float:
+def measured_epsilon_bar(params: InstantonParams, R: float) -> float:
     """max over the standard eta-grid of |Rtilde/R - 1| at geodesic radius R.
 
     Endpoints come from the exact geodesic solver, so this measures the true
@@ -108,14 +107,13 @@ def measured_epsilon_bar(params: InstantonParams, R: float,
         raise BadParams(f"radius must be positive, got {R}")
     worst = 0.0
     for eta in EPSILON_GRID:
-        rec = point_from_polar(params, R, eta, tol=tol)
+        rec = point_from_polar(params, R, eta)
         rt = almost_distance(params, rec.u, rec.v)
         worst = max(worst, abs(rt / R - 1.0))
     return worst
 
 
-def ball_volume_bracket(params: InstantonParams, R: float,
-                        *, tol: float = 1e-12) -> tuple[float, float]:
+def ball_volume_bracket(params: InstantonParams, R: float) -> tuple[float, float]:
     """(lower, upper) bracket for Vol B(R) via almost-ball volumes.
 
     With eps = measured_epsilon_bar(R), every point of AB(R/(1+eps)) lies
@@ -128,7 +126,7 @@ def ball_volume_bracket(params: InstantonParams, R: float,
         raise SmallRadius(
             f"bracket requires R >= 10 (surrogate error is only controlled "
             f"in the large-radius regime), got {R}")
-    eps = measured_epsilon_bar(params, R, tol=tol)
+    eps = measured_epsilon_bar(params, R)
     return (almost_ball_volume(params, R / (1.0 + eps)),
             almost_ball_volume(params, R * (1.0 + eps)))
 

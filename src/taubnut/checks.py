@@ -172,7 +172,7 @@ def eta_recovery():
 def monotone_F():
     prev = 1.0
     for R in (0.1, 1.0, 10.0, 100.0, 1000.0):
-        F = geodesics.point_from_polar(_GEN05, R, 0.6).F
+        F = geodesics.solve_F(_GEN05, R, 0.6)
         expect(F > prev, f"F not increasing at R={R}")
         prev = F
     return "F strictly increasing along the ray"

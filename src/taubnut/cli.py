@@ -120,20 +120,17 @@ def _parse_point(text: str) -> tuple[float, float]:
 def _cmd_eval(args) -> int:
     params = _params(args)
     c1, c2 = _parse_point(args.point)
-    try:
-        chart = Chart(args.chart)
-        if chart is Chart.POLAR:
-            rec = geodesics.point_from_polar(params, c1, c2, tol=args.tol)
-            u, v = rec.u, rec.v
-        else:
-            u, v = family.uv_from_chart(params, chart, c1, c2)
-    except (BadParams, WrongFamily, ValueError) as exc:
-        raise UsageError(str(exc))
+    chart = Chart(args.chart)
+    if chart is Chart.POLAR:
+        rec = geodesics.point_from_polar(params, c1, c2)
+        u, v = rec.u, rec.v
+    else:
+        u, v = family.uv_from_chart(params, chart, c1, c2)
 
     fiber = np.array(metrics.fiber_matrix(params, u, v), dtype=float)
     pots = curvature.ricci_potentials(params, u, v)
     moments = family.moment_map(params, u, v)
-    R, eta = geodesics.polar_from_point(params, u, v, tol=args.tol)
+    R, eta = geodesics.polar_from_point(params, u, v)
     q = {
         "conformal_factor": metrics.conformal_factor(params, u, v),
         "axial_coordinate": metrics.axial_coordinate(params, u, v),
@@ -174,8 +171,7 @@ def _cmd_geodesic(args) -> int:
     params = _params(args)
     if args.R <= 0.0:
         raise UsageError(f"--R must be positive, got {args.R}")
-    traj = geodesics.geodesic_shoot(params, args.eta, args.R,
-                                    n_samples=args.samples, tol=args.tol)
+    traj = geodesics.geodesic_shoot(params, args.eta, args.R, n_samples=args.samples)
     rows = [[t, u, v, R, abs(R - t),
              geodesics.unparam_residual(params, args.eta, u, v)]
             for t, u, v, R in zip(traj.ts, traj.us, traj.vs, traj.distances)]
@@ -188,7 +184,7 @@ def _cmd_geodesic(args) -> int:
 # contour
 # --------------------------------------------------------------------------
 
-def _trace_level(params, eta, level, phis, tol):
+def _trace_level(params, eta, level, phis):
     """Points (u, v) = r (cos phi, sin phi) with S_eta = level along each ray."""
     pts = []
     for phi in phis:
@@ -206,7 +202,7 @@ def _trace_level(params, eta, level, phis, tol):
             if hi > 1e9:
                 break
         else:
-            r = find_root_monotone(f, 0.0, hi, abs_tol=tol)
+            r = find_root_monotone(f, 0.0, hi, abs_tol=geodesics.ROOT_TOL)
             pts.append((phi, r * cp, r * sp))
         # rays along which S_eta stays below the level (it can vanish or go
         # negative near an axis) simply do not contribute a point
@@ -224,8 +220,7 @@ def _cmd_contour(args) -> int:
     rows = []
     levels = [args.R * i / (args.levels - 1) for i in range(args.levels)]
     for i, level in enumerate(levels):
-        pts = _trace_level(params, args.eta, level, ([0.0] if level == 0.0 else phis),
-                           args.tol)
+        pts = _trace_level(params, args.eta, level, [0.0] if level == 0.0 else phis)
         for phi, u, v in pts:
             rows.append([f"level-{i}", "level", phi, u, v, level])
 
@@ -235,7 +230,7 @@ def _cmd_contour(args) -> int:
             if t == 0.0:
                 u = v = 0.0
             else:
-                rec = geodesics.point_from_polar(params, t, eta_ray, tol=args.tol)
+                rec = geodesics.point_from_polar(params, t, eta_ray)
                 u, v = rec.u, rec.v
             rows.append([f"geodesic-{j}", "geodesic", t, u, v, eta_ray])
 
@@ -329,7 +324,7 @@ def _cmd_volume(args) -> int:
     for R in radii:
         vol = asymptotics.almost_ball_volume(params, R)
         try:
-            lo, hi = asymptotics.ball_volume_bracket(params, R, tol=args.tol)
+            lo, hi = asymptotics.ball_volume_bracket(params, R)
             rows.append([R, vol, lo, hi])
             brackets.append([lo, hi])
         except asymptotics.SmallRadius:
@@ -453,12 +448,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default sqrt(2), the standard scale)")
     params.add_argument("--k", type=float, default=None,
                         help="twisting parameter, |k| < 1 (default 0)")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-12)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="-", help="output path, '-' for stdout")
 
-    p = sub.add_parser("eval", parents=[params, tol, out],
+    p = sub.add_parser("eval", parents=[params, out],
                        help="pointwise quantities as JSON")
     p.add_argument("--chart", choices=[c.value for c in Chart], default="uv")
     p.add_argument("--point", default="1,1",
@@ -466,14 +459,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         "'Rtilde,psi' for almostpolar)")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("geodesic", parents=[params, tol, out],
+    p = sub.add_parser("geodesic", parents=[params, out],
                        help="radial geodesic trajectory as CSV")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--R", type=float, default=10.0, help="arc length to cover")
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(fn=_cmd_geodesic)
 
-    p = sub.add_parser("contour", parents=[params, tol, out],
+    p = sub.add_parser("contour", parents=[params, out],
                        help="distance-function level sets and geodesic fan")
     p.add_argument("--eta", type=float, default=0.0,
                    help="launch angle of the contoured distance function")
@@ -488,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=_cmd_energy)
 
-    p = sub.add_parser("volume", parents=[params, tol, out],
+    p = sub.add_parser("volume", parents=[params, out],
                        help="almost-ball volumes and ball brackets")
     p.add_argument("--R", default="50,100,200,400",
                    help="comma-separated radii")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .family import BadParams, Chart, ChartPoint, InstantonParams
+from .family import BadParams, InstantonParams
 from .geodesics import point_from_polar
 from .metrics import TORUS_VOLUME, conformal_factor, metric4
 from .numerics import (QuadratureResult, check_stencil,
@@ -75,7 +75,6 @@ class Curvature4Sample:
     scalar: float
     ricci_norm: float
     rm_norm_sq: float
-    position: ChartPoint
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +180,7 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
         return TORUS_VOLUME * ricci_pseudo_volume_density(params, u, v)
 
     if math.isfinite(closed):
-        quad = integrate_2d_improper(f, decay_exponent=2.0,
-                                     rel_tol=1e-9, abs_tol=1e-12)
+        quad = integrate_2d_improper(f, decay_exponent=2.0)
         return EnergyReport(closed, quad, abs(quad.value - closed) / closed)
 
     samples = []
@@ -232,8 +230,7 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     cal = params.geometry.ricci_calibration
     return Curvature4Sample(scalar=scalar,
                             ricci_norm=math.sqrt(max(ric_sq, 0.0)) / cal,
-                            rm_norm_sq=rm_sq,
-                            position=ChartPoint(Chart.UV, u, v))
+                            rm_norm_sq=rm_sq)
 
 
 # --------------------------------------------------------------------------

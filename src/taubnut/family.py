@@ -62,13 +62,6 @@ class Chart(Enum):
     ALMOST_POLAR = "almostpolar"
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    chart: Chart
-    c1: float
-    c2: float
-
-
 def generalized_D(k, u, v):
     """D = 1 + (1+k) u^2 + (1-k) v^2, the quadratic form every generalized
     family kernel is built from.  Works for floats, complex numbers and
@@ -124,8 +117,8 @@ def _half_plane_x(phi1):
 # arrays of u.  (c, s) is (cos eta, sin eta).  radial_relation(R, eta) =
 # (f, f', f'' or None, s0): S_eta along the eta-geodesic minus R, as a
 # function of its log radial parameter s, with a warm start;
-# polar_point(R, eta, solve) = (u, v, e^s), where solve is the root solve
-# of taubnut.geodesics for such a relation.
+# polar_point(R, eta, solve) = (u, v) at its root s, where solve is the root
+# solve of taubnut.geodesics for such a relation.
 
 class Geometry:
     """What all families share: the quadrant domain by default, the point
@@ -278,11 +271,19 @@ class GeneralizedTN(Geometry):
         a, b = self.a, self.b
         rho = self.mass_root * R
         q = a / b
-        num = rho ** (q - 1.0)
-        threshold = math.asin(num / (num + 0.75 * 8.0 * a / (8.0 * b) ** q))
-        if eta < threshold:
-            return (8.0 * a * rho / math.cos(eta) ** 2) ** (1.0 / (2.0 * a)), "u-dominant"
-        return (8.0 * b * rho / math.sin(eta) ** 2) ** (1.0 / (2.0 * b)), "v-dominant"
+        # the branches meet at sin(eta) = n / (n + m) = 1 / (1 + e^L), n = rho^(q-1),
+        # m = 6a / (8b)^q, L = log(m / n): in logs, since n leaves the float range as k -> 1
+        L = math.log(0.75 * 8.0 * a) - q * math.log(8.0 * b) - (q - 1.0) * math.log(rho)
+        t = math.exp(-abs(L))
+        threshold = math.asin((t if L > 0.0 else 1.0) / (1.0 + t))
+        c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
+        if eta < threshold or s2 == 0.0:   # s2 = 0: the v-branch F is infinite
+            F, branch = (8.0 * a * rho / c2) ** (1.0 / (2.0 * a)), "u-dominant"
+        else:
+            F, branch = (8.0 * b * rho / s2) ** (1.0 / (2.0 * b)), "v-dominant"
+        if F == math.inf:   # 8 rho a / c2 or 8 rho b / s2 overflowed without raising
+            raise OverflowError(f"the approximant of F at R={R}, eta={eta}")
+        return F, branch
 
     def radial_relation(self, R, eta):
         a, b = self.a, self.b
@@ -297,10 +298,9 @@ class GeneralizedTN(Geometry):
                 s0)
 
     def polar_point(self, R, eta, solve):
-        F = 1.0 if R == 0.0 else math.exp(solve(self.radial_relation(R, eta)))
-        s = math.log(F)  # (u, v) from log F, so they match the record's F
+        s = 0.0 if R == 0.0 else solve(self.radial_relation(R, eta))
         return (math.cos(eta) * math.sinh(self.a * s) / self.a,
-                math.sin(eta) * math.sinh(self.b * s) / self.b, F)
+                math.sin(eta) * math.sinh(self.b * s) / self.b)
 
     def polar_coefficient(self, eta, s):
         a, b = self.a, self.b
@@ -439,9 +439,9 @@ class ExceptionalTN(Geometry):
     def polar_point(self, R, eta, solve):
         c, s = math.cos(eta), math.sin(eta)
         if eta == math.pi / 2 or c < 1e-300:
-            return 0.0, R, math.exp(R)
+            return 0.0, R
         sigma = 0.0 if R == 0.0 else solve(self.radial_relation(R, eta))
-        return c * math.sinh(sigma), s * sigma, math.exp(sigma)
+        return c * math.sinh(sigma), s * sigma
 
     def shoot_rhs(self, eta):
         c, s = math.cos(eta), math.sin(eta)
@@ -528,8 +528,8 @@ class ExceptionalHalfPlane(_HalfPlane):
         return _leg(u, abs(c)) + v * s
 
     def polar_point(self, R, eta, solve):
-        u, v, F = ExceptionalTN.polar_point(self, R, abs(eta), solve)
-        return u, math.copysign(v, eta), F
+        u, v = ExceptionalTN.polar_point(self, R, abs(eta), solve)
+        return u, math.copysign(v, eta)
 
     def ricci_potentials(self, u, v):
         lam = 1.0 + u * u
@@ -575,7 +575,7 @@ class Flat(_HalfPlane):
         return abs(u * s - v * c)
 
     def polar_point(self, R, eta, solve):
-        return R * math.cos(eta), R * math.sin(eta), math.exp(R)
+        return R * math.cos(eta), R * math.sin(eta)
 
     def shoot_rhs(self, eta):
         c, s = math.cos(eta), math.sin(eta)
@@ -731,8 +731,8 @@ def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -
         return uv_from_moment(params, c1, c2)
     if chart is Chart.ALMOST_POLAR:
         return uv_from_almost_polar(params, c1, c2)
-    raise ValueError("geodesic polar transitions need a root solve; "
-                     "use taubnut.geodesics.point_from_polar")
+    raise BadParams("geodesic polar transitions need a root solve; "
+                    "use taubnut.geodesics.point_from_polar")
 
 
 def chart_from_uv(params: InstantonParams, chart: Chart, u: float, v: float) -> tuple[float, float]:
@@ -745,5 +745,5 @@ def chart_from_uv(params: InstantonParams, chart: Chart, u: float, v: float) -> 
         return moment_map(params, u, v)
     if chart is Chart.ALMOST_POLAR:
         return almost_polar_from_uv(params, u, v)
-    raise ValueError("geodesic polar transitions need a root solve; "
-                     "use taubnut.geodesics.polar_from_point")
+    raise BadParams("geodesic polar transitions need a root solve; "
+                    "use taubnut.geodesics.polar_from_point")

@@ -18,8 +18,8 @@ family alike.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,8 @@ from .family import BadParams, InstantonParams
 from .metrics import conformal_factor
 from .numerics import check_stencil, find_root_monotone, ode_solve
 
+ROOT_TOL = 1e-13   # absolute, of the launch angle and of s (times max(1, |warm start|))
+
 
 @dataclass
 class GeodesicRecord:
@@ -35,7 +37,6 @@ class GeodesicRecord:
     R: float
     u: float
     v: float
-    F: float
     eikonal_residual: float
     geodesic_residual: float
 
@@ -91,7 +92,7 @@ def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) ->
 # unparametrized geodesics and the launch-angle solve
 # --------------------------------------------------------------------------
 
-def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13) -> float:
+def solve_eta(params: InstantonParams, u: float, v: float) -> float:
     """Unique launch angle whose radial geodesic passes through (u, v).
 
     A point that is not finite or lies off the chart domain raises
@@ -99,7 +100,7 @@ def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13
     directly.  The interior solve exploits that v(eta; u) is strictly
     increasing, bracketing on (0, pi/2) with the family's log-scaled residual
     h(eta) so extreme aspect ratios stay in floating range.  The angle is
-    found to ``tol`` absolutely and, when it lies below 1e-3, refined by two
+    found to ROOT_TOL absolutely and, when it lies below 1e-3, refined by two
     steps in log(eta) to roundoff relatively.  Half-plane families accept
     v < 0 and return eta < 0.
     """
@@ -109,7 +110,7 @@ def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13
     if eta is not None:
         return eta
     if v < 0.0:   # a half-plane domain: S_eta is even under (v, eta) -> -(v, eta)
-        return -solve_eta(params, u, -v, tol=tol)
+        return -solve_eta(params, u, -v)
     if v == 0.0:
         return 0.0
     if u == 0.0:
@@ -126,9 +127,9 @@ def solve_eta(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13
         lo *= 1e-6
         if lo == 0.0:   # below the smallest subnormal: eta rounds to 0
             return 0.0
-    eta = find_root_monotone(h, lo, hi, abs_tol=tol, rel_tol=tol)
+    eta = find_root_monotone(h, lo, hi, abs_tol=ROOT_TOL, rel_tol=ROOT_TOL)
     if eta < 1e-3:
-        # next to the u axis an absolute tol is coarse.  h is log(sin eta)
+        # next to the u axis an absolute ROOT_TOL is coarse.  h is log(sin eta)
         # plus terms whose eta-derivative is O(eta), so in x = log(eta) it
         # has slope 1 + O(eta^2): each step x -= h(e^x) shrinks the error
         # by that O(eta^2), and two make it relative to roundoff
@@ -154,6 +155,18 @@ def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) ->
 # the radial parameter F
 # --------------------------------------------------------------------------
 
+def _within_float_range(fn):
+    """fn(params, R, eta), raising BadParams where it overflowed a float."""
+    @functools.wraps(fn)
+    def wrapped(params: InstantonParams, R: float, eta: float):
+        try:
+            return fn(params, R, eta)
+        except OverflowError:
+            raise BadParams(f"R={R}, eta={eta}: F = e^s, its approximant or a term of its "
+                            f"radial relation is beyond the float range") from None
+    return wrapped
+
+
 def radius_from_F(params: InstantonParams, eta: float, F: float) -> float:
     """The calibration map R(F, eta): evaluates the implicit distance relation
     at the given F, returning the distance it would correspond to.  Strictly
@@ -163,6 +176,7 @@ def radius_from_F(params: InstantonParams, eta: float, F: float) -> float:
     return params.geometry.radius_of_s(eta, math.log(F))
 
 
+@_within_float_range
 def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]:
     """Closed-form large-R approximant of F, with its branch id.
 
@@ -176,7 +190,7 @@ def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]
     return params.geometry.approx_F(R, eta)
 
 
-def _solve_radial(relation, tol: float) -> float:
+def _solve_radial(relation) -> float:
     """Root s >= 0 of a family's radial relation (f, f', f'', s0): a
     safeguarded Newton/Halley iteration warm-started at s0."""
     f, fprime, fprime2, s0 = relation
@@ -185,10 +199,18 @@ def _solve_radial(relation, tol: float) -> float:
         hi *= 2.0
     return find_root_monotone(f, 0.0, hi, fprime=fprime, fprime2=fprime2,
                               x0=min(s0, 0.999 * hi),
-                              abs_tol=tol * max(1.0, abs(s0)), rel_tol=4e-16)
+                              abs_tol=ROOT_TOL * max(1.0, abs(s0)), rel_tol=4e-16)
 
 
-def solve_F(params: InstantonParams, R: float, eta: float, *, tol: float = 1e-13) -> float:
+def _radial_s(params: InstantonParams, R: float, eta: float) -> float:
+    """The root s of the family's radial relation at distance R; 0 at R = 0."""
+    if R < 0.0:
+        raise BadParams(f"distance must be >= 0, got R={R}")
+    return 0.0 if R == 0.0 else _solve_radial(params.geometry.radial_relation(R, eta))
+
+
+@_within_float_range
+def solve_F(params: InstantonParams, R: float, eta: float) -> float:
     """Unique F >= 1 with radius_from_F(F, eta) = R: F = e^s at the root s
     of the family's radial relation.
 
@@ -196,29 +218,25 @@ def solve_F(params: InstantonParams, R: float, eta: float, *, tol: float = 1e-13
     docstring, warm-started from the closed-form approximant when R is large
     enough for it to apply; for the exceptional families s is sigma.
     """
-    if R < 0.0:
-        raise BadParams(f"distance must be >= 0, got R={R}")
-    if R == 0.0:
-        return 1.0
-    return math.exp(_solve_radial(params.geometry.radial_relation(R, eta), tol))
+    return math.exp(_radial_s(params, R, eta))
 
 
 # --------------------------------------------------------------------------
 # polar chart
 # --------------------------------------------------------------------------
 
-def point_from_polar(params: InstantonParams, R: float, eta: float,
-                     *, tol: float = 1e-13) -> GeodesicRecord:
+@_within_float_range
+def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicRecord:
     """Point at distance R along the eta-geodesic, as a full record.
 
-    The F field is exp of the logarithmic radial parameter: log F = s for the
-    generalized family; for the exceptional family it is the parameter sigma
-    with u = cos(eta) sinh(sigma), v = sigma sin(eta).
+    (u, v) come straight from the root s of the radial relation (log F for
+    the generalized family, sigma with u = cos(eta) sinh(sigma),
+    v = sigma sin(eta) for the exceptional one), so a point stays finite
+    where F = e^s itself would overflow.
 
     eta must lie in the family's ``eta_range``: [0, pi/2] on the quadrant,
-    [-pi/2, pi/2] on the half-plane; BadParams otherwise.  A point whose F
-    (or a term of its radial relation) overflows a float raises BadParams
-    too.
+    [-pi/2, pi/2] on the half-plane; BadParams otherwise.  A point with a
+    term of its radial relation beyond the float range raises BadParams too.
     """
     geo = params.geometry
     if R < 0.0:
@@ -226,37 +244,33 @@ def point_from_polar(params: InstantonParams, R: float, eta: float,
     lo, hi = geo.eta_range
     if not lo <= eta <= hi:
         raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
-    try:
-        u, v, F = geo.polar_point(R, eta, lambda relation: _solve_radial(relation, tol))
-    except OverflowError:
-        raise BadParams(f"the point at R={R}, eta={eta} is beyond the float range: its "
-                        f"radial parameter F = e^s, or a term of its radial relation, "
-                        f"passes {sys.float_info.max:.4g}") from None
+    u, v = geo.polar_point(R, eta, _solve_radial)
+    geo.check_point(u, v)   # Flat maps R = inf or NaN to no point of the chart
     # the radial relation is S_eta restricted to the geodesic; both residuals
     # are genuine re-checks through independent code paths
     eik = abs(eikonal_S(params, eta, u, v) - R)
     res = unparam_residual(params, eta, u, v)
-    return GeodesicRecord(eta=eta, R=R, u=u, v=v, F=F,
+    return GeodesicRecord(eta=eta, R=R, u=u, v=v,
                           eikonal_residual=eik, geodesic_residual=res)
 
 
-def polar_from_point(params: InstantonParams, u: float, v: float,
-                     *, tol: float = 1e-13) -> tuple[float, float]:
+def polar_from_point(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
     """(R, eta) of a point: the launch-angle solve followed by S_eta."""
-    eta = solve_eta(params, u, v, tol=tol)
+    eta = solve_eta(params, u, v)
     return eikonal_S(params, eta, u, v), eta
 
 
-def distance(params: InstantonParams, u: float, v: float, *, tol: float = 1e-13) -> float:
+def distance(params: InstantonParams, u: float, v: float) -> float:
     """Riemannian distance from the origin: S_eta at the solved launch angle.
 
     S_eta is stationary in eta at that angle, so the angle tolerance enters
     the distance only to second order, also next to the axes where the
-    angle itself is only known to ``tol`` absolutely.
+    angle itself is only known to ROOT_TOL absolutely.
     """
-    return polar_from_point(params, u, v, tol=tol)[0]
+    return polar_from_point(params, u, v)[0]
 
 
+@_within_float_range
 def polar_metric_coefficient(params: InstantonParams, R: float,
                              eta: float) -> PolarMetricSample:
     """Coefficient A(R, eta)^2 of d(eta)^2 in geodesic polar coordinates,
@@ -268,10 +282,8 @@ def polar_metric_coefficient(params: InstantonParams, R: float,
     demands.  Cross-checked against finite differences of point_from_polar
     by polar_metric_coefficient_fd."""
     coefficient = params.geometry.polar_coefficient   # WrongFamily even at R = 0
-    if R == 0.0:
-        return PolarMetricSample(R=0.0, eta=eta, A_squared=0.0)
     return PolarMetricSample(R=R, eta=eta, A_squared=coefficient(
-        eta, math.log(solve_F(params, R, eta))))
+        eta, _radial_s(params, R, eta)))
 
 
 def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -> float:
@@ -291,7 +303,7 @@ def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -
 # --------------------------------------------------------------------------
 
 def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
-                   *, n_samples: int = 64, tol: float = 1e-12) -> Trajectory:
+                   *, n_samples: int = 64) -> Trajectory:
     """Integrate the unit-speed radial geodesic from the origin to t = t_end.
 
     Certification happens against closed forms, not against the integrator's
@@ -301,7 +313,6 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     to be the right one).
     """
     sol = ode_solve(params.geometry.shoot_rhs(eta), (0.0, t_end), (0.0, 0.0),
-                    rel_tol=tol, abs_tol=tol,
                     t_eval=np.linspace(0.0, t_end, n_samples))
     us, vs = sol.ys[:, 0], sol.ys[:, 1]
     dists = np.array([distance(params, u, v) for u, v in zip(us, vs)])

@@ -223,10 +223,9 @@ def integrate_2d_improper(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
     decay_exponent: float,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-8,
 ) -> QuadratureResult:
-    """Integrate f over the open first quadrant when f decays like a power.
+    """Integrate f over the open first quadrant when f decays like a power,
+    to 1e-12 absolute plus 1e-9 relative.
 
     ``decay_exponent`` is a promise that ``|f(u, v)| <= A * (1 + u^2 + v^2)^(-p)``
     far out, with p = decay_exponent > 1.  The amplitude A is measured on
@@ -236,7 +235,7 @@ def integrate_2d_improper(
 
     (integrate the envelope in polar coordinates over rho > T).  The
     truncation radius T is grown from 8 until the bound fits inside a
-    quarter of the budget abs_tol + rel_tol * |value|.  [0, T]^2 is cut into
+    quarter of the budget 1e-12 + 1e-9 * |value|.  [0, T]^2 is cut into
     dyadic L-shells, [0, 8]^2 and for each edge pair lo < hi the slabs
     [lo, hi] x [0, hi] and [0, lo] x [lo, hi], and the adaptive tensor
     Gauss-Legendre rule (GAUSS_ORDER^2 nodes per box) integrates them to a
@@ -277,7 +276,7 @@ def integrate_2d_improper(
 
     T0 = 8.0
     rough, _, rough_evals = _adaptive_boxes(f, [(0.0, T0, 0.0, T0)], 1e-6, 1e-6)
-    budget = abs_tol + rel_tol * (abs(rough) + tail_bound_at(T0))
+    budget = 1e-12 + 1e-9 * (abs(rough) + tail_bound_at(T0))
 
     T = T0
     tail = tail_bound_at(T)
@@ -347,6 +346,9 @@ def integrate_2d_region(
 # ODE driving
 # --------------------------------------------------------------------------
 
+ODE_TOL = 1e-12   # relative and absolute local error tolerance of each ode_solve step
+
+
 @dataclass
 class OdeResult:
     ts: np.ndarray
@@ -359,20 +361,18 @@ def ode_solve(
     t_span: tuple[float, float],
     y0: Sequence[float],
     *,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-12,
     t_eval: Sequence[float] | None = None,
 ) -> OdeResult:
     """High-order nonstiff integration: the embedded Runge-Kutta 8(5,3) pair
     of Dormand and Prince (DOP853, tableau in :mod:`taubnut.dop853`).
 
     Each step is accepted when the RMS norm of its error estimate, scaled
-    by abs_tol + rel_tol * max(|y|, |y_new|), is below 1; the next step is
-    h * min(10, 0.9 norm^(-1/8)), and a rejected one shrinks by at least
-    0.2.  Without ``t_eval`` the result holds every step's end; with it,
-    the points of t_eval (sorted along t_span) come from the 7th-order dense
-    output of the step that covers them, at three extra evaluations a step.
-    ``nfev`` counts every call of rhs.
+    by ODE_TOL (1 + max(|y|, |y_new|)), ODE_TOL = 1e-12, is below 1; the
+    next step is h * min(10, 0.9 norm^(-1/8)), and a rejected one shrinks
+    by at least 0.2.  Without ``t_eval`` the result holds every step's end;
+    with it, the points of t_eval (sorted along t_span) come from the
+    7th-order dense output of the step that covers them, at three extra
+    evaluations a step.  ``nfev`` counts every call of rhs.
 
     Raises StepUnderflow when the step would fall below ten units in the
     last place of t before t_end, which in this package invariably means the
@@ -394,7 +394,7 @@ def ode_solve(
     ys = [y[None, :]] if pending is None else []
     K = np.empty((dop853.N_STAGES_EXTENDED, len(y)))
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_end, direction, rel_tol, abs_tol)
+    h_abs = _initial_step(fun, t, y, f, t_end, direction)
     exponent = -1.0 / (dop853.ERROR_ORDER + 1)
 
     while direction * (t - t_end) < 0.0:
@@ -414,7 +414,7 @@ def ode_solve(
             dop853.stages(fun, t, y, h, K, 1, dop853.N_STAGES)
             y_new = y + h * np.dot(K[:dop853.N_STAGES].T, dop853.B)
             f_new = K[dop853.N_STAGES] = fun(t_new, y_new)
-            scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
+            scale = ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_TOL
             norm = dop853.error_norm(K[:dop853.N_STAGES + 1], h, scale)
             if norm < 1.0:
                 factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** exponent)
@@ -441,13 +441,13 @@ def ode_solve(
     return OdeResult(ts=np.concatenate(ts), ys=np.concatenate(ys), nfev=nfev)
 
 
-def _initial_step(fun, t, y, f, t_end, direction, rel_tol, abs_tol) -> float:
+def _initial_step(fun, t, y, f, t_end, direction) -> float:
     """First step size from the size of y, y' and an estimate of y''
     (Hairer, Norsett & Wanner, Sec. II.4), one evaluation of fun."""
     span = abs(t_end - t)
     if span == 0.0:
         return 0.0
-    scale = abs_tol + np.abs(y) * rel_tol
+    scale = ODE_TOL + np.abs(y) * ODE_TOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)

@@ -73,3 +73,30 @@ def test_package_does_not_import_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _functions(path):
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+
+
+def test_solvers_take_no_tolerance_argument():
+    # each solver runs at one fixed accuracy; only the two generic routines
+    # whose callers pass different tolerances take them
+    found = []
+    for name in ("geodesics", "asymptotics", "numerics"):
+        path = Path(taubnut.__file__).parent / f"{name}.py"
+        for fn in _functions(path):
+            args = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            if (args & {"tol", "abs_tol", "rel_tol"}
+                    and getattr(fn, "name", None) not in ("find_root_monotone", "_adaptive_boxes")):
+                found.append(f"{path.name}:{fn.lineno}")
+    assert found == []
+
+
+def test_optional_parameters_do_not_grow():
+    # an option with one value in use is a constant, not a parameter
+    count = sum(len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+                for path in Path(taubnut.__file__).parent.glob("*.py")
+                for fn in _functions(path))
+    assert count <= 18

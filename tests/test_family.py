@@ -127,6 +127,11 @@ def test_chart_dispatch_roundtrip():
             u1, v1 = uv_from_chart(params, chart, c1, c2)
             assert abs(u1 - u0) < 1e-10
             assert abs(v1 - v0) < 1e-10
+    # the geodesic polar chart needs a root solve: taubnut.geodesics
+    with pytest.raises(BadParams, match="root solve"):
+        uv_from_chart(GEN05, Chart.POLAR, 3.0, 0.5)
+    with pytest.raises(BadParams, match="root solve"):
+        chart_from_uv(GEN05, Chart.POLAR, 1.2, 0.6)
 
 
 # ------------------------------------------------------ complex-step contract

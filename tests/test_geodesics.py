@@ -95,10 +95,53 @@ def test_solve_eta_is_relatively_accurate_next_to_the_u_axis(params, v):
     (InstantonParams(k=0.9999), 1000.0, 0.5),
     (EXC, 800.0, math.pi / 2),
     (FLAT, 800.0, 0.3),
+    (FLAT, 1e100, 0.5),
 ])
-def test_point_from_polar_beyond_float_range_raises_badparams(params, R, eta):
+def test_point_from_polar_past_exp_range_is_finite(params, R, eta):
+    # F = e^s overflows past s = 709 here, although (u, v) are finite
+    rec = point_from_polar(params, R, eta)
+    params.geometry.check_point(rec.u, rec.v)   # finite and on the chart
+    assert distance(params, rec.u, rec.v) == pytest.approx(R, rel=1e-15, abs=1e-8)
+
+
+@pytest.mark.parametrize("R", [math.inf, math.nan])
+def test_point_from_polar_non_finite_radius_is_bad_params(R):
+    with pytest.raises(BadParams):
+        point_from_polar(FLAT, R, 0.3)
+
+
+@pytest.mark.parametrize("fn,value", [
+    (solve_F, lambda F: F),
+    (approx_F, lambda out: out[0]),
+    (polar_metric_coefficient, lambda out: out.A_squared),
+], ids=["solve_F", "approx_F", "polar_metric_coefficient"])
+def test_radial_functions_finite_as_k_nears_1(fn, value):
+    # the approximant's branch threshold involves rho^(q-1), q = a/b, which
+    # overflows as k -> 1
+    assert math.isfinite(value(fn(InstantonParams(k=0.9999), 1000.0, 0.5)))
+
+
+RADIAL_FNS = (solve_F, approx_F, polar_metric_coefficient)
+
+
+@pytest.mark.parametrize("fn,params,R,eta", [
+    # F = e^s, the approximant and the relation all pass the float range
+    *[(fn, InstantonParams(k=-0.9999), 1e10, 1e-10) for fn in RADIAL_FNS],
+    # the approximant's 8 a rho / cos(eta)^2 overflows to inf without raising
+    *[(fn, GEN05, 1e300, math.pi / 2 - 1e-10) for fn in RADIAL_FNS],
+    # the approximant is finite; the relation's bracket search overflows
+    (solve_F, GEN09, 1e200, 1.2), (polar_metric_coefficient, GEN09, 1e200, 1.2),
+])
+def test_radial_overflow_raises_badparams(fn, params, R, eta):
     with pytest.raises(BadParams, match="float range"):
-        point_from_polar(params, R, eta)
+        fn(params, R, eta)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-200])
+def test_approx_F_next_to_the_u_axis_takes_the_u_branch(eta):
+    # sin(eta)^2 is 0 there, and the v branch divides by it
+    F, branch = approx_F(InstantonParams(k=0.9999), 1e-11, eta)
+    assert branch == "u-dominant" and math.isfinite(F)
 
 
 def test_solve_eta_axes():
