@@ -20,6 +20,7 @@ verification failure, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import asymptotics, blowdown, checks, curvature, family, geodesics, metrics
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
-from .numerics import find_root_monotone
+from .numerics import NoBracket, find_root_monotone
 
 FAMILY_NAMES = {
     "generalized": Family.GENERALIZED_TN,
@@ -128,29 +129,39 @@ def _cmd_eval(args) -> int:
         u, v = family.uv_from_chart(params, chart, c1, c2)
 
     fiber = np.array(metrics.fiber_matrix(params, u, v), dtype=float)
-    pots = curvature.ricci_potentials(params, u, v)
-    moments = family.moment_map(params, u, v)
     R, eta = geodesics.polar_from_point(params, u, v)
-    q = {
-        "conformal_factor": metrics.conformal_factor(params, u, v),
-        "axial_coordinate": metrics.axial_coordinate(params, u, v),
-        "volume_density": metrics.volume_density(params, u, v),
-        "fiber_11": fiber[0, 0],
-        "fiber_12": fiber[0, 1],
-        "fiber_22": fiber[1, 1],
-        "fiber_det": float(np.linalg.det(fiber)),
-        "moment_1": moments[0],
-        "moment_2": moments[1],
-        "k_sigma": curvature.polytope_curvature(params, u, v),
-        "ricci_potential_1": pots.r1,
-        "ricci_potential_2": pots.r2,
-        "ricci_norm": curvature.ricci_norm(params, u, v),
-        "ricci_pseudo_density": curvature.ricci_pseudo_volume_density(params, u, v),
-        "distance": R,
-        "launch_angle": eta,
-    }
+    q = {}
+
+    def put(names, values):
+        """Store values() under names, each a float within the float range;
+        an overflow is charged to the first name."""
+        def beyond(name):
+            return UsageError(f"{name} at (u, v) = ({u}, {v}) is beyond the float range")
+        try:
+            with np.errstate(all="ignore"):   # numpy's det overflows to inf
+                values = [float(x) for x in values()]
+        except OverflowError:
+            raise beyond(names[0]) from None
+        for name, x in zip(names, values):
+            if not math.isfinite(x):
+                raise beyond(name)
+            q[name] = x
+
+    put(["conformal_factor"], lambda: [metrics.conformal_factor(params, u, v)])
+    put(["axial_coordinate"], lambda: [metrics.axial_coordinate(params, u, v)])
+    put(["volume_density"], lambda: [metrics.volume_density(params, u, v)])
+    put(["fiber_11", "fiber_12", "fiber_22", "fiber_det"],
+        lambda: [fiber[0, 0], fiber[0, 1], fiber[1, 1], np.linalg.det(fiber)])
+    put(["moment_1", "moment_2"], lambda: family.moment_map(params, u, v))
+    put(["k_sigma"], lambda: [curvature.polytope_curvature(params, u, v)])
+    put(["ricci_potential_1", "ricci_potential_2"],
+        lambda: dataclasses.astuple(curvature.ricci_potentials(params, u, v)))
+    put(["ricci_norm"], lambda: [curvature.ricci_norm(params, u, v)])
+    put(["ricci_pseudo_density"],
+        lambda: [curvature.ricci_pseudo_volume_density(params, u, v)])
+    put(["distance", "launch_angle"], lambda: [R, eta])
     try:
-        q["almost_distance"] = family.almost_distance(params, u, v)
+        put(["almost_distance"], lambda: [family.almost_distance(params, u, v)])
     except WrongFamily:
         pass
     doc = {
@@ -185,27 +196,30 @@ def _cmd_geodesic(args) -> int:
 # --------------------------------------------------------------------------
 
 def _trace_level(params, eta, level, phis):
-    """Points (u, v) = r (cos phi, sin phi) with S_eta = level along each ray."""
-    pts = []
+    """Points (u, v) = r (cos phi, sin phi) with S_eta = level along each ray,
+    by Newton on r started at the previous ray's root.  grad S_eta is lambda
+    times the velocity of the unit-speed eta-geodesic (the shoot right-hand
+    side)."""
+    velocity = params.geometry.shoot_rhs(eta)
+    pts, r = [], level
     for phi in phis:
-        if level == 0.0:
-            pts.append((phi, 0.0, 0.0))
-            continue
         cp, sp = math.cos(phi), math.sin(phi)
 
         def f(r):
             return geodesics.eikonal_S(params, eta, r * cp, r * sp) - level
 
-        hi = 1.0
-        while f(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e9:
-                break
-        else:
-            r = find_root_monotone(f, 0.0, hi, abs_tol=geodesics.ROOT_TOL)
-            pts.append((phi, r * cp, r * sp))
-        # rays along which S_eta stays below the level (it can vanish or go
-        # negative near an axis) simply do not contribute a point
+        def fprime(r):
+            du, dv = velocity(0.0, (r * cp, r * sp))
+            return metrics.conformal_factor(params, r * cp, r * sp) * (cp * du + sp * dv)
+
+        try:
+            r = find_root_monotone(f, 0.0, 2.0 ** 29, fprime=fprime, x0=r,
+                                   abs_tol=geodesics.ROOT_TOL)
+        except NoBracket:
+            # S_eta stays below the level up to r = 2^29 along this ray (it
+            # can vanish or go negative near an axis): no point
+            continue
+        pts.append((phi, r * cp, r * sp))
     return pts
 
 

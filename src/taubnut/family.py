@@ -82,11 +82,26 @@ def _leg(p: float, c: float) -> float:
 
 
 def _logsinh(x: float) -> float:
-    """log(sinh x) for x > 0, without overflow for large x and without
-    exp(-2x) rounding to 1 for small x."""
+    """log(sinh x) for x >= 0, without overflow for large x and without
+    exp(-2x) rounding to 1 for small x; -inf at 0, where x underflowed."""
     if x < 1.0:
-        return math.log(math.sinh(x))
+        return math.log(math.sinh(x)) if x > 0.0 else -math.inf
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+
+
+def _launch_residual(au, log_rhs, g, slope):
+    """(h, h') of h = log sin(eta) + g(A) - log_rhs, A = asinh(au / cos eta), in
+    x = log tan(eta), where sin(eta) = t / sqrt(1 + t^2), t = e^x: h' is
+    cos^2 + sin^2 slope(A), slope(A) = tanh(A) g'(A), taken as 1 for A < 1e-8."""
+    def h(x):
+        t = math.exp(x)
+        return x - 0.5 * math.log1p(t * t) + g(math.asinh(au * math.hypot(1.0, t))) - log_rhs
+
+    def dh(x):
+        t2 = math.exp(2.0 * x)
+        A = math.asinh(au * math.sqrt(1.0 + t2))
+        return (1.0 + t2 * (slope(A) if A > 1e-8 else 1.0)) / (1.0 + t2)
+    return h, dh
 
 
 def _unsquare(x, y, c):
@@ -114,11 +129,11 @@ def _half_plane_x(phi1):
 # Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
 # moment_map and ricci_potentials also take complex (u, v), under the
 # complex-step contract of taubnut.numerics, and almost_ball_v_max takes
-# arrays of u.  (c, s) is (cos eta, sin eta).  radial_relation(R, eta) =
-# (f, f', f'' or None, s0): S_eta along the eta-geodesic minus R, as a
-# function of its log radial parameter s, with a warm start;
-# polar_point(R, eta, solve) = (u, v) at its root s, where solve is the root
-# solve of taubnut.geodesics for such a relation.
+# arrays of u.  (c, s) is (cos eta, sin eta).  launch_residual(u, v) = (h, h'),
+# the launch-angle relation through (u, v), increasing in x = log tan(eta);
+# radial_relation(R, eta) = (f, f', f'', bound), S_eta along the eta-geodesic
+# minus R in its log radial parameter s and a closed-form bound above its
+# root; polar_point(R, eta, solve) = (u, v) at that root, found by solve.
 
 class Geometry:
     """What all families share: the quadrant domain by default, the point
@@ -248,13 +263,11 @@ class GeneralizedTN(Geometry):
         return (_leg(a * u, c) / a + _leg(b * v, s) / b) / self.mass_root
 
     def launch_residual(self, u, v):
-        a, b = self.a, self.b
-        q = b / a
-
-        def h(eta):
-            A = math.asinh(a * u / math.cos(eta))
-            return math.log(math.sin(eta)) + _logsinh(q * A) - math.log(b * v)
-        return h
+        # g(A) = log sinh(qA): min(1, q) <= h' <= max(1, q); h = x - log(v/u) at k = 0
+        q = self.b / self.a
+        return _launch_residual(self.a * u, math.log(self.b) + math.log(v),
+                                lambda A: _logsinh(q * A),
+                                lambda A: q * math.tanh(A) / math.tanh(q * A))
 
     def unparam_residual(self, c, s, u, v):
         return abs(math.asinh(self.a * u / c) / self.a - math.asinh(self.b * v / s) / self.b)
@@ -289,16 +302,16 @@ class GeneralizedTN(Geometry):
         a, b = self.a, self.b
         c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
         rho = self.mass_root * R
-        s0 = rho  # exact as R -> 0
-        if rho > 1.0:
-            s0 = math.log(self.approx_F(R, eta)[0])
+        # _lhs(s) >= s, c2 / (4a) sinh(2as) and s2 / (4b) sinh(2bs): the root
+        # lies below each bound, and no sinh up to it exceeds 4 a rho / c2
         return (lambda s: self._lhs(c2, s2, s) - rho,
                 lambda s: c2 * math.cosh(a * s) ** 2 + s2 * math.cosh(b * s) ** 2,
                 lambda s: c2 * a * math.sinh(2 * a * s) + s2 * b * math.sinh(2 * b * s),
-                s0)
+                min(rho, math.asinh(4.0 * a * rho / c2) / (2.0 * a),
+                    math.asinh(4.0 * b * rho / s2) / (2.0 * b) if s2 else rho))
 
     def polar_point(self, R, eta, solve):
-        s = 0.0 if R == 0.0 else solve(self.radial_relation(R, eta))
+        s = solve(self.radial_relation(R, eta))
         return (math.cos(eta) * math.sinh(self.a * s) / self.a,
                 math.sin(eta) * math.sinh(self.b * s) / self.b)
 
@@ -421,26 +434,27 @@ class ExceptionalTN(Geometry):
         return _leg(u, c) + v * s
 
     def launch_residual(self, u, v):
-        def h(eta):
-            A = math.asinh(u / math.cos(eta))
-            return math.log(math.sin(eta)) + math.log(A) - math.log(v)
-        return h
+        # the q -> 0 limit of GeneralizedTN's, less log q: g(A) = log A
+        return _launch_residual(u, math.log(v), math.log, lambda A: math.tanh(A) / A)
 
     def unparam_residual(self, c, s, u, v):
         return abs(math.asinh(u / c) - v / s)
 
     def radial_relation(self, R, eta):
         c, s = math.cos(eta), math.sin(eta)
-        half = 0.5 * (1.0 + s * s)
-        return (lambda sig: 0.5 * c * c * math.sinh(sig) * math.cosh(sig) + half * sig - R,
-                lambda sig: c * c * math.cosh(sig) ** 2 + half - 0.5 * c * c,
-                None, 0.0)
+        c2, half = c * c, 0.5 * (1.0 + s * s)
+        # both terms of the relation are >= 0: sigma <= R / half, and
+        # c2 / 4 sinh(2 sigma) <= R
+        return (lambda sig: 0.5 * c2 * math.sinh(sig) * math.cosh(sig) + half * sig - R,
+                lambda sig: c2 * math.cosh(sig) ** 2 + half - 0.5 * c2,
+                lambda sig: c2 * math.sinh(2.0 * sig),
+                min(R / half, 0.5 * math.asinh(4.0 * R / c2)))
 
     def polar_point(self, R, eta, solve):
         c, s = math.cos(eta), math.sin(eta)
         if eta == math.pi / 2 or c < 1e-300:
             return 0.0, R
-        sigma = 0.0 if R == 0.0 else solve(self.radial_relation(R, eta))
+        sigma = solve(self.radial_relation(R, eta))
         return c * math.sinh(sigma), s * sigma
 
     def shoot_rhs(self, eta):

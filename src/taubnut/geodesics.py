@@ -26,9 +26,10 @@ import numpy as np
 
 from .family import BadParams, InstantonParams
 from .metrics import conformal_factor
-from .numerics import check_stencil, find_root_monotone, ode_solve
+from .numerics import NoBracket, check_stencil, find_root_monotone, ode_solve
 
-ROOT_TOL = 1e-13   # absolute, of the launch angle and of s (times max(1, |warm start|))
+ROOT_TOL = 1e-13   # absolute, of x = log tan(eta) and of s (times max(1, its bound))
+X_LO, X_HI = -750.0, 40.0   # x = log tan(eta) past which eta rounds to 0 or to pi/2
 
 
 @dataclass
@@ -97,12 +98,11 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
 
     A point that is not finite or lies off the chart domain raises
     BadParams first.  Points on the axes return the endpoint angles 0 / pi/2
-    directly.  The interior solve exploits that v(eta; u) is strictly
-    increasing, bracketing on (0, pi/2) with the family's log-scaled residual
-    h(eta) so extreme aspect ratios stay in floating range.  The angle is
-    found to ROOT_TOL absolutely and, when it lies below 1e-3, refined by two
-    steps in log(eta) to roundoff relatively.  Half-plane families accept
-    v < 0 and return eta < 0.
+    directly.  Elsewhere Newton steps on the family's increasing residual h
+    in x = log tan(eta), close to linear next to both axes, start at
+    log(v / u) (the root at k = 0) inside the bracket [X_LO, X_HI].  x is
+    found to ROOT_TOL, so eta to ROOT_TOL relatively next to the u axis.
+    Half-plane families accept v < 0 and return eta < 0.
     """
     geo = params.geometry
     geo.check_point(u, v)
@@ -116,26 +116,13 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
     if u == 0.0:
         return math.pi / 2
 
-    h = geo.launch_residual(u, v)
-    lo, hi = 1e-12, math.pi / 2 - 1e-12
-    while h(hi) < 0.0:
-        # v is astronomically larger than u; push the bracket into the corner
-        hi = math.pi / 2 - (math.pi / 2 - hi) * 1e-6
-        if math.pi / 2 - hi < 1e-200:
-            return math.pi / 2
-    while h(lo) > 0.0:
-        lo *= 1e-6
-        if lo == 0.0:   # below the smallest subnormal: eta rounds to 0
-            return 0.0
-    eta = find_root_monotone(h, lo, hi, abs_tol=ROOT_TOL, rel_tol=ROOT_TOL)
-    if eta < 1e-3:
-        # next to the u axis an absolute ROOT_TOL is coarse.  h is log(sin eta)
-        # plus terms whose eta-derivative is O(eta), so in x = log(eta) it
-        # has slope 1 + O(eta^2): each step x -= h(e^x) shrinks the error
-        # by that O(eta^2), and two make it relative to roundoff
-        for _ in range(2):
-            eta *= math.exp(-h(eta))
-    return eta
+    h, dh = geo.launch_residual(u, v)
+    x0 = min(max(math.log(v) - math.log(u), X_LO), X_HI)
+    try:
+        x = find_root_monotone(h, X_LO, X_HI, fprime=dh, x0=x0, abs_tol=ROOT_TOL)
+    except NoBracket:   # the root lies past an end, where eta rounds to 0 or pi/2
+        return 0.0 if h(X_LO) > 0.0 else math.pi / 2
+    return math.atan(math.exp(x))
 
 
 def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
@@ -156,14 +143,16 @@ def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) ->
 # --------------------------------------------------------------------------
 
 def _within_float_range(fn):
-    """fn(params, R, eta), raising BadParams where it overflowed a float."""
+    """fn(params, R, eta) for a finite R >= 0; BadParams otherwise or on overflow."""
     @functools.wraps(fn)
     def wrapped(params: InstantonParams, R: float, eta: float):
+        if not 0.0 <= R < math.inf:
+            raise BadParams(f"distance must be finite and >= 0, got R={R}")
         try:
             return fn(params, R, eta)
         except OverflowError:
-            raise BadParams(f"R={R}, eta={eta}: F = e^s, its approximant or a term of its "
-                            f"radial relation is beyond the float range") from None
+            raise BadParams(f"R={R}, eta={eta}: F = e^s, A^2, the approximant of F or a "
+                            f"term of its radial relation is beyond the float range") from None
     return wrapped
 
 
@@ -185,40 +174,28 @@ def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]
     Exact for neither, but radius_from_F(approx_F) stays within roughly a
     factor of two of R uniformly in eta once R is large.  GeneralizedTN only.
     """
-    if R <= 0.0:
-        raise BadParams(f"the approximant needs R > 0, got R={R}")
+    if R == 0.0:
+        raise BadParams("the approximant needs R > 0, got R=0")
     return params.geometry.approx_F(R, eta)
 
 
 def _solve_radial(relation) -> float:
-    """Root s >= 0 of a family's radial relation (f, f', f'', s0): a
-    safeguarded Newton/Halley iteration warm-started at s0."""
-    f, fprime, fprime2, s0 = relation
-    hi = max(2.0 * s0, 1.0)
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return find_root_monotone(f, 0.0, hi, fprime=fprime, fprime2=fprime2,
-                              x0=min(s0, 0.999 * hi),
-                              abs_tol=ROOT_TOL * max(1.0, abs(s0)), rel_tol=4e-16)
-
-
-def _radial_s(params: InstantonParams, R: float, eta: float) -> float:
-    """The root s of the family's radial relation at distance R; 0 at R = 0."""
-    if R < 0.0:
-        raise BadParams(f"distance must be >= 0, got R={R}")
-    return 0.0 if R == 0.0 else _solve_radial(params.geometry.radial_relation(R, eta))
+    """Root s >= 0 of a family's radial relation (f, f', f'', bound): a
+    safeguarded Halley iteration on [0, bound], started at the bound."""
+    f, fprime, fprime2, bound = relation
+    # padded, relatively and by ~2000 subnormal ulps, so that rounding in f
+    # cannot leave f(hi) < 0
+    hi = bound * (1.0 + 1e-14) + 1e-320
+    return find_root_monotone(f, 0.0, hi, fprime=fprime, fprime2=fprime2, x0=bound,
+                              abs_tol=ROOT_TOL * max(1.0, hi))
 
 
 @_within_float_range
 def solve_F(params: InstantonParams, R: float, eta: float) -> float:
-    """Unique F >= 1 with radius_from_F(F, eta) = R: F = e^s at the root s
-    of the family's radial relation.
-
-    For the generalized family s = log F solves the relation of the module
-    docstring, warm-started from the closed-form approximant when R is large
-    enough for it to apply; for the exceptional families s is sigma.
-    """
-    return math.exp(_radial_s(params, R, eta))
+    """Unique F >= 1 with radius_from_F(F, eta) = R: F = e^s at the root s of
+    the family's radial relation (log F for the generalized family, sigma for
+    the exceptional ones)."""
+    return math.exp(_solve_radial(params.geometry.radial_relation(R, eta)))
 
 
 # --------------------------------------------------------------------------
@@ -239,13 +216,11 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
     term of its radial relation beyond the float range raises BadParams too.
     """
     geo = params.geometry
-    if R < 0.0:
-        raise BadParams(f"distance must be >= 0, got R={R}")
     lo, hi = geo.eta_range
     if not lo <= eta <= hi:
         raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
     u, v = geo.polar_point(R, eta, _solve_radial)
-    geo.check_point(u, v)   # Flat maps R = inf or NaN to no point of the chart
+    geo.check_point(u, v)
     # the radial relation is S_eta restricted to the geodesic; both residuals
     # are genuine re-checks through independent code paths
     eik = abs(eikonal_S(params, eta, u, v) - R)
@@ -264,8 +239,7 @@ def distance(params: InstantonParams, u: float, v: float) -> float:
     """Riemannian distance from the origin: S_eta at the solved launch angle.
 
     S_eta is stationary in eta at that angle, so the angle tolerance enters
-    the distance only to second order, also next to the axes where the
-    angle itself is only known to ROOT_TOL absolutely.
+    the distance only to second order.
     """
     return polar_from_point(params, u, v)[0]
 
@@ -282,8 +256,10 @@ def polar_metric_coefficient(params: InstantonParams, R: float,
     demands.  Cross-checked against finite differences of point_from_polar
     by polar_metric_coefficient_fd."""
     coefficient = params.geometry.polar_coefficient   # WrongFamily even at R = 0
-    return PolarMetricSample(R=R, eta=eta, A_squared=coefficient(
-        eta, _radial_s(params, R, eta)))
+    A2 = coefficient(eta, _solve_radial(params.geometry.radial_relation(R, eta)))
+    if A2 == math.inf:   # a float product overflows to inf without raising
+        raise OverflowError
+    return PolarMetricSample(R=R, eta=eta, A_squared=A2)
 
 
 def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -> float:

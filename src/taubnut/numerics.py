@@ -61,69 +61,63 @@ def find_root_monotone(
     lo: float,
     hi: float,
     *,
-    fprime: Callable[[float], float] | None = None,
+    fprime: Callable[[float], float],
+    x0: float,
     fprime2: Callable[[float], float] | None = None,
-    x0: float | None = None,
     abs_tol: float = 1e-13,
-    rel_tol: float = 4e-16,
 ) -> float:
-    """Solve f(x) = 0 on [lo, hi] where f changes sign exactly once.
+    """Solve f(x) = 0 on [lo, hi] for f <= 0 below its one root and >= 0 above.
 
-    Newton (or Halley, when ``fprime2`` is supplied) steps are taken whenever
-    they stay inside the current bracket; otherwise the step degenerates to
-    bisection, so convergence is guaranteed for any continuous f with a sign
-    change.  ``x0`` seeds the iteration (useful when an asymptotic
-    approximation is available).
+    Newton (or Halley, with ``fprime2``) steps from ``x0`` (clamped to
+    [lo, hi]) are taken whenever they stay inside the current bracket, and
+    bisections otherwise.  f is evaluated once per iterate, and at an end
+    only when a bisection needs that end's sign.
 
-    Raises NoBracket if f(lo) and f(hi) have the same strict sign, and
-    MaxIterExceeded if the bracket fails to shrink below
-    ``abs_tol + rel_tol * |x|`` within 200 evaluations.
+    The solve stops at the first of: a zero of f; a Newton or Halley step no
+    longer than abs_tol + 4e-16 |x| at the iterate x, whose result (kept in
+    the bracket) is returned without evaluating f there (as Numerical Recipes' ``rtsafe``
+    does: a converged Newton iteration cannot shrink the far side of the
+    bracket); a bracket [a, b] with b - a <= abs_tol + 4e-16 max(|a|, |b|).
+
+    Raises NoBracket if f(lo) > 0 or f(hi) < 0, and MaxIterExceeded if no
+    stop fires within 200 iterations.
     """
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise NoBracket(f"f({lo}) = {flo} and f({hi}) = {fhi} have the same sign")
-
-    a, b, fa = lo, hi, flo
-    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
-    x_prev, f_prev = a, fa
+    a, b = lo, hi
+    fa = fb = None   # f at a and b; None while that end is unevaluated
+    x = min(max(x0, lo), hi)
 
     for _ in range(200):
         fx = f(x)
         if fx == 0.0:
             return x
-        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
+        if (fx > 0.0 and x == lo) or (fx < 0.0 and x == hi):
+            raise NoBracket(f"f({x}) = {fx}: f is not <= 0 at {lo} and >= 0 at {hi}")
+        if fx < 0.0:
             a, fa = x, fx
         else:
-            b = x
-        if b - a <= abs_tol + rel_tol * max(abs(a), abs(b)):
-            return 0.5 * (a + b)
+            b, fb = x, fx
 
         step = None
-        if fprime is not None:
-            d = fprime(x)
-            if d != 0.0 and math.isfinite(d):
-                step = fx / d
-                if fprime2 is not None:
-                    d2 = fprime2(x)
-                    denom = 1.0 - 0.5 * step * d2 / d
-                    # Halley correction, only when it is well behaved.
-                    if math.isfinite(denom) and abs(denom) > 0.25:
-                        step = step / denom
-        if step is None and f_prev != fx:
-            step = fx * (x - x_prev) / (fx - f_prev)  # secant fallback
+        d = fprime(x)
+        if d != 0.0 and math.isfinite(d):
+            step = fx / d
+            if fprime2 is not None:
+                d2 = fprime2(x)
+                denom = 1.0 - 0.5 * step * d2 / d
+                # Halley correction, only when it is well behaved.
+                if math.isfinite(denom) and abs(denom) > 0.25:
+                    step = step / denom
+            if abs(step) <= abs_tol + 4e-16 * abs(x):
+                return min(max(x - step, a), b)
 
-        x_prev, f_prev = x, fx
-        if step is not None:
-            cand = x - step
-            if a < cand < b:
-                x = cand
-                continue
-        x = 0.5 * (a + b)
+        if step is not None and a < x - step < b:
+            x -= step
+        elif fa is None or fb is None:   # bisecting needs the sign at both ends
+            x = lo if fa is None else hi
+        elif b - a <= abs_tol + 4e-16 * max(abs(a), abs(b)):
+            return 0.5 * (a + b)
+        else:
+            x = 0.5 * (a + b)
 
     raise MaxIterExceeded(
         f"no convergence after 200 iterations; bracket [{a}, {b}]"

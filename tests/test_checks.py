@@ -99,4 +99,4 @@ def test_optional_parameters_do_not_grow():
     count = sum(len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
                 for path in Path(taubnut.__file__).parent.glob("*.py")
                 for fn in _functions(path))
-    assert count <= 18
+    assert count <= 15

@@ -122,12 +122,23 @@ def test_eval_deterministic():
     ("eval", "--family", "exceptional", "--point=0,-2"),
     ("eval", "--family", "flat", "--chart", "polar", "--point", "1,3.0"),
     ("eval", "--tol", "1e-9", "--point", "1,1"),
+    ("eval", "--point", "1e80,1e80"),
+    ("eval", "--k", "0.5", "--chart", "moment", "--point", "1e200,1e-200"),
 ])
 def test_bad_arguments_exit_2(args):
     cp = run_cli(*args)
     assert cp.returncode == 2
     assert cp.stdout == "" or "usage" in cp.stderr.lower() \
         or "error" in cp.stderr.lower()
+
+
+def test_eval_beyond_float_range_names_the_quantity():
+    # k_sigma's D ** 3 raises OverflowError here, the fibers overflow to inf
+    # and numpy's det warns: one message names the first such quantity
+    cp = run_cli("eval", "--point", "1e80,1e80")
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr == "error: volume_density at (u, v) = (1e+80, 1e+80) " \
+                        "is beyond the float range\n"
 
 
 # ------------------------------------------------------------------- no scipy

@@ -1,12 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from taubnut import geodesics
 from taubnut.curvature import polytope_curvature_fd
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
+from taubnut.numerics import find_root_monotone
 from taubnut.geodesics import (approx_F, distance, eikonal_S,
                                eikonal_residual, geodesic_shoot,
                                point_from_polar, polar_from_point,
@@ -104,6 +107,17 @@ def test_point_from_polar_past_exp_range_is_finite(params, R, eta):
     assert distance(params, rec.u, rec.v) == pytest.approx(R, rel=1e-15, abs=1e-8)
 
 
+@pytest.mark.parametrize("params,R,eta", [
+    (GEN05, 1e-320, 0.2), (InstantonParams(k=-0.999999), 1e-310, 0.5),
+])
+def test_point_from_polar_subnormal_radius(params, R, eta):
+    # the root s = rho - O(rho^3) rounds to its bound rho, and the relation's
+    # subnormal rounding can leave f(rho) < 0: the bracket is padded past it
+    rec = point_from_polar(params, R, eta)
+    params.geometry.check_point(rec.u, rec.v)
+    assert rec.eikonal_residual <= 1e-10 * R + 1e-322   # subnormal rounding
+
+
 @pytest.mark.parametrize("R", [math.inf, math.nan])
 def test_point_from_polar_non_finite_radius_is_bad_params(R):
     with pytest.raises(BadParams):
@@ -125,16 +139,92 @@ RADIAL_FNS = (solve_F, approx_F, polar_metric_coefficient)
 
 
 @pytest.mark.parametrize("fn,params,R,eta", [
-    # F = e^s, the approximant and the relation all pass the float range
-    *[(fn, InstantonParams(k=-0.9999), 1e10, 1e-10) for fn in RADIAL_FNS],
+    # F = e^s (s = 1025), the approximant and A^2 all pass the float range
+    *[(fn, InstantonParams(k=-0.9999), 1e10, 0.0) for fn in RADIAL_FNS],
     # the approximant's 8 a rho / cos(eta)^2 overflows to inf without raising
     *[(fn, GEN05, 1e300, math.pi / 2 - 1e-10) for fn in RADIAL_FNS],
-    # the approximant is finite; the relation's bracket search overflows
-    (solve_F, GEN09, 1e200, 1.2), (polar_metric_coefficient, GEN09, 1e200, 1.2),
+    # s = 252 and F are finite; A^2 overflows to inf without raising
+    (polar_metric_coefficient, GEN09, 1e300, 1.2),
 ])
 def test_radial_overflow_raises_badparams(fn, params, R, eta):
     with pytest.raises(BadParams, match="float range"):
         fn(params, R, eta)
+
+
+@pytest.mark.parametrize("R", [1e160, 1e200, 1e300])
+def test_point_from_polar_beyond_sinh_range_is_finite(R):
+    # the radial root s lies below asinh(4 a rho / cos(eta)^2) / (2a), where
+    # no sinh of the relation leaves the float range, although sinh(2 a s)
+    # at twice that s would
+    rec = point_from_polar(GEN09, R, 1.2)
+    GEN09.geometry.check_point(rec.u, rec.v)
+    assert abs(distance(GEN09, rec.u, rec.v) / R - 1.0) <= 1e-8
+    assert math.isfinite(solve_F(GEN09, R, 1.2))
+
+
+@pytest.mark.parametrize("fn", [approx_F, solve_F, point_from_polar, polar_metric_coefficient])
+@pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT], ids=["GEN05", "EXC", "HP", "FLAT"])
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_non_finite_radius_is_bad_params(fn, params, R):
+    # NaN passes a bare R < 0 check
+    with pytest.raises(BadParams):
+        fn(params, R, 0.5)
+
+
+@pytest.mark.parametrize("k", [0.999999, -0.999999])
+@pytest.mark.parametrize("u,v", [(1.0, 1.0), (3.0, 1e-3),
+                                 (1.0, 1e-10), (1.0, 1e-200),    # next to the u axis
+                                 (1e-10, 1.0), (1e-14, 2.0)])    # next to the v axis
+def test_solve_eta_matches_mpmath_as_k_nears_pm1(k, u, v):
+    # 50-digit root in x = log tan(eta) of the launch-angle relation
+    # sin(eta) sinh((b/a) asinh(a u / cos eta)) = b v
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    params = InstantonParams(k=k)
+    a, b = mp.sqrt(1 + mp.mpf(params.k)), mp.sqrt(1 - mp.mpf(params.k))
+
+    def h(x):
+        t = mp.exp(x)
+        return (mp.log(t / mp.sqrt(1 + t * t))
+                + mp.log(mp.sinh(b / a * mp.asinh(a * u * mp.sqrt(1 + t * t))))
+                - mp.log(b * v))
+    ref = mp.atan(mp.exp(mp.findroot(h, mp.log(mp.mpf(v) / u))))
+    got = solve_eta(params, u, v)
+    assert abs(got / ref - 1) < 1e-12
+
+
+ROOT_GRID = [GEN, GEN05, GEN09, InstantonParams(k=-0.9), EXC, HP]
+
+
+@pytest.mark.parametrize("params", ROOT_GRID, ids=["GEN", "GEN05", "GEN09", "GENm09", "EXC", "HP"])
+def test_root_solves_take_few_evaluations(params, monkeypatch):
+    # a seeded grid like the benchmark's: the launch-angle solve starts at
+    # log(v / u) and the radial solve at its closed-form bound, and both stop
+    # on a converged Newton/Halley step, so neither needs many evaluations
+    counts = []
+
+    def counting(f, lo, hi, **kw):
+        counts.append(0)
+
+        def g(x):
+            counts[-1] += 1
+            return f(x)
+        return find_root_monotone(g, lo, hi, **kw)
+
+    monkeypatch.setattr(geodesics, "find_root_monotone", counting)
+    rng = random.Random(11)
+    eta_lo = params.geometry.eta_range[0]
+    for _ in range(200):
+        r = 10.0 ** rng.uniform(-2.0, 2.0)
+        phi = rng.uniform(max(eta_lo, -1.56), 1.56)
+        distance(params, r * math.cos(phi), r * math.sin(phi))
+    assert sum(counts) / len(counts) <= 6.0
+    counts.clear()
+    for _ in range(200):
+        point_from_polar(params, 10.0 ** rng.uniform(-2.0, math.log10(700.0)),
+                         rng.uniform(max(eta_lo, -1.56), 1.56))
+    assert sum(counts) / len(counts) <= 6.0
 
 
 @pytest.mark.parametrize("eta", [0.0, 1e-200])
@@ -198,6 +288,9 @@ COORDINATE = st.one_of(st.just(0.0), st.floats(1e-300, 1e12), st.floats(-1e12, -
 @example(GEN05, 1e-30, 1.0)      # exp(-2x) rounded to 1 in log(sinh x)
 @example(GEN05, 1e-300, 1e-300)
 @example(GEN, -1.0, 0.0)         # off the chart, on the v = 0 axis
+@example(PROPERTY_PARAMS[0], 1e-300, 1.8e8)   # h' divides by tanh(qA)
+@example(PROPERTY_PARAMS[1], 1e-300, 1.8e8)
+@example(PROPERTY_PARAMS[0], 5e-324, 1.0)     # q A underflows to 0 in log sinh(qA)
 @settings(max_examples=500, deadline=None)
 def test_distance_is_finite_and_nonnegative_or_bad_params(params, u, v):
     try:

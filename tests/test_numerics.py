@@ -21,7 +21,8 @@ from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples
 # ---------------------------------------------------------------- rootfinding
 
 def test_root_cubic():
-    r = find_root_monotone(lambda x: x ** 3 - 2.0, 0.0, 4.0)
+    r = find_root_monotone(lambda x: x ** 3 - 2.0, 0.0, 4.0,
+                           fprime=lambda x: 3.0 * x * x, x0=1.0)
     assert abs(r - 2.0 ** (1.0 / 3.0)) < 1e-14
 
 
@@ -35,14 +36,34 @@ def test_root_uses_derivatives():
 
 def test_root_no_bracket():
     with pytest.raises(NoBracket):
-        find_root_monotone(lambda x: x + 1.0, 0.0, 1.0)
+        find_root_monotone(lambda x: x + 1.0, 0.0, 1.0, fprime=lambda x: 1.0, x0=0.0)
+
+
+def test_root_newton_stops_on_a_converged_step():
+    # from a good start Newton never needs the signs at the bracket ends,
+    # and once its step is within the tolerance it stops
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.sinh(x) - 10.0
+    r = find_root_monotone(f, 0.0, 50.0, fprime=math.cosh, x0=3.0)
+    assert abs(math.sinh(r) - 10.0) < 1e-13
+    assert 0.0 not in seen and 50.0 not in seen and len(seen) <= 5
+
+
+@pytest.mark.parametrize("x0", [0.5, 1.0])
+def test_root_no_bracket_found_by_newton(x0):
+    # a Newton step leaving the bracket evaluates the end it needs
+    with pytest.raises(NoBracket):
+        find_root_monotone(lambda x: x + 1.0, 0.0, 1.0, fprime=lambda x: 1.0, x0=x0)
 
 
 @given(st.floats(min_value=-30.0, max_value=30.0))
 @settings(max_examples=40, deadline=None)
 def test_root_affine(c):
     # f(x) = x - c on a generous bracket
-    r = find_root_monotone(lambda x: x - c, -40.0, 40.0)
+    r = find_root_monotone(lambda x: x - c, -40.0, 40.0, fprime=lambda x: 1.0, x0=0.0)
     assert abs(r - c) < 1e-11 * max(1.0, abs(c))
 
 
