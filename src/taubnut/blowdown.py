@@ -40,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import SQRT2, BadParams, Family, InstantonParams, moment_map
+from .family import (HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams,
+                     moment_map)
 from .metrics import conformal_factor, fiber_matrix
-from .numerics import (BoundaryTooClose, fd_conformal_curvature, fd_curvature,
-                       fd_gradient)
+from .numerics import check_stencil, fd_conformal_curvature, fd_curvature, fd_gradient
 
 
 class SingularAxis(Exception):
@@ -191,9 +191,7 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
     conifold_metric."""
     _check_k(k)
     step = 1e-4
-    if u - 2.0 * step <= 0.0 or v - 2.0 * step <= 0.0:
-        raise BoundaryTooClose(
-            f"FD stencil at ({u}, {v}) reaches the degenerate axes")
+    check_stencil(u, v, 2.0 * step, QUADRANT)   # the axes are degenerate
 
     def g3(a, b):
         m = conifold_metric(k, a, b)
@@ -225,9 +223,7 @@ def blowdown_distance_gradient_deficit(k: float, u: float, v: float) -> float:
     """| |grad S|_{g_Sigma} - 1 | by central differences of step 1e-6 (the
     closed-form identity (1+k)u^2 + (1-k)v^2 = P makes this zero up to FD
     error)."""
-    gx, gy = fd_gradient(lambda a, b: blowdown_distance(k, a, b), u, v,
-                         step=1e-6,
-                         bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
+    gx, gy = fd_gradient(lambda a, b: blowdown_distance(k, a, b), u, v, step=1e-6)
     P = (1.0 + k) * u * u + (1.0 - k) * v * v
     return abs(math.sqrt((gx * gx + gy * gy) / P) - 1.0)
 
@@ -374,8 +370,7 @@ def exceptional_blowdown_curvature(u: float) -> float:
 
 def exceptional_blowdown_curvature_fd(u: float) -> float:
     """Conformal-oracle K of the polytope factor u^2 (du^2 + dv^2), step 1e-5."""
-    if u - 1e-5 <= 0.0:
-        raise BoundaryTooClose(f"FD stencil at u={u} reaches the singular axis")
+    check_stencil(u, 1.0, 1e-5, HALF_PLANE)   # u = 0 is the singular axis
     return fd_conformal_curvature(lambda a, b: exceptional_blowdown_metric(a, b)[0],
                                   u, 1.0, step=1e-5)
 

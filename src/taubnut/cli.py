@@ -206,15 +206,13 @@ def _trace_level(params, eta, level, phis):
         cp, sp = math.cos(phi), math.sin(phi)
 
         def f(r):
-            return geodesics.eikonal_S(params, eta, r * cp, r * sp) - level
-
-        def fprime(r):
-            du, dv = velocity(0.0, (r * cp, r * sp))
-            return metrics.conformal_factor(params, r * cp, r * sp) * (cp * du + sp * dv)
+            u, v = r * cp, r * sp
+            du, dv = velocity(0.0, (u, v))
+            return (geodesics.eikonal_S(params, eta, u, v) - level,
+                    metrics.conformal_factor(params, u, v) * (cp * du + sp * dv), None)
 
         try:
-            r = find_root_monotone(f, 0.0, 2.0 ** 29, fprime=fprime, x0=r,
-                                   abs_tol=geodesics.ROOT_TOL)
+            r = find_root_monotone(f, 0.0, 2.0 ** 29, x0=r, abs_tol=geodesics.ROOT_TOL)
         except NoBracket:
             # S_eta stays below the level up to r = 2^29 along this ray (it
             # can vanish or go negative near an axis): no point

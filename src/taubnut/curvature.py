@@ -137,11 +137,7 @@ def ricci_pseudo_volume_density(params: InstantonParams, u: float, v: float) -> 
 def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> float:
     """FD oracle for the pseudo-volume density: |det of the potential
     Jacobian| by central differences of step 1e-4."""
-    def pots(a, b):
-        p = ricci_potentials(params, a, b)
-        return p.r1, p.r2
-
-    jac = fd_jacobian2(pots, u, v, step=1e-4, bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
+    jac = fd_jacobian2(params.geometry.ricci_potentials, u, v, step=1e-4)
     return abs(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
 
 

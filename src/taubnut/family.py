@@ -90,24 +90,22 @@ def _logsinh(x: float) -> float:
 
 
 def _launch_residual(au, log_rhs, g, slope):
-    """(h, h') of h = log sin(eta) + g(A) - log_rhs, A = asinh(au / cos eta), in
-    x = log tan(eta), where sin(eta) = t / sqrt(1 + t^2), t = e^x: h' is
+    """x -> (h, h', None) for h = log sin(eta) + g(A) - log_rhs, A = asinh(au / cos eta),
+    in x = log tan(eta), where sin(eta) = t / sqrt(1 + t^2), t = e^x: h' is
     cos^2 + sin^2 slope(A), slope(A) = tanh(A) g'(A), taken as 1 for A < 1e-8."""
     def h(x):
         t = math.exp(x)
-        return x - 0.5 * math.log1p(t * t) + g(math.asinh(au * math.hypot(1.0, t))) - log_rhs
-
-    def dh(x):
-        t2 = math.exp(2.0 * x)
-        A = math.asinh(au * math.sqrt(1.0 + t2))
-        return (1.0 + t2 * (slope(A) if A > 1e-8 else 1.0)) / (1.0 + t2)
-    return h, dh
+        t2 = t * t
+        A = math.asinh(au * math.hypot(1.0, t))
+        return (x - 0.5 * math.log1p(t2) + g(A) - log_rhs,
+                (1.0 + t2 * (slope(A) if A > 1e-8 else 1.0)) / (1.0 + t2), None)
+    return h
 
 
 def _unsquare(x, y, c):
     """(u, v) with y + ix = (u + iv)^2 / (2c), the inverse of the quadrant
     families' squaring map."""
-    r = math.sqrt(x * x + y * y)
+    r = math.hypot(x, y)
     return math.sqrt(c * (r + y)), math.sqrt(c * (r - y))
 
 
@@ -129,11 +127,12 @@ def _half_plane_x(phi1):
 # Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
 # moment_map and ricci_potentials also take complex (u, v), under the
 # complex-step contract of taubnut.numerics, and almost_ball_v_max takes
-# arrays of u.  (c, s) is (cos eta, sin eta).  launch_residual(u, v) = (h, h'),
-# the launch-angle relation through (u, v), increasing in x = log tan(eta);
-# radial_relation(R, eta) = (f, f', f'', bound), S_eta along the eta-geodesic
-# minus R in its log radial parameter s and a closed-form bound above its
-# root; polar_point(R, eta, solve) = (u, v) at that root, found by solve.
+# arrays of u.  (c, s) is (cos eta, sin eta).  launch_residual(u, v) = h, the
+# launch-angle relation through (u, v), increasing in x = log tan(eta);
+# radial_relation(R, eta) = (f, bound), S_eta along the eta-geodesic minus R
+# in its log radial parameter s and a closed-form bound above its root; h and
+# f are find_root_monotone residuals, x -> (value, slope, curvature or None).
+# polar_point(R, eta, solve) = (u, v) at that root, found by solve.
 
 class Geometry:
     """What all families share: the quadrant domain by default, the point
@@ -170,9 +169,9 @@ class GeneralizedTN(Geometry):
 
     In the log radial parameter s = log F the radial geodesic is
     u = cos(eta) sinh(a s)/a, v = sin(eta) sinh(b s)/b with a = sqrt(1+k),
-    b = sqrt(1-k), and S_eta along it is _lhs(s) / sqrt(M / (2 sqrt 2)),
+    b = sqrt(1-k), and S_eta along it is lhs(s) / sqrt(M / (2 sqrt 2)),
 
-        _lhs = cos^2(eta)/(2a) [sinh(2as)/2 + as] + sin^2(eta)/(2b) [sinh(2bs)/2 + bs],
+        lhs = cos^2(eta)/(2a) [sinh(2as)/2 + as] + sin^2(eta)/(2b) [sinh(2bs)/2 + bs],
 
     whose s-derivative cos^2(eta) cosh^2(as) + sin^2(eta) cosh^2(bs) >= 1
     keeps Newton on s uniformly well conditioned in eta.
@@ -272,13 +271,19 @@ class GeneralizedTN(Geometry):
     def unparam_residual(self, c, s, u, v):
         return abs(math.asinh(self.a * u / c) / self.a - math.asinh(self.b * v / s) / self.b)
 
-    def _lhs(self, c2, s2, s):
+    def _relation(self, c2, s2, rho):
+        """s -> (lhs(s) - rho, its first and second s-derivatives)."""
         a, b = self.a, self.b
-        return (c2 / (2 * a) * (0.5 * math.sinh(2 * a * s) + a * s)
-                + s2 / (2 * b) * (0.5 * math.sinh(2 * b * s) + b * s))
+
+        def f(s):
+            sa, sb = math.sinh(2 * a * s), math.sinh(2 * b * s)
+            return (c2 / (2 * a) * (0.5 * sa + a * s) + s2 / (2 * b) * (0.5 * sb + b * s) - rho,
+                    c2 * math.cosh(a * s) ** 2 + s2 * math.cosh(b * s) ** 2,
+                    c2 * a * sa + s2 * b * sb)
+        return f
 
     def radius_of_s(self, eta, s):
-        return self._lhs(math.cos(eta) ** 2, math.sin(eta) ** 2, s) / self.mass_root
+        return self._relation(math.cos(eta) ** 2, math.sin(eta) ** 2, 0.0)(s)[0] / self.mass_root
 
     def approx_F(self, R, eta):
         a, b = self.a, self.b
@@ -302,11 +307,9 @@ class GeneralizedTN(Geometry):
         a, b = self.a, self.b
         c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
         rho = self.mass_root * R
-        # _lhs(s) >= s, c2 / (4a) sinh(2as) and s2 / (4b) sinh(2bs): the root
+        # lhs(s) >= s, c2 / (4a) sinh(2as) and s2 / (4b) sinh(2bs): the root
         # lies below each bound, and no sinh up to it exceeds 4 a rho / c2
-        return (lambda s: self._lhs(c2, s2, s) - rho,
-                lambda s: c2 * math.cosh(a * s) ** 2 + s2 * math.cosh(b * s) ** 2,
-                lambda s: c2 * a * math.sinh(2 * a * s) + s2 * b * math.sinh(2 * b * s),
+        return (self._relation(c2, s2, rho),
                 min(rho, math.asinh(4.0 * a * rho / c2) / (2.0 * a),
                     math.asinh(4.0 * b * rho / s2) / (2.0 * b) if s2 else rho))
 
@@ -443,12 +446,14 @@ class ExceptionalTN(Geometry):
     def radial_relation(self, R, eta):
         c, s = math.cos(eta), math.sin(eta)
         c2, half = c * c, 0.5 * (1.0 + s * s)
+
+        def f(sig):
+            sh, ch = math.sinh(sig), math.cosh(sig)
+            return (0.5 * c2 * sh * ch + half * sig - R, c2 * ch ** 2 + half - 0.5 * c2,
+                    c2 * math.sinh(2.0 * sig))
         # both terms of the relation are >= 0: sigma <= R / half, and
         # c2 / 4 sinh(2 sigma) <= R
-        return (lambda sig: 0.5 * c2 * math.sinh(sig) * math.cosh(sig) + half * sig - R,
-                lambda sig: c2 * math.cosh(sig) ** 2 + half - 0.5 * c2,
-                lambda sig: c2 * math.sinh(2.0 * sig),
-                min(R / half, 0.5 * math.asinh(4.0 * R / c2)))
+        return f, min(R / half, 0.5 * math.asinh(4.0 * R / c2))
 
     def polar_point(self, R, eta, solve):
         c, s = math.cos(eta), math.sin(eta)
@@ -680,24 +685,20 @@ def uv_from_moment(params: InstantonParams, phi1: float, phi2: float):
 
 
 def moment_pde_residual(params: InstantonParams, x: float, y: float,
-                        *, step: float = 1e-3) -> tuple[float, float]:
+                        *, step: float) -> tuple[float, float]:
     """Residual of the axial harmonicity equation x * (Laplacian phi) = d(phi)/dx
     for both moment maps, evaluated in the (x, y) chart with O(step^2)
     central differences.  Both components -> 0 as step -> 0 at interior points."""
     if x <= 2.0 * step:
         raise BadParams(f"x = {x} too close to the axis for step {step}")
 
-    def phi_pair(xx: float, yy: float) -> tuple[float, float]:
-        u, v = uv_from_xy(params, xx, yy)
-        return moment_map(params, u, v)
+    def phis(xx: float, yy: float) -> np.ndarray:
+        return np.array(moment_map(params, *uv_from_xy(params, xx, yy)))
 
-    out = []
-    for i in (0, 1):
-        f = lambda xx, yy: phi_pair(xx, yy)[i]
-        lap = fd_laplacian(f, x, y, step=step, bounds=HALF_PLANE)
-        dx, _ = fd_gradient(f, x, y, step=step, bounds=HALF_PLANE)
-        out.append(x * lap - dx)
-    return out[0], out[1]
+    lap = fd_laplacian(phis, x, y, step=step)
+    dx, _ = fd_gradient(phis, x, y, step=step)
+    r1, r2 = x * lap - dx
+    return float(r1), float(r2)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .family import BadParams, InstantonParams
 from .metrics import conformal_factor
-from .numerics import NoBracket, check_stencil, find_root_monotone, ode_solve
+from .numerics import NoBracket, check_stencil, fd_gradient, find_root_monotone, ode_solve
 
 ROOT_TOL = 1e-13   # absolute, of x = log tan(eta) and of s (times max(1, its bound))
 X_LO, X_HI = -750.0, 40.0   # x = log tan(eta) past which eta rounds to 0 or to pi/2
@@ -83,8 +83,7 @@ def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) ->
     """|  |grad S_eta|^2 - 1 |  by central differences of step 1e-4; O(step^2)."""
     step = 1e-4
     check_stencil(u, v, step, params.geometry.bounds)
-    su = (eikonal_S(params, eta, u + step, v) - eikonal_S(params, eta, u - step, v)) / (2 * step)
-    sv = (eikonal_S(params, eta, u, v + step) - eikonal_S(params, eta, u, v - step)) / (2 * step)
+    su, sv = fd_gradient(lambda a, b: eikonal_S(params, eta, a, b), u, v, step=step)
     lam = conformal_factor(params, u, v)
     return abs((su * su + sv * sv) / lam - 1.0)
 
@@ -116,12 +115,12 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
     if u == 0.0:
         return math.pi / 2
 
-    h, dh = geo.launch_residual(u, v)
+    h = geo.launch_residual(u, v)
     x0 = min(max(math.log(v) - math.log(u), X_LO), X_HI)
     try:
-        x = find_root_monotone(h, X_LO, X_HI, fprime=dh, x0=x0, abs_tol=ROOT_TOL)
+        x = find_root_monotone(h, X_LO, X_HI, x0=x0, abs_tol=ROOT_TOL)
     except NoBracket:   # the root lies past an end, where eta rounds to 0 or pi/2
-        return 0.0 if h(X_LO) > 0.0 else math.pi / 2
+        return 0.0 if h(X_LO)[0] > 0.0 else math.pi / 2
     return math.atan(math.exp(x))
 
 
@@ -180,14 +179,13 @@ def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]
 
 
 def _solve_radial(relation) -> float:
-    """Root s >= 0 of a family's radial relation (f, f', f'', bound): a
-    safeguarded Halley iteration on [0, bound], started at the bound."""
-    f, fprime, fprime2, bound = relation
+    """Root s >= 0 of a family's radial relation (f, bound): a safeguarded
+    Halley iteration on [0, bound], started at the bound."""
+    f, bound = relation
     # padded, relatively and by ~2000 subnormal ulps, so that rounding in f
     # cannot leave f(hi) < 0
     hi = bound * (1.0 + 1e-14) + 1e-320
-    return find_root_monotone(f, 0.0, hi, fprime=fprime, fprime2=fprime2, x0=bound,
-                              abs_tol=ROOT_TOL * max(1.0, hi))
+    return find_root_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * max(1.0, hi))
 
 
 @_within_float_range
@@ -230,9 +228,13 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
 
 
 def polar_from_point(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
-    """(R, eta) of a point: the launch-angle solve followed by S_eta."""
+    """(R, eta) of a point: the launch-angle solve followed by S_eta.
+    BadParams where R is beyond the float range."""
     eta = solve_eta(params, u, v)
-    return eikonal_S(params, eta, u, v), eta
+    R = eikonal_S(params, eta, u, v)
+    if not math.isfinite(R):   # a float product overflows to inf without raising
+        raise BadParams(f"distance at (u, v) = ({u}, {v}) is beyond the float range")
+    return R, eta
 
 
 def distance(params: InstantonParams, u: float, v: float) -> float:

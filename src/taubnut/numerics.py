@@ -3,7 +3,10 @@ differences, complex-step derivatives and log-log fits.
 
 Everything here is geometry-agnostic.  The rest of the package layers the
 metric-specific formulas on top of these routines, so the tolerances and
-failure modes of each helper are spelled out in its docstring.
+failure modes of each helper are spelled out in its docstring.  The root
+solve takes one residual callable that returns the value with its
+derivatives; the finite-difference stencils take no domain, which the
+caller that knows it checks once with check_stencil.
 
 Exact first derivatives come from complex steps (Squire & Trapp, SIAM
 Review 40, 1998): for an analytic f, f(x + ih) = f(x) + i h f'(x) + O(h^2).
@@ -57,25 +60,26 @@ class InsufficientSamples(Exception):
 # --------------------------------------------------------------------------
 
 def find_root_monotone(
-    f: Callable[[float], float],
+    f: Callable[[float], tuple[float, float, float | None]],
     lo: float,
     hi: float,
     *,
-    fprime: Callable[[float], float],
     x0: float,
-    fprime2: Callable[[float], float] | None = None,
-    abs_tol: float = 1e-13,
+    abs_tol: float,
 ) -> float:
-    """Solve f(x) = 0 on [lo, hi] for f <= 0 below its one root and >= 0 above.
+    """Solve f = 0 on [lo, hi] for f <= 0 below its one root and >= 0 above.
 
-    Newton (or Halley, with ``fprime2``) steps from ``x0`` (clamped to
-    [lo, hi]) are taken whenever they stay inside the current bracket, and
-    bisections otherwise.  f is evaluated once per iterate, and at an end
-    only when a bisection needs that end's sign.
+    ``f(x)`` returns (value, slope, curvature or None): one call per iterate
+    gives f, f' and, where the caller has it, f'', so the residual computes
+    the terms they share once (Numerical Recipes' ``rtsafe`` hands f and f'
+    back from one function).  Newton steps, or Halley steps where a
+    curvature is given, from ``x0`` (clamped to [lo, hi]) are taken whenever
+    they stay inside the current bracket, and bisections otherwise.  f is
+    evaluated at an end only when a bisection needs that end's sign.
 
     The solve stops at the first of: a zero of f; a Newton or Halley step no
     longer than abs_tol + 4e-16 |x| at the iterate x, whose result (kept in
-    the bracket) is returned without evaluating f there (as Numerical Recipes' ``rtsafe``
+    the bracket) is returned without evaluating f there (as ``rtsafe``
     does: a converged Newton iteration cannot shrink the far side of the
     bracket); a bracket [a, b] with b - a <= abs_tol + 4e-16 max(|a|, |b|).
 
@@ -87,7 +91,7 @@ def find_root_monotone(
     x = min(max(x0, lo), hi)
 
     for _ in range(200):
-        fx = f(x)
+        fx, d, d2 = f(x)
         if fx == 0.0:
             return x
         if (fx > 0.0 and x == lo) or (fx < 0.0 and x == hi):
@@ -98,11 +102,9 @@ def find_root_monotone(
             b, fb = x, fx
 
         step = None
-        d = fprime(x)
         if d != 0.0 and math.isfinite(d):
             step = fx / d
-            if fprime2 is not None:
-                d2 = fprime2(x)
+            if d2 is not None:
                 denom = 1.0 - 0.5 * step * d2 / d
                 # Halley correction, only when it is well behaved.
                 if math.isfinite(denom) and abs(denom) > 0.25:
@@ -474,73 +476,36 @@ def check_stencil(x: float, y: float, step: float,
         )
 
 
-def fd_laplacian(
-    f: Callable[[float, float], float],
-    x: float,
-    y: float,
-    *,
-    step: float = 1e-4,
-    bounds: tuple[tuple[float, float], tuple[float, float]] = (
-        (0.0, math.inf), (0.0, math.inf)),
-) -> float:
-    """Five-point O(step^2) Laplacian of a scalar field.
-
-    The default bounds guard the open first quadrant; pass looser bounds for
-    fields defined on a half plane.  Raises BoundaryTooClose when the stencil
-    would cross the declared domain edge.
-    """
-    check_stencil(x, y, step, bounds)
-    h2 = step * step
+def fd_laplacian(f: Callable, x: float, y: float, *, step: float):
+    """Five-point O(step^2) Laplacian of f, a scalar or a numpy array valued
+    field; the caller keeps the stencil inside f's domain (check_stencil)."""
     return (
         f(x + step, y) + f(x - step, y) + f(x, y + step) + f(x, y - step)
         - 4.0 * f(x, y)
-    ) / h2
+    ) / (step * step)
 
 
 def fd_conformal_curvature(lam: Callable[[float, float], float], x: float, y: float,
                            *, step: float) -> float:
     """Gauss curvature K = -Lap(log lam)/(2 lam) of lam (dx^2 + dy^2) by the
     five-point Laplacian, O(step^2); callers keep the stencil where lam > 0."""
-    lap = fd_laplacian(lambda a, b: math.log(lam(a, b)), x, y, step=step,
-                       bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
+    lap = fd_laplacian(lambda a, b: math.log(lam(a, b)), x, y, step=step)
     return -lap / (2.0 * lam(x, y))
 
 
-def fd_gradient(
-    f: Callable[[float, float], float],
-    x: float,
-    y: float,
-    *,
-    step: float = 1e-6,
-    bounds: tuple[tuple[float, float], tuple[float, float]] = (
-        (0.0, math.inf), (0.0, math.inf)),
-) -> tuple[float, float]:
-    """Central-difference gradient, O(step^2)."""
-    check_stencil(x, y, step, bounds)
+def fd_gradient(f: Callable, x: float, y: float, *, step: float) -> tuple:
+    """Central-difference gradient (df/dx, df/dy), O(step^2), of a scalar or
+    a numpy array valued f."""
     gx = (f(x + step, y) - f(x - step, y)) / (2.0 * step)
     gy = (f(x, y + step) - f(x, y - step)) / (2.0 * step)
     return gx, gy
 
 
-def fd_jacobian2(
-    fpair: Callable[[float, float], tuple[float, float]],
-    x: float,
-    y: float,
-    *,
-    step: float = 1e-6,
-    bounds: tuple[tuple[float, float], tuple[float, float]] = (
-        (0.0, math.inf), (0.0, math.inf)),
-) -> np.ndarray:
-    """2x2 Jacobian of a pair of scalar fields by central differences."""
-    check_stencil(x, y, step, bounds)
-    fxp = fpair(x + step, y)
-    fxm = fpair(x - step, y)
-    fyp = fpair(x, y + step)
-    fym = fpair(x, y - step)
-    return np.array([
-        [(fxp[0] - fxm[0]) / (2 * step), (fyp[0] - fym[0]) / (2 * step)],
-        [(fxp[1] - fxm[1]) / (2 * step), (fyp[1] - fym[1]) / (2 * step)],
-    ])
+def fd_jacobian2(fpair: Callable[[float, float], tuple[float, float]],
+                 x: float, y: float, *, step: float) -> np.ndarray:
+    """2x2 Jacobian d(f1, f2)/d(x, y) of a pair of scalar fields by central
+    differences, O(step^2)."""
+    return np.column_stack(fd_gradient(lambda a, b: np.array(fpair(a, b)), x, y, step=step))
 
 
 COMPLEX_STEP = 2.0 ** -600   # a power of two: Im / h is exact; h^2 underflows
@@ -582,8 +547,7 @@ def fd_curvature(
 
     gam0, g, ginv = christoffel(u, v)
     dgam = np.zeros((len(g),) * 4)      # dgam[m, l, i, j] = d_m Gamma^l_ij
-    dgam[0] = (christoffel(u + step, v)[0] - christoffel(u - step, v)[0]) / (2 * step)
-    dgam[1] = (christoffel(u, v + step)[0] - christoffel(u, v - step)[0]) / (2 * step)
+    dgam[0], dgam[1] = fd_gradient(lambda a, b: christoffel(a, b)[0], u, v, step=step)
 
     # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
     riem = (np.einsum('iljk->lkij', dgam) - np.einsum('jlik->lkij', dgam)

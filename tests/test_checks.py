@@ -1,6 +1,8 @@
 """Every check of ``taubnut verify``, run by pytest under its own id."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -99,4 +101,17 @@ def test_optional_parameters_do_not_grow():
     count = sum(len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
                 for path in Path(taubnut.__file__).parent.glob("*.py")
                 for fn in _functions(path))
-    assert count <= 15
+    assert count <= 6
+
+
+def test_traced_functions_exist():
+    # benchmarks/run.py --trace 1 wraps every function named in the tracer's
+    # LAYERS, and crashes if one of them is renamed or deleted
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names, _ in tracer.LAYERS.values()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"taubnut.{module}"), name, None))]
+    assert missing == []

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+
+from taubnut import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -139,6 +145,35 @@ def test_eval_beyond_float_range_names_the_quantity():
     assert cp.returncode == 2 and cp.stdout == ""
     assert cp.stderr == "error: volume_density at (u, v) = (1e+80, 1e+80) " \
                         "is beyond the float range\n"
+
+
+def test_eval_sweep_raises_only_package_exceptions():
+    # every family and chart on seeded points from 1e-300 to 1e300, in
+    # process with warnings as errors: an exit code, or an exception of the
+    # package, never a bare ValueError, OverflowError or numpy warning.
+    # (1e-300, 1e-200) is the xy point whose x * x underflowed in _unsquare.
+    rng = random.Random(2016)
+
+    def coordinate():
+        return rng.choice([1.0, 1.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+    leaks = []
+    for fam in (["--family", "generalized"], ["--family", "generalized", "--k", "-0.9"],
+                ["--family", "exceptional"], ["--family", "halfplane"], ["--family", "flat"]):
+        for chart in ("uv", "xy", "moment", "polar", "almostpolar"):
+            points = [(1e-300, 1e-200)] + [(coordinate(), coordinate()) for _ in range(16)]
+            for c1, c2 in points:
+                argv = ["eval", *fam, "--chart", chart, f"--point={c1!r},{c2!r}"]
+                with warnings.catch_warnings(), \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    warnings.simplefilter("error")
+                    try:
+                        cli.main(argv)
+                    except Exception as exc:
+                        if type(exc).__module__.split(".")[0] != "taubnut":
+                            leaks.append((argv, repr(exc)))
+    assert leaks == []
 
 
 # ------------------------------------------------------------------- no scipy

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -160,6 +161,37 @@ def test_kernels_take_complex_steps(params, kernel, u, v):
         fd = (shifted(d) - shifted(-d)) / (2.0 * d)
         assert np.allclose(got.imag / COMPLEX_STEP, fd, rtol=1e-6,
                            atol=1e-6 * np.abs(base).max())
+
+
+# ------------------------------------------------------- root-solve residuals
+
+RESIDUAL_PARAMS = [InstantonParams(k=k) for k in (-0.9, 0.0, 0.5, 0.9)] + [EXC, HP]
+
+
+@pytest.mark.parametrize("params", RESIDUAL_PARAMS, ids=["GENm09", "GEN", "GEN05", "GEN09",
+                                                         "EXC", "HP"])
+def test_residual_derivatives_match_their_values(params):
+    # a wrong slope or curvature would only slow the root solves down (the
+    # bisection safeguard still converges), so check both against central
+    # differences of the residual's own value on seeded points
+    rng = random.Random(7)
+    geo = params.geometry
+    for _ in range(40):
+        u, v = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        h = geo.launch_residual(u, v)
+        x, d = rng.uniform(-8.0, 8.0), 1e-5
+        value, slope, curvature = h(x)
+        assert curvature is None
+        assert slope == pytest.approx((h(x + d)[0] - h(x - d)[0]) / (2.0 * d), rel=1e-6)
+
+        R, eta = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0.05, 1.5)
+        f, bound = geo.radial_relation(R, eta)
+        s, d = bound * rng.uniform(0.2, 1.0), 1e-4
+        value, slope, curvature = f(s)
+        up, down = f(s + d)[0], f(s - d)[0]
+        assert slope == pytest.approx((up - down) / (2.0 * d), rel=1e-6)
+        assert curvature == pytest.approx((up - 2.0 * value + down) / (d * d),
+                                          rel=1e-5, abs=1e-6 * (1.0 + R))
 
 
 # ----------------------------------------------------------------- moment PDE

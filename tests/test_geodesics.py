@@ -280,7 +280,7 @@ def test_flat_chart_is_the_half_plane():
 PROPERTY_PARAMS = ([InstantonParams(k=k) for k in (1 - 1e-6, -(1 - 1e-6), 0.5, -0.5, 0.0)]
                    + [InstantonParams(M=M, k=0.5) for M in (1e-8, 1e8)]
                    + [EXC, HP, FLAT])
-COORDINATE = st.one_of(st.just(0.0), st.floats(1e-300, 1e12), st.floats(-1e12, -1e-300),
+COORDINATE = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
                        st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
@@ -291,6 +291,7 @@ COORDINATE = st.one_of(st.just(0.0), st.floats(1e-300, 1e12), st.floats(-1e12, -
 @example(PROPERTY_PARAMS[0], 1e-300, 1.8e8)   # h' divides by tanh(qA)
 @example(PROPERTY_PARAMS[1], 1e-300, 1.8e8)
 @example(PROPERTY_PARAMS[0], 5e-324, 1.0)     # q A underflows to 0 in log sinh(qA)
+@example(InstantonParams(k=0.999), 7.3e-47, 1.69e176)   # S_eta overflowed to inf
 @settings(max_examples=500, deadline=None)
 def test_distance_is_finite_and_nonnegative_or_bad_params(params, u, v):
     try:
