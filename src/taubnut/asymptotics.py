@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .family import (BadParams, InstantonParams, almost_distance,
-                     uv_from_almost_polar)
+from .family import BadParams, InstantonParams, uv_from_almost_polar
 from .geodesics import distance, point_from_polar
 from .metrics import TORUS_VOLUME, volume_density
 from .numerics import (InsufficientSamples, QuadratureResult, fit_power_law,
@@ -37,30 +36,8 @@ class SmallRadius(Exception):
 
 
 # --------------------------------------------------------------------------
-# almost-ball geometry
+# almost-ball volumes
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlmostBallSpec:
-    """Quadrant region AB(R) = {Rtilde <= R} described by its boundary graph
-    v = v_max(u), 0 <= u <= u_max; v_max takes a float or an array of u."""
-
-    params: InstantonParams
-    radius: float
-    u_max: float
-
-    def v_max(self, u):
-        return self.params.geometry.almost_ball_v_max(self.radius, u)
-
-    def contains(self, u: float, v: float) -> bool:
-        return almost_distance(self.params, u, v) <= self.radius
-
-
-def almost_ball_spec(params: InstantonParams, R: float) -> AlmostBallSpec:
-    if R <= 0.0:
-        raise BadParams(f"almost-ball radius must be positive, got {R}")
-    return AlmostBallSpec(params, R, params.geometry.almost_ball_u_max(R))
-
 
 def almost_ball_volume(params: InstantonParams, R: float) -> float:
     """Exact volume of AB(R).
@@ -81,11 +58,15 @@ def almost_ball_volume(params: InstantonParams, R: float) -> float:
 
 def almost_ball_volume_quadrature(params: InstantonParams, R: float) -> QuadratureResult:
     """Independent route: adaptive quadrature of the volume density over the
-    almost-ball region.  Used to validate the closed forms."""
-    spec = almost_ball_spec(params, R)
+    almost-ball region, the quadrant part under the boundary graph
+    v = almost_ball_v_max(R, u), 0 <= u <= almost_ball_u_max(R).  Used to
+    validate the closed forms."""
+    if R <= 0.0:
+        raise BadParams(f"almost-ball radius must be positive, got {R}")
+    geo = params.geometry
     return integrate_2d_region(
         lambda u, v: TORUS_VOLUME * volume_density(params, u, v),
-        spec.u_max, spec.v_max)
+        geo.almost_ball_u_max(R), lambda u: geo.almost_ball_v_max(R, u))
 
 
 # --------------------------------------------------------------------------
@@ -108,7 +89,7 @@ def measured_epsilon_bar(params: InstantonParams, R: float) -> float:
     worst = 0.0
     for eta in EPSILON_GRID:
         rec = point_from_polar(params, R, eta)
-        rt = almost_distance(params, rec.u, rec.v)
+        rt = params.geometry.almost_distance(rec.u, rec.v)
         worst = max(worst, abs(rt / R - 1.0))
     return worst
 

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import (HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams,
-                     moment_map)
+from .family import HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams
 from .metrics import conformal_factor, fiber_matrix
 from .numerics import check_stencil, fd_conformal_curvature, fd_curvature, fd_gradient
 
@@ -92,9 +91,15 @@ class ConifoldCurvature:
     scalar3: float
 
 
+def _cone_factor(k, u, v):
+    """P = (1+k) u^2 + (1-k) v^2, the leaf factor of the conifold limit, as
+    (1+k) (u u) + (1-k) (v v).  Works for floats and complex numbers."""
+    return (1.0 + k) * (u * u) + (1.0 - k) * (v * v)
+
+
 def conifold_metric(k: float, u: float, v: float) -> ConifoldMetric:
     _check_k(k)
-    P = (1.0 + k) * u * u + (1.0 - k) * v * v
+    P = _cone_factor(k, u, v)
     if P == 0.0:
         raise SingularAxis("the conifold metric degenerates at the origin")
     scal = u * u * v * v * (u * u + v * v) / P
@@ -141,7 +146,7 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
     axes (see conifold_ricci_diagonal_variant)."""
     _check_k(k)
     u2, v2 = u * u, v * v
-    P = (1.0 + k) * u2 + (1.0 - k) * v2
+    P = _cone_factor(k, u, v)
     Q = u2 + v2
     if P == 0.0 or Q == 0.0:
         raise SingularAxis("curvature blows up at the cone point")
@@ -177,7 +182,7 @@ def conifold_ricci_diagonal_variant(k: float, u: float,
     conifold_ricci_fd), which is not even diagonal off the axes."""
     _check_k(k)
     u2, v2 = u * u, v * v
-    P = (1.0 + k) * u2 + (1.0 - k) * v2
+    P = _cone_factor(k, u, v)
     Q = u2 + v2
     return (-4.0 * SQRT2 * k * u * v / (Q * P * P),
             4.0 * SQRT2 * k * u * v / (Q * P * P),
@@ -224,8 +229,7 @@ def blowdown_distance_gradient_deficit(k: float, u: float, v: float) -> float:
     closed-form identity (1+k)u^2 + (1-k)v^2 = P makes this zero up to FD
     error)."""
     gx, gy = fd_gradient(lambda a, b: blowdown_distance(k, a, b), u, v, step=1e-6)
-    P = (1.0 + k) * u * u + (1.0 - k) * v * v
-    return abs(math.sqrt((gx * gx + gy * gy) / P) - 1.0)
+    return abs(math.sqrt((gx * gx + gy * gy) / _cone_factor(k, u, v)) - 1.0)
 
 
 def blowdown_geodesic(k: float, c1: float, c2: float,
@@ -273,7 +277,7 @@ class BlowdownMetric4:
 def second_blowdown_metric(k: float, u: float, v: float) -> BlowdownMetric4:
     _check_k(k)
     u2, v2 = u * u, v * v
-    P = (1.0 + k) * u2 + (1.0 - k) * v2
+    P = _cone_factor(k, u, v)
     if P == 0.0:
         raise SingularAxis("the limit degenerates at the cone point")
     Q = u2 + v2
@@ -473,10 +477,10 @@ def pointed_limit_moments(A: float, u: float, v: float) -> tuple[float, float]:
     (v (1 + u^2), u^2 / 2) with exact deficit (v^2 (1 + u^2) / (2A), 0)."""
     if A <= 0.0:
         raise BadParams(f"recentering parameter must be positive, got {A}")
-    params = InstantonParams(Family.EXCEPTIONAL_TN)
+    geo = InstantonParams(Family.EXCEPTIONAL_TN).geometry
     T = _pointed_recombination(A)
-    p = np.array(moment_map(params, u, A + v))
-    base = np.array(moment_map(params, 0.0, A))
+    p = np.array(geo.moment_map(u, A + v))
+    base = np.array(geo.moment_map(0.0, A))
     out = T @ (p - base)
     return float(out[0]), float(out[1])
 

@@ -20,7 +20,6 @@ verification failure, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import asymptotics, blowdown, checks, curvature, family, geodesics, metrics
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
-from .numerics import NoBracket, find_root_monotone
+from .numerics import NoBracket, SlowDecay, find_root_monotone
 
 FAMILY_NAMES = {
     "generalized": Family.GENERALIZED_TN,
@@ -128,6 +127,7 @@ def _cmd_eval(args) -> int:
     else:
         u, v = family.uv_from_chart(params, chart, c1, c2)
 
+    geo = params.geometry
     fiber = np.array(metrics.fiber_matrix(params, u, v), dtype=float)
     R, eta = geodesics.polar_from_point(params, u, v)
     q = {}
@@ -152,16 +152,14 @@ def _cmd_eval(args) -> int:
     put(["volume_density"], lambda: [metrics.volume_density(params, u, v)])
     put(["fiber_11", "fiber_12", "fiber_22", "fiber_det"],
         lambda: [fiber[0, 0], fiber[0, 1], fiber[1, 1], np.linalg.det(fiber)])
-    put(["moment_1", "moment_2"], lambda: family.moment_map(params, u, v))
-    put(["k_sigma"], lambda: [curvature.polytope_curvature(params, u, v)])
-    put(["ricci_potential_1", "ricci_potential_2"],
-        lambda: dataclasses.astuple(curvature.ricci_potentials(params, u, v)))
-    put(["ricci_norm"], lambda: [curvature.ricci_norm(params, u, v)])
-    put(["ricci_pseudo_density"],
-        lambda: [curvature.ricci_pseudo_volume_density(params, u, v)])
+    put(["moment_1", "moment_2"], lambda: geo.moment_map(u, v))
+    put(["k_sigma"], lambda: [geo.polytope_curvature(u, v)])
+    put(["ricci_potential_1", "ricci_potential_2"], lambda: geo.ricci_potentials(u, v))
+    put(["ricci_norm"], lambda: [geo.ricci_norm(u, v)])
+    put(["ricci_pseudo_density"], lambda: [geo.ricci_density(u, v)])
     put(["distance", "launch_angle"], lambda: [R, eta])
     try:
-        put(["almost_distance"], lambda: [family.almost_distance(params, u, v)])
+        put(["almost_distance"], lambda: [geo.almost_distance(u, v)])
     except WrongFamily:
         pass
     doc = {
@@ -303,7 +301,7 @@ def _cmd_energy(args) -> int:
         "growth_samples": [list(s) for s in rep.growth_samples],
     }
     try:
-        doc["l2_riemann"] = curvature.l2_riemann(params)
+        doc["l2_riemann"] = params.geometry.l2_riemann
     except WrongFamily:
         pass
     if args.format == "csv":
@@ -525,7 +523,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, BadParams, WrongFamily) as exc:
+    except (UsageError, BadParams, WrongFamily, SlowDecay) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

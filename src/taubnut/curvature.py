@@ -1,19 +1,31 @@
-"""Curvature: the polytope sectional curvature, Ricci potentials and norms,
-L^2 energy integrals against closed-form targets, a finite-difference
+"""Curvature: the family-blind integrals and oracles around the curvature
+closed forms -- the FD Gauss curvature oracle, the FD Jacobian of the Ricci
+potentials, the L^2 Ricci energy by quadrature, a finite-difference
 curvature oracle for the full 4-metric, and decay-rate fits along geodesics.
 
-Conventions fixed here once:
+The closed forms are methods and attributes of the family's geometry
+(``params.geometry``, :mod:`taubnut.family`), called directly:
 
-* ``polytope_curvature`` returns the genuine Gauss curvature of the leaf
+* ``polytope_curvature(u, v)`` is the genuine Gauss curvature of the leaf
   metric lambda (du^2 + dv^2), i.e. the value the conformal oracle
-  K = -Laplacian(log lambda)/(2 lambda) converges to.  For the generalized
-  family this is (M/sqrt(2)) (-1 + k(1+k)u^2 - k(1-k)v^2) / D^3.  The same
-  formula with prefactor M instead of M/sqrt(2) disagrees with the oracle
-  (and with the k -> 1 degeneration onto the exceptional family) by exactly
-  sqrt(2) and is kept available as ``polytope_curvature_overscaled`` for
-  regression tests.
+  K = -Laplacian(log lambda)/(2 lambda) (:func:`polytope_curvature_fd`)
+  converges to.  For the generalized family this is
+  (M/sqrt(2)) (-1 + k(1+k)u^2 - k(1-k)v^2) / D^3.  The same formula with
+  prefactor M instead of M/sqrt(2) disagrees with the oracle (and with the
+  k -> 1 degeneration onto the exceptional family) by exactly sqrt(2) and
+  is kept as ``polytope_curvature_overscaled(u, v)`` for regression tests;
+  :func:`polytope_curvature_polar_form` writes it in the half-plane polar
+  chart.
 
-* ``ricci_norm`` follows the convention in which the pseudo-volume identity
+* ``ricci_potentials(u, v)`` is the invariant pair (R1, R2) whose exterior
+  product is the Ricci pseudo-volume form; it accepts complex (u, v).
+  ``ricci_density(u, v)`` is |det d(R1, R2)/d(u, v)| in closed form:
+  8 k^2 u v / D^3 (GeneralizedTN), 2 u v / (1+u^2)^3 (ExceptionalTN),
+  16 x / (1+x^2)^3 (ExceptionalHalfPlane; the Jacobian cross-check
+  :func:`ricci_pseudo_jacobian_fd` pins the prefactor 16, not 8).
+
+* ``ricci_norm(u, v)`` follows the convention in which the pseudo-volume
+  identity
       d(R1) ^ d(R2) = |Ric|^2 * lambda x du dv
   holds exactly for the quadrant families.  The half-plane instanton's
   closed-form |Ric| = sqrt(8)/(1+x^2)^2 sits a factor sqrt(2) below that
@@ -21,15 +33,20 @@ Conventions fixed here once:
   norm and the true Jacobian density are kept, and the factor-2 offset in
   the product identity is asserted, not hidden.
 
+* ``l2_ricci_closed`` is the total L^2 Ricci energy without quadrature:
+  4 pi^2 k^2/(1-k^2) for GeneralizedTN, 0 for Flat, math.inf for the
+  exceptional families.  ``l2_riemann`` (GeneralizedTN only) is the total
+  L^2 Riemann energy by the Gauss-Bonnet combination for scalar-flat
+  4-manifolds of Euler characteristic 1:
+
+      integral |Rm|^2 = 32 pi^2 + 4 * integral |Ric|^2
+                      = 16 pi^2 (2 - k^2) / (1 - k^2).
+
 * The FD oracle's Ricci tensor norm relates to ricci_norm by a frozen
   per-family calibration factor (``ricci_calibration`` of the family's
   geometry): 2 for the Taub-NUT-type families, sqrt(2) for the half-plane
   instanton.  It is frozen against symbolic Ricci norms of the three
   4-metrics (|Ric|^2_tensor = 8 M^2 k^2 / D^4, 16/(1+u^2)^4, 16/(1+x^2)^4).
-
-The closed forms themselves are written in the family classes of
-:mod:`taubnut.family`; this module holds the family-blind integrals and
-oracles around them.
 """
 
 from __future__ import annotations
@@ -56,12 +73,6 @@ class IllConditioned(Exception):
 
 
 @dataclass
-class RicciPotentials:
-    r1: float
-    r2: float
-
-
-@dataclass
 class EnergyReport:
     closed_form: float           # math.inf when the integral diverges
     quadrature: QuadratureResult | None
@@ -78,23 +89,12 @@ class Curvature4Sample:
 
 
 # --------------------------------------------------------------------------
-# polytope (leaf) sectional curvature
+# polytope (leaf) sectional curvature and Ricci data
 # --------------------------------------------------------------------------
-
-def polytope_curvature(params: InstantonParams, u: float, v: float) -> float:
-    """Gauss curvature of the leaf metric at (u, v) (or (x, y))."""
-    return params.geometry.polytope_curvature(u, v)
-
-
-def polytope_curvature_overscaled(params: InstantonParams, u: float, v: float) -> float:
-    """The M-prefactor variant of the generalized-family Gauss curvature
-    (exactly sqrt(2) times the oracle value; see module docstring)."""
-    return params.geometry.polytope_curvature_overscaled(u, v)
-
 
 def polytope_curvature_polar_form(params: InstantonParams, r: float,
                                   theta: float) -> float:
-    """The same overscaled variant written in the half-plane polar chart
+    """The overscaled Gauss curvature written in the half-plane polar chart
     (r, theta), x = r cos(theta), y = r sin(theta).  Provided to cross-check
     that the polar and quadratic-coordinate forms agree identically (they
     do, for every M, once 2*eta is read as the (u,v) polar angle)."""
@@ -113,27 +113,6 @@ def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
                                   u, v, step=step)
 
 
-# --------------------------------------------------------------------------
-# Ricci data
-# --------------------------------------------------------------------------
-
-def ricci_potentials(params: InstantonParams, u, v) -> RicciPotentials:
-    """The invariant potential pair whose exterior product is the Ricci
-    pseudo-volume form.  Accepts complex (u, v) (the complex-step contract
-    of :mod:`taubnut.numerics`)."""
-    return RicciPotentials(*params.geometry.ricci_potentials(u, v))
-
-
-def ricci_pseudo_volume_density(params: InstantonParams, u: float, v: float) -> float:
-    """|det d(R1, R2)/d(u, v)|, in closed form.
-
-    GeneralizedTN: 8 k^2 u v / D^3.  ExceptionalTN: 2 u v / (1+u^2)^3.
-    ExceptionalHalfPlane: 16 x / (1+x^2)^3; the Jacobian cross-check
-    (ricci_pseudo_jacobian_fd) pins the prefactor 16, not 8.
-    """
-    return params.geometry.ricci_density(u, v)
-
-
 def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> float:
     """FD oracle for the pseudo-volume density: |det of the potential
     Jacobian| by central differences of step 1e-4."""
@@ -141,21 +120,9 @@ def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> flo
     return abs(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
 
 
-def ricci_norm(params: InstantonParams, u: float, v: float) -> float:
-    """|Ric| in the convention of the module docstring."""
-    return params.geometry.ricci_norm(u, v)
-
-
 # --------------------------------------------------------------------------
 # L^2 energies
 # --------------------------------------------------------------------------
-
-def l2_ricci_closed(params: InstantonParams) -> float:
-    """Closed form of the total L^2 Ricci energy, without quadrature:
-    4 pi^2 k^2/(1-k^2) for GeneralizedTN, 0 for Flat, math.inf for the
-    exceptional families."""
-    return params.geometry.l2_ricci_closed
-
 
 def l2_ricci(params: InstantonParams) -> EnergyReport:
     """Total L^2 Ricci energy: the fiber volume 4 pi^2 times the integral of
@@ -168,12 +135,13 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
     for the half-plane) of radius 25, 50, 100 and 200, with the fitted
     growth exponent.  Flat space and k = 0 carry no Ricci energy.
     """
-    closed = l2_ricci_closed(params)
+    geo = params.geometry
+    closed = geo.l2_ricci_closed
     if closed == 0.0:
         return EnergyReport(0.0, None, 0.0)
 
     def f(u, v):
-        return TORUS_VOLUME * ricci_pseudo_volume_density(params, u, v)
+        return TORUS_VOLUME * geo.ricci_density(u, v)
 
     if math.isfinite(closed):
         quad = integrate_2d_improper(f, decay_exponent=2.0)
@@ -181,21 +149,11 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
 
     samples = []
     for R in (25.0, 50.0, 100.0, 200.0):
-        u_max, v_max, weight = params.geometry.energy_region(R)
+        u_max, v_max, weight = geo.energy_region(R)
         samples.append((R, weight * integrate_2d_region(f, u_max, v_max).value))
     fit = fit_power_law([s[0] for s in samples], [s[1] for s in samples])
     return EnergyReport(math.inf, None, math.inf,
                         growth_samples=samples, growth_exponent=fit.exponent)
-
-
-def l2_riemann(params: InstantonParams) -> float:
-    """Total L^2 Riemann energy via the Gauss-Bonnet combination for
-    scalar-flat 4-manifolds of Euler characteristic 1:
-
-        integral |Rm|^2 = 32 pi^2 + 4 * integral |Ric|^2
-                        = 16 pi^2 (2 - k^2) / (1 - k^2).
-    """
-    return params.geometry.l2_riemann
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +166,7 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     differences (metric4's first derivatives by exact complex steps, central
     FD of the Christoffel symbols).  The reported ricci_norm is already
     divided by the family's frozen ``ricci_calibration`` factor, so it is
-    directly comparable to ricci_norm(params, u, v); errors are O(step^2).
+    directly comparable to the geometry's ricci_norm(u, v); errors are O(step^2).
     The stencil keeps 2*step clear of the chart domain's edges, where the
     fiber degenerates.
     """
@@ -243,15 +201,16 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
     """
     if len(R_samples) < 4:
         raise BadParams("need at least 4 radii for a decay fit")
-    (u_lo, _), (v_lo, _) = params.geometry.bounds
+    geo = params.geometry
+    (u_lo, _), (v_lo, _) = geo.bounds
     vals = []
     for R in R_samples:
         rec = point_from_polar(params, float(R), eta)
         u, v = rec.u, rec.v
         if quantity == "K_sigma":
-            q = abs(polytope_curvature(params, u, v))
+            q = abs(geo.polytope_curvature(u, v))
         elif quantity == "Ric":
-            q = ricci_norm(params, u, v)
+            q = geo.ricci_norm(u, v)
         elif quantity == "Rm_fd":
             u, v = max(u, u_lo + 1e-2 * R), max(v, v_lo + 1e-2 * R)
             q = math.sqrt(curvature4_fd(params, u, v,

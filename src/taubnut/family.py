@@ -213,7 +213,8 @@ class GeneralizedTN(Geometry):
     def uv_from_moment(self, phi1, phi2):
         # eliminating V = v^2 = M phi1 / (1 + (1+k) U) leaves the quadratic
         # (1+k) U^2 + B U - M phi2 = 0 in U = u^2; its positive root, taken
-        # in the form that does not cancel, followed by V
+        # in the form that does not cancel, followed by V: accurate to the
+        # map's own conditioning, about u^2 times the unit roundoff relatively
         _check_quadrant_moments(phi1, phi2)
         k, M = self.k, self.M
         B = 1.0 + M * ((1.0 - k) * phi1 - (1.0 + k) * phi2)
@@ -225,6 +226,10 @@ class GeneralizedTN(Geometry):
         return math.sqrt(uu), math.sqrt(M * phi1 / (1.0 + (1.0 + k) * uu))
 
     def almost_distance(self, u, v):
+        # the distance surrogate Rtilde.  sqrt(1+-k), not (1+-k): Rtilde must
+        # be constant on the almost-spheres (uv_from_almost_polar at fixed
+        # Rtilde) and Rtilde / R -> 1 along every geodesic; squared
+        # coefficients would leave the ratio at sqrt(1+-k) on the axes
         return (self.a * u * u + self.b * v * v) / math.sqrt(SQRT2 * self.M)
 
     def _almost_axes(self):
@@ -650,39 +655,8 @@ class InstantonParams:
 
 
 # --------------------------------------------------------------------------
-# chart transitions and moment maps
+# the moment PDE and the charts that need more than one family formula
 # --------------------------------------------------------------------------
-#
-# The quadrant families map to the half plane through y + ix = q(u + iv)^2
-# for a constant q, i.e.
-#     GENERALIZED_TN : x = sqrt(2) u v / M,  y = (u^2 - v^2) / (sqrt(2) M)
-#     EXCEPTIONAL_TN : x = u v / 2,          y = (u^2 - v^2) / 4
-# and the half-plane families use (u, v) = (x, y) verbatim.
-
-def xy_from_uv(params: InstantonParams, u, v):
-    return params.geometry.xy_from_uv(u, v)
-
-
-def uv_from_xy(params: InstantonParams, x, y):
-    return params.geometry.uv_from_xy(x, y)
-
-
-def moment_map(params: InstantonParams, u, v):
-    """Moment maps (phi1, phi2) of the two torus circles, as functions of the
-    family's own (u, v) chart.  Accepts complex (u, v), so exact gradients are
-    available through :func:`taubnut.numerics.complex_partials`."""
-    return params.geometry.moment_map(u, v)
-
-
-def uv_from_moment(params: InstantonParams, phi1: float, phi2: float):
-    """Invert the moment map on the open quadrant / half plane.
-
-    Every family inverts in closed form; the generalized one through the
-    positive root of a quadratic in u^2, accurate to the map's own
-    conditioning (about u^2 times the unit roundoff, relatively).
-    """
-    return params.geometry.uv_from_moment(phi1, phi2)
-
 
 def moment_pde_residual(params: InstantonParams, x: float, y: float,
                         *, step: float) -> tuple[float, float]:
@@ -692,8 +666,10 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
     if x <= 2.0 * step:
         raise BadParams(f"x = {x} too close to the axis for step {step}")
 
+    geo = params.geometry
+
     def phis(xx: float, yy: float) -> np.ndarray:
-        return np.array(moment_map(params, *uv_from_xy(params, xx, yy)))
+        return np.array(geo.moment_map(*geo.uv_from_xy(xx, yy)))
 
     lap = fd_laplacian(phis, x, y, step=step)
     dx, _ = fd_gradient(phis, x, y, step=step)
@@ -701,26 +677,10 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
     return float(r1), float(r2)
 
 
-# --------------------------------------------------------------------------
-# almost-polar chart
-# --------------------------------------------------------------------------
-
-def almost_distance(params: InstantonParams, u: float, v: float) -> float:
-    """The closed-form distance surrogate Rtilde whose level sets are easy to
-    integrate over.  Defined for the two Taub-NUT-like families.
-
-    The coefficients sqrt(1+k), sqrt(1-k) are forced by requiring Rtilde to
-    be constant on the almost-spheres (the loci swept by uv_from_almost_polar
-    at fixed Rtilde) and by |Rtilde/R - 1| -> 0 along every geodesic; with
-    squared coefficients the ratio would tend to sqrt(1+-k) on the axes.
-    """
-    return params.geometry.almost_distance(u, v)
-
-
 def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
     """(Rtilde, psi) with psi in [0, pi/2]: psi = 0 on the u-axis, pi/2 on the
     v-axis.  At the origin Rtilde = 0 and psi is fixed to 0 by convention."""
-    rt = almost_distance(params, u, v)
+    rt = params.geometry.almost_distance(u, v)
     if rt == 0.0:
         return 0.0, 0.0
     return rt, params.geometry.almost_angle(rt, u, v)
@@ -732,18 +692,15 @@ def uv_from_almost_polar(params: InstantonParams, rtilde: float, psi: float) -> 
     return params.geometry.uv_from_almost_polar(rtilde, psi)
 
 
-# --------------------------------------------------------------------------
-# generic chart dispatch (polar handled in taubnut.geodesics)
-# --------------------------------------------------------------------------
-
 def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -> tuple[float, float]:
-    """Send a point of any closed-form chart to the family's (u, v) chart."""
+    """Send a point of any closed-form chart to the family's (u, v) chart
+    (the polar chart needs the root solves of :mod:`taubnut.geodesics`)."""
     if chart is Chart.UV:
         return c1, c2
     if chart is Chart.XY:
-        return uv_from_xy(params, c1, c2)
+        return params.geometry.uv_from_xy(c1, c2)
     if chart is Chart.MOMENT:
-        return uv_from_moment(params, c1, c2)
+        return params.geometry.uv_from_moment(c1, c2)
     if chart is Chart.ALMOST_POLAR:
         return uv_from_almost_polar(params, c1, c2)
     raise BadParams("geodesic polar transitions need a root solve; "
@@ -755,9 +712,9 @@ def chart_from_uv(params: InstantonParams, chart: Chart, u: float, v: float) -> 
     if chart is Chart.UV:
         return u, v
     if chart is Chart.XY:
-        return xy_from_uv(params, u, v)
+        return params.geometry.xy_from_uv(u, v)
     if chart is Chart.MOMENT:
-        return moment_map(params, u, v)
+        return params.geometry.moment_map(u, v)
     if chart is Chart.ALMOST_POLAR:
         return almost_polar_from_uv(params, u, v)
     raise BadParams("geodesic polar transitions need a root solve; "

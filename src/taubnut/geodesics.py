@@ -38,15 +38,6 @@ class GeodesicRecord:
     R: float
     u: float
     v: float
-    eikonal_residual: float
-    geodesic_residual: float
-
-
-@dataclass
-class PolarMetricSample:
-    R: float
-    eta: float
-    A_squared: float
 
 
 @dataclass
@@ -202,7 +193,7 @@ def solve_F(params: InstantonParams, R: float, eta: float) -> float:
 
 @_within_float_range
 def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicRecord:
-    """Point at distance R along the eta-geodesic, as a full record.
+    """Point at distance R along the eta-geodesic, as a record (eta, R, u, v).
 
     (u, v) come straight from the root s of the radial relation (log F for
     the generalized family, sigma with u = cos(eta) sinh(sigma),
@@ -219,12 +210,7 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
         raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
     u, v = geo.polar_point(R, eta, _solve_radial)
     geo.check_point(u, v)
-    # the radial relation is S_eta restricted to the geodesic; both residuals
-    # are genuine re-checks through independent code paths
-    eik = abs(eikonal_S(params, eta, u, v) - R)
-    res = unparam_residual(params, eta, u, v)
-    return GeodesicRecord(eta=eta, R=R, u=u, v=v,
-                          eikonal_residual=eik, geodesic_residual=res)
+    return GeodesicRecord(eta=eta, R=R, u=u, v=v)
 
 
 def polar_from_point(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
@@ -247,8 +233,7 @@ def distance(params: InstantonParams, u: float, v: float) -> float:
 
 
 @_within_float_range
-def polar_metric_coefficient(params: InstantonParams, R: float,
-                             eta: float) -> PolarMetricSample:
+def polar_metric_coefficient(params: InstantonParams, R: float, eta: float) -> float:
     """Coefficient A(R, eta)^2 of d(eta)^2 in geodesic polar coordinates,
 
         g_leaf = dR^2 + A^2 d(eta)^2,
@@ -261,7 +246,7 @@ def polar_metric_coefficient(params: InstantonParams, R: float,
     A2 = coefficient(eta, _solve_radial(params.geometry.radial_relation(R, eta)))
     if A2 == math.inf:   # a float product overflows to inf without raising
         raise OverflowError
-    return PolarMetricSample(R=R, eta=eta, A_squared=A2)
+    return A2
 
 
 def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -> float:

@@ -230,16 +230,18 @@ def integrate_2d_improper(
         tail(T) <= A * (pi/4) * (1 + T^2)^(1 - p) / (p - 1)
 
     (integrate the envelope in polar coordinates over rho > T).  The
-    truncation radius T is grown from 8 until the bound fits inside a
-    quarter of the budget 1e-12 + 1e-9 * |value|.  [0, T]^2 is cut into
-    dyadic L-shells, [0, 8]^2 and for each edge pair lo < hi the slabs
-    [lo, hi] x [0, hi] and [0, lo] x [lo, hi], and the adaptive tensor
-    Gauss-Legendre rule (GAUSS_ORDER^2 nodes per box) integrates them to a
+    envelope may set in only far out, so the tail check starts at the first
+    radius 8 * 2^j whose arcs decay as promised, and the truncation radius T
+    is grown from there until the bound fits inside a quarter of the budget
+    1e-12 + 1e-9 * |value|.  [0, T]^2 is cut into dyadic L-shells, [0, 8]^2
+    and for each edge pair lo < hi the slabs [lo, hi] x [0, hi] and
+    [0, lo] x [lo, hi], and the adaptive tensor Gauss-Legendre rule (GAUSS_ORDER^2 nodes per box) integrates them to a
     tenth of the budget, each piece its equal share.  ``error`` is the quadrature
     error estimate plus the tail bound.  f is called on arrays (see above).
 
     Raises SlowDecay when p <= 1, when the sampled arcs show the integrand
-    shrinking slower than promised, or when T would pass 1e7.
+    shrinking slower than promised at every radius up to 1e7 or at a radius
+    past the first one where it did not, or when T would pass 1e7.
     """
     p = float(decay_exponent)
     if p <= 1.0:
@@ -272,9 +274,16 @@ def integrate_2d_improper(
 
     T0 = 8.0
     rough, _, rough_evals = _adaptive_boxes(f, [(0.0, T0, 0.0, T0)], 1e-6, 1e-6)
-    budget = 1e-12 + 1e-9 * (abs(rough) + tail_bound_at(T0))
-
     T = T0
+    while True:
+        try:
+            budget = 1e-12 + 1e-9 * (abs(rough) + tail_bound_at(T))
+            break
+        except SlowDecay:
+            if 2.0 * T > 1e7:
+                raise
+            T *= 2.0
+
     tail = tail_bound_at(T)
     while tail > 0.25 * budget:
         T *= 2.0

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.asymptotics import (EPSILON_GRID, SmallRadius, almost_ball_spec,
-                                 almost_ball_volume,
+from taubnut.asymptotics import (EPSILON_GRID, SmallRadius, almost_ball_volume,
                                  almost_ball_volume_quadrature,
                                  ball_volume_bracket, measured_epsilon_bar,
                                  sphere_sandwich, volume_growth_exponent)
@@ -24,13 +23,14 @@ HP = InstantonParams(family=Family.EXCEPTIONAL_HALF_PLANE)
 # ------------------------------------------------------------------ the region
 
 def test_region_contains_and_boundary():
-    spec = almost_ball_spec(GEN05, 4.0)
-    assert spec.contains(0.0, 0.0)
-    assert spec.contains(spec.u_max * 0.99, 0.0)
-    assert not spec.contains(spec.u_max * 1.01, 0.0)
+    geo = GEN05.geometry
+    u_max = geo.almost_ball_u_max(4.0)
+    assert geo.almost_distance(0.0, 0.0) <= 4.0
+    assert geo.almost_distance(u_max * 0.99, 0.0) <= 4.0
+    assert not geo.almost_distance(u_max * 1.01, 0.0) <= 4.0
     # on the boundary curve v_max(u) the defining function is exactly R
-    u = 0.5 * spec.u_max
-    v = spec.v_max(u)
+    u = 0.5 * u_max
+    v = geo.almost_ball_v_max(4.0, u)
     k = GEN05.k
     val = (math.sqrt(1.0 + k) * u * u + math.sqrt(1.0 - k) * v * v) \
         / math.sqrt(SQRT2 * GEN05.M)
@@ -54,6 +54,12 @@ def test_almost_ball_volume_rejects():
         almost_ball_volume(HP, 1.0)
     with pytest.raises(BadParams):
         almost_ball_volume(GEN, -1.0)
+
+
+def test_almost_ball_quadrature_rejects_nonpositive_radius():
+    for R in (0.0, -1.0):
+        with pytest.raises(BadParams):
+            almost_ball_volume_quadrature(GEN, R)
 
 
 @pytest.mark.parametrize("params", [GEN, GEN05, GEN09,

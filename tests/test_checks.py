@@ -104,14 +104,45 @@ def test_optional_parameters_do_not_grow():
     assert count <= 6
 
 
-def test_traced_functions_exist():
-    # benchmarks/run.py --trace 1 wraps every function named in the tracer's
-    # LAYERS, and crashes if one of them is renamed or deleted
+def _traced_layers():
+    """LAYERS of benchmarks/tracer.py: (module, function names, metrics) per layer."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
     spec = importlib.util.spec_from_file_location("tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    missing = [f"{module}.{name}" for module, names, _ in tracer.LAYERS.values()
+    return tracer.LAYERS.values()
+
+
+def test_traced_functions_exist():
+    # benchmarks/run.py --trace 1 wraps every function named in the tracer's
+    # LAYERS, and crashes if one of them is renamed or deleted
+    missing = [f"{module}.{name}" for module, names, _ in _traced_layers()
                for name in names
                if not callable(getattr(importlib.import_module(f"taubnut.{module}"), name, None))]
     assert missing == []
+
+
+def _reads_params_geometry(node) -> bool:
+    """params.geometry.<attr> or a call of it."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "geometry" and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "params")
+
+
+def test_no_function_only_forwards_to_the_geometry():
+    # callers call params.geometry.<name> directly; a module function earns
+    # its place by an input check, a new type or a composition.  The traced
+    # layers stay, as benchmarks/tracer.py wraps them
+    traced = {f"{module}.{name}" for module, names, _ in _traced_layers() for name in names}
+    found = []
+    for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef) or f"{path.stem}.{fn.name}" in traced:
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and _reads_params_geometry(body[0].value)):
+                found.append(f"{path.stem}.{fn.name}")
+    assert found == []

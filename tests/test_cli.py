@@ -24,13 +24,26 @@ def _child_env() -> dict:
     return env
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_process(*args: str) -> subprocess.CompletedProcess:
+    """``python -m taubnut`` with the given arguments, in a fresh interpreter."""
     cmd = [sys.executable, "-m", "taubnut", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """cli.main(args) in this process, with its stdout, stderr and exit code
+    captured the way run_process reports them (argparse's exits included)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+
+
 def test_version_and_help():
-    cp = run_cli("--version")
+    cp = run_process("--version")
     assert cp.returncode == 0
     assert "0.1.0" in cp.stdout
     cp = run_cli("--help")
@@ -108,8 +121,8 @@ def test_eval_out_file(tmp_path: Path):
 
 
 def test_eval_deterministic():
-    a = run_cli("eval", "--k", "0.9", "--point", "0.3,2.7").stdout
-    b = run_cli("eval", "--k", "0.9", "--point", "0.3,2.7").stdout
+    a = run_process("eval", "--k", "0.9", "--point", "0.3,2.7").stdout
+    b = run_process("eval", "--k", "0.9", "--point", "0.3,2.7").stdout
     assert a == b
 
 
@@ -136,6 +149,12 @@ def test_bad_arguments_exit_2(args):
     assert cp.returncode == 2
     assert cp.stdout == "" or "usage" in cp.stderr.lower() \
         or "error" in cp.stderr.lower()
+
+
+def test_bad_arguments_exit_2_from_a_process():
+    cp = run_process("eval", "--k", "1.5", "--point", "1,1")
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.startswith("error: ")
 
 
 def test_eval_beyond_float_range_names_the_quantity():
@@ -290,6 +309,20 @@ def test_energy_json():
         32.0 * math.pi ** 2 + 4.0 * doc["l2_ricci_closed"], rel=1e-12)
 
 
+@pytest.mark.parametrize("k", ["0.99", "-0.99"])
+def test_energy_near_the_chirality_limit(k):
+    cp = run_cli("energy", "--k", k)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["rel_error"] <= 1e-9
+
+
+def test_energy_that_cannot_converge_exits_2():
+    # at k = 0.9999 the tail bound still misses its budget at radius 1e7
+    cp = run_cli("energy", "--k", "0.9999")
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+
+
 def test_energy_divergent_family_csv():
     cp = run_cli("energy", "--family", "exceptional", "--format", "csv")
     lines = cp.stdout.strip().splitlines()
@@ -350,10 +383,30 @@ def test_verify_single_suite():
 
 
 def test_verify_all_is_deterministic():
-    first = run_cli("verify", "--suite", "all")
+    first = run_process("verify", "--suite", "all")
     assert first.returncode == 0, first.stdout + first.stderr
     assert "30/30 checks passed" in first.stdout
-    assert run_cli("verify", "--suite", "all").stdout == first.stdout
+    assert run_process("verify", "--suite", "all").stdout == first.stdout
+
+
+README_EXAMPLES = [
+    ("eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"),
+    ("geodesic", "--family", "exceptional", "--eta", "0.7", "--R", "5", "--samples", "200"),
+    ("contour", "--family", "halfplane", "--eta", "0.3", "--levels", "3", "--R", "4",
+     "--format", "svg"),
+    ("energy", "--family", "generalized", "--k", "0.5", "--format", "json"),
+    ("volume", "--family", "generalized", "--R", "5,50,500"),
+    ("blowdown", "--construction", "pointed", "--format", "json"),
+    ("verify", "--suite", "all"),
+]
+
+
+def test_in_process_runs_repeat_their_bytes():
+    # in-process runs share module state (quadrature caches, argparse, the
+    # checks' parameter objects): a second run prints the same bytes
+    first = [run_cli(*args) for args in README_EXAMPLES]
+    assert all(cp.returncode == 0 for cp in first)
+    assert [run_cli(*args).stdout for args in README_EXAMPLES] == [cp.stdout for cp in first]
 
 
 VERIFY_UNDER_O_SCRIPT = """

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from taubnut.curvature import (OriginSingularity,
                                curvature4_fd, decay_rate_along_geodesic,
-                               l2_ricci, l2_riemann, polytope_curvature,
-                               polytope_curvature_fd,
-                               polytope_curvature_overscaled,
+                               l2_ricci, polytope_curvature_fd,
                                polytope_curvature_polar_form,
-                               ricci_norm, ricci_potentials,
-                               ricci_pseudo_jacobian_fd,
-                               ricci_pseudo_volume_density)
+                               ricci_pseudo_jacobian_fd)
 from taubnut.family import Family, InstantonParams, WrongFamily
 from taubnut.metrics import volume_density
 
@@ -33,7 +29,7 @@ INTERIOR = [(0.4, 0.9), (1.0, 1.0), (2.2, 0.5), (0.7, 2.8)]
 
 def test_k_sigma_standard_scale_origin():
     # sup |sec| = 1 at M = sqrt(2): K(0,0) = -1
-    assert polytope_curvature(GEN, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+    assert GEN.geometry.polytope_curvature(0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_k_sigma_closed_form():
@@ -41,15 +37,15 @@ def test_k_sigma_closed_form():
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
     expect = (M / SQRT2) * (-1.0 + k * (1.0 + k) * u * u
                             - k * (1.0 - k) * v * v) / D ** 3
-    assert polytope_curvature(GEN05, u, v) == pytest.approx(expect, rel=1e-14)
+    assert GEN05.geometry.polytope_curvature(u, v) == pytest.approx(expect, rel=1e-14)
 
 
 def test_k_sigma_exceptional_closed_form():
     for u in (0.3, 1.0, 2.5):
         expect = -(1.0 - u * u) / (1.0 + u * u) ** 3
-        assert polytope_curvature(EXC, u, 0.7) == pytest.approx(expect,
+        assert EXC.geometry.polytope_curvature(u, 0.7) == pytest.approx(expect,
                                                                 rel=1e-14)
-        assert polytope_curvature(HP, u, -0.3) == pytest.approx(expect,
+        assert HP.geometry.polytope_curvature(u, -0.3) == pytest.approx(expect,
                                                                 rel=1e-14)
 
 
@@ -59,7 +55,7 @@ def test_k_sigma_vs_conformal_oracle(params):
     for u, v in INTERIOR:
         if params.family is Family.EXCEPTIONAL_HALF_PLANE:
             v -= 1.5
-        got = polytope_curvature(params, u, v)
+        got = params.geometry.polytope_curvature(u, v)
         fd = polytope_curvature_fd(params, u, v)
         assert abs(got - fd) < 1e-4 * max(1.0, abs(got))
 
@@ -68,8 +64,8 @@ def test_overscaled_variant_differs_by_sqrt2():
     # the prefactor-M variant is exactly sqrt(2) times the true curvature;
     # keeping this pinned stops silent renormalization
     for u, v in INTERIOR:
-        truth = polytope_curvature(GEN05, u, v)
-        over = polytope_curvature_overscaled(GEN05, u, v)
+        truth = GEN05.geometry.polytope_curvature(u, v)
+        over = GEN05.geometry.polytope_curvature_overscaled(u, v)
         assert over == pytest.approx(SQRT2 * truth, rel=1e-14)
         assert abs(over - polytope_curvature_fd(GEN05, u, v)) > 0.1 * abs(truth)
 
@@ -82,7 +78,7 @@ def test_polar_form_matches_overscaled_every_mass():
             r = (u * u + v * v) / (SQRT2 * M)
             theta = math.pi / 2.0 - 2.0 * math.atan2(v, u)
             got = polytope_curvature_polar_form(p, r, theta)
-            over = polytope_curvature_overscaled(p, u, v)
+            over = p.geometry.polytope_curvature_overscaled(u, v)
             assert got == pytest.approx(over, rel=1e-12)
 
 
@@ -93,34 +89,34 @@ def test_polar_form_origin_raises():
 
 def test_flat_is_flat():
     for u, v in INTERIOR:
-        assert polytope_curvature(FLAT, u, v) == 0.0
-        assert ricci_norm(FLAT, u, v) == 0.0
+        assert FLAT.geometry.polytope_curvature(u, v) == 0.0
+        assert FLAT.geometry.ricci_norm(u, v) == 0.0
 
 
 # ------------------------------------------------------------ Ricci quantities
 
 def test_ricci_potentials_halfplane():
     x, y = 0.8, -1.1
-    pots = ricci_potentials(HP, x, y)
-    assert pots.r1 == pytest.approx(2.0 / (1.0 + x * x), rel=1e-14)
-    assert pots.r2 == pytest.approx(4.0 * y / (1.0 + x * x), rel=1e-14)
+    r1, r2 = HP.geometry.ricci_potentials(x, y)
+    assert r1 == pytest.approx(2.0 / (1.0 + x * x), rel=1e-14)
+    assert r2 == pytest.approx(4.0 * y / (1.0 + x * x), rel=1e-14)
 
 
 def test_pseudo_density_closed_forms():
     k, u, v = 0.5, 1.2, 0.8
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
-    assert ricci_pseudo_volume_density(GEN05, u, v) == pytest.approx(
+    assert GEN05.geometry.ricci_density(u, v) == pytest.approx(
         8.0 * k * k * u * v / D ** 3, rel=1e-14)
-    assert ricci_pseudo_volume_density(EXC, u, v) == pytest.approx(
+    assert EXC.geometry.ricci_density(u, v) == pytest.approx(
         2.0 * u * v / (1.0 + u * u) ** 3, rel=1e-14)
     x = 0.9
-    assert ricci_pseudo_volume_density(HP, x, 0.0) == pytest.approx(
+    assert HP.geometry.ricci_density(x, 0.0) == pytest.approx(
         16.0 * x / (1.0 + x * x) ** 3, rel=1e-14)
 
 
 def test_pseudo_density_vanishes_at_k0():
     for u, v in INTERIOR:
-        assert ricci_pseudo_volume_density(GEN, u, v) == 0.0
+        assert GEN.geometry.ricci_density(u, v) == 0.0
 
 
 @pytest.mark.parametrize("params", [GEN05, GEN09, EXC, HP])
@@ -132,7 +128,7 @@ def test_pseudo_density_vs_jacobian(params):
         if params.family is Family.EXCEPTIONAL_HALF_PLANE:
             v -= 1.5
         fd = ricci_pseudo_jacobian_fd(params, u, v)
-        closed = ricci_pseudo_volume_density(params, u, v)
+        closed = params.geometry.ricci_density(u, v)
         assert abs(fd - closed) < 1e-5 * max(1.0, abs(closed))
 
 
@@ -145,11 +141,11 @@ def test_halfplane_prefactor_refutes_8():
 def test_ricci_norm_closed_forms():
     k, u, v = 0.5, 1.2, 0.8
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
-    assert ricci_norm(GEN05, u, v) == pytest.approx(
+    assert GEN05.geometry.ricci_norm(u, v) == pytest.approx(
         SQRT2 * k * SQRT2 / D ** 2, rel=1e-14)
-    assert ricci_norm(EXC, u, v) == pytest.approx(2.0 / (1.0 + u * u) ** 2,
+    assert EXC.geometry.ricci_norm(u, v) == pytest.approx(2.0 / (1.0 + u * u) ** 2,
                                                   rel=1e-14)
-    assert ricci_norm(HP, u, v) == pytest.approx(
+    assert HP.geometry.ricci_norm(u, v) == pytest.approx(
         math.sqrt(8.0) / (1.0 + u * u) ** 2, rel=1e-14)
 
 
@@ -160,8 +156,8 @@ def test_product_identity(params, factor):
     # on the half plane is the honest mismatch between its norm convention
     # and its Jacobian density
     for u, v in INTERIOR:
-        lhs = ricci_pseudo_volume_density(params, u, v)
-        rhs = factor * ricci_norm(params, u, v) ** 2 \
+        lhs = params.geometry.ricci_density(u, v)
+        rhs = factor * params.geometry.ricci_norm(u, v) ** 2 \
             * volume_density(params, u, v)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -176,6 +172,15 @@ def test_l2_ricci_closed_vs_quadrature():
         assert rep.rel_error < 1e-6
 
 
+@pytest.mark.parametrize("k", [0.99, -0.99, 0.999])
+def test_l2_ricci_near_the_chirality_limit(k):
+    # D = 1 + (1+k)u^2 + (1-k)v^2 grows along one axis only once
+    # (1-|k|) t^2 ~ 1, so the promised r^-4 decay of the density sets in
+    # past the first arcs the quadrature checks it on (radii 8 and 16)
+    rep = l2_ricci(InstantonParams(k=k))
+    assert rep.rel_error <= 1e-9
+
+
 def test_l2_ricci_flat_and_k0():
     assert l2_ricci(FLAT).closed_form == 0.0
     assert l2_ricci(GEN).closed_form == 0.0
@@ -184,7 +189,7 @@ def test_l2_ricci_flat_and_k0():
 def test_l2_riemann_identity():
     for k in (0.0, 0.5, 0.9):
         p = InstantonParams(k=k)
-        got = l2_riemann(p)
+        got = p.geometry.l2_riemann
         assert got == pytest.approx(
             16.0 * math.pi ** 2 * (2.0 - k * k) / (1.0 - k * k), rel=1e-15)
         assert got - 4.0 * l2_ricci(p).closed_form == pytest.approx(
@@ -193,7 +198,7 @@ def test_l2_riemann_identity():
 
 def test_l2_riemann_needs_generalized():
     with pytest.raises(WrongFamily):
-        l2_riemann(EXC)
+        EXC.geometry.l2_riemann
 
 
 def test_exceptional_energy_growth():
@@ -219,7 +224,7 @@ def test_scalar_flat_and_ricci_calibrated(params):
             v -= 1.5
         sample = curvature4_fd(params, u, v)
         assert abs(sample.scalar) < 1e-3
-        closed = ricci_norm(params, u, v)
+        closed = params.geometry.ricci_norm(u, v)
         assert abs(sample.ricci_norm - closed) < 2e-4 * max(1.0, closed)
 
 

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubnut.family import (GEOMETRIES, BadParams, Chart, Family, InstantonParams,
-                            WrongFamily, almost_distance,
-                            almost_polar_from_uv, chart_from_uv, moment_map,
+                            WrongFamily, almost_polar_from_uv, chart_from_uv,
                             moment_pde_residual, uv_from_almost_polar,
-                            uv_from_chart, uv_from_moment, uv_from_xy,
-                            xy_from_uv)
+                            uv_from_chart)
 from taubnut.numerics import COMPLEX_STEP
 
 SQRT2 = math.sqrt(2.0)
@@ -73,7 +71,7 @@ def test_enum_values():
 # -------------------------------------------------------------------- charts
 
 def test_xy_quadratic_chart():
-    x, y = xy_from_uv(GEN05, 1.0, 2.0)
+    x, y = GEN05.geometry.xy_from_uv(1.0, 2.0)
     assert abs(x - 2.0) < 1e-15          # x = u v
     assert abs(y - (1.0 - 4.0) / 2.0) < 1e-15   # y = (u^2 - v^2)/2
 
@@ -82,8 +80,8 @@ def test_xy_quadratic_chart():
        st.floats(min_value=0.01, max_value=10.0))
 @settings(max_examples=60, deadline=None)
 def test_xy_roundtrip(u, v):
-    x, y = xy_from_uv(GEN05, u, v)
-    u2, v2 = uv_from_xy(GEN05, x, y)
+    x, y = GEN05.geometry.xy_from_uv(u, v)
+    u2, v2 = GEN05.geometry.uv_from_xy(x, y)
     assert abs(u2 - u) < 1e-12 * max(1.0, u)
     assert abs(v2 - v) < 1e-12 * max(1.0, v)
 
@@ -99,22 +97,22 @@ def test_halfplane_chart_is_identity():
 @settings(max_examples=200, deadline=None)
 def test_moment_roundtrip(u, v, k, log10_M):
     params = InstantonParams(M=10.0 ** log10_M, k=k)
-    p1, p2 = moment_map(params, u, v)
-    u2, v2 = uv_from_moment(params, p1, p2)
+    p1, p2 = params.geometry.moment_map(u, v)
+    u2, v2 = params.geometry.uv_from_moment(p1, p2)
     assert abs(u2 / u - 1.0) < 1e-10
     assert abs(v2 / v - 1.0) < 1e-10
 
 
 def test_moment_map_exceptional_closed_form():
     u, v = 1.3, 0.7
-    p1, p2 = moment_map(EXC, u, v)
+    p1, p2 = EXC.geometry.moment_map(u, v)
     assert abs(p1 - v * v * (1.0 + u * u) / (2.0 * SQRT2)) < 1e-15
     assert abs(p2 - u * u / (2.0 * SQRT2)) < 1e-15
 
 
 def test_moment_map_halfplane_closed_form():
     x, y = 0.8, -1.1
-    p1, p2 = moment_map(HP, x, y)
+    p1, p2 = HP.geometry.moment_map(x, y)
     assert abs(p1 - x * x / 2.0) < 1e-15
     assert abs(p2 - y * (1.0 + x * x)) < 1e-15
 
@@ -221,15 +219,15 @@ def test_almost_distance_closed_forms():
     u, v = 1.1, 0.4
     expect = (math.sqrt(1.0 + k) * u * u + math.sqrt(1.0 - k) * v * v) \
         / math.sqrt(SQRT2 * p.M)
-    assert abs(almost_distance(p, u, v) - expect) < 1e-15
-    assert abs(almost_distance(EXC, u, v) - (u * u / 2.0 + v)) < 1e-15
+    assert abs(p.geometry.almost_distance(u, v) - expect) < 1e-15
+    assert abs(EXC.geometry.almost_distance(u, v) - (u * u / 2.0 + v)) < 1e-15
 
 
 def test_almost_distance_wrong_family():
     with pytest.raises(WrongFamily):
-        almost_distance(HP, 1.0, 1.0)
+        HP.geometry.almost_distance(1.0, 1.0)
     with pytest.raises(WrongFamily):
-        almost_distance(FLAT, 1.0, 1.0)
+        FLAT.geometry.almost_distance(1.0, 1.0)
 
 
 @given(st.floats(min_value=1e-3, max_value=100.0),

@@ -115,7 +115,8 @@ def test_point_from_polar_subnormal_radius(params, R, eta):
     # subnormal rounding can leave f(rho) < 0: the bracket is padded past it
     rec = point_from_polar(params, R, eta)
     params.geometry.check_point(rec.u, rec.v)
-    assert rec.eikonal_residual <= 1e-10 * R + 1e-322   # subnormal rounding
+    eik = abs(eikonal_S(params, eta, rec.u, rec.v) - R)
+    assert eik <= 1e-10 * R + 1e-322   # subnormal rounding
 
 
 @pytest.mark.parametrize("R", [math.inf, math.nan])
@@ -127,7 +128,7 @@ def test_point_from_polar_non_finite_radius_is_bad_params(R):
 @pytest.mark.parametrize("fn,value", [
     (solve_F, lambda F: F),
     (approx_F, lambda out: out[0]),
-    (polar_metric_coefficient, lambda out: out.A_squared),
+    (polar_metric_coefficient, lambda A2: A2),
 ], ids=["solve_F", "approx_F", "polar_metric_coefficient"])
 def test_radial_functions_finite_as_k_nears_1(fn, value):
     # the approximant's branch threshold involves rho^(q-1), q = a/b, which
@@ -308,8 +309,8 @@ def test_distance_is_finite_and_nonnegative_or_bad_params(params, u, v):
 def test_polar_roundtrip(params, R):
     for eta in ETAS:
         rec = point_from_polar(params, R, eta)
-        assert rec.eikonal_residual < 1e-8
-        assert rec.geodesic_residual < 1e-8
+        assert abs(eikonal_S(params, eta, rec.u, rec.v) - R) < 1e-8
+        assert unparam_residual(params, eta, rec.u, rec.v) < 1e-8
         R2, eta2 = polar_from_point(params, rec.u, rec.v)
         assert abs(R2 - R) < 1e-8 * max(1.0, R)
         assert abs(eta2 - eta) < 1e-8
@@ -427,7 +428,7 @@ def test_geodesic_shoot_matches_polar_endpoint():
 def test_polar_coefficient_vs_fd():
     for R in (0.5, 3.0, 20.0):
         for eta in (0.3, 0.8, 1.3):
-            A2 = polar_metric_coefficient(GEN05, R, eta).A_squared
+            A2 = polar_metric_coefficient(GEN05, R, eta)
             fd = polar_metric_coefficient_fd(GEN05, R, eta)
             assert A2 == pytest.approx(fd, rel=1e-6)
 
@@ -435,9 +436,9 @@ def test_polar_coefficient_vs_fd():
 def test_polar_coefficient_regularity():
     # A ~ R at the origin
     for R in (1e-3, 1e-4):
-        A2 = polar_metric_coefficient(GEN05, R, 0.6).A_squared
+        A2 = polar_metric_coefficient(GEN05, R, 0.6)
         assert math.sqrt(A2) == pytest.approx(R, rel=5e-3 * math.sqrt(R))
-    assert polar_metric_coefficient(GEN05, 0.0, 0.6).A_squared == 0.0
+    assert polar_metric_coefficient(GEN05, 0.0, 0.6) == 0.0
 
 
 def test_polar_coefficient_needs_generalized():

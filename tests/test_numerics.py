@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.asymptotics import almost_ball_spec, almost_ball_volume
-from taubnut.curvature import ricci_pseudo_volume_density
+from taubnut.asymptotics import almost_ball_volume
 from taubnut.family import Family, InstantonParams
 from taubnut.metrics import TORUS_VOLUME, volume_density
 from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples,
-                              NoBracket, StepUnderflow, check_stencil,
+                              NoBracket, SlowDecay, StepUnderflow, check_stencil,
                               complex_partials, fd_curvature, fd_gradient,
                               fd_jacobian2, fd_laplacian,
                               find_root_monotone, fit_power_law,
@@ -98,6 +97,24 @@ def test_improper_power_tail():
     assert abs(got.value - math.pi / 8.0) < 1e-7
 
 
+def test_improper_starts_the_tail_check_where_the_envelope_holds():
+    # (1 + u^2 + v^2 / 1000)^-2 decays as promised along v only once
+    # v^2 / 1000 ~ 1: its arcs at radii 8 and 16 fall 0.72x, not ~0.064x
+    got = integrate_2d_improper(
+        lambda u, v: (1.0 + u * u + 1e-3 * v * v) ** -2.0, decay_exponent=2.0)
+    exact = math.pi / 4.0 / math.sqrt(1e-3)
+    assert abs(got.value - exact) <= 1e-9 * exact
+    assert got.error >= abs(got.value - exact)
+
+
+def test_improper_slower_decay_than_promised_raises():
+    # (1 + u^2 + v^2)^-1 is not integrable over the quadrant: no radius
+    # shows the promised rho^-4 envelope
+    with pytest.raises(SlowDecay):
+        integrate_2d_improper(lambda u, v: (1.0 + u * u + v * v) ** -1.0,
+                              decay_exponent=2.0)
+
+
 class _Counted:
     """An integrand that counts the points it is evaluated at."""
 
@@ -130,7 +147,7 @@ IMPROPER_CASES = {
     "power3": (lambda u, v: (1.0 + u * u + v * v) ** -3.0, 3.0, math.pi / 8.0),
     "power2": (lambda u, v: (1.0 + u * u + v * v) ** -2.0, 2.0, math.pi / 4.0),
     # the L^2 Ricci integrand at k = 0.9: its integral is k^2 / (1 - k^2)
-    "ricci-k0.9": (lambda u, v: ricci_pseudo_volume_density(GEN09, u, v), 2.0,
+    "ricci-k0.9": (lambda u, v: GEN09.geometry.ricci_density(u, v), 2.0,
                    0.81 / 0.19),
 }
 
@@ -149,8 +166,9 @@ def test_improper_against_scipy_and_exact(name):
 
 def _almost_ball(params, R):
     # the volume density over AB(R), per unit torus volume
-    spec = almost_ball_spec(params, R)
-    return (lambda u, v: volume_density(params, u, v), spec.u_max, spec.v_max,
+    geo = params.geometry
+    return (lambda u, v: volume_density(params, u, v), geo.almost_ball_u_max(R),
+            lambda u: geo.almost_ball_v_max(R, u),
             almost_ball_volume(params, R) / TORUS_VOLUME)
 
 
@@ -162,7 +180,7 @@ REGION_CASES = {
     "ab-exc-R1": _almost_ball(EXC, 1.0),
     "ab-exc-R100": _almost_ball(EXC, 100.0),
     # the exceptional L^2 Ricci density over AB(25): no closed form
-    "ricci-exc-R25": (lambda u, v: ricci_pseudo_volume_density(EXC, u, v),
+    "ricci-exc-R25": (lambda u, v: EXC.geometry.ricci_density(u, v),
                       math.sqrt(50.0), lambda u: np.maximum(25.0 - 0.5 * u * u, 0.0), None),
 }
 
