@@ -22,6 +22,7 @@ ufuncs such as np.sin take complex arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -248,11 +249,9 @@ def integrate_2d_improper(
         raise SlowDecay(f"decay exponent {p} <= 1: the quadrant integral need not converge")
 
     angles = np.linspace(1e-3, math.pi / 2 - 1e-3, 33)
-    probes = 0
 
+    @functools.cache   # tail_bound_at(r) probes 2r, and so does tail_bound_at(2r)
     def arc_amplitude(radius: float) -> float:
-        nonlocal probes
-        probes += angles.size
         u, v = radius * np.cos(angles), radius * np.sin(angles)
         return float(np.max(np.abs(f(u, v)) * (1.0 + u * u + v * v) ** p))
 
@@ -308,7 +307,7 @@ def integrate_2d_improper(
         error=quad_err + tail,
         tail_bound=tail,
         truncation_radius=T,
-        evaluations=rough_evals + probes + evals,
+        evaluations=rough_evals + arc_amplitude.cache_info().currsize * angles.size + evals,
     )
 
 

@@ -146,3 +146,17 @@ def test_no_function_only_forwards_to_the_geometry():
                     and _reads_params_geometry(body[0].value)):
                 found.append(f"{path.stem}.{fn.name}")
     assert found == []
+
+
+def test_einsums_name_at_most_five_indices():
+    # np.einsum without a contraction path loops over n^k index tuples for k
+    # distinct indices; contract a larger product one index at a time
+    found = []
+    for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)
+                    and len(set(filter(str.isalpha, node.args[0].value))) > 5):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from taubnut.curvature import (OriginSingularity,
                                polytope_curvature_polar_form,
                                ricci_pseudo_jacobian_fd)
 from taubnut.family import Family, InstantonParams, WrongFamily
-from taubnut.metrics import volume_density
+from taubnut.metrics import metric4, volume_density
+from taubnut.numerics import fd_curvature
 
 SQRT2 = math.sqrt(2.0)
 
@@ -238,9 +241,34 @@ def test_calibration_table():
     assert HP.geometry.ricci_calibration == pytest.approx(SQRT2)
 
 
-def test_rm_norm_positive():
-    s = curvature4_fd(GEN, 1.0, 1.0)
-    assert s.rm_norm_sq > 0.0
+@pytest.mark.parametrize("params,exact", [(GEN, 32.0 / 243.0), (GEN05, 32.0 / 243.0),
+                                          (EXC, 2.0)], ids=["GEN", "GEN05", "EXC"])
+def test_rm_norm_sq_exact_at_1_1(params, exact):
+    # closed values of |Rm|^2 at (u, v) = (1, 1) from a symbolic derivation of
+    # the 4-metric of family.py; the FD errors are 1.3e-7, 5.8e-7 and 3.8e-7
+    assert curvature4_fd(params, 1.0, 1.0).rm_norm_sq == pytest.approx(exact, rel=2e-6)
+
+
+def _exact_ints(a):
+    """The float array a as integers m with a = m * 2^-1074 exactly."""
+    return np.array([int(Fraction(x) * 2 ** 1074) for x in a.ravel()],
+                    dtype=object).reshape(a.shape)
+
+
+def test_rm_norm_sq_is_the_full_contraction():
+    # the plain six-operand einsum over fd_curvature's output, summed in exact
+    # arithmetic: in floats its one loop over 4^8 index tuples is itself off
+    # by up to 2.1e-13 relative at these points (k = 0); the index-at-a-time
+    # contraction by 4.1e-15
+    rng = random.Random(13)
+    for i in range(50):
+        params = (GEN, GEN05, EXC, HP)[i % 4]
+        u, v = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        g, ginv, riem, _ = fd_curvature(lambda a, b: metric4(params, a, b), u, v, step=1e-3)
+        low, up = _exact_ints(np.einsum('lm,mkij->lkij', g, riem)), _exact_ints(ginv)
+        total = np.einsum('abcd,efgh,ae,bf,cg,dh->', low, low, up, up, up, up, optimize=True)
+        exact = float(Fraction(int(total), 2 ** (6 * 1074)))
+        assert abs(curvature4_fd(params, u, v).rm_norm_sq / exact - 1.0) <= 1e-13
 
 
 # ------------------------------------------------------------------ decay fits
@@ -261,3 +289,13 @@ def test_decay_rates():
     assert abs(rate) < 0.05
     rate = decay_rate_along_geodesic(HP, math.pi / 2, "K_sigma", radii)
     assert abs(rate) < 0.05
+
+
+@pytest.mark.parametrize("params,exponent", [(GEN, -3.0), (GEN05, -2.0),
+                                             (InstantonParams(k=-0.5), -2.0)],
+                         ids=["GEN", "GEN05", "GENm05"])
+@pytest.mark.parametrize("eta", [0.2, 0.7, 1.3])
+def test_rm_fd_decay_rate(params, exponent, eta):
+    # |Rm| falls like R^-3 on standard Taub-NUT and like R^-2 at k != 0
+    rate = decay_rate_along_geodesic(params, eta, "Rm_fd", (60.0, 120.0, 240.0, 480.0))
+    assert rate == pytest.approx(exponent, abs=0.05)

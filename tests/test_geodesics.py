@@ -172,27 +172,77 @@ def test_non_finite_radius_is_bad_params(fn, params, R):
         fn(params, R, 0.5)
 
 
-@pytest.mark.parametrize("k", [0.999999, -0.999999])
-@pytest.mark.parametrize("u,v", [(1.0, 1.0), (3.0, 1e-3),
-                                 (1.0, 1e-10), (1.0, 1e-200),    # next to the u axis
-                                 (1e-10, 1.0), (1e-14, 2.0)])    # next to the v axis
-def test_solve_eta_matches_mpmath_as_k_nears_pm1(k, u, v):
-    # 50-digit root in x = log tan(eta) of the launch-angle relation
-    # sin(eta) sinh((b/a) asinh(a u / cos eta)) = b v
+NEAR_AXES = [(1.0, 1.0), (3.0, 1e-3),
+             (1.0, 1e-10), (1.0, 1e-200),    # next to the u axis
+             (1e-10, 1.0), (1e-14, 2.0)]     # next to the v axis
+
+
+def _mp50(params):
+    """A 50-digit mpmath context with a = sqrt(1+k), b = sqrt(1-k) and the
+    mass root sqrt(M / (2 sqrt 2)) of a GeneralizedTN in it."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 50
-    params = InstantonParams(k=k)
     a, b = mp.sqrt(1 + mp.mpf(params.k)), mp.sqrt(1 - mp.mpf(params.k))
+    return mp, a, b, mp.sqrt(mp.mpf(params.geometry.M) / (2 * mp.sqrt(2)))
 
+
+def _mp_tan_eta(mp, a, b, u, v):
+    """tan(eta) at the root in x = log tan(eta) of the launch-angle relation
+    sin(eta) sinh((b/a) asinh(a u / cos eta)) = b v."""
     def h(x):
         t = mp.exp(x)
         return (mp.log(t / mp.sqrt(1 + t * t))
                 + mp.log(mp.sinh(b / a * mp.asinh(a * u * mp.sqrt(1 + t * t))))
                 - mp.log(b * v))
-    ref = mp.atan(mp.exp(mp.findroot(h, mp.log(mp.mpf(v) / u))))
+    return mp.exp(mp.findroot(h, mp.log(mp.mpf(v) / u)))
+
+
+def _mp_lhs(mp, a, b, c2, s2, s):
+    """mass root * R at the log radial parameter s along the geodesic with
+    cos^2(eta) = c2, sin^2(eta) = s2."""
+    return (c2 / (2 * a) * (mp.sinh(2 * a * s) / 2 + a * s)
+            + s2 / (2 * b) * (mp.sinh(2 * b * s) / 2 + b * s))
+
+
+@pytest.mark.parametrize("k", [0.999999, -0.999999])
+@pytest.mark.parametrize("u,v", NEAR_AXES)
+def test_solve_eta_matches_mpmath_as_k_nears_pm1(k, u, v):
+    params = InstantonParams(k=k)
+    mp, a, b, _ = _mp50(params)
+    ref = mp.atan(_mp_tan_eta(mp, a, b, u, v))
     got = solve_eta(params, u, v)
     assert abs(got / ref - 1) < 1e-12
+
+
+@pytest.mark.parametrize("k", [0.999999, -0.999999])
+@pytest.mark.parametrize("u,v", NEAR_AXES)
+def test_distance_matches_mpmath_as_k_nears_pm1(k, u, v):
+    # R along the radial geodesic through (u, v): s from u = cos(eta) sinh(a s) / a
+    # at the 50-digit launch angle; measured errors are below 1.8e-16
+    params = InstantonParams(k=k)
+    mp, a, b, root = _mp50(params)
+    t = _mp_tan_eta(mp, a, b, u, v)
+    s = mp.asinh(a * u * mp.sqrt(1 + t * t)) / a
+    ref = _mp_lhs(mp, a, b, 1 / (1 + t * t), t * t / (1 + t * t), s) / root
+    assert abs(distance(params, u, v) / ref - 1) < 1e-15
+
+
+@pytest.mark.parametrize("k", [0.999999, -0.999999])
+@pytest.mark.parametrize("R", [1.0, 30.0])
+@pytest.mark.parametrize("eta", [0.0, 1e-200, 1e-10,                 # next to the u axis
+                                 0.7, math.pi / 2 - 1e-10, math.pi / 2])   # and the v axis
+def test_solve_F_matches_mpmath_as_k_nears_pm1(k, R, eta):
+    # F = e^s at the 50-digit root of lhs(s) = mass root * R, which lies below
+    # asinh(4 a rho / c2) / (2a) and asinh(4 b rho / s2) / (2b); measured
+    # errors are below 4e-15 (F reaches 1.6e9 at R = 30)
+    params = InstantonParams(k=k)
+    mp, a, b, root = _mp50(params)
+    c2, s2, rho = mp.cos(mp.mpf(eta)) ** 2, mp.sin(mp.mpf(eta)) ** 2, root * R
+    hi = min(mp.asinh(4 * a * rho / c2) / (2 * a) if c2 else rho,
+             mp.asinh(4 * b * rho / s2) / (2 * b) if s2 else rho)
+    s = mp.findroot(lambda s: _mp_lhs(mp, a, b, c2, s2, s) - rho, (0, hi), solver="anderson")
+    assert abs(solve_F(params, R, eta) / mp.exp(s) - 1) < 1e-14
 
 
 ROOT_GRID = [GEN, GEN05, GEN09, InstantonParams(k=-0.9), EXC, HP]

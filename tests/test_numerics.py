@@ -136,6 +136,20 @@ def test_evaluations_count_every_integrand_point():
     assert got.evaluations == f.points
 
 
+def test_improper_samples_each_arc_once():
+    # the tail bound at r measures the arcs at r and 2r, and the one at 2r
+    # those at 2r and 4r: each arc is evaluated once and counted once
+    geo, radii = InstantonParams(k=0.5).geometry, []
+
+    def f(u, v):
+        if np.ndim(u) == 1:   # an arc; the quadrature calls f on 3-d node grids
+            radii.append(float(np.hypot(u[0], v[0])))
+        return geo.ricci_density(u, v)
+    got = integrate_2d_improper(f, decay_exponent=2.0)
+    assert len(radii) == len(set(radii)) >= 3
+    assert max(radii) == pytest.approx(2.0 * got.truncation_radius)
+
+
 # ------------------------------------------------------- scipy as the oracle
 
 GEN09 = InstantonParams(k=0.9)
