@@ -20,6 +20,7 @@ verification failure, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import asymptotics, blowdown, checks, curvature, family, geodesics, metrics
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
-from .numerics import NoBracket, SlowDecay, find_root_monotone
+from .numerics import SlowDecay, find_roots_monotone
 
 FAMILY_NAMES = {
     "generalized": Family.GENERALIZED_TN,
@@ -178,8 +179,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     params = _params(args)
-    if args.R <= 0.0:
-        raise UsageError(f"--R must be positive, got {args.R}")
+    if not 0.0 < args.R < math.inf:
+        raise UsageError(f"--R must be finite and positive, got {args.R}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     traj = geodesics.geodesic_shoot(params, args.eta, args.R, n_samples=args.samples)
     rows = [[t, u, v, R, abs(R - t),
              geodesics.unparam_residual(params, args.eta, u, v)]
@@ -193,62 +196,64 @@ def _cmd_geodesic(args) -> int:
 # contour
 # --------------------------------------------------------------------------
 
-def _trace_level(params, eta, level, phis):
-    """Points (u, v) = r (cos phi, sin phi) with S_eta = level along each ray,
-    by Newton on r started at the previous ray's root.  grad S_eta is lambda
-    times the velocity of the unit-speed eta-geodesic (the shoot right-hand
-    side)."""
-    velocity = params.geometry.shoot_rhs(eta)
-    pts, r = [], level
-    for phi in phis:
-        cp, sp = math.cos(phi), math.sin(phi)
+def _trace_level(params, eta, level, cp, sp, r0):
+    """Radii r with S_eta(r cp, r sp) = level on the rays of directions
+    (cp, sp): one array Newton solve on r, started at r0.  NaN on a ray along
+    which S_eta stays below the level up to r = 2^29 (it can vanish or go
+    negative near an axis).  grad S_eta is lambda times the velocity of the
+    unit-speed eta-geodesic: the right-hand side from shoot_rhs, which takes
+    arrays (u, v) when built for an array eta."""
+    velocity = params.geometry.shoot_rhs(np.asarray(eta))
 
-        def f(r):
-            u, v = r * cp, r * sp
-            du, dv = velocity(0.0, (u, v))
-            return (geodesics.eikonal_S(params, eta, u, v) - level,
-                    metrics.conformal_factor(params, u, v) * (cp * du + sp * dv), None)
+    def f(r):
+        u, v = r * cp, r * sp
+        du, dv = velocity(0.0, (u, v))
+        return (geodesics.eikonal_S(params, eta, u, v) - level,
+                metrics.conformal_factor(params, u, v) * (cp * du + sp * dv), None)
 
-        try:
-            r = find_root_monotone(f, 0.0, 2.0 ** 29, x0=r, abs_tol=geodesics.ROOT_TOL)
-        except NoBracket:
-            # S_eta stays below the level up to r = 2^29 along this ray (it
-            # can vanish or go negative near an axis): no point
-            continue
-        pts.append((phi, r * cp, r * sp))
-    return pts
+    return find_roots_monotone(f, 0.0, 2.0 ** 29, x0=r0, abs_tol=geodesics.ROOT_TOL)[0]
 
 
 def _cmd_contour(args) -> int:
     params = _params(args)
-    if args.levels < 2:
-        raise UsageError(f"--levels must be >= 2, got {args.levels}")
     # rays and launch angles both sweep the chart domain
     eta_lo, eta_hi = params.geometry.eta_range
+    if args.levels < 2:
+        raise UsageError(f"--levels must be >= 2, got {args.levels}")
+    if args.phi_samples < 2:
+        raise UsageError(f"--phi-samples must be >= 2, got {args.phi_samples}")
+    if not 0.0 <= args.R < math.inf:
+        raise UsageError(f"--R must be finite and >= 0, got {args.R}")
+    if not eta_lo <= args.eta <= eta_hi:
+        raise UsageError(f"--eta must lie in [{eta_lo}, {eta_hi}], got {args.eta}")
     phis = np.linspace(eta_lo, eta_hi, args.phi_samples)
+    cp, sp = np.cos(phis), np.sin(phis)
 
-    rows = []
+    rows, r = [], np.full(phis.shape, np.nan)
     levels = [args.R * i / (args.levels - 1) for i in range(args.levels)]
     for i, level in enumerate(levels):
-        pts = _trace_level(params, args.eta, level, [0.0] if level == 0.0 else phis)
-        for phi, u, v in pts:
-            rows.append([f"level-{i}", "level", phi, u, v, level])
+        if level == 0.0:   # the origin, as the root on the ray phi = 0
+            rows.append((f"level-{i}", "level", 0.0, 0.0, 0.0, level))
+            continue
+        # each ray's solve starts at its radius on the level before, if any
+        r = _trace_level(params, args.eta, level, cp, sp, np.where(np.isnan(r), level, r))
+        on = ~np.isnan(r)
+        rows += [(f"level-{i}", "level", phi, u, v, level) for phi, u, v in
+                 zip(phis[on].tolist(), (r * cp)[on].tolist(), (r * sp)[on].tolist())]
 
     fan = [e for e in (j * math.pi / 12.0 for j in range(-6, 7)) if e >= eta_lo]
-    for j, eta_ray in enumerate(fan):
-        for t in np.linspace(0.0, args.R, args.phi_samples):
-            if t == 0.0:
-                u = v = 0.0
-            else:
-                rec = geodesics.point_from_polar(params, t, eta_ray)
-                u, v = rec.u, rec.v
-            rows.append([f"geodesic-{j}", "geodesic", t, u, v, eta_ray])
+    ts = np.linspace(0.0, args.R, args.phi_samples)
+    us, vs = geodesics.points_from_polar(params, ts, np.array(fan)[:, None])
+    us[:, ts == 0.0] = vs[:, ts == 0.0] = 0.0   # the origin, unsigned for eta < 0
+    for j, (eta_ray, u_ray, v_ray) in enumerate(zip(fan, us.tolist(), vs.tolist())):
+        rows += [(f"geodesic-{j}", "geodesic", t, u, v, eta_ray)
+                 for t, u, v in zip(ts.tolist(), u_ray, v_ray)]
 
     if args.format == "svg":
         _write_out(_render_svg(rows), args.out)
     else:
-        _write_out(_csv(["curve", "kind", "param", "u", "v", "value"], rows),
-                   args.out)
+        _write_out("\n".join(["curve,kind,param,u,v,value"] + [
+            "%s,%s,%.17g,%.17g,%.17g,%.17g" % row for row in rows]) + "\n", args.out)
     return 0
 
 
@@ -442,6 +447,7 @@ def _cmd_verify(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+@functools.cache   # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="taubnut",

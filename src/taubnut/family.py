@@ -24,6 +24,7 @@ coordinates need a root solve and live in :mod:`taubnut.geodesics`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -69,8 +70,45 @@ def generalized_D(k, u, v):
     return 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
 
 
-def _leg(p: float, c: float) -> float:
-    """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for p, c >= 0.
+def _sinh(x):
+    """np.sinh, raising OverflowError where it overflows, as math.sinh does.
+    The other float overflows that raise, of cosh and of a square, come in
+    the radial relations only where a sinh they evaluate has overflowed."""
+    y = np.sinh(x)
+    if (np.isinf(y) & np.isfinite(x)).any():
+        raise OverflowError("sinh beyond the float range")
+    return y
+
+
+class _FloatOps:
+    """The elementary functions of the kernels that take floats or arrays,
+    on floats: math's, so that a float stays a float with math's rounding.
+    ratio(x, y) is x / y, or inf where y = 0."""
+
+    cos, sin, sinh, cosh, asinh, hypot, copysign, min = (
+        math.cos, math.sin, math.sinh, math.cosh, math.asinh, math.hypot, math.copysign, min)
+    where = staticmethod(lambda cond, x, y: x if cond else y)
+    ratio = staticmethod(lambda x, y: x / y if y else math.inf)
+
+
+class _ArrayOps:
+    """The same functions on numpy arrays."""
+
+    cos, sin, cosh, asinh, hypot, copysign, where = (
+        np.cos, np.sin, np.cosh, np.arcsinh, np.hypot, np.copysign, np.where)
+    sinh = staticmethod(_sinh)
+    min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
+    ratio = staticmethod(lambda x, y: np.divide(
+        x, y, out=np.full(np.broadcast(x, y).shape, np.inf), where=y != 0.0))
+
+
+def _ops(x):
+    return _ArrayOps if type(x) is np.ndarray else _FloatOps
+
+
+def _leg(p, c: float):
+    """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for p, c >= 0, p a float
+    or an array.
 
     This is the one-variable building block of S_eta, written so the c -> 0
     limit (value p^2/2) needs no special series: the asinh term carries the
@@ -78,7 +116,8 @@ def _leg(p: float, c: float) -> float:
     """
     if c == 0.0:
         return 0.5 * p * p
-    return 0.5 * (p * math.hypot(c, p) + c * c * math.asinh(p / c))
+    xp = _ops(p)
+    return 0.5 * (p * xp.hypot(c, p) + c * c * xp.asinh(p / c))
 
 
 def _logsinh(x: float) -> float:
@@ -127,12 +166,17 @@ def _half_plane_x(phi1):
 # Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
 # moment_map and ricci_potentials also take complex (u, v), under the
 # complex-step contract of taubnut.numerics, and almost_ball_v_max takes
-# arrays of u.  (c, s) is (cos eta, sin eta).  launch_residual(u, v) = h, the
-# launch-angle relation through (u, v), increasing in x = log tan(eta);
-# radial_relation(R, eta) = (f, bound), S_eta along the eta-geodesic minus R
-# in its log radial parameter s and a closed-form bound above its root; h and
-# f are find_root_monotone residuals, x -> (value, slope, curvature or None).
-# polar_point(R, eta, solve) = (u, v) at that root, found by solve.
+# arrays of u.  radial_relation, polar_point, eikonal_S and conformal_factor
+# take arrays too (R and eta broadcast together; (u, v) with (c, s) floats),
+# and so does the right-hand side shoot_rhs(eta) returns for an array eta:
+# written once, they call math on floats and numpy on arrays through _ops.
+# (c, s) is (cos eta, sin eta).
+# launch_residual(u, v) = h, the launch-angle relation through (u, v),
+# increasing in x = log tan(eta); radial_relation(R, eta) = (f, bound), S_eta
+# along the eta-geodesic minus R in its log radial parameter s and a
+# closed-form bound above its root; h and f are find_root_monotone residuals
+# (find_roots_monotone ones on arrays), x -> (value, slope, curvature or
+# None).  polar_point(R, eta, solve) = (u, v) at that root, found by solve.
 
 class Geometry:
     """What all families share: the quadrant domain by default, the point
@@ -276,19 +320,22 @@ class GeneralizedTN(Geometry):
     def unparam_residual(self, c, s, u, v):
         return abs(math.asinh(self.a * u / c) / self.a - math.asinh(self.b * v / s) / self.b)
 
-    def _relation(self, c2, s2, rho):
-        """s -> (lhs(s) - rho, its first and second s-derivatives)."""
+    def _relation(self, c2, s2, rho, xp):
+        """s -> (lhs(s) - rho, its first and second s-derivatives), with the
+        elementary functions xp."""
         a, b = self.a, self.b
+        sinh, cosh = xp.sinh, xp.cosh
 
         def f(s):
-            sa, sb = math.sinh(2 * a * s), math.sinh(2 * b * s)
+            sa, sb = sinh(2 * a * s), sinh(2 * b * s)
             return (c2 / (2 * a) * (0.5 * sa + a * s) + s2 / (2 * b) * (0.5 * sb + b * s) - rho,
-                    c2 * math.cosh(a * s) ** 2 + s2 * math.cosh(b * s) ** 2,
+                    c2 * cosh(a * s) ** 2 + s2 * cosh(b * s) ** 2,
                     c2 * a * sa + s2 * b * sb)
         return f
 
     def radius_of_s(self, eta, s):
-        return self._relation(math.cos(eta) ** 2, math.sin(eta) ** 2, 0.0)(s)[0] / self.mass_root
+        f = self._relation(math.cos(eta) ** 2, math.sin(eta) ** 2, 0.0, _FloatOps)
+        return f(s)[0] / self.mass_root
 
     def approx_F(self, R, eta):
         a, b = self.a, self.b
@@ -310,18 +357,20 @@ class GeneralizedTN(Geometry):
 
     def radial_relation(self, R, eta):
         a, b = self.a, self.b
-        c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
+        xp = _ops(eta)
+        c2, s2 = xp.cos(eta) ** 2, xp.sin(eta) ** 2
         rho = self.mass_root * R
         # lhs(s) >= s, c2 / (4a) sinh(2as) and s2 / (4b) sinh(2bs): the root
         # lies below each bound, and no sinh up to it exceeds 4 a rho / c2
-        return (self._relation(c2, s2, rho),
-                min(rho, math.asinh(4.0 * a * rho / c2) / (2.0 * a),
-                    math.asinh(4.0 * b * rho / s2) / (2.0 * b) if s2 else rho))
+        return (self._relation(c2, s2, rho, xp),
+                xp.min(rho, xp.asinh(4.0 * a * rho / c2) / (2.0 * a),
+                       xp.asinh(xp.ratio(4.0 * b * rho, s2)) / (2.0 * b)))
 
     def polar_point(self, R, eta, solve):
+        xp = _ops(eta)
         s = solve(self.radial_relation(R, eta))
-        return (math.cos(eta) * math.sinh(self.a * s) / self.a,
-                math.sin(eta) * math.sinh(self.b * s) / self.b)
+        return (xp.cos(eta) * xp.sinh(self.a * s) / self.a,
+                xp.sin(eta) * xp.sinh(self.b * s) / self.b)
 
     def polar_coefficient(self, eta, s):
         a, b = self.a, self.b
@@ -333,11 +382,12 @@ class GeneralizedTN(Geometry):
     def shoot_rhs(self, eta):
         c, s = math.cos(eta), math.sin(eta)
         a, b, pre = self.a, self.b, self.mass_root
+        hypot = _ops(eta).hypot
 
         def rhs(t, y):
             u, v = y
-            P = math.hypot(c, a * u)
-            Q = math.hypot(s, b * v)
+            P = hypot(c, a * u)
+            Q = hypot(s, b * v)
             D = 1.0 + (a * u) ** 2 + (b * v) ** 2
             return np.array([pre * P / D, pre * Q / D])
         return rhs
@@ -449,31 +499,36 @@ class ExceptionalTN(Geometry):
         return abs(math.asinh(u / c) - v / s)
 
     def radial_relation(self, R, eta):
-        c, s = math.cos(eta), math.sin(eta)
+        xp = _ops(eta)
+        c, s = xp.cos(eta), xp.sin(eta)
         c2, half = c * c, 0.5 * (1.0 + s * s)
+        sinh, cosh = xp.sinh, xp.cosh
 
         def f(sig):
-            sh, ch = math.sinh(sig), math.cosh(sig)
+            sh, ch = sinh(sig), cosh(sig)
             return (0.5 * c2 * sh * ch + half * sig - R, c2 * ch ** 2 + half - 0.5 * c2,
-                    c2 * math.sinh(2.0 * sig))
+                    c2 * sinh(2.0 * sig))
         # both terms of the relation are >= 0: sigma <= R / half, and
         # c2 / 4 sinh(2 sigma) <= R
-        return f, min(R / half, 0.5 * math.asinh(4.0 * R / c2))
+        return f, xp.min(R / half, 0.5 * xp.asinh(4.0 * R / c2))
 
     def polar_point(self, R, eta, solve):
-        c, s = math.cos(eta), math.sin(eta)
-        if eta == math.pi / 2 or c < 1e-300:
-            return 0.0, R
-        sigma = solve(self.radial_relation(R, eta))
-        return c * math.sinh(sigma), s * sigma
+        # on the v-axis the point is (0, R); the relation is solved there at
+        # R = 0 (sigma = 0, u = 0), as at R itself its sinh overflows past
+        # R of about 700
+        xp = _ops(eta)
+        axis = eta == math.pi / 2
+        sigma = solve(self.radial_relation(xp.where(axis, 0.0, R), eta))
+        return xp.cos(eta) * xp.sinh(sigma), xp.where(axis, R, xp.sin(eta) * sigma)
 
     def shoot_rhs(self, eta):
         c, s = math.cos(eta), math.sin(eta)
+        hypot = _ops(eta).hypot
 
         def rhs(t, y):
             u, v = y
             lam = 1.0 + u * u
-            return np.array([math.hypot(c, u) / lam, s / lam])
+            return np.array([hypot(c, u) / lam, s / lam])
         return rhs
 
     def polytope_curvature(self, u, v):
@@ -553,7 +608,7 @@ class ExceptionalHalfPlane(_HalfPlane):
 
     def polar_point(self, R, eta, solve):
         u, v = ExceptionalTN.polar_point(self, R, abs(eta), solve)
-        return u, math.copysign(v, eta)
+        return u, _ops(eta).copysign(v, eta)
 
     def ricci_potentials(self, u, v):
         lam = 1.0 + u * u
@@ -599,7 +654,8 @@ class Flat(_HalfPlane):
         return abs(u * s - v * c)
 
     def polar_point(self, R, eta, solve):
-        return R * math.cos(eta), R * math.sin(eta)
+        xp = _ops(eta)
+        return R * xp.cos(eta), R * xp.sin(eta)
 
     def shoot_rhs(self, eta):
         c, s = math.cos(eta), math.sin(eta)

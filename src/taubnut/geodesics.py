@@ -26,7 +26,8 @@ import numpy as np
 
 from .family import BadParams, InstantonParams
 from .metrics import conformal_factor
-from .numerics import NoBracket, check_stencil, fd_gradient, find_root_monotone, ode_solve
+from .numerics import (NoBracket, check_stencil, fd_gradient, find_root_monotone,
+                       find_roots_monotone, ode_solve)
 
 ROOT_TOL = 1e-13   # absolute, of x = log tan(eta) and of s (times max(1, its bound))
 X_LO, X_HI = -750.0, 40.0   # x = log tan(eta) past which eta rounds to 0 or to pi/2
@@ -169,13 +170,16 @@ def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]
     return params.geometry.approx_F(R, eta)
 
 
-def _solve_radial(relation) -> float:
+def _solve_radial(relation):
     """Root s >= 0 of a family's radial relation (f, bound): a safeguarded
-    Halley iteration on [0, bound], started at the bound."""
+    Halley iteration on [0, bound], started at the bound; one array solve
+    for an array of bounds."""
     f, bound = relation
     # padded, relatively and by ~2000 subnormal ulps, so that rounding in f
     # cannot leave f(hi) < 0
     hi = bound * (1.0 + 1e-14) + 1e-320
+    if type(hi) is np.ndarray:   # an element without a bracket is NaN, off the chart
+        return find_roots_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * np.maximum(1.0, hi))[0]
     return find_root_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * max(1.0, hi))
 
 
@@ -211,6 +215,32 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
     u, v = geo.polar_point(R, eta, _solve_radial)
     geo.check_point(u, v)
     return GeodesicRecord(eta=eta, R=R, u=u, v=v)
+
+
+def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.ndarray]:
+    """point_from_polar on the arrays R and eta, broadcast together: arrays
+    (u, v) from one array Halley solve with the scalar steps and stops.
+    numpy's sinh, cos and arcsinh round differently from math's, so (u, v)
+    can differ from point_from_polar's in the last digits.  BadParams for
+    the whole call where point_from_polar raises it for some element."""
+    geo = params.geometry
+    R, eta = np.broadcast_arrays(np.asarray(R, dtype=float), np.asarray(eta, dtype=float))
+    lo, hi = geo.eta_range
+    bad_R, bad_eta = ~((0.0 <= R) & (R < math.inf)), ~((lo <= eta) & (eta <= hi))
+    if bad_R.any():
+        raise BadParams(f"distance must be finite and >= 0, got R={R[bad_R][0]}")
+    if bad_eta.any():
+        raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta[bad_eta][0]}")
+    try:
+        with np.errstate(over="ignore"):   # products overflow to inf, as floats do
+            u, v = geo.polar_point(R, eta, _solve_radial)
+    except OverflowError:
+        raise BadParams("a term of a radial relation is beyond the float range") from None
+    (u_lo, u_hi), (v_lo, v_hi) = geo.bounds
+    off = ~(np.isfinite(u) & np.isfinite(v) & (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi))
+    if off.any():
+        geo.check_point(float(u[off][0]), float(v[off][0]))
+    return u, v
 
 
 def polar_from_point(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
@@ -273,8 +303,14 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     own error estimate: at every sample the trajectory must satisfy the
     unparametrized geodesic equation, and the recomputed distance must equal
     the parameter t (this is what "unit speed" means once the curve is known
-    to be the right one).
+    to be the right one).  BadParams for eta outside ``eta_range`` or a
+    t_end that is not finite and > 0.
     """
+    lo, hi = params.geometry.eta_range
+    if not lo <= eta <= hi:
+        raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
+    if not 0.0 < t_end < math.inf:
+        raise BadParams(f"t_end must be finite and > 0, got {t_end}")
     sol = ode_solve(params.geometry.shoot_rhs(eta), (0.0, t_end), (0.0, 0.0),
                     t_eval=np.linspace(0.0, t_end, n_samples))
     us, vs = sol.ys[:, 0], sol.ys[:, 1]

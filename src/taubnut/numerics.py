@@ -127,6 +127,50 @@ def find_root_monotone(
     )
 
 
+def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> tuple[np.ndarray, np.ndarray]:
+    """find_root_monotone on arrays: element i solves f = 0 on [lo[i], hi[i]]
+    from x0[i] to abs_tol[i] by the same steps, stops and float arithmetic.
+    ``f(x)`` maps the array of iterates to arrays (value, slope, curvature or
+    None); a stopped element is evaluated again at its last iterate.
+
+    Returns (roots, no_bracket): no_bracket marks the elements for which the
+    scalar solve raises NoBracket, whose roots are NaN.  Raises
+    MaxIterExceeded if an element has not stopped within 200 iterations.
+    """
+    lo, hi, x0, abs_tol = np.broadcast_arrays(*(np.asarray(t, dtype=float)
+                                                for t in (lo, hi, x0, abs_tol)))
+    a, b = lo, hi
+    has_a = has_b = no_bracket = np.zeros(lo.shape, dtype=bool)   # f known at a, at b
+    x, roots, active = np.minimum(np.maximum(x0, lo), hi), np.full(lo.shape, np.nan), ~has_a
+
+    for _ in range(200):
+        fx, d, d2 = f(x)
+        with np.errstate(all="ignore"):   # inf and nan pass as in float arithmetic
+            zero, neg = fx == 0.0, fx < 0.0
+            missed = ((fx > 0.0) & (x == lo)) | (neg & (x == hi))
+            a, b, has_a, has_b = np.where(neg, x, a), np.where(neg, b, x), has_a | neg, has_b | ~neg
+            step = fx / d
+            if d2 is not None:
+                denom = 1.0 - 0.5 * step * d2 / d
+                step = np.where(np.isfinite(denom) & (np.abs(denom) > 0.25), step / denom, step)
+            newton = (d != 0.0) & np.isfinite(d)
+            converged = newton & (np.abs(step) <= abs_tol + 4e-16 * np.abs(x))
+            inside = newton & (a < x - step) & (x - step < b)
+            narrow = (~inside & has_a & has_b
+                      & (b - a <= abs_tol + 4e-16 * np.maximum(np.abs(a), np.abs(b))))
+        done = zero | missed | converged | narrow   # in the scalar solve's order of stops
+        roots = np.where(active & done & ~missed, np.where(zero, x, np.where(
+            converged, np.minimum(np.maximum(x - step, a), b), 0.5 * (a + b))), roots)
+        no_bracket, active = no_bracket | (active & missed), active & ~done
+        if not active.any():
+            return roots, no_bracket
+        x = np.where(active, np.where(inside, x - step, np.where(
+            has_a & has_b, 0.5 * (a + b), np.where(has_a, hi, lo))), x)
+
+    raise MaxIterExceeded(f"no convergence after 200 iterations at {np.count_nonzero(active)} "
+                          f"of {active.size} elements")
+
+
 # --------------------------------------------------------------------------
 # quadrature
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_region_contains_and_boundary():
     k = GEN05.k
     val = (math.sqrt(1.0 + k) * u * u + math.sqrt(1.0 - k) * v * v) \
         / math.sqrt(SQRT2 * GEN05.M)
-    assert val == pytest.approx(4.0, rel=1e-12)
+    assert val == pytest.approx(4.0, rel=1e-12, abs=0)
 
 
 # -------------------------------------------------------------- closed volumes
@@ -42,10 +42,10 @@ def test_region_contains_and_boundary():
 def test_almost_ball_volume_examples():
     # AB(1) for the exceptional family
     assert almost_ball_volume(EXC, 1.0) == pytest.approx(
-        math.pi ** 2 / 2.0, rel=1e-15)
+        math.pi ** 2 / 2.0, rel=1e-15, abs=0)
     # AB(1) at the standard scale
     assert almost_ball_volume(GEN, 1.0) == pytest.approx(
-        2.0 * math.pi ** 2 * (1.0 + 2.0 * SQRT2 / 3.0), rel=1e-15)
+        2.0 * math.pi ** 2 * (1.0 + 2.0 * SQRT2 / 3.0), rel=1e-15, abs=0)
     assert almost_ball_volume(GEN, 0.0) == 0.0
 
 
@@ -68,7 +68,7 @@ def test_almost_ball_quadrature_rejects_nonpositive_radius():
 def test_quadrature_confirms_closed_form(params, R):
     got = almost_ball_volume_quadrature(params, R)
     assert got.value == pytest.approx(almost_ball_volume(params, R),
-                                      rel=1e-8)
+                                      rel=1e-8, abs=0)
 
 
 def test_scale_covariance():
@@ -78,7 +78,7 @@ def test_scale_covariance():
     for M in (0.3, 1.0, 5.0, 40.0):
         p = InstantonParams(M=M, k=0.5)
         got = almost_ball_volume(p, s / math.sqrt(M)) * M * M
-        assert got == pytest.approx(ref, rel=1e-14)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 # ----------------------------------------------------------------- growth fits
@@ -121,7 +121,7 @@ def test_measured_epsilon_decays():
     }
     for (params, R), val in expect.items():
         assert measured_epsilon_bar(params, R) == pytest.approx(val,
-                                                                rel=1e-3)
+                                                                rel=1e-3, abs=0)
     for params in (GEN, GEN05, EXC):
         assert measured_epsilon_bar(params, 400.0) \
             < measured_epsilon_bar(params, 100.0)

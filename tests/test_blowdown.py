@@ -37,9 +37,9 @@ def test_conifold_metric_forms():
     k, u, v = 0.5, 1.1, 0.7
     m = conifold_metric(k, u, v)
     P = (1.0 + k) * u * u + (1.0 - k) * v * v
-    assert m.conformal == pytest.approx(P, rel=1e-15)
+    assert m.conformal == pytest.approx(P, rel=1e-15, abs=0)
     assert m.fiber_scalar == pytest.approx(
-        u * u * v * v * (u * u + v * v) / P, rel=1e-15)
+        u * u * v * v * (u * u + v * v) / P, rel=1e-15, abs=0)
     with pytest.raises(SingularAxis):
         conifold_metric(k, 0.0, 0.0)
 
@@ -50,7 +50,7 @@ def test_conifold_leaf_residual_is_exact_mass_term():
         for u, v in ((0.4, 1.3), (2.0, 0.1)):
             leaf, _ = conifold_limit_residual(0.5, u, v, M)
             assert leaf == pytest.approx(math.sqrt(2.0 * SQRT2 / M),
-                                         rel=1e-9)
+                                         rel=1e-9, abs=0)
 
 
 def test_conifold_residuals_decay_with_rate():
@@ -63,7 +63,7 @@ def test_conifold_residuals_decay_with_rate():
         assert all(b < a for a, b in zip(seq, seq[1:]))
     # leaf rate exactly M^(-1/2): ratio sqrt(10) per decade
     for a, b in zip(leafs, leafs[1:]):
-        assert a / b == pytest.approx(math.sqrt(10.0), rel=1e-6)
+        assert a / b == pytest.approx(math.sqrt(10.0), rel=1e-6, abs=0)
 
 
 def test_conifold_fiber_limit_factor_is_two():
@@ -87,9 +87,9 @@ def test_conifold_k_sigma():
     P = (1.0 + k) * u * u + (1.0 - k) * v * v
     expect = 2.0 * k * ((1.0 + k) * u * u - (1.0 - k) * v * v) / P ** 3
     got = conifold_curvatures(k, u, v).k_sigma
-    assert got == pytest.approx(expect, rel=1e-14)
+    assert got == pytest.approx(expect, rel=1e-14, abs=0)
     assert got == pytest.approx(conifold_polytope_curvature_fd(k, u, v),
-                                rel=1e-4)
+                                rel=1e-4, abs=0)
 
 
 def test_conifold_ricci_vs_fd():
@@ -113,7 +113,7 @@ def test_conifold_scalar_is_trace():
     P = (1.0 + k) * u * u + (1.0 - k) * v * v
     W = u * u * v * v * (u * u + v * v) / P
     trace = (c.ric_uu + c.ric_vv) / P + c.ric_theta / W
-    assert c.scalar3 == pytest.approx(trace, rel=1e-12)
+    assert c.scalar3 == pytest.approx(trace, rel=1e-12, abs=0)
 
 
 def test_conifold_everything_flat_at_k0():
@@ -129,14 +129,14 @@ def test_conifold_diagonal_variant_is_not_the_ricci():
     # tensor has a large cross term the shortcut cannot represent
     k, u, v = 0.5, 1.0, 0.6
     duu, dvv, dth = conifold_ricci_diagonal_variant(k, u, v)
-    assert duu == pytest.approx(-0.44212, rel=1e-3)
-    assert dvv == pytest.approx(+0.44212, rel=1e-3)
-    assert dth == pytest.approx(-0.08098, rel=1e-3)
+    assert duu == pytest.approx(-0.44212, rel=1e-3, abs=0)
+    assert dvv == pytest.approx(+0.44212, rel=1e-3, abs=0)
+    assert dth == pytest.approx(-0.08098, rel=1e-3, abs=0)
     c = conifold_curvatures(k, u, v)
-    assert c.ric_uu == pytest.approx(0.81014, rel=1e-3)
-    assert c.ric_vv == pytest.approx(-0.99646, rel=1e-3)
-    assert c.ric_theta == pytest.approx(-0.19458, rel=1e-3)
-    assert c.ric_uv == pytest.approx(0.57762, rel=1e-3)
+    assert c.ric_uu == pytest.approx(0.81014, rel=1e-3, abs=0)
+    assert c.ric_vv == pytest.approx(-0.99646, rel=1e-3, abs=0)
+    assert c.ric_theta == pytest.approx(-0.19458, rel=1e-3, abs=0)
+    assert c.ric_uv == pytest.approx(0.57762, rel=1e-3, abs=0)
     assert abs(duu - c.ric_uu) > 1.0
     # the shortcut is antisymmetric under u <-> v on the diagonal u = v;
     # the true tensor is not
@@ -144,7 +144,7 @@ def test_conifold_diagonal_variant_is_not_the_ricci():
     c_diag = conifold_curvatures(k, t, t)
     assert abs(c_diag.ric_uu + c_diag.ric_vv) > 0.1
     duu, dvv, _ = conifold_ricci_diagonal_variant(k, t, t)
-    assert duu == pytest.approx(-dvv, rel=1e-12)
+    assert duu == pytest.approx(-dvv, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------- cone distance/geodesics
@@ -182,7 +182,7 @@ def test_second_blowdown_det_is_u2v2():
         for u, v in ((0.7, 1.9), (2.2, 0.3)):
             m = second_blowdown_metric(k, u, v)
             det = float(np.linalg.det(m.fiber))
-            assert det == pytest.approx(u * u * v * v, rel=1e-12)
+            assert det == pytest.approx(u * u * v * v, rel=1e-12, abs=0)
 
 
 def test_second_blowdown_moment_oracle():
@@ -203,12 +203,12 @@ def test_second_blowdown_residual_decay():
     fibers = []
     for M in (1e2, 1e3, 1e4, 1e5, 1e6):
         leaf, fib = second_blowdown_limit_residual(0.3, 1.1, 0.7, M)
-        assert leaf == pytest.approx(math.sqrt(2.0 * SQRT2 / M), rel=1e-9)
+        assert leaf == pytest.approx(math.sqrt(2.0 * SQRT2 / M), rel=1e-9, abs=0)
         fibers.append(fib)
     ratios = [a / b for a, b in zip(fibers, fibers[1:])]
     # rate M^(-1/2): per-decade ratio climbs monotonically to sqrt(10)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-1] == pytest.approx(math.sqrt(10.0), rel=5e-3)
+    assert ratios[-1] == pytest.approx(math.sqrt(10.0), rel=5e-3, abs=0)
 
 
 def test_second_blowdown_xy_chart():
@@ -217,7 +217,7 @@ def test_second_blowdown_xy_chart():
     assert (x, y) == (u * v, 0.5 * (u * u - v * v))
     P = (1.0 + k) * u * u + (1.0 - k) * v * v
     got = second_blowdown_conformal_xy(k, x, y) * (u * u + v * v)
-    assert got == pytest.approx(P, rel=1e-13)
+    assert got == pytest.approx(P, rel=1e-13, abs=0)
     with pytest.raises(SingularAxis):
         second_blowdown_conformal_xy(k, 0.0, 0.0)
 
@@ -227,7 +227,7 @@ def test_second_blowdown_xy_chart():
 def test_exceptional_blowdown_forms():
     u, v = 1.2, 0.5
     conf, fib = exceptional_blowdown_metric(u, v)
-    assert conf == pytest.approx(u * u, rel=1e-15)
+    assert conf == pytest.approx(u * u, rel=1e-15, abs=0)
     expect = 0.5 * np.array([[v * v * (u * u + v * v), v * v],
                              [v * v, 1.0]])
     assert np.abs(fib - expect).max() < 1e-15
@@ -240,9 +240,9 @@ def test_exceptional_blowdown_curvature_sign():
     # a factor of -1 and fails by 2/u^4
     for u in (0.7, 1.0, 2.0):
         got = exceptional_blowdown_curvature(u)
-        assert got == pytest.approx(1.0 / u ** 4, rel=1e-15)
+        assert got == pytest.approx(1.0 / u ** 4, rel=1e-15, abs=0)
         fd = exceptional_blowdown_curvature_fd(u)
-        assert fd == pytest.approx(got, rel=1e-4)
+        assert fd == pytest.approx(got, rel=1e-4, abs=0)
         assert abs(-got - fd) > 1.9 * abs(got) * 0.99
 
 
@@ -253,14 +253,14 @@ def test_exceptional_blowdown_residual_rate():
         leaf, fib = exceptional_blowdown_limit_residual(1.0, 0.8, M)
         fibers.append(fib)
     for a, b in zip(fibers, fibers[1:]):
-        assert a / b == pytest.approx(100.0, rel=0.02)
+        assert a / b == pytest.approx(100.0, rel=0.02, abs=0)
 
 
 def test_exceptional_blowdown_axis_constant():
     # at v = 0 the fiber residual is 1/(2 M^2) to leading order
     for M in (1e2, 1e3):
         leaf, fib = exceptional_blowdown_limit_residual(1.0, 0.0, M)
-        assert fib == pytest.approx(0.5 / M ** 2, rel=1e-3)
+        assert fib == pytest.approx(0.5 / M ** 2, rel=1e-3, abs=0)
 
 
 # ------------------------------------------------------------- pointed limit
@@ -271,7 +271,7 @@ def test_pointed_limit_residual_rate():
     assert all(b < a for a, b in zip(res, res[1:]))
     # O(1/A): one decade of A buys one decade of residual
     for a, b in zip(res, res[1:]):
-        assert a / b == pytest.approx(10.0, rel=0.3)
+        assert a / b == pytest.approx(10.0, rel=0.3, abs=0)
     assert rows[0].fiber_topology == "torus"
     assert LIMIT_FIBER_TOPOLOGY == "cylinder"
 
@@ -288,7 +288,7 @@ def test_pointed_limit_off_ray_first_order():
     # at u = 0 the residual is exactly 2v/A + v^2/A^2
     A, v = 10.0, 0.5
     s = pointed_limit_halfplane(A, 0.0, v)
-    assert s.residual == pytest.approx(2.0 * v / A + (v / A) ** 2, rel=1e-10)
+    assert s.residual == pytest.approx(2.0 * v / A + (v / A) ** 2, rel=1e-10, abs=0)
 
 
 def test_pointed_limit_fiber_is_swapped_halfplane():
@@ -303,7 +303,7 @@ def test_pointed_moments_deficit_exact():
             lim = np.array(pointed_limit_moments_limit(u, v))
             deficit = got - lim
             assert deficit[0] == pytest.approx(
-                v * v * (1.0 + u * u) / (2.0 * A), rel=1e-10)
+                v * v * (1.0 + u * u) / (2.0 * A), rel=1e-10, abs=0)
             assert abs(deficit[1]) < 1e-12
 
 

@@ -83,15 +83,16 @@ def _functions(path):
 
 
 def test_solvers_take_no_tolerance_argument():
-    # each solver runs at one fixed accuracy; only the two generic routines
-    # whose callers pass different tolerances take them
+    # each solver runs at one fixed accuracy; only the generic routines whose
+    # callers pass different tolerances take them: the scalar and the array
+    # root solve, and the adaptive quadrature
     found = []
+    generic = ("find_root_monotone", "find_roots_monotone", "_adaptive_boxes")
     for name in ("geodesics", "asymptotics", "numerics"):
         path = Path(taubnut.__file__).parent / f"{name}.py"
         for fn in _functions(path):
             args = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
-            if (args & {"tol", "abs_tol", "rel_tol"}
-                    and getattr(fn, "name", None) not in ("find_root_monotone", "_adaptive_boxes")):
+            if args & {"tol", "abs_tol", "rel_tol"} and getattr(fn, "name", None) not in generic:
                 found.append(f"{path.name}:{fn.lineno}")
     assert found == []
 

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from taubnut import cli
@@ -63,16 +64,16 @@ def test_eval_example():
     assert doc["version"] == "0.1.0"
     assert doc["params"]["family"] == "GeneralizedTN"
     assert doc["quantities"]["conformal_factor"] == pytest.approx(6.0,
-                                                                  rel=1e-7)
+                                                                  rel=1e-7, abs=0)
 
 
 def test_eval_defaults_standard_scale():
     cp = run_cli("eval", "--point", "2,3")
     doc = json.loads(cp.stdout)
-    assert doc["params"]["M"] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert doc["params"]["M"] == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0)
     assert doc["params"]["k"] == 0
     assert doc["quantities"]["conformal_factor"] == pytest.approx(28.0,
-                                                                  rel=1e-12)
+                                                                  rel=1e-12, abs=0)
 
 
 def test_eval_moment_chart_roundtrip():
@@ -82,8 +83,8 @@ def test_eval_moment_chart_roundtrip():
         cp2 = run_cli("eval", "--k", "0.5", "--chart", "moment", "--point",
                       f"{q['moment_1']!r},{q['moment_2']!r}".replace("'", ""))
         doc2 = json.loads(cp2.stdout)
-        assert doc2["point"]["u"] == pytest.approx(u, rel=1e-9)
-        assert doc2["point"]["v"] == pytest.approx(v, rel=1e-9)
+        assert doc2["point"]["u"] == pytest.approx(u, rel=1e-9, abs=0)
+        assert doc2["point"]["v"] == pytest.approx(v, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("family,k,chart,point,key", [
@@ -105,10 +106,10 @@ def test_eval_radial_charts_give_back_the_radius(family, k, chart, point, key):
     assert cp.returncode == 0, cp.stderr
     doc = json.loads(cp.stdout)
     assert doc["point"]["chart"] == chart
-    assert doc["quantities"][key] == pytest.approx(point[0], rel=1e-10)
+    assert doc["quantities"][key] == pytest.approx(point[0], rel=1e-10, abs=0)
     if chart == "polar":
         assert doc["quantities"]["launch_angle"] == pytest.approx(point[1],
-                                                                  rel=1e-9)
+                                                                  rel=1e-9, abs=0)
 
 
 def test_eval_out_file(tmp_path: Path):
@@ -149,6 +150,25 @@ def test_bad_arguments_exit_2(args):
     assert cp.returncode == 2
     assert cp.stdout == "" or "usage" in cp.stderr.lower() \
         or "error" in cp.stderr.lower()
+
+
+@pytest.mark.parametrize("args,named", [
+    (("geodesic", "--eta", "0.5", "--R", "inf"), "--R"),   # ran without end
+    (("geodesic", "--eta", "0.5", "--R", "nan"), "--R"),   # printed nan rows
+    (("geodesic", "--eta", "5"), "launch angle"),
+    (("geodesic", "--eta", "0.5", "--samples", "0"), "--samples"),
+    (("geodesic", "--eta", "0.5", "--samples", "-3"), "--samples"),
+    (("contour", "--R", "nan"), "--R"),
+    (("contour", "--R", "inf"), "--R"),
+    (("contour", "--R", "-1"), "--R"),   # named a fan sample R=-0.015625
+    (("contour", "--phi-samples=-1"), "--phi-samples"),
+    (("contour", "--eta", "5"), "--eta"),
+    (("contour", "--eta", "-0.3"), "--eta"),
+])
+def test_invalid_geodesic_and_contour_inputs_exit_2(args, named):
+    cp = run_cli(*args)
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.startswith("error: ") and named in cp.stderr
 
 
 def test_bad_arguments_exit_2_from_a_process():
@@ -230,8 +250,8 @@ def test_every_command_runs_without_scipy():
     assert cp.returncode == 0, cp.stderr
     doc = json.loads(cp.stdout)
     assert doc["scipy"] == []
-    assert doc["ode"] == pytest.approx(math.e, rel=1e-10)
-    assert doc["quad"] == pytest.approx(math.pi / 4.0, rel=1e-7)
+    assert doc["ode"] == pytest.approx(math.e, rel=1e-10, abs=0)
+    assert doc["quad"] == pytest.approx(math.pi / 4.0, rel=1e-7, abs=0)
 
 
 # ------------------------------------------------------------------- geodesic
@@ -287,6 +307,68 @@ def test_contour_level0_origin_only():
     assert any(l.startswith("geodesic-") for l in lines[1:])
 
 
+def _scalar_contour_keys(params, eta, R, n_levels, n_phi):
+    """(curve, kind, param) of the rows of a contour drawn by scalar solves:
+    each level ray by ray, every ray's Newton solve started at the previous
+    ray's root, then the fan point by point."""
+    from taubnut import geodesics, metrics
+    from taubnut.numerics import NoBracket, find_root_monotone
+
+    lo, hi = params.geometry.eta_range
+    velocity = params.geometry.shoot_rhs(eta)
+    keys = []
+    for i in range(n_levels):
+        level = R * i / (n_levels - 1)
+        r = level
+        for phi in ([0.0] if level == 0.0 else np.linspace(lo, hi, n_phi).tolist()):
+            cp, sp = math.cos(phi), math.sin(phi)
+
+            def f(r):
+                du, dv = velocity(0.0, (r * cp, r * sp))
+                return (geodesics.eikonal_S(params, eta, r * cp, r * sp) - level,
+                        metrics.conformal_factor(params, r * cp, r * sp) * (cp * du + sp * dv),
+                        None)
+            try:
+                r = find_root_monotone(f, 0.0, 2.0 ** 29, x0=r, abs_tol=geodesics.ROOT_TOL)
+            except NoBracket:
+                continue
+            keys.append((f"level-{i}", "level", phi))
+    fan = [e for e in (j * math.pi / 12.0 for j in range(-6, 7)) if e >= lo]
+    for j, _ in enumerate(fan):
+        keys += [(f"geodesic-{j}", "geodesic", t) for t in np.linspace(0.0, R, n_phi).tolist()]
+    return keys
+
+
+@pytest.mark.parametrize("args", [
+    ("--family", "halfplane", "--eta", "0.3", "--levels", "3", "--R", "4"),   # README
+    ("--family", "generalized", "--k", "0.5", "--eta", "0.4", "--levels", "4", "--R", "6"),
+    ("--family", "halfplane", "--eta", "0.4", "--levels", "4", "--R", "6"),
+], ids=["readme", "bench-generalized", "bench-halfplane"])
+def test_contour_rows_match_the_scalar_solves(args):
+    from taubnut import geodesics
+    from taubnut.family import Family, InstantonParams
+
+    opts = dict(zip(args[::2], args[1::2]))
+    params = (InstantonParams(k=float(opts["--k"])) if opts["--family"] == "generalized"
+              else InstantonParams(Family.EXCEPTIONAL_HALF_PLANE))
+    eta, R, n_levels = float(opts["--eta"]), float(opts["--R"]), int(opts["--levels"])
+    cp = run_cli("contour", *args)
+    assert cp.returncode == 0, cp.stderr
+    cells = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+    # the origin prints unsigned, also on rays of negative eta
+    assert all(c[3:5] == ["0", "0"] for c in cells if c[1] == "geodesic" and c[2] == "0")
+    rows = [(name, kind, *map(float, nums)) for name, kind, *nums in cells]
+    assert [row[:3] for row in rows] == _scalar_contour_keys(params, eta, R, n_levels, 65)
+    for _, kind, param, u, v, value in rows:
+        if kind == "level":
+            assert abs(geodesics.eikonal_S(params, eta, u, v) - value) <= 1e-12 * max(1.0, value)
+        elif param == 0.0:
+            assert u == v == 0.0
+        else:
+            rec = geodesics.point_from_polar(params, param, value)
+            assert abs(u - rec.u) <= 1e-15 * abs(rec.u) and abs(v - rec.v) <= 1e-15 * abs(rec.v)
+
+
 def test_contour_svg(tmp_path: Path):
     out = tmp_path / "c.svg"
     cp = run_cli("contour", "--family", "halfplane", "--R", "2",
@@ -303,10 +385,10 @@ def test_energy_json():
     cp = run_cli("energy", "--k", "0.5")
     doc = json.loads(cp.stdout)
     assert doc["l2_ricci_closed"] == pytest.approx(
-        4.0 * math.pi ** 2 * 0.25 / 0.75, rel=1e-12)
+        4.0 * math.pi ** 2 * 0.25 / 0.75, rel=1e-12, abs=0)
     assert doc["rel_error"] < 1e-6
     assert doc["l2_riemann"] == pytest.approx(
-        32.0 * math.pi ** 2 + 4.0 * doc["l2_ricci_closed"], rel=1e-12)
+        32.0 * math.pi ** 2 + 4.0 * doc["l2_ricci_closed"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("k", ["0.99", "-0.99"])

@@ -40,16 +40,16 @@ def test_k_sigma_closed_form():
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
     expect = (M / SQRT2) * (-1.0 + k * (1.0 + k) * u * u
                             - k * (1.0 - k) * v * v) / D ** 3
-    assert GEN05.geometry.polytope_curvature(u, v) == pytest.approx(expect, rel=1e-14)
+    assert GEN05.geometry.polytope_curvature(u, v) == pytest.approx(expect, rel=1e-14, abs=0)
 
 
 def test_k_sigma_exceptional_closed_form():
     for u in (0.3, 1.0, 2.5):
         expect = -(1.0 - u * u) / (1.0 + u * u) ** 3
         assert EXC.geometry.polytope_curvature(u, 0.7) == pytest.approx(expect,
-                                                                rel=1e-14)
+                                                                rel=1e-14, abs=0)
         assert HP.geometry.polytope_curvature(u, -0.3) == pytest.approx(expect,
-                                                                rel=1e-14)
+                                                                rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("params", [GEN, GEN05, GEN09, EXC, HP])
@@ -69,7 +69,7 @@ def test_overscaled_variant_differs_by_sqrt2():
     for u, v in INTERIOR:
         truth = GEN05.geometry.polytope_curvature(u, v)
         over = GEN05.geometry.polytope_curvature_overscaled(u, v)
-        assert over == pytest.approx(SQRT2 * truth, rel=1e-14)
+        assert over == pytest.approx(SQRT2 * truth, rel=1e-14, abs=0)
         assert abs(over - polytope_curvature_fd(GEN05, u, v)) > 0.1 * abs(truth)
 
 
@@ -82,7 +82,7 @@ def test_polar_form_matches_overscaled_every_mass():
             theta = math.pi / 2.0 - 2.0 * math.atan2(v, u)
             got = polytope_curvature_polar_form(p, r, theta)
             over = p.geometry.polytope_curvature_overscaled(u, v)
-            assert got == pytest.approx(over, rel=1e-12)
+            assert got == pytest.approx(over, rel=1e-12, abs=0)
 
 
 def test_polar_form_origin_raises():
@@ -101,20 +101,20 @@ def test_flat_is_flat():
 def test_ricci_potentials_halfplane():
     x, y = 0.8, -1.1
     r1, r2 = HP.geometry.ricci_potentials(x, y)
-    assert r1 == pytest.approx(2.0 / (1.0 + x * x), rel=1e-14)
-    assert r2 == pytest.approx(4.0 * y / (1.0 + x * x), rel=1e-14)
+    assert r1 == pytest.approx(2.0 / (1.0 + x * x), rel=1e-14, abs=0)
+    assert r2 == pytest.approx(4.0 * y / (1.0 + x * x), rel=1e-14, abs=0)
 
 
 def test_pseudo_density_closed_forms():
     k, u, v = 0.5, 1.2, 0.8
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
     assert GEN05.geometry.ricci_density(u, v) == pytest.approx(
-        8.0 * k * k * u * v / D ** 3, rel=1e-14)
+        8.0 * k * k * u * v / D ** 3, rel=1e-14, abs=0)
     assert EXC.geometry.ricci_density(u, v) == pytest.approx(
-        2.0 * u * v / (1.0 + u * u) ** 3, rel=1e-14)
+        2.0 * u * v / (1.0 + u * u) ** 3, rel=1e-14, abs=0)
     x = 0.9
     assert HP.geometry.ricci_density(x, 0.0) == pytest.approx(
-        16.0 * x / (1.0 + x * x) ** 3, rel=1e-14)
+        16.0 * x / (1.0 + x * x) ** 3, rel=1e-14, abs=0)
 
 
 def test_pseudo_density_vanishes_at_k0():
@@ -145,11 +145,11 @@ def test_ricci_norm_closed_forms():
     k, u, v = 0.5, 1.2, 0.8
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
     assert GEN05.geometry.ricci_norm(u, v) == pytest.approx(
-        SQRT2 * k * SQRT2 / D ** 2, rel=1e-14)
+        SQRT2 * k * SQRT2 / D ** 2, rel=1e-14, abs=0)
     assert EXC.geometry.ricci_norm(u, v) == pytest.approx(2.0 / (1.0 + u * u) ** 2,
-                                                  rel=1e-14)
+                                                  rel=1e-14, abs=0)
     assert HP.geometry.ricci_norm(u, v) == pytest.approx(
-        math.sqrt(8.0) / (1.0 + u * u) ** 2, rel=1e-14)
+        math.sqrt(8.0) / (1.0 + u * u) ** 2, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("params,factor", [(GEN05, 1.0), (EXC, 1.0),
@@ -162,7 +162,7 @@ def test_product_identity(params, factor):
         lhs = params.geometry.ricci_density(u, v)
         rhs = factor * params.geometry.ricci_norm(u, v) ** 2 \
             * volume_density(params, u, v)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
 
 # ------------------------------------------------------------------- energies
@@ -171,7 +171,7 @@ def test_l2_ricci_closed_vs_quadrature():
     for k in (0.3, 0.5, 0.9):
         rep = l2_ricci(InstantonParams(k=k))
         assert rep.closed_form == pytest.approx(
-            4.0 * math.pi ** 2 * k * k / (1.0 - k * k), rel=1e-15)
+            4.0 * math.pi ** 2 * k * k / (1.0 - k * k), rel=1e-15, abs=0)
         assert rep.rel_error < 1e-6
 
 
@@ -194,9 +194,9 @@ def test_l2_riemann_identity():
         p = InstantonParams(k=k)
         got = p.geometry.l2_riemann
         assert got == pytest.approx(
-            16.0 * math.pi ** 2 * (2.0 - k * k) / (1.0 - k * k), rel=1e-15)
+            16.0 * math.pi ** 2 * (2.0 - k * k) / (1.0 - k * k), rel=1e-15, abs=0)
         assert got - 4.0 * l2_ricci(p).closed_form == pytest.approx(
-            32.0 * math.pi ** 2, rel=1e-15)
+            32.0 * math.pi ** 2, rel=1e-15, abs=0)
 
 
 def test_l2_riemann_needs_generalized():
@@ -215,7 +215,7 @@ def test_halfplane_energy_growth_linear():
     assert rep.growth_exponent == pytest.approx(1.0, abs=1e-3)
     # E(strip of half-height R) = 32 pi^2 R exactly
     for R, val in rep.growth_samples:
-        assert val == pytest.approx(32.0 * math.pi ** 2 * R, rel=1e-6)
+        assert val == pytest.approx(32.0 * math.pi ** 2 * R, rel=1e-6, abs=0)
 
 
 # ------------------------------------------------------------------ 4-metric FD
@@ -246,7 +246,7 @@ def test_calibration_table():
 def test_rm_norm_sq_exact_at_1_1(params, exact):
     # closed values of |Rm|^2 at (u, v) = (1, 1) from a symbolic derivation of
     # the 4-metric of family.py; the FD errors are 1.3e-7, 5.8e-7 and 3.8e-7
-    assert curvature4_fd(params, 1.0, 1.0).rm_norm_sq == pytest.approx(exact, rel=2e-6)
+    assert curvature4_fd(params, 1.0, 1.0).rm_norm_sq == pytest.approx(exact, rel=2e-6, abs=0)
 
 
 def _exact_ints(a):

@@ -180,14 +180,14 @@ def test_residual_derivatives_match_their_values(params):
         x, d = rng.uniform(-8.0, 8.0), 1e-5
         value, slope, curvature = h(x)
         assert curvature is None
-        assert slope == pytest.approx((h(x + d)[0] - h(x - d)[0]) / (2.0 * d), rel=1e-6)
+        assert slope == pytest.approx((h(x + d)[0] - h(x - d)[0]) / (2.0 * d), rel=1e-6, abs=0)
 
         R, eta = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0.05, 1.5)
         f, bound = geo.radial_relation(R, eta)
         s, d = bound * rng.uniform(0.2, 1.0), 1e-4
         value, slope, curvature = f(s)
         up, down = f(s + d)[0], f(s - d)[0]
-        assert slope == pytest.approx((up - down) / (2.0 * d), rel=1e-6)
+        assert slope == pytest.approx((up - down) / (2.0 * d), rel=1e-6, abs=0)
         assert curvature == pytest.approx((up - 2.0 * value + down) / (d * d),
                                           rel=1e-5, abs=1e-6 * (1.0 + R))
 

@@ -12,7 +12,7 @@ from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.numerics import find_root_monotone
 from taubnut.geodesics import (approx_F, distance, eikonal_S,
                                eikonal_residual, geodesic_shoot,
-                               point_from_polar, polar_from_point,
+                               point_from_polar, points_from_polar, polar_from_point,
                                polar_metric_coefficient,
                                polar_metric_coefficient_fd, radius_from_F,
                                solve_eta, solve_F, unparam_residual)
@@ -37,7 +37,7 @@ def test_eikonal_flat_is_linear():
 def test_eikonal_small_eta_frozen():
     # guards the log-sum-exp branch of the leg function near eta = 0
     got = eikonal_S(GEN, 1e-3, 1.0, 1.0)
-    assert got == pytest.approx(2.3303371263029797, rel=1e-12)
+    assert got == pytest.approx(2.3303371263029797, rel=1e-12, abs=0)
     # and continuity onto the axis value
     assert abs(got - eikonal_S(GEN, 0.0, 1.0, 1.0)) < 1e-5
 
@@ -170,6 +170,60 @@ def test_non_finite_radius_is_bad_params(fn, params, R):
     # NaN passes a bare R < 0 check
     with pytest.raises(BadParams):
         fn(params, R, 0.5)
+
+
+ARRAY_FAMILIES = [InstantonParams(k=k) for k in (-0.9, 0.0, 0.5, 0.9)] + [EXC, HP, FLAT]
+ARRAY_IDS = ["GENm09", "GEN", "GEN05", "GEN09", "EXC", "HP", "FLAT"]
+
+
+@pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
+def test_points_from_polar_agrees_with_point_from_polar(params):
+    # numpy's sinh, cos and arcsinh may round differently from math's in the
+    # last place, so the array solve lands within an ulp or so of the scalar
+    # root s ~ log of the point's size, not on it; an ulp of s is a relative
+    # ulp * s in u and v, hence the log factor in the bound
+    rng = random.Random(2024)
+    lo, hi = params.geometry.eta_range
+    Rs = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(400)]
+    etas = [rng.choice((lo, hi, rng.uniform(lo, hi))) for _ in Rs]
+    good, bad = [], []
+    for R, eta in zip(Rs, etas):
+        try:
+            rec = point_from_polar(params, R, eta)
+        except BadParams:
+            bad.append((R, eta))
+        else:
+            good.append((R, eta, rec.u, rec.v))
+    u, v = points_from_polar(params, [g[0] for g in good], [g[1] for g in good])
+    for (R, eta, u0, v0), u1, v1 in zip(good, u.tolist(), v.tolist()):
+        tol = 1e-15 * max(1.0, math.log1p(max(abs(u0), abs(v0))))
+        assert abs(u1 - u0) <= tol * abs(u0) and abs(v1 - v0) <= tol * abs(v0), (R, eta)
+    for R, eta in bad:
+        with pytest.raises(BadParams):
+            points_from_polar(params, np.array([R, 1.0]), np.array([eta, 0.5 * (lo + hi)]))
+    assert len(good) > 300
+
+
+@pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT], ids=["GEN05", "EXC", "HP", "FLAT"])
+@pytest.mark.parametrize("R,eta", [(math.nan, 0.5), (math.inf, 0.5), (-1.0, 0.5),
+                                   (1.0, 2.0), (1.0, -2.0), (1.0, math.nan)])
+def test_points_from_polar_rejects_what_point_from_polar_rejects(params, R, eta):
+    lo, hi = params.geometry.eta_range
+    with pytest.raises(BadParams):
+        point_from_polar(params, R, eta)
+    with pytest.raises(BadParams):
+        points_from_polar(params, np.array([1.0, R]), np.array([0.5 * (lo + hi), eta]))
+
+
+@pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
+def test_scalar_results_are_floats(params):
+    # the kernels that take floats or arrays use math on floats: no 0-d arrays
+    lo, hi = params.geometry.eta_range
+    for eta in (lo, 0.7, hi):
+        rec = point_from_polar(params, 3.0, eta)
+        assert type(rec.u) is float and type(rec.v) is float
+        assert type(distance(params, rec.u, rec.v)) is float
+        assert type(eikonal_S(params, eta, rec.u, rec.v)) is float
 
 
 NEAR_AXES = [(1.0, 1.0), (3.0, 1e-3),
@@ -325,7 +379,7 @@ def test_flat_chart_is_the_half_plane():
         point_from_polar(FLAT, 1.0, 3.0)
     rec = point_from_polar(FLAT, 2.0, -0.4)
     assert rec.v < 0.0
-    assert polar_from_point(FLAT, rec.u, rec.v) == pytest.approx((2.0, -0.4), rel=1e-15)
+    assert polar_from_point(FLAT, rec.u, rec.v) == pytest.approx((2.0, -0.4), rel=1e-15, abs=0)
 
 
 PROPERTY_PARAMS = ([InstantonParams(k=k) for k in (1 - 1e-6, -(1 - 1e-6), 0.5, -0.5, 0.0)]
@@ -372,7 +426,7 @@ def test_launch_angle_range(params, lo):
     # the endpoints are the axis geodesics; anything beyond is off the chart
     for eta in (lo, math.pi / 2):
         rec = point_from_polar(params, 3.0, eta)
-        assert distance(params, rec.u, rec.v) == pytest.approx(3.0, rel=1e-10)
+        assert distance(params, rec.u, rec.v) == pytest.approx(3.0, rel=1e-10, abs=0)
     for eta in (lo - 0.3, math.pi / 2 + 1e-9, 2.0, math.nan):
         with pytest.raises(BadParams):
             point_from_polar(params, 3.0, eta)
@@ -383,19 +437,19 @@ def test_distance_closed_form_exceptional():
     for eta in ETAS:
         rec = point_from_polar(EXC, 5.0, eta)
         via_S = eikonal_S(EXC, eta, rec.u, rec.v)
-        assert distance(EXC, rec.u, rec.v) == pytest.approx(via_S, rel=1e-12)
+        assert distance(EXC, rec.u, rec.v) == pytest.approx(via_S, rel=1e-12, abs=0)
 
 
 def test_distance_halfplane_symmetry():
     assert distance(HP, 1.0, -1.0) == pytest.approx(distance(HP, 1.0, 1.0),
-                                                    rel=1e-12)
+                                                    rel=1e-12, abs=0)
 
 
 def test_distance_frozen_values():
     assert distance(GEN05, 1.0, 1.0) == pytest.approx(2.53409186721,
-                                                      rel=1e-12)
+                                                      rel=1e-12, abs=0)
     assert distance(HP, 1.0, 1.0) == pytest.approx(1.6143105692408874,
-                                                   rel=1e-12)
+                                                   rel=1e-12, abs=0)
 
 
 @given(st.floats(min_value=0.05, max_value=20.0),
@@ -413,7 +467,7 @@ def test_solve_F_inverts_radius():
         for R in (0.01, 1.0, 50.0, 2000.0):
             F = solve_F(GEN05, R, eta)
             assert radius_from_F(GEN05, eta, F) == pytest.approx(
-                R, rel=1e-10)
+                R, rel=1e-10, abs=0)
 
 
 def test_solve_F_origin():
@@ -466,6 +520,17 @@ def test_geodesic_shoot(params, eta):
     assert traj.distance_residual < 1e-6
 
 
+@pytest.mark.parametrize("params,eta,t_end", [
+    (EXC, 5.0, 2.0), (GEN05, -0.3, 2.0), (HP, 2.0, 2.0),
+    (GEN05, 0.5, math.inf), (GEN05, 0.5, math.nan), (GEN05, 0.5, 0.0), (GEN05, 0.5, -1.0),
+])
+def test_geodesic_shoot_rejects_bad_inputs(params, eta, t_end):
+    # an angle off the chart's range used to shoot a curve that is no
+    # radial geodesic; t_end = inf never finished
+    with pytest.raises(BadParams):
+        geodesic_shoot(params, eta, t_end)
+
+
 def test_geodesic_shoot_matches_polar_endpoint():
     traj = geodesic_shoot(GEN05, 0.9, 4.0)
     rec = point_from_polar(GEN05, 4.0, 0.9)
@@ -480,14 +545,14 @@ def test_polar_coefficient_vs_fd():
         for eta in (0.3, 0.8, 1.3):
             A2 = polar_metric_coefficient(GEN05, R, eta)
             fd = polar_metric_coefficient_fd(GEN05, R, eta)
-            assert A2 == pytest.approx(fd, rel=1e-6)
+            assert A2 == pytest.approx(fd, rel=1e-6, abs=0)
 
 
 def test_polar_coefficient_regularity():
     # A ~ R at the origin
     for R in (1e-3, 1e-4):
         A2 = polar_metric_coefficient(GEN05, R, 0.6)
-        assert math.sqrt(A2) == pytest.approx(R, rel=5e-3 * math.sqrt(R))
+        assert math.sqrt(A2) == pytest.approx(R, rel=5e-3 * math.sqrt(R), abs=0)
     assert polar_metric_coefficient(GEN05, 0.0, 0.6) == 0.0
 
 

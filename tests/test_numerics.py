@@ -12,7 +12,8 @@ from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples
                               NoBracket, SlowDecay, StepUnderflow, check_stencil,
                               complex_partials, fd_curvature, fd_gradient,
                               fd_jacobian2, fd_laplacian,
-                              find_root_monotone, fit_power_law,
+                              MaxIterExceeded, find_root_monotone,
+                              find_roots_monotone, fit_power_law,
                               integrate_2d_improper, integrate_2d_region,
                               ode_solve)
 
@@ -72,6 +73,78 @@ def test_root_affine(c):
     r = find_root_monotone(_newton(lambda x: x - c, lambda x: 1.0), -40.0, 40.0,
                            x0=0.0, abs_tol=1e-13)
     assert abs(r - c) < 1e-11 * max(1.0, abs(c))
+
+
+# Residuals built from +, -, * and / round alike on floats and arrays, so
+# the array solve must repeat the scalar one bit for bit, iterates included.
+# Each row is (f, f', f'' or None, lo, hi, x0): Halley and Newton solves, a
+# root at x0, roots past either end (NoBracket), a slope pointing away from
+# the root (bisection), and a bracket end evaluated only when it is needed.
+ROOT_CASES = [
+    (lambda x: x * x * x - 2.0, lambda x: 3.0 * x * x, lambda x: 6.0 * x, 0.0, 4.0, 1.0),
+    (lambda x: x * x * x - 2.0, lambda x: 3.0 * x * x, None, 0.0, 4.0, 3.9),
+    (lambda x: x - 0.25, lambda x: 1.0 + 0.0 * x, None, 0.0, 1.0, 0.25),
+    (lambda x: x + 1.0, lambda x: 1.0 + 0.0 * x, None, 0.0, 1.0, 0.5),
+    (lambda x: x - 2.0, lambda x: 1.0 + 0.0 * x, None, 0.0, 1.0, 0.0),
+    (lambda x: x - 0.3, lambda x: -1.0 + 0.0 * x, None, 0.0, 1.0, 0.9),
+    (lambda x: x * x - 1e-6, lambda x: 0.0 * x, None, 0.0, 3.0, 2.0),
+    (lambda x: (x - 1.0) * (x - 1.0) * (x - 1.0), lambda x: 3.0 * (x - 1.0) * (x - 1.0),
+     lambda x: 6.0 * (x - 1.0), -5.0, 7.0, 6.5),
+]
+
+
+def _columns(cases, i, x):
+    return np.array([case[i](xj) for case, xj in zip(cases, x)])
+
+
+def test_array_root_solve_repeats_the_scalar_solve_bit_for_bit():
+    scalar, visits = [], []
+    for f, d, d2, lo, hi, x0 in ROOT_CASES:
+        seen = []
+
+        def g(x, f=f, d=d, d2=d2, seen=seen):
+            seen.append(x)
+            return f(x), d(x), None if d2 is None else d2(x)
+        try:
+            scalar.append(find_root_monotone(g, lo, hi, x0=x0, abs_tol=1e-13))
+        except NoBracket:
+            scalar.append(None)
+        visits.append(seen)
+
+    iterates = []
+    # a NaN curvature makes the Halley correction non-finite, so those
+    # elements take Newton steps, as the scalar solve does without one
+    curvatures = [(c[2] or (lambda x: math.nan),) for c in ROOT_CASES]
+
+    def g(x):
+        iterates.append(x.copy())
+        return (_columns(ROOT_CASES, 0, x), _columns(ROOT_CASES, 1, x),
+                _columns(curvatures, 0, x))
+    lo, hi, x0 = (np.array([c[k] for c in ROOT_CASES]) for k in (3, 4, 5))
+    roots, no_bracket = find_roots_monotone(g, lo, hi, x0=x0,
+                                            abs_tol=np.full(len(ROOT_CASES), 1e-13))
+    assert [None if nb else r for nb, r in zip(no_bracket, roots.tolist())] == scalar
+    assert np.isnan(roots[no_bracket]).all()
+    for j, seen in enumerate(visits):
+        # the same iterates, then the last one again while others go on
+        assert [float(x[j]) for x in iterates[:len(seen)]] == seen
+        assert all(x[j] == seen[-1] for x in iterates[len(seen):])
+
+
+def test_array_root_solve_without_curvature_takes_newton_steps():
+    def f(x):
+        return x * x * x - 2.0, 3.0 * x * x, None
+    want = find_root_monotone(f, 0.0, 4.0, x0=3.9, abs_tol=1e-13)
+    roots, no_bracket = find_roots_monotone(f, 0.0, 4.0, x0=np.array([3.9, 3.9]), abs_tol=1e-13)
+    assert roots.tolist() == [want, want] and not no_bracket.any()
+
+
+def test_array_root_solve_runs_out_of_iterations():
+    # the slope points away from the root, so every step bisects, and with
+    # a negative tolerance no bracket is narrow enough to stop at
+    with pytest.raises(MaxIterExceeded):
+        find_roots_monotone(lambda x: (x * x - 2.0, -1.0 + 0.0 * x, None),
+                            0.0, 2.0, x0=np.array([0.5, 1.5]), abs_tol=-1.0)
 
 
 # ---------------------------------------------------------------- quadrature
@@ -175,7 +248,7 @@ def test_improper_against_scipy_and_exact(name):
     assert abs(got.value - exact) <= 1e-9 * exact
     ref, _ = integrate.dblquad(lambda v, u: float(f(u, v)), 0.0, math.inf,
                                0.0, math.inf, epsabs=1e-12, epsrel=1e-9)
-    assert got.value == pytest.approx(ref, rel=1e-7)
+    assert got.value == pytest.approx(ref, rel=1e-7, abs=0)
 
 
 def _almost_ball(params, R):
@@ -207,7 +280,7 @@ def test_region_calls_the_boundary_once_per_round_on_arrays():
         return np.maximum(1.0 - u, 0.0)
 
     got = integrate_2d_region(lambda u, v: u + v, 1.0, v_max)
-    assert got.value == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert got.value == pytest.approx(1.0 / 3.0, rel=1e-14, abs=0)
     assert all(isinstance(u, np.ndarray) for u in calls)
     # each outer node is passed once, in one array per round: fewer calls
     # than boxes, where a call per node would make GAUSS_ORDER per box
@@ -225,10 +298,10 @@ def test_region_against_scipy_and_exact(name):
         lambda u: integrate.quad(lambda v: float(f(u, v)), 0.0, v_max(u),
                                  epsabs=1e-13, epsrel=1e-13, limit=200)[0],
         0.0, u_max, epsabs=1e-13, epsrel=1e-13, limit=200)
-    assert got.value == pytest.approx(ref, rel=1e-12)
+    assert got.value == pytest.approx(ref, rel=1e-12, abs=0)
     if exact is not None:
         assert got.error >= abs(got.value - exact)
-        assert got.value == pytest.approx(exact, rel=1e-14)
+        assert got.value == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 # ------------------------------------------------------------------------ ode
