@@ -3,8 +3,8 @@ instantons: coordinate charts, distance functions and geodesics, curvature
 and L^2 energies, volume growth, and blowdown limits.
 
 The four metric families are selected through
-:class:`taubnut.family.InstantonParams`, which builds the family's geometry
-object once.  Every formula that differs between families -- parameter
+:class:`taubnut.family.InstantonParams`, whose instances belong to the
+family's class.  Every formula that differs between families -- parameter
 validation, chart domain, charts, metric, eikonal and radial relations,
 curvature closed forms, almost-ball data -- is written in that family's
 class in :mod:`taubnut.family`, so adding a family or a domain rule touches

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .family import BadParams, InstantonParams, uv_from_almost_polar
+from .family import BadParams, InstantonParams, finite_or_bad_params, uv_from_almost_polar
 from .geodesics import distance, point_from_polar
 from .metrics import TORUS_VOLUME, volume_density
 from .numerics import (InsufficientSamples, QuadratureResult, fit_power_law,
@@ -39,6 +39,7 @@ class SmallRadius(Exception):
 # almost-ball volumes
 # --------------------------------------------------------------------------
 
+@finite_or_bad_params
 def almost_ball_volume(params: InstantonParams, R: float) -> float:
     """Exact volume of AB(R).
 
@@ -50,10 +51,11 @@ def almost_ball_volume(params: InstantonParams, R: float) -> float:
 
     The half-plane family has unbounded fibers (infinite volume per unit of
     the noncompact fiber coordinate) and is rejected rather than normalized.
+    BadParams for R < 0, or a volume that is not finite.
     """
     if R < 0.0:
         raise BadParams(f"almost-ball radius must be >= 0, got {R}")
-    return params.geometry.almost_ball_volume(R)
+    return params.almost_ball_volume(R)
 
 
 def almost_ball_volume_quadrature(params: InstantonParams, R: float) -> QuadratureResult:
@@ -63,10 +65,9 @@ def almost_ball_volume_quadrature(params: InstantonParams, R: float) -> Quadratu
     validate the closed forms."""
     if R <= 0.0:
         raise BadParams(f"almost-ball radius must be positive, got {R}")
-    geo = params.geometry
     return integrate_2d_region(
         lambda u, v: TORUS_VOLUME * volume_density(params, u, v),
-        geo.almost_ball_u_max(R), lambda u: geo.almost_ball_v_max(R, u))
+        params.almost_ball_u_max(R), lambda u: params.almost_ball_v_max(R, u))
 
 
 # --------------------------------------------------------------------------
@@ -89,7 +90,7 @@ def measured_epsilon_bar(params: InstantonParams, R: float) -> float:
     worst = 0.0
     for eta in EPSILON_GRID:
         rec = point_from_polar(params, R, eta)
-        rt = params.geometry.almost_distance(rec.u, rec.v)
+        rt = params.almost_distance(rec.u, rec.v)
         worst = max(worst, abs(rt / R - 1.0))
     return worst
 
@@ -150,9 +151,12 @@ class SandwichSample:
 
 def sphere_sandwich(params: InstantonParams, r_tilde: float,
                     *, n: int = 50) -> SandwichSample:
-    """Sample AS(r_tilde) at n angles and measure Rtilde - distance."""
+    """Sample AS(r_tilde) at n angles and measure Rtilde - distance.
+    BadParams unless n is an int >= 2."""
     if r_tilde <= 0.0:
         raise BadParams(f"need a positive radius, got {r_tilde}")
+    if not (isinstance(n, int) and n >= 2):
+        raise BadParams(f"n must be an int >= 2, got {n!r}")
     gaps = []
     cs = []
     for i in range(n):

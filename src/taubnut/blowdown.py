@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams
+from .family import (HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams,
+                     finite_or_bad_params)
 from .metrics import conformal_factor, fiber_matrix
 from .numerics import check_stencil, fd_conformal_curvature, fd_curvature, fd_gradient
 
@@ -97,6 +98,7 @@ def _cone_factor(k, u, v):
     return (1.0 + k) * (u * u) + (1.0 - k) * (v * v)
 
 
+@finite_or_bad_params
 def conifold_metric(k: float, u: float, v: float) -> ConifoldMetric:
     _check_k(k)
     P = _cone_factor(k, u, v)
@@ -117,6 +119,7 @@ def _large_mass_scaled(k: float, u: float, v: float,
     return lam_scaled, np.array(fiber_matrix(params, c * u, c * v), dtype=float)
 
 
+@finite_or_bad_params
 def conifold_limit_residual(k: float, u: float, v: float,
                             M: float) -> tuple[float, float]:
     """(leaf residual, fiber residual) of the scaled generalized family at
@@ -136,6 +139,7 @@ def conifold_limit_residual(k: float, u: float, v: float,
     return leaf_res, fiber_res
 
 
+@finite_or_bad_params
 def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
     """Closed-form curvature of the conifold 3-metric.
 
@@ -198,8 +202,8 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
     step = 1e-4
     check_stencil(u, v, 2.0 * step, QUADRANT)   # the axes are degenerate
 
-    def g3(a, b):
-        m = conifold_metric(k, a, b)
+    def g3(a, b):   # the unchecked formula: this runs at every FD stencil point
+        m = conifold_metric.__wrapped__(k, a, b)
         return np.diag([m.conformal, m.conformal, m.fiber_scalar])
 
     ric = fd_curvature(g3, u, v, step=step)[3]
@@ -274,6 +278,7 @@ class BlowdownMetric4:
     moments: tuple[float, float]
 
 
+@finite_or_bad_params
 def second_blowdown_metric(k: float, u: float, v: float) -> BlowdownMetric4:
     _check_k(k)
     u2, v2 = u * u, v * v
@@ -304,6 +309,7 @@ def second_blowdown_moment_residual(k: float, u: float, v: float) -> float:
     return float(np.abs(m.fiber - oracle).max())
 
 
+@finite_or_bad_params
 def second_blowdown_limit_residual(k: float, u: float, v: float,
                                    M: float) -> tuple[float, float]:
     """(leaf, fiber) residuals of the generalized family at mass M against
@@ -346,6 +352,7 @@ def second_blowdown_conformal_xy(k: float, x: float, y: float) -> float:
 # exceptional blowdown
 # --------------------------------------------------------------------------
 
+@finite_or_bad_params
 def exceptional_blowdown_metric(u: float, v: float) -> tuple[float, np.ndarray]:
     """(conformal, fiber) of the exceptional family's blowdown:
 
@@ -360,6 +367,7 @@ def exceptional_blowdown_metric(u: float, v: float) -> tuple[float, np.ndarray]:
     return u2, fiber
 
 
+@finite_or_bad_params
 def exceptional_blowdown_curvature(u: float) -> float:
     """Polytope sectional curvature of the exceptional blowdown: +u^(-4).
 
@@ -379,6 +387,7 @@ def exceptional_blowdown_curvature_fd(u: float) -> float:
                                   u, 1.0, step=1e-5)
 
 
+@finite_or_bad_params
 def exceptional_blowdown_limit_residual(u: float, v: float,
                                         M: float) -> tuple[float, float]:
     """(leaf, fiber) residuals of the exceptional family at scale M against
@@ -447,6 +456,7 @@ def pointed_limit_fiber(u: float, v: float) -> np.ndarray:
                      [2.0 * u * u * v / lam, u * u / lam]])
 
 
+@finite_or_bad_params
 def pointed_limit_halfplane(A: float, u: float, v: float) -> PointedLimitSample:
     """Exceptional family recentered at (0, A), evaluated at shifted
     coordinates (u, v) (original v-coordinate A + v), with the Killing
@@ -477,14 +487,15 @@ def pointed_limit_moments(A: float, u: float, v: float) -> tuple[float, float]:
     (v (1 + u^2), u^2 / 2) with exact deficit (v^2 (1 + u^2) / (2A), 0)."""
     if A <= 0.0:
         raise BadParams(f"recentering parameter must be positive, got {A}")
-    geo = InstantonParams(Family.EXCEPTIONAL_TN).geometry
+    params = InstantonParams(Family.EXCEPTIONAL_TN)
     T = _pointed_recombination(A)
-    p = np.array(geo.moment_map(u, A + v))
-    base = np.array(geo.moment_map(0.0, A))
+    p = np.array(params.moment_map(u, A + v))
+    base = np.array(params.moment_map(0.0, A))
     out = T @ (p - base)
     return float(out[0]), float(out[1])
 
 
+@finite_or_bad_params
 def pointed_limit_moments_limit(u: float, v: float) -> tuple[float, float]:
     """Limit momentum functions: the half-plane pair with indices switched."""
     return v * (1.0 + u * u), 0.5 * u * u

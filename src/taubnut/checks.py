@@ -63,11 +63,11 @@ def chart_roundtrip():
     worst = 0.0
     for pp in _ALL_PARAMS:
         for (u, v) in [(0.7, 0.4), (1.3, 2.1)]:
-            if pp.geometry.bounds[1][0] < 0.0:   # a half-plane: try v < 0
+            if pp.bounds[1][0] < 0.0:   # a half-plane: try v < 0
                 v = v - 1.0
-            uu, vv = pp.geometry.uv_from_xy(*pp.geometry.xy_from_uv(u, v))
+            uu, vv = pp.uv_from_xy(*pp.xy_from_uv(u, v))
             worst = max(worst, abs(uu - u) + abs(vv - v))
-            uu, vv = pp.geometry.uv_from_moment(*pp.geometry.moment_map(u, v))
+            uu, vv = pp.uv_from_moment(*pp.moment_map(u, v))
             worst = max(worst, abs(uu - u) + abs(vv - v))
     expect(worst < 1e-10, f"round-trip error {worst:.2e}")
     return f"max round-trip error {worst:.2e}"
@@ -106,7 +106,7 @@ def moment_oracle():
             lam = metrics.conformal_factor(pp, u, v)
             F = np.array(metrics.fiber_matrix(pp, u, v), dtype=float)
             _, du, dv = complex_partials(
-                lambda a, b: np.array(pp.geometry.moment_map(a, b)), u, v)
+                lambda a, b: np.array(pp.moment_map(a, b)), u, v)
             oracle = (np.outer(du, du) + np.outer(dv, dv)) / lam
             worst = max(worst, float(np.abs(F - oracle).max()))
     expect(worst < 1e-12, f"moment oracle residual {worst:.2e}")
@@ -204,7 +204,7 @@ def gauss_fd():
     worst = 0.0
     for pp in _ALL_PARAMS:
         for (u, v) in [(0.6, 0.9), (1.8, 1.2)]:
-            K = pp.geometry.polytope_curvature(u, v)
+            K = pp.polytope_curvature(u, v)
             fd = curvature.polytope_curvature_fd(pp, u, v)
             worst = max(worst, abs(K - fd) / max(abs(K), 1e-3))
     expect(worst < 1e-4, f"Gauss FD {worst:.2e}")
@@ -217,7 +217,7 @@ def pseudo_jacobian():
     for pp in [_GEN05, _EXC, _HP]:
         for (u, v) in [(0.5, 1.2), (1.4, 0.7)]:
             worst = max(worst, abs(
-                pp.geometry.ricci_density(u, v)
+                pp.ricci_density(u, v)
                 - curvature.ricci_pseudo_jacobian_fd(pp, u, v)))
     expect(worst < 1e-5, f"pseudo-density vs Jacobian {worst:.2e}")
     return f"max abs error {worst:.2e}"
@@ -228,8 +228,8 @@ def product_identity():
     worst = 0.0
     for pp, fac in [(_GEN05, 1.0), (_EXC, 1.0), (_HP, 2.0)]:
         for (u, v) in [(0.5, 1.2), (1.4, 0.7)]:
-            lhs = pp.geometry.ricci_density(u, v)
-            rhs = fac * pp.geometry.ricci_norm(u, v) ** 2 \
+            lhs = pp.ricci_density(u, v)
+            rhs = fac * pp.ricci_norm(u, v) ** 2 \
                 * metrics.volume_density(pp, u, v)
             worst = max(worst, abs(lhs - rhs))
     expect(worst < 1e-12, f"product identity {worst:.2e}")
@@ -247,7 +247,7 @@ def l2_ricci_quadrature():
 def energy_identity():
     for k in (0.3, 0.8):
         pp = InstantonParams(Family.GENERALIZED_TN, k=k)
-        gap = pp.geometry.l2_riemann - 4.0 * pp.geometry.l2_ricci_closed
+        gap = pp.l2_riemann - 4.0 * pp.l2_ricci_closed
         expect(abs(gap - 32.0 * math.pi ** 2) < 1e-9, f"identity gap {gap}")
     return "l2_riemann - 4 l2_ricci = 32 pi^2 exactly"
 
@@ -264,8 +264,8 @@ def scalar_flat():
 
 @check("curvature.norm-dichotomy")
 def norm_dichotomy():
-    e = _EXC.geometry.ricci_norm(0.05, 1.0)
-    h = _HP.geometry.ricci_norm(0.05, 1.0)
+    e = _EXC.ricci_norm(0.05, 1.0)
+    h = _HP.ricci_norm(0.05, 1.0)
     expect(abs(e - 2.0) < 0.02 and abs(h - math.sqrt(8.0)) < 0.03,
            f"axis norms {e:.4f}, {h:.4f}")
     return f"|Ric| -> 2 (exceptional) vs sqrt(8) (half-plane): {e:.4f}, {h:.4f}"

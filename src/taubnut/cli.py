@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import asymptotics, blowdown, checks, curvature, family, geodesics, metrics
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
-from .numerics import SlowDecay, find_roots_monotone
+from .numerics import InsufficientSamples, SlowDecay, find_roots_monotone
 
 FAMILY_NAMES = {
     "generalized": Family.GENERALIZED_TN,
@@ -128,7 +128,6 @@ def _cmd_eval(args) -> int:
     else:
         u, v = family.uv_from_chart(params, chart, c1, c2)
 
-    geo = params.geometry
     fiber = np.array(metrics.fiber_matrix(params, u, v), dtype=float)
     R, eta = geodesics.polar_from_point(params, u, v)
     q = {}
@@ -153,14 +152,14 @@ def _cmd_eval(args) -> int:
     put(["volume_density"], lambda: [metrics.volume_density(params, u, v)])
     put(["fiber_11", "fiber_12", "fiber_22", "fiber_det"],
         lambda: [fiber[0, 0], fiber[0, 1], fiber[1, 1], np.linalg.det(fiber)])
-    put(["moment_1", "moment_2"], lambda: geo.moment_map(u, v))
-    put(["k_sigma"], lambda: [geo.polytope_curvature(u, v)])
-    put(["ricci_potential_1", "ricci_potential_2"], lambda: geo.ricci_potentials(u, v))
-    put(["ricci_norm"], lambda: [geo.ricci_norm(u, v)])
-    put(["ricci_pseudo_density"], lambda: [geo.ricci_density(u, v)])
+    put(["moment_1", "moment_2"], lambda: params.moment_map(u, v))
+    put(["k_sigma"], lambda: [params.polytope_curvature(u, v)])
+    put(["ricci_potential_1", "ricci_potential_2"], lambda: params.ricci_potentials(u, v))
+    put(["ricci_norm"], lambda: [params.ricci_norm(u, v)])
+    put(["ricci_pseudo_density"], lambda: [params.ricci_density(u, v)])
     put(["distance", "launch_angle"], lambda: [R, eta])
     try:
-        put(["almost_distance"], lambda: [geo.almost_distance(u, v)])
+        put(["almost_distance"], lambda: [params.almost_distance(u, v)])
     except WrongFamily:
         pass
     doc = {
@@ -203,7 +202,7 @@ def _trace_level(params, eta, level, cp, sp, r0):
     negative near an axis).  grad S_eta is lambda times the velocity of the
     unit-speed eta-geodesic: the right-hand side from shoot_rhs, which takes
     arrays (u, v) when built for an array eta."""
-    velocity = params.geometry.shoot_rhs(np.asarray(eta))
+    velocity = params.shoot_rhs(np.asarray(eta))
 
     def f(r):
         u, v = r * cp, r * sp
@@ -217,7 +216,7 @@ def _trace_level(params, eta, level, cp, sp, r0):
 def _cmd_contour(args) -> int:
     params = _params(args)
     # rays and launch angles both sweep the chart domain
-    eta_lo, eta_hi = params.geometry.eta_range
+    eta_lo, eta_hi = params.eta_range
     if args.levels < 2:
         raise UsageError(f"--levels must be >= 2, got {args.levels}")
     if args.phi_samples < 2:
@@ -306,7 +305,7 @@ def _cmd_energy(args) -> int:
         "growth_samples": [list(s) for s in rep.growth_samples],
     }
     try:
-        doc["l2_riemann"] = params.geometry.l2_riemann
+        doc["l2_riemann"] = params.l2_riemann
     except WrongFamily:
         pass
     if args.format == "csv":
@@ -371,43 +370,40 @@ def _cmd_blowdown(args) -> int:
     rows = []
     summary = {"version": __version__, "construction": args.construction,
                "k": args.k, "point": [u, v]}
-    try:
-        if args.construction == "conifold":
-            for M in [1e2, 1e3, 1e4, 1e5, 1e6]:
-                leaf, fib = blowdown.conifold_limit_residual(args.k, u, v, M)
-                rows.append([M, leaf, fib])
-            m = blowdown.conifold_metric(args.k, u, v)
-            c = blowdown.conifold_curvatures(args.k, u, v)
-            summary.update(conformal=m.conformal, fiber_scalar=m.fiber_scalar,
-                           k_sigma=c.k_sigma, scalar3=c.scalar3)
-        elif args.construction == "second":
-            for M in [1e2, 1e3, 1e4, 1e5, 1e6]:
-                leaf, fib = blowdown.second_blowdown_limit_residual(args.k, u, v, M)
-                rows.append([M, leaf, fib])
-            m = blowdown.second_blowdown_metric(args.k, u, v)
-            summary.update(conformal=m.conformal,
-                           fiber=[list(r) for r in m.fiber],
-                           fiber_det=float(np.linalg.det(m.fiber)),
-                           moments=list(m.moments))
-        elif args.construction == "exceptional":
-            for M in [1e1, 1e2, 1e3, 1e4]:
-                leaf, fib = blowdown.exceptional_blowdown_limit_residual(u, v, M)
-                rows.append([M, leaf, fib])
-            conf, fib = blowdown.exceptional_blowdown_metric(u, v)
-            summary.update(conformal=conf, fiber=[list(r) for r in fib],
-                           k_sigma=blowdown.exceptional_blowdown_curvature(u))
-        else:   # pointed
-            for A in [1e1, 1e2, 1e3, 1e4]:
-                s = blowdown.pointed_limit_halfplane(A, u, v)
-                rows.append([A, 0.0, s.residual])
-            # s is the A = 1e4 sample, the last of the table
-            summary.update(conformal=s.conformal,
-                           limit_fiber=[list(r) for r in s.limit_fiber],
-                           fiber_topology_finite=s.fiber_topology,
-                           fiber_topology_limit=blowdown.LIMIT_FIBER_TOPOLOGY,
-                           moments=list(blowdown.pointed_limit_moments_limit(u, v)))
-    except (BadParams, blowdown.SingularAxis) as exc:
-        raise UsageError(str(exc))
+    if args.construction == "conifold":
+        for M in [1e2, 1e3, 1e4, 1e5, 1e6]:
+            leaf, fib = blowdown.conifold_limit_residual(args.k, u, v, M)
+            rows.append([M, leaf, fib])
+        m = blowdown.conifold_metric(args.k, u, v)
+        c = blowdown.conifold_curvatures(args.k, u, v)
+        summary.update(conformal=m.conformal, fiber_scalar=m.fiber_scalar,
+                       k_sigma=c.k_sigma, scalar3=c.scalar3)
+    elif args.construction == "second":
+        for M in [1e2, 1e3, 1e4, 1e5, 1e6]:
+            leaf, fib = blowdown.second_blowdown_limit_residual(args.k, u, v, M)
+            rows.append([M, leaf, fib])
+        m = blowdown.second_blowdown_metric(args.k, u, v)
+        summary.update(conformal=m.conformal,
+                       fiber=[list(r) for r in m.fiber],
+                       fiber_det=float(np.linalg.det(m.fiber)),
+                       moments=list(m.moments))
+    elif args.construction == "exceptional":
+        for M in [1e1, 1e2, 1e3, 1e4]:
+            leaf, fib = blowdown.exceptional_blowdown_limit_residual(u, v, M)
+            rows.append([M, leaf, fib])
+        conf, fib = blowdown.exceptional_blowdown_metric(u, v)
+        summary.update(conformal=conf, fiber=[list(r) for r in fib],
+                       k_sigma=blowdown.exceptional_blowdown_curvature(u))
+    else:   # pointed
+        for A in [1e1, 1e2, 1e3, 1e4]:
+            s = blowdown.pointed_limit_halfplane(A, u, v)
+            rows.append([A, 0.0, s.residual])
+        # s is the A = 1e4 sample, the last of the table
+        summary.update(conformal=s.conformal,
+                       limit_fiber=[list(r) for r in s.limit_fiber],
+                       fiber_topology_finite=s.fiber_topology,
+                       fiber_topology_limit=blowdown.LIMIT_FIBER_TOPOLOGY,
+                       moments=list(blowdown.pointed_limit_moments_limit(u, v)))
     monotone = all(rows[i][2] >= rows[i + 1][2] for i in range(len(rows) - 1))
     summary["residuals_monotone"] = monotone
     summary["residual_table"] = [[r[0], r[1], r[2]] for r in rows]
@@ -529,7 +525,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, BadParams, WrongFamily, SlowDecay) as exc:
+    except (UsageError, BadParams, WrongFamily, SlowDecay, InsufficientSamples,
+            blowdown.SingularAxis) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,8 @@ closed forms -- the FD Gauss curvature oracle, the FD Jacobian of the Ricci
 potentials, the L^2 Ricci energy by quadrature, a finite-difference
 curvature oracle for the full 4-metric, and decay-rate fits along geodesics.
 
-The closed forms are methods and attributes of the family's geometry
-(``params.geometry``, :mod:`taubnut.family`), called directly:
+The closed forms are methods and attributes of the family's class in
+:mod:`taubnut.family`, called on the parameters directly (``params.<name>``):
 
 * ``polytope_curvature(u, v)`` is the genuine Gauss curvature of the leaf
   metric lambda (du^2 + dv^2), i.e. the value the conformal oracle
@@ -44,7 +44,7 @@ The closed forms are methods and attributes of the family's geometry
 
 * The FD oracle's Ricci tensor norm relates to ricci_norm by a frozen
   per-family calibration factor (``ricci_calibration`` of the family's
-  geometry): 2 for the Taub-NUT-type families, sqrt(2) for the half-plane
+  class): 2 for the Taub-NUT-type families, sqrt(2) for the half-plane
   instanton.  It is frozen against symbolic Ricci norms of the three
   4-metrics (|Ric|^2_tensor = 8 M^2 k^2 / D^4, 16/(1+u^2)^4, 16/(1+x^2)^4).
 """
@@ -100,7 +100,7 @@ def polytope_curvature_polar_form(params: InstantonParams, r: float,
     do, for every M, once 2*eta is read as the (u,v) polar angle)."""
     if r == 0.0:
         raise OriginSingularity("use the (u,v) form at the polytope corner")
-    return params.geometry.polytope_curvature_polar_form(r, theta)
+    return params.polytope_curvature_polar_form(r, theta)
 
 
 def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
@@ -108,7 +108,7 @@ def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
     at step 1e-3, O(step^2).  Needs 2*step of clearance from the chart
     boundary."""
     step = 1e-3
-    check_stencil(u, v, 2 * step, params.geometry.bounds)
+    check_stencil(u, v, 2 * step, params.bounds)
     return fd_conformal_curvature(lambda a, b: conformal_factor(params, a, b),
                                   u, v, step=step)
 
@@ -116,7 +116,7 @@ def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
 def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> float:
     """FD oracle for the pseudo-volume density: |det of the potential
     Jacobian| by central differences of step 1e-4."""
-    jac = fd_jacobian2(params.geometry.ricci_potentials, u, v, step=1e-4)
+    jac = fd_jacobian2(params.ricci_potentials, u, v, step=1e-4)
     return abs(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
 
 
@@ -135,13 +135,12 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
     for the half-plane) of radius 25, 50, 100 and 200, with the fitted
     growth exponent.  Flat space and k = 0 carry no Ricci energy.
     """
-    geo = params.geometry
-    closed = geo.l2_ricci_closed
+    closed = params.l2_ricci_closed
     if closed == 0.0:
         return EnergyReport(0.0, None, 0.0)
 
     def f(u, v):
-        return TORUS_VOLUME * geo.ricci_density(u, v)
+        return TORUS_VOLUME * params.ricci_density(u, v)
 
     if math.isfinite(closed):
         quad = integrate_2d_improper(f, decay_exponent=2.0)
@@ -149,7 +148,7 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
 
     samples = []
     for R in (25.0, 50.0, 100.0, 200.0):
-        u_max, v_max, weight = geo.energy_region(R)
+        u_max, v_max, weight = params.energy_region(R)
         samples.append((R, weight * integrate_2d_region(f, u_max, v_max).value))
     fit = fit_power_law([s[0] for s in samples], [s[1] for s in samples])
     return EnergyReport(math.inf, None, math.inf,
@@ -166,11 +165,11 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     differences (metric4's first derivatives by exact complex steps, central
     FD of the Christoffel symbols).  The reported ricci_norm is already
     divided by the family's frozen ``ricci_calibration`` factor, so it is
-    directly comparable to the geometry's ricci_norm(u, v); errors are O(step^2).
+    directly comparable to the family's ricci_norm(u, v); errors are O(step^2).
     The stencil keeps 2*step clear of the chart domain's edges, where the
     fiber degenerates.
     """
-    check_stencil(u, v, 2 * step, params.geometry.bounds)
+    check_stencil(u, v, 2 * step, params.bounds)
 
     g, ginv, riem, ric = fd_curvature(lambda a, b: metric4(params, a, b),
                                       u, v, step=step)
@@ -185,7 +184,7 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     for _ in range(4):
         riem_up = (riem_up.reshape(4, -1).T @ ginv).reshape(riem_low.shape)
     rm_sq = float(np.vdot(riem_low, riem_up))
-    cal = params.geometry.ricci_calibration
+    cal = params.ricci_calibration
     return Curvature4Sample(scalar=scalar,
                             ricci_norm=math.sqrt(max(ric_sq, 0.0)) / cal,
                             rm_norm_sq=rm_sq)
@@ -205,16 +204,15 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
     """
     if len(R_samples) < 4:
         raise BadParams("need at least 4 radii for a decay fit")
-    geo = params.geometry
-    (u_lo, _), (v_lo, _) = geo.bounds
+    (u_lo, _), (v_lo, _) = params.bounds
     vals = []
     for R in R_samples:
         rec = point_from_polar(params, float(R), eta)
         u, v = rec.u, rec.v
         if quantity == "K_sigma":
-            q = abs(geo.polytope_curvature(u, v))
+            q = abs(params.polytope_curvature(u, v))
         elif quantity == "Ric":
-            q = geo.ricci_norm(u, v)
+            q = params.ricci_norm(u, v)
         elif quantity == "Rm_fd":
             u, v = max(u, u_lo + 1e-2 * R), max(v, v_lo + 1e-2 * R)
             q = math.sqrt(curvature4_fd(params, u, v,

@@ -1,4 +1,4 @@
-"""Instanton families: one geometry class per family, plus the charts.
+"""Instanton families: one class per family, plus the charts.
 
 Four families share one toric template: a half-plane (or quadrant) leaf
 carrying a conformal metric lambda (du^2 + dv^2), plus a two-torus fiber.
@@ -7,11 +7,13 @@ here, next to its parameter validation and its chart domain: ``bounds``,
 the (u range, v range) pair :func:`taubnut.numerics.check_stencil` takes,
 and ``eta_range``, the launch angles of the radial geodesics (the closed
 quadrant with eta in [0, pi/2], or the half-plane u >= 0 with eta in
-[-pi/2, pi/2]).  :class:`InstantonParams` builds the object once, as
-``params.geometry``; the other modules hold the family-blind root solves,
-quadratures, shoots and finite-difference oracles and read the formulas
-from it, so adding a family or a domain rule touches one class.  Asking a
-family for a quantity it lacks raises WrongFamily (Geometry.__getattr__).
+[-pi/2, pi/2]).  The classes derive from :class:`InstantonParams`, and
+``InstantonParams(family, M, k)`` is an instance of the family's class, so
+``params.<name>`` is the family's formula or constant.  The other modules
+hold the family-blind root solves, quadratures, shoots and
+finite-difference oracles and read the formulas from the parameters, so
+adding a family or a domain rule touches one class.  Asking a family for a
+quantity it lacks raises WrongFamily (InstantonParams.__getattr__).
 
 Charts: ``xy`` -- half-plane coordinates (x, y), x > 0, with x^2 the fiber
 determinant (the "axial distance"); ``uv`` -- the family's own chart, in
@@ -24,10 +26,11 @@ coordinates need a root solve and live in :mod:`taubnut.geodesics`.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, is_dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,8 +47,37 @@ class BadParams(Exception):
 
 
 class WrongFamily(AttributeError):
-    """The requested quantity is not defined for this family (its geometry
-    has no such attribute)."""
+    """The requested quantity is not defined for this family (its class has
+    no such attribute)."""
+
+
+def _finite(x) -> bool:
+    """Whether every number of x -- a float, a complex number, an array, or
+    a tuple or record of them -- is finite.  Strings are not numbers."""
+    if isinstance(x, np.ndarray):
+        return bool(np.isfinite(x).all())
+    if isinstance(x, tuple) or is_dataclass(x):
+        return all(map(_finite, vars(x).values() if is_dataclass(x) else x))
+    return isinstance(x, str) or cmath.isfinite(x)
+
+
+def finite_or_bad_params(fn):
+    """fn, raising BadParams where an argument, or a number fn computes or
+    returns, is not finite: a NaN or infinite argument, an overflow, or a
+    power that underflows to a zero divisor.  fn's own errors come first."""
+    @functools.wraps(fn)
+    def wrapped(*args):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                out = fn(*args)
+        except ArithmeticError:   # OverflowError, ZeroDivisionError, FloatingPointError
+            out = math.nan
+        numbers = tuple(x for x in args if not isinstance(x, InstantonParams))
+        if not (_finite(numbers) and _finite(out)):
+            raise BadParams(f"{fn.__name__} at {list(numbers)}: a number is not finite "
+                            f"or leaves the float range")
+        return out
+    return wrapped
 
 
 class Family(Enum):
@@ -160,7 +192,7 @@ def _half_plane_x(phi1):
 
 
 # --------------------------------------------------------------------------
-# the geometries
+# the instanton and its families
 # --------------------------------------------------------------------------
 #
 # Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
@@ -178,15 +210,32 @@ def _half_plane_x(phi1):
 # (find_roots_monotone ones on arrays), x -> (value, slope, curvature or
 # None).  polar_point(R, eta, solve) = (u, v) at that root, found by solve.
 
-class Geometry:
-    """What all families share: the quadrant domain by default, the point
-    check against it, and WrongFamily for a quantity a family lacks."""
+@dataclass(frozen=True)
+class InstantonParams:
+    """Which instanton, and where in its parameter space: M and k for
+    GENERALIZED_TN, nothing for the others (ExceptionalTN reports k = 1).
 
-    family: Family
-    M = None
-    k = None
+    InstantonParams(family, M, k) is an instance of the family's class
+    below, which validates the parameters and holds the family's formulas;
+    equality and hashing go by (family, M, k).  What all families share is
+    here: the quadrant domain by default, the point and launch-angle checks
+    against it, and WrongFamily for a quantity a family lacks."""
+
+    family: Family = Family.GENERALIZED_TN
+    M: float | None = None
+    k: float | None = None
+
     bounds = QUADRANT
     eta_range = (0.0, math.pi / 2)
+
+    def __post_init__(self):
+        object.__setattr__(self, "__class__", GEOMETRIES[self.family])
+        self._check_params()
+
+    def _set(self, **values):
+        """Store validated parameters and derived constants on the frozen instance."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def __getattr__(self, name):
         # reached only when the family's class does not define ``name``
@@ -200,13 +249,46 @@ class Geometry:
             raise BadParams(f"({u}, {v}) is not a finite point of the chart domain "
                             f"u in [{u_lo}, {u_hi}], v in [{v_lo}, {v_hi}]")
 
+    def check_eta(self, eta):
+        """BadParams unless the launch angle eta lies in eta_range (NaN does not)."""
+        lo, hi = self.eta_range
+        if not lo <= eta <= hi:
+            raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
+
     def exact_launch_angle(self, u, v):
         """The launch angle through (u, v) in closed form, or None when it
         needs the root solve."""
         return None
 
+    # -- serialization ----------------------------------------------------
 
-class GeneralizedTN(Geometry):
+    def as_dict(self) -> dict:
+        """The family name, plus M and k for the generalized family (the
+        only one with a mass)."""
+        if self.M is None:
+            return {"family": self.family.value}
+        return {"family": self.family.value, "M": self.M, "k": self.k}
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "InstantonParams":
+        raw = json.loads(text)
+        fam = Family(raw["family"])
+        return cls(family=fam, M=raw.get("M"), k=raw.get("k"))
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+# dataclasses' frozen __setattr__ guards only the fields on a subclass
+# instance; the derived constants of the family classes are frozen too
+InstantonParams.__setattr__ = InstantonParams.__delattr__ = _frozen
+
+
+class GeneralizedTN(InstantonParams):
     """Donaldson's twisted Taub-NUT: mass M > 0 (default sqrt 2) and
     chirality |k| < 1 (default 0); the limits k -> +-1 leave the family
     (their rescaled limits are the exceptional geometries).
@@ -224,7 +306,8 @@ class GeneralizedTN(Geometry):
     family = Family.GENERALIZED_TN
     ricci_calibration = 2.0
 
-    def __init__(self, M, k):
+    def _check_params(self):
+        M, k = self.M, self.k
         mass = SQRT2 if M is None else float(M)
         chi = 0.0 if k is None else float(k)
         if not (mass > 0.0 and math.isfinite(mass)):
@@ -235,13 +318,13 @@ class GeneralizedTN(Geometry):
                     "k = +-1 is not a GeneralizedTN member; the degeneration "
                     "is the ExceptionalTN geometry (after rescaling)")
             raise BadParams(f"chirality must satisfy |k| < 1, got k={k}")
-        self.M, self.k = mass, chi
-        self.a, self.b = math.sqrt(1.0 + chi), math.sqrt(1.0 - chi)
-        # sqrt(M / (2 sqrt 2)) converts the reduced radial variable to R
-        self.mass_root = math.sqrt(mass / (2.0 * SQRT2))
-        self.l2_ricci_closed = 4.0 * math.pi ** 2 * chi * chi / (1.0 - chi * chi)
-        # Gauss-Bonnet for scalar-flat 4-manifolds of Euler characteristic 1
-        self.l2_riemann = 32.0 * math.pi ** 2 + 4.0 * self.l2_ricci_closed
+        l2_ricci = 4.0 * math.pi ** 2 * chi * chi / (1.0 - chi * chi)
+        # sqrt(M / (2 sqrt 2)) converts the reduced radial variable to R;
+        # l2_riemann is Gauss-Bonnet for scalar-flat 4-manifolds of Euler
+        # characteristic 1
+        self._set(M=mass, k=chi, a=math.sqrt(1.0 + chi), b=math.sqrt(1.0 - chi),
+                  mass_root=math.sqrt(mass / (2.0 * SQRT2)), l2_ricci_closed=l2_ricci,
+                  l2_riemann=32.0 * math.pi ** 2 + 4.0 * l2_ricci)
 
     # charts: y + ix = (u + iv)^2 / (sqrt(2) M)
     def xy_from_uv(self, u, v):
@@ -432,25 +515,25 @@ class GeneralizedTN(Geometry):
         return pre * (R * R + cubic * R ** 3)
 
 
-class ExceptionalTN(Geometry):
+class ExceptionalTN(InstantonParams):
     """The k = +1 exceptional instanton on the quadrant; no free parameters
     (k = -1 is its axis swap)."""
 
     family = Family.EXCEPTIONAL_TN
-    k = 1.0
     ricci_calibration = 2.0
     l2_ricci_closed = math.inf
 
-    def __init__(self, M, k):
-        if M is not None:
+    def _check_params(self):
+        if self.M is not None:
             raise BadParams("ExceptionalTN has a fixed normalization; drop M")
-        chi = 1.0 if k is None else float(k)
+        chi = 1.0 if self.k is None else float(self.k)
         if chi == -1.0:
             raise BadParams(
                 "the k = -1 exceptional geometry is the axis swap u <-> v "
                 "of the k = +1 one; use k = +1 and relabel")
         if chi != 1.0:
-            raise BadParams(f"ExceptionalTN requires k = +1, got k={k}")
+            raise BadParams(f"ExceptionalTN requires k = +1, got k={self.k}")
+        self._set(k=1.0)
 
     # charts: y + ix = (u + iv)^2 / 4
     def xy_from_uv(self, u, v):
@@ -558,15 +641,15 @@ class ExceptionalTN(Geometry):
         return math.pi ** 2 / 6.0 * (R ** 4 + 2.0 * R ** 3)
 
 
-class _HalfPlane(Geometry):
+class _HalfPlane(InstantonParams):
     """The half-plane families: no parameters, and (u, v) is the (x, y)
     chart itself."""
 
     bounds = HALF_PLANE
     eta_range = (-math.pi / 2, math.pi / 2)
 
-    def __init__(self, M, k):
-        if M is not None or k is not None:
+    def _check_params(self):
+        if self.M is not None or self.k is not None:
             raise BadParams(f"{self.family.value} takes no parameters")
 
     def xy_from_uv(self, u, v):
@@ -674,42 +757,6 @@ GEOMETRIES = {cls.family: cls for cls in
               (GeneralizedTN, ExceptionalTN, ExceptionalHalfPlane, Flat)}
 
 
-@dataclass(frozen=True)
-class InstantonParams:
-    """Which instanton, and where in its parameter space: M and k for
-    GENERALIZED_TN, nothing for the others (ExceptionalTN reports k = 1).
-    ``geometry`` is the family's formula object, built and validated once."""
-
-    family: Family = Family.GENERALIZED_TN
-    M: float | None = None
-    k: float | None = None
-    geometry: Geometry = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        geo = GEOMETRIES[self.family](self.M, self.k)
-        object.__setattr__(self, "geometry", geo)
-        object.__setattr__(self, "M", geo.M)
-        object.__setattr__(self, "k", geo.k)
-
-    # -- serialization ----------------------------------------------------
-
-    def as_dict(self) -> dict:
-        """The family name, plus M and k for the generalized family (the
-        only one with a mass)."""
-        if self.M is None:
-            return {"family": self.family.value}
-        return {"family": self.family.value, "M": self.M, "k": self.k}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "InstantonParams":
-        raw = json.loads(text)
-        fam = Family(raw["family"])
-        return cls(family=fam, M=raw.get("M"), k=raw.get("k"))
-
-
 # --------------------------------------------------------------------------
 # the moment PDE and the charts that need more than one family formula
 # --------------------------------------------------------------------------
@@ -722,10 +769,8 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
     if x <= 2.0 * step:
         raise BadParams(f"x = {x} too close to the axis for step {step}")
 
-    geo = params.geometry
-
     def phis(xx: float, yy: float) -> np.ndarray:
-        return np.array(geo.moment_map(*geo.uv_from_xy(xx, yy)))
+        return np.array(params.moment_map(*params.uv_from_xy(xx, yy)))
 
     lap = fd_laplacian(phis, x, y, step=step)
     dx, _ = fd_gradient(phis, x, y, step=step)
@@ -736,16 +781,16 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
 def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
     """(Rtilde, psi) with psi in [0, pi/2]: psi = 0 on the u-axis, pi/2 on the
     v-axis.  At the origin Rtilde = 0 and psi is fixed to 0 by convention."""
-    rt = params.geometry.almost_distance(u, v)
+    rt = params.almost_distance(u, v)
     if rt == 0.0:
         return 0.0, 0.0
-    return rt, params.geometry.almost_angle(rt, u, v)
+    return rt, params.almost_angle(rt, u, v)
 
 
 def uv_from_almost_polar(params: InstantonParams, rtilde: float, psi: float) -> tuple[float, float]:
-    if rtilde < 0.0:
-        raise BadParams(f"Rtilde must be >= 0, got {rtilde}")
-    return params.geometry.uv_from_almost_polar(rtilde, psi)
+    if not (0.0 <= rtilde < math.inf and math.isfinite(psi)):
+        raise BadParams(f"need a finite Rtilde >= 0 and a finite psi, got ({rtilde}, {psi})")
+    return params.uv_from_almost_polar(rtilde, psi)
 
 
 def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -> tuple[float, float]:
@@ -754,9 +799,9 @@ def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -
     if chart is Chart.UV:
         return c1, c2
     if chart is Chart.XY:
-        return params.geometry.uv_from_xy(c1, c2)
+        return params.uv_from_xy(c1, c2)
     if chart is Chart.MOMENT:
-        return params.geometry.uv_from_moment(c1, c2)
+        return params.uv_from_moment(c1, c2)
     if chart is Chart.ALMOST_POLAR:
         return uv_from_almost_polar(params, c1, c2)
     raise BadParams("geodesic polar transitions need a root solve; "
@@ -768,9 +813,9 @@ def chart_from_uv(params: InstantonParams, chart: Chart, u: float, v: float) -> 
     if chart is Chart.UV:
         return u, v
     if chart is Chart.XY:
-        return params.geometry.xy_from_uv(u, v)
+        return params.xy_from_uv(u, v)
     if chart is Chart.MOMENT:
-        return params.geometry.moment_map(u, v)
+        return params.moment_map(u, v)
     if chart is Chart.ALMOST_POLAR:
         return almost_polar_from_uv(params, u, v)
     raise BadParams("geodesic polar transitions need a root solve; "

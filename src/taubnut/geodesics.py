@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import BadParams, InstantonParams
+from .family import BadParams, InstantonParams, finite_or_bad_params
 from .metrics import conformal_factor
 from .numerics import (NoBracket, check_stencil, fd_gradient, find_root_monotone,
                        find_roots_monotone, ode_solve)
@@ -62,19 +62,22 @@ def eikonal_S(params: InstantonParams, eta: float, u: float, v: float) -> float:
 
     For the half-plane families the second coordinate may be negative and eta
     ranges over [-pi/2, pi/2]; the quadrant families take eta in [0, pi/2].
+    BadParams for eta outside the family's ``eta_range``.
     """
+    params.check_eta(eta)
     c, s = math.cos(eta), math.sin(eta)
     if abs(c) < 1e-300:
         c = 0.0
     if abs(s) < 1e-300:
         s = 0.0
-    return params.geometry.eikonal_S(c, s, u, v)
+    return params.eikonal_S(c, s, u, v)
 
 
 def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
     """|  |grad S_eta|^2 - 1 |  by central differences of step 1e-4; O(step^2)."""
     step = 1e-4
-    check_stencil(u, v, step, params.geometry.bounds)
+    params.check_eta(eta)
+    check_stencil(u, v, step, params.bounds)
     su, sv = fd_gradient(lambda a, b: eikonal_S(params, eta, a, b), u, v, step=step)
     lam = conformal_factor(params, u, v)
     return abs((su * su + sv * sv) / lam - 1.0)
@@ -95,9 +98,8 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
     found to ROOT_TOL, so eta to ROOT_TOL relatively next to the u axis.
     Half-plane families accept v < 0 and return eta < 0.
     """
-    geo = params.geometry
-    geo.check_point(u, v)
-    eta = geo.exact_launch_angle(u, v)
+    params.check_point(u, v)
+    eta = params.exact_launch_angle(u, v)
     if eta is not None:
         return eta
     if v < 0.0:   # a half-plane domain: S_eta is even under (v, eta) -> -(v, eta)
@@ -107,7 +109,7 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
     if u == 0.0:
         return math.pi / 2
 
-    h = geo.launch_residual(u, v)
+    h = params.launch_residual(u, v)
     x0 = min(max(math.log(v) - math.log(u), X_LO), X_HI)
     try:
         x = find_root_monotone(h, X_LO, X_HI, x0=x0, abs_tol=ROOT_TOL)
@@ -121,12 +123,13 @@ def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) ->
     asinh(U)/sqrt(1+k) - asinh(V)/sqrt(1-k) with U, V the eta-normalized
     coordinates.  Zero exactly on the eta-geodesic; at the axis angles it
     degenerates to the distance from the axis."""
+    params.check_eta(eta)
     c, s = math.cos(eta), math.sin(eta)
     if s == 0.0 or eta == 0.0:
         return abs(v)
     if c == 0.0 or eta == math.pi / 2:
         return abs(u)
-    return params.geometry.unparam_residual(c, s, u, v)
+    return params.unparam_residual(c, s, u, v)
 
 
 # --------------------------------------------------------------------------
@@ -134,11 +137,13 @@ def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) ->
 # --------------------------------------------------------------------------
 
 def _within_float_range(fn):
-    """fn(params, R, eta) for a finite R >= 0; BadParams otherwise or on overflow."""
+    """fn(params, R, eta) for a finite R >= 0 and eta in the family's
+    ``eta_range``; BadParams otherwise or on overflow."""
     @functools.wraps(fn)
     def wrapped(params: InstantonParams, R: float, eta: float):
         if not 0.0 <= R < math.inf:
             raise BadParams(f"distance must be finite and >= 0, got R={R}")
+        params.check_eta(eta)
         try:
             return fn(params, R, eta)
         except OverflowError:
@@ -147,13 +152,16 @@ def _within_float_range(fn):
     return wrapped
 
 
+@finite_or_bad_params
 def radius_from_F(params: InstantonParams, eta: float, F: float) -> float:
     """The calibration map R(F, eta): evaluates the implicit distance relation
     at the given F, returning the distance it would correspond to.  Strictly
-    increasing in F with value 0 at F = 1.  GeneralizedTN only."""
+    increasing in F with value 0 at F = 1.  GeneralizedTN only.  BadParams
+    for eta outside ``eta_range``, F < 1, or an R that is not finite."""
+    params.check_eta(eta)
     if F < 1.0:
         raise BadParams(f"F must be >= 1, got {F}")
-    return params.geometry.radius_of_s(eta, math.log(F))
+    return params.radius_of_s(eta, math.log(F))
 
 
 @_within_float_range
@@ -167,7 +175,7 @@ def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]
     """
     if R == 0.0:
         raise BadParams("the approximant needs R > 0, got R=0")
-    return params.geometry.approx_F(R, eta)
+    return params.approx_F(R, eta)
 
 
 def _solve_radial(relation):
@@ -188,7 +196,7 @@ def solve_F(params: InstantonParams, R: float, eta: float) -> float:
     """Unique F >= 1 with radius_from_F(F, eta) = R: F = e^s at the root s of
     the family's radial relation (log F for the generalized family, sigma for
     the exceptional ones)."""
-    return math.exp(_solve_radial(params.geometry.radial_relation(R, eta)))
+    return math.exp(_solve_radial(params.radial_relation(R, eta)))
 
 
 # --------------------------------------------------------------------------
@@ -208,12 +216,8 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
     [-pi/2, pi/2] on the half-plane; BadParams otherwise.  A point with a
     term of its radial relation beyond the float range raises BadParams too.
     """
-    geo = params.geometry
-    lo, hi = geo.eta_range
-    if not lo <= eta <= hi:
-        raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
-    u, v = geo.polar_point(R, eta, _solve_radial)
-    geo.check_point(u, v)
+    u, v = params.polar_point(R, eta, _solve_radial)
+    params.check_point(u, v)
     return GeodesicRecord(eta=eta, R=R, u=u, v=v)
 
 
@@ -223,23 +227,22 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
     numpy's sinh, cos and arcsinh round differently from math's, so (u, v)
     can differ from point_from_polar's in the last digits.  BadParams for
     the whole call where point_from_polar raises it for some element."""
-    geo = params.geometry
     R, eta = np.broadcast_arrays(np.asarray(R, dtype=float), np.asarray(eta, dtype=float))
-    lo, hi = geo.eta_range
-    bad_R, bad_eta = ~((0.0 <= R) & (R < math.inf)), ~((lo <= eta) & (eta <= hi))
+    bad_R = ~((0.0 <= R) & (R < math.inf))
     if bad_R.any():
         raise BadParams(f"distance must be finite and >= 0, got R={R[bad_R][0]}")
-    if bad_eta.any():
-        raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta[bad_eta][0]}")
+    lo, hi = params.eta_range
+    params.check_eta(eta.min(initial=hi))   # min and max carry a NaN through
+    params.check_eta(eta.max(initial=lo))
     try:
         with np.errstate(over="ignore"):   # products overflow to inf, as floats do
-            u, v = geo.polar_point(R, eta, _solve_radial)
+            u, v = params.polar_point(R, eta, _solve_radial)
     except OverflowError:
         raise BadParams("a term of a radial relation is beyond the float range") from None
-    (u_lo, u_hi), (v_lo, v_hi) = geo.bounds
+    (u_lo, u_hi), (v_lo, v_hi) = params.bounds
     off = ~(np.isfinite(u) & np.isfinite(v) & (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi))
     if off.any():
-        geo.check_point(float(u[off][0]), float(v[off][0]))
+        params.check_point(float(u[off][0]), float(v[off][0]))
     return u, v
 
 
@@ -272,8 +275,8 @@ def polar_metric_coefficient(params: InstantonParams, R: float, eta: float) -> f
     d(u,v)/d(eta) at fixed R.  A ~ R near the origin, as polar regularity
     demands.  Cross-checked against finite differences of point_from_polar
     by polar_metric_coefficient_fd."""
-    coefficient = params.geometry.polar_coefficient   # WrongFamily even at R = 0
-    A2 = coefficient(eta, _solve_radial(params.geometry.radial_relation(R, eta)))
+    coefficient = params.polar_coefficient   # WrongFamily even at R = 0
+    A2 = coefficient(eta, _solve_radial(params.radial_relation(R, eta)))
     if A2 == math.inf:   # a float product overflows to inf without raising
         raise OverflowError
     return A2
@@ -282,6 +285,7 @@ def polar_metric_coefficient(params: InstantonParams, R: float, eta: float) -> f
 def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -> float:
     """FD oracle for A^2: lambda * |d(u,v)/d(eta)|^2 at fixed R, central
     differences of step 1e-5, O(step^2)."""
+    params.check_eta(eta)
     step = 1e-5
     p1 = point_from_polar(params, R, eta + step)
     p0 = point_from_polar(params, R, eta - step)
@@ -303,15 +307,15 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     own error estimate: at every sample the trajectory must satisfy the
     unparametrized geodesic equation, and the recomputed distance must equal
     the parameter t (this is what "unit speed" means once the curve is known
-    to be the right one).  BadParams for eta outside ``eta_range`` or a
-    t_end that is not finite and > 0.
+    to be the right one).  BadParams for eta outside ``eta_range``, a
+    t_end that is not finite and > 0, or n_samples not an int >= 1.
     """
-    lo, hi = params.geometry.eta_range
-    if not lo <= eta <= hi:
-        raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
+    params.check_eta(eta)
     if not 0.0 < t_end < math.inf:
         raise BadParams(f"t_end must be finite and > 0, got {t_end}")
-    sol = ode_solve(params.geometry.shoot_rhs(eta), (0.0, t_end), (0.0, 0.0),
+    if not (isinstance(n_samples, int) and n_samples >= 1):
+        raise BadParams(f"n_samples must be an int >= 1, got {n_samples!r}")
+    sol = ode_solve(params.shoot_rhs(eta), (0.0, t_end), (0.0, 0.0),
                     t_eval=np.linspace(0.0, t_end, n_samples))
     us, vs = sol.ys[:, 0], sol.ys[:, 1]
     dists = np.array([distance(params, u, v) for u, v in zip(us, vs)])

@@ -1,4 +1,4 @@
-"""Closed-form metric data, read from the family's geometry object.
+"""Closed-form metric data, read from the family's formulas.
 
 The four-metric is block diagonal over the leaf space,
 
@@ -28,19 +28,19 @@ TORUS_VOLUME = 4.0 * math.pi ** 2  # integral of dtheta1 ^ dtheta2
 
 def conformal_factor(params: InstantonParams, u, v):
     """Leaf conformal factor lam(u, v) (the coefficient of du^2 + dv^2)."""
-    return params.geometry.conformal_factor(u, v)
+    return params.conformal_factor(u, v)
 
 
 def fiber_matrix(params: InstantonParams, u, v):
     """Torus fiber matrix Ginv as a 2x2 array (complex for a complex point)."""
-    e11, e12, e22 = params.geometry.fiber(u, v)
+    e11, e12, e22 = params.fiber(u, v)
     return np.array([[e11, e12], [e12, e22]])
 
 
 def axial_coordinate(params: InstantonParams, u, v):
     """x = sqrt(det Ginv): distance to the degeneracy locus of the fibration,
     the first coordinate of the half-plane chart."""
-    return params.geometry.xy_from_uv(u, v)[0]
+    return params.xy_from_uv(u, v)[0]
 
 
 def volume_density(params: InstantonParams, u, v):
@@ -52,7 +52,7 @@ def metric4(params: InstantonParams, u, v) -> np.ndarray:
     """Full 4x4 metric in the ordering (u, v, theta1, theta2).  Its dtype
     comes from every entry: lam may stay real while the fiber is complex."""
     lam = conformal_factor(params, u, v)
-    e11, e12, e22 = params.geometry.fiber(u, v)
+    e11, e12, e22 = params.fiber(u, v)
     return np.array([[lam, 0.0, 0.0, 0.0], [0.0, lam, 0.0, 0.0],
                      [0.0, 0.0, e11, e12], [0.0, 0.0, e12, e22]])
 
@@ -66,6 +66,6 @@ def collapsing_direction_norms(params: InstantonParams, u: float, v: float) -> t
     geometry collapses to three dimensions), while the complement
     ((1 + k), (1 - k)) grows.  Returns (|w|^2, |w_perp|^2).
     """
-    w, w_perp = (np.array(d) for d in params.geometry.collapsing_directions())
+    w, w_perp = (np.array(d) for d in params.collapsing_directions())
     G = fiber_matrix(params, u, v)
     return float(w @ G @ w), float(w_perp @ G @ w_perp)

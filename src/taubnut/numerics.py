@@ -409,17 +409,17 @@ def ode_solve(
     t_span: tuple[float, float],
     y0: Sequence[float],
     *,
-    t_eval: Sequence[float] | None = None,
+    t_eval: Sequence[float],
 ) -> OdeResult:
-    """High-order nonstiff integration: the embedded Runge-Kutta 8(5,3) pair
-    of Dormand and Prince (DOP853, tableau in :mod:`taubnut.dop853`).
+    """High-order nonstiff integration forward over t_span = (t0, t_end),
+    t0 < t_end: the embedded Runge-Kutta 8(5,3) pair of Dormand and Prince
+    (DOP853, tableau in :mod:`taubnut.dop853`).
 
     Each step is accepted when the RMS norm of its error estimate, scaled
     by ODE_TOL (1 + max(|y|, |y_new|)), ODE_TOL = 1e-12, is below 1; the
     next step is h * min(10, 0.9 norm^(-1/8)), and a rejected one shrinks
-    by at least 0.2.  Without ``t_eval`` the result holds every step's end;
-    with it, the points of t_eval (sorted along t_span) come from the
-    7th-order dense output of the step that covers them, at three extra
+    by at least 0.2.  The points of t_eval (increasing, in t_span) come from
+    the 7th-order dense output of the step that covers them, at three extra
     evaluations a step.  ``nfev`` counts every call of rhs.
 
     Raises StepUnderflow when the step would fall below ten units in the
@@ -428,7 +428,6 @@ def ode_solve(
     stiff problem.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
-    direction = 1.0 if t_end >= t else -1.0
     y = np.asarray(y0, dtype=float)
     nfev = 0
 
@@ -437,16 +436,15 @@ def ode_solve(
         nfev += 1
         return np.asarray(rhs(tt, yy), dtype=float)
 
-    pending = None if t_eval is None else np.asarray(t_eval, dtype=float)
-    ts = [np.array([t])] if pending is None else []
-    ys = [y[None, :]] if pending is None else []
+    pending = t_eval = np.asarray(t_eval, dtype=float)
+    ys = []
     K = np.empty((dop853.N_STAGES_EXTENDED, len(y)))
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_end, direction)
+    h_abs = _initial_step(fun, t, y, f, t_end)
     exponent = -1.0 / (dop853.ERROR_ORDER + 1)
 
-    while direction * (t - t_end) < 0.0:
-        min_step = 10.0 * abs(np.nextafter(t, direction * np.inf) - t)
+    while t < t_end:
+        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         K[0] = f
@@ -454,11 +452,8 @@ def ode_solve(
             if h_abs < min_step:
                 raise StepUnderflow(f"integrator stopped at t = {t!r}: step size "
                                     f"{h_abs!r} fell below the spacing of floats")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0.0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
             dop853.stages(fun, t, y, h, K, 1, dop853.N_STAGES)
             y_new = y + h * np.dot(K[:dop853.N_STAGES].T, dop853.B)
             f_new = K[dop853.N_STAGES] = fun(t_new, y_new)
@@ -471,35 +466,25 @@ def ode_solve(
             h_abs *= max(0.2, 0.9 * norm ** exponent)
             rejected = True
 
-        if pending is None:
-            ts.append(np.array([t_new]))
-            ys.append(y_new[None, :])
-        else:
-            here = (pending <= t_new) if direction > 0 else (pending >= t_new)
-            if here.any():
-                at = dop853.interpolant(fun, t, h, y, y_new, f_new, K)
-                ts.append(pending[here])
-                ys.append(at(pending[here]))
-                pending = pending[~here]
+        here = pending <= t_new
+        if here.any():
+            at = dop853.interpolant(fun, t, h, y, y_new, f_new, K)
+            ys.append(at(pending[here]))
+            pending = pending[~here]
         t, y, f = t_new, y_new, f_new
 
-    if pending is not None and pending.size:   # t_span of zero length
-        ts.append(pending)
-        ys.append(np.repeat(y[None, :], pending.size, axis=0))
-    return OdeResult(ts=np.concatenate(ts), ys=np.concatenate(ys), nfev=nfev)
+    return OdeResult(ts=t_eval, ys=np.concatenate(ys), nfev=nfev)
 
 
-def _initial_step(fun, t, y, f, t_end, direction) -> float:
+def _initial_step(fun, t, y, f, t_end) -> float:
     """First step size from the size of y, y' and an estimate of y''
     (Hairer, Norsett & Wanner, Sec. II.4), one evaluation of fun."""
-    span = abs(t_end - t)
-    if span == 0.0:
-        return 0.0
+    span = t_end - t
     scale = ODE_TOL + np.abs(y) * ODE_TOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = fun(t + h0 * direction, y + h0 * direction * f)
+    f1 = fun(t + h0, y + h0 * f)
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)

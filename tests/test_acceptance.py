@@ -36,10 +36,10 @@ def test_2_standard_taub_nut_is_ricci_flat():
     worst = 0.0
     for u in np.linspace(0.3, 2.4, 5):
         for v in np.linspace(0.3, 2.4, 5):
-            assert GEN.geometry.ricci_density(u, v) == 0.0
+            assert GEN.ricci_density(u, v) == 0.0
             worst = max(worst, curvature.curvature4_fd(GEN, u, v).ricci_norm)
     assert worst <= 1e-4, worst
-    rm = GEN.geometry.l2_riemann
+    rm = GEN.l2_riemann
     assert rm == 32.0 * math.pi ** 2       # exact combination at k = 0
     print(f"PASS 2: k=0 FD |Ric| <= {worst:.2e}, Rm energy exactly 32 pi^2")
 
@@ -172,10 +172,10 @@ def test_8_oracle_equivalences():
         for u, v in pts:
             if params.family is Family.EXCEPTIONAL_HALF_PLANE:
                 v -= 1.3
-            K = params.geometry.polytope_curvature(u, v)
+            K = params.polytope_curvature(u, v)
             k_worst = max(k_worst, abs(K - curvature.polytope_curvature_fd(
                 params, u, v)) / max(1.0, abs(K)))
-            closed = params.geometry.ricci_density(u, v)
+            closed = params.ricci_density(u, v)
             p_worst = max(p_worst, abs(closed - curvature.ricci_pseudo_jacobian_fd(
                 params, u, v)))
             x = axial_coordinate(params, u, v)
@@ -235,7 +235,7 @@ def test_9_blowdown_verification():
     for uu, vv in ((0.3, -1.0), (1.5, 0.8), (0.9, 0.0)):
         swap_worst = max(swap_worst, blowdown.halfplane_swap_residual(uu, vv))
         lim = blowdown.pointed_limit_moments_limit(uu, vv)
-        hp = HP.geometry.moment_map(uu, vv)
+        hp = HP.moment_map(uu, vv)
         swap_worst = max(swap_worst, abs(lim[0] - hp[1]), abs(lim[1] - hp[0]))
     assert swap_worst <= 1e-12, swap_worst
     print(f"PASS 9: monotone blowdown residuals, limit Ricci vs FD "

@@ -23,14 +23,13 @@ HP = InstantonParams(family=Family.EXCEPTIONAL_HALF_PLANE)
 # ------------------------------------------------------------------ the region
 
 def test_region_contains_and_boundary():
-    geo = GEN05.geometry
-    u_max = geo.almost_ball_u_max(4.0)
-    assert geo.almost_distance(0.0, 0.0) <= 4.0
-    assert geo.almost_distance(u_max * 0.99, 0.0) <= 4.0
-    assert not geo.almost_distance(u_max * 1.01, 0.0) <= 4.0
+    u_max = GEN05.almost_ball_u_max(4.0)
+    assert GEN05.almost_distance(0.0, 0.0) <= 4.0
+    assert GEN05.almost_distance(u_max * 0.99, 0.0) <= 4.0
+    assert not GEN05.almost_distance(u_max * 1.01, 0.0) <= 4.0
     # on the boundary curve v_max(u) the defining function is exactly R
     u = 0.5 * u_max
-    v = geo.almost_ball_v_max(4.0, u)
+    v = GEN05.almost_ball_v_max(4.0, u)
     k = GEN05.k
     val = (math.sqrt(1.0 + k) * u * u + math.sqrt(1.0 - k) * v * v) \
         / math.sqrt(SQRT2 * GEN05.M)
@@ -54,6 +53,14 @@ def test_almost_ball_volume_rejects():
         almost_ball_volume(HP, 1.0)
     with pytest.raises(BadParams):
         almost_ball_volume(GEN, -1.0)
+
+
+@pytest.mark.parametrize("params,R", [(GEN, 1e150), (GEN, 1e300), (EXC, 1e100),
+                                      (GEN, math.inf), (EXC, math.nan)])
+def test_almost_ball_volume_beyond_the_float_range_is_bad_params(params, R):
+    # R ** 3 and R ** 4 leaked an OverflowError; NaN returned NaN
+    with pytest.raises(BadParams):
+        almost_ball_volume(params, R)
 
 
 def test_almost_ball_quadrature_rejects_nonpositive_radius():
@@ -194,6 +201,13 @@ def test_sphere_sandwich_any_sample_count(params):
         s = sphere_sandwich(params, 100.0, n=n)
         assert math.isfinite(s.gap_min) and s.gap_min <= s.gap_max
         assert -2.0 < s.c_min <= s.c_max <= 0.5
+
+
+@pytest.mark.parametrize("n", [0, 1, 2.5])
+def test_sphere_sandwich_rejects_a_bad_sample_count(n):
+    # 0 leaked "min() arg is an empty sequence", 1 a ZeroDivisionError
+    with pytest.raises(BadParams, match="n must be"):
+        sphere_sandwich(GEN05, 100.0, n=n)
 
 
 def test_sphere_sandwich_validation():

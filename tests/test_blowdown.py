@@ -328,3 +328,38 @@ def test_pointed_limit_validation():
         pointed_limit_halfplane(-1.0, 0.5, 0.5)
     with pytest.raises(BadParams):
         pointed_limit_halfplane(2.0, 0.5, -3.0)
+
+
+# ------------------------------------------------------- the float range
+
+FLOAT_RANGE_CALLS = {   # the functions the blowdown command calls, at (x, 1)
+    "conifold_metric": lambda x: conifold_metric(0.5, x, 1.0),
+    "conifold_curvatures": lambda x: conifold_curvatures(0.5, x, 1.0),
+    "conifold_limit_residual": lambda x: conifold_limit_residual(0.5, x, 1.0, 1e4),
+    "second_blowdown_metric": lambda x: second_blowdown_metric(0.5, x, 1.0),
+    "second_blowdown_limit_residual": lambda x: second_blowdown_limit_residual(0.5, x, 1.0, 1e4),
+    "exceptional_blowdown_metric": lambda x: exceptional_blowdown_metric(x, 1.0),
+    "exceptional_blowdown_curvature": exceptional_blowdown_curvature,
+    "exceptional_blowdown_limit_residual":
+        lambda x: exceptional_blowdown_limit_residual(x, 1.0, 1e2),
+    "pointed_limit_halfplane": lambda x: pointed_limit_halfplane(1e2, x, 1.0),
+    "pointed_limit_moments_limit": lambda x: pointed_limit_moments_limit(x, 1.0),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 1e300])
+@pytest.mark.parametrize("name", FLOAT_RANGE_CALLS)
+def test_a_value_beyond_the_float_range_is_bad_params(name, x):
+    # they returned nan or inf, or leaked OverflowError, ZeroDivisionError
+    # or a numpy warning
+    with pytest.raises(BadParams, match="not finite"):
+        FLOAT_RANGE_CALLS[name](x)
+
+
+def test_a_power_that_underflows_is_bad_params():
+    # 1 / u ** 4 and 1 / P ** 3 divided by an underflowed zero
+    with pytest.raises(BadParams):
+        exceptional_blowdown_curvature(1e-300)
+    with pytest.raises(BadParams):
+        conifold_curvatures(0.5, 1e-107, 1e-176)
+    assert exceptional_blowdown_curvature(1e-50) == pytest.approx(1e200, rel=1e-14, abs=0)

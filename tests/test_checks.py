@@ -102,7 +102,7 @@ def test_optional_parameters_do_not_grow():
     count = sum(len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
                 for path in Path(taubnut.__file__).parent.glob("*.py")
                 for fn in _functions(path))
-    assert count <= 6
+    assert count <= 5
 
 
 def _traced_layers():
@@ -123,29 +123,47 @@ def test_traced_functions_exist():
     assert missing == []
 
 
-def _reads_params_geometry(node) -> bool:
-    """params.geometry.<attr> or a call of it."""
+def _reads_params(node) -> bool:
+    """params.<attr> or a call of it."""
     if isinstance(node, ast.Call):
         node = node.func
-    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "geometry" and isinstance(node.value.value, ast.Name)
-            and node.value.value.id == "params")
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "params")
 
 
 def test_no_function_only_forwards_to_the_geometry():
-    # callers call params.geometry.<name> directly; a module function earns
-    # its place by an input check, a new type or a composition.  The traced
-    # layers stay, as benchmarks/tracer.py wraps them
+    # callers call params.<name> directly; a module function earns its place
+    # by an input check, a new type or a composition.  The traced layers
+    # stay, as benchmarks/tracer.py wraps them
     traced = {f"{module}.{name}" for module, names, _ in _traced_layers() for name in names}
     found = []
     for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
         for fn in ast.parse(path.read_text()).body:
-            if not isinstance(fn, ast.FunctionDef) or f"{path.stem}.{fn.name}" in traced:
+            if not isinstance(fn, ast.FunctionDef):
                 continue
             body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
             if (len(body) == 1 and isinstance(body[0], ast.Return)
-                    and _reads_params_geometry(body[0].value)):
+                    and _reads_params(body[0].value)):
                 found.append(f"{path.stem}.{fn.name}")
+    assert [name for name in found if name not in traced] == []
+    assert found == ["metrics.conformal_factor"]   # the pattern still matches
+
+
+def test_every_function_of_eta_checks_it():
+    # a public geodesics function taking a launch angle eta calls
+    # params.check_eta or carries _within_float_range, which calls it
+    path = Path(taubnut.__file__).parent / "geodesics.py"
+    found = []
+    for fn in ast.parse(path.read_text()).body:
+        if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
+                or "eta" not in [a.arg for a in fn.args.args]):
+            continue
+        decorated = any(getattr(d, "id", None) == "_within_float_range"
+                        for d in fn.decorator_list)
+        checks = any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check_eta"
+                     for node in ast.walk(fn))
+        if not (decorated or checks):
+            found.append(fn.name)
     assert found == []
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -187,31 +188,52 @@ def test_eval_beyond_float_range_names_the_quantity():
 
 
 def test_eval_sweep_raises_only_package_exceptions():
-    # every family and chart on seeded points from 1e-300 to 1e300, in
-    # process with warnings as errors: an exit code, or an exception of the
-    # package, never a bare ValueError, OverflowError or numpy warning.
-    # (1e-300, 1e-200) is the xy point whose x * x underflowed in _unsquare.
+    # eval at every family and chart, volume at every family with a volume
+    # and blowdown at every construction, on seeded values from 1e-300 to
+    # 1e300 of both signs, NaN and inf, in process with warnings as errors:
+    # each run exits 0 with only finite numbers on stdout, or exits 2 with an
+    # error: line; no exception (a bare ValueError, OverflowError or
+    # ZeroDivisionError, a numpy warning) escapes.  (1e-300, 1e-200) is the
+    # xy point whose x * x underflowed in _unsquare.
     rng = random.Random(2016)
 
     def coordinate():
         return rng.choice([1.0, 1.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
 
-    leaks = []
+    special = [math.nan, math.inf, -math.inf, 1e-300, -1e-300, 1e300, -1e300]
+    argvs = []
     for fam in (["--family", "generalized"], ["--family", "generalized", "--k", "-0.9"],
                 ["--family", "exceptional"], ["--family", "halfplane"], ["--family", "flat"]):
         for chart in ("uv", "xy", "moment", "polar", "almostpolar"):
             points = [(1e-300, 1e-200)] + [(coordinate(), coordinate()) for _ in range(16)]
-            for c1, c2 in points:
-                argv = ["eval", *fam, "--chart", chart, f"--point={c1!r},{c2!r}"]
-                with warnings.catch_warnings(), \
-                        contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    warnings.simplefilter("error")
-                    try:
-                        cli.main(argv)
-                    except Exception as exc:
-                        if type(exc).__module__.split(".")[0] != "taubnut":
-                            leaks.append((argv, repr(exc)))
+            points += [(x, 1.0) for x in special[:3]] + [(1.0, x) for x in special[:3]]
+            argvs += [["eval", *fam, "--chart", chart, f"--point={c1!r},{c2!r}"]
+                      for c1, c2 in points]
+    for fam in (["--family", "generalized"], ["--family", "generalized", "--k", "-0.9"],
+                ["--family", "exceptional"]):
+        radii = [sorted(abs(coordinate()) for _ in range(4)) for _ in range(6)]
+        radii += [[50.0, 100.0, 200.0, x] for x in special]
+        argvs += [["volume", *fam, "--R=" + ",".join(map(repr, R)), "--format", fmt]
+                  for R in radii for fmt in ("csv", "json")]
+    for construction in ("conifold", "second", "exceptional", "pointed"):
+        points = [(x, 1.0) for x in special] + [(1.0, x) for x in special]
+        points += [(coordinate(), coordinate()) for _ in range(8)]
+        argvs += [["blowdown", "--construction", construction, f"--point={u!r},{v!r}",
+                   "--format", fmt] for u, v in points for fmt in ("csv", "json")]
+
+    leaks = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except Exception as exc:
+                code = repr(exc)
+        if not (code == 2 and err.getvalue().startswith("error: ")
+                or code == 0 and not re.search(r"nan|inf", out.getvalue())):
+            leaks.append((argv, code))
     assert leaks == []
 
 
@@ -233,7 +255,7 @@ for argv in (["eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"]
              ["verify", "--suite", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert taubnut.cli.main(argv) == 0, argv
-ode = numerics.ode_solve(lambda t, y: y, (0.0, 1.0), [1.0]).ys[-1, 0]
+ode = numerics.ode_solve(lambda t, y: y, (0.0, 1.0), [1.0], t_eval=[1.0]).ys[-1, 0]
 quad = numerics.integrate_2d_improper(
     lambda u, v: (1.0 + u * u + v * v) ** -2, decay_exponent=2.0).value
 print(json.dumps({"scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"
@@ -314,8 +336,8 @@ def _scalar_contour_keys(params, eta, R, n_levels, n_phi):
     from taubnut import geodesics, metrics
     from taubnut.numerics import NoBracket, find_root_monotone
 
-    lo, hi = params.geometry.eta_range
-    velocity = params.geometry.shoot_rhs(eta)
+    lo, hi = params.eta_range
+    velocity = params.shoot_rhs(eta)
     keys = []
     for i in range(n_levels):
         level = R * i / (n_levels - 1)

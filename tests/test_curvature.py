@@ -32,7 +32,7 @@ INTERIOR = [(0.4, 0.9), (1.0, 1.0), (2.2, 0.5), (0.7, 2.8)]
 
 def test_k_sigma_standard_scale_origin():
     # sup |sec| = 1 at M = sqrt(2): K(0,0) = -1
-    assert GEN.geometry.polytope_curvature(0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+    assert GEN.polytope_curvature(0.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_k_sigma_closed_form():
@@ -40,15 +40,15 @@ def test_k_sigma_closed_form():
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
     expect = (M / SQRT2) * (-1.0 + k * (1.0 + k) * u * u
                             - k * (1.0 - k) * v * v) / D ** 3
-    assert GEN05.geometry.polytope_curvature(u, v) == pytest.approx(expect, rel=1e-14, abs=0)
+    assert GEN05.polytope_curvature(u, v) == pytest.approx(expect, rel=1e-14, abs=0)
 
 
 def test_k_sigma_exceptional_closed_form():
     for u in (0.3, 1.0, 2.5):
         expect = -(1.0 - u * u) / (1.0 + u * u) ** 3
-        assert EXC.geometry.polytope_curvature(u, 0.7) == pytest.approx(expect,
+        assert EXC.polytope_curvature(u, 0.7) == pytest.approx(expect,
                                                                 rel=1e-14, abs=0)
-        assert HP.geometry.polytope_curvature(u, -0.3) == pytest.approx(expect,
+        assert HP.polytope_curvature(u, -0.3) == pytest.approx(expect,
                                                                 rel=1e-14, abs=0)
 
 
@@ -58,7 +58,7 @@ def test_k_sigma_vs_conformal_oracle(params):
     for u, v in INTERIOR:
         if params.family is Family.EXCEPTIONAL_HALF_PLANE:
             v -= 1.5
-        got = params.geometry.polytope_curvature(u, v)
+        got = params.polytope_curvature(u, v)
         fd = polytope_curvature_fd(params, u, v)
         assert abs(got - fd) < 1e-4 * max(1.0, abs(got))
 
@@ -67,8 +67,8 @@ def test_overscaled_variant_differs_by_sqrt2():
     # the prefactor-M variant is exactly sqrt(2) times the true curvature;
     # keeping this pinned stops silent renormalization
     for u, v in INTERIOR:
-        truth = GEN05.geometry.polytope_curvature(u, v)
-        over = GEN05.geometry.polytope_curvature_overscaled(u, v)
+        truth = GEN05.polytope_curvature(u, v)
+        over = GEN05.polytope_curvature_overscaled(u, v)
         assert over == pytest.approx(SQRT2 * truth, rel=1e-14, abs=0)
         assert abs(over - polytope_curvature_fd(GEN05, u, v)) > 0.1 * abs(truth)
 
@@ -81,7 +81,7 @@ def test_polar_form_matches_overscaled_every_mass():
             r = (u * u + v * v) / (SQRT2 * M)
             theta = math.pi / 2.0 - 2.0 * math.atan2(v, u)
             got = polytope_curvature_polar_form(p, r, theta)
-            over = p.geometry.polytope_curvature_overscaled(u, v)
+            over = p.polytope_curvature_overscaled(u, v)
             assert got == pytest.approx(over, rel=1e-12, abs=0)
 
 
@@ -92,15 +92,15 @@ def test_polar_form_origin_raises():
 
 def test_flat_is_flat():
     for u, v in INTERIOR:
-        assert FLAT.geometry.polytope_curvature(u, v) == 0.0
-        assert FLAT.geometry.ricci_norm(u, v) == 0.0
+        assert FLAT.polytope_curvature(u, v) == 0.0
+        assert FLAT.ricci_norm(u, v) == 0.0
 
 
 # ------------------------------------------------------------ Ricci quantities
 
 def test_ricci_potentials_halfplane():
     x, y = 0.8, -1.1
-    r1, r2 = HP.geometry.ricci_potentials(x, y)
+    r1, r2 = HP.ricci_potentials(x, y)
     assert r1 == pytest.approx(2.0 / (1.0 + x * x), rel=1e-14, abs=0)
     assert r2 == pytest.approx(4.0 * y / (1.0 + x * x), rel=1e-14, abs=0)
 
@@ -108,18 +108,18 @@ def test_ricci_potentials_halfplane():
 def test_pseudo_density_closed_forms():
     k, u, v = 0.5, 1.2, 0.8
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
-    assert GEN05.geometry.ricci_density(u, v) == pytest.approx(
+    assert GEN05.ricci_density(u, v) == pytest.approx(
         8.0 * k * k * u * v / D ** 3, rel=1e-14, abs=0)
-    assert EXC.geometry.ricci_density(u, v) == pytest.approx(
+    assert EXC.ricci_density(u, v) == pytest.approx(
         2.0 * u * v / (1.0 + u * u) ** 3, rel=1e-14, abs=0)
     x = 0.9
-    assert HP.geometry.ricci_density(x, 0.0) == pytest.approx(
+    assert HP.ricci_density(x, 0.0) == pytest.approx(
         16.0 * x / (1.0 + x * x) ** 3, rel=1e-14, abs=0)
 
 
 def test_pseudo_density_vanishes_at_k0():
     for u, v in INTERIOR:
-        assert GEN.geometry.ricci_density(u, v) == 0.0
+        assert GEN.ricci_density(u, v) == 0.0
 
 
 @pytest.mark.parametrize("params", [GEN05, GEN09, EXC, HP])
@@ -131,7 +131,7 @@ def test_pseudo_density_vs_jacobian(params):
         if params.family is Family.EXCEPTIONAL_HALF_PLANE:
             v -= 1.5
         fd = ricci_pseudo_jacobian_fd(params, u, v)
-        closed = params.geometry.ricci_density(u, v)
+        closed = params.ricci_density(u, v)
         assert abs(fd - closed) < 1e-5 * max(1.0, abs(closed))
 
 
@@ -144,11 +144,11 @@ def test_halfplane_prefactor_refutes_8():
 def test_ricci_norm_closed_forms():
     k, u, v = 0.5, 1.2, 0.8
     D = 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
-    assert GEN05.geometry.ricci_norm(u, v) == pytest.approx(
+    assert GEN05.ricci_norm(u, v) == pytest.approx(
         SQRT2 * k * SQRT2 / D ** 2, rel=1e-14, abs=0)
-    assert EXC.geometry.ricci_norm(u, v) == pytest.approx(2.0 / (1.0 + u * u) ** 2,
+    assert EXC.ricci_norm(u, v) == pytest.approx(2.0 / (1.0 + u * u) ** 2,
                                                   rel=1e-14, abs=0)
-    assert HP.geometry.ricci_norm(u, v) == pytest.approx(
+    assert HP.ricci_norm(u, v) == pytest.approx(
         math.sqrt(8.0) / (1.0 + u * u) ** 2, rel=1e-14, abs=0)
 
 
@@ -159,8 +159,8 @@ def test_product_identity(params, factor):
     # on the half plane is the honest mismatch between its norm convention
     # and its Jacobian density
     for u, v in INTERIOR:
-        lhs = params.geometry.ricci_density(u, v)
-        rhs = factor * params.geometry.ricci_norm(u, v) ** 2 \
+        lhs = params.ricci_density(u, v)
+        rhs = factor * params.ricci_norm(u, v) ** 2 \
             * volume_density(params, u, v)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
@@ -192,7 +192,7 @@ def test_l2_ricci_flat_and_k0():
 def test_l2_riemann_identity():
     for k in (0.0, 0.5, 0.9):
         p = InstantonParams(k=k)
-        got = p.geometry.l2_riemann
+        got = p.l2_riemann
         assert got == pytest.approx(
             16.0 * math.pi ** 2 * (2.0 - k * k) / (1.0 - k * k), rel=1e-15, abs=0)
         assert got - 4.0 * l2_ricci(p).closed_form == pytest.approx(
@@ -201,7 +201,7 @@ def test_l2_riemann_identity():
 
 def test_l2_riemann_needs_generalized():
     with pytest.raises(WrongFamily):
-        EXC.geometry.l2_riemann
+        EXC.l2_riemann
 
 
 def test_exceptional_energy_growth():
@@ -227,7 +227,7 @@ def test_scalar_flat_and_ricci_calibrated(params):
             v -= 1.5
         sample = curvature4_fd(params, u, v)
         assert abs(sample.scalar) < 1e-3
-        closed = params.geometry.ricci_norm(u, v)
+        closed = params.ricci_norm(u, v)
         assert abs(sample.ricci_norm - closed) < 2e-4 * max(1.0, closed)
 
 
@@ -237,8 +237,8 @@ def test_k0_is_ricci_flat():
 
 
 def test_calibration_table():
-    assert GEN.geometry.ricci_calibration == 2.0
-    assert HP.geometry.ricci_calibration == pytest.approx(SQRT2)
+    assert GEN.ricci_calibration == 2.0
+    assert HP.ricci_calibration == pytest.approx(SQRT2)
 
 
 @pytest.mark.parametrize("params,exact", [(GEN, 32.0 / 243.0), (GEN05, 32.0 / 243.0),

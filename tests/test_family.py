@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.family import (GEOMETRIES, BadParams, Chart, Family, InstantonParams,
+from taubnut.family import (GEOMETRIES, BadParams, Chart, ExceptionalHalfPlane,
+                            ExceptionalTN, Family, Flat, GeneralizedTN, InstantonParams,
                             WrongFamily, almost_polar_from_uv, chart_from_uv,
                             moment_pde_residual, uv_from_almost_polar,
                             uv_from_chart)
@@ -61,6 +62,52 @@ def test_json_roundtrip():
         assert InstantonParams.from_json(p.to_json()) == p
 
 
+def test_params_are_an_instance_of_the_family_class():
+    assert type(InstantonParams(Family.FLAT)) is Flat
+    for params, cls in ((GEN05, GeneralizedTN), (EXC, ExceptionalTN),
+                        (HP, ExceptionalHalfPlane), (FLAT, Flat)):
+        assert type(params) is cls and isinstance(params, InstantonParams)
+        assert type(InstantonParams.from_json(params.to_json())) is cls
+
+
+def test_value_semantics_go_by_family_and_parameters():
+    assert InstantonParams(k=0.5) == GEN05 and hash(InstantonParams(k=0.5)) == hash(GEN05)
+    assert InstantonParams(M=SQRT2) == GEN and InstantonParams(M=2.0) != GEN
+    assert HP != FLAT and GEN05 != InstantonParams(k=0.25)
+    assert len({GEN, InstantonParams(), EXC, InstantonParams(Family.EXCEPTIONAL_TN, k=1.0)}) == 2
+    for name in ("family", "M", "k", "mass_root", "l2_riemann", "new"):
+        with pytest.raises(AttributeError):   # dataclasses.FrozenInstanceError
+            setattr(GEN05, name, None)
+        with pytest.raises(AttributeError):
+            delattr(GEN05, name)
+    assert (GEN05.family, GEN05.M, GEN05.k) == (Family.GENERALIZED_TN, SQRT2, 0.5)
+    assert GEN05.mass_root == math.sqrt(SQRT2 / (2.0 * SQRT2))
+
+
+def test_exceptional_reports_k_one_and_no_mass():
+    assert EXC.k == 1.0 and EXC.M is None
+    assert (HP.M, HP.k) == (None, None)
+
+
+def test_serialized_bytes():
+    # the bytes the record wrote before the families were merged into it
+    assert GEN.to_json() == '{"M": 1.4142135623730951, "family": "GeneralizedTN", "k": 0.0}'
+    assert InstantonParams(M=2.0, k=-0.25).to_json() == \
+        '{"M": 2.0, "family": "GeneralizedTN", "k": -0.25}'
+    assert GEN05.as_dict() == {"family": "GeneralizedTN", "M": SQRT2, "k": 0.5}
+    for params in (EXC, HP, FLAT):
+        assert params.as_dict() == {"family": params.family.value}
+        assert params.to_json() == '{"family": "%s"}' % params.family.value
+
+
+def test_a_missing_formula_raises_wrong_family():
+    with pytest.raises(WrongFamily, match="l2_riemann is not defined for ExceptionalTN"):
+        EXC.l2_riemann
+    with pytest.raises(WrongFamily):
+        FLAT.radius_of_s(0.5, 1.0)
+    assert not hasattr(HP, "almost_distance")
+
+
 def test_enum_values():
     assert Family.GENERALIZED_TN.value == "GeneralizedTN"
     assert Family.EXCEPTIONAL_HALF_PLANE.value == "ExceptionalHalfPlane"
@@ -71,7 +118,7 @@ def test_enum_values():
 # -------------------------------------------------------------------- charts
 
 def test_xy_quadratic_chart():
-    x, y = GEN05.geometry.xy_from_uv(1.0, 2.0)
+    x, y = GEN05.xy_from_uv(1.0, 2.0)
     assert abs(x - 2.0) < 1e-15          # x = u v
     assert abs(y - (1.0 - 4.0) / 2.0) < 1e-15   # y = (u^2 - v^2)/2
 
@@ -80,8 +127,8 @@ def test_xy_quadratic_chart():
        st.floats(min_value=0.01, max_value=10.0))
 @settings(max_examples=60, deadline=None)
 def test_xy_roundtrip(u, v):
-    x, y = GEN05.geometry.xy_from_uv(u, v)
-    u2, v2 = GEN05.geometry.uv_from_xy(x, y)
+    x, y = GEN05.xy_from_uv(u, v)
+    u2, v2 = GEN05.uv_from_xy(x, y)
     assert abs(u2 - u) < 1e-12 * max(1.0, u)
     assert abs(v2 - v) < 1e-12 * max(1.0, v)
 
@@ -97,22 +144,22 @@ def test_halfplane_chart_is_identity():
 @settings(max_examples=200, deadline=None)
 def test_moment_roundtrip(u, v, k, log10_M):
     params = InstantonParams(M=10.0 ** log10_M, k=k)
-    p1, p2 = params.geometry.moment_map(u, v)
-    u2, v2 = params.geometry.uv_from_moment(p1, p2)
+    p1, p2 = params.moment_map(u, v)
+    u2, v2 = params.uv_from_moment(p1, p2)
     assert abs(u2 / u - 1.0) < 1e-10
     assert abs(v2 / v - 1.0) < 1e-10
 
 
 def test_moment_map_exceptional_closed_form():
     u, v = 1.3, 0.7
-    p1, p2 = EXC.geometry.moment_map(u, v)
+    p1, p2 = EXC.moment_map(u, v)
     assert abs(p1 - v * v * (1.0 + u * u) / (2.0 * SQRT2)) < 1e-15
     assert abs(p2 - u * u / (2.0 * SQRT2)) < 1e-15
 
 
 def test_moment_map_halfplane_closed_form():
     x, y = 0.8, -1.1
-    p1, p2 = HP.geometry.moment_map(x, y)
+    p1, p2 = HP.moment_map(x, y)
     assert abs(p1 - x * x / 2.0) < 1e-15
     assert abs(p2 - y * (1.0 + x * x)) < 1e-15
 
@@ -144,9 +191,9 @@ def test_chart_dispatch_roundtrip():
 def test_kernels_take_complex_steps(params, kernel, u, v):
     # Re f(u + ih) is the float value bit for bit; Im f(u + ih) / h is the
     # derivative, checked against a central difference
-    if params.geometry.bounds[1][0] < 0.0:   # a half plane: try v < 0
+    if params.bounds[1][0] < 0.0:   # a half plane: try v < 0
         v = -v
-    fn = getattr(params.geometry, kernel)
+    fn = getattr(params, kernel)
 
     def parts(a, b):
         return np.atleast_1d(np.asarray(fn(a, b)))
@@ -173,17 +220,16 @@ def test_residual_derivatives_match_their_values(params):
     # bisection safeguard still converges), so check both against central
     # differences of the residual's own value on seeded points
     rng = random.Random(7)
-    geo = params.geometry
     for _ in range(40):
         u, v = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0)
-        h = geo.launch_residual(u, v)
+        h = params.launch_residual(u, v)
         x, d = rng.uniform(-8.0, 8.0), 1e-5
         value, slope, curvature = h(x)
         assert curvature is None
         assert slope == pytest.approx((h(x + d)[0] - h(x - d)[0]) / (2.0 * d), rel=1e-6, abs=0)
 
         R, eta = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0.05, 1.5)
-        f, bound = geo.radial_relation(R, eta)
+        f, bound = params.radial_relation(R, eta)
         s, d = bound * rng.uniform(0.2, 1.0), 1e-4
         value, slope, curvature = f(s)
         up, down = f(s + d)[0], f(s - d)[0]
@@ -219,15 +265,15 @@ def test_almost_distance_closed_forms():
     u, v = 1.1, 0.4
     expect = (math.sqrt(1.0 + k) * u * u + math.sqrt(1.0 - k) * v * v) \
         / math.sqrt(SQRT2 * p.M)
-    assert abs(p.geometry.almost_distance(u, v) - expect) < 1e-15
-    assert abs(EXC.geometry.almost_distance(u, v) - (u * u / 2.0 + v)) < 1e-15
+    assert abs(p.almost_distance(u, v) - expect) < 1e-15
+    assert abs(EXC.almost_distance(u, v) - (u * u / 2.0 + v)) < 1e-15
 
 
 def test_almost_distance_wrong_family():
     with pytest.raises(WrongFamily):
-        HP.geometry.almost_distance(1.0, 1.0)
+        HP.almost_distance(1.0, 1.0)
     with pytest.raises(WrongFamily):
-        FLAT.geometry.almost_distance(1.0, 1.0)
+        FLAT.almost_distance(1.0, 1.0)
 
 
 @given(st.floats(min_value=1e-3, max_value=100.0),

@@ -103,7 +103,7 @@ def test_solve_eta_is_relatively_accurate_next_to_the_u_axis(params, v):
 def test_point_from_polar_past_exp_range_is_finite(params, R, eta):
     # F = e^s overflows past s = 709 here, although (u, v) are finite
     rec = point_from_polar(params, R, eta)
-    params.geometry.check_point(rec.u, rec.v)   # finite and on the chart
+    params.check_point(rec.u, rec.v)   # finite and on the chart
     assert distance(params, rec.u, rec.v) == pytest.approx(R, rel=1e-15, abs=1e-8)
 
 
@@ -114,7 +114,7 @@ def test_point_from_polar_subnormal_radius(params, R, eta):
     # the root s = rho - O(rho^3) rounds to its bound rho, and the relation's
     # subnormal rounding can leave f(rho) < 0: the bracket is padded past it
     rec = point_from_polar(params, R, eta)
-    params.geometry.check_point(rec.u, rec.v)
+    params.check_point(rec.u, rec.v)
     eik = abs(eikonal_S(params, eta, rec.u, rec.v) - R)
     assert eik <= 1e-10 * R + 1e-322   # subnormal rounding
 
@@ -158,7 +158,7 @@ def test_point_from_polar_beyond_sinh_range_is_finite(R):
     # no sinh of the relation leaves the float range, although sinh(2 a s)
     # at twice that s would
     rec = point_from_polar(GEN09, R, 1.2)
-    GEN09.geometry.check_point(rec.u, rec.v)
+    GEN09.check_point(rec.u, rec.v)
     assert abs(distance(GEN09, rec.u, rec.v) / R - 1.0) <= 1e-8
     assert math.isfinite(solve_F(GEN09, R, 1.2))
 
@@ -183,7 +183,7 @@ def test_points_from_polar_agrees_with_point_from_polar(params):
     # root s ~ log of the point's size, not on it; an ulp of s is a relative
     # ulp * s in u and v, hence the log factor in the bound
     rng = random.Random(2024)
-    lo, hi = params.geometry.eta_range
+    lo, hi = params.eta_range
     Rs = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(400)]
     etas = [rng.choice((lo, hi, rng.uniform(lo, hi))) for _ in Rs]
     good, bad = [], []
@@ -208,7 +208,7 @@ def test_points_from_polar_agrees_with_point_from_polar(params):
 @pytest.mark.parametrize("R,eta", [(math.nan, 0.5), (math.inf, 0.5), (-1.0, 0.5),
                                    (1.0, 2.0), (1.0, -2.0), (1.0, math.nan)])
 def test_points_from_polar_rejects_what_point_from_polar_rejects(params, R, eta):
-    lo, hi = params.geometry.eta_range
+    lo, hi = params.eta_range
     with pytest.raises(BadParams):
         point_from_polar(params, R, eta)
     with pytest.raises(BadParams):
@@ -218,7 +218,7 @@ def test_points_from_polar_rejects_what_point_from_polar_rejects(params, R, eta)
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
 def test_scalar_results_are_floats(params):
     # the kernels that take floats or arrays use math on floats: no 0-d arrays
-    lo, hi = params.geometry.eta_range
+    lo, hi = params.eta_range
     for eta in (lo, 0.7, hi):
         rec = point_from_polar(params, 3.0, eta)
         assert type(rec.u) is float and type(rec.v) is float
@@ -238,7 +238,7 @@ def _mp50(params):
     mp = mpmath.mp.clone()
     mp.dps = 50
     a, b = mp.sqrt(1 + mp.mpf(params.k)), mp.sqrt(1 - mp.mpf(params.k))
-    return mp, a, b, mp.sqrt(mp.mpf(params.geometry.M) / (2 * mp.sqrt(2)))
+    return mp, a, b, mp.sqrt(mp.mpf(params.M) / (2 * mp.sqrt(2)))
 
 
 def _mp_tan_eta(mp, a, b, u, v):
@@ -319,7 +319,7 @@ def test_root_solves_take_few_evaluations(params, monkeypatch):
 
     monkeypatch.setattr(geodesics, "find_root_monotone", counting)
     rng = random.Random(11)
-    eta_lo = params.geometry.eta_range[0]
+    eta_lo = params.eta_range[0]
     for _ in range(200):
         r = 10.0 ** rng.uniform(-2.0, 2.0)
         phi = rng.uniform(max(eta_lo, -1.56), 1.56)
@@ -432,6 +432,45 @@ def test_launch_angle_range(params, lo):
             point_from_polar(params, 3.0, eta)
 
 
+K05_CALLS = {   # a launch angle off the quadrant's [0, pi/2] at k = 0.5
+    "solve_F": lambda eta: solve_F(GEN05, 3.0, eta),
+    "polar_metric_coefficient": lambda eta: polar_metric_coefficient(GEN05, 3.0, eta),
+    "approx_F": lambda eta: approx_F(GEN05, 3.0, eta),
+    "point_from_polar": lambda eta: point_from_polar(GEN05, 3.0, eta),
+    "radius_from_F": lambda eta: radius_from_F(GEN05, eta, 2.0),
+    "eikonal_S": lambda eta: eikonal_S(GEN05, eta, 1.0, 1.0),
+    "eikonal_residual": lambda eta: eikonal_residual(GEN05, eta, 1.0, 1.0),
+    "unparam_residual": lambda eta: unparam_residual(GEN05, eta, 1.0, 1.0),
+    "geodesic_shoot": lambda eta: geodesic_shoot(GEN05, eta, 2.0),
+    "points_from_polar": lambda eta: points_from_polar(GEN05, [1.0, 3.0], [0.5, eta]),
+}
+
+
+@pytest.mark.parametrize("eta", [5.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("name", K05_CALLS)
+def test_every_function_of_eta_checks_its_range(name, eta):
+    # each returned a number at eta = 5 (solve_F 4.07, polar_metric_coefficient
+    # 24.5, radius_from_F 1.08, eikonal_residual 0.41) and NaN ran the root
+    # solve out of iterations
+    with pytest.raises(BadParams, match="launch angle"):
+        K05_CALLS[name](eta)
+
+
+@pytest.mark.parametrize("fn", [eikonal_S, unparam_residual])
+def test_eikonal_and_unparam_residual_check_eta_at_k0(fn):
+    # at k = 0 they returned 1.23 and 2.88
+    with pytest.raises(BadParams, match="launch angle"):
+        fn(GEN, 5.0, 1.0, 1.0)
+    assert math.isfinite(fn(HP, -0.5, 1.0, -1.0))   # the half-plane's range
+
+
+@pytest.mark.parametrize("F", [math.nan, math.inf, 1e300, 0.5])
+def test_radius_from_F_needs_a_finite_F_whose_radius_is_a_float(F):
+    # NaN returned NaN, inf returned inf, 1e300 leaked an OverflowError
+    with pytest.raises(BadParams):
+        radius_from_F(GEN05, 0.7, F)
+
+
 def test_distance_closed_form_exceptional():
     # on the geodesic through (u, v) the closed form and the eikonal agree
     for eta in ETAS:
@@ -529,6 +568,14 @@ def test_geodesic_shoot_rejects_bad_inputs(params, eta, t_end):
     # radial geodesic; t_end = inf never finished
     with pytest.raises(BadParams):
         geodesic_shoot(params, eta, t_end)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, 1.5])
+def test_geodesic_shoot_rejects_a_bad_sample_count(n_samples):
+    # 0 leaked a ValueError from np.concatenate, -3 one from np.linspace and
+    # 1.5 a TypeError
+    with pytest.raises(BadParams, match="n_samples"):
+        geodesic_shoot(GEN05, 0.5, 2.0, n_samples=n_samples)
 
 
 def test_geodesic_shoot_matches_polar_endpoint():

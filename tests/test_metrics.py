@@ -77,7 +77,7 @@ def test_fiber_vs_moment_gradients(u, v):
         grads = []
         for i in (0, 1):
             _, du, dv = complex_partials(
-                lambda a, b, i=i: params.geometry.moment_map(a, b)[i], u, v)
+                lambda a, b, i=i: params.moment_map(a, b)[i], u, v)
             grads.append((du, dv))
         for i in (0, 1):
             for j in (0, 1):
