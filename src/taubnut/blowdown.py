@@ -143,11 +143,12 @@ def conifold_limit_residual(k: float, u: float, v: float,
 def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
     """Closed-form curvature of the conifold 3-metric.
 
-    K_sigma has the closed form 2k((1+k)u^2 - (1-k)v^2) / P^3.  The Ricci
-    entries are the actual Ricci tensor of the 3-metric, obtained by
-    brute-force symbolic computation and cross-checkable against
-    conifold_ricci_fd; a diagonal shortcut for this metric fails off the
-    axes (see conifold_ricci_diagonal_variant)."""
+    K_sigma has the closed form 2k((1+k)u^2 - (1-k)v^2) / P^3, checked
+    against conifold_polytope_curvature_fd.  The Ricci entries are the
+    actual Ricci tensor of the 3-metric, obtained by brute-force symbolic
+    computation and checked against conifold_ricci_fd; it is not diagonal
+    off the axes, and a diagonal shortcut fails that check (see
+    tests/test_blowdown.py)."""
     _check_k(k)
     u2, v2 = u * u, v * v
     P = _cone_factor(k, u, v)
@@ -175,24 +176,6 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
     return ConifoldCurvature(K, ric_uu, ric_uv, ric_vv, ric_theta, scalar3)
 
 
-def conifold_ricci_diagonal_variant(k: float, u: float,
-                                    v: float) -> tuple[float, float, float]:
-    """A diagonal shortcut for the conifold Ricci: (uu, vv, theta) entries
-
-        ( -4 sqrt2 k / (Q P^2),  +4 sqrt2 k / (Q P^2),  -2 k (u^2 - v^2) / P^3 )
-
-    scaled by u v.  Kept only as a reference point: it does not match the
-    Ricci tensor of the conifold 3-metric (conifold_curvatures /
-    conifold_ricci_fd), which is not even diagonal off the axes."""
-    _check_k(k)
-    u2, v2 = u * u, v * v
-    P = _cone_factor(k, u, v)
-    Q = u2 + v2
-    return (-4.0 * SQRT2 * k * u * v / (Q * P * P),
-            4.0 * SQRT2 * k * u * v / (Q * P * P),
-            -2.0 * k * u * v * (u2 - v2) / P ** 3)
-
-
 def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float, float]:
     """Ricci tensor of the conifold 3-metric by central finite differences
     of step 1e-4 of the Christoffel symbols: entries (uu, uv, vv, theta),
@@ -218,7 +201,7 @@ def conifold_polytope_curvature_fd(k: float, u: float, v: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# blowdown distance function and its geodesics
+# blowdown distance function
 # --------------------------------------------------------------------------
 
 def blowdown_distance(k: float, u: float, v: float) -> float:
@@ -234,32 +217,6 @@ def blowdown_distance_gradient_deficit(k: float, u: float, v: float) -> float:
     error)."""
     gx, gy = fd_gradient(lambda a, b: blowdown_distance(k, a, b), u, v, step=1e-6)
     return abs(math.sqrt((gx * gx + gy * gy) / _cone_factor(k, u, v)) - 1.0)
-
-
-def blowdown_geodesic(k: float, c1: float, c2: float,
-                      t: float) -> tuple[float, float]:
-    """gamma(t) = (c1 t^sqrt(1+k), c2 t^sqrt(1-k)), t >= 0: the gradient
-    curves of S through the cone point.  Along them v / u^(b/a) is constant
-    with a = sqrt(1+k), b = sqrt(1-k)."""
-    _check_k(k)
-    if t < 0.0:
-        raise BadParams(f"geodesic parameter must be >= 0, got {t}")
-    return c1 * t ** math.sqrt(1.0 + k), c2 * t ** math.sqrt(1.0 - k)
-
-
-def blowdown_characteristic_residual(k: float, c1: float, c2: float,
-                                     t: float) -> float:
-    """|gamma'_u S_v - gamma'_v S_u| along the power curve: identically zero
-    (the curve is tangent to grad S), so any nonzero value is pure roundoff."""
-    _check_k(k)
-    if t <= 0.0:
-        raise BadParams(f"need t > 0 to differentiate the curve, got {t}")
-    a = math.sqrt(1.0 + k)
-    b = math.sqrt(1.0 - k)
-    u, v = blowdown_geodesic(k, c1, c2, t)
-    du = c1 * a * t ** (a - 1.0)
-    dv = c2 * b * t ** (b - 1.0)
-    return abs(du * (b * v) - dv * (a * u))
 
 
 # --------------------------------------------------------------------------
@@ -435,15 +392,8 @@ def _pointed_recombination(A: float) -> np.ndarray:
     """Killing-field recombination used at recentering parameter A.  The
     (1,1) coefficient sqrt2/A is forced by requiring the recombined fiber to
     stay bounded: the variant with 1/(2A) in that slot makes the fiber
-    diverge like A^2 (kept in pointed_limit_divergent_transform for the
-    regression that documents this)."""
+    diverge like A^2 (tests/test_blowdown.py documents this)."""
     return np.array([[SQRT2 / A, -SQRT2 * A], [0.0, SQRT2]])
-
-
-def pointed_limit_divergent_transform(A: float) -> np.ndarray:
-    """X1-coefficient variant 1/(2A): recombined fiber diverges as A grows;
-    retained only so tests can document the failure."""
-    return np.array([[0.5 / A, -SQRT2 * A], [0.0, SQRT2]])
 
 
 def pointed_limit_fiber(u: float, v: float) -> np.ndarray:
@@ -481,26 +431,13 @@ def pointed_limit_halfplane(A: float, u: float, v: float) -> PointedLimitSample:
     )
 
 
-def pointed_limit_moments(A: float, u: float, v: float) -> tuple[float, float]:
-    """Momentum functions of the recombined Killing fields, normalized to
-    vanish at the recentering base point (0, A).  Converge to
-    (v (1 + u^2), u^2 / 2) with exact deficit (v^2 (1 + u^2) / (2A), 0)."""
-    if A <= 0.0:
-        raise BadParams(f"recentering parameter must be positive, got {A}")
-    params = InstantonParams(Family.EXCEPTIONAL_TN)
-    T = _pointed_recombination(A)
-    p = np.array(params.moment_map(u, A + v))
-    base = np.array(params.moment_map(0.0, A))
-    out = T @ (p - base)
-    return float(out[0]), float(out[1])
-
-
 @finite_or_bad_params
 def pointed_limit_moments_limit(u: float, v: float) -> tuple[float, float]:
     """Limit momentum functions: the half-plane pair with indices switched."""
     return v * (1.0 + u * u), 0.5 * u * u
 
 
+@finite_or_bad_params
 def halfplane_swap_residual(u: float, v: float) -> float:
     """Entrywise distance between the pointed-limit fiber at (u, v) and the
     half-plane family fiber at (x, y) = (u, v) with torus indices swapped.

@@ -41,6 +41,7 @@ def check(ident: str):
 
 _GEN0 = InstantonParams(Family.GENERALIZED_TN, M=SQRT2, k=0.0)
 _GEN05 = InstantonParams(Family.GENERALIZED_TN, M=SQRT2, k=0.5)
+_GENM05 = InstantonParams(Family.GENERALIZED_TN, M=SQRT2, k=-0.5)
 _EXC = InstantonParams(Family.EXCEPTIONAL_TN)
 _HP = InstantonParams(Family.EXCEPTIONAL_HALF_PLANE)
 _FLAT = InstantonParams(Family.FLAT)
@@ -271,6 +272,30 @@ def norm_dichotomy():
     return f"|Ric| -> 2 (exceptional) vs sqrt(8) (half-plane): {e:.4f}, {h:.4f}"
 
 
+@check("curvature.decay-rates")
+def decay_rates():
+    # the fall-off along radial geodesics: |K_Sigma| and |Rm| ~ R^-3 on
+    # standard Taub-NUT (k = 0) at every angle, ~ R^-2 at k != 0, and no
+    # decay along the exceptional families' v-axis
+    cases = [("K_sigma", _GEN0, eta, -3.0, 0.1)
+             for eta in (0.0, math.pi / 8, 0.7, math.pi / 4, 3 * math.pi / 8, math.pi / 2)]
+    cases += [(q, _GEN05, 0.7, -2.0, 0.1) for q in ("K_sigma", "Ric")]
+    cases += [("K_sigma", pp, math.pi / 2, 0.0, 0.05) for pp in (_EXC, _HP)]
+    cases += [("Rm_fd", pp, 0.7, rate, 0.05)
+              for pp, rate in ((_GEN0, -3.0), (_GEN05, -2.0), (_GENM05, -2.0))]
+    rates = []
+    for quantity, pp, eta, expected, tol in cases:
+        rate = curvature.decay_rate_along_geodesic(pp, eta, quantity, (60.0, 120.0, 240.0, 480.0))
+        expect(abs(rate - expected) < tol,
+               f"{quantity} of {pp.family.value} k={pp.k} at eta={eta:.4f} decays like "
+               f"R^{rate:.3f}, not R^{expected:.0f} +- {tol}")
+        rates.append(rate)
+    k0, (k05, ric), exc, rm = rates[:6], rates[6:8], rates[8:10], rates[10:]
+    return (f"k=0: K_sigma R^{min(k0):.3f}..R^{max(k0):.3f}, |Rm| R^{rm[0]:.3f}; "
+            f"k=0.5: K_sigma R^{k05:.3f}, Ric R^{ric:.3f}, |Rm| R^{rm[1]:.3f} "
+            f"(k=-0.5 R^{rm[2]:.3f}); exceptional R^{max(exc, key=abs):.3f}")
+
+
 @check("asymptotics.ab-quadrature")
 def ab_quadrature():
     worst = 0.0
@@ -391,7 +416,7 @@ def pointed_residuals():
 @check("blowdown.conifold-ricci-fd")
 def conifold_ricci_fd():
     rng = np.random.default_rng(5)
-    worst = 0.0
+    worst = worst_k = 0.0
     for _ in range(10):
         k = float(rng.uniform(-0.9, 0.9))
         u, v = float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.3, 2.5))
@@ -399,8 +424,11 @@ def conifold_ricci_fd():
         fd = blowdown.conifold_ricci_fd(k, u, v)
         for a, b in zip(fd, (cc.ric_uu, cc.ric_uv, cc.ric_vv, cc.ric_theta)):
             worst = max(worst, abs(a - b) / max(abs(b), 1e-3))
+        k_fd = blowdown.conifold_polytope_curvature_fd(k, u, v)
+        worst_k = max(worst_k, abs(k_fd - cc.k_sigma) / max(abs(cc.k_sigma), 1e-3))
     expect(worst < 1e-5, f"Ric3 FD {worst:.2e}")
-    return f"FD matches closed Ric3 to {worst:.2e}"
+    expect(worst_k < 1e-4, f"K_sigma FD {worst_k:.2e}")
+    return f"FD matches closed Ric3 to {worst:.2e}, K_sigma to {worst_k:.2e}"
 
 
 @check("blowdown.distance-eikonal")

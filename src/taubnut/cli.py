@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import asymptotics, blowdown, checks, curvature, family, geodesics, metrics
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
-from .numerics import InsufficientSamples, SlowDecay, find_roots_monotone
+from .numerics import InsufficientSamples, SlowDecay, StepUnderflow, find_roots_monotone
 
 FAMILY_NAMES = {
     "generalized": Family.GENERALIZED_TN,
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, BadParams, WrongFamily, SlowDecay, InsufficientSamples,
-            blowdown.SingularAxis) as exc:
+            StepUnderflow, blowdown.SingularAxis) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,7 @@ The closed forms are methods and attributes of the family's class in
   converges to.  For the generalized family this is
   (M/sqrt(2)) (-1 + k(1+k)u^2 - k(1-k)v^2) / D^3.  The same formula with
   prefactor M instead of M/sqrt(2) disagrees with the oracle (and with the
-  k -> 1 degeneration onto the exceptional family) by exactly sqrt(2) and
-  is kept as ``polytope_curvature_overscaled(u, v)`` for regression tests;
-  :func:`polytope_curvature_polar_form` writes it in the half-plane polar
-  chart.
+  k -> 1 degeneration onto the exceptional family) by exactly sqrt(2).
 
 * ``ricci_potentials(u, v)`` is the invariant pair (R1, R2) whose exterior
   product is the Ricci pseudo-volume form; it accepts complex (u, v).
@@ -64,10 +61,6 @@ from .numerics import (QuadratureResult, check_stencil,
                        fit_power_law, integrate_2d_improper, integrate_2d_region)
 
 
-class OriginSingularity(Exception):
-    """The (x, y)-form of a quantity is 0/0 at the polytope corner."""
-
-
 class IllConditioned(Exception):
     """The 4-metric is too close to degenerate for FD curvature."""
 
@@ -91,17 +84,6 @@ class Curvature4Sample:
 # --------------------------------------------------------------------------
 # polytope (leaf) sectional curvature and Ricci data
 # --------------------------------------------------------------------------
-
-def polytope_curvature_polar_form(params: InstantonParams, r: float,
-                                  theta: float) -> float:
-    """The overscaled Gauss curvature written in the half-plane polar chart
-    (r, theta), x = r cos(theta), y = r sin(theta).  Provided to cross-check
-    that the polar and quadratic-coordinate forms agree identically (they
-    do, for every M, once 2*eta is read as the (u,v) polar angle)."""
-    if r == 0.0:
-        raise OriginSingularity("use the (u,v) form at the polytope corner")
-    return params.polytope_curvature_polar_form(r, theta)
-
 
 def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
     """Conformal-metric Gauss curvature oracle K = -Lap(log lambda)/(2 lambda)

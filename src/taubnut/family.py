@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from dataclasses import FrozenInstanceError, dataclass, is_dataclass
 from enum import Enum
@@ -269,15 +268,6 @@ class InstantonParams:
             return {"family": self.family.value}
         return {"family": self.family.value, "M": self.M, "k": self.k}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "InstantonParams":
-        raw = json.loads(text)
-        fam = Family(raw["family"])
-        return cls(family=fam, M=raw.get("M"), k=raw.get("k"))
-
 
 def _frozen(self, name, *value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -403,51 +393,22 @@ class GeneralizedTN(InstantonParams):
     def unparam_residual(self, c, s, u, v):
         return abs(math.asinh(self.a * u / c) / self.a - math.asinh(self.b * v / s) / self.b)
 
-    def _relation(self, c2, s2, rho, xp):
-        """s -> (lhs(s) - rho, its first and second s-derivatives), with the
-        elementary functions xp."""
-        a, b = self.a, self.b
-        sinh, cosh = xp.sinh, xp.cosh
-
-        def f(s):
-            sa, sb = sinh(2 * a * s), sinh(2 * b * s)
-            return (c2 / (2 * a) * (0.5 * sa + a * s) + s2 / (2 * b) * (0.5 * sb + b * s) - rho,
-                    c2 * cosh(a * s) ** 2 + s2 * cosh(b * s) ** 2,
-                    c2 * a * sa + s2 * b * sb)
-        return f
-
-    def radius_of_s(self, eta, s):
-        f = self._relation(math.cos(eta) ** 2, math.sin(eta) ** 2, 0.0, _FloatOps)
-        return f(s)[0] / self.mass_root
-
-    def approx_F(self, R, eta):
-        a, b = self.a, self.b
-        rho = self.mass_root * R
-        q = a / b
-        # the branches meet at sin(eta) = n / (n + m) = 1 / (1 + e^L), n = rho^(q-1),
-        # m = 6a / (8b)^q, L = log(m / n): in logs, since n leaves the float range as k -> 1
-        L = math.log(0.75 * 8.0 * a) - q * math.log(8.0 * b) - (q - 1.0) * math.log(rho)
-        t = math.exp(-abs(L))
-        threshold = math.asin((t if L > 0.0 else 1.0) / (1.0 + t))
-        c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
-        if eta < threshold or s2 == 0.0:   # s2 = 0: the v-branch F is infinite
-            F, branch = (8.0 * a * rho / c2) ** (1.0 / (2.0 * a)), "u-dominant"
-        else:
-            F, branch = (8.0 * b * rho / s2) ** (1.0 / (2.0 * b)), "v-dominant"
-        if F == math.inf:   # 8 rho a / c2 or 8 rho b / s2 overflowed without raising
-            raise OverflowError(f"the approximant of F at R={R}, eta={eta}")
-        return F, branch
-
     def radial_relation(self, R, eta):
         a, b = self.a, self.b
         xp = _ops(eta)
         c2, s2 = xp.cos(eta) ** 2, xp.sin(eta) ** 2
         rho = self.mass_root * R
+        sinh, cosh = xp.sinh, xp.cosh
+
+        def f(s):   # lhs(s) - rho, and its first and second s-derivatives
+            sa, sb = sinh(2 * a * s), sinh(2 * b * s)
+            return (c2 / (2 * a) * (0.5 * sa + a * s) + s2 / (2 * b) * (0.5 * sb + b * s) - rho,
+                    c2 * cosh(a * s) ** 2 + s2 * cosh(b * s) ** 2,
+                    c2 * a * sa + s2 * b * sb)
         # lhs(s) >= s, c2 / (4a) sinh(2as) and s2 / (4b) sinh(2bs): the root
         # lies below each bound, and no sinh up to it exceeds 4 a rho / c2
-        return (self._relation(c2, s2, rho, xp),
-                xp.min(rho, xp.asinh(4.0 * a * rho / c2) / (2.0 * a),
-                       xp.asinh(xp.ratio(4.0 * b * rho, s2)) / (2.0 * b)))
+        return f, xp.min(rho, xp.asinh(4.0 * a * rho / c2) / (2.0 * a),
+                         xp.asinh(xp.ratio(4.0 * b * rho, s2)) / (2.0 * b))
 
     def polar_point(self, R, eta, solve):
         xp = _ops(eta)
@@ -479,14 +440,6 @@ class GeneralizedTN(InstantonParams):
         k = self.k
         return (self.M / SQRT2) * (-1.0 + k * (1.0 + k) * u * u
                                    - k * (1.0 - k) * v * v) / generalized_D(k, u, v) ** 3
-
-    def polytope_curvature_overscaled(self, u, v):
-        return SQRT2 * self.polytope_curvature(u, v)
-
-    def polytope_curvature_polar_form(self, r, theta):
-        k, M = self.k, self.M
-        den = 1.0 + SQRT2 * M * r * (1.0 + k * math.sin(theta))
-        return M * (-1.0 + SQRT2 * M * k * r * (k + math.sin(theta))) / den ** 3
 
     def ricci_potentials(self, u, v):
         k = self.k
@@ -806,17 +759,3 @@ def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -
         return uv_from_almost_polar(params, c1, c2)
     raise BadParams("geodesic polar transitions need a root solve; "
                     "use taubnut.geodesics.point_from_polar")
-
-
-def chart_from_uv(params: InstantonParams, chart: Chart, u: float, v: float) -> tuple[float, float]:
-    """Send a (u, v) point to any closed-form chart."""
-    if chart is Chart.UV:
-        return u, v
-    if chart is Chart.XY:
-        return params.xy_from_uv(u, v)
-    if chart is Chart.MOMENT:
-        return params.moment_map(u, v)
-    if chart is Chart.ALMOST_POLAR:
-        return almost_polar_from_uv(params, u, v)
-    raise BadParams("geodesic polar transitions need a root solve; "
-                    "use taubnut.geodesics.polar_from_point")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import BadParams, InstantonParams, finite_or_bad_params
+from .family import BadParams, InstantonParams
 from .metrics import conformal_factor
 from .numerics import (NoBracket, check_stencil, fd_gradient, find_root_monotone,
                        find_roots_monotone, ode_solve)
@@ -147,35 +147,9 @@ def _within_float_range(fn):
         try:
             return fn(params, R, eta)
         except OverflowError:
-            raise BadParams(f"R={R}, eta={eta}: F = e^s, A^2, the approximant of F or a "
-                            f"term of its radial relation is beyond the float range") from None
+            raise BadParams(f"R={R}, eta={eta}: F = e^s, A^2 or a term of its radial "
+                            f"relation is beyond the float range") from None
     return wrapped
-
-
-@finite_or_bad_params
-def radius_from_F(params: InstantonParams, eta: float, F: float) -> float:
-    """The calibration map R(F, eta): evaluates the implicit distance relation
-    at the given F, returning the distance it would correspond to.  Strictly
-    increasing in F with value 0 at F = 1.  GeneralizedTN only.  BadParams
-    for eta outside ``eta_range``, F < 1, or an R that is not finite."""
-    params.check_eta(eta)
-    if F < 1.0:
-        raise BadParams(f"F must be >= 1, got {F}")
-    return params.radius_of_s(eta, math.log(F))
-
-
-@_within_float_range
-def approx_F(params: InstantonParams, R: float, eta: float) -> tuple[float, str]:
-    """Closed-form large-R approximant of F, with its branch id.
-
-    Two power-law branches meet at an angle threshold; which branch applies
-    depends on whether the u- or v-term of the implicit relation dominates.
-    Exact for neither, but radius_from_F(approx_F) stays within roughly a
-    factor of two of R uniformly in eta once R is large.  GeneralizedTN only.
-    """
-    if R == 0.0:
-        raise BadParams("the approximant needs R > 0, got R=0")
-    return params.approx_F(R, eta)
 
 
 def _solve_radial(relation):
@@ -193,9 +167,9 @@ def _solve_radial(relation):
 
 @_within_float_range
 def solve_F(params: InstantonParams, R: float, eta: float) -> float:
-    """Unique F >= 1 with radius_from_F(F, eta) = R: F = e^s at the root s of
-    the family's radial relation (log F for the generalized family, sigma for
-    the exceptional ones)."""
+    """Unique F >= 1 at distance R along the eta-geodesic: F = e^s at the
+    root s of the family's radial relation (log F for the generalized
+    family, sigma for the exceptional ones)."""
     return math.exp(_solve_radial(params.radial_relation(R, eta)))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,20 +8,17 @@ from hypothesis import strategies as st
 
 from taubnut.blowdown import (CONIFOLD_FIBER_LIMIT_FACTOR,
                               LIMIT_FIBER_TOPOLOGY, SingularAxis,
-                              blowdown_characteristic_residual,
                               blowdown_distance,
                               blowdown_distance_gradient_deficit,
-                              blowdown_geodesic, blowdown_xy_from_uv,
+                              blowdown_xy_from_uv,
                               conifold_curvatures, conifold_limit_residual,
                               conifold_metric, conifold_polytope_curvature_fd,
-                              conifold_ricci_diagonal_variant,
                               conifold_ricci_fd, exceptional_blowdown_curvature,
                               exceptional_blowdown_curvature_fd,
                               exceptional_blowdown_limit_residual,
                               exceptional_blowdown_metric,
                               halfplane_swap_residual, pointed_limit_fiber,
-                              pointed_limit_divergent_transform,
-                              pointed_limit_halfplane, pointed_limit_moments,
+                              pointed_limit_halfplane,
                               pointed_limit_moments_limit,
                               second_blowdown_conformal_xy,
                               second_blowdown_limit_residual,
@@ -123,12 +121,30 @@ def test_conifold_everything_flat_at_k0():
         assert val == 0.0
 
 
+def conifold_ricci_diagonal_variant(k, u, v):
+    """A diagonal shortcut for the conifold Ricci: (uu, vv, theta) entries
+
+        ( -4 sqrt2 k / (Q P^2),  +4 sqrt2 k / (Q P^2),  -2 k (u^2 - v^2) / P^3 )
+
+    scaled by u v, Q = u^2 + v^2.  A negative control: it does not match the
+    Ricci tensor of the conifold 3-metric (conifold_curvatures /
+    conifold_ricci_fd), which is not even diagonal off the axes."""
+    u2, v2 = u * u, v * v
+    P = (1.0 + k) * u2 + (1.0 - k) * v2
+    Q = u2 + v2
+    return (-4.0 * SQRT2 * k * u * v / (Q * P * P),
+            4.0 * SQRT2 * k * u * v / (Q * P * P),
+            -2.0 * k * u * v * (u2 - v2) / P ** 3)
+
+
 def test_conifold_diagonal_variant_is_not_the_ricci():
     # frozen counterexample at (k, u, v) = (0.5, 1.0, 0.6): the diagonal
     # shortcut and the true tensor disagree in every slot, and the true
-    # tensor has a large cross term the shortcut cannot represent
+    # tensor has a large cross term the shortcut cannot represent; the FD
+    # oracle tells the two apart
     k, u, v = 0.5, 1.0, 0.6
     duu, dvv, dth = conifold_ricci_diagonal_variant(k, u, v)
+    assert abs(duu - conifold_ricci_fd(k, u, v)[0]) > 1.0
     assert duu == pytest.approx(-0.44212, rel=1e-3, abs=0)
     assert dvv == pytest.approx(+0.44212, rel=1e-3, abs=0)
     assert dth == pytest.approx(-0.08098, rel=1e-3, abs=0)
@@ -155,22 +171,11 @@ def test_blowdown_distance_gradient():
             assert blowdown_distance_gradient_deficit(k, u, v) < 1e-8
 
 
-def test_blowdown_geodesic_characteristic():
-    for k in (0.5, -0.3):
-        for t in (0.2, 1.0, 7.0):
-            assert blowdown_characteristic_residual(k, 1.3, 0.8, t) < 1e-10
-
-
-def test_blowdown_geodesic_reaches_origin():
-    u, v = blowdown_geodesic(0.5, 1.3, 0.8, 0.0)
-    assert u == v == 0.0
-    with pytest.raises(BadParams):
-        blowdown_geodesic(0.5, 1.0, 1.0, -1.0)
-
-
 def test_blowdown_distance_along_geodesic_monotone():
+    # along the gradient curve (t^sqrt(1+k), t^sqrt(1-k)) of S through the
+    # cone point
     k = 0.5
-    ds = [blowdown_distance(k, *blowdown_geodesic(k, 1.0, 1.0, t))
+    ds = [blowdown_distance(k, t ** math.sqrt(1.0 + k), t ** math.sqrt(1.0 - k))
           for t in np.linspace(0.1, 2.0, 8)]
     assert all(b > a for a, b in zip(ds, ds[1:]))
 
@@ -296,15 +301,19 @@ def test_pointed_limit_fiber_is_swapped_halfplane():
         assert halfplane_swap_residual(u, v) < 1e-12
 
 
-def test_pointed_moments_deficit_exact():
-    for A in (5.0, 50.0):
-        for u, v in ((0.7, 0.4), (1.5, -0.2)):
-            got = np.array(pointed_limit_moments(A, u, v))
-            lim = np.array(pointed_limit_moments_limit(u, v))
-            deficit = got - lim
-            assert deficit[0] == pytest.approx(
-                v * v * (1.0 + u * u) / (2.0 * A), rel=1e-10, abs=0)
-            assert abs(deficit[1]) < 1e-12
+@pytest.mark.parametrize("u,v", [(1e300, 1.0), (1.0, 1e300)])
+def test_halfplane_swap_residual_beyond_float_range_is_bad_params(u, v):
+    # (1e300, 1) returned nan; (1, 1e300) warned inf - inf in numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams):
+            halfplane_swap_residual(u, v)
+
+
+def pointed_limit_divergent_transform(A):
+    """The recombination with X1-coefficient 1/(2A) in place of sqrt2/A: a
+    negative control, whose recombined fiber diverges as A grows."""
+    return np.array([[0.5 / A, -SQRT2 * A], [0.0, SQRT2]])
 
 
 def test_pointed_divergent_transform_diverges():

@@ -61,6 +61,79 @@ def test_only_family_py_branches_on_the_family():
     assert found == []
 
 
+def _mentioned(node) -> set:
+    """Every name, attribute and identifier string in node's subtree."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            names.add(n.value)   # benchmarks/tracer.py names what it wraps in strings
+    return names
+
+
+def _unreached_public_names():
+    """Public functions, classes and methods of the package that no command,
+    check or benchmark reaches: a transitive closure over the names that
+    cli.py, checks.py and benchmarks/*.py mention.  A definition is reached
+    when its name is; its body (and, for a class, its class-level statements
+    and dunder methods) then adds the names it mentions.  Module-level
+    statements other than definitions run at import and count as roots;
+    __init__.__all__ does not."""
+    package = Path(taubnut.__file__).parent
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    roots = set()
+    for path in [package / "cli.py", package / "checks.py", *sorted(bench.glob("*.py"))]:
+        roots |= _mentioned(ast.parse(path.read_text()))
+
+    mentions = {}   # name -> the names its definitions mention
+    public = []     # (name, qualified name) of each definition the guard holds
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                qual = f"{path.stem}.{node.name}"
+                body = _mentioned(node) if isinstance(node, ast.FunctionDef) else set()
+                if any("check" in _mentioned(d) for d in node.decorator_list):
+                    roots.add(node.name)   # a @check function: verify runs it
+                if isinstance(node, ast.ClassDef):
+                    for d in node.decorator_list + node.bases:
+                        body |= _mentioned(d)
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                            mentions.setdefault(item.name, set()).update(_mentioned(item))
+                            if not item.name.startswith("_"):
+                                public.append((item.name, f"{qual}.{item.name}"))
+                        else:
+                            body |= _mentioned(item)
+                mentions.setdefault(node.name, set()).update(body)
+                if not node.name.startswith("_"):
+                    public.append((node.name, qual))
+            elif isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
+                for t in node.targets:   # a constant: reached when its name is
+                    mentions.setdefault(t.id, set()).update(_mentioned(node.value))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _mentioned(node)
+
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(mentions.get(name, set()) - reached)
+    return sorted(qual for name, qual in public if name not in reached)
+
+
+def test_every_public_name_serves_a_command_a_check_or_the_benchmark():
+    # a function only the tests call is behaviour no user can reach: delete
+    # it, move it into the test that uses it, or make it a check
+    assert _unreached_public_names() == []
+
+
 def test_package_does_not_import_scipy():
     # scipy is an oracle of the tests, not a dependency of the package
     found = []

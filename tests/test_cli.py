@@ -178,6 +178,17 @@ def test_bad_arguments_exit_2_from_a_process():
     assert cp.stderr.startswith("error: ")
 
 
+def test_step_underflow_exits_2_from_a_process():
+    # the flat geodesic's step size collapses near t = 1.2e158 and
+    # ode_solve raises StepUnderflow, which left a traceback and exit 1.
+    # A fresh interpreter: the integrator's 0/0 error norm there warns
+    # first, and this suite turns that RuntimeWarning into an error
+    cp = run_process("geodesic", "--family", "flat", "--R", "1e300", "--eta", "0.7")
+    assert cp.returncode == 2 and cp.stdout == "" and "Traceback" not in cp.stderr
+    errors = [line for line in cp.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "integrator stopped" in errors[0]
+
+
 def test_eval_beyond_float_range_names_the_quantity():
     # k_sigma's D ** 3 raises OverflowError here, the fibers overflow to inf
     # and numpy's det warns: one message names the first such quantity
@@ -489,7 +500,7 @@ def test_verify_single_suite():
 def test_verify_all_is_deterministic():
     first = run_process("verify", "--suite", "all")
     assert first.returncode == 0, first.stdout + first.stderr
-    assert "30/30 checks passed" in first.stdout
+    assert "31/31 checks passed" in first.stdout
     assert run_process("verify", "--suite", "all").stdout == first.stdout
 
 

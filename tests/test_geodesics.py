@@ -10,11 +10,11 @@ from taubnut import geodesics
 from taubnut.curvature import polytope_curvature_fd
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.numerics import find_root_monotone
-from taubnut.geodesics import (approx_F, distance, eikonal_S,
+from taubnut.geodesics import (distance, eikonal_S,
                                eikonal_residual, geodesic_shoot,
                                point_from_polar, points_from_polar, polar_from_point,
                                polar_metric_coefficient,
-                               polar_metric_coefficient_fd, radius_from_F,
+                               polar_metric_coefficient_fd,
                                solve_eta, solve_F, unparam_residual)
 
 GEN = InstantonParams()
@@ -127,22 +127,20 @@ def test_point_from_polar_non_finite_radius_is_bad_params(R):
 
 @pytest.mark.parametrize("fn,value", [
     (solve_F, lambda F: F),
-    (approx_F, lambda out: out[0]),
     (polar_metric_coefficient, lambda A2: A2),
-], ids=["solve_F", "approx_F", "polar_metric_coefficient"])
+], ids=["solve_F", "polar_metric_coefficient"])
 def test_radial_functions_finite_as_k_nears_1(fn, value):
-    # the approximant's branch threshold involves rho^(q-1), q = a/b, which
-    # overflows as k -> 1
+    # a / b = sqrt((1+k) / (1-k)) is about 141 here
     assert math.isfinite(value(fn(InstantonParams(k=0.9999), 1000.0, 0.5)))
 
 
-RADIAL_FNS = (solve_F, approx_F, polar_metric_coefficient)
+RADIAL_FNS = (solve_F, polar_metric_coefficient)
 
 
 @pytest.mark.parametrize("fn,params,R,eta", [
-    # F = e^s (s = 1025), the approximant and A^2 all pass the float range
+    # F = e^s (s = 1025) and A^2 pass the float range
     *[(fn, InstantonParams(k=-0.9999), 1e10, 0.0) for fn in RADIAL_FNS],
-    # the approximant's 8 a rho / cos(eta)^2 overflows to inf without raising
+    # next to the v axis at R = 1e300 a term of the radial relation overflows
     *[(fn, GEN05, 1e300, math.pi / 2 - 1e-10) for fn in RADIAL_FNS],
     # s = 252 and F are finite; A^2 overflows to inf without raising
     (polar_metric_coefficient, GEN09, 1e300, 1.2),
@@ -163,7 +161,7 @@ def test_point_from_polar_beyond_sinh_range_is_finite(R):
     assert math.isfinite(solve_F(GEN09, R, 1.2))
 
 
-@pytest.mark.parametrize("fn", [approx_F, solve_F, point_from_polar, polar_metric_coefficient])
+@pytest.mark.parametrize("fn", [solve_F, point_from_polar, polar_metric_coefficient])
 @pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT], ids=["GEN05", "EXC", "HP", "FLAT"])
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
 def test_non_finite_radius_is_bad_params(fn, params, R):
@@ -332,13 +330,6 @@ def test_root_solves_take_few_evaluations(params, monkeypatch):
     assert sum(counts) / len(counts) <= 6.0
 
 
-@pytest.mark.parametrize("eta", [0.0, 1e-200])
-def test_approx_F_next_to_the_u_axis_takes_the_u_branch(eta):
-    # sin(eta)^2 is 0 there, and the v branch divides by it
-    F, branch = approx_F(InstantonParams(k=0.9999), 1e-11, eta)
-    assert branch == "u-dominant" and math.isfinite(F)
-
-
 def test_solve_eta_axes():
     assert solve_eta(GEN05, 2.0, 0.0) == 0.0
     assert solve_eta(GEN05, 0.0, 2.0) == pytest.approx(math.pi / 2.0)
@@ -435,9 +426,7 @@ def test_launch_angle_range(params, lo):
 K05_CALLS = {   # a launch angle off the quadrant's [0, pi/2] at k = 0.5
     "solve_F": lambda eta: solve_F(GEN05, 3.0, eta),
     "polar_metric_coefficient": lambda eta: polar_metric_coefficient(GEN05, 3.0, eta),
-    "approx_F": lambda eta: approx_F(GEN05, 3.0, eta),
     "point_from_polar": lambda eta: point_from_polar(GEN05, 3.0, eta),
-    "radius_from_F": lambda eta: radius_from_F(GEN05, eta, 2.0),
     "eikonal_S": lambda eta: eikonal_S(GEN05, eta, 1.0, 1.0),
     "eikonal_residual": lambda eta: eikonal_residual(GEN05, eta, 1.0, 1.0),
     "unparam_residual": lambda eta: unparam_residual(GEN05, eta, 1.0, 1.0),
@@ -450,7 +439,7 @@ K05_CALLS = {   # a launch angle off the quadrant's [0, pi/2] at k = 0.5
 @pytest.mark.parametrize("name", K05_CALLS)
 def test_every_function_of_eta_checks_its_range(name, eta):
     # each returned a number at eta = 5 (solve_F 4.07, polar_metric_coefficient
-    # 24.5, radius_from_F 1.08, eikonal_residual 0.41) and NaN ran the root
+    # 24.5, eikonal_residual 0.41) and NaN ran the root
     # solve out of iterations
     with pytest.raises(BadParams, match="launch angle"):
         K05_CALLS[name](eta)
@@ -462,13 +451,6 @@ def test_eikonal_and_unparam_residual_check_eta_at_k0(fn):
     with pytest.raises(BadParams, match="launch angle"):
         fn(GEN, 5.0, 1.0, 1.0)
     assert math.isfinite(fn(HP, -0.5, 1.0, -1.0))   # the half-plane's range
-
-
-@pytest.mark.parametrize("F", [math.nan, math.inf, 1e300, 0.5])
-def test_radius_from_F_needs_a_finite_F_whose_radius_is_a_float(F):
-    # NaN returned NaN, inf returned inf, 1e300 leaked an OverflowError
-    with pytest.raises(BadParams):
-        radius_from_F(GEN05, 0.7, F)
 
 
 def test_distance_closed_form_exceptional():
@@ -502,42 +484,20 @@ def test_roundtrip_random(R, eta):
 # ----------------------------------------------------------- radial parameter
 
 def test_solve_F_inverts_radius():
+    # the generalized family's radial relation at s = log F, written out:
+    # R = [cos^2/(2a) (sinh(2as)/2 + as) + sin^2/(2b) (sinh(2bs)/2 + bs)] / sqrt(M / (2 sqrt2))
+    a, b = math.sqrt(1.5), math.sqrt(0.5)
     for eta in ETAS:
         for R in (0.01, 1.0, 50.0, 2000.0):
-            F = solve_F(GEN05, R, eta)
-            assert radius_from_F(GEN05, eta, F) == pytest.approx(
+            s = math.log(solve_F(GEN05, R, eta))
+            lhs = (math.cos(eta) ** 2 / (2 * a) * (0.5 * math.sinh(2 * a * s) + a * s)
+                   + math.sin(eta) ** 2 / (2 * b) * (0.5 * math.sinh(2 * b * s) + b * s))
+            assert lhs / math.sqrt(GEN05.M / (2.0 * math.sqrt(2.0))) == pytest.approx(
                 R, rel=1e-10, abs=0)
 
 
 def test_solve_F_origin():
     assert solve_F(GEN05, 0.0, 0.7) == 1.0
-
-
-def test_approx_F_tracks_true_F():
-    # the approximant's implied radius stays within [0.999, 2.2] x R at
-    # large R (band frozen from the eta-grid measurements)
-    for R in (1e2, 1e3, 1e4):
-        for j in range(7):
-            eta = j * math.pi / 12.0
-            eta = min(eta, math.pi / 2.0 - 1e-9)
-            Fa, branch = approx_F(GEN05, R, eta)
-            ratio = radius_from_F(GEN05, eta, Fa) / R
-            assert 0.999 <= ratio <= 2.2, (R, eta, branch, ratio)
-
-
-def test_approx_F_needs_positive_R():
-    with pytest.raises(BadParams):
-        approx_F(GEN05, 0.0, 0.3)
-
-
-def test_surrogate_ratio_k0_near_branch_jump():
-    # at k = 0 the two branches meet with a finite jump; the implied-radius
-    # ratio peaks just under 49/16 there, which is why the uniform band on
-    # the eta grid is set where it is
-    R = 1e3
-    ratios = [radius_from_F(GEN, eta, approx_F(GEN, R, eta)[0]) / R
-              for eta in np.linspace(0.05, 1.5, 400)]
-    assert 2.8 < max(ratios) < 3.2
 
 
 # ----------------------------------------------------------- unparametrized eq
