@@ -353,6 +353,7 @@ FLOAT_RANGE_CALLS = {   # the functions the blowdown command calls, at (x, 1)
         lambda x: exceptional_blowdown_limit_residual(x, 1.0, 1e2),
     "pointed_limit_halfplane": lambda x: pointed_limit_halfplane(1e2, x, 1.0),
     "pointed_limit_moments_limit": lambda x: pointed_limit_moments_limit(x, 1.0),
+    "halfplane_swap_residual": lambda x: halfplane_swap_residual(x, 1.0),
 }
 
 
@@ -363,6 +364,32 @@ def test_a_value_beyond_the_float_range_is_bad_params(name, x):
     # or a numpy warning
     with pytest.raises(BadParams, match="not finite"):
         FLOAT_RANGE_CALLS[name](x)
+
+
+SECOND_COORDINATE_CALLS = {   # the same functions at (1, x)
+    "conifold_metric": lambda x: conifold_metric(0.5, 1.0, x),
+    "conifold_curvatures": lambda x: conifold_curvatures(0.5, 1.0, x),
+    "conifold_limit_residual": lambda x: conifold_limit_residual(0.5, 1.0, x, 1e4),
+    "second_blowdown_metric": lambda x: second_blowdown_metric(0.5, 1.0, x),
+    "second_blowdown_limit_residual": lambda x: second_blowdown_limit_residual(0.5, 1.0, x, 1e4),
+    "exceptional_blowdown_metric": lambda x: exceptional_blowdown_metric(1.0, x),
+    "exceptional_blowdown_limit_residual":
+        lambda x: exceptional_blowdown_limit_residual(1.0, x, 1e2),
+    "pointed_limit_halfplane": lambda x: pointed_limit_halfplane(1e2, 1.0, x),
+    "pointed_limit_moments_limit": lambda x: pointed_limit_moments_limit(1.0, x),
+    "halfplane_swap_residual": lambda x: halfplane_swap_residual(1.0, x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", SECOND_COORDINATE_CALLS)
+def test_a_second_coordinate_beyond_the_float_range_is_bad_params(name, x):
+    # a bare v < 0 or v > 0 test lets NaN through; -inf may fail the
+    # function's own domain test first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams):
+            SECOND_COORDINATE_CALLS[name](x)
 
 
 def test_a_power_that_underflows_is_bad_params():

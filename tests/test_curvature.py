@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -253,3 +254,36 @@ def test_rm_fd_decay_rate(params, exponent, eta):
     # the check curvature.decay-rates holds eta = 0.7
     rate = decay_rate_along_geodesic(params, eta, "Rm_fd", (60.0, 120.0, 240.0, 480.0))
     assert rate == pytest.approx(exponent, abs=0.05)
+
+
+DECAY_BOUNDS = [   # (quantity, params, eta, exponent, tolerance) of curvature.decay-rates
+    *[("K_sigma", GEN, eta, -3.0, 0.1)
+      for eta in (0.0, math.pi / 8, 0.7, math.pi / 4, 3 * math.pi / 8, math.pi / 2)],
+    ("K_sigma", GEN05, 0.7, -2.0, 0.1),
+    ("Ric", GEN05, 0.7, -2.0, 0.1),
+    ("K_sigma", EXC, math.pi / 2, 0.0, 0.05),
+    ("K_sigma", HP, math.pi / 2, 0.0, 0.05),
+    ("Rm_fd", GEN, 0.7, -3.0, 0.05),
+    ("Rm_fd", GEN05, 0.7, -2.0, 0.05),
+    ("Rm_fd", InstantonParams(k=-0.5), 0.7, -2.0, 0.05),
+]
+DECAY_IDS = [f"{q}-{p.family.value}-k{p.k}-eta{eta:.4f}" for q, p, eta, _, _ in DECAY_BOUNDS]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["slower", "faster"])
+@pytest.mark.parametrize("quantity,params,eta,exponent,tol", DECAY_BOUNDS, ids=DECAY_IDS)
+def test_decay_rates_check_holds_each_bound(quantity, params, eta, exponent, tol, sign,
+                                            monkeypatch):
+    # a fit off by twice its tolerance on either side, at one case only,
+    # fails curvature.decay-rates and is named in its message
+    from taubnut import curvature
+    from taubnut.checks import CheckFailed, decay_rates
+
+    def shifted(pp, e, q, radii):
+        rate = decay_rate_along_geodesic(pp, e, q, radii)
+        return rate + sign * 2.0 * tol if (q, pp, e) == (quantity, params, eta) else rate
+
+    monkeypatch.setattr(curvature, "decay_rate_along_geodesic", shifted)
+    name = f"{quantity} of {params.family.value} k={params.k} at eta={eta:.4f} "
+    with pytest.raises(CheckFailed, match=re.escape(name)):
+        decay_rates()
