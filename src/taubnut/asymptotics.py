@@ -126,7 +126,7 @@ def volume_growth_exponent(params: InstantonParams, radii) -> float:
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise BadParams("radii must be strictly increasing")
     vols = [almost_ball_volume(params, R) for R in radii]
-    return fit_power_law(radii, vols).exponent
+    return fit_power_law(radii, vols)
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +142,6 @@ class SandwichSample:
     band should stay bounded (the surrogate differs from the distance by
     O(log R) additively)."""
 
-    r_tilde: float
     gap_min: float
     gap_max: float
     c_min: float
@@ -150,20 +149,17 @@ class SandwichSample:
 
 
 def sphere_sandwich(params: InstantonParams, r_tilde: float,
-                    *, n: int = 50) -> SandwichSample:
+                    *, n: int) -> SandwichSample:
     """Sample AS(r_tilde) at n angles and measure Rtilde - distance.
     BadParams unless n is an int >= 2."""
     if r_tilde <= 0.0:
         raise BadParams(f"need a positive radius, got {r_tilde}")
     if not (isinstance(n, int) and n >= 2):
         raise BadParams(f"n must be an int >= 2, got {n!r}")
-    gaps = []
-    cs = []
+    gaps, cs = [], []
     for i in range(n):
-        psi = 0.5 * math.pi * (i / (n - 1))
-        u, v = uv_from_almost_polar(params, r_tilde, psi)
+        u, v = uv_from_almost_polar(params, r_tilde, 0.5 * math.pi * (i / (n - 1)))
         R = distance(params, u, v)
-        gap = r_tilde - R
-        gaps.append(gap)
-        cs.append(gap / math.log(R))
-    return SandwichSample(r_tilde, min(gaps), max(gaps), min(cs), max(cs))
+        gaps.append(r_tilde - R)
+        cs.append(gaps[-1] / math.log(R))
+    return SandwichSample(min(gaps), max(gaps), min(cs), max(cs))

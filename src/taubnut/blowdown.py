@@ -71,7 +71,6 @@ CONIFOLD_FIBER_LIMIT_FACTOR = 2.0
 class ConifoldMetric:
     """g3 = conformal (du^2 + dv^2) + fiber_scalar dtheta^2."""
 
-    k: float
     conformal: float
     fiber_scalar: float
 
@@ -105,7 +104,7 @@ def conifold_metric(k: float, u: float, v: float) -> ConifoldMetric:
     if P == 0.0:
         raise SingularAxis("the conifold metric degenerates at the origin")
     scal = u * u * v * v * (u * u + v * v) / P
-    return ConifoldMetric(k, P, scal)
+    return ConifoldMetric(P, scal)
 
 
 def _large_mass_scaled(k: float, u: float, v: float,
@@ -229,7 +228,6 @@ class BlowdownMetric4:
     matrix fiber; det(fiber) = u^2 v^2 identically.  moments are the
     commuting momentum functions of the limit torus action."""
 
-    k: float
     conformal: float
     fiber: np.ndarray
     moments: tuple[float, float]
@@ -248,7 +246,7 @@ def second_blowdown_metric(k: float, u: float, v: float) -> BlowdownMetric4:
         [-2.0 * k * u2 * v2 / P, ((1.0 + k) ** 2 * u2 + (1.0 - k) ** 2 * v2) / P],
     ])
     moments = (0.5 * u2 * v2, -0.5 * (1.0 + k) * u2 + 0.5 * (1.0 - k) * v2)
-    return BlowdownMetric4(k, P, fiber, moments)
+    return BlowdownMetric4(P, fiber, moments)
 
 
 def second_blowdown_moment_residual(k: float, u: float, v: float) -> float:
@@ -376,7 +374,6 @@ class PointedLimitSample:
     limit carries the topology tag "cylinder" (pointwise metric data alone
     cannot see the difference; the tag records it)."""
 
-    A: float
     conformal: float
     fiber: np.ndarray
     limit_fiber: np.ndarray
@@ -422,7 +419,6 @@ def pointed_limit_halfplane(A: float, u: float, v: float) -> PointedLimitSample:
     G = T @ F @ T.T
     L = pointed_limit_fiber(u, v)
     return PointedLimitSample(
-        A=A,
         conformal=conformal_factor(params, u, A + v),
         fiber=G,
         limit_fiber=L,

@@ -183,11 +183,9 @@ def _cmd_geodesic(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     traj = geodesics.geodesic_shoot(params, args.eta, args.R, n_samples=args.samples)
-    rows = [[t, u, v, R, abs(R - t),
-             geodesics.unparam_residual(params, args.eta, u, v)]
-            for t, u, v, R in zip(traj.ts, traj.us, traj.vs, traj.distances)]
-    _write_out(_csv(["t", "u", "v", "R", "distance_residual",
-                     "unparam_residual"], rows), args.out)
+    rows = [[t, u, v, R, abs(R - t), res] for t, u, v, R, res in
+            zip(traj.ts, traj.us, traj.vs, traj.distances, traj.unparam_residuals)]
+    _write_out(_csv(["t", "u", "v", "R", "distance_residual", "unparam_residual"], rows), args.out)
     return 0
 
 
@@ -200,17 +198,17 @@ def _trace_level(params, eta, level, cp, sp, r0):
     (cp, sp): one array Newton solve on r, started at r0.  NaN on a ray along
     which S_eta stays below the level up to r = 2^29 (it can vanish or go
     negative near an axis).  grad S_eta is lambda times the velocity of the
-    unit-speed eta-geodesic: the right-hand side from shoot_rhs, which takes
-    arrays (u, v) when built for an array eta."""
+    unit-speed eta-geodesic: velocity((u, v)), the right-hand side from
+    shoot_rhs, which takes arrays (u, v) when built for an array eta."""
     velocity = params.shoot_rhs(np.asarray(eta))
 
     def f(r):
         u, v = r * cp, r * sp
-        du, dv = velocity(0.0, (u, v))
+        du, dv = velocity((u, v))
         return (geodesics.eikonal_S(params, eta, u, v) - level,
                 metrics.conformal_factor(params, u, v) * (cp * du + sp * dv), None)
 
-    return find_roots_monotone(f, 0.0, 2.0 ** 29, x0=r0, abs_tol=geodesics.ROOT_TOL)[0]
+    return find_roots_monotone(f, 0.0, 2.0 ** 29, x0=r0, abs_tol=geodesics.ROOT_TOL)
 
 
 def _cmd_contour(args) -> int:

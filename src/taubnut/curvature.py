@@ -125,16 +125,16 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
         return TORUS_VOLUME * params.ricci_density(u, v)
 
     if math.isfinite(closed):
-        quad = integrate_2d_improper(f, decay_exponent=2.0)
+        quad = integrate_2d_improper(f)
         return EnergyReport(closed, quad, abs(quad.value - closed) / closed)
 
     samples = []
     for R in (25.0, 50.0, 100.0, 200.0):
         u_max, v_max, weight = params.energy_region(R)
         samples.append((R, weight * integrate_2d_region(f, u_max, v_max).value))
-    fit = fit_power_law([s[0] for s in samples], [s[1] for s in samples])
+    exponent = fit_power_law([R for R, _ in samples], [e for _, e in samples])
     return EnergyReport(math.inf, None, math.inf,
-                        growth_samples=samples, growth_exponent=fit.exponent)
+                        growth_samples=samples, growth_exponent=exponent)
 
 
 # --------------------------------------------------------------------------
@@ -205,4 +205,4 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
             raise BadParams(f"{quantity} vanishes along this geodesic; "
                             "no power law to fit")
         vals.append(q)
-    return fit_power_law(list(R_samples), vals).exponent
+    return fit_power_law(list(R_samples), vals)

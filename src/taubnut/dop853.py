@@ -4,22 +4,19 @@ Coefficients of Hairer, Norsett & Wanner, *Solving Ordinary Differential
 Equations I*, 2nd ed., Sec. II.10 (the DOP853 code), as IEEE doubles.  Rows
 of ``A`` are stored sparsely, {column: coefficient}; stages 12-15 are the
 three extra stages of the dense output (stage 12 is the FSAL stage
-f(t + h, y_new)).  :func:`taubnut.numerics.ode_solve` drives the step.
+f(y_new)).  The package's right-hand sides do not depend on time: stages
+take the state alone.  :func:`taubnut.numerics.ode_solve` drives the step.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-N_STAGES = 12           # stages of one step; K[12] holds f(t + h, y_new)
+N_STAGES = 12           # stages of one step; K[12] holds f(y_new)
 N_STAGES_EXTENDED = 16  # plus the three extra stages of the dense output
 ERROR_ORDER = 7         # step control: error_norm ~ h^(ERROR_ORDER + 1)
-
-C = np.array([
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
-    0.7777777777777778])
 
 _A_ROWS = {
     1: {0: 0.05260015195876773},
@@ -103,40 +100,44 @@ D = _dense({
 }, (4, N_STAGES_EXTENDED))
 
 
-def stages(fun, t: float, y: np.ndarray, h: float, K: np.ndarray,
-           first: int, last: int) -> None:
-    """Fill K[first:last] with the stage slopes of the step (t, y, h); the
-    rows below ``first`` must already hold the earlier stages."""
+def stages(rhs, y: np.ndarray, h: float, K: np.ndarray, first: int, last: int) -> None:
+    """Fill K[first:last] with the stage slopes of the step (y, h); the rows
+    below ``first`` must already hold the earlier stages."""
     for s in range(first, last):
-        K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+        K[s] = rhs(y + np.dot(K[:s].T, A[s, :s]) * h)
 
 
 def error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
     """RMS norm of the step's error estimate relative to ``scale``: the 5th-
-    order estimate, damped by the 3rd-order one where the two disagree."""
+    order estimate, damped by the 3rd-order one where the two disagree.
+    Where a squared norm under- or overflows, both estimates are divided by
+    a power of two first, which the result (of degree 1 in them) gets back."""
     err5 = np.dot(K.T, E5) / scale
     err3 = np.dot(K.T, E3) / scale
     err5_2 = np.linalg.norm(err5) ** 2
     err3_2 = np.linalg.norm(err3) ** 2
+    shift = 0
+    if err5_2 in (0.0, math.inf) or err3_2 in (0.0, math.inf):
+        shift = math.frexp(max(np.abs(err5).max(), np.abs(err3).max()))[1]
+        err5_2 = np.linalg.norm(np.ldexp(err5, -shift)) ** 2
+        err3_2 = np.linalg.norm(np.ldexp(err3, -shift)) ** 2
     if err5_2 == 0.0 and err3_2 == 0.0:
         return 0.0
-    return abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+    return math.ldexp(abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale)), shift)
 
 
-def interpolant(fun, t_old: float, h: float, y_old: np.ndarray, y: np.ndarray,
-                f: np.ndarray, K: np.ndarray):
-    """The 7th-order dense output over the step [t_old, t_old + h] just
-    taken (K[:13] its stages, f the slope at its end).  Evaluates the three
-    extra stages into K[13:16]; returns t_array -> y of shape (len, n)."""
-    stages(fun, t_old, y_old, h, K, N_STAGES + 1, N_STAGES_EXTENDED)
+def interpolant(rhs, h: float, y_old: np.ndarray, y: np.ndarray, f: np.ndarray,
+                K: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The 7th-order dense output of the step of size h from y_old to y just
+    taken (K[:13] its stages, f the slope at its end) at the step fractions
+    x in [0, 1], as an array of shape (len(x), len(y)).  Evaluates the three
+    extra stages into K[13:16]."""
+    stages(rhs, y_old, h, K, N_STAGES + 1, N_STAGES_EXTENDED)
     delta = y - y_old
     F = [delta, h * K[0] - delta, 2 * delta - h * (f + K[0]), *(h * np.dot(D, K))]
-
-    def at(ts: np.ndarray) -> np.ndarray:
-        x = ((ts - t_old) / h)[:, None]
-        out = np.zeros((len(ts), len(y_old)))
-        for i, term in enumerate(reversed(F)):
-            out += term
-            out *= x if i % 2 == 0 else 1 - x
-        return out + y_old
-    return at
+    x = x[:, None]
+    out = np.zeros((len(x), len(y_old)))
+    for i, term in enumerate(reversed(F)):
+        out += term
+        out *= x if i % 2 == 0 else 1 - x
+    return out + y_old

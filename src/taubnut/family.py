@@ -137,6 +137,11 @@ def _ops(x):
     return _ArrayOps if type(x) is np.ndarray else _FloatOps
 
 
+def _axis_cos_sin(eta):
+    """(cos eta, sin eta), with cos 0 on the axis |eta| = pi/2, not math.cos's 6e-17."""
+    return 0.0 if abs(eta) == math.pi / 2 else math.cos(eta), math.sin(eta)
+
+
 def _leg(p, c: float):
     """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for p, c >= 0, p a float
     or an array.
@@ -198,10 +203,11 @@ def _half_plane_x(phi1):
 # moment_map and ricci_potentials also take complex (u, v), under the
 # complex-step contract of taubnut.numerics, and almost_ball_v_max takes
 # arrays of u.  radial_relation, polar_point, eikonal_S and conformal_factor
-# take arrays too (R and eta broadcast together; (u, v) with (c, s) floats),
-# and so does the right-hand side shoot_rhs(eta) returns for an array eta:
+# take arrays too (R and eta broadcast together; (u, v) with (c, s) floats):
 # written once, they call math on floats and numpy on arrays through _ops.
-# (c, s) is (cos eta, sin eta).
+# (c, s) is (cos eta, sin eta).  shoot_rhs(eta) = rhs, the velocity
+# y = (u, v) -> (u', v') of the unit-speed eta-geodesic, a function of the
+# state alone; built for an array eta, it takes arrays (u, v).
 # launch_residual(u, v) = h, the launch-angle relation through (u, v),
 # increasing in x = log tan(eta); radial_relation(R, eta) = (f, bound), S_eta
 # along the eta-geodesic minus R in its log radial parameter s and a
@@ -424,11 +430,11 @@ class GeneralizedTN(InstantonParams):
         return 2.0 * SQRT2 / self.M * w * w
 
     def shoot_rhs(self, eta):
-        c, s = math.cos(eta), math.sin(eta)
+        c, s = _axis_cos_sin(eta)
         a, b, pre = self.a, self.b, self.mass_root
         hypot = _ops(eta).hypot
 
-        def rhs(t, y):
+        def rhs(y):
             u, v = y
             P = hypot(c, a * u)
             Q = hypot(s, b * v)
@@ -558,10 +564,10 @@ class ExceptionalTN(InstantonParams):
         return xp.cos(eta) * xp.sinh(sigma), xp.where(axis, R, xp.sin(eta) * sigma)
 
     def shoot_rhs(self, eta):
-        c, s = math.cos(eta), math.sin(eta)
+        c, s = _axis_cos_sin(eta)
         hypot = _ops(eta).hypot
 
-        def rhs(t, y):
+        def rhs(y):
             u, v = y
             lam = 1.0 + u * u
             return np.array([hypot(c, u) / lam, s / lam])
@@ -694,8 +700,8 @@ class Flat(_HalfPlane):
         return R * xp.cos(eta), R * xp.sin(eta)
 
     def shoot_rhs(self, eta):
-        c, s = math.cos(eta), math.sin(eta)
-        return lambda t, y: np.array([c, s])
+        c, s = _axis_cos_sin(eta)
+        return lambda y: np.array([c, s])
 
     def ricci_potentials(self, u, v):
         return 1.0 / SQRT2, 1.0 / SQRT2

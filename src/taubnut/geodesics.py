@@ -35,21 +35,17 @@ X_LO, X_HI = -750.0, 40.0   # x = log tan(eta) past which eta rounds to 0 or to 
 
 @dataclass
 class GeodesicRecord:
-    eta: float
-    R: float
     u: float
     v: float
 
 
 @dataclass
 class Trajectory:
-    eta: float
     ts: np.ndarray
     us: np.ndarray
     vs: np.ndarray
-    distances: np.ndarray      # distance(u(t), v(t)) at each sample
-    distance_residual: float   # max |distance(u(t), v(t)) - t|: unit-speed gate
-    geodesic_residual: float   # max unparametrized-equation residual
+    distances: np.ndarray          # distance(u(t), v(t)) at each sample
+    unparam_residuals: np.ndarray  # unparam_residual(eta, u(t), v(t)) at each sample
     nfev: int
 
 
@@ -65,9 +61,7 @@ def eikonal_S(params: InstantonParams, eta: float, u: float, v: float) -> float:
     BadParams for eta outside the family's ``eta_range``.
     """
     params.check_eta(eta)
-    c, s = math.cos(eta), math.sin(eta)
-    if abs(c) < 1e-300:
-        c = 0.0
+    c, s = math.cos(eta), math.sin(eta)   # |cos| >= 6e-17 on the eta range
     if abs(s) < 1e-300:
         s = 0.0
     return params.eikonal_S(c, s, u, v)
@@ -127,7 +121,7 @@ def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) ->
     c, s = math.cos(eta), math.sin(eta)
     if s == 0.0 or eta == 0.0:
         return abs(v)
-    if c == 0.0 or eta == math.pi / 2:
+    if c == 0.0 or abs(eta) == math.pi / 2:
         return abs(u)
     return params.unparam_residual(c, s, u, v)
 
@@ -161,7 +155,7 @@ def _solve_radial(relation):
     # cannot leave f(hi) < 0
     hi = bound * (1.0 + 1e-14) + 1e-320
     if type(hi) is np.ndarray:   # an element without a bracket is NaN, off the chart
-        return find_roots_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * np.maximum(1.0, hi))[0]
+        return find_roots_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * np.maximum(1.0, hi))
     return find_root_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * max(1.0, hi))
 
 
@@ -179,7 +173,7 @@ def solve_F(params: InstantonParams, R: float, eta: float) -> float:
 
 @_within_float_range
 def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicRecord:
-    """Point at distance R along the eta-geodesic, as a record (eta, R, u, v).
+    """Point at distance R along the eta-geodesic, as a record (u, v).
 
     (u, v) come straight from the root s of the radial relation (log F for
     the generalized family, sigma with u = cos(eta) sinh(sigma),
@@ -192,7 +186,7 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
     """
     u, v = params.polar_point(R, eta, _solve_radial)
     params.check_point(u, v)
-    return GeodesicRecord(eta=eta, R=R, u=u, v=v)
+    return GeodesicRecord(u=u, v=v)
 
 
 def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -275,25 +269,25 @@ def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -
 
 def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
                    *, n_samples: int = 64) -> Trajectory:
-    """Integrate the unit-speed radial geodesic from the origin to t = t_end.
+    """Integrate the unit-speed radial geodesic from the origin to t = t_end,
+    sampled at n_samples equally spaced times ts from 0 to t_end.
 
     Certification happens against closed forms, not against the integrator's
     own error estimate: at every sample the trajectory must satisfy the
-    unparametrized geodesic equation, and the recomputed distance must equal
-    the parameter t (this is what "unit speed" means once the curve is known
-    to be the right one).  BadParams for eta outside ``eta_range``, a
-    t_end that is not finite and > 0, or n_samples not an int >= 1.
+    unparametrized geodesic equation (``unparam_residuals``), and the
+    recomputed distance (``distances``) must equal the parameter t (this is
+    what "unit speed" means once the curve is known to be the right one).
+    BadParams for eta outside ``eta_range``, a t_end that is not finite
+    and > 0, or n_samples not an int >= 1.
     """
     params.check_eta(eta)
     if not 0.0 < t_end < math.inf:
         raise BadParams(f"t_end must be finite and > 0, got {t_end}")
     if not (isinstance(n_samples, int) and n_samples >= 1):
         raise BadParams(f"n_samples must be an int >= 1, got {n_samples!r}")
-    sol = ode_solve(params.shoot_rhs(eta), (0.0, t_end), (0.0, 0.0),
-                    t_eval=np.linspace(0.0, t_end, n_samples))
-    us, vs = sol.ys[:, 0], sol.ys[:, 1]
-    dists = np.array([distance(params, u, v) for u, v in zip(us, vs)])
-    g_res = max(unparam_residual(params, eta, u, v) for u, v in zip(us, vs))
-    return Trajectory(eta=eta, ts=sol.ts, us=us, vs=vs, distances=dists,
-                      distance_residual=float(np.max(np.abs(dists - sol.ts))),
-                      geodesic_residual=g_res, nfev=sol.nfev)
+    ts = np.linspace(0.0, t_end, n_samples)
+    sol = ode_solve(params.shoot_rhs(eta), (0.0, 0.0), ts)
+    us, vs = sol.ys.T
+    dists = np.array([distance(params, u, v) for u, v in sol.ys])
+    res = np.array([unparam_residual(params, eta, u, v) for u, v in sol.ys])
+    return Trajectory(ts=ts, us=us, vs=vs, distances=dists, unparam_residuals=res, nfev=sol.nfev)

@@ -127,20 +127,20 @@ def find_root_monotone(
     )
 
 
-def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> tuple[np.ndarray, np.ndarray]:
+def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
     """find_root_monotone on arrays: element i solves f = 0 on [lo[i], hi[i]]
     from x0[i] to abs_tol[i] by the same steps, stops and float arithmetic.
     ``f(x)`` maps the array of iterates to arrays (value, slope, curvature or
     None); a stopped element is evaluated again at its last iterate.
 
-    Returns (roots, no_bracket): no_bracket marks the elements for which the
-    scalar solve raises NoBracket, whose roots are NaN.  Raises
-    MaxIterExceeded if an element has not stopped within 200 iterations.
+    Returns the roots; the root of an element for which the scalar solve
+    raises NoBracket is NaN.  Raises MaxIterExceeded if an element has not
+    stopped within 200 iterations.
     """
     lo, hi, x0, abs_tol = np.broadcast_arrays(*(np.asarray(t, dtype=float)
                                                 for t in (lo, hi, x0, abs_tol)))
     a, b = lo, hi
-    has_a = has_b = no_bracket = np.zeros(lo.shape, dtype=bool)   # f known at a, at b
+    has_a = has_b = np.zeros(lo.shape, dtype=bool)   # f known at a, at b
     x, roots, active = np.minimum(np.maximum(x0, lo), hi), np.full(lo.shape, np.nan), ~has_a
 
     for _ in range(200):
@@ -161,9 +161,9 @@ def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> tuple[np.ndarray, np.ndarr
         done = zero | missed | converged | narrow   # in the scalar solve's order of stops
         roots = np.where(active & done & ~missed, np.where(zero, x, np.where(
             converged, np.minimum(np.maximum(x - step, a), b), 0.5 * (a + b))), roots)
-        no_bracket, active = no_bracket | (active & missed), active & ~done
+        active = active & ~done
         if not active.any():
-            return roots, no_bracket
+            return roots
         x = np.where(active, np.where(inside, x - step, np.where(
             has_a & has_b, 0.5 * (a + b), np.where(has_a, hi, lo))), x)
 
@@ -260,19 +260,15 @@ def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
     return float(value), float(error), evaluations
 
 
-def integrate_2d_improper(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    *,
-    decay_exponent: float,
-) -> QuadratureResult:
-    """Integrate f over the open first quadrant when f decays like a power,
-    to 1e-12 absolute plus 1e-9 relative.
+def integrate_2d_improper(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> QuadratureResult:
+    """Integrate f over the open first quadrant to 1e-12 absolute plus 1e-9
+    relative, on the promise that ``|f(u, v)| <= A * (1 + u^2 + v^2)^-2`` far
+    out, as for every L2 curvature density of the package.
 
-    ``decay_exponent`` is a promise that ``|f(u, v)| <= A * (1 + u^2 + v^2)^(-p)``
-    far out, with p = decay_exponent > 1.  The amplitude A is measured on
-    sampled arcs, which gives the analytic tail bound
+    The amplitude A is measured on sampled arcs, which gives the analytic
+    tail bound
 
-        tail(T) <= A * (pi/4) * (1 + T^2)^(1 - p) / (p - 1)
+        tail(T) <= A * (pi/4) / (1 + T^2)
 
     (integrate the envelope in polar coordinates over rho > T).  The
     envelope may set in only far out, so the tail check starts at the first
@@ -280,32 +276,29 @@ def integrate_2d_improper(
     is grown from there until the bound fits inside a quarter of the budget
     1e-12 + 1e-9 * |value|.  [0, T]^2 is cut into dyadic L-shells, [0, 8]^2
     and for each edge pair lo < hi the slabs [lo, hi] x [0, hi] and
-    [0, lo] x [lo, hi], and the adaptive tensor Gauss-Legendre rule (GAUSS_ORDER^2 nodes per box) integrates them to a
-    tenth of the budget, each piece its equal share.  ``error`` is the quadrature
-    error estimate plus the tail bound.  f is called on arrays (see above).
+    [0, lo] x [lo, hi], and the adaptive tensor Gauss-Legendre rule
+    (GAUSS_ORDER^2 nodes per box) integrates them to a tenth of the budget,
+    each piece its equal share.  ``error`` is the quadrature error estimate
+    plus the tail bound.  f is called on arrays (see above).
 
-    Raises SlowDecay when p <= 1, when the sampled arcs show the integrand
-    shrinking slower than promised at every radius up to 1e7 or at a radius
-    past the first one where it did not, or when T would pass 1e7.
+    Raises SlowDecay when the sampled arcs show the integrand shrinking
+    slower than promised at every radius up to 1e7 or at a radius past the
+    first one where it did not, or when T would pass 1e7.
     """
-    p = float(decay_exponent)
-    if p <= 1.0:
-        raise SlowDecay(f"decay exponent {p} <= 1: the quadrant integral need not converge")
-
     angles = np.linspace(1e-3, math.pi / 2 - 1e-3, 33)
 
     @functools.cache   # tail_bound_at(r) probes 2r, and so does tail_bound_at(2r)
     def arc_amplitude(radius: float) -> float:
         u, v = radius * np.cos(angles), radius * np.sin(angles)
-        return float(np.max(np.abs(f(u, v)) * (1.0 + u * u + v * v) ** p))
+        return float(np.max(np.abs(f(u, v)) * (1.0 + u * u + v * v) ** 2.0))
 
     def tail_bound_at(radius: float) -> float:
         # Envelope amplitude measured on two arcs, with a decay sanity check.
         amp_1 = arc_amplitude(radius)
         amp_2 = arc_amplitude(2.0 * radius)
-        pred = ((1.0 + 4.0 * radius ** 2) / (1.0 + radius ** 2)) ** (-p)
-        raw_1 = amp_1 * (1.0 + radius ** 2) ** (-p)
-        raw_2 = amp_2 * (1.0 + 4.0 * radius ** 2) ** (-p)
+        pred = ((1.0 + 4.0 * radius ** 2) / (1.0 + radius ** 2)) ** -2.0
+        raw_1 = amp_1 * (1.0 + radius ** 2) ** -2.0
+        raw_2 = amp_2 * (1.0 + 4.0 * radius ** 2) ** -2.0
         # The promised envelope predicts the raw arc maximum to fall by
         # pred; allow a factor-4 slack before objecting.
         if raw_1 > 0.0 and raw_2 > 4.0 * pred * raw_1:
@@ -313,7 +306,7 @@ def integrate_2d_improper(
                 f"integrand fell only {raw_2 / raw_1:.3g}x between radii {radius} and "
                 f"{2 * radius}; promised envelope predicts {pred:.3g}x"
             )
-        return max(amp_1, amp_2) * (math.pi / 4.0) * (1.0 + radius ** 2) ** (1.0 - p) / (p - 1.0)
+        return max(amp_1, amp_2) * (math.pi / 4.0) / (1.0 + radius ** 2)
 
     T0 = 8.0
     rough, _, rough_evals = _adaptive_boxes(f, [(0.0, T0, 0.0, T0)], 1e-6, 1e-6)
@@ -399,48 +392,40 @@ ODE_TOL = 1e-12   # relative and absolute local error tolerance of each ode_solv
 
 @dataclass
 class OdeResult:
-    ts: np.ndarray
-    ys: np.ndarray   # shape (len(ts), dim)
+    ys: np.ndarray   # shape (len(t_eval), dim)
     nfev: int
 
 
-def ode_solve(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t_span: tuple[float, float],
-    y0: Sequence[float],
-    *,
-    t_eval: Sequence[float],
-) -> OdeResult:
-    """High-order nonstiff integration forward over t_span = (t0, t_end),
-    t0 < t_end: the embedded Runge-Kutta 8(5,3) pair of Dormand and Prince
-    (DOP853, tableau in :mod:`taubnut.dop853`).
+def ode_solve(rhs: Callable[[np.ndarray], np.ndarray], y0: Sequence[float],
+              t_eval: Sequence[float]) -> OdeResult:
+    """High-order nonstiff integration of the autonomous system y' = rhs(y)
+    from y(t_eval[0]) = y0 forward to t_eval[-1]: the embedded Runge-Kutta
+    8(5,3) pair of Dormand and Prince (DOP853, tableau in
+    :mod:`taubnut.dop853`).  rhs takes the state and returns an array.
 
     Each step is accepted when the RMS norm of its error estimate, scaled
     by ODE_TOL (1 + max(|y|, |y_new|)), ODE_TOL = 1e-12, is below 1; the
     next step is h * min(10, 0.9 norm^(-1/8)), and a rejected one shrinks
-    by at least 0.2.  The points of t_eval (increasing, in t_span) come from
-    the 7th-order dense output of the step that covers them, at three extra
-    evaluations a step.  ``nfev`` counts every call of rhs.
+    by at least 0.2.  The points of t_eval (increasing) come from the
+    7th-order dense output of the step that covers them.  ``nfev`` counts
+    every call of rhs: two to start (the first slope and the initial-step
+    probe), N_STAGES per attempted step and three per dense-output step.
 
     Raises StepUnderflow when the step would fall below ten units in the
-    last place of t before t_end, which in this package invariably means the
-    trajectory ran into a coordinate degeneracy rather than a genuinely
-    stiff problem.
+    last place of t before t_eval[-1], which in this package invariably
+    means the trajectory ran into a coordinate degeneracy rather than a
+    genuinely stiff problem.
     """
-    t, t_end = float(t_span[0]), float(t_span[1])
+    pending = np.asarray(t_eval, dtype=float)
+    t, t_end = float(pending[0]), float(pending[-1])
     y = np.asarray(y0, dtype=float)
-    nfev = 0
-
-    def fun(tt, yy):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(rhs(tt, yy), dtype=float)
-
-    pending = t_eval = np.asarray(t_eval, dtype=float)
+    if t == t_end:   # nothing to integrate
+        return OdeResult(ys=np.tile(y, (len(pending), 1)), nfev=0)
     ys = []
     K = np.empty((dop853.N_STAGES_EXTENDED, len(y)))
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_end)
+    f = rhs(y)
+    h_abs = _initial_step(rhs, y, f, t_end - t)
+    nfev = 2
     exponent = -1.0 / (dop853.ERROR_ORDER + 1)
 
     while t < t_end:
@@ -454,9 +439,10 @@ def ode_solve(
                                     f"{h_abs!r} fell below the spacing of floats")
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            dop853.stages(fun, t, y, h, K, 1, dop853.N_STAGES)
+            dop853.stages(rhs, y, h, K, 1, dop853.N_STAGES)
             y_new = y + h * np.dot(K[:dop853.N_STAGES].T, dop853.B)
-            f_new = K[dop853.N_STAGES] = fun(t_new, y_new)
+            f_new = K[dop853.N_STAGES] = rhs(y_new)
+            nfev += dop853.N_STAGES
             scale = ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_TOL
             norm = dop853.error_norm(K[:dop853.N_STAGES + 1], h, scale)
             if norm < 1.0:
@@ -468,23 +454,22 @@ def ode_solve(
 
         here = pending <= t_new
         if here.any():
-            at = dop853.interpolant(fun, t, h, y, y_new, f_new, K)
-            ys.append(at(pending[here]))
+            ys.append(dop853.interpolant(rhs, h, y, y_new, f_new, K, (pending[here] - t) / h))
+            nfev += 3   # the dense output's three extra stages
             pending = pending[~here]
         t, y, f = t_new, y_new, f_new
 
-    return OdeResult(ts=t_eval, ys=np.concatenate(ys), nfev=nfev)
+    return OdeResult(ys=np.concatenate(ys), nfev=nfev)
 
 
-def _initial_step(fun, t, y, f, t_end) -> float:
+def _initial_step(rhs, y, f, span) -> float:
     """First step size from the size of y, y' and an estimate of y''
-    (Hairer, Norsett & Wanner, Sec. II.4), one evaluation of fun."""
-    span = t_end - t
+    (Hairer, Norsett & Wanner, Sec. II.4), one evaluation of rhs."""
     scale = ODE_TOL + np.abs(y) * ODE_TOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = fun(t + h0, y + h0 * f)
+    f1 = rhs(y + h0 * f)
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -598,30 +583,19 @@ def fd_curvature(
 # power-law fitting
 # --------------------------------------------------------------------------
 
-@dataclass
-class PowerLawFit:
-    exponent: float
-    prefactor: float
-    r_squared: float
-
-
-def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
-    """Least-squares fit of y = C * x^m through log-log linear regression.
+def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Exponent m of the least-squares fit of y = C * x^m through log-log
+    linear regression.
 
     Requires at least three strictly positive samples with distinct x values;
     raises InsufficientSamples otherwise.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.size < 3 or ys.size != xs.size:
         raise InsufficientSamples(f"need >= 3 paired samples, got {xs.size}")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise InsufficientSamples("power-law fit needs strictly positive data")
-    lx, ly = np.log(xs), np.log(ys)
+    lx = np.log(xs)
     if np.ptp(lx) == 0.0:
         raise InsufficientSamples("all x values coincide")
-    (m, c), res = np.polyfit(lx, ly, 1, full=True)[:2]
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    ss_res = float(res[0]) if res.size else 0.0
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return PowerLawFit(exponent=float(m), prefactor=float(math.exp(c)), r_squared=r2)
+    return float(np.polyfit(lx, np.log(ys), 1)[0])

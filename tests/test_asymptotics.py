@@ -172,8 +172,8 @@ def test_sphere_sandwich_bands():
     for params, radii in ((GEN, (100.0, 1000.0)),
                           (GEN05, (100.0, 1000.0)),
                           (EXC, (100.0, 1000.0))):
-        s1 = sphere_sandwich(params, radii[0])
-        s2 = sphere_sandwich(params, radii[1])
+        s1 = sphere_sandwich(params, radii[0], n=50)
+        s2 = sphere_sandwich(params, radii[1], n=50)
         for s in (s1, s2):
             assert -2.0 < s.c_min <= s.c_max <= 0.5
         width1 = s1.c_max - s1.c_min
@@ -184,7 +184,7 @@ def test_sphere_sandwich_bands():
 def test_sphere_sandwich_gap_sign():
     # on the almost-sphere the surrogate sits at or below the distance:
     # gap = Rtilde - R <= 0, touching zero on an axis
-    s = sphere_sandwich(EXC, 500.0)
+    s = sphere_sandwich(EXC, 500.0, n=50)
     assert s.gap_max <= 1e-9
     assert s.gap_min > -0.5 * math.log(500.0)
 
@@ -212,6 +212,6 @@ def test_sphere_sandwich_rejects_a_bad_sample_count(n):
 
 def test_sphere_sandwich_validation():
     with pytest.raises(BadParams):
-        sphere_sandwich(GEN05, 0.0)
+        sphere_sandwich(GEN05, 0.0, n=50)
     with pytest.raises(WrongFamily):
-        sphere_sandwich(HP, 10.0)
+        sphere_sandwich(HP, 10.0, n=50)

@@ -134,6 +134,32 @@ def test_every_public_name_serves_a_command_a_check_or_the_benchmark():
     assert _unreached_public_names() == []
 
 
+def _unread_fields():
+    """Fields of the package's dataclasses, as Class.field, whose name no
+    attribute read in src/, benchmarks/ or tests/ takes."""
+    package = Path(taubnut.__file__).parent
+    repo = Path(__file__).resolve().parents[1]
+    reads = set()
+    for path in [*package.glob("*.py"), *(repo / "benchmarks").glob("*.py"),
+                 *(repo / "tests").glob("*.py")]:
+        reads |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in _mentioned(d) for d in node.decorator_list):
+                fields += [f"{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return [field for field in fields if field.split(".")[1] not in reads]
+
+
+def test_every_record_field_is_read():
+    # a field nothing reads is an echo of the input or a statistic no one
+    # looks at: delete it
+    assert _unread_fields() == []
+
+
 def test_package_does_not_import_scipy():
     # scipy is an oracle of the tests, not a dependency of the package
     found = []
@@ -175,7 +201,7 @@ def test_optional_parameters_do_not_grow():
     count = sum(len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
                 for path in Path(taubnut.__file__).parent.glob("*.py")
                 for fn in _functions(path))
-    assert count <= 5
+    assert count <= 4
 
 
 def _traced_layers():

@@ -178,12 +178,23 @@ def test_bad_arguments_exit_2_from_a_process():
     assert cp.stderr.startswith("error: ")
 
 
+# The shoot integrates y' = y^2 from y(0) = 1 instead, which blows up at
+# t = 1: the real integrator's step underflows there and it raises
+# StepUnderflow, whatever the command asked for.
+STEP_UNDERFLOW_SCRIPT = """
+import sys
+from taubnut import cli, geodesics, numerics
+real = numerics.ode_solve
+geodesics.ode_solve = lambda rhs, y0, t_eval: real(lambda y: y * y, [1.0], [0.0, 3.0])
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_step_underflow_exits_2_from_a_process():
-    # the flat geodesic's step size collapses near t = 1.2e158 and
-    # ode_solve raises StepUnderflow, which left a traceback and exit 1.
-    # A fresh interpreter: the integrator's 0/0 error norm there warns
-    # first, and this suite turns that RuntimeWarning into an error
-    cp = run_process("geodesic", "--family", "flat", "--R", "1e300", "--eta", "0.7")
+    # StepUnderflow from ode_solve left a traceback and exit 1
+    cp = subprocess.run([sys.executable, "-c", STEP_UNDERFLOW_SCRIPT,
+                         "geodesic", "--eta", "0.7", "--R", "5"],
+                        capture_output=True, text=True, env=_child_env())
     assert cp.returncode == 2 and cp.stdout == "" and "Traceback" not in cp.stderr
     errors = [line for line in cp.stderr.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and "integrator stopped" in errors[0]
@@ -266,9 +277,8 @@ for argv in (["eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"]
              ["verify", "--suite", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert taubnut.cli.main(argv) == 0, argv
-ode = numerics.ode_solve(lambda t, y: y, (0.0, 1.0), [1.0], t_eval=[1.0]).ys[-1, 0]
-quad = numerics.integrate_2d_improper(
-    lambda u, v: (1.0 + u * u + v * v) ** -2, decay_exponent=2.0).value
+ode = numerics.ode_solve(lambda y: y, [1.0], [0.0, 1.0]).ys[-1, 0]
+quad = numerics.integrate_2d_improper(lambda u, v: (1.0 + u * u + v * v) ** -2).value
 print(json.dumps({"scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"
                             and sys.modules[m] is not None],
                   "ode": ode, "quad": quad}))
@@ -302,22 +312,53 @@ def test_geodesic_csv():
     assert float(last[4]) < 1e-8 and float(last[5]) < 1e-8
 
 
+def _geodesic_rows(*args):
+    cp = run_cli("geodesic", *args)
+    assert cp.returncode == 0, cp.stderr
+    return np.array([[float(x) for x in line.split(",")] for line in cp.stdout.splitlines()[1:]])
+
+
+@pytest.mark.parametrize("family,eta,R", [
+    ("exceptional", "0.7", "1e200"), ("generalized", "0.7", "1e300"),
+    ("flat", "0.7", "1e300"), ("flat", "-0.7", "1e300"),
+    ("halfplane", "0.7", "1e300"), ("halfplane", "-0.7", "1e300")])
+def test_geodesic_at_a_huge_distance(family, eta, R):
+    # the integrator's squared error norms underflowed to 0 here, and their
+    # 0/0 warned (an error in this suite); past the warning the step
+    # collapsed into StepUnderflow, or the distance missed t by ~0.5 % of R
+    rows = _geodesic_rows("--family", family, f"--eta={eta}", "--R", R)
+    R = float(R)
+    assert rows[-1, 0] == R
+    assert rows[:, 4].max() <= 1e-12 * R
+    # the flat residual |u sin(eta) - v cos(eta)| is a length
+    assert rows[:, 5].max() <= (1e-12 * R if family == "flat" else 1e-9)
+
+
+@pytest.mark.parametrize("family,eta", [("exceptional", math.pi / 2),
+                                        ("halfplane", math.pi / 2),
+                                        ("halfplane", -math.pi / 2)])
+def test_geodesic_follows_the_axis_at_pi_2(family, eta):
+    # math.cos(pi / 2) is 6e-17, and on the unstable exceptional axis the
+    # shoot drifted off it: u = 10.91 by R = 100
+    rows = _geodesic_rows("--family", family, f"--eta={eta!r}", "--R", "100")
+    assert (rows[:, 1] == 0.0).all() and (rows[:, 5] == 0.0).all()
+    assert abs(rows[-1, 2]) == pytest.approx(100.0, rel=1e-14)
+
+
 def test_geodesic_solves_each_sample_once(tmp_path: Path, monkeypatch):
     from taubnut import cli, geodesics
     from taubnut.family import Family, InstantonParams
 
-    calls = []
-    distance = geodesics.distance
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return distance(*args, **kwargs)
-
-    monkeypatch.setattr(geodesics, "distance", counted)
+    calls = {"distance": [], "unparam_residual": []}
+    for name, record in calls.items():
+        def counted(*args, fn=getattr(geodesics, name), record=record):
+            record.append(args)
+            return fn(*args)
+        monkeypatch.setattr(geodesics, name, counted)
     out = tmp_path / "g.csv"
     assert cli.main(["geodesic", "--family", "exceptional", "--eta", "0.7",
                      "--R", "5", "--samples", "50", "--out", str(out)]) == 0
-    assert len(calls) == 50
+    assert [len(c) for c in calls.values()] == [50, 50]
     monkeypatch.undo()
     traj = geodesics.geodesic_shoot(InstantonParams(Family.EXCEPTIONAL_TN),
                                     0.7, 5.0, n_samples=50)
@@ -357,7 +398,7 @@ def _scalar_contour_keys(params, eta, R, n_levels, n_phi):
             cp, sp = math.cos(phi), math.sin(phi)
 
             def f(r):
-                du, dv = velocity(0.0, (r * cp, r * sp))
+                du, dv = velocity((r * cp, r * sp))
                 return (geodesics.eikonal_S(params, eta, r * cp, r * sp) - level,
                         metrics.conformal_factor(params, r * cp, r * sp) * (cp * du + sp * dv),
                         None)

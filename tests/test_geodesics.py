@@ -515,8 +515,8 @@ def test_geodesic_shoot(params, eta):
     traj = geodesic_shoot(params, eta, 5.0)
     assert traj.ts[0] == 0.0 and traj.ts[-1] == 5.0
     assert traj.us[0] == traj.vs[0] == 0.0
-    assert traj.geodesic_residual < 1e-8
-    assert traj.distance_residual < 1e-6
+    assert traj.unparam_residuals.max() < 1e-8
+    assert np.abs(traj.distances - traj.ts).max() < 1e-6
 
 
 @pytest.mark.parametrize("params,eta,t_end", [
