@@ -199,7 +199,7 @@ def _trace_level(params, eta, level, cp, sp, r0):
     which S_eta stays below the level up to r = 2^29 (it can vanish or go
     negative near an axis).  grad S_eta is lambda times the velocity of the
     unit-speed eta-geodesic: velocity((u, v)), the right-hand side from
-    shoot_rhs, which takes arrays (u, v) when built for an array eta."""
+    shoot_rhs, which returns a pair of arrays when built for an array eta."""
     velocity = params.shoot_rhs(np.asarray(eta))
 
     def f(r):

@@ -1,18 +1,17 @@
-"""The Dormand-Prince 8(5,3) Runge-Kutta tableau and its 7th-order dense output.
+"""The Dormand-Prince 8(5,3) Runge-Kutta tableau and its 7th-order dense
+output, stepped in float arithmetic on the planar state (u, v).
 
 Coefficients of Hairer, Norsett & Wanner, *Solving Ordinary Differential
 Equations I*, 2nd ed., Sec. II.10 (the DOP853 code), as IEEE doubles.  Rows
-of ``A`` are stored sparsely, {column: coefficient}; stages 12-15 are the
-three extra stages of the dense output (stage 12 is the FSAL stage
-f(y_new)).  The package's right-hand sides do not depend on time: stages
-take the state alone.  :func:`taubnut.numerics.ode_solve` drives the step.
+are sparse, {column: coefficient}, and summed in column order; stages 12-15
+are the three extra stages of the dense output (stage 12 is the FSAL stage
+f(y_new), its row the 8th-order weights).  The slopes K are a pair of lists
+(K_u, K_v) by stage.  Right-hand sides take (u, v) alone and return (u', v').
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 N_STAGES = 12           # stages of one step; K[12] holds f(y_new)
 N_STAGES_EXTENDED = 16  # plus the three extra stages of the dense output
@@ -54,90 +53,96 @@ _A_ROWS = {
          13: 2.9475147891527724, 14: -9.15095847217987},
 }
 
-
-def _dense(rows: dict[int, dict[int, float]], shape) -> np.ndarray:
-    out = np.zeros(shape)
-    for i, row in rows.items():
-        for j, a in row.items():
-            out[i, j] = a
-    return out
-
-
-A = _dense(_A_ROWS, (N_STAGES_EXTENDED, N_STAGES_EXTENDED))
-B = A[N_STAGES, :N_STAGES]   # the 8th-order weights (the FSAL stage's row)
+# The rows as (column, coefficient) pairs, which iterate faster than dicts,
+# as are the rows of the error estimators and of the dense output below.
+_STAGE_ROWS = [tuple(_A_ROWS.get(s, {}).items()) for s in range(N_STAGES_EXTENDED)]
 
 # Error estimators over K[0..12]: the 5th-order one, and the 3rd-order one
 # B - bhh with bhh = (0.2440944881889764, 0.7338466882816118, 0.02205882352941176)
 # at stages 0, 8 and 11.
-E5, E3 = _dense({
-    0: {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
-        7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
-        10: 0.08192320648511571, 11: -0.022355307863886294},
-    1: {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
-        7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
-        10: 0.20136540080403034, 11: 0.02265179219836082},
-}, (2, N_STAGES + 1))
+_ERROR_ROWS = [tuple(row.items()) for row in (
+    {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+     7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+     10: 0.08192320648511571, 11: -0.022355307863886294},
+    {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.02265179219836082})]
 
 # Coefficients of the dense output's four highest terms (the first three
 # come from y_old, y_new and the end slopes), over all 16 stages.
-D = _dense({
-    0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
-        7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
-        10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
-        13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
-    1: {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
-        7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
-        10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
-        13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
-    2: {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
-        7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
-        10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
-        13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
-    3: {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
-        7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
-        10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
-        13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
-}, (4, N_STAGES_EXTENDED))
+_DENSE_ROWS = [tuple(row.items()) for row in (
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+     13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+     13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+     13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564})]
 
 
-def stages(rhs, y: np.ndarray, h: float, K: np.ndarray, first: int, last: int) -> None:
-    """Fill K[first:last] with the stage slopes of the step (y, h); the rows
-    below ``first`` must already hold the earlier stages."""
+def _sums(row, K) -> tuple[float, float]:
+    """(sum of a K_u[j], sum of a K_v[j]) over the (j, a) of a row."""
+    ku, kv = K
+    su = sv = 0.0
+    for j, a in row:
+        su += a * ku[j]
+        sv += a * kv[j]
+    return su, sv
+
+
+def stages(rhs, y: tuple[float, float], h: float, K, first: int, last: int):
+    """Fill K[first:last] with the stage slopes of the step (y, h); the
+    stages below ``first`` must already be in K.  Returns the state at which
+    the last stage was evaluated: y_new when ``last`` is N_STAGES + 1."""
+    u, v = y
+    ku, kv = K
     for s in range(first, last):
-        K[s] = rhs(y + np.dot(K[:s].T, A[s, :s]) * h)
+        su, sv = _sums(_STAGE_ROWS[s], K)
+        y_s = (u + su * h, v + sv * h)
+        ku[s], kv[s] = rhs(y_s)
+    return y_s
 
 
-def error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
+def error_norm(K, h: float, scale: tuple[float, float]) -> float:
     """RMS norm of the step's error estimate relative to ``scale``: the 5th-
-    order estimate, damped by the 3rd-order one where the two disagree.
-    Where a squared norm under- or overflows, both estimates are divided by
-    a power of two first, which the result (of degree 1 in them) gets back."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_2 = np.linalg.norm(err5) ** 2
-    err3_2 = np.linalg.norm(err3) ** 2
-    shift = 0
-    if err5_2 in (0.0, math.inf) or err3_2 in (0.0, math.inf):
-        shift = math.frexp(max(np.abs(err5).max(), np.abs(err3).max()))[1]
-        err5_2 = np.linalg.norm(np.ldexp(err5, -shift)) ** 2
-        err3_2 = np.linalg.norm(np.ldexp(err3, -shift)) ** 2
-    if err5_2 == 0.0 and err3_2 == 0.0:
+    order estimate e5, damped by the 3rd-order one e3 where the two disagree,
+    |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)).  Written with hypot, so that
+    no square under- or overflows."""
+    (e5u, e5v), (e3u, e3v) = (_sums(row, K) for row in _ERROR_ROWS)
+    su, sv = scale
+    n5 = math.hypot(e5u / su, e5v / sv)
+    if n5 == 0.0:
         return 0.0
-    return math.ldexp(abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale)), shift)
+    n3 = math.hypot(e3u / su, e3v / sv)
+    return abs(h) * n5 * (n5 / math.hypot(n5, 0.1 * n3)) / math.sqrt(2.0)
 
 
-def interpolant(rhs, h: float, y_old: np.ndarray, y: np.ndarray, f: np.ndarray,
-                K: np.ndarray, x: np.ndarray) -> np.ndarray:
+def interpolant(rhs, h: float, y_old: tuple[float, float], y: tuple[float, float],
+                K, x: list[float]) -> list[tuple[float, float]]:
     """The 7th-order dense output of the step of size h from y_old to y just
-    taken (K[:13] its stages, f the slope at its end) at the step fractions
-    x in [0, 1], as an array of shape (len(x), len(y)).  Evaluates the three
-    extra stages into K[13:16]."""
+    taken (K[:13] its stages) at the step fractions x in [0, 1], one (u, v)
+    per fraction.  Evaluates the three extra stages into K[13:16]."""
     stages(rhs, y_old, h, K, N_STAGES + 1, N_STAGES_EXTENDED)
-    delta = y - y_old
-    F = [delta, h * K[0] - delta, 2 * delta - h * (f + K[0]), *(h * np.dot(D, K))]
-    x = x[:, None]
-    out = np.zeros((len(x), len(y_old)))
-    for i, term in enumerate(reversed(F)):
-        out += term
-        out *= x if i % 2 == 0 else 1 - x
-    return out + y_old
+    high = [_sums(row, K) for row in reversed(_DENSE_ROWS)]
+    terms = []   # per component, the terms of the Horner scheme, highest first
+    for c, (k, start, end) in enumerate(zip(K, y_old, y)):
+        delta = end - start
+        terms.append([*(h * sums[c] for sums in high),
+                      2.0 * delta - h * (k[N_STAGES] + k[0]), h * k[0] - delta, delta])
+    out = []
+    for xi in x:
+        u = v = 0.0
+        for tu, tv, m in zip(*terms, (xi, 1.0 - xi) * 4):
+            u = (u + tu) * m
+            v = (v + tv) * m
+        out.append((u + y_old[0], v + y_old[1]))
+    return out

@@ -207,7 +207,9 @@ def _half_plane_x(phi1):
 # written once, they call math on floats and numpy on arrays through _ops.
 # (c, s) is (cos eta, sin eta).  shoot_rhs(eta) = rhs, the velocity
 # y = (u, v) -> (u', v') of the unit-speed eta-geodesic, a function of the
-# state alone; built for an array eta, it takes arrays (u, v).
+# state alone that returns the pair (u', v'); built for an array eta, it
+# takes arrays (u, v) and returns a pair of arrays.  Its squares are
+# products, which overflow to inf on floats where x ** 2 raises.
 # launch_residual(u, v) = h, the launch-angle relation through (u, v),
 # increasing in x = log tan(eta); radial_relation(R, eta) = (f, bound), S_eta
 # along the eta-geodesic minus R in its log radial parameter s and a
@@ -435,11 +437,9 @@ class GeneralizedTN(InstantonParams):
         hypot = _ops(eta).hypot
 
         def rhs(y):
-            u, v = y
-            P = hypot(c, a * u)
-            Q = hypot(s, b * v)
-            D = 1.0 + (a * u) ** 2 + (b * v) ** 2
-            return np.array([pre * P / D, pre * Q / D])
+            au, bv = a * y[0], b * y[1]
+            D = 1.0 + au * au + bv * bv
+            return pre * hypot(c, au) / D, pre * hypot(s, bv) / D
         return rhs
 
     def polytope_curvature(self, u, v):
@@ -568,9 +568,8 @@ class ExceptionalTN(InstantonParams):
         hypot = _ops(eta).hypot
 
         def rhs(y):
-            u, v = y
-            lam = 1.0 + u * u
-            return np.array([hypot(c, u) / lam, s / lam])
+            lam = 1.0 + y[0] * y[0]
+            return hypot(c, y[0]) / lam, s / lam
         return rhs
 
     def polytope_curvature(self, u, v):
@@ -701,7 +700,7 @@ class Flat(_HalfPlane):
 
     def shoot_rhs(self, eta):
         c, s = _axis_cos_sin(eta)
-        return lambda y: np.array([c, s])
+        return lambda y: (c, s)
 
     def ricci_potentials(self, u, v):
         return 1.0 / SQRT2, 1.0 / SQRT2

@@ -278,7 +278,8 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     recomputed distance (``distances``) must equal the parameter t (this is
     what "unit speed" means once the curve is known to be the right one).
     BadParams for eta outside ``eta_range``, a t_end that is not finite
-    and > 0, or n_samples not an int >= 1.
+    and > 0, n_samples not an int >= 1, or a shoot that stalls where its
+    speed leaves the float range.
     """
     params.check_eta(eta)
     if not 0.0 < t_end < math.inf:
@@ -286,8 +287,12 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     if not (isinstance(n_samples, int) and n_samples >= 1):
         raise BadParams(f"n_samples must be an int >= 1, got {n_samples!r}")
     ts = np.linspace(0.0, t_end, n_samples)
-    sol = ode_solve(params.shoot_rhs(eta), (0.0, 0.0), ts)
+    rhs = params.shoot_rhs(eta)
+    sol = ode_solve(rhs, (0.0, 0.0), ts)
+    samples = sol.ys.tolist()   # floats: the certificates are scalar solves
+    if rhs(samples[-1]) == (0.0, 0.0):   # a unit-speed geodesic never stops
+        raise BadParams(f"eta = {eta}: the shoot stalled at {samples[-1]}, beyond the float range")
     us, vs = sol.ys.T
-    dists = np.array([distance(params, u, v) for u, v in sol.ys])
-    res = np.array([unparam_residual(params, eta, u, v) for u, v in sol.ys])
+    dists = np.array([distance(params, u, v) for u, v in samples])
+    res = np.array([unparam_residual(params, eta, u, v) for u, v in samples])
     return Trajectory(ts=ts, us=us, vs=vs, distances=dists, unparam_residuals=res, nfev=sol.nfev)

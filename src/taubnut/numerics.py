@@ -22,6 +22,7 @@ ufuncs such as np.sin take complex arguments.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -392,16 +393,16 @@ ODE_TOL = 1e-12   # relative and absolute local error tolerance of each ode_solv
 
 @dataclass
 class OdeResult:
-    ys: np.ndarray   # shape (len(t_eval), dim)
+    ys: np.ndarray   # shape (len(t_eval), 2)
     nfev: int
 
 
-def ode_solve(rhs: Callable[[np.ndarray], np.ndarray], y0: Sequence[float],
-              t_eval: Sequence[float]) -> OdeResult:
-    """High-order nonstiff integration of the autonomous system y' = rhs(y)
-    from y(t_eval[0]) = y0 forward to t_eval[-1]: the embedded Runge-Kutta
-    8(5,3) pair of Dormand and Prince (DOP853, tableau in
-    :mod:`taubnut.dop853`).  rhs takes the state and returns an array.
+def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
+              y0: Sequence[float], t_eval: Sequence[float]) -> OdeResult:
+    """High-order nonstiff integration of the autonomous planar system
+    y' = rhs(y), y = (u, v) a pair of floats, from y(t_eval[0]) = y0 forward
+    to t_eval[-1]: the embedded Runge-Kutta 8(5,3) pair of Dormand and
+    Prince (DOP853, :mod:`taubnut.dop853`), stepped in float arithmetic.
 
     Each step is accepted when the RMS norm of its error estimate, scaled
     by ODE_TOL (1 + max(|y|, |y_new|)), ODE_TOL = 1e-12, is below 1; the
@@ -411,40 +412,39 @@ def ode_solve(rhs: Callable[[np.ndarray], np.ndarray], y0: Sequence[float],
     every call of rhs: two to start (the first slope and the initial-step
     probe), N_STAGES per attempted step and three per dense-output step.
 
-    Raises StepUnderflow when the step would fall below ten units in the
-    last place of t before t_eval[-1], which in this package invariably
-    means the trajectory ran into a coordinate degeneracy rather than a
-    genuinely stiff problem.
+    Raises StepUnderflow when a sample leaves the float range, and when the
+    step would fall below ten units in the last place of t before
+    t_eval[-1], which in this package invariably means the trajectory ran
+    into a coordinate degeneracy rather than a genuinely stiff problem.
     """
-    pending = np.asarray(t_eval, dtype=float)
-    t, t_end = float(pending[0]), float(pending[-1])
-    y = np.asarray(y0, dtype=float)
+    pending = [float(t) for t in t_eval]
+    t, t_end = pending[0], pending[-1]
+    y = tuple(map(float, y0))
     if t == t_end:   # nothing to integrate
         return OdeResult(ys=np.tile(y, (len(pending), 1)), nfev=0)
     ys = []
-    K = np.empty((dop853.N_STAGES_EXTENDED, len(y)))
+    K = ([0.0] * dop853.N_STAGES_EXTENDED, [0.0] * dop853.N_STAGES_EXTENDED)
     f = rhs(y)
     h_abs = _initial_step(rhs, y, f, t_end - t)
     nfev = 2
     exponent = -1.0 / (dop853.ERROR_ORDER + 1)
+    first = 0   # index in pending of the next sample time
 
     while t < t_end:
-        min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
-        K[0] = f
+        K[0][0], K[1][0] = f
         while True:
             if h_abs < min_step:
                 raise StepUnderflow(f"integrator stopped at t = {t!r}: step size "
                                     f"{h_abs!r} fell below the spacing of floats")
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            dop853.stages(rhs, y, h, K, 1, dop853.N_STAGES)
-            y_new = y + h * np.dot(K[:dop853.N_STAGES].T, dop853.B)
-            f_new = K[dop853.N_STAGES] = rhs(y_new)
+            y_new = dop853.stages(rhs, y, h, K, 1, dop853.N_STAGES + 1)
             nfev += dop853.N_STAGES
-            scale = ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_TOL
-            norm = dop853.error_norm(K[:dop853.N_STAGES + 1], h, scale)
+            scale = tuple(ODE_TOL + max(abs(a), abs(b)) * ODE_TOL for a, b in zip(y, y_new))
+            norm = dop853.error_norm(K, h, scale)
             if norm < 1.0:
                 factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** exponent)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -452,34 +452,34 @@ def ode_solve(rhs: Callable[[np.ndarray], np.ndarray], y0: Sequence[float],
             h_abs *= max(0.2, 0.9 * norm ** exponent)
             rejected = True
 
-        here = pending <= t_new
-        if here.any():
-            ys.append(dop853.interpolant(rhs, h, y, y_new, f_new, K, (pending[here] - t) / h))
+        last = bisect.bisect_right(pending, t_new, first)
+        if last > first:
+            ys += dop853.interpolant(rhs, h, y, y_new, K,
+                                     [(s - t) / h for s in pending[first:last]])
             nfev += 3   # the dense output's three extra stages
-            pending = pending[~here]
-        t, y, f = t_new, y_new, f_new
+            first = last
+        t, y, f = t_new, y_new, (K[0][dop853.N_STAGES], K[1][dop853.N_STAGES])
 
-    return OdeResult(ys=np.concatenate(ys), nfev=nfev)
+    ys = np.array(ys)
+    if not np.isfinite(ys).all():
+        raise StepUnderflow(f"integrator left the float range before t = {t_end!r}")
+    return OdeResult(ys=ys, nfev=nfev)
 
 
 def _initial_step(rhs, y, f, span) -> float:
     """First step size from the size of y, y' and an estimate of y''
     (Hairer, Norsett & Wanner, Sec. II.4), one evaluation of rhs."""
-    scale = ODE_TOL + np.abs(y) * ODE_TOL
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = rhs(y + h0 * f)
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / (dop853.ERROR_ORDER + 1))
+    scale = [ODE_TOL + abs(c) * ODE_TOL for c in y]
+
+    def rms(x):   # of the pair x / scale
+        return math.hypot(x[0] / scale[0], x[1] / scale[1]) / math.sqrt(2.0)
+    d0, d1 = rms(y), rms(f)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = rhs((y[0] + h0 * f[0], y[1] + h0 * f[1]))
+    d2 = rms((f1[0] - f[0], f1[1] - f[1])) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1.0 / (dop853.ERROR_ORDER + 1)))
     return min(100.0 * h0, h1, span)
-
-
-def _rms(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x) / x.size ** 0.5)
 
 
 # --------------------------------------------------------------------------

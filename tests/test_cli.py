@@ -178,14 +178,15 @@ def test_bad_arguments_exit_2_from_a_process():
     assert cp.stderr.startswith("error: ")
 
 
-# The shoot integrates y' = y^2 from y(0) = 1 instead, which blows up at
-# t = 1: the real integrator's step underflows there and it raises
+# The shoot integrates y' = y^2 in both components from y(0) = (1, 1)
+# instead, which blows up at t = 1: the real integrator's step underflows there and it raises
 # StepUnderflow, whatever the command asked for.
 STEP_UNDERFLOW_SCRIPT = """
 import sys
 from taubnut import cli, geodesics, numerics
 real = numerics.ode_solve
-geodesics.ode_solve = lambda rhs, y0, t_eval: real(lambda y: y * y, [1.0], [0.0, 3.0])
+geodesics.ode_solve = lambda rhs, y0, t_eval: real(lambda y: (y[0] * y[0], y[1] * y[1]),
+                                                   [1.0, 1.0], [0.0, 3.0])
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -277,7 +278,7 @@ for argv in (["eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"]
              ["verify", "--suite", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert taubnut.cli.main(argv) == 0, argv
-ode = numerics.ode_solve(lambda y: y, [1.0], [0.0, 1.0]).ys[-1, 0]
+ode = numerics.ode_solve(lambda y: y, [1.0, 1.0], [0.0, 1.0]).ys[-1, 0]
 quad = numerics.integrate_2d_improper(lambda u, v: (1.0 + u * u + v * v) ** -2).value
 print(json.dumps({"scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"
                             and sys.modules[m] is not None],
@@ -326,12 +327,37 @@ def test_geodesic_at_a_huge_distance(family, eta, R):
     # the integrator's squared error norms underflowed to 0 here, and their
     # 0/0 warned (an error in this suite); past the warning the step
     # collapsed into StepUnderflow, or the distance missed t by ~0.5 % of R
-    rows = _geodesic_rows("--family", family, f"--eta={eta}", "--R", R)
+    _assert_certified(_geodesic_rows("--family", family, f"--eta={eta}", "--R", R), family, R)
+
+
+def _assert_certified(rows, family, R):
     R = float(R)
     assert rows[-1, 0] == R
     assert rows[:, 4].max() <= 1e-12 * R
     # the flat residual |u sin(eta) - v cos(eta)| is a length
     assert rows[:, 5].max() <= (1e-12 * R if family == "flat" else 1e-9)
+
+
+@pytest.mark.parametrize("args", [
+    ("--family", "generalized", "--M", "1e300", "--R", "5"),
+    ("--family", "exceptional", "--R", "1e308"),
+    ("--family", "halfplane", "--R", "1e308"),
+    ("--family", "generalized", "--R", "1.7e308")])
+def test_geodesic_at_the_float_range(args):
+    # the error estimate's dot product overflowed at M = 1e300, and the
+    # right-hand sides' squares at the largest R: each warning exited 1.
+    # Now the shoot is certified as at a huge distance, or it stops with
+    # one error line where its speed or a sample leaves the float range
+    cp = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "taubnut",
+                         "geodesic", "--eta", "0.7", *args],
+                        capture_output=True, text=True, env=_child_env())
+    if cp.returncode == 0:
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in cp.stdout.splitlines()[1:]])
+        _assert_certified(rows, args[1], args[args.index("--R") + 1])
+    else:
+        assert cp.returncode == 2 and cp.stdout == "", cp.stderr
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("family,eta", [("exceptional", math.pi / 2),

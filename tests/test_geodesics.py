@@ -519,6 +519,27 @@ def test_geodesic_shoot(params, eta):
     assert np.abs(traj.distances - traj.ts).max() < 1e-6
 
 
+@pytest.mark.parametrize("t_end", [0.5, 5.0, 50.0])
+@pytest.mark.parametrize("params,eta", [
+    (params, eta) for params in (GEN05, EXC, HP, FLAT)
+    for eta in (0.01, math.pi / 4, math.pi / 2 - 0.01)] + [(HP, -math.pi / 4)])
+def test_shoot_ends_at_the_polar_point(params, eta, t_end):
+    # the ODE route and the closed-form polar chart agree on where the
+    # eta-geodesic is at distance t_end, near both axes and between them
+    traj = geodesic_shoot(params, eta, t_end, n_samples=2)
+    end = point_from_polar(params, t_end, eta)
+    miss = math.hypot(traj.us[-1] - end.u, traj.vs[-1] - end.v)
+    assert miss <= 1e-10 * math.hypot(end.u, end.v)
+
+
+@pytest.mark.parametrize("params,t_end", [(GEN, 1.7e308), (EXC, 1e308), (HP, 1e308)])
+def test_geodesic_shoot_stalls_at_the_float_range(params, t_end):
+    # 1 + u^2 in the right-hand side overflows to inf before u does: the
+    # velocity is 0 there, and the shoot stood still while t ran on
+    with pytest.raises(BadParams, match="stalled"):
+        geodesic_shoot(params, 0.7, t_end, n_samples=2)
+
+
 @pytest.mark.parametrize("params,eta,t_end", [
     (EXC, 5.0, 2.0), (GEN05, -0.3, 2.0), (HP, 2.0, 2.0),
     (GEN05, 0.5, math.inf), (GEN05, 0.5, math.nan), (GEN05, 0.5, 0.0), (GEN05, 0.5, -1.0),

@@ -303,13 +303,13 @@ def test_region_against_scipy_and_exact(name):
 # ------------------------------------------------------------------------ ode
 
 def test_ode_harmonic_oscillator():
-    sol = ode_solve(lambda y: np.array([y[1], -y[0]]), [1.0, 0.0], [0.0, 2.0 * math.pi])
+    sol = ode_solve(lambda y: (y[1], -y[0]), [1.0, 0.0], [0.0, 2.0 * math.pi])
     assert abs(sol.ys[-1][0] - 1.0) < 1e-9
     assert abs(sol.ys[-1][1]) < 1e-9
 
 
 def _oscillator(y):
-    return np.array([y[1], -y[0]])
+    return y[1], -y[0]
 
 
 def test_ode_against_scipy():
@@ -325,9 +325,12 @@ def test_ode_against_scipy():
     assert np.abs(sol.ys - exact).max() < 1e-10
 
 
-def test_ode_geodesic_against_scipy():
+@pytest.mark.parametrize("params,eta", [
+    (InstantonParams(k=0.5), 0.7), (InstantonParams(Family.EXCEPTIONAL_TN), 0.7),
+    (InstantonParams(Family.EXCEPTIONAL_HALF_PLANE), -0.7), (InstantonParams(Family.FLAT), 0.7)])
+def test_ode_geodesic_against_scipy(params, eta):
     integrate = pytest.importorskip("scipy.integrate")
-    rhs = InstantonParams(k=0.5).shoot_rhs(0.7)
+    rhs = params.shoot_rhs(eta)
     t_eval = np.linspace(0.0, 20.0, 40)
     sol = ode_solve(rhs, [0.0, 0.0], t_eval)
     ref = integrate.solve_ivp(lambda t, y: rhs(y), (0.0, 20.0), [0.0, 0.0], method="DOP853",
@@ -337,8 +340,8 @@ def test_ode_geodesic_against_scipy():
 
 
 def test_nfev_counts_every_call(monkeypatch):
-    # y' = -100 y is stiff enough on [0, 1] for the step controller to
-    # reject steps, and the 30 samples take dense outputs
+    # y' = -100 y, in both components, is stiff enough on [0, 1] for the
+    # step controller to reject steps, and the 30 samples take dense outputs
     calls, norms = [], []
     error_norm = dop853.error_norm
 
@@ -349,17 +352,25 @@ def test_nfev_counts_every_call(monkeypatch):
 
     def rhs(y):
         calls.append(y)
-        return -100.0 * y
+        return -100.0 * y[0], -100.0 * y[1]
     t_eval = np.linspace(0.0, 1.0, 30)
-    sol = ode_solve(rhs, [1.0], t_eval)
+    sol = ode_solve(rhs, [1.0, 1.0], t_eval)
     assert max(norms) >= 1.0
     assert sol.nfev == len(calls)
-    assert np.abs(sol.ys[:, 0] - np.exp(-100.0 * t_eval)).max() < 1e-10
+    for column in sol.ys.T:
+        assert np.abs(column - np.exp(-100.0 * t_eval)).max() < 1e-10
 
 
 def test_ode_blowup_raises():
     with pytest.raises(StepUnderflow):
-        ode_solve(lambda y: np.array([y[0] ** 2]), [1.0], [0.0, 3.0])
+        ode_solve(lambda y: (y[0] * y[0], y[1] * y[1]), [1.0, 1.0], [0.0, 3.0])
+
+
+def test_ode_sample_beyond_the_float_range_raises():
+    # y = 1e300 t passes the float range at t = 1.8e8; once the state is
+    # inf its error scale is inf too, so the step is accepted
+    with pytest.raises(StepUnderflow, match="float range"):
+        ode_solve(lambda y: (1e300, 1e300), [0.0, 0.0], [0.0, 1e10])
 
 
 # ----------------------------------------------------------- finite difference
