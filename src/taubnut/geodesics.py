@@ -13,7 +13,8 @@ distance only to second order; every distance goes through that route.
 The formulas (S_eta, the launch-angle residual, the radial relation in the
 log radial parameter s = log F) are the family's, in :mod:`taubnut.family`;
 the root solves, the ODE shoot and the FD oracles here work for every
-family alike.
+family alike.  ``distances`` and ``points_from_polar`` solve many points as
+one array solve; one ``distances`` call certifies a whole shoot.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class Trajectory:
     ts: np.ndarray
     us: np.ndarray
     vs: np.ndarray
-    distances: np.ndarray          # distance(u(t), v(t)) at each sample
-    unparam_residuals: np.ndarray  # unparam_residual(eta, u(t), v(t)) at each sample
+    distances: np.ndarray          # distances(us, vs): the distance at each sample
+    unparam_residuals: np.ndarray  # unparam_residual(eta, us, vs), at each sample
     nfev: int
 
 
@@ -104,19 +105,18 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
         return math.pi / 2
 
     h = params.launch_residual(u, v)
-    x0 = min(max(math.log(v) - math.log(u), X_LO), X_HI)
-    try:
-        x = find_root_monotone(h, X_LO, X_HI, x0=x0, abs_tol=ROOT_TOL)
+    try:   # x0 = log(v / u), which the solve clamps into [X_LO, X_HI]
+        x = find_root_monotone(h, X_LO, X_HI, x0=math.log(v) - math.log(u), abs_tol=ROOT_TOL)
     except NoBracket:   # the root lies past an end, where eta rounds to 0 or pi/2
         return 0.0 if h(X_LO)[0] > 0.0 else math.pi / 2
     return math.atan(math.exp(x))
 
 
-def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
+def unparam_residual(params: InstantonParams, eta: float, u, v):
     """Residual of the unparametrized geodesic equation in logarithmic form:
     asinh(U)/sqrt(1+k) - asinh(V)/sqrt(1-k) with U, V the eta-normalized
-    coordinates.  Zero exactly on the eta-geodesic; at the axis angles it
-    degenerates to the distance from the axis."""
+    coordinates, at (u, v) or at arrays of them.  Zero exactly on the
+    eta-geodesic; at the axis angles it is the distance from the axis."""
     params.check_eta(eta)
     c, s = math.cos(eta), math.sin(eta)
     if s == 0.0 or eta == 0.0:
@@ -156,7 +156,7 @@ def _solve_radial(relation):
     hi = bound * (1.0 + 1e-14) + 1e-320
     if type(hi) is np.ndarray:   # an element without a bracket is NaN, off the chart
         return find_roots_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * np.maximum(1.0, hi))
-    return find_root_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * max(1.0, hi))
+    return find_root_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * (hi if hi > 1.0 else 1.0))
 
 
 @_within_float_range
@@ -189,6 +189,14 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
     return GeodesicRecord(u=u, v=v)
 
 
+def _check_points(params: InstantonParams, u: np.ndarray, v: np.ndarray):
+    """check_point on the arrays (u, v), at the first point it rejects."""
+    (u_lo, u_hi), (v_lo, v_hi) = params.bounds
+    off = ~(np.isfinite(u) & np.isfinite(v) & (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi))
+    if off.any():
+        params.check_point(float(u[off][0]), float(v[off][0]))
+
+
 def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.ndarray]:
     """point_from_polar on the arrays R and eta, broadcast together: arrays
     (u, v) from one array Halley solve with the scalar steps and stops.
@@ -207,10 +215,7 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
             u, v = params.polar_point(R, eta, _solve_radial)
     except OverflowError:
         raise BadParams("a term of a radial relation is beyond the float range") from None
-    (u_lo, u_hi), (v_lo, v_hi) = params.bounds
-    off = ~(np.isfinite(u) & np.isfinite(v) & (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi))
-    if off.any():
-        params.check_point(float(u[off][0]), float(v[off][0]))
+    _check_points(params, u, v)
     return u, v
 
 
@@ -231,6 +236,37 @@ def distance(params: InstantonParams, u: float, v: float) -> float:
     the distance only to second order.
     """
     return polar_from_point(params, u, v)[0]
+
+
+def distances(params: InstantonParams, us, vs) -> np.ndarray:
+    """distance at the points of the arrays (us, vs), broadcast together: one
+    find_roots_monotone solve off the axes with solve_eta's bracket, start,
+    tolerance and NoBracket ends, then S_eta.  numpy rounds differently from
+    math, so a distance can differ from distance's in the last digit.
+    BadParams for the whole call where distance raises it for some point."""
+    u, v = np.broadcast_arrays(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
+    _check_points(params, u, v)
+    with np.errstate(all="ignore"):   # inf and nan pass as in float arithmetic
+        eta = params.exact_launch_angle(u, v)
+        if eta is None:
+            w = abs(v)   # a half-plane domain: S_eta is even under (v, eta) -> -(v, eta)
+            off = (u != 0.0) & (w != 0.0)
+            eta = np.where(w == 0.0, 0.0, np.pi / 2)   # the u axis (with the origin), the v axis
+            h = params.launch_residual(u[off], w[off])
+            x = find_roots_monotone(h, X_LO, X_HI, x0=np.log(w[off]) - np.log(u[off]),
+                                    abs_tol=ROOT_TOL)
+            missed = np.isnan(x)   # no bracket: x = -inf or inf, so eta is 0 or pi/2
+            if missed.any():
+                x[missed] = np.where(h(np.full(x.shape, X_LO))[0][missed] > 0.0, -np.inf, np.inf)
+            eta[off] = np.arctan(np.exp(x))
+            eta = np.where(v < 0.0, -eta, eta)
+        s = np.sin(eta)   # S_eta as eikonal_S takes it
+        R = params.eikonal_S(np.cos(eta), np.where(np.abs(s) < 1e-300, 0.0, s), u, v)
+    beyond = ~np.isfinite(R)   # a product overflows to inf, as in distance
+    if beyond.any():
+        raise BadParams(f"distance at (u, v) = ({u[beyond][0]}, {v[beyond][0]}) "
+                        f"is beyond the float range")
+    return R
 
 
 @_within_float_range
@@ -275,11 +311,12 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     Certification happens against closed forms, not against the integrator's
     own error estimate: at every sample the trajectory must satisfy the
     unparametrized geodesic equation (``unparam_residuals``), and the
-    recomputed distance (``distances``) must equal the parameter t (this is
-    what "unit speed" means once the curve is known to be the right one).
-    BadParams for eta outside ``eta_range``, a t_end that is not finite
-    and > 0, n_samples not an int >= 1, or a shoot that stalls where its
-    speed leaves the float range.
+    distance recomputed by one array solve (``distances``) must equal the
+    parameter t (this is what "unit speed" means once the curve is known to
+    be the right one).  BadParams for eta outside ``eta_range``, a t_end
+    that is not finite and > 0, n_samples not an int >= 1, a shoot that
+    stalls where its speed leaves the float range, or a sample whose
+    distance does.
     """
     params.check_eta(eta)
     if not 0.0 < t_end < math.inf:
@@ -289,10 +326,9 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     ts = np.linspace(0.0, t_end, n_samples)
     rhs = params.shoot_rhs(eta)
     sol = ode_solve(rhs, (0.0, 0.0), ts)
-    samples = sol.ys.tolist()   # floats: the certificates are scalar solves
-    if rhs(samples[-1]) == (0.0, 0.0):   # a unit-speed geodesic never stops
-        raise BadParams(f"eta = {eta}: the shoot stalled at {samples[-1]}, beyond the float range")
+    end = sol.ys[-1].tolist()
+    if rhs(end) == (0.0, 0.0):   # a unit-speed geodesic never stops
+        raise BadParams(f"eta = {eta}: the shoot stalled at {end}, beyond the float range")
     us, vs = sol.ys.T
-    dists = np.array([distance(params, u, v) for u, v in samples])
-    res = np.array([unparam_residual(params, eta, u, v) for u, v in samples])
-    return Trajectory(ts=ts, us=us, vs=vs, distances=dists, unparam_residuals=res, nfev=sol.nfev)
+    return Trajectory(ts=ts, us=us, vs=vs, distances=distances(params, us, vs),
+                      unparam_residuals=unparam_residual(params, eta, us, vs), nfev=sol.nfev)

@@ -61,14 +61,8 @@ class InsufficientSamples(Exception):
 # root finding
 # --------------------------------------------------------------------------
 
-def find_root_monotone(
-    f: Callable[[float], tuple[float, float, float | None]],
-    lo: float,
-    hi: float,
-    *,
-    x0: float,
-    abs_tol: float,
-) -> float:
+def find_root_monotone(f: Callable[[float], tuple[float, float, float | None]],
+                       lo: float, hi: float, *, x0: float, abs_tol: float) -> float:
     """Solve f = 0 on [lo, hi] for f <= 0 below its one root and >= 0 above.
 
     ``f(x)`` returns (value, slope, curvature or None): one call per iterate
@@ -90,7 +84,8 @@ def find_root_monotone(
     """
     a, b = lo, hi
     fa = fb = None   # f at a and b; None while that end is unevaluated
-    x = min(max(x0, lo), hi)
+    x = lo if lo > x0 else x0   # min(max(x0, lo), hi), NaN alike, without two builtin calls
+    x = hi if hi < x else x
 
     for _ in range(200):
         fx, d, d2 = f(x)
@@ -112,7 +107,8 @@ def find_root_monotone(
                 if math.isfinite(denom) and abs(denom) > 0.25:
                     step = step / denom
             if abs(step) <= abs_tol + 4e-16 * abs(x):
-                return min(max(x - step, a), b)
+                x = a if a > x - step else x - step   # min(max(x - step, a), b)
+                return b if b < x else x
 
         if step is not None and a < x - step < b:
             x -= step
@@ -123,9 +119,7 @@ def find_root_monotone(
         else:
             x = 0.5 * (a + b)
 
-    raise MaxIterExceeded(
-        f"no convergence after 200 iterations; bracket [{a}, {b}]"
-    )
+    raise MaxIterExceeded(f"no convergence after 200 iterations; bracket [{a}, {b}]")
 
 
 def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
@@ -138,35 +132,46 @@ def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
     raises NoBracket is NaN.  Raises MaxIterExceeded if an element has not
     stopped within 200 iterations.
     """
-    lo, hi, x0, abs_tol = np.broadcast_arrays(*(np.asarray(t, dtype=float)
-                                                for t in (lo, hi, x0, abs_tol)))
+    shape = np.broadcast(lo, hi, x0, abs_tol).shape
     a, b = lo, hi
-    has_a = has_b = np.zeros(lo.shape, dtype=bool)   # f known at a, at b
-    x, roots, active = np.minimum(np.maximum(x0, lo), hi), np.full(lo.shape, np.nan), ~has_a
+    has_a = has_b = np.zeros(shape, dtype=bool)   # f known at a, at b (see below)
+    x = np.minimum(np.maximum(x0, lo), hi, out=np.empty(shape))
+    roots, active, at_end = np.full(shape, np.nan), ~has_a, (x == lo) | (x == hi)
 
     for _ in range(200):
         fx, d, d2 = f(x)
         with np.errstate(all="ignore"):   # inf and nan pass as in float arithmetic
-            zero, neg = fx == 0.0, fx < 0.0
-            missed = ((fx > 0.0) & (x == lo)) | (neg & (x == hi))
-            a, b, has_a, has_b = np.where(neg, x, a), np.where(neg, b, x), has_a | neg, has_b | ~neg
-            step = fx / d
+            neg = fx < 0.0
+            a, b = np.where(neg, x, a), np.where(neg, b, x)
+            step = np.where((d != 0.0) & np.isfinite(d), fx / d, np.nan)   # nan: no Newton step
             if d2 is not None:
                 denom = 1.0 - 0.5 * step * d2 / d
                 step = np.where(np.isfinite(denom) & (np.abs(denom) > 0.25), step / denom, step)
-            newton = (d != 0.0) & np.isfinite(d)
-            converged = newton & (np.abs(step) <= abs_tol + 4e-16 * np.abs(x))
-            inside = newton & (a < x - step) & (x - step < b)
-            narrow = (~inside & has_a & has_b
-                      & (b - a <= abs_tol + 4e-16 * np.maximum(np.abs(a), np.abs(b))))
-        done = zero | missed | converged | narrow   # in the scalar solve's order of stops
-        roots = np.where(active & done & ~missed, np.where(zero, x, np.where(
-            converged, np.minimum(np.maximum(x - step, a), b), 0.5 * (a + b))), roots)
+            converged = np.abs(step) <= abs_tol + 4e-16 * np.abs(x)
+            stepped = x - step
+            inside = (a < stepped) & (stepped < b)
+            root = np.minimum(np.maximum(stepped, a), b)
+            done = found = converged
+            # most iterations step each active element inside its bracket or stop it on
+            # its step (f = 0 steps by 0), none at an end, where alone f's sign can miss
+            # the bracket; the others update has_a, has_b (a, b off lo, hi were known)
+            if (active & (at_end | ~(inside | converged))).any():
+                has_a, has_b = has_a | neg | (a != lo), has_b | ~neg | (b != hi)
+                zero = fx == 0.0
+                missed = ((fx > 0.0) & (x == lo)) | (neg & (x == hi))
+                narrow = (~inside & has_a & has_b
+                          & (b - a <= abs_tol + 4e-16 * np.maximum(np.abs(a), np.abs(b))))
+                done = zero | missed | converged | narrow   # in the scalar solve's order of stops
+                found = done & ~missed
+                root = np.where(zero, x, np.where(converged, root, 0.5 * (a + b)))
+                stepped = np.where(inside, stepped, np.where(
+                    has_a & has_b, 0.5 * (a + b), np.where(has_a, hi, lo)))
+                at_end = (stepped == lo) | (stepped == hi)
+        roots = np.where(active & found, root, roots)
         active = active & ~done
+        x = np.where(active, stepped, x)
         if not active.any():
             return roots
-        x = np.where(active, np.where(inside, x - step, np.where(
-            has_a & has_b, 0.5 * (a + b), np.where(has_a, hi, lo))), x)
 
     raise MaxIterExceeded(f"no convergence after 200 iterations at {np.count_nonzero(active)} "
                           f"of {active.size} elements")
@@ -325,9 +330,8 @@ def integrate_2d_improper(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
     while tail > 0.25 * budget:
         T *= 2.0
         if T > 1e7:
-            raise SlowDecay(
-                f"tail bound {tail:.3g} still exceeds budget {budget:.3g} at radius {T / 2:.3g}"
-            )
+            raise SlowDecay(f"tail bound {tail:.3g} still exceeds budget {budget:.3g} "
+                            f"at radius {T / 2:.3g}")
         tail = tail_bound_at(T)
 
     edges = [0.0, T0]
@@ -340,20 +344,13 @@ def integrate_2d_improper(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
     # boxes closed near their share can all err with one sign
     value, quad_err, evals = _adaptive_boxes(f, pieces, 0.1 * budget)
 
-    return QuadratureResult(
-        value=value,
-        error=quad_err + tail,
-        tail_bound=tail,
-        truncation_radius=T,
-        evaluations=rough_evals + arc_amplitude.cache_info().currsize * angles.size + evals,
-    )
+    evals += rough_evals + arc_amplitude.cache_info().currsize * angles.size
+    return QuadratureResult(value=value, error=quad_err + tail, tail_bound=tail,
+                            truncation_radius=T, evaluations=evals)
 
 
-def integrate_2d_region(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    u_max: float,
-    v_max_of_u: Callable[[np.ndarray], np.ndarray],
-) -> QuadratureResult:
+def integrate_2d_region(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max: float,
+                        v_max_of_u: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """Integrate f over {0 < u < u_max, 0 < v < v_max_of_u(u)} to 1e-11
     absolute or 1e-10 relative, whichever is looser; no tail is involved.
 
@@ -501,10 +498,8 @@ def check_stencil(x: float, y: float, step: float,
 def fd_laplacian(f: Callable, x: float, y: float, *, step: float):
     """Five-point O(step^2) Laplacian of f, a scalar or a numpy array valued
     field; the caller keeps the stencil inside f's domain (check_stencil)."""
-    return (
-        f(x + step, y) + f(x - step, y) + f(x, y + step) + f(x, y - step)
-        - 4.0 * f(x, y)
-    ) / (step * step)
+    return (f(x + step, y) + f(x - step, y) + f(x, y + step) + f(x, y - step)
+            - 4.0 * f(x, y)) / (step * step)
 
 
 def fd_conformal_curvature(lam: Callable[[float, float], float], x: float, y: float,
@@ -542,13 +537,8 @@ def complex_partials(fn: Callable[[complex, complex], object], u: float, v: floa
     return np.real(fu), np.imag(fu) / COMPLEX_STEP, np.imag(fv) / COMPLEX_STEP
 
 
-def fd_curvature(
-    metric: Callable[[complex, complex], np.ndarray],
-    u: float,
-    v: float,
-    *,
-    step: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def fd_curvature(metric: Callable[[complex, complex], np.ndarray], u: float, v: float,
+                 *, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Riemann and Ricci tensors of an n-metric that depends on its first two
     coordinates (u, v) only; ``metric(a, b)`` returns the n x n matrix.
 

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,81 @@ def test_points_from_polar_rejects_what_point_from_polar_rejects(params, R, eta)
         point_from_polar(params, R, eta)
     with pytest.raises(BadParams):
         points_from_polar(params, np.array([1.0, R]), np.array([0.5 * (lo + hi), eta]))
+
+
+def _distance_corpus(params, rng):
+    """Seeded points from 1e-300 to 1e150 (v signed on the half-plane), the
+    origin, both axes and points whose launch angle rounds to 0 or to pi/2
+    (past the ends of the launch-angle bracket, where the solve has none)."""
+    signed = params.bounds[1][0] < 0.0
+    points = [(10.0 ** rng.uniform(-300.0, 150.0),
+               10.0 ** rng.uniform(-300.0, 150.0) * (rng.choice((-1.0, 1.0)) if signed else 1.0))
+              for _ in range(400)]
+    points += [(0.0, 0.0), (2.0, 0.0), (0.0, 3.0), (1e-300, 0.0), (0.0, 1e150),
+               (1e10, 5e-324), (1e150, 1e-300), (1e-300, 1.0), (1e-300, 1e100)]
+    if signed:
+        points += [(0.0, -3.0), (1e-300, -1.0), (1e10, -5e-324), (1.0, -1.0)]
+    return points
+
+
+@pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
+def test_distances_agrees_with_distance(params):
+    # numpy's log, exp, arctan, cos and arcsinh may round differently from
+    # math's in the last place; S_eta is stationary in the launch angle, so
+    # the distance keeps to an ulp or two
+    points = _distance_corpus(params, random.Random(19))
+    good, bad = [], []
+    for u, v in points:
+        try:
+            good.append((u, v, distance(params, u, v)))
+        except BadParams:
+            bad.append((u, v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = geodesics.distances(params, [g[0] for g in good], [g[1] for g in good])
+    for (u, v, want), R in zip(good, got.tolist()):
+        assert abs(R - want) <= 1e-15 * want, (u, v)
+        if u == v == 0.0:
+            assert R == 0.0
+    assert len(good) > 300
+    # the off-domain, non-finite and overflowing points: BadParams as one call
+    bad += [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.7e308, 1.7e308)]
+    if params.bounds[1][0] == 0.0:
+        bad.append((1.0, -1.0))
+    for u, v in bad:
+        with pytest.raises(BadParams):
+            distance(params, u, v)
+        with pytest.raises(BadParams):
+            geodesics.distances(params, np.array([1.0, u]), np.array([1.0, v]))
+
+
+def _unparam_terms(params, eta, u, v):
+    """The size of the two terms whose difference unparam_residual is."""
+    c, s = math.cos(eta), math.sin(eta)
+    if params.family is Family.FLAT:
+        return abs(u * s) + abs(v * c)
+    if s == 0.0 or abs(eta) == math.pi / 2:
+        return abs(u) + abs(v)
+    if params.family is Family.GENERALIZED_TN:
+        return abs(math.asinh(params.a * u / c) / params.a) + abs(math.asinh(params.b * v / s) / params.b)
+    return abs(math.asinh(u / c)) + abs(v / s)
+
+
+@pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
+def test_array_unparam_residual_agrees_with_the_scalar_one(params):
+    # a residual is the difference of two terms, each within an ulp or so
+    rng = random.Random(23)
+    lo, hi = params.eta_range
+    points = _distance_corpus(params, rng)
+    for eta in (lo, 0.0, 1e-3, 0.7, hi - 1e-9, hi):
+        pts = [(u, abs(v) if eta >= 0.0 else -abs(v)) for u, v in points]
+        us, vs = (np.array(t) for t in zip(*pts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = unparam_residual(params, eta, us, vs)
+        for (u, v), r in zip(pts, got.tolist()):
+            want = unparam_residual(params, eta, u, v)
+            assert abs(r - want) <= 1e-15 * _unparam_terms(params, eta, u, v), (eta, u, v)
 
 
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
@@ -532,12 +608,42 @@ def test_shoot_ends_at_the_polar_point(params, eta, t_end):
     assert miss <= 1e-10 * math.hypot(end.u, end.v)
 
 
-@pytest.mark.parametrize("params,t_end", [(GEN, 1.7e308), (EXC, 1e308), (HP, 1e308)])
+@pytest.mark.parametrize("params,eta,u,v", [
+    (GEN, 0.7, 1.2e154, 1e154), (GEN05, 0.3, 3e307, 1e-3), (GEN, 1.2, 0.0, 1.5e154),
+    (EXC, 0.7, 1.4e154, 229.0), (HP, -0.7, 1.4e154, -229.0), (EXC, 0.7, 1e307, 1.0)])
+def test_shoot_rhs_past_the_square_of_the_float_range(params, eta, u, v):
+    # 1 + u^2 in the right-hand side overflowed to inf before u did: the
+    # velocity was 0 there, and the shoot stood still while t ran on
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    c, s = mp.cos(eta), mp.sin(eta)
+    if params.family is Family.GENERALIZED_TN:
+        au, bv = mp.sqrt(1 + mp.mpf(params.k)) * u, mp.sqrt(1 - mp.mpf(params.k)) * v
+        scale = mp.sqrt(params.M / (2 * mp.sqrt(2))) / (1 + au * au + bv * bv)
+        want = (scale * mp.hypot(c, au), scale * mp.hypot(s, bv))
+    else:
+        want = (mp.hypot(c, u) / (1 + mp.mpf(u) ** 2), s / (1 + mp.mpf(u) ** 2))
+    got = params.shoot_rhs(eta)((u, v))
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 4e-16 * abs(w) + 1e-323   # a velocity under the floats is 0
+
+
+@pytest.mark.parametrize("params,t_end", [
+    (InstantonParams(M=5e-324), 1.7e308), (InstantonParams(M=5e-324, k=0.5), 1e308),
+    (InstantonParams(M=5e-324, k=-0.5), 1e308)])
 def test_geodesic_shoot_stalls_at_the_float_range(params, t_end):
-    # 1 + u^2 in the right-hand side overflows to inf before u does: the
-    # velocity is 0 there, and the shoot stood still while t ran on
+    # at M = 5e-324 the speed sqrt(M / (2 sqrt 2)) / D underflows to 0 at
+    # the origin: the shoot would stand still while t ran on
     with pytest.raises(BadParams, match="stalled"):
         geodesic_shoot(params, 0.7, t_end, n_samples=2)
+
+
+def test_geodesic_shoot_at_the_float_range():
+    # the shoot to 1.7e308 stood still at u = 1.0e154, where the right-hand
+    # side's 1 + (a u)^2 + (b v)^2 overflowed (above)
+    traj = geodesic_shoot(GEN, 0.7, 1.7e308, n_samples=3)
+    assert np.abs(traj.distances - traj.ts).max() <= 1e-12 * 1.7e308
+    assert traj.unparam_residuals.max() <= 1e-9
 
 
 @pytest.mark.parametrize("params,eta,t_end", [
