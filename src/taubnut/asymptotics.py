@@ -24,10 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .family import BadParams, InstantonParams, finite_or_bad_params, uv_from_almost_polar
-from .geodesics import distances, point_from_polar
+from .geodesics import distance, point_from_polar
 from .metrics import TORUS_VOLUME, volume_density
 from .numerics import (InsufficientSamples, QuadratureResult, fit_power_law,
                        integrate_2d_region)
@@ -158,9 +156,10 @@ def sphere_sandwich(params: InstantonParams, r_tilde: float,
         raise BadParams(f"need a positive radius, got {r_tilde}")
     if not (isinstance(n, int) and n >= 2):
         raise BadParams(f"n must be an int >= 2, got {n!r}")
-    us, vs = zip(*(uv_from_almost_polar(params, r_tilde, 0.5 * math.pi * (i / (n - 1)))
-                   for i in range(n)))
-    R = distances(params, us, vs)
-    gaps = r_tilde - R
-    cs = gaps / np.log(R)
-    return SandwichSample(float(gaps.min()), float(gaps.max()), float(cs.min()), float(cs.max()))
+    gaps, cs = [], []
+    for i in range(n):
+        u, v = uv_from_almost_polar(params, r_tilde, 0.5 * math.pi * (i / (n - 1)))
+        R = distance(params, u, v)
+        gaps.append(r_tilde - R)
+        cs.append(gaps[-1] / math.log(R))
+    return SandwichSample(min(gaps), max(gaps), min(cs), max(cs))

@@ -116,9 +116,9 @@ class _FloatOps:
     on floats: math's, so that a float stays a float with math's rounding.
     ratio(x, y) is x / y, or inf where y = 0."""
 
-    cos, sin, sinh, cosh, tanh, asinh, exp, log, log1p, hypot, atan2, copysign, min = (
-        math.cos, math.sin, math.sinh, math.cosh, math.tanh, math.asinh, math.exp, math.log,
-        math.log1p, math.hypot, math.atan2, math.copysign, min)
+    cos, sin, sinh, cosh, asinh, log, hypot, copysign, min = (
+        math.cos, math.sin, math.sinh, math.cosh, math.asinh, math.log, math.hypot,
+        math.copysign, min)
     where = staticmethod(lambda cond, x, y: x if cond else y)
     ratio = staticmethod(lambda x, y: x / y if y else math.inf)
 
@@ -126,9 +126,8 @@ class _FloatOps:
 class _ArrayOps:
     """The same functions on numpy arrays."""
 
-    cos, sin, cosh, tanh, asinh, exp, log, log1p, hypot, atan2, copysign, where = (
-        np.cos, np.sin, np.cosh, np.tanh, np.arcsinh, np.exp, np.log, np.log1p, np.hypot,
-        np.arctan2, np.copysign, np.where)
+    cos, sin, cosh, asinh, log, hypot, copysign, where = (
+        np.cos, np.sin, np.cosh, np.arcsinh, np.log, np.hypot, np.copysign, np.where)
     sinh = staticmethod(_sinh)
     min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
     ratio = staticmethod(lambda x, y: np.divide(
@@ -144,53 +143,49 @@ def _axis_cos_sin(eta):
     return 0.0 if abs(eta) == math.pi / 2 else math.cos(eta), math.sin(eta)
 
 
-def _leg(p, c):
-    """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for p, c >= 0: floats, an
-    array p with a float c, or arrays.
+def _asinh_ratio(p, c: float):
+    """asinh(p / c) for p >= 0 and c > 0, p a float or an array: log(2p) - log(c)
+    where p / c overflows (asinh(x) rounds to log(2x) past x = 2^28)."""
+    xp = _ops(p)
+    y = xp.asinh(p / c)   # hypot(p, c) is p where y is inf, and > 0 where it is not used
+    return xp.where(y == math.inf, xp.log(xp.hypot(p, c)) + (math.log(2.0) - math.log(c)), y)
+
+
+def _leg(p, c: float):
+    """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for p, c >= 0, p a float
+    or an array.
 
     This is the one-variable building block of S_eta, written so the c -> 0
     limit (value p^2/2) needs no special series: the asinh term carries the
-    c^2 prefactor and vanishes with it.
+    c^2 prefactor and vanishes with it.  Each term is halved before its
+    products, so p sqrt(c^2 + p^2) does not overflow where the leg is a float.
+    p/c is capped at 1e308, past which the asinh term is below the last bit
+    of the first, so an underflowed c^2 never meets an overflowed asinh.
     """
-    axis = c == 0.0   # a bool for a float c
-    if axis is True:
+    if c == 0.0:
         return 0.5 * p * p
-    if axis is not False and axis.any():   # the limit there, elsewhere the formula, 1 for those c
-        return np.where(axis, 0.5 * p * p, _leg(p, np.where(axis, 1.0, c)))
     xp = _ops(p)
-    return 0.5 * (p * xp.hypot(c, p) + c * c * xp.asinh(p / c))
+    return 0.5 * p * xp.hypot(c, p) + 0.5 * c * c * xp.asinh(xp.min(p / c, 1e308))
 
 
-def _logsinh(x):
+def _logsinh(x: float) -> float:
     """log(sinh x) for x >= 0, without overflow for large x and without
-    exp(-2x) rounding to 1 for small x; -inf at 0, where x underflowed.  A
-    float takes the one branch it needs; an array takes both, each on its
-    elements clamped into the branch's range."""
-    below = x < 1.0   # a bool for a float x
-    if below is True:
+    exp(-2x) rounding to 1 for small x; -inf at 0, where x underflowed."""
+    if x < 1.0:
         return math.log(math.sinh(x)) if x > 0.0 else -math.inf
-    if below is False:
-        return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-    big = np.maximum(x, 1.0)
-    return np.where(below, np.log(np.sinh(np.minimum(x, 1.0))),
-                    big + np.log1p(-np.exp(-2.0 * big)) - math.log(2.0))
+    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
 
 
-def _launch_residual(xp, au, log_rhs, g, slope):
+def _launch_residual(au, log_rhs, g, slope):
     """x -> (h, h', None) for h = log sin(eta) + g(A) - log_rhs, A = asinh(au / cos eta),
     in x = log tan(eta), where sin(eta) = t / sqrt(1 + t^2), t = e^x: h' is
-    cos^2 + sin^2 slope(A), slope(A) = tanh(A) g'(A), taken as 1 for A <= 1e-8;
-    au and log_rhs are floats, or arrays with one element per iterate of x,
-    and xp is their _ops."""
+    cos^2 + sin^2 slope(A), slope(A) = tanh(A) g'(A), taken as 1 for A <= 1e-8."""
     def h(x):
-        t = xp.exp(x)
+        t = math.exp(x)
         t2 = t * t
-        A = xp.asinh(au * xp.hypot(1.0, t))
-        if xp is _FloatOps:
-            s = slope(A) if A > 1e-8 else 1.0
-        else:   # slope at every element, clamped past 1e-8
-            s = np.where(A > 1e-8, slope(np.maximum(A, 1e-8)), 1.0)
-        return x - 0.5 * xp.log1p(t2) + g(A) - log_rhs, (1.0 + t2 * s) / (1.0 + t2), None
+        A = math.asinh(au * math.hypot(1.0, t))
+        return (x - 0.5 * math.log1p(t2) + g(A) - log_rhs,
+                (1.0 + t2 * (slope(A) if A > 1e-8 else 1.0)) / (1.0 + t2), None)
     return h
 
 
@@ -220,20 +215,20 @@ def _half_plane_x(phi1):
 # moment_map and ricci_potentials also take complex (u, v), under the
 # complex-step contract of taubnut.numerics, and almost_ball_v_max takes
 # arrays of u.  Written once, radial_relation and polar_point (R and eta
-# broadcast together), and conformal_factor, launch_residual, eikonal_S,
-# unparam_residual and exact_launch_angle ((u, v), with eikonal_S's (c, s))
-# also take arrays: they call math on floats and numpy on arrays through
-# _ops.  (c, s) is (cos eta, sin eta).  shoot_rhs(eta) = rhs, the velocity
-# y = (u, v) -> (u', v') of the unit-speed eta-geodesic, a function of the
-# state alone; built for an array eta, it takes and returns arrays.  Its
-# squares are products, which overflow to inf where x ** 2 raises; the
-# float rhs then divides by the square root of that sum twice.
-# launch_residual(u, v) = h, the launch-angle relation through (u, v),
-# increasing in x = log tan(eta); radial_relation(R, eta) = (f, bound), S_eta
-# along the eta-geodesic minus R in its log radial parameter s and a
-# closed-form bound above its root; h and f are find_root_monotone residuals
-# (find_roots_monotone ones on arrays), x -> (value, slope, curvature or
-# None).  polar_point(R, eta, solve) = (u, v) at that root, found by solve.
+# broadcast together), and conformal_factor, eikonal_S and unparam_residual
+# ((u, v), with (c, s) floats) also take arrays: they call math on floats
+# and numpy on arrays through _ops.  (c, s) is (cos eta, sin eta).
+# shoot_rhs(eta) = rhs, the velocity y = (u, v) -> (u', v') of the
+# unit-speed eta-geodesic, a function of the state alone; built for an
+# array eta, it takes and returns arrays.  Its squares are products, which
+# overflow to inf where x ** 2 raises; the float rhs then divides by the
+# square root of that sum twice.  launch_residual(u, v) = h, the
+# launch-angle relation through (u, v), increasing in x = log tan(eta);
+# radial_relation(R, eta) = (f, bound), S_eta along the eta-geodesic minus
+# R in its log radial parameter s and a closed-form bound above its root;
+# h and f are find_root_monotone residuals (f a find_roots_monotone one on
+# arrays), x -> (value, slope, curvature or None).  polar_point(R, eta,
+# solve) = (u, v) at that root, found by solve.
 
 @dataclass(frozen=True)
 class InstantonParams:
@@ -411,14 +406,13 @@ class GeneralizedTN(InstantonParams):
 
     def launch_residual(self, u, v):
         # g(A) = log sinh(qA): min(1, q) <= h' <= max(1, q); h = x - log(v/u) at k = 0
-        q, xp = self.b / self.a, _ops(u)
-        return _launch_residual(xp, self.a * u, math.log(self.b) + xp.log(v),
+        q = self.b / self.a
+        return _launch_residual(self.a * u, math.log(self.b) + math.log(v),
                                 lambda A: _logsinh(q * A),
-                                lambda A: q * xp.tanh(A) / xp.tanh(q * A))
+                                lambda A: q * math.tanh(A) / math.tanh(q * A))
 
     def unparam_residual(self, c, s, u, v):
-        asinh = _ops(u).asinh
-        return abs(asinh(self.a * u / c) / self.a - asinh(self.b * v / s) / self.b)
+        return abs(_asinh_ratio(self.a * u, c) / self.a - _asinh_ratio(self.b * v, s) / self.b)
 
     def radial_relation(self, R, eta):
         a, b = self.a, self.b
@@ -557,11 +551,10 @@ class ExceptionalTN(InstantonParams):
 
     def launch_residual(self, u, v):
         # the q -> 0 limit of GeneralizedTN's, less log q: g(A) = log A
-        xp = _ops(u)
-        return _launch_residual(xp, u, xp.log(v), xp.log, lambda A: xp.tanh(A) / A)
+        return _launch_residual(u, math.log(v), math.log, lambda A: math.tanh(A) / A)
 
     def unparam_residual(self, c, s, u, v):
-        return abs(_ops(u).asinh(u / c) - v / s)
+        return abs(_asinh_ratio(u, c) - v / s)
 
     def radial_relation(self, R, eta):
         xp = _ops(eta)
@@ -643,8 +636,8 @@ class _HalfPlane(InstantonParams):
 
 class ExceptionalHalfPlane(_HalfPlane):
     """The half-plane exceptional instanton.  It shares lambda = 1 + x^2,
-    the Gauss curvature, the launch-angle and radial relations and the
-    shoot right-hand side with ExceptionalTN."""
+    the Gauss curvature, S_eta, the launch-angle and radial relations and
+    the shoot right-hand side with ExceptionalTN."""
 
     family = Family.EXCEPTIONAL_HALF_PLANE
     ricci_calibration = SQRT2
@@ -652,6 +645,7 @@ class ExceptionalHalfPlane(_HalfPlane):
 
     conformal_factor = ExceptionalTN.conformal_factor
     polytope_curvature = ExceptionalTN.polytope_curvature
+    eikonal_S = ExceptionalTN.eikonal_S
     launch_residual = ExceptionalTN.launch_residual
     unparam_residual = ExceptionalTN.unparam_residual
     radial_relation = ExceptionalTN.radial_relation
@@ -668,9 +662,6 @@ class ExceptionalHalfPlane(_HalfPlane):
         lam = 1.0 + u * u
         return (u * u / lam, 2.0 * u * u * v / lam,
                 (lam * lam + 4.0 * u * u * v * v) / lam)
-
-    def eikonal_S(self, c, s, u, v):
-        return _leg(u, abs(c)) + v * s
 
     def polar_point(self, R, eta, solve):
         u, v = ExceptionalTN.polar_point(self, R, abs(eta), solve)
@@ -714,7 +705,7 @@ class Flat(_HalfPlane):
         return u * c + v * s
 
     def exact_launch_angle(self, u, v):
-        return _ops(u).atan2(v, u)
+        return math.atan2(v, u)
 
     def unparam_residual(self, c, s, u, v):
         return abs(u * s - v * c)

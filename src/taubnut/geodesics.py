@@ -9,12 +9,13 @@ characteristic gives the genuine Riemannian distance.  Everything else here
 function) unwinds that one fact.  At the launch angle through a point,
 S_eta is stationary in eta, so an error in the solved angle enters the
 distance only to second order; every distance goes through that route.
+S_eta is 1-Lipschitz and vanishes at the origin, so S_eta <= distance, with
+equality on the eta-geodesic: a shoot is certified by S_eta at its own eta.
 
 The formulas (S_eta, the launch-angle residual, the radial relation in the
 log radial parameter s = log F) are the family's, in :mod:`taubnut.family`;
 the root solves, the ODE shoot and the FD oracles here work for every
-family alike.  ``distances`` and ``points_from_polar`` solve many points as
-one array solve; one ``distances`` call certifies a whole shoot.
+family alike.  ``points_from_polar`` solves many points as one array solve.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Trajectory:
     ts: np.ndarray
     us: np.ndarray
     vs: np.ndarray
-    distances: np.ndarray          # distances(us, vs): the distance at each sample
+    distances: np.ndarray          # S_eta(us, vs): the distance at each sample on the eta-geodesic
     unparam_residuals: np.ndarray  # unparam_residual(eta, us, vs), at each sample
     nfev: int
 
@@ -54,8 +55,9 @@ class Trajectory:
 # eikonal potentials
 # --------------------------------------------------------------------------
 
-def eikonal_S(params: InstantonParams, eta: float, u: float, v: float) -> float:
-    """The separated eikonal solution S_eta with S_eta(origin) = 0.
+def eikonal_S(params: InstantonParams, eta: float, u, v):
+    """The separated eikonal solution S_eta with S_eta(origin) = 0, at (u, v)
+    or at arrays of them.
 
     For the half-plane families the second coordinate may be negative and eta
     ranges over [-pi/2, pi/2]; the quadrant families take eta in [0, pi/2].
@@ -116,14 +118,19 @@ def unparam_residual(params: InstantonParams, eta: float, u, v):
     """Residual of the unparametrized geodesic equation in logarithmic form:
     asinh(U)/sqrt(1+k) - asinh(V)/sqrt(1-k) with U, V the eta-normalized
     coordinates, at (u, v) or at arrays of them.  Zero exactly on the
-    eta-geodesic; at the axis angles it is the distance from the axis."""
+    eta-geodesic; at the axis angles it is the distance from the axis.
+    BadParams where the residual is beyond the float range."""
     params.check_eta(eta)
     c, s = math.cos(eta), math.sin(eta)
     if s == 0.0 or eta == 0.0:
         return abs(v)
     if c == 0.0 or abs(eta) == math.pi / 2:
         return abs(u)
-    return params.unparam_residual(c, s, u, v)
+    with np.errstate(over="ignore"):   # a ratio overflows to inf, as in float arithmetic
+        r = params.unparam_residual(c, s, u, v)
+    if not np.isfinite(r).all():
+        raise BadParams(f"eta = {eta}: the unparametrized residual is beyond the float range")
+    return r
 
 
 # --------------------------------------------------------------------------
@@ -189,14 +196,6 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
     return GeodesicRecord(u=u, v=v)
 
 
-def _check_points(params: InstantonParams, u: np.ndarray, v: np.ndarray):
-    """check_point on the arrays (u, v), at the first point it rejects."""
-    (u_lo, u_hi), (v_lo, v_hi) = params.bounds
-    off = ~(np.isfinite(u) & np.isfinite(v) & (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi))
-    if off.any():
-        params.check_point(float(u[off][0]), float(v[off][0]))
-
-
 def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.ndarray]:
     """point_from_polar on the arrays R and eta, broadcast together: arrays
     (u, v) from one array Halley solve with the scalar steps and stops.
@@ -215,7 +214,10 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
             u, v = params.polar_point(R, eta, _solve_radial)
     except OverflowError:
         raise BadParams("a term of a radial relation is beyond the float range") from None
-    _check_points(params, u, v)
+    (u_lo, u_hi), (v_lo, v_hi) = params.bounds
+    off = ~(np.isfinite(u) & np.isfinite(v) & (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi))
+    if off.any():
+        params.check_point(float(u[off][0]), float(v[off][0]))
     return u, v
 
 
@@ -236,37 +238,6 @@ def distance(params: InstantonParams, u: float, v: float) -> float:
     the distance only to second order.
     """
     return polar_from_point(params, u, v)[0]
-
-
-def distances(params: InstantonParams, us, vs) -> np.ndarray:
-    """distance at the points of the arrays (us, vs), broadcast together: one
-    find_roots_monotone solve off the axes with solve_eta's bracket, start,
-    tolerance and NoBracket ends, then S_eta.  numpy rounds differently from
-    math, so a distance can differ from distance's in the last digit.
-    BadParams for the whole call where distance raises it for some point."""
-    u, v = np.broadcast_arrays(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
-    _check_points(params, u, v)
-    with np.errstate(all="ignore"):   # inf and nan pass as in float arithmetic
-        eta = params.exact_launch_angle(u, v)
-        if eta is None:
-            w = abs(v)   # a half-plane domain: S_eta is even under (v, eta) -> -(v, eta)
-            off = (u != 0.0) & (w != 0.0)
-            eta = np.where(w == 0.0, 0.0, np.pi / 2)   # the u axis (with the origin), the v axis
-            h = params.launch_residual(u[off], w[off])
-            x = find_roots_monotone(h, X_LO, X_HI, x0=np.log(w[off]) - np.log(u[off]),
-                                    abs_tol=ROOT_TOL)
-            missed = np.isnan(x)   # no bracket: x = -inf or inf, so eta is 0 or pi/2
-            if missed.any():
-                x[missed] = np.where(h(np.full(x.shape, X_LO))[0][missed] > 0.0, -np.inf, np.inf)
-            eta[off] = np.arctan(np.exp(x))
-            eta = np.where(v < 0.0, -eta, eta)
-        s = np.sin(eta)   # S_eta as eikonal_S takes it
-        R = params.eikonal_S(np.cos(eta), np.where(np.abs(s) < 1e-300, 0.0, s), u, v)
-    beyond = ~np.isfinite(R)   # a product overflows to inf, as in distance
-    if beyond.any():
-        raise BadParams(f"distance at (u, v) = ({u[beyond][0]}, {v[beyond][0]}) "
-                        f"is beyond the float range")
-    return R
 
 
 @_within_float_range
@@ -310,13 +281,13 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
 
     Certification happens against closed forms, not against the integrator's
     own error estimate: at every sample the trajectory must satisfy the
-    unparametrized geodesic equation (``unparam_residuals``), and the
-    distance recomputed by one array solve (``distances``) must equal the
-    parameter t (this is what "unit speed" means once the curve is known to
-    be the right one).  BadParams for eta outside ``eta_range``, a t_end
-    that is not finite and > 0, n_samples not an int >= 1, a shoot that
-    stalls where its speed leaves the float range, or a sample whose
-    distance does.
+    unparametrized geodesic equation (``unparam_residuals``), and S_eta
+    there, the distance on the eta-geodesic to second order in the sample's
+    distance from it (``distances``), must equal the parameter t (this is
+    what "unit speed" means once the curve is known to be the right one).
+    BadParams for eta outside ``eta_range``, a t_end that is not finite and
+    > 0, n_samples not an int >= 1, a shoot that stalls where its speed
+    leaves the float range, or a sample whose S_eta or residual does.
     """
     params.check_eta(eta)
     if not 0.0 < t_end < math.inf:
@@ -330,5 +301,9 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     if rhs(end) == (0.0, 0.0):   # a unit-speed geodesic never stops
         raise BadParams(f"eta = {eta}: the shoot stalled at {end}, beyond the float range")
     us, vs = sol.ys.T
-    return Trajectory(ts=ts, us=us, vs=vs, distances=distances(params, us, vs),
+    with np.errstate(over="ignore"):   # a product overflows to inf, as in float arithmetic
+        dists = eikonal_S(params, eta, us, vs)
+    if not np.isfinite(dists).all():
+        raise BadParams(f"eta = {eta}: S_eta at a sample is beyond the float range")
+    return Trajectory(ts=ts, us=us, vs=vs, distances=dists,
                       unparam_residuals=unparam_residual(params, eta, us, vs), nfev=sol.nfev)

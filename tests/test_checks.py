@@ -204,6 +204,13 @@ def test_optional_parameters_do_not_grow():
     assert count <= 4
 
 
+def test_src_does_not_grow():
+    # the same numbers from less code: lower the cap when the package shrinks
+    count = sum(len(path.read_text().splitlines())
+                for path in Path(taubnut.__file__).parent.glob("*.py"))
+    assert count <= 3726
+
+
 def _traced_layers():
     """LAYERS of benchmarks/tracer.py: (module, function names, metrics) per layer."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"

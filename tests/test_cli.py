@@ -346,22 +346,16 @@ def _assert_certified(rows, family, R):
 def test_geodesic_at_the_float_range(args):
     # the error estimate's dot product overflowed at M = 1e300, and the
     # right-hand sides' squares at the largest R: each warning exited 1, and
-    # then the shoot stalled where 1 + u^2 overflowed.  Now the generalized
-    # shoots are certified as at a huge distance.  The exceptional ones stop
-    # with one error line: S_eta overflows in u * hypot(cos(eta), u) past
-    # u = 1.34e154, although the distance 1e308 is a float (CHANGES.md)
-    certified = args[1] == "generalized"
+    # then the shoot stalled where 1 + u^2 overflowed.  The exceptional
+    # shoots then stopped where S_eta overflowed in u * hypot(cos(eta), u)
+    # past u = 1.34e154, although the distance 1e308 is a float
     cp = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "taubnut",
                          "geodesic", "--eta", "0.7", *args],
                         capture_output=True, text=True, env=_child_env())
-    if certified or cp.returncode == 0:
-        assert cp.returncode == 0, cp.stderr
-        rows = np.array([[float(x) for x in line.split(",")]
-                         for line in cp.stdout.splitlines()[1:]])
-        _assert_certified(rows, args[1], args[args.index("--R") + 1])
-    else:
-        assert cp.returncode == 2 and cp.stdout == "", cp.stderr
-        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+    assert cp.returncode == 0, cp.stderr
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in cp.stdout.splitlines()[1:]])
+    _assert_certified(rows, args[1], args[args.index("--R") + 1])
 
 
 @pytest.mark.parametrize("family,eta", [("exceptional", math.pi / 2),
@@ -375,31 +369,30 @@ def test_geodesic_follows_the_axis_at_pi_2(family, eta):
     assert abs(rows[-1, 2]) == pytest.approx(100.0, rel=1e-14)
 
 
-def test_geodesic_solves_each_sample_once(tmp_path: Path, monkeypatch):
-    # the samples' distances come from one array solve, not one scalar
-    # solve per sample
-    from taubnut import cli, geodesics
+def test_geodesic_makes_no_root_solve(tmp_path: Path, monkeypatch):
+    # each sample is certified by S_eta at the shot's own eta, which needs
+    # no launch-angle solve, scalar or array
+    from taubnut import cli, geodesics, numerics
     from taubnut.family import Family, InstantonParams
 
-    calls = {"distances": [], "distance": [], "solve_eta": [], "unparam_residual": []}
-    for name, record in calls.items():
-        def counted(*args, fn=getattr(geodesics, name), record=record):
-            record.append(args)
-            return fn(*args)
-        monkeypatch.setattr(geodesics, name, counted)
+    calls = []
+    for module in (geodesics, numerics):
+        for name in ("find_root_monotone", "find_roots_monotone"):
+            def counted(*args, fn=getattr(module, name), **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
     out = tmp_path / "g.csv"
     assert cli.main(["geodesic", "--family", "exceptional", "--eta", "0.7",
                      "--R", "5", "--samples", "50", "--out", str(out)]) == 0
-    (_, us, vs), = calls["distances"]
-    assert us.shape == vs.shape == (50,)
-    assert [len(c) for c in calls.values()] == [1, 0, 0, 1]
-    (_, _, u, v), = calls["unparam_residual"]
-    assert u.shape == v.shape == (50,)
+    assert calls == []
     monkeypatch.undo()
-    traj = geodesics.geodesic_shoot(InstantonParams(Family.EXCEPTIONAL_TN),
-                                    0.7, 5.0, n_samples=50)
+    params = InstantonParams(Family.EXCEPTIONAL_TN)
+    traj = geodesics.geodesic_shoot(params, 0.7, 5.0, n_samples=50)
     rows = out.read_text().strip().splitlines()[1:]
     assert [float(r.split(",")[3]) for r in rows] == list(traj.distances)
+    for u, v, R in zip(traj.us.tolist(), traj.vs.tolist(), traj.distances.tolist()):
+        assert abs(R - geodesics.eikonal_S(params, 0.7, u, v)) <= 1e-15 * R
 
 
 # -------------------------------------------------------------------- contour

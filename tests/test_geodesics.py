@@ -43,6 +43,31 @@ def test_eikonal_small_eta_frozen():
     assert abs(got - eikonal_S(GEN, 0.0, 1.0, 1.0)) < 1e-5
 
 
+@pytest.mark.parametrize("params,eta,u,v", [
+    (GEN, 1e-299, 1.0, 1e10), (GEN05, 1e-160, 1.0, 1e150), (EXC, 0.7, 1.4e154, 229.0),
+    (HP, -0.7, 1.4e154, -229.0), (GEN, 0.7, 1.2e154, 1e154)])
+def test_eikonal_S_where_a_product_of_its_legs_leaves_the_float_range(params, eta, u, v):
+    # c^2 asinh(p / c) was 0 * inf = nan, or a subnormal c^2 times inf, where
+    # p / c overflows; p sqrt(c^2 + p^2) overflowed past p = 1.34e154
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    c, s = mp.mpf(math.cos(eta)), mp.mpf(math.sin(eta))
+
+    def leg(p, c):
+        return (p * mp.sqrt(c * c + p * p) + c * c * mp.asinh(p / c)) / 2
+    if params.family is Family.GENERALIZED_TN:
+        a, b = mp.sqrt(1 + mp.mpf(params.k)), mp.sqrt(1 - mp.mpf(params.k))
+        want = (leg(a * u, c) / a + leg(b * v, s) / b) / mp.sqrt(params.M / (2 * mp.sqrt(2)))
+    else:
+        want = leg(mp.mpf(u), c) + v * s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eikonal_S(params, eta, u, v)
+        with np.errstate(over="ignore"):   # p / c overflows on arrays as on floats
+            got_array, = eikonal_S(params, eta, np.array([u]), np.array([v]))
+    assert abs(got - want) <= 4e-16 * want and abs(got_array - want) <= 4e-16 * want
+
+
 def test_eikonal_residual_grid():
     # |grad S|^2 = lambda in every family: the defining property
     worst = 0.0
@@ -230,34 +255,13 @@ def _distance_corpus(params, rng):
 
 
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
-def test_distances_agrees_with_distance(params):
-    # numpy's log, exp, arctan, cos and arcsinh may round differently from
-    # math's in the last place; S_eta is stationary in the launch angle, so
-    # the distance keeps to an ulp or two
-    points = _distance_corpus(params, random.Random(19))
-    good, bad = [], []
-    for u, v in points:
-        try:
-            good.append((u, v, distance(params, u, v)))
-        except BadParams:
-            bad.append((u, v))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = geodesics.distances(params, [g[0] for g in good], [g[1] for g in good])
-    for (u, v, want), R in zip(good, got.tolist()):
-        assert abs(R - want) <= 1e-15 * want, (u, v)
-        if u == v == 0.0:
-            assert R == 0.0
-    assert len(good) > 300
-    # the off-domain, non-finite and overflowing points: BadParams as one call
-    bad += [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.7e308, 1.7e308)]
+def test_distance_rejects_off_domain_and_overflowing_points(params):
+    bad = [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.7e308, 1.7e308)]
     if params.bounds[1][0] == 0.0:
         bad.append((1.0, -1.0))
     for u, v in bad:
         with pytest.raises(BadParams):
             distance(params, u, v)
-        with pytest.raises(BadParams):
-            geodesics.distances(params, np.array([1.0, u]), np.array([1.0, v]))
 
 
 def _unparam_terms(params, eta, u, v):
@@ -267,26 +271,73 @@ def _unparam_terms(params, eta, u, v):
         return abs(u * s) + abs(v * c)
     if s == 0.0 or abs(eta) == math.pi / 2:
         return abs(u) + abs(v)
+    def asinh_ratio(p, c):   # log(2p) - log(c) past the float range of p / c
+        return math.asinh(p / c) if p / c < math.inf else math.log(2.0 * p) - math.log(c)
     if params.family is Family.GENERALIZED_TN:
-        return abs(math.asinh(params.a * u / c) / params.a) + abs(math.asinh(params.b * v / s) / params.b)
-    return abs(math.asinh(u / c)) + abs(v / s)
+        return (abs(asinh_ratio(params.a * u, c) / params.a)
+                + abs(asinh_ratio(params.b * abs(v), s) / params.b))
+    return abs(asinh_ratio(u, c)) + abs(v / s)
 
 
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
 def test_array_unparam_residual_agrees_with_the_scalar_one(params):
-    # a residual is the difference of two terms, each within an ulp or so
+    # a residual is the difference of two terms, each within an ulp or so;
+    # 1e-310 and the float below pi/2 take a ratio of them past the float
+    # range, and where a residual is past it too both calls raise BadParams
     rng = random.Random(23)
     lo, hi = params.eta_range
-    points = _distance_corpus(params, rng)
-    for eta in (lo, 0.0, 1e-3, 0.7, hi - 1e-9, hi):
-        pts = [(u, abs(v) if eta >= 0.0 else -abs(v)) for u, v in points]
-        us, vs = (np.array(t) for t in zip(*pts))
+    points = _distance_corpus(params, rng) + [(1e300, 1e300)]
+    for eta in (lo, 0.0, 1e-310, 1e-3, 0.7, hi - 1e-9, 1.5707963267948963, hi):
+        good, bad = [], []
+        for u, v in ((u, abs(v) if eta >= 0.0 else -abs(v)) for u, v in points):
+            try:
+                good.append((u, v, unparam_residual(params, eta, u, v)))
+            except BadParams:
+                bad.append((u, v))
+        us, vs, _ = (np.array(t) for t in zip(*good))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = unparam_residual(params, eta, us, vs)
-        for (u, v), r in zip(pts, got.tolist()):
-            want = unparam_residual(params, eta, u, v)
+            for u, v in bad:
+                with pytest.raises(BadParams):
+                    unparam_residual(params, eta, np.array([1.0, u]), np.array([1.0, v]))
+        for (u, v, want), r in zip(good, got.tolist()):
             assert abs(r - want) <= 1e-15 * _unparam_terms(params, eta, u, v), (eta, u, v)
+        assert len(good) > 250
+
+
+@pytest.mark.parametrize("params,eta,u,v", [
+    (GEN05, 1.5707963267948963, 1e300, 1e300), (GEN05, 1e-310, 1.0, 1.0),
+    (GEN, 1e-310, 1e300, 1e300), (GEN09, 1e-310, 3.0, 1e300),
+    (EXC, 1.5707963267948963, 1e300, 2.0)])
+def test_unparam_residual_past_the_float_range_of_a_ratio(params, eta, u, v):
+    # a u / cos(eta) or b v / sin(eta) overflowed, and the residual was inf
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    c, s = mp.mpf(math.cos(eta)), mp.mpf(math.sin(eta))   # as the residual takes them
+    if params.family is Family.GENERALIZED_TN:
+        a, b = mp.mpf(params.a), mp.mpf(params.b)
+        terms = mp.asinh(a * u / c) / a, mp.asinh(b * v / s) / b
+    else:
+        terms = mp.asinh(u / c), v / s
+    want = abs(terms[0] - terms[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got in (unparam_residual(params, eta, u, v),
+                    unparam_residual(params, eta, np.array([u]), np.array([v]))[0]):
+            assert abs(got - want) <= 1e-15 * (abs(terms[0]) + abs(terms[1]))
+
+
+@pytest.mark.parametrize("params,u,v", [(EXC, 1.0, 1.0), (HP, 1.0, -1.0), (EXC, 1e300, 1e300)])
+def test_unparam_residual_beyond_the_float_range_raises(params, u, v):
+    # the exceptional v / sin(eta) term itself is past the float range at eta = 1e-310
+    eta = math.copysign(1e-310, v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="beyond the float range"):
+            unparam_residual(params, eta, u, v)
+        with pytest.raises(BadParams, match="beyond the float range"):
+            unparam_residual(params, eta, np.array([0.0, u]), np.array([0.0, v]))
 
 
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
@@ -593,6 +644,28 @@ def test_geodesic_shoot(params, eta):
     assert traj.us[0] == traj.vs[0] == 0.0
     assert traj.unparam_residuals.max() < 1e-8
     assert np.abs(traj.distances - traj.ts).max() < 1e-6
+
+
+@pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT], ids=["GEN05", "EXC", "HP", "FLAT"])
+def test_shoot_certificate_sees_a_wrong_speed(params, monkeypatch):
+    # negative control: a shoot 1e-6 too fast ends 1e-6 t_end past distance t_end
+    shoot_rhs = type(params).shoot_rhs
+
+    def fast(self, eta):
+        rhs = shoot_rhs(self, eta)
+        return lambda y: tuple((1.0 + 1e-6) * w for w in rhs(y))
+    monkeypatch.setattr(type(params), "shoot_rhs", fast)
+    traj = geodesic_shoot(params, 0.7, 5.0)
+    assert np.abs(traj.distances - traj.ts).max() >= 5e-7 * 5.0
+
+
+@pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT], ids=["GEN05", "EXC", "HP", "FLAT"])
+def test_shoot_certificate_sees_a_wrong_angle(params, monkeypatch):
+    # negative control: a shoot integrated at eta + 1e-6 and certified at eta
+    shoot_rhs = type(params).shoot_rhs
+    monkeypatch.setattr(type(params), "shoot_rhs", lambda self, eta: shoot_rhs(self, eta + 1e-6))
+    traj = geodesic_shoot(params, 0.7, 5.0)
+    assert traj.unparam_residuals.max() > 1e-9
 
 
 @pytest.mark.parametrize("t_end", [0.5, 5.0, 50.0])
