@@ -54,15 +54,8 @@ def _dump_json(obj) -> str:
     independent of repr subtleties)."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if math.isnan(v):
-            return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return _fmt(v)
+    if isinstance(obj, float):   # numpy's float64 is a float
+        return _fmt(obj) if math.isfinite(obj) else f'"{obj}"'
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if obj is None:
@@ -71,13 +64,11 @@ def _dump_json(obj) -> str:
         inner = ", ".join(
             _dump_json(str(k)) + ": " + _dump_json(obj[k]) for k in sorted(obj))
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_dump_json(x) for x in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return "[" + ", ".join(_dump_json(x) for x in obj) + "]"   # a list or a tuple
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+def _write_out(text: str, out: str) -> None:
+    if out == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
@@ -527,7 +518,3 @@ def main(argv=None) -> int:
             StepUnderflow, blowdown.SingularAxis) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -333,9 +333,11 @@ class GeneralizedTN(InstantonParams):
         # sqrt(M / (2 sqrt 2)) converts the reduced radial variable to R;
         # l2_riemann is Gauss-Bonnet for scalar-flat 4-manifolds of Euler
         # characteristic 1
+        mass_root = math.sqrt(mass / (2.0 * SQRT2))
         self._set(M=mass, k=chi, a=math.sqrt(1.0 + chi), b=math.sqrt(1.0 - chi),
-                  mass_root=math.sqrt(mass / (2.0 * SQRT2)), l2_ricci_closed=l2_ricci,
-                  l2_riemann=32.0 * math.pi ** 2 + 4.0 * l2_ricci)
+                  mass_root=mass_root, l2_ricci_closed=l2_ricci,
+                  l2_riemann=32.0 * math.pi ** 2 + 4.0 * l2_ricci,
+                  leg_scale=math.ldexp(1.0, -((math.frexp(mass_root)[1] + 1) // 2)))
 
     # charts: y + ix = (u + iv)^2 / (sqrt(2) M)
     def xy_from_uv(self, u, v):
@@ -401,8 +403,10 @@ class GeneralizedTN(InstantonParams):
         return (1.0 - self.k, -(1.0 + self.k)), (1.0 + self.k, 1.0 - self.k)
 
     def eikonal_S(self, c, s, u, v):
-        a, b = self.a, self.b
-        return (_leg(a * u, c) / a + _leg(b * v, s) / b) / self.mass_root
+        # the legs are homogeneous of degree 2: scaled by r = leg_scale, a power of two
+        # with 1/4 <= mass_root r^2 < 1, they give the same float and stay floats
+        a, b, r = self.a, self.b, self.leg_scale
+        return (_leg(a * (u * r), c * r) / a + _leg(b * (v * r), s * r) / b) / (self.mass_root * r * r)
 
     def launch_residual(self, u, v):
         # g(A) = log sinh(qA): min(1, q) <= h' <= max(1, q); h = x - log(v/u) at k = 0

@@ -121,13 +121,12 @@ def unparam_residual(params: InstantonParams, eta: float, u, v):
     eta-geodesic; at the axis angles it is the distance from the axis.
     BadParams where the residual is beyond the float range."""
     params.check_eta(eta)
-    c, s = math.cos(eta), math.sin(eta)
-    if s == 0.0 or eta == 0.0:
+    if eta == 0.0:
         return abs(v)
-    if c == 0.0 or abs(eta) == math.pi / 2:
+    if abs(eta) == math.pi / 2:
         return abs(u)
     with np.errstate(over="ignore"):   # a ratio overflows to inf, as in float arithmetic
-        r = params.unparam_residual(c, s, u, v)
+        r = params.unparam_residual(math.cos(eta), math.sin(eta), u, v)
     if not np.isfinite(r).all():
         raise BadParams(f"eta = {eta}: the unparametrized residual is beyond the float range")
     return r

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .family import InstantonParams, generalized_D  # noqa: F401 (public here)
+from .family import InstantonParams
 
 TORUS_VOLUME = 4.0 * math.pi ** 2  # integral of dtheta1 ^ dtheta2
 

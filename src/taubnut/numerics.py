@@ -70,8 +70,11 @@ def find_root_monotone(f: Callable[[float], tuple[float, float, float | None]],
     the terms they share once (Numerical Recipes' ``rtsafe`` hands f and f'
     back from one function).  Newton steps, or Halley steps where a
     curvature is given, from ``x0`` (clamped to [lo, hi]) are taken whenever
-    they stay inside the current bracket, and bisections otherwise.  f is
-    evaluated at an end only when a bisection needs that end's sign.
+    they stay inside the current bracket and the step or |f| is at most half
+    its size at the Newton step before the last (``rtsafe`` halves the step;
+    |f| counts too where only the slope changes fast), and bisections
+    otherwise, as at subnormal inputs, where a residual left a few bits can
+    make equal steps.  f is evaluated at an end only when a bisection needs its sign.
 
     The solve stops at the first of: a zero of f; a Newton or Halley step no
     longer than abs_tol + 4e-16 |x| at the iterate x, whose result (kept in
@@ -84,6 +87,7 @@ def find_root_monotone(f: Callable[[float], tuple[float, float, float | None]],
     """
     a, b = lo, hi
     fa = fb = None   # f at a and b; None while that end is unevaluated
+    dx1 = dx2 = f1 = f2 = math.inf   # |step| and |f| at the last two Newton steps
     x = lo if lo > x0 else x0   # min(max(x0, lo), hi), NaN alike, without two builtin calls
     x = hi if hi < x else x
 
@@ -106,12 +110,13 @@ def find_root_monotone(f: Callable[[float], tuple[float, float, float | None]],
                 # Halley correction, only when it is well behaved.
                 if math.isfinite(denom) and abs(denom) > 0.25:
                     step = step / denom
-            if abs(step) <= abs_tol + 4e-16 * abs(x):
+            size = abs(step)
+            if size <= abs_tol + 4e-16 * abs(x):
                 x = a if a > x - step else x - step   # min(max(x - step, a), b)
                 return b if b < x else x
 
-        if step is not None and a < x - step < b:
-            x -= step
+        if step is not None and a < x - step < b and (size <= 0.5 * dx2 or abs(fx) <= 0.5 * f2):
+            x, dx1, dx2, f1, f2 = x - step, size, dx1, abs(fx), f1
         elif fa is None or fb is None:   # bisecting needs the sign at both ends
             x = lo if fa is None else hi
         elif b - a <= abs_tol + 4e-16 * max(abs(a), abs(b)):
@@ -137,6 +142,7 @@ def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
     has_a = has_b = np.zeros(shape, dtype=bool)   # f known at a, at b (see below)
     x = np.minimum(np.maximum(x0, lo), hi, out=np.empty(shape))
     roots, active, at_end = np.full(shape, np.nan), ~has_a, (x == lo) | (x == hi)
+    dx1 = dx2 = f1 = f2 = np.full(shape, np.inf)
 
     for _ in range(200):
         fx, d, d2 = f(x)
@@ -147,9 +153,12 @@ def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
             if d2 is not None:
                 denom = 1.0 - 0.5 * step * d2 / d
                 step = np.where(np.isfinite(denom) & (np.abs(denom) > 0.25), step / denom, step)
-            converged = np.abs(step) <= abs_tol + 4e-16 * np.abs(x)
+            size, f_size = np.abs(step), np.abs(fx)
+            converged = size <= abs_tol + 4e-16 * np.abs(x)
             stepped = x - step
-            inside = (a < stepped) & (stepped < b)
+            inside = (a < stepped) & (stepped < b) & ((size <= 0.5 * dx2) | (f_size <= 0.5 * f2))
+            dx1, dx2 = np.where(inside, size, dx1), np.where(inside, dx1, dx2)
+            f1, f2 = np.where(inside, f_size, f1), np.where(inside, f1, f2)
             root = np.minimum(np.maximum(stepped, a), b)
             done = found = converged
             # most iterations step each active element inside its bracket or stop it on

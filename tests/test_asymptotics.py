@@ -67,6 +67,8 @@ def test_almost_ball_quadrature_rejects_nonpositive_radius():
     for R in (0.0, -1.0):
         with pytest.raises(BadParams):
             almost_ball_volume_quadrature(GEN, R)
+        with pytest.raises(BadParams):
+            measured_epsilon_bar(GEN, R)
 
 
 @pytest.mark.parametrize("params", [GEN, GEN05, GEN09,

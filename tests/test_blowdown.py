@@ -40,6 +40,8 @@ def test_conifold_metric_forms():
         u * u * v * v * (u * u + v * v) / P, rel=1e-15, abs=0)
     with pytest.raises(SingularAxis):
         conifold_metric(k, 0.0, 0.0)
+    with pytest.raises(SingularAxis):
+        conifold_curvatures(k, 0.0, 0.0)
 
 
 def test_conifold_leaf_residual_is_exact_mass_term():
@@ -249,6 +251,8 @@ def test_exceptional_blowdown_curvature_sign():
         fd = exceptional_blowdown_curvature_fd(u)
         assert fd == pytest.approx(got, rel=1e-4, abs=0)
         assert abs(-got - fd) > 1.9 * abs(got) * 0.99
+    with pytest.raises(SingularAxis):
+        exceptional_blowdown_curvature(0.0)
 
 
 def test_exceptional_blowdown_residual_rate():

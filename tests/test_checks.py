@@ -21,6 +21,18 @@ def test_check(fn):
     assert isinstance(fn(), str)
 
 
+def test_bracket_check_fails_a_bracket_that_takes_a_small_radius(monkeypatch):
+    # asymptotics.bracket also checks that ball_volume_bracket rejects R = 5
+    from taubnut import asymptotics
+    from taubnut.checks import CheckFailed, bracket
+
+    measured = asymptotics.ball_volume_bracket
+    monkeypatch.setattr(asymptotics, "ball_volume_bracket",
+                        lambda params, R: measured(params, max(R, 100.0)))
+    with pytest.raises(CheckFailed, match="SmallRadius not raised"):
+        bracket()
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert; every bound in the package is an explicit raise
     found = [f"{path.name}:{node.lineno}"
@@ -208,7 +220,7 @@ def test_src_does_not_grow():
     # the same numbers from less code: lower the cap when the package shrinks
     count = sum(len(path.read_text().splitlines())
                 for path in Path(taubnut.__file__).parent.glob("*.py"))
-    assert count <= 3726
+    assert count <= 3725
 
 
 def _traced_layers():

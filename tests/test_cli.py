@@ -145,6 +145,9 @@ def test_eval_deterministic():
     ("eval", "--tol", "1e-9", "--point", "1,1"),
     ("eval", "--point", "1e80,1e80"),
     ("eval", "--k", "0.5", "--chart", "moment", "--point", "1e200,1e-200"),
+    ("volume", "--R", "1,x"),
+    ("blowdown", "--construction", "conifold", "--k", "1.5"),
+    ("blowdown", "--construction", "second", "--point", "0,0"),
 ])
 def test_bad_arguments_exit_2(args):
     cp = run_cli(*args)
@@ -165,6 +168,7 @@ def test_bad_arguments_exit_2(args):
     (("contour", "--phi-samples=-1"), "--phi-samples"),
     (("contour", "--eta", "5"), "--eta"),
     (("contour", "--eta", "-0.3"), "--eta"),
+    (("contour", "--levels", "1"), "--levels"),
 ])
 def test_invalid_geodesic_and_contour_inputs_exit_2(args, named):
     cp = run_cli(*args)
@@ -217,11 +221,14 @@ def test_eval_sweep_raises_only_package_exceptions():
     # each run exits 0 with only finite numbers on stdout, or exits 2 with an
     # error: line; no exception (a bare ValueError, OverflowError or
     # ZeroDivisionError, a numpy warning) escapes.  (1e-300, 1e-200) is the
-    # xy point whose x * x underflowed in _unsquare.
+    # xy point whose x * x underflowed in _unsquare.  Each family's uv chart
+    # also takes points log-uniform down to 5e-324, where the launch-angle
+    # solve crawled in Newton steps of equal size into MaxIterExceeded, as at
+    # the three points listed first.
     rng = random.Random(2016)
 
-    def coordinate():
-        return rng.choice([1.0, 1.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
+    def coordinate(lo=-300.0):
+        return rng.choice([1.0, 1.0, 1.0, -1.0]) * 10.0 ** rng.uniform(lo, 300.0)
 
     special = [math.nan, math.inf, -math.inf, 1e-300, -1e-300, 1e300, -1e300]
     argvs = []
@@ -230,8 +237,13 @@ def test_eval_sweep_raises_only_package_exceptions():
         for chart in ("uv", "xy", "moment", "polar", "almostpolar"):
             points = [(1e-300, 1e-200)] + [(coordinate(), coordinate()) for _ in range(16)]
             points += [(x, 1.0) for x in special[:3]] + [(1.0, x) for x in special[:3]]
+            if chart == "uv":
+                points += [(abs(coordinate(-323.3)), coordinate(-323.3)) for _ in range(40)]
             argvs += [["eval", *fam, "--chart", chart, f"--point={c1!r},{c2!r}"]
                       for c1, c2 in points]
+    argvs += [["eval", "--family", fam, "--point", point] for fam, point in (
+        ("generalized", "1.5e-323,2.73714e-318"), ("exceptional", "5e-324,8.54e-321"),
+        ("halfplane", "1.9e-322,-2.878006e-318"))]
     for fam in (["--family", "generalized"], ["--family", "generalized", "--k", "-0.9"],
                 ["--family", "exceptional"]):
         radii = [sorted(abs(coordinate()) for _ in range(4)) for _ in range(6)]
@@ -311,6 +323,9 @@ def test_geodesic_csv():
     assert float(last[0]) == 5.0
     assert abs(float(last[3]) - 5.0) < 1e-8
     assert float(last[4]) < 1e-8 and float(last[5]) < 1e-8
+    # one sample is the origin alone, with nothing to integrate
+    cp = run_cli("geodesic", "--k", "0.5", "--eta", "0.7", "--R", "5", "--samples", "1")
+    assert cp.stdout.splitlines() == lines[:2]
 
 
 def _geodesic_rows(*args):
@@ -342,20 +357,19 @@ def _assert_certified(rows, family, R):
     ("--family", "generalized", "--M", "1e300", "--R", "5"),
     ("--family", "exceptional", "--R", "1e308"),
     ("--family", "halfplane", "--R", "1e308"),
-    ("--family", "generalized", "--R", "1.7e308")])
+    ("--family", "generalized", "--R", "1.7e308"),
+    ("--family", "generalized", "--M", "1e300", "--R", "1e300")])
 def test_geodesic_at_the_float_range(args):
     # the error estimate's dot product overflowed at M = 1e300, and the
     # right-hand sides' squares at the largest R: each warning exited 1, and
     # then the shoot stalled where 1 + u^2 overflowed.  The exceptional
     # shoots then stopped where S_eta overflowed in u * hypot(cos(eta), u)
-    # past u = 1.34e154, although the distance 1e308 is a float
-    cp = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "taubnut",
-                         "geodesic", "--eta", "0.7", *args],
-                        capture_output=True, text=True, env=_child_env())
-    assert cp.returncode == 0, cp.stderr
-    rows = np.array([[float(x) for x in line.split(",")]
-                     for line in cp.stdout.splitlines()[1:]])
-    _assert_certified(rows, args[1], args[args.index("--R") + 1])
+    # past u = 1.34e154, although the distance 1e308 is a float, and at
+    # M = R = 1e300 a generalized leg of S_eta overflowed.  This suite makes
+    # each RuntimeWarning an error (pyproject.toml), as -W error did for a
+    # child process
+    _assert_certified(_geodesic_rows("--eta", "0.7", *args), args[1],
+                      args[args.index("--R") + 1])
 
 
 @pytest.mark.parametrize("family,eta", [("exceptional", math.pi / 2),
@@ -492,6 +506,9 @@ def test_energy_json():
     assert doc["rel_error"] < 1e-6
     assert doc["l2_riemann"] == pytest.approx(
         32.0 * math.pi ** 2 + 4.0 * doc["l2_ricci_closed"], rel=1e-12, abs=0)
+    table = dict(line.split(",") for line in
+                 run_cli("energy", "--k", "0.5", "--format", "csv").stdout.splitlines()[1:])
+    assert float(table["l2_riemann"]) == doc["l2_riemann"]
 
 
 @pytest.mark.parametrize("k", ["0.99", "-0.99"])
@@ -592,6 +609,21 @@ def test_in_process_runs_repeat_their_bytes():
     first = [run_cli(*args) for args in README_EXAMPLES]
     assert all(cp.returncode == 0 for cp in first)
     assert [run_cli(*args).stdout for args in README_EXAMPLES] == [cp.stdout for cp in first]
+
+
+def test_verify_fails_a_check_that_raises(monkeypatch):
+    # an exception other than CheckFailed fails its check, named, and
+    # verify goes on to the next check
+    from taubnut import metrics
+
+    def broken(params, u, v):
+        raise ZeroDivisionError("boom")
+    monkeypatch.setattr(metrics, "fiber_matrix", broken)
+    cp = run_cli("verify", "--suite", "metrics")
+    assert cp.returncode == 1
+    lines = cp.stdout.splitlines()
+    assert lines[0] == "FAIL metrics.det-fiber: ZeroDivisionError: boom"
+    assert len(lines) > 2 and lines[-1].endswith("checks passed")
 
 
 VERIFY_UNDER_O_SCRIPT = """

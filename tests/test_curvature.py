@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.curvature import (curvature4_fd, decay_rate_along_geodesic,
+from taubnut.curvature import (IllConditioned, curvature4_fd, decay_rate_along_geodesic,
                                l2_ricci, polytope_curvature_fd,
                                ricci_pseudo_jacobian_fd)
-from taubnut.family import Family, InstantonParams, WrongFamily
+from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.metrics import metric4, volume_density
 from taubnut.numerics import fd_curvature
 
@@ -203,6 +203,12 @@ def test_scalar_flat_and_ricci_calibrated(params):
         assert abs(sample.ricci_norm - closed) < 2e-4 * max(1.0, closed)
 
 
+def test_ill_conditioned_metric_raises():
+    # 1e-7 off the axis the fiber's u^2 entry makes cond(g) 2e14
+    with pytest.raises(IllConditioned):
+        curvature4_fd(GEN, 1e-7, 1.0, step=1e-8)
+
+
 def test_k0_is_ricci_flat():
     for u, v in INTERIOR:
         assert curvature4_fd(GEN, u, v).ricci_norm < 1e-4
@@ -254,6 +260,16 @@ def test_rm_fd_decay_rate(params, exponent, eta):
     # the check curvature.decay-rates holds eta = 0.7
     rate = decay_rate_along_geodesic(params, eta, "Rm_fd", (60.0, 120.0, 240.0, 480.0))
     assert rate == pytest.approx(exponent, abs=0.05)
+
+
+@pytest.mark.parametrize("params,quantity,radii,message", [
+    (GEN, "K_sigma", (60.0, 120.0, 240.0), "at least 4 radii"),
+    (GEN, "foo", (60.0, 120.0, 240.0, 480.0), "unknown quantity"),
+    (FLAT, "K_sigma", (60.0, 120.0, 240.0, 480.0), "vanishes"),
+    (GEN, "Ric", (60.0, 120.0, 240.0, 480.0), "vanishes")])
+def test_decay_rate_rejects_what_it_cannot_fit(params, quantity, radii, message):
+    with pytest.raises(BadParams, match=message):
+        decay_rate_along_geodesic(params, 0.7, quantity, radii)
 
 
 DECAY_BOUNDS = [   # (quantity, params, eta, exponent, tolerance) of curvature.decay-rates

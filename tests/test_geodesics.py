@@ -45,10 +45,12 @@ def test_eikonal_small_eta_frozen():
 
 @pytest.mark.parametrize("params,eta,u,v", [
     (GEN, 1e-299, 1.0, 1e10), (GEN05, 1e-160, 1.0, 1e150), (EXC, 0.7, 1.4e154, 229.0),
-    (HP, -0.7, 1.4e154, -229.0), (GEN, 0.7, 1.2e154, 1e154)])
+    (HP, -0.7, 1.4e154, -229.0), (GEN, 0.7, 1.2e154, 1e154),
+    (InstantonParams(M=1e300), 0.7, 7.7e224, 6.5e224)])
 def test_eikonal_S_where_a_product_of_its_legs_leaves_the_float_range(params, eta, u, v):
     # c^2 asinh(p / c) was 0 * inf = nan, or a subnormal c^2 times inf, where
-    # p / c overflows; p sqrt(c^2 + p^2) overflowed past p = 1.34e154
+    # p / c overflows; p sqrt(c^2 + p^2) overflowed past p = 1.34e154; at
+    # M = 1e300 a generalized leg overflowed before S_eta divided it by 6e149
     mp = pytest.importorskip("mpmath").mp.clone()
     mp.dps = 40
     c, s = mp.mpf(math.cos(eta)), mp.mpf(math.sin(eta))
@@ -226,6 +228,19 @@ def test_points_from_polar_agrees_with_point_from_polar(params):
         with pytest.raises(BadParams):
             points_from_polar(params, np.array([R, 1.0]), np.array([eta, 0.5 * (lo + hi)]))
     assert len(good) > 300
+
+
+def test_points_from_polar_rejects_a_point_it_solves_off_the_chart(monkeypatch):
+    # no input is known to solve to a point off the chart; one that did (a
+    # NaN from the family's polar_point here) is BadParams for the whole call
+    polar_point = type(GEN05).polar_point
+
+    def nan_at_2(self, R, eta, solve):
+        u, v = polar_point(self, R, eta, solve)
+        return u, np.where(R == 2.0, math.nan, v)
+    monkeypatch.setattr(type(GEN05), "polar_point", nan_at_2)
+    with pytest.raises(BadParams, match="not a finite point"):
+        points_from_polar(GEN05, [1.0, 2.0, 3.0], 0.7)
 
 
 @pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT], ids=["GEN05", "EXC", "HP", "FLAT"])
@@ -717,6 +732,15 @@ def test_geodesic_shoot_at_the_float_range():
     traj = geodesic_shoot(GEN, 0.7, 1.7e308, n_samples=3)
     assert np.abs(traj.distances - traj.ts).max() <= 1e-12 * 1.7e308
     assert traj.unparam_residuals.max() <= 1e-9
+
+
+def test_geodesic_shoot_rejects_a_sample_whose_S_eta_is_not_a_float(monkeypatch):
+    # no shoot is known to reach a sample whose S_eta leaves the float range
+    # while the sample stays a float; one that did is BadParams
+    monkeypatch.setattr(type(GEN05), "eikonal_S",
+                        lambda self, c, s, u, v: np.where(u > 1.0, math.inf, u))
+    with pytest.raises(BadParams, match="S_eta at a sample"):
+        geodesic_shoot(GEN05, 0.7, 5.0)
 
 
 @pytest.mark.parametrize("params,eta,t_end", [

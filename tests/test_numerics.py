@@ -80,7 +80,10 @@ def test_root_affine(c):
 # the array solve must repeat the scalar one bit for bit, iterates included.
 # Each row is (f, f', f'' or None, lo, hi, x0): Halley and Newton solves, a
 # root at x0, roots past either end (NoBracket), a slope pointing away from
-# the root (bisection), and a bracket end evaluated only when it is needed.
+# the root (bisection), a bracket end evaluated only when it is needed, and
+# two residuals on which Newton crawled for 200 iterations and now bisects:
+# a plateau where its steps of 1e-6 do not shrink |f|, and a slope 1e5 times
+# too steep, where each step shrinks |f| by a factor of only 1 - 1e-5.
 ROOT_CASES = [
     (lambda x: x * x * x - 2.0, lambda x: 3.0 * x * x, lambda x: 6.0 * x, 0.0, 4.0, 1.0),
     (lambda x: x * x * x - 2.0, lambda x: 3.0 * x * x, None, 0.0, 4.0, 3.9),
@@ -91,6 +94,8 @@ ROOT_CASES = [
     (lambda x: x * x - 1e-6, lambda x: 0.0 * x, None, 0.0, 3.0, 2.0),
     (lambda x: (x - 1.0) * (x - 1.0) * (x - 1.0), lambda x: 3.0 * (x - 1.0) * (x - 1.0),
      lambda x: 6.0 * (x - 1.0), -5.0, 7.0, 6.5),
+    (lambda x: max(x - 1.0, -1e-6), lambda x: 1.0 + 0.0 * x, None, 0.0, 2.0, 0.25),
+    (lambda x: 1e-5 * (x - 1.0), lambda x: 1.0 + 0.0 * x, None, 0.0, 2.0, 0.25),
 ]
 
 
@@ -143,7 +148,10 @@ def test_array_root_solve_without_curvature_takes_newton_steps():
 
 def test_array_root_solve_runs_out_of_iterations():
     # the slope points away from the root, so every step bisects, and with
-    # a negative tolerance no bracket is narrow enough to stop at
+    # a negative tolerance no bracket is narrow enough to stop at, in the
+    # scalar solve as in the array one
+    with pytest.raises(MaxIterExceeded):
+        find_root_monotone(lambda x: (x * x - 2.0, -1.0, None), 0.0, 2.0, x0=0.5, abs_tol=-1.0)
     with pytest.raises(MaxIterExceeded):
         find_roots_monotone(lambda x: (x * x - 2.0, -1.0 + 0.0 * x, None),
                             0.0, 2.0, x0=np.array([0.5, 1.5]), abs_tol=-1.0)
@@ -155,6 +163,13 @@ def test_region_quadrature_polynomial():
     # int_0^1 int_0^{1-u} (u + v) dv du = 1/3
     got = integrate_2d_region(lambda u, v: u + v, 1.0, lambda u: 1.0 - u)
     assert abs(got.value - 1.0 / 3.0) < 1e-12
+
+
+def test_region_owns_up_to_what_it_cannot_resolve():
+    # the jump of an indicator along u + v = 1 splits boxes until past
+    # MAX_BOXES every box closes; the error then covers the miss
+    got = integrate_2d_region(lambda u, v: (u + v < 1.0) * 1.0, 2.0, lambda u: 2.0 + 0.0 * u)
+    assert abs(got.value - 0.5) <= got.error < 0.01
 
 
 def test_improper_gaussian():
@@ -184,6 +199,9 @@ def test_improper_slower_decay_than_promised_raises():
     # shows the promised rho^-4 envelope
     with pytest.raises(SlowDecay):
         integrate_2d_improper(lambda u, v: (1.0 + u * u + v * v) ** -1.0)
+    # a constant never decays, at any radius up to the cap
+    with pytest.raises(SlowDecay):
+        integrate_2d_improper(lambda u, v: 1.0 + 0.0 * u)
 
 
 class _Counted:
@@ -428,6 +446,8 @@ def test_power_law_needs_samples():
         fit_power_law([1.0, 2.0], [1.0, 4.0])
     with pytest.raises(InsufficientSamples):
         fit_power_law([1.0, 2.0, 3.0], [1.0, -4.0, 9.0])
+    with pytest.raises(InsufficientSamples, match="coincide"):
+        fit_power_law([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
 # ------------------------------------------------------------ complex steps
