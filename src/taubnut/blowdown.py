@@ -60,19 +60,11 @@ def _check_k(k: float) -> None:
 # --------------------------------------------------------------------------
 
 #: The collapsed-circle coefficient of the measured limit is exactly twice
-#: the dtheta^2 coefficient carried by ConifoldMetric (the discrepancy is a
-#: normalization of the collapsing angle, constant in k, measured at rate
-#: M^(-1/2) over four decades).  Distances/curvatures below use the
-#: ConifoldMetric normalization; only the residual table needs this factor.
+#: the dtheta^2 coefficient fiber_scalar of conifold_metric (the discrepancy
+#: is a normalization of the collapsing angle, constant in k, measured at
+#: rate M^(-1/2) over four decades).  Distances/curvatures below use the
+#: conifold_metric normalization; only the residual table needs this factor.
 CONIFOLD_FIBER_LIMIT_FACTOR = 2.0
-
-
-@dataclass(frozen=True)
-class ConifoldMetric:
-    """g3 = conformal (du^2 + dv^2) + fiber_scalar dtheta^2."""
-
-    conformal: float
-    fiber_scalar: float
 
 
 @dataclass(frozen=True)
@@ -98,13 +90,13 @@ def _cone_factor(k, u, v):
 
 
 @finite_or_bad_params
-def conifold_metric(k: float, u: float, v: float) -> ConifoldMetric:
+def conifold_metric(k: float, u: float, v: float) -> tuple[float, float]:
+    """(conformal, fiber_scalar) of g3 = conformal (du^2 + dv^2) + fiber_scalar dtheta^2."""
     _check_k(k)
     P = _cone_factor(k, u, v)
     if P == 0.0:
         raise SingularAxis("the conifold metric degenerates at the origin")
-    scal = u * u * v * v * (u * u + v * v) / P
-    return ConifoldMetric(P, scal)
+    return P, u * u * v * v * (u * u + v * v) / P
 
 
 def _large_mass_scaled(k: float, u: float, v: float,
@@ -115,7 +107,7 @@ def _large_mass_scaled(k: float, u: float, v: float,
     params = InstantonParams(Family.GENERALIZED_TN, M=M, k=k)
     c = (M / (2.0 * SQRT2)) ** 0.25
     lam_scaled = conformal_factor(params, c * u, c * v) * c * c
-    return lam_scaled, np.array(fiber_matrix(params, c * u, c * v), dtype=float)
+    return lam_scaled, fiber_matrix(params, c * u, c * v)
 
 
 @finite_or_bad_params
@@ -130,10 +122,10 @@ def conifold_limit_residual(k: float, u: float, v: float,
     the collapsed combination and S is the measured limit coefficient."""
     _check_k(k)
     lam_scaled, F = _large_mass_scaled(k, u, v, M)
-    lim = conifold_metric(k, u, v)
-    leaf_res = abs(lam_scaled - lim.conformal)
+    conformal, fiber_scalar = conifold_metric(k, u, v)
+    leaf_res = abs(lam_scaled - conformal)
     w = np.array([(1.0 + k) / 2.0, (1.0 - k) / 2.0])
-    S = CONIFOLD_FIBER_LIMIT_FACTOR * lim.fiber_scalar
+    S = CONIFOLD_FIBER_LIMIT_FACTOR * fiber_scalar
     fiber_res = float(np.abs(F - S * np.outer(w, w)).max())
     return leaf_res, fiber_res
 
@@ -185,8 +177,8 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
     check_stencil(u, v, 2.0 * step, QUADRANT)   # the axes are degenerate
 
     def g3(a, b):   # the unchecked formula: this runs at every FD stencil point
-        m = conifold_metric.__wrapped__(k, a, b)
-        return np.diag([m.conformal, m.conformal, m.fiber_scalar])
+        conformal, fiber_scalar = conifold_metric.__wrapped__(k, a, b)
+        return np.diag([conformal, conformal, fiber_scalar])
 
     ric = fd_curvature(g3, u, v, step=step)[3]
     return float(ric[0, 0]), float(ric[0, 1]), float(ric[1, 1]), float(ric[2, 2])
@@ -195,7 +187,7 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
 def conifold_polytope_curvature_fd(k: float, u: float, v: float) -> float:
     """Conformal-oracle K of the polytope factor P (du^2 + dv^2), step 1e-4."""
     _check_k(k)
-    return fd_conformal_curvature(lambda a, b: conifold_metric(k, a, b).conformal,
+    return fd_conformal_curvature(lambda a, b: conifold_metric(k, a, b)[0],
                                   u, v, step=1e-4)
 
 
@@ -222,19 +214,12 @@ def blowdown_distance_gradient_deficit(k: float, u: float, v: float) -> float:
 # second (4-dimensional) generalized blowdown
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlowdownMetric4:
-    """Limit 4-metric: conformal (du^2 + dv^2) plus the torus form with
-    matrix fiber; det(fiber) = u^2 v^2 identically.  moments are the
-    commuting momentum functions of the limit torus action."""
-
-    conformal: float
-    fiber: np.ndarray
-    moments: tuple[float, float]
-
-
 @finite_or_bad_params
-def second_blowdown_metric(k: float, u: float, v: float) -> BlowdownMetric4:
+def second_blowdown_metric(k: float, u: float,
+                           v: float) -> tuple[float, np.ndarray, tuple[float, float]]:
+    """(conformal, fiber, moments) of the limit 4-metric: conformal (du^2 + dv^2)
+    plus the torus form with matrix fiber; det(fiber) = u^2 v^2 identically.
+    moments are the commuting momentum functions of the limit torus action."""
     _check_k(k)
     u2, v2 = u * u, v * v
     P = _cone_factor(k, u, v)
@@ -246,7 +231,7 @@ def second_blowdown_metric(k: float, u: float, v: float) -> BlowdownMetric4:
         [-2.0 * k * u2 * v2 / P, ((1.0 + k) ** 2 * u2 + (1.0 - k) ** 2 * v2) / P],
     ])
     moments = (0.5 * u2 * v2, -0.5 * (1.0 + k) * u2 + 0.5 * (1.0 - k) * v2)
-    return BlowdownMetric4(P, fiber, moments)
+    return P, fiber, moments
 
 
 def second_blowdown_moment_residual(k: float, u: float, v: float) -> float:
@@ -255,13 +240,13 @@ def second_blowdown_moment_residual(k: float, u: float, v: float) -> float:
     The momentum functions kept here carry the sign phi^2 =
     -(1+k)u^2/2 + (1-k)v^2/2; the opposite sign flips the fiber cross term
     and is incompatible with the limit matrix."""
-    m = second_blowdown_metric(k, u, v)
+    conformal, fiber, _ = second_blowdown_metric(k, u, v)
     grads = np.array([
         [u * v * v, u * u * v],
         [-(1.0 + k) * u, (1.0 - k) * v],
     ])
-    oracle = grads @ grads.T / m.conformal
-    return float(np.abs(m.fiber - oracle).max())
+    oracle = grads @ grads.T / conformal
+    return float(np.abs(fiber - oracle).max())
 
 
 @finite_or_bad_params
@@ -275,12 +260,12 @@ def second_blowdown_limit_residual(k: float, u: float, v: float,
     """
     _check_k(k)
     lam_scaled, F = _large_mass_scaled(k, u, v, M)
-    lim = second_blowdown_metric(k, u, v)
-    leaf_res = abs(lam_scaled - lim.conformal)
+    conformal, fiber, _ = second_blowdown_metric(k, u, v)
+    leaf_res = abs(lam_scaled - conformal)
     root = math.sqrt(2.0 * SQRT2 * M)
     T = np.array([[SQRT2 / (1.0 + k), 0.0],
                   [root * (1.0 - k) / 2.0, -root * (1.0 + k) / 2.0]])
-    fiber_res = float(np.abs(T @ F @ T.T - lim.fiber).max())
+    fiber_res = float(np.abs(T @ F @ T.T - fiber).max())
     return leaf_res, fiber_res
 
 
@@ -353,7 +338,7 @@ def exceptional_blowdown_limit_residual(u: float, v: float,
     lam_scaled = conformal_factor(params, M * u, M * v) * M * M / M ** 4
     leaf_res = abs(lam_scaled - conf)
 
-    F = np.array(fiber_matrix(params, M * u, M * v), dtype=float)
+    F = fiber_matrix(params, M * u, M * v)
     scaled = np.array([[F[0, 0] / M ** 4, F[0, 1] / M ** 2],
                        [F[0, 1] / M ** 2, F[1, 1]]])
     fiber_res = float(np.abs(scaled - fib).max())
@@ -369,28 +354,19 @@ class PointedLimitSample:
     """One row of the pointed-limit residual table.
 
     fiber is the recombined torus matrix of the exceptional family at
-    recentering parameter A, limit_fiber the closed-form limit.  At finite A
-    the fibers are tori; in the limit the long direction opens up, so the
-    limit carries the topology tag "cylinder" (pointwise metric data alone
-    cannot see the difference; the tag records it)."""
+    recentering parameter A, limit_fiber the closed-form limit."""
 
     conformal: float
     fiber: np.ndarray
     limit_fiber: np.ndarray
     residual: float
-    fiber_topology: str
 
 
-#: Topology of the limit fibration (simply connected total space).
+#: Topology of the fibration at finite A, and of the limit fibration (simply
+#: connected total space): the long direction opens up.  Pointwise metric
+#: data alone cannot see the difference; these tags record it.
+FINITE_FIBER_TOPOLOGY = "torus"
 LIMIT_FIBER_TOPOLOGY = "cylinder"
-
-
-def _pointed_recombination(A: float) -> np.ndarray:
-    """Killing-field recombination used at recentering parameter A.  The
-    (1,1) coefficient sqrt2/A is forced by requiring the recombined fiber to
-    stay bounded: the variant with 1/(2A) in that slot makes the fiber
-    diverge like A^2 (tests/test_blowdown.py documents this)."""
-    return np.array([[SQRT2 / A, -SQRT2 * A], [0.0, SQRT2]])
 
 
 def pointed_limit_fiber(u: float, v: float) -> np.ndarray:
@@ -414,16 +390,16 @@ def pointed_limit_halfplane(A: float, u: float, v: float) -> PointedLimitSample:
     params = InstantonParams(Family.EXCEPTIONAL_TN)
     if A + v <= 0.0:
         raise BadParams(f"shifted point leaves the quadrant: A + v = {A + v}")
-    T = _pointed_recombination(A)
-    F = np.array(fiber_matrix(params, u, A + v), dtype=float)
-    G = T @ F @ T.T
+    # the Killing-field recombination: its (1,1) coefficient sqrt2/A keeps the fiber
+    # bounded; 1/(2A) there makes it diverge like A^2 (tests/test_blowdown.py shows this)
+    T = np.array([[SQRT2 / A, -SQRT2 * A], [0.0, SQRT2]])
+    G = T @ fiber_matrix(params, u, A + v) @ T.T
     L = pointed_limit_fiber(u, v)
     return PointedLimitSample(
         conformal=conformal_factor(params, u, A + v),
         fiber=G,
         limit_fiber=L,
         residual=float(np.abs(G - L).max()),
-        fiber_topology="torus",
     )
 
 
@@ -439,5 +415,5 @@ def halfplane_swap_residual(u: float, v: float) -> float:
     half-plane family fiber at (x, y) = (u, v) with torus indices swapped.
     An algebraic identity, so this is roundoff-level."""
     params = InstantonParams(Family.EXCEPTIONAL_HALF_PLANE)
-    H = np.array(fiber_matrix(params, u, v), dtype=float)
+    H = fiber_matrix(params, u, v)
     return float(np.abs(pointed_limit_fiber(u, v) - H[::-1, ::-1]).max())

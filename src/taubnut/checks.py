@@ -92,7 +92,7 @@ def det_fiber():
     worst = 0.0
     for pp in _ALL_PARAMS:
         for (u, v) in [(0.3, 0.8), (1.5, 1.1), (2.4, 0.2)]:
-            F = np.array(metrics.fiber_matrix(pp, u, v), dtype=float)
+            F = metrics.fiber_matrix(pp, u, v)
             x = metrics.axial_coordinate(pp, u, v)
             worst = max(worst, abs(np.linalg.det(F) - x * x) / (x * x))
     expect(worst < 1e-10, f"det residual {worst:.2e}")
@@ -105,7 +105,7 @@ def moment_oracle():
     for pp in _ALL_PARAMS:
         for (u, v) in [(0.7, 0.9), (1.6, 0.4)]:
             lam = metrics.conformal_factor(pp, u, v)
-            F = np.array(metrics.fiber_matrix(pp, u, v), dtype=float)
+            F = metrics.fiber_matrix(pp, u, v)
             _, du, dv = complex_partials(
                 lambda a, b: np.array(pp.moment_map(a, b)), u, v)
             oracle = (np.outer(du, du) + np.outer(dv, dv)) / lam
@@ -377,12 +377,12 @@ def second_residuals():
         _, f = blowdown.second_blowdown_limit_residual(0.5, 1.0, 1.3, M)
         fib.append(f)
     expect(_monotone(fib), "residuals not monotone")
-    m = blowdown.second_blowdown_metric(0.5, 1.1, 0.7)
-    det_res = abs(float(np.linalg.det(m.fiber)) - 1.1 ** 2 * 0.7 ** 2)
+    conformal, fiber, _ = blowdown.second_blowdown_metric(0.5, 1.1, 0.7)
+    det_res = abs(float(np.linalg.det(fiber)) - 1.1 ** 2 * 0.7 ** 2)
     mom_res = blowdown.second_blowdown_moment_residual(0.5, 1.1, 0.7)
     x, y = blowdown.blowdown_xy_from_uv(1.1, 0.7)
     xy_res = abs(blowdown.second_blowdown_conformal_xy(0.5, x, y)
-                 * (1.1 ** 2 + 0.7 ** 2) - m.conformal)
+                 * (1.1 ** 2 + 0.7 ** 2) - conformal)
     expect(det_res < 1e-10 and mom_res < 1e-12 and xy_res < 1e-12,
            f"identities {det_res:.1e} {mom_res:.1e} {xy_res:.1e}")
     return f"fiber {fib[0]:.1e} -> {fib[-1]:.1e}; det/moment/chart identities hold"

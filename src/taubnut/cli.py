@@ -119,7 +119,7 @@ def _cmd_eval(args) -> int:
     else:
         u, v = family.uv_from_chart(params, chart, c1, c2)
 
-    fiber = np.array(metrics.fiber_matrix(params, u, v), dtype=float)
+    fiber = metrics.fiber_matrix(params, u, v)
     R, eta = geodesics.polar_from_point(params, u, v)
     q = {}
 
@@ -195,9 +195,10 @@ def _trace_level(params, eta, level, cp, sp, r0):
 
     def f(r):
         u, v = r * cp, r * sp
-        du, dv = velocity((u, v))
-        return (geodesics.eikonal_S(params, eta, u, v) - level,
-                metrics.conformal_factor(params, u, v) * (cp * du + sp * dv), None)
+        with np.errstate(over="ignore"):   # an overflow to inf sends its ray to bisection
+            du, dv = velocity((u, v))
+            return (geodesics.eikonal_S(params, eta, u, v) - level,
+                    metrics.conformal_factor(params, u, v) * (cp * du + sp * dv), None)
 
     return find_roots_monotone(f, 0.0, 2.0 ** 29, x0=r0, abs_tol=geodesics.ROOT_TOL)
 
@@ -354,48 +355,46 @@ def _cmd_volume(args) -> int:
 # blowdown
 # --------------------------------------------------------------------------
 
+#: per construction: the scaling parameters of the residual table, and the
+#: (leaf, fiber) residuals at (k, u, v, parameter)
+_LIMITS = {
+    "conifold": ([1e2, 1e3, 1e4, 1e5, 1e6], blowdown.conifold_limit_residual),
+    "second": ([1e2, 1e3, 1e4, 1e5, 1e6], blowdown.second_blowdown_limit_residual),
+    "exceptional": ([1e1, 1e2, 1e3, 1e4],
+                    lambda k, u, v, M: blowdown.exceptional_blowdown_limit_residual(u, v, M)),
+    "pointed": ([1e1, 1e2, 1e3, 1e4],
+                lambda k, u, v, A: (0.0, blowdown.pointed_limit_halfplane(A, u, v).residual)),
+}
+
+
 def _cmd_blowdown(args) -> int:
     u, v = _parse_point(args.point)
-    rows = []
+    scales, residual = _LIMITS[args.construction]
+    rows = [[p, *residual(args.k, u, v, p)] for p in scales]
     summary = {"version": __version__, "construction": args.construction,
                "k": args.k, "point": [u, v]}
     if args.construction == "conifold":
-        for M in [1e2, 1e3, 1e4, 1e5, 1e6]:
-            leaf, fib = blowdown.conifold_limit_residual(args.k, u, v, M)
-            rows.append([M, leaf, fib])
-        m = blowdown.conifold_metric(args.k, u, v)
+        conformal, fiber_scalar = blowdown.conifold_metric(args.k, u, v)
         c = blowdown.conifold_curvatures(args.k, u, v)
-        summary.update(conformal=m.conformal, fiber_scalar=m.fiber_scalar,
+        summary.update(conformal=conformal, fiber_scalar=fiber_scalar,
                        k_sigma=c.k_sigma, scalar3=c.scalar3)
     elif args.construction == "second":
-        for M in [1e2, 1e3, 1e4, 1e5, 1e6]:
-            leaf, fib = blowdown.second_blowdown_limit_residual(args.k, u, v, M)
-            rows.append([M, leaf, fib])
-        m = blowdown.second_blowdown_metric(args.k, u, v)
-        summary.update(conformal=m.conformal,
-                       fiber=[list(r) for r in m.fiber],
-                       fiber_det=float(np.linalg.det(m.fiber)),
-                       moments=list(m.moments))
+        conformal, fiber, moments = blowdown.second_blowdown_metric(args.k, u, v)
+        summary.update(conformal=conformal, fiber=[list(r) for r in fiber],
+                       fiber_det=float(np.linalg.det(fiber)), moments=list(moments))
     elif args.construction == "exceptional":
-        for M in [1e1, 1e2, 1e3, 1e4]:
-            leaf, fib = blowdown.exceptional_blowdown_limit_residual(u, v, M)
-            rows.append([M, leaf, fib])
-        conf, fib = blowdown.exceptional_blowdown_metric(u, v)
-        summary.update(conformal=conf, fiber=[list(r) for r in fib],
+        conformal, fiber = blowdown.exceptional_blowdown_metric(u, v)
+        summary.update(conformal=conformal, fiber=[list(r) for r in fiber],
                        k_sigma=blowdown.exceptional_blowdown_curvature(u))
-    else:   # pointed
-        for A in [1e1, 1e2, 1e3, 1e4]:
-            s = blowdown.pointed_limit_halfplane(A, u, v)
-            rows.append([A, 0.0, s.residual])
-        # s is the A = 1e4 sample, the last of the table
+    else:   # pointed, summarized by its sample at the last A of the table
+        s = blowdown.pointed_limit_halfplane(scales[-1], u, v)
         summary.update(conformal=s.conformal,
                        limit_fiber=[list(r) for r in s.limit_fiber],
-                       fiber_topology_finite=s.fiber_topology,
+                       fiber_topology_finite=blowdown.FINITE_FIBER_TOPOLOGY,
                        fiber_topology_limit=blowdown.LIMIT_FIBER_TOPOLOGY,
                        moments=list(blowdown.pointed_limit_moments_limit(u, v)))
-    monotone = all(rows[i][2] >= rows[i + 1][2] for i in range(len(rows) - 1))
-    summary["residuals_monotone"] = monotone
-    summary["residual_table"] = [[r[0], r[1], r[2]] for r in rows]
+    summary["residuals_monotone"] = all(a[2] >= b[2] for a, b in zip(rows, rows[1:]))
+    summary["residual_table"] = rows
 
     if args.format == "json":
         _write_out(_dump_json(summary), args.out)
@@ -492,9 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blowdown", parents=[out],
                        help="limit residual tables")
     p.add_argument("--k", type=float, default=0.0, help="twisting parameter, |k| < 1")
-    p.add_argument("--construction",
-                   choices=["conifold", "second", "exceptional", "pointed"],
-                   default="conifold")
+    p.add_argument("--construction", choices=list(_LIMITS), default="conifold")
     p.add_argument("--point", default="1,1", help="blowdown chart point 'u,v'")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=_cmd_blowdown)

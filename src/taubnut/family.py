@@ -52,12 +52,12 @@ class WrongFamily(AttributeError):
 
 def _finite(x) -> bool:
     """Whether every number of x -- a float, a complex number, an array, or
-    a tuple or record of them -- is finite.  Strings are not numbers."""
+    a tuple or record of them -- is finite."""
     if isinstance(x, np.ndarray):
         return bool(np.isfinite(x).all())
     if isinstance(x, tuple) or is_dataclass(x):
         return all(map(_finite, vars(x).values() if is_dataclass(x) else x))
-    return isinstance(x, str) or cmath.isfinite(x)
+    return cmath.isfinite(x)
 
 
 def finite_or_bad_params(fn):
@@ -116,9 +116,9 @@ class _FloatOps:
     on floats: math's, so that a float stays a float with math's rounding.
     ratio(x, y) is x / y, or inf where y = 0."""
 
-    cos, sin, sinh, cosh, asinh, log, hypot, copysign, min = (
+    cos, sin, sinh, cosh, asinh, log, hypot, copysign, min, any = (
         math.cos, math.sin, math.sinh, math.cosh, math.asinh, math.log, math.hypot,
-        math.copysign, min)
+        math.copysign, min, bool)
     where = staticmethod(lambda cond, x, y: x if cond else y)
     ratio = staticmethod(lambda x, y: x / y if y else math.inf)
 
@@ -126,8 +126,8 @@ class _FloatOps:
 class _ArrayOps:
     """The same functions on numpy arrays."""
 
-    cos, sin, cosh, asinh, log, hypot, copysign, where = (
-        np.cos, np.sin, np.cosh, np.arcsinh, np.log, np.hypot, np.copysign, np.where)
+    cos, sin, cosh, asinh, log, hypot, copysign, where, any = (
+        np.cos, np.sin, np.cosh, np.arcsinh, np.log, np.hypot, np.copysign, np.where, np.any)
     sinh = staticmethod(_sinh)
     min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
     ratio = staticmethod(lambda x, y: np.divide(
@@ -161,11 +161,14 @@ def _leg(p, c: float):
     products, so p sqrt(c^2 + p^2) does not overflow where the leg is a float.
     p/c is capped at 1e308, past which the asinh term is below the last bit
     of the first, so an underflowed c^2 never meets an overflowed asinh.
+    Where p/c is subnormal, and so keeps few bits, the asinh term is c p / 2.
     """
     if c == 0.0:
         return 0.5 * p * p
     xp = _ops(p)
-    return 0.5 * p * xp.hypot(c, p) + 0.5 * c * c * xp.asinh(xp.min(p / c, 1e308))
+    x = xp.min(p / c, 1e308)
+    return 0.5 * p * xp.hypot(c, p) + xp.where(x < 2.0 ** -1022, 0.5 * c * p,
+                                               0.5 * c * c * xp.asinh(x))
 
 
 def _logsinh(x: float) -> float:
@@ -321,8 +324,9 @@ class GeneralizedTN(InstantonParams):
         M, k = self.M, self.k
         mass = SQRT2 if M is None else float(M)
         chi = 0.0 if k is None else float(k)
-        if not (mass > 0.0 and math.isfinite(mass)):
-            raise BadParams(f"mass must be positive and finite, got M={M}")
+        # M / (2 sqrt 2) a normal float and sqrt 2 M a float: about 6.3e-308 <= M <= 1.27e308
+        if not (mass / (2.0 * SQRT2) >= 2.0 ** -1022 and SQRT2 * mass < math.inf):
+            raise BadParams(f"mass must lie in about [6.3e-308, 1.27e308], got M={M}")
         if not abs(chi) < 1.0:
             if abs(chi) == 1.0:
                 raise BadParams(
@@ -423,6 +427,8 @@ class GeneralizedTN(InstantonParams):
         xp = _ops(eta)
         c2, s2 = xp.cos(eta) ** 2, xp.sin(eta) ** 2
         rho = self.mass_root * R
+        if xp.any(rho == math.inf):   # an inf - inf in f would be NaN, not an overflow
+            raise OverflowError("the reduced distance sqrt(M / (2 sqrt 2)) R overflows")
         sinh, cosh = xp.sinh, xp.cosh
 
         def f(s):   # lhs(s) - rho, and its first and second s-derivatives

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.blowdown import (CONIFOLD_FIBER_LIMIT_FACTOR,
+from taubnut.blowdown import (CONIFOLD_FIBER_LIMIT_FACTOR, FINITE_FIBER_TOPOLOGY,
                               LIMIT_FIBER_TOPOLOGY, SingularAxis,
                               blowdown_distance,
                               blowdown_distance_gradient_deficit,
@@ -33,10 +33,10 @@ SQRT2 = math.sqrt(2.0)
 
 def test_conifold_metric_forms():
     k, u, v = 0.5, 1.1, 0.7
-    m = conifold_metric(k, u, v)
+    conformal, fiber_scalar = conifold_metric(k, u, v)
     P = (1.0 + k) * u * u + (1.0 - k) * v * v
-    assert m.conformal == pytest.approx(P, rel=1e-15, abs=0)
-    assert m.fiber_scalar == pytest.approx(
+    assert conformal == pytest.approx(P, rel=1e-15, abs=0)
+    assert fiber_scalar == pytest.approx(
         u * u * v * v * (u * u + v * v) / P, rel=1e-15, abs=0)
     with pytest.raises(SingularAxis):
         conifold_metric(k, 0.0, 0.0)
@@ -77,7 +77,8 @@ def test_conifold_fiber_limit_factor_is_two():
         c = (M / (2.0 * SQRT2)) ** 0.25
         F = np.array(fiber_matrix(InstantonParams(M=M, k=k), c * u, c * v))
         coeff = float(w @ F @ w) / (w @ w) ** 2
-        ratio = coeff / conifold_metric(k, u, v).fiber_scalar
+        _, fiber_scalar = conifold_metric(k, u, v)
+        ratio = coeff / fiber_scalar
         assert ratio == pytest.approx(2.0, abs=2e-3)
     assert CONIFOLD_FIBER_LIMIT_FACTOR == 2.0
 
@@ -187,8 +188,8 @@ def test_blowdown_distance_along_geodesic_monotone():
 def test_second_blowdown_det_is_u2v2():
     for k in (0.0, 0.5, -0.8):
         for u, v in ((0.7, 1.9), (2.2, 0.3)):
-            m = second_blowdown_metric(k, u, v)
-            det = float(np.linalg.det(m.fiber))
+            _, fiber, _ = second_blowdown_metric(k, u, v)
+            det = float(np.linalg.det(fiber))
             assert det == pytest.approx(u * u * v * v, rel=1e-12, abs=0)
 
 
@@ -199,11 +200,11 @@ def test_second_blowdown_moment_oracle():
         for u, v in ((0.7, 1.9), (1.0, 1.0)):
             assert second_blowdown_moment_residual(k, u, v) < 1e-12
     k, u, v = 0.5, 1.0, 1.0
-    m = second_blowdown_metric(k, u, v)
+    conformal, fiber, _ = second_blowdown_metric(k, u, v)
     flipped = np.array([[u * v * v, u * u * v],
                         [(1.0 + k) * u, -(1.0 - k) * v]])
-    bad = flipped @ flipped.T / m.conformal
-    assert np.abs(m.fiber - bad).max() > 0.5
+    bad = flipped @ flipped.T / conformal
+    assert np.abs(fiber - bad).max() > 0.5
 
 
 def test_second_blowdown_residual_decay():
@@ -281,7 +282,7 @@ def test_pointed_limit_residual_rate():
     # O(1/A): one decade of A buys one decade of residual
     for a, b in zip(res, res[1:]):
         assert a / b == pytest.approx(10.0, rel=0.3, abs=0)
-    assert rows[0].fiber_topology == "torus"
+    assert FINITE_FIBER_TOPOLOGY == "torus"
     assert LIMIT_FIBER_TOPOLOGY == "cylinder"
 
 

@@ -1,6 +1,7 @@
 """Every check of ``taubnut verify``, run by pytest under its own id."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -9,6 +10,18 @@ import pytest
 
 import taubnut
 from taubnut.checks import CHECKS
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    """The parsed source of path, parsed once for every guard below."""
+    return ast.parse(path.read_text())
+
+
+@functools.cache
+def _nodes(path: Path) -> tuple:
+    """Every node of _tree(path), in ast.walk order, walked once."""
+    return tuple(ast.walk(_tree(path)))
 
 
 def test_check_ids_are_unique():
@@ -37,7 +50,7 @@ def test_package_has_no_assert_statements():
     # python -O strips assert; every bound in the package is an explicit raise
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(Path(taubnut.__file__).parent.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+             for node in _nodes(path)
              if isinstance(node, ast.Assert)]
     assert found == []
 
@@ -59,7 +72,7 @@ def test_only_family_py_branches_on_the_family():
     for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
         if path.name == "family.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in _nodes(path):
             if isinstance(node, ast.Compare):
                 hit = any(map(_names_the_family, [node.left, *node.comparators]))
             elif isinstance(node, ast.Call):
@@ -98,14 +111,14 @@ def _unreached_public_names():
     bench = Path(__file__).resolve().parents[1] / "benchmarks"
     roots = set()
     for path in [package / "cli.py", package / "checks.py", *sorted(bench.glob("*.py"))]:
-        roots |= _mentioned(ast.parse(path.read_text()))
+        roots |= _mentioned(_tree(path))
 
     mentions = {}   # name -> the names its definitions mention
     public = []     # (name, qualified name) of each definition the guard holds
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
+        for node in _tree(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 qual = f"{path.stem}.{node.name}"
                 body = _mentioned(node) if isinstance(node, ast.FunctionDef) else set()
@@ -154,11 +167,11 @@ def _unread_fields():
     reads = set()
     for path in [*package.glob("*.py"), *(repo / "benchmarks").glob("*.py"),
                  *(repo / "tests").glob("*.py")]:
-        reads |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+        reads |= {node.attr for node in _nodes(path)
                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     fields = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in _nodes(path):
             if isinstance(node, ast.ClassDef) and any(
                     "dataclass" in _mentioned(d) for d in node.decorator_list):
                 fields += [f"{node.name}.{item.target.id}" for item in node.body
@@ -176,7 +189,7 @@ def test_package_does_not_import_scipy():
     # scipy is an oracle of the tests, not a dependency of the package
     found = []
     for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in _nodes(path):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -189,7 +202,7 @@ def test_package_does_not_import_scipy():
 
 
 def _functions(path):
-    return [node for node in ast.walk(ast.parse(path.read_text()))
+    return [node for node in _nodes(path)
             if isinstance(node, (ast.FunctionDef, ast.Lambda))]
 
 
@@ -220,7 +233,7 @@ def test_src_does_not_grow():
     # the same numbers from less code: lower the cap when the package shrinks
     count = sum(len(path.read_text().splitlines())
                 for path in Path(taubnut.__file__).parent.glob("*.py"))
-    assert count <= 3725
+    assert count <= 3704
 
 
 def _traced_layers():
@@ -256,7 +269,7 @@ def test_no_function_only_forwards_to_the_geometry():
     traced = {f"{module}.{name}" for module, names, _ in _traced_layers() for name in names}
     found = []
     for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
-        for fn in ast.parse(path.read_text()).body:
+        for fn in _tree(path).body:
             if not isinstance(fn, ast.FunctionDef):
                 continue
             body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
@@ -272,7 +285,7 @@ def test_every_function_of_eta_checks_it():
     # params.check_eta or carries _within_float_range, which calls it
     path = Path(taubnut.__file__).parent / "geodesics.py"
     found = []
-    for fn in ast.parse(path.read_text()).body:
+    for fn in _tree(path).body:
         if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
                 or "eta" not in [a.arg for a in fn.args.args]):
             continue
@@ -290,7 +303,7 @@ def test_einsums_name_at_most_five_indices():
     # distinct indices; contract a larger product one index at a time
     found = []
     for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in _nodes(path):
             if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
                     and node.args and isinstance(node.args[0], ast.Constant)
                     and isinstance(node.args[0].value, str)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from taubnut import cli
+from taubnut.family import Chart
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -269,6 +270,67 @@ def test_eval_sweep_raises_only_package_exceptions():
         if not (code == 2 and err.getvalue().startswith("error: ")
                 or code == 0 and not re.search(r"nan|inf", out.getvalue())):
             leaks.append((argv, code))
+    assert leaks == []
+
+
+EXTREMES = [0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e-8, 0.3, 1.0, 7.0, 700.0, 1e5,
+            1e150, 1e300, 1.7e308, -1.0, math.pi / 2]
+
+
+def _extreme_argvs(rng, n):
+    """n argument lists for eval (every chart), geodesic, contour, volume and
+    blowdown, each number drawn from EXTREMES; the generalized family takes
+    --M always and --k half the time."""
+    def x():
+        return repr(rng.choice(EXTREMES))
+
+    argvs = []
+    for _ in range(n):
+        fam = rng.choice(["generalized", "generalized", "exceptional", "halfplane", "flat"])
+        params = ["--family", fam] + ([f"--M={x()}"] + [f"--k={x()}"] * (rng.random() < 0.5)
+                                      if fam == "generalized" else [])
+        # a shoot to a distance past 1e150 takes up to 0.2 s: geodesic is drawn least
+        command = rng.choice(["eval"] * 3 + ["contour"] * 2 + ["geodesic", "volume", "blowdown"])
+        if command == "eval":
+            argvs.append(["eval", *params, "--chart", rng.choice([c.value for c in Chart]),
+                          f"--point={x()},{x()}"])
+        elif command == "geodesic":
+            argvs.append(["geodesic", *params, f"--eta={x()}", f"--R={x()}", "--samples", "3"])
+        elif command == "contour":
+            argvs.append(["contour", *params, f"--eta={x()}", f"--R={x()}",
+                          "--levels", "3", "--phi-samples", "5"])
+        elif command == "volume":
+            radii = ",".join(x() for _ in range(rng.choice([1, 4])))
+            argvs.append(["volume", *params, f"--R={radii}"])
+        else:
+            argvs.append(["blowdown", "--construction",
+                          rng.choice(["conifold", "second", "exceptional", "pointed"]),
+                          f"--k={x()}", f"--point={x()},{x()}"])
+    return argvs
+
+
+def test_every_command_at_extreme_inputs():
+    # each run exits 0, or exits 2 with exactly one error: line, and shows no
+    # traceback and no RuntimeWarning.  The sweep found eval --M 5e-324
+    # (mass_root rounded to 0: a ZeroDivisionError), contour at M = 1e-300,
+    # R = 1e300 (an overflow warning in the level-set residual) and contour at
+    # M = 1e300, R = 1.7e308 (an invalid-value warning in the radial relation)
+    leaks = []
+    for argv in _extreme_argvs(random.Random(1602), 300):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:   # argparse's usage errors
+                code = exc.code
+            except Exception as exc:
+                code = repr(exc)
+        lines = err.getvalue().splitlines()
+        if not (code == 0 and lines == []
+                or code == 2 and len(lines) == 1 and lines[0].startswith("error: ")):
+            leaks.append((argv, code, lines[-1:]))
     assert leaks == []
 
 

@@ -49,6 +49,20 @@ def test_param_validation():
         InstantonParams(family=Family.FLAT, k=0.1)
 
 
+@pytest.mark.parametrize("M", [5e-324, 1e-323, 2e-323, 6.29e-308, 1.272e308, 1.7e308])
+def test_a_mass_whose_derived_constants_leave_the_normal_floats_is_bad_params(M):
+    # M / (2 sqrt 2) rounded to 0 at 5e-324 (a ZeroDivisionError in eval), to
+    # one subnormal for 1e-323 ... 2e-323 (three masses, one mass_root), and
+    # sqrt 2 M overflowed at 1.7e308 (eval printed almost_distance 0)
+    with pytest.raises(BadParams, match="mass must lie"):
+        InstantonParams(M=M)
+
+
+def test_masses_at_the_ends_of_the_range_are_valid():
+    for M in (6.3e-308, 1e-300, 1e300, 1.27e308):
+        assert InstantonParams(M=M).M == M
+
+
 def test_k_sign_convention():
     # only k = +1 names the exceptional geometry; -1 is the axis swap
     with pytest.raises(BadParams):

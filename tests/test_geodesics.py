@@ -70,6 +70,30 @@ def test_eikonal_S_where_a_product_of_its_legs_leaves_the_float_range(params, et
     assert abs(got - want) <= 4e-16 * want and abs(got_array - want) <= 4e-16 * want
 
 
+@pytest.mark.parametrize("params,eta,u,v", [
+    (InstantonParams(M=1e-300, k=0.8238800895342211), 0.0, 5e-324, 0.0),
+    (InstantonParams(M=1e-300), 0.7, 1e-320, 1e-321),
+    (InstantonParams(M=1e-300, k=-0.5), 0.3, 3e-322, 2e-323),
+    (InstantonParams(M=1e-300, k=0.5), 1.2, 1e-310, 7e-323)])
+def test_eikonal_S_where_p_over_c_is_subnormal(params, eta, u, v):
+    # c^2 asinh(p / c) kept only the few bits of a subnormal p / c, and S_eta
+    # divides the legs by mass_root = 5.9e-151 here, so the lost bits showed:
+    # at the first point S_eta was 7.23e-174, 13% below the true 8.31e-174
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    c, s = mp.mpf(math.cos(eta)), mp.mpf(math.sin(eta))
+    a, b = mp.sqrt(1 + mp.mpf(params.k)), mp.sqrt(1 - mp.mpf(params.k))
+
+    def leg(p, c):
+        return (p * mp.sqrt(c * c + p * p) + (c * c * mp.asinh(p / c) if c else 0)) / 2
+    want = (leg(a * u, c) / a + leg(b * v, s) / b) / mp.sqrt(params.M / (2 * mp.sqrt(2)))
+    got = eikonal_S(params, eta, u, v)
+    got_array, = eikonal_S(params, eta, np.array([u]), np.array([v]))
+    assert abs(got - want) <= 4e-16 * want and abs(got_array - want) <= 4e-16 * want
+    if eta == 0.0:   # on the u axis the distance is S_0
+        assert abs(distance(params, u, v) - want) <= 4e-16 * want
+
+
 def test_eikonal_residual_grid():
     # |grad S|^2 = lambda in every family: the defining property
     worst = 0.0
@@ -716,12 +740,27 @@ def test_shoot_rhs_past_the_square_of_the_float_range(params, eta, u, v):
         assert abs(g - w) <= 4e-16 * abs(w) + 1e-323   # a velocity under the floats is 0
 
 
+def test_a_reduced_distance_beyond_the_float_range_is_bad_params():
+    # sqrt(M / (2 sqrt 2)) R overflowed to inf at M = 1e300, R = 1.7e308, and
+    # the radial relation's inf - inf gave the float solve the point (inf, inf)
+    # and the array solve an invalid-value warning (contour exited 1)
+    params = InstantonParams(M=1e300)
+    with pytest.raises(BadParams, match="radial relation"):
+        solve_F(params, 1.7e308, 0.3)
+    with pytest.raises(BadParams, match="radial relation"):
+        points_from_polar(params, np.array([1.0, 1.7e308]), np.array([0.0, 0.3]))
+    assert math.isfinite(point_from_polar(params, 1e150, 0.3).u)
+
+
 @pytest.mark.parametrize("params,t_end", [
-    (InstantonParams(M=5e-324), 1.7e308), (InstantonParams(M=5e-324, k=0.5), 1e308),
-    (InstantonParams(M=5e-324, k=-0.5), 1e308)])
-def test_geodesic_shoot_stalls_at_the_float_range(params, t_end):
-    # at M = 5e-324 the speed sqrt(M / (2 sqrt 2)) / D underflows to 0 at
-    # the origin: the shoot would stand still while t ran on
+    (InstantonParams(), 1.7e308), (InstantonParams(k=0.5), 1e308),
+    (InstantonParams(k=-0.5), 1e308)])
+def test_geodesic_shoot_stalls_at_the_float_range(params, t_end, monkeypatch):
+    # at M = 5e-324 the speed sqrt(M / (2 sqrt 2)) / D underflowed to 0 at the
+    # origin, and the shoot stood still while t ran on.  Such a mass is now
+    # BadParams and no valid shoot is known to stall, so the check is reached
+    # by a right-hand side that returns zero velocity
+    monkeypatch.setattr(type(params), "shoot_rhs", lambda self, eta: lambda y: (0.0, 0.0))
     with pytest.raises(BadParams, match="stalled"):
         geodesic_shoot(params, 0.7, t_end, n_samples=2)
 
