@@ -13,17 +13,3 @@ object: root solves, quadratures, ODE shooting and finite-difference oracles.
 """
 
 __version__ = "0.1.0"
-
-from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
-from .geodesics import (distance, eikonal_S, point_from_polar,
-                        polar_from_point, solve_eta)
-from .metrics import conformal_factor, fiber_matrix, metric4, volume_density
-
-__all__ = [
-    "BadParams", "Chart", "Family", "InstantonParams",
-    "WrongFamily",
-    "distance", "eikonal_S", "point_from_polar", "polar_from_point",
-    "solve_eta",
-    "conformal_factor", "fiber_matrix", "metric4", "volume_density",
-    "__version__",
-]

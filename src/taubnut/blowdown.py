@@ -120,7 +120,6 @@ def conifold_limit_residual(k: float, u: float, v: float,
     fiber residual is the entrywise max distance of the unscaled torus
     matrix to the rank-one form S * w w^T, where w = ((1+k)/2, (1-k)/2) is
     the collapsed combination and S is the measured limit coefficient."""
-    _check_k(k)
     lam_scaled, F = _large_mass_scaled(k, u, v, M)
     conformal, fiber_scalar = conifold_metric(k, u, v)
     leaf_res = abs(lam_scaled - conformal)
@@ -186,7 +185,6 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
 
 def conifold_polytope_curvature_fd(k: float, u: float, v: float) -> float:
     """Conformal-oracle K of the polytope factor P (du^2 + dv^2), step 1e-4."""
-    _check_k(k)
     return fd_conformal_curvature(lambda a, b: conifold_metric(k, a, b)[0],
                                   u, v, step=1e-4)
 
@@ -258,7 +256,6 @@ def second_blowdown_limit_residual(k: float, u: float, v: float,
         T = [[sqrt2/(1+k), 0],
              [sqrt(2 sqrt2 M)(1-k)/2, -sqrt(2 sqrt2 M)(1+k)/2]].
     """
-    _check_k(k)
     lam_scaled, F = _large_mass_scaled(k, u, v, M)
     conformal, fiber, _ = second_blowdown_metric(k, u, v)
     leaf_res = abs(lam_scaled - conformal)

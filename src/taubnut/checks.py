@@ -117,10 +117,8 @@ def moment_oracle():
 @check("metrics.collapsing-dichotomy")
 def collapsing_dichotomy():
     pp = _GEN05
-    n_bounded = [metrics.collapsing_direction_norms(pp, t, t)[0]
-                 for t in (10.0, 20.0, 40.0)]
-    n_growing = [metrics.collapsing_direction_norms(pp, t, t)[1]
-                 for t in (10.0, 20.0, 40.0)]
+    n_bounded, n_growing = zip(*(metrics.collapsing_direction_norms(pp, t, t)
+                                 for t in (10.0, 20.0, 40.0)))
     expect(max(n_bounded) / min(n_bounded) < 1.2, "collapsing norm not bounded")
     growth = n_growing[2] / n_growing[1]
     # squared norm ~ t^4, i.e. the length of the complement grows

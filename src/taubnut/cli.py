@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from . import asymptotics, blowdown, checks, curvature, family, geodesics, metrics
+from . import asymptotics, blowdown, checks, curvature, geodesics, metrics
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
 from .numerics import InsufficientSamples, SlowDecay, StepUnderflow, find_roots_monotone
 
@@ -113,11 +114,7 @@ def _cmd_eval(args) -> int:
     params = _params(args)
     c1, c2 = _parse_point(args.point)
     chart = Chart(args.chart)
-    if chart is Chart.POLAR:
-        rec = geodesics.point_from_polar(params, c1, c2)
-        u, v = rec.u, rec.v
-    else:
-        u, v = family.uv_from_chart(params, chart, c1, c2)
+    u, v = geodesics.uv_from_chart(params, chart, c1, c2)
 
     fiber = metrics.fiber_matrix(params, u, v)
     R, eta = geodesics.polar_from_point(params, u, v)
@@ -247,7 +244,8 @@ def _cmd_contour(args) -> int:
 
 
 def _render_svg(rows) -> str:
-    """Thin rendering of the contour rows: one polyline per curve."""
+    """Thin rendering of the contour rows, which come curve by curve:
+    one polyline per curve."""
     pad, size = 10.0, 640.0
     us = [r[3] for r in rows]
     vs = [r[4] for r in rows]
@@ -262,16 +260,11 @@ def _render_svg(rows) -> str:
     def sy(v):
         return size - pad - (v - v_lo) / dv * (size - 2 * pad)
 
-    curves: dict[str, list] = {}
-    kinds: dict[str, str] = {}
-    for name, kind, _, u, v, _ in rows:
-        curves.setdefault(name, []).append((sx(u), sy(v)))
-        kinds[name] = kind
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:g}" '
              f'height="{size:g}" viewBox="0 0 {size:g} {size:g}">']
-    for name in curves:
-        color = "#1f6fb2" if kinds[name] == "level" else "#b23a1f"
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in curves[name])
+    for (_, kind), curve in itertools.groupby(rows, key=lambda r: r[:2]):
+        color = "#1f6fb2" if kind == "level" else "#b23a1f"
+        pts = " ".join(f"{sx(r[3]):.2f},{sy(r[4]):.2f}" for r in curve)
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1" points="{pts}"/>')
     parts.append("</svg>")
@@ -369,6 +362,7 @@ _LIMITS = {
 
 def _cmd_blowdown(args) -> int:
     u, v = _parse_point(args.point)
+    blowdown._check_k(args.k)   # also where the limit does not depend on k
     scales, residual = _LIMITS[args.construction]
     rows = [[p, *residual(args.k, u, v, p)] for p in scales]
     summary = {"version": __version__, "construction": args.construction,

@@ -21,7 +21,8 @@ which the leaf metric has the simplest conformal factor (the ``xy`` chart
 itself for the half-plane families); ``moment`` -- the two torus moment
 maps; ``almostpolar`` -- (Rtilde, psi), the closed-form distance surrogate
 used for volume growth and an angle along its level sets.  Geodesic polar
-coordinates need a root solve and live in :mod:`taubnut.geodesics`.
+coordinates need a root solve and live in :mod:`taubnut.geodesics`, as does
+``uv_from_chart``, which maps a point of any chart to (u, v).
 """
 
 from __future__ import annotations
@@ -776,17 +777,3 @@ def uv_from_almost_polar(params: InstantonParams, rtilde: float, psi: float) -> 
         raise BadParams(f"need a finite Rtilde >= 0 and a finite psi, got ({rtilde}, {psi})")
     return params.uv_from_almost_polar(rtilde, psi)
 
-
-def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -> tuple[float, float]:
-    """Send a point of any closed-form chart to the family's (u, v) chart
-    (the polar chart needs the root solves of :mod:`taubnut.geodesics`)."""
-    if chart is Chart.UV:
-        return c1, c2
-    if chart is Chart.XY:
-        return params.uv_from_xy(c1, c2)
-    if chart is Chart.MOMENT:
-        return params.uv_from_moment(c1, c2)
-    if chart is Chart.ALMOST_POLAR:
-        return uv_from_almost_polar(params, c1, c2)
-    raise BadParams("geodesic polar transitions need a root solve; "
-                    "use taubnut.geodesics.point_from_polar")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import BadParams, InstantonParams
+from .family import BadParams, Chart, InstantonParams, uv_from_almost_polar
 from .metrics import conformal_factor
 from .numerics import (NoBracket, check_stencil, fd_gradient, find_root_monotone,
                        find_roots_monotone, ode_solve)
@@ -228,6 +228,20 @@ def polar_from_point(params: InstantonParams, u: float, v: float) -> tuple[float
     if not math.isfinite(R):   # a float product overflows to inf without raising
         raise BadParams(f"distance at (u, v) = ({u}, {v}) is beyond the float range")
     return R, eta
+
+
+def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -> tuple[float, float]:
+    """A point of any chart in (u, v); a polar one through point_from_polar."""
+    if chart is Chart.UV:
+        return c1, c2
+    if chart is Chart.XY:
+        return params.uv_from_xy(c1, c2)
+    if chart is Chart.MOMENT:
+        return params.uv_from_moment(c1, c2)
+    if chart is Chart.ALMOST_POLAR:
+        return uv_from_almost_polar(params, c1, c2)
+    rec = point_from_polar(params, c1, c2)
+    return rec.u, rec.v
 
 
 def distance(params: InstantonParams, u: float, v: float) -> float:

@@ -206,17 +206,14 @@ class QuadratureResult:
 GAUSS_ORDER = 10   # nodes per axis of the tensor rule on each box
 MAX_BOXES = 1024   # open boxes per round; past it every box closes
 _EPS = float(np.finfo(float).eps)
-_gauss_rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
     cached per order; made on first use, so that commands which never
     integrate skip the 10 ms import of numpy.polynomial."""
-    rule = _gauss_rules.get(n)
-    if rule is None:
-        rule = _gauss_rules[n] = np.polynomial.legendre.leggauss(n)
-    return rule
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _tensor_rule(f, boxes: np.ndarray) -> np.ndarray:

@@ -1,0 +1,82 @@
+"""Byte identity of the CLI against a git revision.
+
+    python tests/same_bytes.py REV
+
+extracts ``src`` of the revision REV with ``git archive`` into a temporary
+directory, then runs each argv of ``ARGVS`` on that copy and on the
+working tree, each in a fresh ``python -m taubnut``.  It prints every argv
+whose stdout or exit code differs, then their count, and exits 1 if there
+is one.  Stderr is not compared.  Pytest does not collect this file (its
+name has no test_ prefix); a run takes about a minute.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the README's examples
+README = [
+    ["eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"],
+    ["geodesic", "--family", "exceptional", "--eta", "0.7", "--R", "5", "--samples", "200"],
+    ["contour", "--family", "halfplane", "--eta", "0.3", "--levels", "3", "--R", "4",
+     "--format", "svg"],
+    ["energy", "--family", "generalized", "--k", "0.5", "--format", "json"],
+    ["volume", "--family", "generalized", "--R", "5,50,500"],
+    ["blowdown", "--construction", "pointed", "--format", "json"],
+    ["verify", "--suite", "all"],
+]
+#: the contour runs of benchmarks/inproc.py, as CSV and as SVG
+CONTOUR = [["contour", "--family", family, "--eta", "0.4", "--levels", "4", "--R", "6",
+            *k, "--format", fmt]
+           for family, k in (("generalized", ["--k", "0.5"]), ("halfplane", []))
+           for fmt in ("csv", "svg")]
+EVAL = [["eval", "--family", family, "--chart", chart, "--point", "1,1"]
+        for family in ("generalized", "exceptional", "halfplane", "flat")
+        for chart in ("uv", "xy", "moment", "polar", "almostpolar")]
+BLOWDOWN = [["blowdown", "--construction", construction, "--format", fmt,
+             "--point", point, "--k", k]
+            for construction in ("conifold", "second", "exceptional", "pointed")
+            for fmt in ("csv", "json")
+            for point in ("1,1", "0.7,1.3", "2.5,0.2")
+            for k in ("0", "0.5", "-0.9")]
+ARGVS = README + CONTOUR + EVAL + BLOWDOWN
+
+
+def run(src: Path, argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of ``python -m taubnut argv`` with src first on
+    the path, started outside any checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    cp = subprocess.run([sys.executable, "-m", "taubnut", *argv], capture_output=True,
+                        text=True, env=env, cwd=tempfile.gettempdir())
+    return cp.returncode, cp.stdout
+
+
+def main(rev: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
+
+        def differs(argv):
+            return run(Path(tmp) / "src", argv) != run(ROOT / "src", argv)
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            differ = [argv for argv, d in zip(ARGVS, pool.map(differs, ARGVS)) if d]
+    for argv in differ:
+        print(" ".join(argv))
+    print(f"{len(differ)} of {len(ARGVS)} runs differ from {rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))

@@ -42,6 +42,8 @@ def test_conifold_metric_forms():
         conifold_metric(k, 0.0, 0.0)
     with pytest.raises(SingularAxis):
         conifold_curvatures(k, 0.0, 0.0)
+    with pytest.raises(BadParams, match=r"\|k\| < 1"):
+        conifold_metric(1.5, 1.0, 1.0)
 
 
 def test_conifold_leaf_residual_is_exact_mass_term():

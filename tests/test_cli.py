@@ -148,6 +148,8 @@ def test_eval_deterministic():
     ("eval", "--k", "0.5", "--chart", "moment", "--point", "1e200,1e-200"),
     ("volume", "--R", "1,x"),
     ("blowdown", "--construction", "conifold", "--k", "1.5"),
+    ("blowdown", "--construction", "exceptional", "--k", "700"),   # exited 0
+    ("blowdown", "--construction", "pointed", "--k", "nan"),
     ("blowdown", "--construction", "second", "--point", "0,0"),
 ])
 def test_bad_arguments_exit_2(args):

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import random
 
@@ -6,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taubnut import cli
 from taubnut.family import (GEOMETRIES, BadParams, Chart, ExceptionalHalfPlane,
                             ExceptionalTN, Family, Flat, GeneralizedTN, InstantonParams,
                             WrongFamily, almost_polar_from_uv,
-                            moment_pde_residual, uv_from_almost_polar,
-                            uv_from_chart)
+                            moment_pde_residual, uv_from_almost_polar)
+from taubnut.geodesics import point_from_polar, uv_from_chart
 from taubnut.numerics import COMPLEX_STEP
 
 SQRT2 = math.sqrt(2.0)
@@ -178,9 +182,19 @@ def test_chart_dispatch_roundtrip():
             u1, v1 = uv_from_chart(params, chart, *to_chart(u0, v0))
             assert abs(u1 - u0) < 1e-10
             assert abs(v1 - v0) < 1e-10
-    # the geodesic polar chart needs a root solve: taubnut.geodesics
-    with pytest.raises(BadParams, match="root solve"):
-        uv_from_chart(GEN05, Chart.POLAR, 3.0, 0.5)
+    # the polar chart: the dispatch, eval and point_from_polar give one (u, v)
+    names = {family: name for name, family in cli.FAMILY_NAMES.items()}
+    for params in [InstantonParams(family) for family in GEOMETRIES] + [GEN05]:
+        for R, eta in ((3.0, 0.5), (0.7, params.eta_range[0])):
+            rec = point_from_polar(params, R, eta)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["eval", "--family", names[params.family],
+                                 *(["--k", str(params.k)] if params.k else []),
+                                 "--chart", "polar", "--point", f"{R!r},{eta!r}"]) == 0
+            point = json.loads(out.getvalue())["point"]
+            assert uv_from_chart(params, Chart.POLAR, R, eta) == (rec.u, rec.v) \
+                == (point["u"], point["v"])
 
 
 # ------------------------------------------------------ complex-step contract
