@@ -31,6 +31,7 @@ assumption.
 Conventions.  Arguments named u, v are always the blowdown-chart
 coordinates; k is passed directly since the limits forget M.  The collapsed
 angle in the conifold is theta = ((1+k)/2) theta^1 + ((1-k)/2) theta^2.
+A 2x2 fiber is a pair of rows, ((g11, g12), (g21, g22)).
 """
 
 from __future__ import annotations
@@ -38,16 +39,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .family import (HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams,
                      finite_or_bad_params)
-from .metrics import conformal_factor, fiber_matrix
 from .numerics import check_stencil, fd_conformal_curvature, fd_curvature, fd_gradient
 
 
 class SingularAxis(Exception):
     """Evaluation on the curvature-singular axis of a blowdown limit."""
+
+
+def _max_distance(A, B) -> float:
+    """Entrywise max |A_ij - B_ij| of two 2x2 fibers; NaN where a difference is."""
+    d = [abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b)]
+    return math.nan if any(x != x for x in d) else max(d)
 
 
 def _check_k(k: float) -> None:
@@ -99,15 +103,14 @@ def conifold_metric(k: float, u: float, v: float) -> tuple[float, float]:
     return P, u * u * v * v * (u * u + v * v) / P
 
 
-def _large_mass_scaled(k: float, u: float, v: float,
-                       M: float) -> tuple[float, np.ndarray]:
+def _large_mass_scaled(k: float, u: float, v: float, M: float):
     """(lam_scaled, unscaled torus matrix) of the generalized family at mass
     M, evaluated at the blowdown-chart point (u, v), i.e. at (c u, c v) with
     c = (M / (2 sqrt2))^(1/4) (see the module docstring)."""
     params = InstantonParams(Family.GENERALIZED_TN, M=M, k=k)
     c = (M / (2.0 * SQRT2)) ** 0.25
-    lam_scaled = conformal_factor(params, c * u, c * v) * c * c
-    return lam_scaled, fiber_matrix(params, c * u, c * v)
+    e11, e12, e22 = params.fiber(c * u, c * v)
+    return params.conformal_factor(c * u, c * v) * c * c, ((e11, e12), (e12, e22))
 
 
 @finite_or_bad_params
@@ -122,11 +125,9 @@ def conifold_limit_residual(k: float, u: float, v: float,
     the collapsed combination and S is the measured limit coefficient."""
     lam_scaled, F = _large_mass_scaled(k, u, v, M)
     conformal, fiber_scalar = conifold_metric(k, u, v)
-    leaf_res = abs(lam_scaled - conformal)
-    w = np.array([(1.0 + k) / 2.0, (1.0 - k) / 2.0])
+    w = ((1.0 + k) / 2.0, (1.0 - k) / 2.0)
     S = CONIFOLD_FIBER_LIMIT_FACTOR * fiber_scalar
-    fiber_res = float(np.abs(F - S * np.outer(w, w)).max())
-    return leaf_res, fiber_res
+    return abs(lam_scaled - conformal), _max_distance(F, [[S * (a * b) for b in w] for a in w])
 
 
 @finite_or_bad_params
@@ -177,7 +178,7 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
 
     def g3(a, b):   # the unchecked formula: this runs at every FD stencil point
         conformal, fiber_scalar = conifold_metric.__wrapped__(k, a, b)
-        return np.diag([conformal, conformal, fiber_scalar])
+        return ((conformal, 0.0, 0.0), (0.0, conformal, 0.0), (0.0, 0.0, fiber_scalar))
 
     ric = fd_curvature(g3, u, v, step=step)[3]
     return float(ric[0, 0]), float(ric[0, 1]), float(ric[1, 1]), float(ric[2, 2])
@@ -213,8 +214,7 @@ def blowdown_distance_gradient_deficit(k: float, u: float, v: float) -> float:
 # --------------------------------------------------------------------------
 
 @finite_or_bad_params
-def second_blowdown_metric(k: float, u: float,
-                           v: float) -> tuple[float, np.ndarray, tuple[float, float]]:
+def second_blowdown_metric(k: float, u: float, v: float):
     """(conformal, fiber, moments) of the limit 4-metric: conformal (du^2 + dv^2)
     plus the torus form with matrix fiber; det(fiber) = u^2 v^2 identically.
     moments are the commuting momentum functions of the limit torus action."""
@@ -224,10 +224,8 @@ def second_blowdown_metric(k: float, u: float,
     if P == 0.0:
         raise SingularAxis("the limit degenerates at the cone point")
     Q = u2 + v2
-    fiber = np.array([
-        [u2 * v2 * Q / P, -2.0 * k * u2 * v2 / P],
-        [-2.0 * k * u2 * v2 / P, ((1.0 + k) ** 2 * u2 + (1.0 - k) ** 2 * v2) / P],
-    ])
+    fiber = ((u2 * v2 * Q / P, -2.0 * k * u2 * v2 / P),
+             (-2.0 * k * u2 * v2 / P, ((1.0 + k) ** 2 * u2 + (1.0 - k) ** 2 * v2) / P))
     moments = (0.5 * u2 * v2, -0.5 * (1.0 + k) * u2 + 0.5 * (1.0 - k) * v2)
     return P, fiber, moments
 
@@ -239,12 +237,8 @@ def second_blowdown_moment_residual(k: float, u: float, v: float) -> float:
     -(1+k)u^2/2 + (1-k)v^2/2; the opposite sign flips the fiber cross term
     and is incompatible with the limit matrix."""
     conformal, fiber, _ = second_blowdown_metric(k, u, v)
-    grads = np.array([
-        [u * v * v, u * u * v],
-        [-(1.0 + k) * u, (1.0 - k) * v],
-    ])
-    oracle = grads @ grads.T / conformal
-    return float(np.abs(fiber - oracle).max())
+    dphi = ((u * v * v, u * u * v), (-(1.0 + k) * u, (1.0 - k) * v))
+    return _max_distance(fiber, [[(p * r + q * s) / conformal for r, s in dphi] for p, q in dphi])
 
 
 @finite_or_bad_params
@@ -255,15 +249,17 @@ def second_blowdown_limit_residual(k: float, u: float, v: float,
 
         T = [[sqrt2/(1+k), 0],
              [sqrt(2 sqrt2 M)(1-k)/2, -sqrt(2 sqrt2 M)(1+k)/2]].
+    T F T^T stays on numpy: float products carry the same ~2e-8 relative noise.
     """
+    import numpy as np
     lam_scaled, F = _large_mass_scaled(k, u, v, M)
     conformal, fiber, _ = second_blowdown_metric(k, u, v)
-    leaf_res = abs(lam_scaled - conformal)
     root = math.sqrt(2.0 * SQRT2 * M)
     T = np.array([[SQRT2 / (1.0 + k), 0.0],
                   [root * (1.0 - k) / 2.0, -root * (1.0 + k) / 2.0]])
-    fiber_res = float(np.abs(T @ F @ T.T - fiber).max())
-    return leaf_res, fiber_res
+    with np.errstate(all="ignore"):   # numpy may load in this call: inf and NaN reach the check
+        fiber_res = float(np.abs(T @ np.array(F) @ T.T - fiber).max())
+    return abs(lam_scaled - conformal), fiber_res
 
 
 def blowdown_xy_from_uv(u: float, v: float) -> tuple[float, float]:
@@ -290,7 +286,7 @@ def second_blowdown_conformal_xy(k: float, x: float, y: float) -> float:
 # --------------------------------------------------------------------------
 
 @finite_or_bad_params
-def exceptional_blowdown_metric(u: float, v: float) -> tuple[float, np.ndarray]:
+def exceptional_blowdown_metric(u: float, v: float):
     """(conformal, fiber) of the exceptional family's blowdown:
 
         g_Sigma = u^2 (du^2 + dv^2),
@@ -300,8 +296,7 @@ def exceptional_blowdown_metric(u: float, v: float) -> tuple[float, np.ndarray]:
     if u == 0.0:
         raise SingularAxis("the blowdown is singular along the u = 0 axis")
     u2, v2 = u * u, v * v
-    fiber = 0.5 * np.array([[v2 * (u2 + v2), v2], [v2, 1.0]])
-    return u2, fiber
+    return u2, ((0.5 * (v2 * (u2 + v2)), 0.5 * v2), (0.5 * v2, 0.5))
 
 
 @finite_or_bad_params
@@ -332,14 +327,10 @@ def exceptional_blowdown_limit_residual(u: float, v: float,
     angle by M^-2, so the fiber entries pick up (M^-4, M^-2, 1)."""
     params = InstantonParams(Family.EXCEPTIONAL_TN)
     conf, fib = exceptional_blowdown_metric(u, v)
-    lam_scaled = conformal_factor(params, M * u, M * v) * M * M / M ** 4
-    leaf_res = abs(lam_scaled - conf)
-
-    F = fiber_matrix(params, M * u, M * v)
-    scaled = np.array([[F[0, 0] / M ** 4, F[0, 1] / M ** 2],
-                       [F[0, 1] / M ** 2, F[1, 1]]])
-    fiber_res = float(np.abs(scaled - fib).max())
-    return leaf_res, fiber_res
+    lam_scaled = params.conformal_factor(M * u, M * v) * M * M / M ** 4
+    e11, e12, e22 = params.fiber(M * u, M * v)
+    scaled = ((e11 / M ** 4, e12 / M ** 2), (e12 / M ** 2, e22))
+    return abs(lam_scaled - conf), _max_distance(scaled, fib)
 
 
 # --------------------------------------------------------------------------
@@ -348,14 +339,11 @@ def exceptional_blowdown_limit_residual(u: float, v: float,
 
 @dataclass(frozen=True)
 class PointedLimitSample:
-    """One row of the pointed-limit residual table.
-
-    fiber is the recombined torus matrix of the exceptional family at
-    recentering parameter A, limit_fiber the closed-form limit."""
+    """One row of the pointed-limit residual table: the leaf factor at recentering
+    parameter A, the limit fiber, and the recombined fiber's distance to it."""
 
     conformal: float
-    fiber: np.ndarray
-    limit_fiber: np.ndarray
+    limit_fiber: tuple
     residual: float
 
 
@@ -366,38 +354,34 @@ FINITE_FIBER_TOPOLOGY = "torus"
 LIMIT_FIBER_TOPOLOGY = "cylinder"
 
 
-def pointed_limit_fiber(u: float, v: float) -> np.ndarray:
+def pointed_limit_fiber(u: float, v: float):
     """Closed-form limit fiber: (1/(1+u^2)) [[(1+u^2)^2 + 4u^2v^2, 2u^2v],
     [2u^2v, u^2]].  Equals the half-plane family fiber at (x, y) = (u, v)
     with the two torus indices swapped."""
     lam = 1.0 + u * u
-    return np.array([[(lam * lam + 4.0 * u * u * v * v) / lam,
-                      2.0 * u * u * v / lam],
-                     [2.0 * u * u * v / lam, u * u / lam]])
+    return (((lam * lam + 4.0 * u * u * v * v) / lam, 2.0 * u * u * v / lam),
+            (2.0 * u * u * v / lam, u * u / lam))
 
 
 @finite_or_bad_params
 def pointed_limit_halfplane(A: float, u: float, v: float) -> PointedLimitSample:
     """Exceptional family recentered at (0, A), evaluated at shifted
     coordinates (u, v) (original v-coordinate A + v), with the Killing
-    recombination applied.  residual -> 0 as A -> infinity at rate O(1/A),
-    and is exactly zero on the centering ray v = 0."""
+    recombination T = [[sqrt2/A, -sqrt2 A], [0, sqrt2]]: G = T F T^T (1/(2A)
+    in place of sqrt2/A makes G diverge like A^2).  residual -> 0 at rate
+    O(1/A), and is 0 on the ray v = 0.  G - L cancels terms of size A^2, so
+    it is taken in closed form, [[D11, D12], [D12, 0]] with lam = 1 + u^2,
+    D11 = v [2A (lam^2 + 2 u^2 v^2) + v (lam^2 + u^2 v^2)] / (A^2 lam), D12 = u^2 v^2 / (A lam)."""
     if A <= 0.0:
         raise BadParams(f"recentering parameter must be positive, got {A}")
     params = InstantonParams(Family.EXCEPTIONAL_TN)
     if A + v <= 0.0:
         raise BadParams(f"shifted point leaves the quadrant: A + v = {A + v}")
-    # the Killing-field recombination: its (1,1) coefficient sqrt2/A keeps the fiber
-    # bounded; 1/(2A) there makes it diverge like A^2 (tests/test_blowdown.py shows this)
-    T = np.array([[SQRT2 / A, -SQRT2 * A], [0.0, SQRT2]])
-    G = T @ fiber_matrix(params, u, A + v) @ T.T
-    L = pointed_limit_fiber(u, v)
-    return PointedLimitSample(
-        conformal=conformal_factor(params, u, A + v),
-        fiber=G,
-        limit_fiber=L,
-        residual=float(np.abs(G - L).max()),
-    )
+    lam, uv2 = 1.0 + u * u, u * u * v * v
+    d11 = v * (2.0 * A * (lam * lam + 2.0 * uv2) + v * (lam * lam + uv2)) / (A * A * lam)
+    return PointedLimitSample(conformal=params.conformal_factor(u, A + v),
+                              limit_fiber=pointed_limit_fiber(u, v),
+                              residual=max(abs(d11), abs(uv2 / (A * lam))))
 
 
 @finite_or_bad_params
@@ -411,6 +395,5 @@ def halfplane_swap_residual(u: float, v: float) -> float:
     """Entrywise distance between the pointed-limit fiber at (u, v) and the
     half-plane family fiber at (x, y) = (u, v) with torus indices swapped.
     An algebraic identity, so this is roundoff-level."""
-    params = InstantonParams(Family.EXCEPTIONAL_HALF_PLANE)
-    H = fiber_matrix(params, u, v)
-    return float(np.abs(pointed_limit_fiber(u, v) - H[::-1, ::-1]).max())
+    h11, h12, h22 = InstantonParams(Family.EXCEPTIONAL_HALF_PLANE).fiber(u, v)
+    return _max_distance(pointed_limit_fiber(u, v), ((h22, h12), (h12, h11)))

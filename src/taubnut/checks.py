@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from . import asymptotics, blowdown, curvature, family, geodesics, metrics
 from .family import SQRT2, Family, InstantonParams
 from .numerics import complex_partials
@@ -89,6 +87,7 @@ def almost_polar_roundtrip():
 
 @check("metrics.det-fiber")
 def det_fiber():
+    import numpy as np
     worst = 0.0
     for pp in _ALL_PARAMS:
         for (u, v) in [(0.3, 0.8), (1.5, 1.1), (2.4, 0.2)]:
@@ -101,6 +100,7 @@ def det_fiber():
 
 @check("metrics.moment-oracle")
 def moment_oracle():
+    import numpy as np
     worst = 0.0
     for pp in _ALL_PARAMS:
         for (u, v) in [(0.7, 0.9), (1.6, 0.4)]:
@@ -130,6 +130,7 @@ def collapsing_dichotomy():
 
 @check("geodesics.eikonal")
 def eikonal():
+    import numpy as np
     worst = 0.0
     for pp in _ALL_PARAMS:
         for eta in [0.3, 0.8, 1.2]:
@@ -376,7 +377,7 @@ def second_residuals():
         fib.append(f)
     expect(_monotone(fib), "residuals not monotone")
     conformal, fiber, _ = blowdown.second_blowdown_metric(0.5, 1.1, 0.7)
-    det_res = abs(float(np.linalg.det(fiber)) - 1.1 ** 2 * 0.7 ** 2)
+    det_res = abs(fiber[0][0] * fiber[1][1] - fiber[0][1] * fiber[1][0] - 1.1 ** 2 * 0.7 ** 2)
     mom_res = blowdown.second_blowdown_moment_residual(0.5, 1.1, 0.7)
     x, y = blowdown.blowdown_xy_from_uv(1.1, 0.7)
     xy_res = abs(blowdown.second_blowdown_conformal_xy(0.5, x, y)
@@ -414,6 +415,7 @@ def pointed_residuals():
 
 @check("blowdown.conifold-ricci-fd")
 def conifold_ricci_fd():
+    import numpy as np
     rng = np.random.default_rng(5)
     worst = worst_k = 0.0
     for _ in range(10):

@@ -25,8 +25,6 @@ import itertools
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import asymptotics, blowdown, checks, curvature, geodesics, metrics
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
@@ -115,8 +113,6 @@ def _cmd_eval(args) -> int:
     c1, c2 = _parse_point(args.point)
     chart = Chart(args.chart)
     u, v = geodesics.uv_from_chart(params, chart, c1, c2)
-
-    fiber = metrics.fiber_matrix(params, u, v)
     R, eta = geodesics.polar_from_point(params, u, v)
     q = {}
 
@@ -126,8 +122,7 @@ def _cmd_eval(args) -> int:
         def beyond(name):
             return UsageError(f"{name} at (u, v) = ({u}, {v}) is beyond the float range")
         try:
-            with np.errstate(all="ignore"):   # numpy's det overflows to inf
-                values = [float(x) for x in values()]
+            values = [float(x) for x in values()]
         except OverflowError:
             raise beyond(names[0]) from None
         for name, x in zip(names, values):
@@ -138,8 +133,9 @@ def _cmd_eval(args) -> int:
     put(["conformal_factor"], lambda: [metrics.conformal_factor(params, u, v)])
     put(["axial_coordinate"], lambda: [metrics.axial_coordinate(params, u, v)])
     put(["volume_density"], lambda: [metrics.volume_density(params, u, v)])
+    e11, e12, e22 = params.fiber(u, v)
     put(["fiber_11", "fiber_12", "fiber_22", "fiber_det"],
-        lambda: [fiber[0, 0], fiber[0, 1], fiber[1, 1], np.linalg.det(fiber)])
+        lambda: [e11, e12, e22, e11 * e22 - e12 * e12])
     put(["moment_1", "moment_2"], lambda: params.moment_map(u, v))
     put(["k_sigma"], lambda: [params.polytope_curvature(u, v)])
     put(["ricci_potential_1", "ricci_potential_2"], lambda: params.ricci_potentials(u, v))
@@ -188,6 +184,7 @@ def _trace_level(params, eta, level, cp, sp, r0):
     negative near an axis).  grad S_eta is lambda times the velocity of the
     unit-speed eta-geodesic: velocity((u, v)), the right-hand side from
     shoot_rhs, which returns a pair of arrays when built for an array eta."""
+    import numpy as np
     velocity = params.shoot_rhs(np.asarray(eta))
 
     def f(r):
@@ -201,6 +198,7 @@ def _trace_level(params, eta, level, cp, sp, r0):
 
 
 def _cmd_contour(args) -> int:
+    import numpy as np
     params = _params(args)
     # rays and launch angles both sweep the chart domain
     eta_lo, eta_hi = params.eta_range
@@ -373,6 +371,7 @@ def _cmd_blowdown(args) -> int:
         summary.update(conformal=conformal, fiber_scalar=fiber_scalar,
                        k_sigma=c.k_sigma, scalar3=c.scalar3)
     elif args.construction == "second":
+        import numpy as np
         conformal, fiber, moments = blowdown.second_blowdown_metric(args.k, u, v)
         summary.update(conformal=conformal, fiber=[list(r) for r in fiber],
                        fiber_det=float(np.linalg.det(fiber)), moments=list(moments))

@@ -51,8 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .family import BadParams, InstantonParams
 from .geodesics import point_from_polar
 from .metrics import TORUS_VOLUME, conformal_factor, metric4
@@ -151,6 +149,7 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     The stencil keeps 2*step clear of the chart domain's edges, where the
     fiber degenerates.
     """
+    import numpy as np
     check_stencil(u, v, 2 * step, params.bounds)
 
     g, ginv, riem, ric = fd_curvature(lambda a, b: metric4(params, a, b),

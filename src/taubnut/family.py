@@ -30,10 +30,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import FrozenInstanceError, dataclass, is_dataclass
 from enum import Enum
-
-import numpy as np
 
 from .numerics import fd_gradient, fd_laplacian
 
@@ -51,11 +51,16 @@ class WrongFamily(AttributeError):
     no such attribute)."""
 
 
+def _is_array(x) -> bool:
+    """Whether x is a numpy array, 0-d ones included; where numpy is not loaded, it is not."""
+    return type(x) is not float and type(x) is getattr(sys.modules.get("numpy"), "ndarray", None)
+
+
 def _finite(x) -> bool:
     """Whether every number of x -- a float, a complex number, an array, or
     a tuple or record of them -- is finite."""
-    if isinstance(x, np.ndarray):
-        return bool(np.isfinite(x).all())
+    if _is_array(x):
+        return bool(sys.modules["numpy"].isfinite(x).all())
     if isinstance(x, tuple) or is_dataclass(x):
         return all(map(_finite, vars(x).values() if is_dataclass(x) else x))
     return cmath.isfinite(x)
@@ -67,8 +72,9 @@ def finite_or_bad_params(fn):
     power that underflows to a zero divisor.  fn's own errors come first."""
     @functools.wraps(fn)
     def wrapped(*args):
+        np = sys.modules.get("numpy")   # not loaded: no argument is a numpy number
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with np.errstate(over="raise", divide="raise", invalid="raise") if np else nullcontext():
                 out = fn(*args)
         except ArithmeticError:   # OverflowError, ZeroDivisionError, FloatingPointError
             out = math.nan
@@ -102,16 +108,6 @@ def generalized_D(k, u, v):
     return 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
 
 
-def _sinh(x):
-    """np.sinh, raising OverflowError where it overflows, as math.sinh does.
-    The other float overflows that raise, of cosh and of a square, come in
-    the radial relations only where a sinh they evaluate has overflowed."""
-    y = np.sinh(x)
-    if (np.isinf(y) & np.isfinite(x)).any():
-        raise OverflowError("sinh beyond the float range")
-    return y
-
-
 class _FloatOps:
     """The elementary functions of the kernels that take floats or arrays,
     on floats: math's, so that a float stays a float with math's rounding.
@@ -124,19 +120,31 @@ class _FloatOps:
     ratio = staticmethod(lambda x, y: x / y if y else math.inf)
 
 
-class _ArrayOps:
-    """The same functions on numpy arrays."""
+@functools.cache
+def _array_ops():
+    """The same functions on numpy arrays, made on first use.  sinh raises
+    OverflowError where it overflows, as math.sinh does; the radial relations
+    meet the other float overflows, of cosh and squares, only past one of sinh."""
+    import numpy as np
 
-    cos, sin, cosh, asinh, log, hypot, copysign, where, any = (
-        np.cos, np.sin, np.cosh, np.arcsinh, np.log, np.hypot, np.copysign, np.where, np.any)
-    sinh = staticmethod(_sinh)
-    min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
-    ratio = staticmethod(lambda x, y: np.divide(
-        x, y, out=np.full(np.broadcast(x, y).shape, np.inf), where=y != 0.0))
+    class _ArrayOps:
+        cos, sin, cosh, asinh, log, hypot, copysign, where, any = (
+            np.cos, np.sin, np.cosh, np.arcsinh, np.log, np.hypot, np.copysign, np.where, np.any)
+        min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
+        ratio = staticmethod(lambda x, y: np.divide(
+            x, y, out=np.full(np.broadcast(x, y).shape, np.inf), where=y != 0.0))
+
+        @staticmethod
+        def sinh(x):
+            y = np.sinh(x)
+            if (np.isinf(y) & np.isfinite(x)).any():
+                raise OverflowError("sinh beyond the float range")
+            return y
+    return _ArrayOps
 
 
 def _ops(x):
-    return _ArrayOps if type(x) is np.ndarray else _FloatOps
+    return _array_ops() if _is_array(x) else _FloatOps
 
 
 def _axis_cos_sin(eta):
@@ -491,6 +499,7 @@ class GeneralizedTN(InstantonParams):
         return math.sqrt(math.sqrt(SQRT2 * self.M) * R / self.a)
 
     def almost_ball_v_max(self, R, u):
+        import numpy as np
         budget = math.sqrt(SQRT2 * self.M) * R - self.a * u * u
         return np.sqrt(np.maximum(budget, 0.0) / self.b)
 
@@ -622,6 +631,7 @@ class ExceptionalTN(InstantonParams):
         return math.sqrt(2.0 * R)
 
     def almost_ball_v_max(self, R, u):
+        import numpy as np
         return np.maximum(R - 0.5 * u * u, 0.0)
 
     def almost_ball_volume(self, R):
@@ -754,13 +764,11 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
     if x <= 2.0 * step:
         raise BadParams(f"x = {x} too close to the axis for step {step}")
 
-    def phis(xx: float, yy: float) -> np.ndarray:
-        return np.array(params.moment_map(*params.uv_from_xy(xx, yy)))
-
-    lap = fd_laplacian(phis, x, y, step=step)
-    dx, _ = fd_gradient(phis, x, y, step=step)
-    r1, r2 = x * lap - dx
-    return float(r1), float(r2)
+    def residual(i):   # of the moment map phi_i
+        def phi(xx: float, yy: float) -> float:
+            return params.moment_map(*params.uv_from_xy(xx, yy))[i]
+        return x * fd_laplacian(phi, x, y, step=step) - fd_gradient(phi, x, y, step=step)[0]
+    return residual(0), residual(1)
 
 
 def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[float, float]:

@@ -24,9 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .family import BadParams, Chart, InstantonParams, uv_from_almost_polar
+from .family import BadParams, Chart, InstantonParams, _is_array, uv_from_almost_polar
 from .metrics import conformal_factor
 from .numerics import (NoBracket, check_stencil, fd_gradient, find_root_monotone,
                        find_roots_monotone, ode_solve)
@@ -120,6 +118,7 @@ def unparam_residual(params: InstantonParams, eta: float, u, v):
     coordinates, at (u, v) or at arrays of them.  Zero exactly on the
     eta-geodesic; at the axis angles it is the distance from the axis.
     BadParams where the residual is beyond the float range."""
+    import numpy as np
     params.check_eta(eta)
     if eta == 0.0:
         return abs(v)
@@ -160,8 +159,8 @@ def _solve_radial(relation):
     # padded, relatively and by ~2000 subnormal ulps, so that rounding in f
     # cannot leave f(hi) < 0
     hi = bound * (1.0 + 1e-14) + 1e-320
-    if type(hi) is np.ndarray:   # an element without a bracket is NaN, off the chart
-        return find_roots_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * np.maximum(1.0, hi))
+    if _is_array(hi):   # an element without a bracket is NaN, off the chart
+        return find_roots_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * hi.clip(1.0))
     return find_root_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * (hi if hi > 1.0 else 1.0))
 
 
@@ -201,6 +200,7 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
     numpy's sinh, cos and arcsinh round differently from math's, so (u, v)
     can differ from point_from_polar's in the last digits.  BadParams for
     the whole call where point_from_polar raises it for some element."""
+    import numpy as np
     R, eta = np.broadcast_arrays(np.asarray(R, dtype=float), np.asarray(eta, dtype=float))
     bad_R = ~((0.0 <= R) & (R < math.inf))
     if bad_R.any():
@@ -302,6 +302,7 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     > 0, n_samples not an int >= 1, a shoot that stalls where its speed
     leaves the float range, or a sample whose S_eta or residual does.
     """
+    import numpy as np
     params.check_eta(eta)
     if not 0.0 < t_end < math.inf:
         raise BadParams(f"t_end must be finite and > 0, got {t_end}")

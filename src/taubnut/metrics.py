@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .family import InstantonParams
 
 TORUS_VOLUME = 4.0 * math.pi ** 2  # integral of dtheta1 ^ dtheta2
@@ -33,6 +31,7 @@ def conformal_factor(params: InstantonParams, u, v):
 
 def fiber_matrix(params: InstantonParams, u, v):
     """Torus fiber matrix Ginv as a 2x2 array (complex for a complex point)."""
+    import numpy as np
     e11, e12, e22 = params.fiber(u, v)
     return np.array([[e11, e12], [e12, e22]])
 
@@ -51,6 +50,7 @@ def volume_density(params: InstantonParams, u, v):
 def metric4(params: InstantonParams, u, v) -> np.ndarray:
     """Full 4x4 metric in the ordering (u, v, theta1, theta2).  Its dtype
     comes from every entry: lam may stay real while the fiber is complex."""
+    import numpy as np
     lam = conformal_factor(params, u, v)
     e11, e12, e22 = params.fiber(u, v)
     return np.array([[lam, 0.0, 0.0, 0.0], [0.0, lam, 0.0, 0.0],
@@ -66,6 +66,6 @@ def collapsing_direction_norms(params: InstantonParams, u: float, v: float) -> t
     geometry collapses to three dimensions), while the complement
     ((1 + k), (1 - k)) grows.  Returns (|w|^2, |w_perp|^2).
     """
-    w, w_perp = (np.array(d) for d in params.collapsing_directions())
-    G = fiber_matrix(params, u, v)
-    return float(w @ G @ w), float(w_perp @ G @ w_perp)
+    e11, e12, e22 = params.fiber(u, v)
+    return tuple(a * (a * e11 + b * e12) + b * (a * e12 + b * e22)
+                 for a, b in params.collapsing_directions())

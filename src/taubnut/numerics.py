@@ -25,10 +25,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import dop853
 
@@ -137,6 +136,7 @@ def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
     raises NoBracket is NaN.  Raises MaxIterExceeded if an element has not
     stopped within 200 iterations.
     """
+    import numpy as np
     shape = np.broadcast(lo, hi, x0, abs_tol).shape
     a, b = lo, hi
     has_a = has_b = np.zeros(shape, dtype=bool)   # f known at a, at b (see below)
@@ -205,27 +205,14 @@ class QuadratureResult:
 
 GAUSS_ORDER = 10   # nodes per axis of the tensor rule on each box
 MAX_BOXES = 1024   # open boxes per round; past it every box closes
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
-    cached per order; made on first use, so that commands which never
-    integrate skip the 10 ms import of numpy.polynomial."""
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], cached per order."""
+    import numpy as np
     return np.polynomial.legendre.leggauss(n)
-
-
-def _tensor_rule(f, boxes: np.ndarray) -> np.ndarray:
-    """The n x n tensor Gauss rule of f over each row (u0, u1, v0, v1)."""
-    x, w = _gauss_legendre(GAUSS_ORDER)
-    hu = 0.5 * (boxes[:, 1] - boxes[:, 0])
-    hv = 0.5 * (boxes[:, 3] - boxes[:, 2])
-    u = (0.5 * (boxes[:, 0] + boxes[:, 1]) + hu * x[:, None]).T
-    v = (0.5 * (boxes[:, 2] + boxes[:, 3]) + hv * x[:, None]).T
-    vals = np.broadcast_to(f(u[:, :, None], v[:, None, :]),
-                           (len(boxes), GAUSS_ORDER, GAUSS_ORDER))
-    return hu * hv * np.einsum("bij,i,j->b", vals, w, w)
 
 
 def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
@@ -244,9 +231,21 @@ def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
     MAX_BOXES open boxes (a singular integrand) every box closes, and an
     unresolved one adds its whole |value| to the error.
     """
+    import numpy as np
+    x, w = _gauss_legendre(GAUSS_ORDER)
+
+    def tensor_rule(boxes):   # the n x n tensor Gauss rule of f over each row
+        hu = 0.5 * (boxes[:, 1] - boxes[:, 0])
+        hv = 0.5 * (boxes[:, 3] - boxes[:, 2])
+        u = (0.5 * (boxes[:, 0] + boxes[:, 1]) + hu * x[:, None]).T
+        v = (0.5 * (boxes[:, 2] + boxes[:, 3]) + hv * x[:, None]).T
+        vals = np.broadcast_to(f(u[:, :, None], v[:, None, :]),
+                               (len(boxes), GAUSS_ORDER, GAUSS_ORDER))
+        return hu * hv * np.einsum("bij,i,j->b", vals, w, w)
+
     boxes = np.asarray(boxes, dtype=float)
     share = np.full(len(boxes), 1.0 / len(boxes))
-    whole = _tensor_rule(f, boxes)
+    whole = tensor_rule(boxes)
     evaluations = len(boxes) * GAUSS_ORDER ** 2
     value = error = 0.0
     while len(boxes):
@@ -255,7 +254,7 @@ def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
         quarters = np.stack([np.stack(q, axis=1) for q in (
             (u0, um, v0, vm), (um, u1, v0, vm), (u0, um, vm, v1), (um, u1, vm, v1))],
             axis=1).reshape(-1, 4)
-        parts = _tensor_rule(f, quarters).reshape(-1, 4)
+        parts = tensor_rule(quarters).reshape(-1, 4)
         evaluations += quarters.shape[0] * GAUSS_ORDER ** 2
         refined = parts.sum(axis=1)
         err = np.abs(refined - whole) + 50.0 * _EPS * np.abs(refined)
@@ -297,6 +296,7 @@ def integrate_2d_improper(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
     slower than promised at every radius up to 1e7 or at a radius past the
     first one where it did not, or when T would pass 1e7.
     """
+    import numpy as np
     angles = np.linspace(1e-3, math.pi / 2 - 1e-3, 33)
 
     @functools.cache   # tail_bound_at(r) probes 2r, and so does tail_bound_at(2r)
@@ -369,6 +369,8 @@ def integrate_2d_region(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max
     f is called on arrays, and so is v_max_of_u: once per round, on the
     array of all outer nodes; a negative v_max counts as 0.
     """
+    import numpy as np
+
     def mapped(t, w):
         u = u_max * np.sin(t)
         top = np.maximum(v_max_of_u(u), 0.0)
@@ -420,6 +422,7 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
     t_eval[-1], which in this package invariably means the trajectory ran
     into a coordinate degeneracy rather than a genuinely stiff problem.
     """
+    import numpy as np
     pending = [float(t) for t in t_eval]
     t, t_end = pending[0], pending[-1]
     y = tuple(map(float, y0))
@@ -528,6 +531,7 @@ def fd_jacobian2(fpair: Callable[[float, float], tuple[float, float]],
                  x: float, y: float, *, step: float) -> np.ndarray:
     """2x2 Jacobian d(f1, f2)/d(x, y) of a pair of scalar fields by central
     differences, O(step^2)."""
+    import numpy as np
     return np.column_stack(fd_gradient(lambda a, b: np.array(fpair(a, b)), x, y, step=step))
 
 
@@ -540,7 +544,7 @@ def complex_partials(fn: Callable[[complex, complex], object], u: float, v: floa
     return a scalar or an array."""
     fu = fn(complex(u, COMPLEX_STEP), v)
     fv = fn(u, complex(v, COMPLEX_STEP))
-    return np.real(fu), np.imag(fu) / COMPLEX_STEP, np.imag(fv) / COMPLEX_STEP
+    return fu.real, fu.imag / COMPLEX_STEP, fv.imag / COMPLEX_STEP
 
 
 def fd_curvature(metric: Callable[[complex, complex], np.ndarray], u: float, v: float,
@@ -553,8 +557,10 @@ def fd_curvature(metric: Callable[[complex, complex], np.ndarray], u: float, v: 
     Christoffel symbols are differentiated by central differences, O(step^2).
     Returns (g, g^-1, riem, ric) at (u, v), riem[l, k, i, j] = R^l_{kij}.
     """
+    import numpy as np
+
     def christoffel(a, b):
-        g, gu, gv = complex_partials(metric, a, b)
+        g, gu, gv = complex_partials(lambda x, y: np.array(metric(x, y)), a, b)
         ginv = np.linalg.inv(g)
         dg = np.zeros((len(g),) * 3)    # dg[m, i, j] = d_m g_ij; zero for m >= 2
         dg[0] = gu
@@ -586,12 +592,13 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> float:
     Requires at least three strictly positive samples with distinct x values;
     raises InsufficientSamples otherwise.
     """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if xs.size < 3 or ys.size != xs.size:
-        raise InsufficientSamples(f"need >= 3 paired samples, got {xs.size}")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
+    if len(xs) < 3 or len(ys) != len(xs):
+        raise InsufficientSamples(f"need >= 3 paired samples, got {len(xs)}")
+    if any(x <= 0.0 for x in [*xs, *ys]):
         raise InsufficientSamples("power-law fit needs strictly positive data")
-    lx = np.log(xs)
-    if np.ptp(lx) == 0.0:
+    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    if max(lx) == min(lx):
         raise InsufficientSamples("all x values coincide")
-    return float(np.polyfit(lx, np.log(ys), 1)[0])
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    return (math.fsum((x - mx) * (y - my) for x, y in zip(lx, ly))
+            / math.fsum((x - mx) * (x - mx) for x in lx))

@@ -46,7 +46,11 @@ BLOWDOWN = [["blowdown", "--construction", construction, "--format", fmt,
             for fmt in ("csv", "json")
             for point in ("1,1", "0.7,1.3", "2.5,0.2")
             for k in ("0", "0.5", "-0.9")]
-ARGVS = README + CONTOUR + EVAL + BLOWDOWN
+#: the growth exponent, which only --format json prints, at the default radii
+VOLUME = [["volume", "--family", *family, "--format", "json"]
+          for family in (["generalized", "--k", "0"], ["generalized", "--k", "0.5"],
+                         ["exceptional"])]
+ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME
 
 
 def run(src: Path, argv: list[str]) -> tuple[int, str]:

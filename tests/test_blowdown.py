@@ -300,7 +300,31 @@ def test_pointed_limit_off_ray_first_order():
     # at u = 0 the residual is exactly 2v/A + v^2/A^2
     A, v = 10.0, 0.5
     s = pointed_limit_halfplane(A, 0.0, v)
-    assert s.residual == pytest.approx(2.0 * v / A + (v / A) ** 2, rel=1e-10, abs=0)
+    assert s.residual == pytest.approx(2.0 * v / A + (v / A) ** 2, rel=1e-14, abs=0)
+
+
+def test_pointed_residuals_match_a_300_bit_oracle():
+    # T F(u, A + v) T^T - L in 300-bit arithmetic, through the exceptional
+    # family's own fiber, with L the half-plane fiber with its indices
+    # swapped, at the points of tests/same_bytes.py.  The float product
+    # T F T^T lost up to 5 digits to cancellation: it gave 0.00060001589 for
+    # 0.000600025 at (1, 1), A = 1e4
+    import mpmath
+    from taubnut.family import Family, InstantonParams
+    exc, hp = InstantonParams(Family.EXCEPTIONAL_TN), InstantonParams(Family.EXCEPTIONAL_HALF_PLANE)
+    with mpmath.workprec(300):
+        r2 = mpmath.sqrt(2)
+        for u, v in ((1.0, 1.0), (0.7, 1.3), (2.5, 0.2)):
+            for A in (1e1, 1e2, 1e3, 1e4):
+                mu, mv, mA = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(A)
+                e11, e12, e22 = exc.fiber(mu, mA + mv)
+                T = mpmath.matrix([[r2 / mA, -r2 * mA], [0, r2]])
+                G = T * mpmath.matrix([[e11, e12], [e12, e22]]) * T.T
+                h11, h12, h22 = hp.fiber(mu, mv)
+                D = G - mpmath.matrix([[h22, h12], [h12, h11]])
+                exact = max(abs(D[i, j]) for i in range(2) for j in range(2))
+                got = pointed_limit_halfplane(A, u, v).residual
+                assert abs(got - exact) <= 1e-14 * exact, (u, v, A)
 
 
 def test_pointed_limit_fiber_is_swapped_halfplane():
@@ -397,6 +421,21 @@ def test_a_second_coordinate_beyond_the_float_range_is_bad_params(name, x):
         warnings.simplefilter("error")
         with pytest.raises(BadParams):
             SECOND_COORDINATE_CALLS[name](x)
+
+
+def test_numpy_arguments_are_bad_params_beyond_the_float_range():
+    # the float checks hold for numpy scalars and arrays too, and numpy's
+    # float errors become BadParams, not RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.float64(1e-300), np.asarray(1e-300)):
+            with pytest.raises(BadParams):
+                exceptional_blowdown_curvature(x)
+        with pytest.raises(BadParams):
+            pointed_limit_moments_limit(np.array([1.0, 1e200]), 1.0)
+        with pytest.raises(BadParams):
+            pointed_limit_moments_limit(np.array([1.0, np.nan]), 1.0)
+        assert pointed_limit_moments_limit(np.array([0.0, 2.0]), 1.0)[1].tolist() == [0.0, 2.0]
 
 
 def test_a_power_that_underflows_is_bad_params():

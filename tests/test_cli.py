@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import same_bytes
 
 from taubnut import cli
 from taubnut.family import Chart
@@ -209,8 +210,8 @@ def test_step_underflow_exits_2_from_a_process():
 
 
 def test_eval_beyond_float_range_names_the_quantity():
-    # k_sigma's D ** 3 raises OverflowError here, the fibers overflow to inf
-    # and numpy's det warns: one message names the first such quantity
+    # k_sigma's D ** 3 raises OverflowError here, and the fibers and their
+    # determinant overflow to inf: one message names the first such quantity
     cp = run_cli("eval", "--point", "1e80,1e80")
     assert cp.returncode == 2 and cp.stdout == ""
     assert cp.stderr == "error: volume_density at (u, v) = (1e+80, 1e+80) " \
@@ -372,6 +373,55 @@ def test_every_command_runs_without_scipy():
     assert doc["scipy"] == []
     assert doc["ode"] == pytest.approx(math.e, rel=1e-10, abs=0)
     assert doc["quad"] == pytest.approx(math.pi / 4.0, rel=1e-7, abs=0)
+
+
+# ------------------------------------------------------------------ no numpy
+
+VERSION_SCRIPT = """
+import contextlib, io, sys
+import taubnut.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        taubnut.cli.main(["--version"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print("numpy" in sys.modules)
+"""
+
+
+def test_version_loads_no_numpy():
+    # the package imports numpy only where a function takes or builds arrays
+    cp = subprocess.run([sys.executable, "-c", VERSION_SCRIPT],
+                        capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "False\n"
+
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None     # any import of numpy now raises ImportError
+from taubnut import cli
+runs = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        runs.append([cli.main(argv), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_eval_volume_and_blowdown_run_without_numpy():
+    # eval, volume and every blowdown construction but second compute in
+    # floats: with numpy's import blocked they exit with the same codes and
+    # print the same bytes as with numpy, at the points of tests/same_bytes.py
+    argvs = [argv for argv in same_bytes.EVAL + same_bytes.README + same_bytes.VOLUME
+             + same_bytes.BLOWDOWN if argv[0] in ("eval", "volume")
+             or argv[0] == "blowdown" and argv[2] != "second"]
+    cp = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], input=json.dumps(argvs),
+                        capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 0, cp.stderr
+    runs = [run_cli(*argv) for argv in argvs]
+    assert json.loads(cp.stdout) == [[run.returncode, run.stdout] for run in runs]
 
 
 # ------------------------------------------------------------------- geodesic
