@@ -249,17 +249,19 @@ def second_blowdown_limit_residual(k: float, u: float, v: float,
 
         T = [[sqrt2/(1+k), 0],
              [sqrt(2 sqrt2 M)(1-k)/2, -sqrt(2 sqrt2 M)(1+k)/2]].
-    T F T^T stays on numpy: float products carry the same ~2e-8 relative noise.
-    """
-    import numpy as np
-    lam_scaled, F = _large_mass_scaled(k, u, v, M)
-    conformal, fiber, _ = second_blowdown_metric(k, u, v)
-    root = math.sqrt(2.0 * SQRT2 * M)
-    T = np.array([[SQRT2 / (1.0 + k), 0.0],
-                  [root * (1.0 - k) / 2.0, -root * (1.0 + k) / 2.0]])
-    with np.errstate(all="ignore"):   # numpy may load in this call: inf and NaN reach the check
-        fiber_res = float(np.abs(T @ np.array(F) @ T.T - fiber).max())
-    return abs(lam_scaled - conformal), fiber_res
+    The fiber residual is the entrywise max of D = T F T^T - fiber in its
+    exact form, whose terms do not cancel as T F T^T's do: with P the
+    conformal factor, W = (1+k)^2 u^2 + (1-k)^2 v^2, E = 2 + 2^(1/4) sqrt(M) P,
+    D22 = -2W / (P E), D12 = v^2 |D22| / (1+k) and D11 =
+    2v^2 [(1+k)u^2 ((1+k)u^2 - (3k-1)v^2) + 2^(3/4) P / sqrt M] / ((1+k)^2 P E)."""
+    lam_scaled, _ = _large_mass_scaled(k, u, v, M)
+    P, _, _ = second_blowdown_metric(k, u, v)
+    a, u2, v2 = 1.0 + k, u * u, v * v
+    PE = P * (2.0 + 2.0 ** 0.25 * math.sqrt(M) * P)
+    d22 = 2.0 * (a * a * u2 + (1.0 - k) ** 2 * v2) / PE
+    d11 = 2.0 * v2 * (a * u2 * (a * u2 - (3.0 * k - 1.0) * v2)
+                      + 2.0 ** 0.75 * P / math.sqrt(M)) / (a * a * PE)
+    return abs(lam_scaled - P), max(abs(d11), v2 * d22 / a, d22)
 
 
 def blowdown_xy_from_uv(u: float, v: float) -> tuple[float, float]:

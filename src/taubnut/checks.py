@@ -179,7 +179,7 @@ def monotone_F():
 @check("geodesics.lipschitz")
 def lipschitz():
     traj = geodesics.geodesic_shoot(_GEN05, 0.7, 20.0, n_samples=40)
-    samples = zip(traj.us[1:].tolist(), traj.vs[1:].tolist())
+    samples = zip(traj.us[1:], traj.vs[1:])
     rs, ts = [geodesics.distance(_GEN05, u, v) for u, v in samples], traj.ts[1:]
     worst = max(abs((r2 - r1) / (t2 - t1))
                 for r1, r2, t1, t2 in zip(rs, rs[1:], ts, ts[1:]))

@@ -371,10 +371,10 @@ def _cmd_blowdown(args) -> int:
         summary.update(conformal=conformal, fiber_scalar=fiber_scalar,
                        k_sigma=c.k_sigma, scalar3=c.scalar3)
     elif args.construction == "second":
-        import numpy as np
         conformal, fiber, moments = blowdown.second_blowdown_metric(args.k, u, v)
+        (e11, e12), (_, e22) = fiber
         summary.update(conformal=conformal, fiber=[list(r) for r in fiber],
-                       fiber_det=float(np.linalg.det(fiber)), moments=list(moments))
+                       fiber_det=e11 * e22 - e12 * e12, moments=list(moments))
     elif args.construction == "exceptional":
         conformal, fiber = blowdown.exceptional_blowdown_metric(u, v)
         summary.update(conformal=conformal, fiber=[list(r) for r in fiber],

@@ -7,10 +7,13 @@ are sparse, {column: coefficient}, and summed in column order; stages 12-15
 are the three extra stages of the dense output (stage 12 is the FSAL stage
 f(y_new), its row the 8th-order weights).  The slopes K are a pair of lists
 (K_u, K_v) by stage.  Right-hand sides take (u, v) alone and return (u', v').
+The sums run as straight-line code generated from the rows on first use
+(2-4 ms, which every process would pay at import).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 N_STAGES = 12           # stages of one step; K[12] holds f(y_new)
@@ -53,8 +56,6 @@ _A_ROWS = {
          13: 2.9475147891527724, 14: -9.15095847217987},
 }
 
-# The rows as (column, coefficient) pairs, which iterate faster than dicts,
-# as are the rows of the error estimators and of the dense output below.
 _STAGE_ROWS = [tuple(_A_ROWS.get(s, {}).items()) for s in range(N_STAGES_EXTENDED)]
 
 # Error estimators over K[0..12]: the 5th-order one, and the 3rd-order one
@@ -89,35 +90,35 @@ _DENSE_ROWS = [tuple(row.items()) for row in (
      13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564})]
 
 
-def _sums(row, K) -> tuple[float, float]:
-    """(sum of a K_u[j], sum of a K_v[j]) over the (j, a) of a row."""
-    ku, kv = K
-    su = sv = 0.0
-    for j, a in row:
-        su += a * ku[j]
-        sv += a * kv[j]
-    return su, sv
+@functools.cache
+def kernels() -> dict:
+    """The straight-line functions "step" and "extra", (rhs, y, h, K) -> (the
+    state of the last stage, the sums of the error rows, or of the dense rows
+    highest term first, per component), which fill K with the slopes of the
+    stages 1-12 (y_new their last state) and 13-15 of the step (y, h)."""
+    def row_sum(k, row):   # 0.0 + a0 * k[j0] + a1 * k[j1] + ..., the float a loop gives
+        return " + ".join(["0.0", *(f"{a!r} * {k}[{j}]" for j, a in row)])
+    source = []
+    for name, first, last, rows in (("step", 1, N_STAGES + 1, _ERROR_ROWS),
+                                     ("extra", N_STAGES + 1, N_STAGES_EXTENDED, _DENSE_ROWS[::-1])):
+        source += [f"def {name}(rhs, y, h, K):", "    u, v = y", "    ku, kv = K"]
+        for s in range(first, last):
+            su, sv = (row_sum(k, _STAGE_ROWS[s]) for k in ("ku", "kv"))
+            source += [f"    y_s = (u + ({su}) * h, v + ({sv}) * h)",
+                       f"    ku[{s}], kv[{s}] = rhs(y_s)"]
+        source.append("    return y_s, (" + ", ".join(
+            f"({', '.join(row_sum(k, row) for row in rows)})" for k in ("ku", "kv")) + ")")
+    namespace = {}
+    exec("\n".join(source), namespace)
+    return namespace
 
 
-def stages(rhs, y: tuple[float, float], h: float, K, first: int, last: int):
-    """Fill K[first:last] with the stage slopes of the step (y, h); the
-    stages below ``first`` must already be in K.  Returns the state at which
-    the last stage was evaluated: y_new when ``last`` is N_STAGES + 1."""
-    u, v = y
-    ku, kv = K
-    for s in range(first, last):
-        su, sv = _sums(_STAGE_ROWS[s], K)
-        y_s = (u + su * h, v + sv * h)
-        ku[s], kv[s] = rhs(y_s)
-    return y_s
-
-
-def error_norm(K, h: float, scale: tuple[float, float]) -> float:
-    """RMS norm of the step's error estimate relative to ``scale``: the 5th-
-    order estimate e5, damped by the 3rd-order one e3 where the two disagree,
-    |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)).  Written with hypot, so that
-    no square under- or overflows."""
-    (e5u, e5v), (e3u, e3v) = (_sums(row, K) for row in _ERROR_ROWS)
+def error_norm(sums, h: float, scale: tuple[float, float]) -> float:
+    """RMS norm of the step's error estimate relative to ``scale`` from the error
+    rows' sums ((e5u, e3u), (e5v, e3v)): the 5th-order estimate e5, damped by
+    the 3rd-order one e3 where the two disagree, |h| |e5|^2 / sqrt(2 (|e5|^2
+    + 0.01 |e3|^2)), written with hypot so that no square under- or overflows."""
+    (e5u, e3u), (e5v, e3v) = sums
     su, sv = scale
     n5 = math.hypot(e5u / su, e5v / sv)
     if n5 == 0.0:
@@ -131,12 +132,10 @@ def interpolant(rhs, h: float, y_old: tuple[float, float], y: tuple[float, float
     """The 7th-order dense output of the step of size h from y_old to y just
     taken (K[:13] its stages) at the step fractions x in [0, 1], one (u, v)
     per fraction.  Evaluates the three extra stages into K[13:16]."""
-    stages(rhs, y_old, h, K, N_STAGES + 1, N_STAGES_EXTENDED)
-    high = [_sums(row, K) for row in reversed(_DENSE_ROWS)]
     terms = []   # per component, the terms of the Horner scheme, highest first
-    for c, (k, start, end) in enumerate(zip(K, y_old, y)):
+    for k, high, start, end in zip(K, kernels()["extra"](rhs, y_old, h, K)[1], y_old, y):
         delta = end - start
-        terms.append([*(h * sums[c] for sums in high),
+        terms.append([*(h * sum_ for sum_ in high),
                       2.0 * delta - h * (k[N_STAGES] + k[0]), h * k[0] - delta, delta])
     out = []
     for xi in x:

@@ -113,9 +113,8 @@ class _FloatOps:
     on floats: math's, so that a float stays a float with math's rounding.
     ratio(x, y) is x / y, or inf where y = 0."""
 
-    cos, sin, sinh, cosh, asinh, log, hypot, copysign, min, any = (
-        math.cos, math.sin, math.sinh, math.cosh, math.asinh, math.log, math.hypot,
-        math.copysign, min, bool)
+    cos, sin, sinh, cosh, asinh, hypot, copysign, min, any = (
+        math.cos, math.sin, math.sinh, math.cosh, math.asinh, math.hypot, math.copysign, min, bool)
     where = staticmethod(lambda cond, x, y: x if cond else y)
     ratio = staticmethod(lambda x, y: x / y if y else math.inf)
 
@@ -128,8 +127,8 @@ def _array_ops():
     import numpy as np
 
     class _ArrayOps:
-        cos, sin, cosh, asinh, log, hypot, copysign, where, any = (
-            np.cos, np.sin, np.cosh, np.arcsinh, np.log, np.hypot, np.copysign, np.where, np.any)
+        cos, sin, cosh, asinh, hypot, copysign, where, any = (
+            np.cos, np.sin, np.cosh, np.arcsinh, np.hypot, np.copysign, np.where, np.any)
         min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
         ratio = staticmethod(lambda x, y: np.divide(
             x, y, out=np.full(np.broadcast(x, y).shape, np.inf), where=y != 0.0))
@@ -152,12 +151,11 @@ def _axis_cos_sin(eta):
     return 0.0 if abs(eta) == math.pi / 2 else math.cos(eta), math.sin(eta)
 
 
-def _asinh_ratio(p, c: float):
-    """asinh(p / c) for p >= 0 and c > 0, p a float or an array: log(2p) - log(c)
-    where p / c overflows (asinh(x) rounds to log(2x) past x = 2^28)."""
-    xp = _ops(p)
-    y = xp.asinh(p / c)   # hypot(p, c) is p where y is inf, and > 0 where it is not used
-    return xp.where(y == math.inf, xp.log(xp.hypot(p, c)) + (math.log(2.0) - math.log(c)), y)
+def _asinh_ratio(p: float, c: float) -> float:
+    """asinh(p / c) for p >= 0 and c > 0: log(2p) - log(c) where p / c
+    overflows (asinh(x) rounds to log(2x) past x = 2^28)."""
+    y = math.asinh(p / c)   # hypot(p, c) is p where y is inf
+    return y if y != math.inf else math.log(math.hypot(p, c)) + (math.log(2.0) - math.log(c))
 
 
 def _leg(p, c: float):
@@ -227,9 +225,9 @@ def _half_plane_x(phi1):
 # moment_map and ricci_potentials also take complex (u, v), under the
 # complex-step contract of taubnut.numerics, and almost_ball_v_max takes
 # arrays of u.  Written once, radial_relation and polar_point (R and eta
-# broadcast together), and conformal_factor, eikonal_S and unparam_residual
-# ((u, v), with (c, s) floats) also take arrays: they call math on floats
-# and numpy on arrays through _ops.  (c, s) is (cos eta, sin eta).
+# broadcast together), and conformal_factor and eikonal_S ((u, v), with
+# (c, s) = (cos eta, sin eta) floats) also take arrays: they call math on
+# floats and numpy on arrays through _ops.
 # shoot_rhs(eta) = rhs, the velocity y = (u, v) -> (u', v') of the
 # unit-speed eta-geodesic, a function of the state alone; built for an
 # array eta, it takes and returns arrays.  Its squares are products, which

@@ -41,11 +41,11 @@ class GeodesicRecord:
 
 @dataclass
 class Trajectory:
-    ts: np.ndarray
-    us: np.ndarray
-    vs: np.ndarray
-    distances: np.ndarray          # S_eta(us, vs): the distance at each sample on the eta-geodesic
-    unparam_residuals: np.ndarray  # unparam_residual(eta, us, vs), at each sample
+    ts: list[float]
+    us: list[float]
+    vs: list[float]
+    distances: list[float]          # S_eta(u, v): the distance at each sample on the eta-geodesic
+    unparam_residuals: list[float]  # unparam_residual(eta, u, v), at each sample
     nfev: int
 
 
@@ -112,23 +112,24 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
     return math.atan(math.exp(x))
 
 
-def unparam_residual(params: InstantonParams, eta: float, u, v):
+def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
     """Residual of the unparametrized geodesic equation in logarithmic form:
     asinh(U)/sqrt(1+k) - asinh(V)/sqrt(1-k) with U, V the eta-normalized
-    coordinates, at (u, v) or at arrays of them.  Zero exactly on the
-    eta-geodesic; at the axis angles it is the distance from the axis.
-    BadParams where the residual is beyond the float range."""
-    import numpy as np
+    coordinates.  Zero exactly on the eta-geodesic; at the axis angles it is
+    the distance from the axis.  BadParams where it is beyond the float range."""
     params.check_eta(eta)
-    if eta == 0.0:
-        return abs(v)
-    if abs(eta) == math.pi / 2:
-        return abs(u)
-    with np.errstate(over="ignore"):   # a ratio overflows to inf, as in float arithmetic
-        r = params.unparam_residual(math.cos(eta), math.sin(eta), u, v)
-    if not np.isfinite(r).all():
+    return _unparam_residuals(params, eta, math.cos(eta), math.sin(eta), [u], [v])[0]
+
+
+def _unparam_residuals(params, eta, c, s, us, vs) -> list[float]:
+    """unparam_residual at the points (us, vs), with (c, s) = (cos eta, sin eta)."""
+    if eta == 0.0 or abs(eta) == math.pi / 2:   # the distance from the axis
+        rs = list(map(abs, vs if eta == 0.0 else us))
+    else:
+        rs = list(map(functools.partial(params.unparam_residual, c, s), us, vs))
+    if not all(map(math.isfinite, rs)):   # a ratio overflows to inf without raising
         raise BadParams(f"eta = {eta}: the unparametrized residual is beyond the float range")
-    return r
+    return rs
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +291,8 @@ def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -
 def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
                    *, n_samples: int = 64) -> Trajectory:
     """Integrate the unit-speed radial geodesic from the origin to t = t_end,
-    sampled at n_samples equally spaced times ts from 0 to t_end.
+    sampled at n_samples equally spaced times ts from 0 to t_end (numpy's
+    linspace: i * (t_end / (n_samples - 1)), then t_end), all lists of floats.
 
     Certification happens against closed forms, not against the integrator's
     own error estimate: at every sample the trajectory must satisfy the
@@ -302,22 +304,22 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     > 0, n_samples not an int >= 1, a shoot that stalls where its speed
     leaves the float range, or a sample whose S_eta or residual does.
     """
-    import numpy as np
     params.check_eta(eta)
     if not 0.0 < t_end < math.inf:
         raise BadParams(f"t_end must be finite and > 0, got {t_end}")
     if not (isinstance(n_samples, int) and n_samples >= 1):
         raise BadParams(f"n_samples must be an int >= 1, got {n_samples!r}")
-    ts = np.linspace(0.0, t_end, n_samples)
+    step = t_end / max(n_samples - 1, 1)   # as numpy's linspace, also where it underflows
+    ts = [0.0] if n_samples == 1 else [
+        i * step if step else i / (n_samples - 1) * t_end for i in range(n_samples - 1)] + [t_end]
     rhs = params.shoot_rhs(eta)
     sol = ode_solve(rhs, (0.0, 0.0), ts)
-    end = sol.ys[-1].tolist()
-    if rhs(end) == (0.0, 0.0):   # a unit-speed geodesic never stops
-        raise BadParams(f"eta = {eta}: the shoot stalled at {end}, beyond the float range")
-    us, vs = sol.ys.T
-    with np.errstate(over="ignore"):   # a product overflows to inf, as in float arithmetic
-        dists = eikonal_S(params, eta, us, vs)
-    if not np.isfinite(dists).all():
+    if rhs(sol.ys[-1]) == (0.0, 0.0):   # a unit-speed geodesic never stops
+        raise BadParams(f"eta = {eta}: the shoot stalled at {sol.ys[-1]}, beyond the float range")
+    us, vs = map(list, zip(*sol.ys))
+    c, s = math.cos(eta), math.sin(eta)
+    dists = list(map(functools.partial(params.eikonal_S, c, 0.0 if abs(s) < 1e-300 else s), us, vs))
+    if not all(map(math.isfinite, dists)):   # a product overflows to inf without raising
         raise BadParams(f"eta = {eta}: S_eta at a sample is beyond the float range")
-    return Trajectory(ts=ts, us=us, vs=vs, distances=dists,
-                      unparam_residuals=unparam_residual(params, eta, us, vs), nfev=sol.nfev)
+    return Trajectory(ts=ts, us=us, vs=vs, distances=dists, nfev=sol.nfev,
+                      unparam_residuals=_unparam_residuals(params, eta, c, s, us, vs))

@@ -398,7 +398,7 @@ ODE_TOL = 1e-12   # relative and absolute local error tolerance of each ode_solv
 
 @dataclass
 class OdeResult:
-    ys: np.ndarray   # shape (len(t_eval), 2)
+    ys: list[tuple[float, float]]   # (u, v) at each time of t_eval
     nfev: int
 
 
@@ -417,17 +417,16 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
     every call of rhs: two to start (the first slope and the initial-step
     probe), N_STAGES per attempted step and three per dense-output step.
 
-    Raises StepUnderflow when a sample leaves the float range, and when the
-    step would fall below ten units in the last place of t before
-    t_eval[-1], which in this package invariably means the trajectory ran
-    into a coordinate degeneracy rather than a genuinely stiff problem.
+    ``ys`` is a list of (u, v) float pairs.  Raises StepUnderflow when a
+    sample leaves the float range, and when the step would fall below ten
+    ulps of t before t_eval[-1], which in this package invariably means the
+    trajectory ran into a coordinate degeneracy, not a stiff problem.
     """
-    import numpy as np
     pending = [float(t) for t in t_eval]
     t, t_end = pending[0], pending[-1]
     y = tuple(map(float, y0))
     if t == t_end:   # nothing to integrate
-        return OdeResult(ys=np.tile(y, (len(pending), 1)), nfev=0)
+        return OdeResult(ys=[y] * len(pending), nfev=0)
     ys = []
     K = ([0.0] * dop853.N_STAGES_EXTENDED, [0.0] * dop853.N_STAGES_EXTENDED)
     f = rhs(y)
@@ -435,6 +434,7 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
     nfev = 2
     exponent = -1.0 / (dop853.ERROR_ORDER + 1)
     first = 0   # index in pending of the next sample time
+    stages = dop853.kernels()["step"]
 
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -447,10 +447,10 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
                                     f"{h_abs!r} fell below the spacing of floats")
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            y_new = dop853.stages(rhs, y, h, K, 1, dop853.N_STAGES + 1)
+            y_new, errors = stages(rhs, y, h, K)
             nfev += dop853.N_STAGES
             scale = tuple(ODE_TOL + max(abs(a), abs(b)) * ODE_TOL for a, b in zip(y, y_new))
-            norm = dop853.error_norm(K, h, scale)
+            norm = dop853.error_norm(errors, h, scale)
             if norm < 1.0:
                 factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** exponent)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -466,8 +466,7 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
             first = last
         t, y, f = t_new, y_new, (K[0][dop853.N_STAGES], K[1][dop853.N_STAGES])
 
-    ys = np.array(ys)
-    if not np.isfinite(ys).all():
+    if not all(math.isfinite(u) and math.isfinite(v) for u, v in ys):
         raise StepUnderflow(f"integrator left the float range before t = {t_end!r}")
     return OdeResult(ys=ys, nfev=nfev)
 

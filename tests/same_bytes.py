@@ -13,6 +13,7 @@ name has no test_ prefix); a run takes about a minute.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
@@ -50,7 +51,18 @@ BLOWDOWN = [["blowdown", "--construction", construction, "--format", fmt,
 VOLUME = [["volume", "--family", *family, "--format", "json"]
           for family in (["generalized", "--k", "0"], ["generalized", "--k", "0.5"],
                          ["exceptional"])]
-ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME
+#: the shoot and its certificate: every family on and near both axes, one
+#: sample and the benchmark's count, and rows at the float range
+ETAS = ["0", "0.7", repr(math.pi / 2 - 0.01)]
+GEODESIC = ([["geodesic", "--family", family, f"--eta={eta}", "--R", "5", "--samples", n]
+             for family, etas in (("generalized", ETAS), ("exceptional", ETAS),
+                                  ("halfplane", ETAS + ["-0.7"]), ("flat", ETAS))
+             for eta in etas for n in ("1", "64")]
+            + [["geodesic", "--eta", "0.7", "--M", "1e300", "--R", "5"],
+               ["geodesic", "--family", "exceptional", "--eta", "0.7", "--R", "1e308"],
+               ["geodesic", "--family", "halfplane", "--eta", "0.7", "--R", "1e308"],
+               ["geodesic", "--eta", "0.7", "--R", "1.7e308"]])
+ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME + GEODESIC
 
 
 def run(src: Path, argv: list[str]) -> tuple[int, str]:

@@ -221,6 +221,37 @@ def test_second_blowdown_residual_decay():
     assert ratios[-1] == pytest.approx(math.sqrt(10.0), rel=5e-3, abs=0)
 
 
+def test_second_residuals_match_a_300_bit_oracle():
+    # T F T^T - L in 300-bit arithmetic, through the generalized family's own
+    # fiber formula at mass M and the second blowdown's own fiber L, at the
+    # points of tests/same_bytes.py.  The float product T F T^T scales
+    # entries of F by up to M before the subtraction: it was off by up to
+    # 2.2e-8 relative
+    from types import SimpleNamespace
+
+    import mpmath
+    from taubnut.family import GeneralizedTN
+    with mpmath.workprec(300):
+        r2 = mpmath.sqrt(2)
+        for k in (0.0, 0.5, -0.9):
+            mk = mpmath.mpf(k)
+            for u, v in ((1.0, 1.0), (0.7, 1.3), (2.5, 0.2)):
+                mu, mv = mpmath.mpf(u), mpmath.mpf(v)
+                L = mpmath.matrix(second_blowdown_metric(mk, mu, mv)[1])
+                for M in (1e2, 1e3, 1e4, 1e5, 1e6):
+                    c = (M / (2 * r2)) ** mpmath.mpf(0.25)
+                    # k and M as 300-bit numbers, and the float sqrt 2 of the
+                    # fiber's prefactor scaled out
+                    e11, e12, e22 = (e * r2 / SQRT2 for e in GeneralizedTN.fiber(
+                        SimpleNamespace(k=mk, M=mpmath.mpf(M)), c * mu, c * mv))
+                    root = mpmath.sqrt(2 * r2 * M)
+                    T = mpmath.matrix([[r2 / (1 + mk), 0], [root * (1 - mk) / 2, -root * (1 + mk) / 2]])
+                    D = T * mpmath.matrix([[e11, e12], [e12, e22]]) * T.T - L
+                    exact = max(abs(D[i, j]) for i in range(2) for j in range(2))
+                    got = second_blowdown_limit_residual(k, u, v, M)[1]
+                    assert abs(got - exact) <= 1e-14 * exact, (k, u, v, M)
+
+
 def test_second_blowdown_xy_chart():
     k, u, v = 0.5, 1.1, 0.7
     x, y = blowdown_xy_from_uv(u, v)

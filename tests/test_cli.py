@@ -355,7 +355,7 @@ for argv in (["eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"]
              ["verify", "--suite", "all"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert taubnut.cli.main(argv) == 0, argv
-ode = numerics.ode_solve(lambda y: y, [1.0, 1.0], [0.0, 1.0]).ys[-1, 0]
+ode = numerics.ode_solve(lambda y: y, [1.0, 1.0], [0.0, 1.0]).ys[-1][0]
 quad = numerics.integrate_2d_improper(lambda u, v: (1.0 + u * u + v * v) ** -2).value
 print(json.dumps({"scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"
                             and sys.modules[m] is not None],
@@ -397,12 +397,33 @@ def test_version_loads_no_numpy():
     assert cp.stdout == "False\n"
 
 
+LOADS_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+from taubnut import cli
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_geodesic_and_second_blowdown_load_no_numpy():
+    # the README's geodesic shoots and certifies in floats, and the second
+    # blowdown's residual table and summary are closed forms in floats
+    argvs = [next(argv for argv in same_bytes.README if argv[0] == "geodesic"),
+             ["blowdown", "--construction", "second", "--format", "json"]]
+    cp = subprocess.run([sys.executable, "-c", LOADS_NUMPY_SCRIPT], input=json.dumps(argvs),
+                        capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "False\n"
+
+
 NO_NUMPY_SCRIPT = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None     # any import of numpy now raises ImportError
 from taubnut import cli
 runs = []
-for argv in json.load(sys.stdin):
+for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         runs.append([cli.main(argv), out.getvalue()])
@@ -411,17 +432,26 @@ print(json.dumps(runs))
 
 
 def test_eval_volume_and_blowdown_run_without_numpy():
-    # eval, volume and every blowdown construction but second compute in
+    # eval, volume, every blowdown construction and geodesic compute in
     # floats: with numpy's import blocked they exit with the same codes and
-    # print the same bytes as with numpy, at the points of tests/same_bytes.py
+    # print the same bytes as with numpy, at the runs of tests/same_bytes.py
+    # (for geodesic, at and next to the axes and at the float range), on
+    # the axes themselves and at 1, 2 and 200 samples
+    geodesic = ([["geodesic", "--family", family, f"--eta={eta}", "--R", "5"]
+                 for family in cli.FAMILY_NAMES for eta in ("0", "0.7", "1.5707963267948966")]
+                + [["geodesic", "--family", "halfplane", "--eta=-0.7", "--R", "5"]]
+                + [["geodesic", "--eta", "0.7", "--R", "5", "--samples", n]
+                   for n in ("1", "2", "200")])
     argvs = [argv for argv in same_bytes.EVAL + same_bytes.README + same_bytes.VOLUME
-             + same_bytes.BLOWDOWN if argv[0] in ("eval", "volume")
-             or argv[0] == "blowdown" and argv[2] != "second"]
-    cp = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], input=json.dumps(argvs),
-                        capture_output=True, text=True, env=_child_env())
-    assert cp.returncode == 0, cp.stderr
-    runs = [run_cli(*argv) for argv in argvs]
-    assert json.loads(cp.stdout) == [[run.returncode, run.stdout] for run in runs]
+             + same_bytes.BLOWDOWN + same_bytes.GEODESIC + geodesic
+             if argv[0] in ("eval", "volume", "blowdown", "geodesic")]
+    child = subprocess.Popen([sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(argvs)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=_child_env())
+    runs = [run_cli(*argv) for argv in argvs]   # while the child runs them too
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    assert json.loads(out) == [[run.returncode, run.stdout] for run in runs]
 
 
 # ------------------------------------------------------------------- geodesic
@@ -519,7 +549,7 @@ def test_geodesic_makes_no_root_solve(tmp_path: Path, monkeypatch):
     traj = geodesics.geodesic_shoot(params, 0.7, 5.0, n_samples=50)
     rows = out.read_text().strip().splitlines()[1:]
     assert [float(r.split(",")[3]) for r in rows] == list(traj.distances)
-    for u, v, R in zip(traj.us.tolist(), traj.vs.tolist(), traj.distances.tolist()):
+    for u, v, R in zip(traj.us, traj.vs, traj.distances):
         assert abs(R - geodesics.eikonal_S(params, 0.7, u, v)) <= 1e-15 * R
 
 

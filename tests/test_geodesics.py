@@ -304,45 +304,44 @@ def test_distance_rejects_off_domain_and_overflowing_points(params):
 
 
 def _unparam_terms(params, eta, u, v):
-    """The size of the two terms whose difference unparam_residual is."""
+    """The two terms whose difference unparam_residual is, in floats."""
     c, s = math.cos(eta), math.sin(eta)
+    if eta == 0.0:
+        return 0.0, v
+    if abs(eta) == math.pi / 2:
+        return u, 0.0
     if params.family is Family.FLAT:
-        return abs(u * s) + abs(v * c)
-    if s == 0.0 or abs(eta) == math.pi / 2:
-        return abs(u) + abs(v)
+        return u * s, v * c
     def asinh_ratio(p, c):   # log(2p) - log(c) past the float range of p / c
         return math.asinh(p / c) if p / c < math.inf else math.log(2.0 * p) - math.log(c)
     if params.family is Family.GENERALIZED_TN:
-        return (abs(asinh_ratio(params.a * u, c) / params.a)
-                + abs(asinh_ratio(params.b * abs(v), s) / params.b))
-    return abs(asinh_ratio(u, c)) + abs(v / s)
+        return asinh_ratio(params.a * u, c) / params.a, asinh_ratio(params.b * v, s) / params.b
+    return asinh_ratio(u, c), v / s
 
 
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
 def test_array_unparam_residual_agrees_with_the_scalar_one(params):
-    # a residual is the difference of two terms, each within an ulp or so;
-    # 1e-310 and the float below pi/2 take a ratio of them past the float
-    # range, and where a residual is past it too both calls raise BadParams
+    # a residual is the difference of two terms, each within an ulp or so of
+    # the terms taken here; 1e-310 and the float below pi/2 take a ratio of
+    # them past the float range, and where a residual is past it too the
+    # call raises BadParams
     rng = random.Random(23)
     lo, hi = params.eta_range
     points = _distance_corpus(params, rng) + [(1e300, 1e300)]
     for eta in (lo, 0.0, 1e-310, 1e-3, 0.7, hi - 1e-9, 1.5707963267948963, hi):
-        good, bad = [], []
+        good = 0
         for u, v in ((u, abs(v) if eta >= 0.0 else -abs(v)) for u, v in points):
-            try:
-                good.append((u, v, unparam_residual(params, eta, u, v)))
-            except BadParams:
-                bad.append((u, v))
-        us, vs, _ = (np.array(t) for t in zip(*good))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = unparam_residual(params, eta, us, vs)
-            for u, v in bad:
-                with pytest.raises(BadParams):
-                    unparam_residual(params, eta, np.array([1.0, u]), np.array([1.0, v]))
-        for (u, v, want), r in zip(good, got.tolist()):
-            assert abs(r - want) <= 1e-15 * _unparam_terms(params, eta, u, v), (eta, u, v)
-        assert len(good) > 250
+            t0, t1 = _unparam_terms(params, eta, u, v)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if not math.isfinite(t0 - t1):
+                    with pytest.raises(BadParams):
+                        unparam_residual(params, eta, u, v)
+                    continue
+                r = unparam_residual(params, eta, u, v)
+            assert abs(r - abs(t0 - t1)) <= 1e-15 * (abs(t0) + abs(t1)), (eta, u, v)
+            good += 1
+        assert good > 250
 
 
 @pytest.mark.parametrize("params,eta,u,v", [
@@ -362,9 +361,8 @@ def test_unparam_residual_past_the_float_range_of_a_ratio(params, eta, u, v):
     want = abs(terms[0] - terms[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for got in (unparam_residual(params, eta, u, v),
-                    unparam_residual(params, eta, np.array([u]), np.array([v]))[0]):
-            assert abs(got - want) <= 1e-15 * (abs(terms[0]) + abs(terms[1]))
+        got = unparam_residual(params, eta, u, v)
+        assert abs(got - want) <= 1e-15 * (abs(terms[0]) + abs(terms[1]))
 
 
 @pytest.mark.parametrize("params,u,v", [(EXC, 1.0, 1.0), (HP, 1.0, -1.0), (EXC, 1e300, 1e300)])
@@ -375,8 +373,6 @@ def test_unparam_residual_beyond_the_float_range_raises(params, u, v):
         warnings.simplefilter("error")
         with pytest.raises(BadParams, match="beyond the float range"):
             unparam_residual(params, eta, u, v)
-        with pytest.raises(BadParams, match="beyond the float range"):
-            unparam_residual(params, eta, np.array([0.0, u]), np.array([0.0, v]))
 
 
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
@@ -681,8 +677,19 @@ def test_geodesic_shoot(params, eta):
     traj = geodesic_shoot(params, eta, 5.0)
     assert traj.ts[0] == 0.0 and traj.ts[-1] == 5.0
     assert traj.us[0] == traj.vs[0] == 0.0
-    assert traj.unparam_residuals.max() < 1e-8
-    assert np.abs(traj.distances - traj.ts).max() < 1e-6
+    assert max(traj.unparam_residuals) < 1e-8
+    assert max(abs(R - t) for R, t in zip(traj.distances, traj.ts)) < 1e-6
+
+
+@pytest.mark.parametrize("t_end,n_samples", [
+    (5.0, 1), (5.0, 2), (5.0, 64), (20.0, 40), (1.7e308, 3), (5e-324, 64), (1e-320, 200)])
+def test_geodesic_shoot_samples_the_times_of_linspace(t_end, n_samples):
+    # the times are numpy's linspace(0, t_end, n_samples) in floats, also
+    # where t_end / (n_samples - 1) underflows to 0 and linspace divides first
+    traj = geodesic_shoot(GEN05, 0.7, t_end, n_samples=n_samples)
+    assert traj.ts == np.linspace(0.0, t_end, n_samples).tolist()
+    assert all(type(x) is float for x in traj.ts + traj.us + traj.vs + traj.distances
+               + traj.unparam_residuals)
 
 
 @pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT], ids=["GEN05", "EXC", "HP", "FLAT"])
@@ -695,7 +702,7 @@ def test_shoot_certificate_sees_a_wrong_speed(params, monkeypatch):
         return lambda y: tuple((1.0 + 1e-6) * w for w in rhs(y))
     monkeypatch.setattr(type(params), "shoot_rhs", fast)
     traj = geodesic_shoot(params, 0.7, 5.0)
-    assert np.abs(traj.distances - traj.ts).max() >= 5e-7 * 5.0
+    assert max(abs(R - t) for R, t in zip(traj.distances, traj.ts)) >= 5e-7 * 5.0
 
 
 @pytest.mark.parametrize("params", [GEN05, EXC, HP, FLAT], ids=["GEN05", "EXC", "HP", "FLAT"])
@@ -704,7 +711,7 @@ def test_shoot_certificate_sees_a_wrong_angle(params, monkeypatch):
     shoot_rhs = type(params).shoot_rhs
     monkeypatch.setattr(type(params), "shoot_rhs", lambda self, eta: shoot_rhs(self, eta + 1e-6))
     traj = geodesic_shoot(params, 0.7, 5.0)
-    assert traj.unparam_residuals.max() > 1e-9
+    assert max(traj.unparam_residuals) > 1e-9
 
 
 @pytest.mark.parametrize("t_end", [0.5, 5.0, 50.0])
@@ -769,8 +776,8 @@ def test_geodesic_shoot_at_the_float_range():
     # the shoot to 1.7e308 stood still at u = 1.0e154, where the right-hand
     # side's 1 + (a u)^2 + (b v)^2 overflowed (above)
     traj = geodesic_shoot(GEN, 0.7, 1.7e308, n_samples=3)
-    assert np.abs(traj.distances - traj.ts).max() <= 1e-12 * 1.7e308
-    assert traj.unparam_residuals.max() <= 1e-9
+    assert max(abs(R - t) for R, t in zip(traj.distances, traj.ts)) <= 1e-12 * 1.7e308
+    assert max(traj.unparam_residuals) <= 1e-9
 
 
 def test_geodesic_shoot_rejects_a_sample_whose_S_eta_is_not_a_float(monkeypatch):
