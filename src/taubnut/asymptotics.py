@@ -22,7 +22,7 @@ lam * x; the half-plane family has unbounded fibers and is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .family import BadParams, InstantonParams, finite_or_bad_params, uv_from_almost_polar
 from .geodesics import distance, point_from_polar
@@ -89,8 +89,7 @@ def measured_epsilon_bar(params: InstantonParams, R: float) -> float:
         raise BadParams(f"radius must be positive, got {R}")
     worst = 0.0
     for eta in EPSILON_GRID:
-        rec = point_from_polar(params, R, eta)
-        rt = params.almost_distance(rec.u, rec.v)
+        rt = params.almost_distance(*point_from_polar(params, R, eta))
         worst = max(worst, abs(rt / R - 1.0))
     return worst
 
@@ -133,8 +132,7 @@ def volume_growth_exponent(params: InstantonParams, radii) -> float:
 # almost-sphere sandwich
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SandwichSample:
+class SandwichSample(NamedTuple):
     """Measured gap Rtilde - R over one almost-sphere AS(Rtilde).
 
     gap_min/gap_max are extremes of the raw gap; c_min/c_max are the same,

@@ -14,7 +14,8 @@ assumption.
 
        lam_scaled = sqrt(2 sqrt2 / M) + P,   P = (1+k) u^2 + (1-k) v^2,
 
-   so it converges to P at rate M^(-1/2).  Collapsing the short torus
+   so it converges to P at rate M^(-1/2); the residual tables take that
+   leaf residual in closed form.  Collapsing the short torus
    direction gives the 3-dimensional cone-like limit ("conifold"); keeping
    both directions with an M-dependent recombination gives a 4-dimensional
    limit ("second blowdown") whose fiber determinant is exactly u^2 v^2.
@@ -37,7 +38,7 @@ A 2x2 fiber is a pair of rows, ((g11, g12), (g21, g22)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .family import (HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams,
                      finite_or_bad_params)
@@ -71,8 +72,7 @@ def _check_k(k: float) -> None:
 CONIFOLD_FIBER_LIMIT_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class ConifoldCurvature:
+class ConifoldCurvature(NamedTuple):
     """Curvature of the 3-metric: polytope sectional curvature, the Ricci
     block in (u, v, theta) coordinates, and the scalar curvature.
 
@@ -103,31 +103,26 @@ def conifold_metric(k: float, u: float, v: float) -> tuple[float, float]:
     return P, u * u * v * v * (u * u + v * v) / P
 
 
-def _large_mass_scaled(k: float, u: float, v: float, M: float):
-    """(lam_scaled, unscaled torus matrix) of the generalized family at mass
-    M, evaluated at the blowdown-chart point (u, v), i.e. at (c u, c v) with
-    c = (M / (2 sqrt2))^(1/4) (see the module docstring)."""
-    params = InstantonParams(Family.GENERALIZED_TN, M=M, k=k)
-    c = (M / (2.0 * SQRT2)) ** 0.25
-    e11, e12, e22 = params.fiber(c * u, c * v)
-    return params.conformal_factor(c * u, c * v) * c * c, ((e11, e12), (e12, e22))
-
-
 @finite_or_bad_params
 def conifold_limit_residual(k: float, u: float, v: float,
                             M: float) -> tuple[float, float]:
     """(leaf residual, fiber residual) of the scaled generalized family at
     mass M against the conifold limit.
 
-    The leaf residual is |lam_scaled - P| = sqrt(2 sqrt2 / M) exactly.  The
-    fiber residual is the entrywise max distance of the unscaled torus
-    matrix to the rank-one form S * w w^T, where w = ((1+k)/2, (1-k)/2) is
-    the collapsed combination and S is the measured limit coefficient."""
-    lam_scaled, F = _large_mass_scaled(k, u, v, M)
-    conformal, fiber_scalar = conifold_metric(k, u, v)
+    The leaf residual lam_scaled - P is sqrt(2 sqrt2 / M) exactly (see the
+    module docstring), and is taken in that form, which does not cancel.
+    The fiber residual is the entrywise max distance of the unscaled torus
+    matrix at (c u, c v), c = (M / (2 sqrt2))^(1/4), to the rank-one form
+    S * w w^T, where w = ((1+k)/2, (1-k)/2) is the collapsed combination and
+    S is the measured limit coefficient."""
+    params = InstantonParams(Family.GENERALIZED_TN, M=M, k=k)
+    c = (M / (2.0 * SQRT2)) ** 0.25
+    e11, e12, e22 = params.fiber(c * u, c * v)
+    fiber_scalar = conifold_metric(k, u, v)[1]
     w = ((1.0 + k) / 2.0, (1.0 - k) / 2.0)
     S = CONIFOLD_FIBER_LIMIT_FACTOR * fiber_scalar
-    return abs(lam_scaled - conformal), _max_distance(F, [[S * (a * b) for b in w] for a in w])
+    return math.sqrt(2.0 * SQRT2 / M), _max_distance(((e11, e12), (e12, e22)),
+                                                     [[S * (a * b) for b in w] for a in w])
 
 
 @finite_or_bad_params
@@ -249,19 +244,20 @@ def second_blowdown_limit_residual(k: float, u: float, v: float,
 
         T = [[sqrt2/(1+k), 0],
              [sqrt(2 sqrt2 M)(1-k)/2, -sqrt(2 sqrt2 M)(1+k)/2]].
-    The fiber residual is the entrywise max of D = T F T^T - fiber in its
-    exact form, whose terms do not cancel as T F T^T's do: with P the
-    conformal factor, W = (1+k)^2 u^2 + (1-k)^2 v^2, E = 2 + 2^(1/4) sqrt(M) P,
-    D22 = -2W / (P E), D12 = v^2 |D22| / (1+k) and D11 =
+    The leaf residual is sqrt(2 sqrt2 / M), as for the conifold.  The fiber
+    residual is the entrywise max of D = T F T^T - fiber in its exact form,
+    whose terms do not cancel as T F T^T's do: with P the conformal factor,
+    W = (1+k)^2 u^2 + (1-k)^2 v^2, E = 2 + 2^(1/4) sqrt(M) P, D22 = -2W / (P E),
+    D12 = v^2 |D22| / (1+k) and D11 =
     2v^2 [(1+k)u^2 ((1+k)u^2 - (3k-1)v^2) + 2^(3/4) P / sqrt M] / ((1+k)^2 P E)."""
-    lam_scaled, _ = _large_mass_scaled(k, u, v, M)
+    InstantonParams(Family.GENERALIZED_TN, M=M, k=k)   # BadParams off the family
     P, _, _ = second_blowdown_metric(k, u, v)
     a, u2, v2 = 1.0 + k, u * u, v * v
     PE = P * (2.0 + 2.0 ** 0.25 * math.sqrt(M) * P)
     d22 = 2.0 * (a * a * u2 + (1.0 - k) ** 2 * v2) / PE
     d11 = 2.0 * v2 * (a * u2 * (a * u2 - (3.0 * k - 1.0) * v2)
                       + 2.0 ** 0.75 * P / math.sqrt(M)) / (a * a * PE)
-    return abs(lam_scaled - P), max(abs(d11), v2 * d22 / a, d22)
+    return math.sqrt(2.0 * SQRT2 / M), max(abs(d11), v2 * d22 / a, d22)
 
 
 def blowdown_xy_from_uv(u: float, v: float) -> tuple[float, float]:
@@ -339,8 +335,7 @@ def exceptional_blowdown_limit_residual(u: float, v: float,
 # unscaled pointed limit along the exceptional v-axis
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointedLimitSample:
+class PointedLimitSample(NamedTuple):
     """One row of the pointed-limit residual table: the leaf factor at recentering
     parameter A, the limit fiber, and the recombined fiber's distance to it."""
 

@@ -49,7 +49,7 @@ The closed forms are methods and attributes of the family's class in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .family import BadParams, InstantonParams
 from .geodesics import point_from_polar
@@ -63,17 +63,15 @@ class IllConditioned(Exception):
     """The 4-metric is too close to degenerate for FD curvature."""
 
 
-@dataclass
-class EnergyReport:
+class EnergyReport(NamedTuple):
     closed_form: float           # math.inf when the integral diverges
     quadrature: QuadratureResult | None
     rel_error: float
-    growth_samples: list[tuple[float, float]] = field(default_factory=list)
+    growth_samples: tuple[tuple[float, float], ...] = ()
     growth_exponent: float | None = None
 
 
-@dataclass
-class Curvature4Sample:
+class Curvature4Sample(NamedTuple):
     scalar: float
     ricci_norm: float
     rm_norm_sq: float
@@ -132,7 +130,7 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
         samples.append((R, weight * integrate_2d_region(f, u_max, v_max).value))
     exponent = fit_power_law([R for R, _ in samples], [e for _, e in samples])
     return EnergyReport(math.inf, None, math.inf,
-                        growth_samples=samples, growth_exponent=exponent)
+                        growth_samples=tuple(samples), growth_exponent=exponent)
 
 
 # --------------------------------------------------------------------------
@@ -188,8 +186,7 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
     (u_lo, _), (v_lo, _) = params.bounds
     vals = []
     for R in R_samples:
-        rec = point_from_polar(params, float(R), eta)
-        u, v = rec.u, rec.v
+        u, v = point_from_polar(params, float(R), eta)
         if quantity == "K_sigma":
             q = abs(params.polytope_curvature(u, v))
         elif quantity == "Ric":

@@ -28,11 +28,11 @@ coordinates need a root solve and live in :mod:`taubnut.geodesics`, as does
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import FrozenInstanceError, dataclass, is_dataclass
 from enum import Enum
 
 from .numerics import fd_gradient, fd_laplacian
@@ -61,8 +61,8 @@ def _finite(x) -> bool:
     a tuple or record of them -- is finite."""
     if _is_array(x):
         return bool(sys.modules["numpy"].isfinite(x).all())
-    if isinstance(x, tuple) or is_dataclass(x):
-        return all(map(_finite, vars(x).values() if is_dataclass(x) else x))
+    if isinstance(x, tuple):
+        return all(map(_finite, x))
     return cmath.isfinite(x)
 
 
@@ -240,32 +240,39 @@ def _half_plane_x(phi1):
 # arrays), x -> (value, slope, curvature or None).  polar_point(R, eta,
 # solve) = (u, v) at that root, found by solve.
 
-@dataclass(frozen=True)
-class InstantonParams:
+class InstantonParams(collections.namedtuple(
+        "InstantonParams", "family M k", defaults=(Family.GENERALIZED_TN, None, None))):
     """Which instanton, and where in its parameter space: M and k for
     GENERALIZED_TN, nothing for the others (ExceptionalTN reports k = 1).
 
     InstantonParams(family, M, k) is an instance of the family's class
-    below, which validates the parameters and holds the family's formulas;
-    equality and hashing go by (family, M, k).  What all families share is
-    here: the quadrant domain by default, the point and launch-angle checks
-    against it, and WrongFamily for a quantity a family lacks."""
-
-    family: Family = Family.GENERALIZED_TN
-    M: float | None = None
-    k: float | None = None
+    below, whose _check_params(M, k) validates the parameters and returns
+    them normalized with the family's derived constants, and which holds
+    the family's formulas.  It is a named tuple (family, M, k): equality,
+    hashing and repr go by those three, and no attribute can be set or
+    deleted.  What all families share is here: the quadrant domain by
+    default, the point and launch-angle checks against it, and WrongFamily
+    for a quantity a family lacks."""
 
     bounds = QUADRANT
     eta_range = (0.0, math.pi / 2)
 
-    def __post_init__(self):
-        object.__setattr__(self, "__class__", GEOMETRIES[self.family])
-        self._check_params()
+    def __new__(cls, *args, **kwargs):
+        family, M, k = super().__new__(cls, *args, **kwargs)   # the fields, defaults filled in
+        geometry = GEOMETRIES[family]
+        M, k, derived = geometry._check_params(M, k)
+        params = super().__new__(geometry, family, M, k)
+        params.__dict__.update(derived)
+        return params
 
-    def _set(self, **values):
-        """Store validated parameters and derived constants on the frozen instance."""
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+    @classmethod
+    def _make(cls, fields):   # for _replace: through __new__, validated and with its constants
+        return InstantonParams(*fields)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __getattr__(self, name):
         # reached only when the family's class does not define ``name``
@@ -300,15 +307,6 @@ class InstantonParams:
         return {"family": self.family.value, "M": self.M, "k": self.k}
 
 
-def _frozen(self, name, *value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-# dataclasses' frozen __setattr__ guards only the fields on a subclass
-# instance; the derived constants of the family classes are frozen too
-InstantonParams.__setattr__ = InstantonParams.__delattr__ = _frozen
-
-
 class GeneralizedTN(InstantonParams):
     """Donaldson's twisted Taub-NUT: mass M > 0 (default sqrt 2) and
     chirality |k| < 1 (default 0); the limits k -> +-1 leave the family
@@ -327,8 +325,8 @@ class GeneralizedTN(InstantonParams):
     family = Family.GENERALIZED_TN
     ricci_calibration = 2.0
 
-    def _check_params(self):
-        M, k = self.M, self.k
+    @staticmethod
+    def _check_params(M, k):
         mass = SQRT2 if M is None else float(M)
         chi = 0.0 if k is None else float(k)
         # M / (2 sqrt 2) a normal float and sqrt 2 M a float: about 6.3e-308 <= M <= 1.27e308
@@ -345,10 +343,10 @@ class GeneralizedTN(InstantonParams):
         # l2_riemann is Gauss-Bonnet for scalar-flat 4-manifolds of Euler
         # characteristic 1
         mass_root = math.sqrt(mass / (2.0 * SQRT2))
-        self._set(M=mass, k=chi, a=math.sqrt(1.0 + chi), b=math.sqrt(1.0 - chi),
-                  mass_root=mass_root, l2_ricci_closed=l2_ricci,
-                  l2_riemann=32.0 * math.pi ** 2 + 4.0 * l2_ricci,
-                  leg_scale=math.ldexp(1.0, -((math.frexp(mass_root)[1] + 1) // 2)))
+        return mass, chi, dict(a=math.sqrt(1.0 + chi), b=math.sqrt(1.0 - chi),
+                               mass_root=mass_root, l2_ricci_closed=l2_ricci,
+                               l2_riemann=32.0 * math.pi ** 2 + 4.0 * l2_ricci,
+                               leg_scale=math.ldexp(1.0, -((math.frexp(mass_root)[1] + 1) // 2)))
 
     # charts: y + ix = (u + iv)^2 / (sqrt(2) M)
     def xy_from_uv(self, u, v):
@@ -516,17 +514,18 @@ class ExceptionalTN(InstantonParams):
     ricci_calibration = 2.0
     l2_ricci_closed = math.inf
 
-    def _check_params(self):
-        if self.M is not None:
+    @staticmethod
+    def _check_params(M, k):
+        if M is not None:
             raise BadParams("ExceptionalTN has a fixed normalization; drop M")
-        chi = 1.0 if self.k is None else float(self.k)
+        chi = 1.0 if k is None else float(k)
         if chi == -1.0:
             raise BadParams(
                 "the k = -1 exceptional geometry is the axis swap u <-> v "
                 "of the k = +1 one; use k = +1 and relabel")
         if chi != 1.0:
-            raise BadParams(f"ExceptionalTN requires k = +1, got k={self.k}")
-        self._set(k=1.0)
+            raise BadParams(f"ExceptionalTN requires k = +1, got k={k}")
+        return None, 1.0, {}
 
     # charts: y + ix = (u + iv)^2 / 4
     def xy_from_uv(self, u, v):
@@ -643,9 +642,11 @@ class _HalfPlane(InstantonParams):
     bounds = HALF_PLANE
     eta_range = (-math.pi / 2, math.pi / 2)
 
-    def _check_params(self):
-        if self.M is not None or self.k is not None:
-            raise BadParams(f"{self.family.value} takes no parameters")
+    @classmethod
+    def _check_params(cls, M, k):
+        if M is not None or k is not None:
+            raise BadParams(f"{cls.family.value} takes no parameters")
+        return None, None, {}
 
     def xy_from_uv(self, u, v):
         return u, v

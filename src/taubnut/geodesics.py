@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .family import BadParams, Chart, InstantonParams, _is_array, uv_from_almost_polar
 from .metrics import conformal_factor
@@ -33,19 +33,17 @@ ROOT_TOL = 1e-13   # absolute, of x = log tan(eta) and of s (times max(1, its bo
 X_LO, X_HI = -750.0, 40.0   # x = log tan(eta) past which eta rounds to 0 or to pi/2
 
 
-@dataclass
-class GeodesicRecord:
+class GeodesicRecord(NamedTuple):
     u: float
     v: float
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     ts: list[float]
     us: list[float]
     vs: list[float]
     distances: list[float]          # S_eta(u, v): the distance at each sample on the eta-geodesic
-    unparam_residuals: list[float]  # unparam_residual(eta, u, v), at each sample
+    unparam_residuals: list[float]  # the unparametrized geodesic residual at each sample
     nfev: int
 
 
@@ -112,17 +110,12 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
     return math.atan(math.exp(x))
 
 
-def unparam_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
-    """Residual of the unparametrized geodesic equation in logarithmic form:
-    asinh(U)/sqrt(1+k) - asinh(V)/sqrt(1-k) with U, V the eta-normalized
-    coordinates.  Zero exactly on the eta-geodesic; at the axis angles it is
-    the distance from the axis.  BadParams where it is beyond the float range."""
-    params.check_eta(eta)
-    return _unparam_residuals(params, eta, math.cos(eta), math.sin(eta), [u], [v])[0]
-
-
 def _unparam_residuals(params, eta, c, s, us, vs) -> list[float]:
-    """unparam_residual at the points (us, vs), with (c, s) = (cos eta, sin eta)."""
+    """Residuals of the unparametrized geodesic equation at the points (us, vs),
+    (c, s) = (cos eta, sin eta), in logarithmic form (asinh(U)/sqrt(1+k) -
+    asinh(V)/sqrt(1-k) for the generalized family, U, V the eta-normalized
+    coordinates): zero exactly on the eta-geodesic, and at the axis angles the
+    distance from the axis.  BadParams where one is beyond the float range."""
     if eta == 0.0 or abs(eta) == math.pi / 2:   # the distance from the axis
         rs = list(map(abs, vs if eta == 0.0 else us))
     else:
@@ -192,7 +185,7 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
     """
     u, v = params.polar_point(R, eta, _solve_radial)
     params.check_point(u, v)
-    return GeodesicRecord(u=u, v=v)
+    return GeodesicRecord(u, v)
 
 
 def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +234,7 @@ def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -
         return params.uv_from_moment(c1, c2)
     if chart is Chart.ALMOST_POLAR:
         return uv_from_almost_polar(params, c1, c2)
-    rec = point_from_polar(params, c1, c2)
-    return rec.u, rec.v
+    return tuple(point_from_polar(params, c1, c2))
 
 
 def distance(params: InstantonParams, u: float, v: float) -> float:

@@ -26,8 +26,7 @@ import bisect
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import dop853
 
@@ -194,8 +193,7 @@ def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
 # on whole grids of nodes, and f must broadcast its two arguments and return
 # an array of their broadcast shape (every density in the package does).
 
-@dataclass
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error: float              # quadrature error estimate plus tail bound
     tail_bound: float         # analytic bound on the discarded tail
@@ -396,8 +394,7 @@ def integrate_2d_region(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max
 ODE_TOL = 1e-12   # relative and absolute local error tolerance of each ode_solve step
 
 
-@dataclass
-class OdeResult:
+class OdeResult(NamedTuple):
     ys: list[tuple[float, float]]   # (u, v) at each time of t_eval
     nfev: int
 

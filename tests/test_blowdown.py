@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -46,13 +47,30 @@ def test_conifold_metric_forms():
         conifold_metric(1.5, 1.0, 1.0)
 
 
-def test_conifold_leaf_residual_is_exact_mass_term():
+@pytest.mark.parametrize("residual", [conifold_limit_residual, second_blowdown_limit_residual])
+def test_conifold_leaf_residual_is_exact_mass_term(residual):
     # lam_scaled - P = sqrt(2 sqrt2 / M), exactly, independent of the point
-    for M in (1e2, 1e4, 1e6):
-        for u, v in ((0.4, 1.3), (2.0, 0.1)):
-            leaf, _ = conifold_limit_residual(0.5, u, v, M)
-            assert leaf == pytest.approx(math.sqrt(2.0 * SQRT2 / M),
-                                         rel=1e-9, abs=0)
+    # (checked here in 300-bit arithmetic through the family's own conformal
+    # factor at (c u, c v)); both tables return it to an ulp of its 300-bit
+    # value.  Taken as that difference in floats, it was off by up to 1.6e-12
+    from types import SimpleNamespace
+
+    import mpmath
+    from taubnut.family import GeneralizedTN
+    with mpmath.workprec(300):
+        r2 = mpmath.sqrt(2)
+        for k in (0.0, 0.5, -0.9):
+            mk = mpmath.mpf(k)
+            for u, v in ((0.4, 1.3), (2.0, 0.1), (1.0, 1.0), (0.7, 1.3), (2.5, 0.2)):
+                for M in (1e-3, 1.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e12):
+                    exact = mpmath.sqrt(2 * r2 / M)
+                    c = (M / (2 * r2)) ** mpmath.mpf(0.25)
+                    lam = GeneralizedTN.conformal_factor(   # the float sqrt 2 scaled out
+                        SimpleNamespace(k=mk, M=mpmath.mpf(M)), c * u, c * v) * r2 / SQRT2
+                    P = (1 + mk) * u * u + (1 - mk) * v * v
+                    assert abs((lam * c * c - P) / exact - 1) < mpmath.mpf(2) ** -250
+                    leaf = residual(k, u, v, M)[0]
+                    assert abs(leaf - exact) <= sys.float_info.epsilon * exact, (k, u, v, M)
 
 
 def test_conifold_residuals_decay_with_rate():
@@ -212,9 +230,7 @@ def test_second_blowdown_moment_oracle():
 def test_second_blowdown_residual_decay():
     fibers = []
     for M in (1e2, 1e3, 1e4, 1e5, 1e6):
-        leaf, fib = second_blowdown_limit_residual(0.3, 1.1, 0.7, M)
-        assert leaf == pytest.approx(math.sqrt(2.0 * SQRT2 / M), rel=1e-9, abs=0)
-        fibers.append(fib)
+        fibers.append(second_blowdown_limit_residual(0.3, 1.1, 0.7, M)[1])
     ratios = [a / b for a, b in zip(fibers, fibers[1:])]
     # rate M^(-1/2): per-decade ratio climbs monotonically to sqrt(10)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))

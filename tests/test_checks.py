@@ -99,58 +99,113 @@ def _mentioned(node) -> set:
     return names
 
 
+def _imports(tree: ast.Module) -> dict:
+    """Each name a file binds by importing from the package: to the module
+    it is ("geodesics", or "taubnut" for the package) or to the definition
+    it imports ("geodesics.distance")."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "taubnut"):
+            stem = (node.module or "taubnut").split(".")[-1]
+            for alias in node.names:
+                name = alias.name if stem == "taubnut" else f"{stem}.{alias.name}"
+                bound[alias.asname or alias.name] = name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "taubnut":
+                    bound[alias.asname or "taubnut"] = alias.name.split(".")[-1] if alias.asname else "taubnut"
+    return bound
+
+
+def _keys(node, module, imports, in_class=False) -> set:
+    """What node's subtree mentions, qualified: "m.x" for the module-level
+    name x of module m (a bare name, resolved through the file's imports or
+    in its own module, or an attribute of the module), ".x" for a method or
+    class attribute x (an attribute of anything else, or a bare name in a
+    class body), and, in a file outside the package, "*x" for an identifier
+    string, which names a module-level definition of any module
+    (benchmarks/tracer.py names what it wraps in strings)."""
+    def resolve(n):
+        if isinstance(n, ast.Name):
+            return imports.get(n.id, f"{module}.{n.id}" if module else None)
+        if isinstance(n, ast.Attribute):
+            owner = resolve(n.value)
+            if owner == "taubnut":
+                return n.attr
+            return f"{owner}.{n.attr}" if owner and "." not in owner else f".{n.attr}"
+        return None
+
+    keys = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)):
+            keys.add(resolve(n))
+            if in_class and isinstance(n, ast.Name):
+                keys.add(f".{n.id}")
+        elif (module is None and isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and n.value.isidentifier()):
+            keys.add(f"*{n.value}")
+    return keys - {None}
+
+
 def _unreached_public_names():
     """Public functions, classes and methods of the package that no command,
-    check or benchmark reaches: a transitive closure over the names that
-    cli.py, checks.py and benchmarks/*.py mention.  A definition is reached
-    when its name is; its body (and, for a class, its class-level statements
-    and dunder methods) then adds the names it mentions.  Module-level
-    statements other than definitions run at import and count as roots;
-    __init__.__all__ does not."""
+    check or benchmark reaches: a transitive closure over what cli.py,
+    checks.py and benchmarks/*.py mention, qualified by _keys, so a module
+    function is not reached through a method of the same name, nor the
+    other way round.  A definition is reached when its key is; its body
+    (and, for a class, its class-level statements and dunder methods) then
+    adds what it mentions.  Module-level statements other than definitions
+    run at import and count as roots; __init__.__all__ does not."""
     package = Path(taubnut.__file__).parent
     bench = Path(__file__).resolve().parents[1] / "benchmarks"
     roots = set()
     for path in [package / "cli.py", package / "checks.py", *sorted(bench.glob("*.py"))]:
-        roots |= _mentioned(_tree(path))
+        module = path.stem if path.parent == package else None
+        roots |= _keys(_tree(path), module, _imports(_tree(path)))
 
-    mentions = {}   # name -> the names its definitions mention
-    public = []     # (name, qualified name) of each definition the guard holds
+    mentions = {}   # key -> the keys its definitions mention
+    public = []     # (key, qualified name) of each definition the guard holds
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
+        m, imports = path.stem, _imports(_tree(path))
         for node in _tree(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                qual = f"{path.stem}.{node.name}"
-                body = _mentioned(node) if isinstance(node, ast.FunctionDef) else set()
+                key = f"{m}.{node.name}"
+                body = _keys(node, m, imports) if isinstance(node, ast.FunctionDef) else set()
                 if any("check" in _mentioned(d) for d in node.decorator_list):
-                    roots.add(node.name)   # a @check function: verify runs it
+                    roots.add(key)   # a @check function: verify runs it
                 if isinstance(node, ast.ClassDef):
                     for d in node.decorator_list + node.bases:
-                        body |= _mentioned(d)
+                        body |= _keys(d, m, imports)
                     for item in node.body:
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                            mentions.setdefault(item.name, set()).update(_mentioned(item))
+                            mentions.setdefault(f".{item.name}", set()).update(_keys(item, m, imports))
                             if not item.name.startswith("_"):
-                                public.append((item.name, f"{qual}.{item.name}"))
+                                public.append((f".{item.name}", f"{key}.{item.name}"))
                         else:
-                            body |= _mentioned(item)
-                mentions.setdefault(node.name, set()).update(body)
+                            body |= _keys(item, m, imports, in_class=True)
+                mentions.setdefault(key, set()).update(body)
                 if not node.name.startswith("_"):
-                    public.append((node.name, qual))
+                    public.append((key, key))
             elif isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
-                for t in node.targets:   # a constant: reached when its name is
-                    mentions.setdefault(t.id, set()).update(_mentioned(node.value))
+                for t in node.targets:   # a constant: reached when its key is
+                    mentions.setdefault(f"{m}.{t.id}", set()).update(_keys(node.value, m, imports))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                roots |= _mentioned(node)
+                roots |= _keys(node, m, imports)
 
+    by_string = {}   # "*x" -> the module-level definitions named x
+    for key in mentions:
+        if not key.startswith("."):
+            by_string.setdefault("*" + key.split(".")[1], set()).add(key)
     reached, todo = set(), list(roots)
     while todo:
-        name = todo.pop()
-        if name in reached:
+        key = todo.pop()
+        if key in reached:
             continue
-        reached.add(name)
-        todo.extend(mentions.get(name, set()) - reached)
-    return sorted(qual for name, qual in public if name not in reached)
+        reached.add(key)
+        todo.extend((mentions.get(key, set()) | by_string.get(key, set())) - reached)
+    return sorted(qual for key, qual in public if key not in reached)
 
 
 def test_every_public_name_serves_a_command_a_check_or_the_benchmark():
@@ -159,8 +214,36 @@ def test_every_public_name_serves_a_command_a_check_or_the_benchmark():
     assert _unreached_public_names() == []
 
 
+def test_the_name_guard_tells_a_module_function_from_a_method():
+    source = ("from taubnut import geodesics\nfrom taubnut.family import Family\n"
+              "params.unparam_residual(1)\ngeodesics.solve_eta\nFamily.FLAT\n'distance'\n")
+    keys = _keys(ast.parse(source), None, _imports(ast.parse(source)))
+    assert {".unparam_residual", "geodesics.solve_eta", "family.Family", ".FLAT", "*distance"} <= keys
+    assert "geodesics.unparam_residual" not in keys and ".solve_eta" not in keys
+    # in a package module a bare name is its own module's, and strings name nothing
+    assert _keys(ast.parse("distance(1, 'solve_eta')"), "geodesics", {}) == {"geodesics.distance"}
+
+
+def _records():
+    """Each record class of the package, as (name, field names): a
+    typing.NamedTuple class body, or a class derived from a
+    collections.namedtuple(name, "fields") call."""
+    records = []
+    for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
+        for node in _nodes(path):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for base in node.bases:
+                if isinstance(base, ast.Call) and "namedtuple" in _mentioned(base.func):
+                    records.append((node.name, base.args[1].value.replace(",", " ").split()))
+                elif "NamedTuple" in _mentioned(base):
+                    records.append((node.name, [item.target.id for item in node.body
+                                                if isinstance(item, ast.AnnAssign)]))
+    return records
+
+
 def _unread_fields():
-    """Fields of the package's dataclasses, as Class.field, whose name no
+    """Fields of the package's records, as Class.field, whose name no
     attribute read in src/, benchmarks/ or tests/ takes."""
     package = Path(taubnut.__file__).parent
     repo = Path(__file__).resolve().parents[1]
@@ -169,20 +252,25 @@ def _unread_fields():
                  *(repo / "tests").glob("*.py")]:
         reads |= {node.attr for node in _nodes(path)
                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    fields = []
-    for path in sorted(package.glob("*.py")):
-        for node in _nodes(path):
-            if isinstance(node, ast.ClassDef) and any(
-                    "dataclass" in _mentioned(d) for d in node.decorator_list):
-                fields += [f"{node.name}.{item.target.id}" for item in node.body
-                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
-    return [field for field in fields if field.split(".")[1] not in reads]
+    return [f"{name}.{field}" for name, fields in _records() for field in fields
+            if field not in reads]
 
 
 def test_every_record_field_is_read():
     # a field nothing reads is an echo of the input or a statistic no one
     # looks at: delete it
     assert _unread_fields() == []
+
+
+def test_the_record_guard_sees_every_record():
+    # a guard that finds no record passes vacuously: it must see all ten
+    records = dict(_records())
+    assert sorted(records) == sorted([
+        "QuadratureResult", "OdeResult", "GeodesicRecord", "Trajectory", "EnergyReport",
+        "Curvature4Sample", "SandwichSample", "ConifoldCurvature", "PointedLimitSample",
+        "InstantonParams"])
+    assert records["InstantonParams"] == ["family", "M", "k"]
+    assert records["GeodesicRecord"] == ["u", "v"]
 
 
 def test_package_does_not_import_scipy():
@@ -233,7 +321,7 @@ def test_src_does_not_grow():
     # the same numbers from less code: lower the cap when the package shrinks
     count = sum(len(path.read_text().splitlines())
                 for path in Path(taubnut.__file__).parent.glob("*.py"))
-    assert count <= 3676
+    assert count <= 3656
 
 
 def _traced_layers():

@@ -397,6 +397,29 @@ def test_version_loads_no_numpy():
     assert cp.stdout == "False\n"
 
 
+RECORDS_SCRIPT = """
+import contextlib, io, sys
+before = {"dataclasses", "inspect"} & set(sys.modules)
+from taubnut import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["eval", "--family", "generalized", "--k", "0.5", "--point", "1,1"]) == 0
+print(sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_cli_loads_no_dataclasses_inspect_or_numpy_random():
+    # the records are named tuples, so importing the CLI and running eval
+    # load neither dataclasses nor inspect (unless the interpreter had
+    # already); verify draws its random points from the random module
+    cp = subprocess.run([sys.executable, "-c", RECORDS_SCRIPT],
+                        capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[]\nFalse\n"
+
+
 LOADS_NUMPY_SCRIPT = """
 import contextlib, io, json, sys
 from taubnut import cli

@@ -88,12 +88,22 @@ def test_value_semantics_go_by_family_and_parameters():
     assert HP != FLAT and GEN05 != InstantonParams(k=0.25)
     assert len({GEN, InstantonParams(), EXC, InstantonParams(Family.EXCEPTIONAL_TN, k=1.0)}) == 2
     for name in ("family", "M", "k", "mass_root", "l2_riemann", "new"):
-        with pytest.raises(AttributeError):   # dataclasses.FrozenInstanceError
+        with pytest.raises(AttributeError):   # fields and derived constants alike
             setattr(GEN05, name, None)
         with pytest.raises(AttributeError):
             delattr(GEN05, name)
     assert (GEN05.family, GEN05.M, GEN05.k) == (Family.GENERALIZED_TN, SQRT2, 0.5)
     assert GEN05.mass_root == math.sqrt(SQRT2 / (2.0 * SQRT2))
+    # a named tuple's _replace builds the copy through the same validation
+    assert GEN05._replace(k=0.25) == InstantonParams(k=0.25) and GEN05._replace(k=0.25).b == math.sqrt(0.75)
+    with pytest.raises(BadParams):
+        EXC._replace(M=2.0)
+
+
+def test_repr_names_the_family_class_and_the_three_fields():
+    assert repr(GEN05) == ("GeneralizedTN(family=<Family.GENERALIZED_TN: 'GeneralizedTN'>, "
+                           "M=1.4142135623730951, k=0.5)")
+    assert repr(FLAT) == "Flat(family=<Family.FLAT: 'Flat'>, M=None, k=None)"
 
 
 def test_exceptional_reports_k_one_and_no_mass():

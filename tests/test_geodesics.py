@@ -16,7 +16,7 @@ from taubnut.geodesics import (distance, eikonal_S,
                                point_from_polar, points_from_polar, polar_from_point,
                                polar_metric_coefficient,
                                polar_metric_coefficient_fd,
-                               solve_eta, solve_F, unparam_residual)
+                               solve_eta, solve_F)
 
 GEN = InstantonParams()
 GEN05 = InstantonParams(k=0.5)
@@ -301,6 +301,11 @@ def test_distance_rejects_off_domain_and_overflowing_points(params):
     for u, v in bad:
         with pytest.raises(BadParams):
             distance(params, u, v)
+
+
+def unparam_residual(params, eta, u, v):
+    """The shoot's unparametrized residual at the one point (u, v)."""
+    return geodesics._unparam_residuals(params, eta, math.cos(eta), math.sin(eta), [u], [v])[0]
 
 
 def _unparam_terms(params, eta, u, v):
@@ -591,7 +596,6 @@ K05_CALLS = {   # a launch angle off the quadrant's [0, pi/2] at k = 0.5
     "point_from_polar": lambda eta: point_from_polar(GEN05, 3.0, eta),
     "eikonal_S": lambda eta: eikonal_S(GEN05, eta, 1.0, 1.0),
     "eikonal_residual": lambda eta: eikonal_residual(GEN05, eta, 1.0, 1.0),
-    "unparam_residual": lambda eta: unparam_residual(GEN05, eta, 1.0, 1.0),
     "geodesic_shoot": lambda eta: geodesic_shoot(GEN05, eta, 2.0),
     "points_from_polar": lambda eta: points_from_polar(GEN05, [1.0, 3.0], [0.5, eta]),
 }
@@ -607,7 +611,11 @@ def test_every_function_of_eta_checks_its_range(name, eta):
         K05_CALLS[name](eta)
 
 
-@pytest.mark.parametrize("fn", [eikonal_S, unparam_residual])
+def _shoot_residual(params, eta, u, v):
+    return max(geodesic_shoot(params, eta, math.hypot(u, v), n_samples=2).unparam_residuals)
+
+
+@pytest.mark.parametrize("fn", [eikonal_S, _shoot_residual])
 def test_eikonal_and_unparam_residual_check_eta_at_k0(fn):
     # at k = 0 they returned 1.23 and 2.88
     with pytest.raises(BadParams, match="launch angle"):
