@@ -30,9 +30,10 @@ assumption.
    cylinders.
 
 Conventions.  Arguments named u, v are always the blowdown-chart
-coordinates; k is passed directly since the limits forget M.  The collapsed
-angle in the conifold is theta = ((1+k)/2) theta^1 + ((1-k)/2) theta^2.
-A 2x2 fiber is a pair of rows, ((g11, g12), (g21, g22)).
+coordinates; k, within the family's |k| < 1, is passed directly since the
+limits forget M.  The collapsed angle in the conifold is theta =
+((1+k)/2) theta^1 + ((1-k)/2) theta^2.  A 2x2 fiber is a pair of rows,
+((g11, g12), (g21, g22)).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 from typing import NamedTuple
 
 from .family import (HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams,
-                     finite_or_bad_params)
+                     check_chirality, finite_or_bad_params)
 from .numerics import check_stencil, fd_conformal_curvature, fd_curvature, fd_gradient
 
 
@@ -53,11 +54,6 @@ def _max_distance(A, B) -> float:
     """Entrywise max |A_ij - B_ij| of two 2x2 fibers; NaN where a difference is."""
     d = [abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b)]
     return math.nan if any(x != x for x in d) else max(d)
-
-
-def _check_k(k: float) -> None:
-    if not -1.0 < k < 1.0:
-        raise BadParams(f"need |k| < 1, got k = {k}")
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +92,7 @@ def _cone_factor(k, u, v):
 @finite_or_bad_params
 def conifold_metric(k: float, u: float, v: float) -> tuple[float, float]:
     """(conformal, fiber_scalar) of g3 = conformal (du^2 + dv^2) + fiber_scalar dtheta^2."""
-    _check_k(k)
+    check_chirality(k)
     P = _cone_factor(k, u, v)
     if P == 0.0:
         raise SingularAxis("the conifold metric degenerates at the origin")
@@ -135,7 +131,7 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
     computation and checked against conifold_ricci_fd; it is not diagonal
     off the axes, and a diagonal shortcut fails that check (see
     tests/test_blowdown.py)."""
-    _check_k(k)
+    check_chirality(k)
     u2, v2 = u * u, v * v
     P = _cone_factor(k, u, v)
     Q = u2 + v2
@@ -167,7 +163,7 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
     of step 1e-4 of the Christoffel symbols: entries (uu, uv, vv, theta),
     O(step^2).  The metric derivatives are exact complex steps of
     conifold_metric."""
-    _check_k(k)
+    check_chirality(k)
     step = 1e-4
     check_stencil(u, v, 2.0 * step, QUADRANT)   # the axes are degenerate
 
@@ -192,7 +188,7 @@ def conifold_polytope_curvature_fd(k: float, u: float, v: float) -> float:
 def blowdown_distance(k: float, u: float, v: float) -> float:
     """S = (1/2) sqrt(1+k) u^2 + (1/2) sqrt(1-k) v^2: distance to the cone
     point of the blowdown; |grad S| = 1 for the polytope factor exactly."""
-    _check_k(k)
+    check_chirality(k)
     return 0.5 * math.sqrt(1.0 + k) * u * u + 0.5 * math.sqrt(1.0 - k) * v * v
 
 
@@ -213,7 +209,7 @@ def second_blowdown_metric(k: float, u: float, v: float):
     """(conformal, fiber, moments) of the limit 4-metric: conformal (du^2 + dv^2)
     plus the torus form with matrix fiber; det(fiber) = u^2 v^2 identically.
     moments are the commuting momentum functions of the limit torus action."""
-    _check_k(k)
+    check_chirality(k)
     u2, v2 = u * u, v * v
     P = _cone_factor(k, u, v)
     if P == 0.0:
@@ -272,7 +268,7 @@ def second_blowdown_conformal_xy(k: float, x: float, y: float) -> float:
 
         ((k y + r)/r) * (u^2 + v^2) = P    at (x, y) = (uv, (u^2-v^2)/2).
     """
-    _check_k(k)
+    check_chirality(k)
     r = math.hypot(x, y)
     if r == 0.0:
         raise SingularAxis("the (x, y) form degenerates at the cone point")

@@ -27,7 +27,7 @@ import sys
 
 from . import __version__
 from . import asymptotics, blowdown, checks, curvature, geodesics, metrics
-from .family import BadParams, Chart, Family, InstantonParams, WrongFamily
+from .family import BadParams, Chart, Family, InstantonParams, WrongFamily, check_chirality
 from .numerics import InsufficientSamples, SlowDecay, StepUnderflow, find_roots_monotone
 
 FAMILY_NAMES = {
@@ -360,7 +360,7 @@ _LIMITS = {
 
 def _cmd_blowdown(args) -> int:
     u, v = _parse_point(args.point)
-    blowdown._check_k(args.k)   # also where the limit does not depend on k
+    check_chirality(args.k)   # also where the limit does not depend on k
     scales, residual = _LIMITS[args.construction]
     rows = [[p, *residual(args.k, u, v, p)] for p in scales]
     summary = {"version": __version__, "construction": args.construction,

@@ -147,8 +147,10 @@ def _ops(x):
 
 
 def _axis_cos_sin(eta):
-    """(cos eta, sin eta), with cos 0 on the axis |eta| = pi/2, not math.cos's 6e-17."""
-    return 0.0 if abs(eta) == math.pi / 2 else math.cos(eta), math.sin(eta)
+    """(cos eta, sin eta), with cos 0 on the v-axis |eta| = pi/2, not math.cos's
+    6e-17, and sin 0 on the u-axis |sin eta| < 1e-300, where v / sin overflows."""
+    s = math.sin(eta)
+    return 0.0 if abs(eta) == math.pi / 2 else math.cos(eta), s if abs(s) >= 1e-300 else 0.0
 
 
 def _asinh_ratio(p: float, c: float) -> float:
@@ -229,10 +231,10 @@ def _half_plane_x(phi1):
 # (c, s) = (cos eta, sin eta) floats) also take arrays: they call math on
 # floats and numpy on arrays through _ops.
 # shoot_rhs(eta) = rhs, the velocity y = (u, v) -> (u', v') of the
-# unit-speed eta-geodesic, a function of the state alone; built for an
-# array eta, it takes and returns arrays.  Its squares are products, which
-# overflow to inf where x ** 2 raises; the float rhs then divides by the
-# square root of that sum twice.  launch_residual(u, v) = h, the
+# unit-speed eta-geodesic at _axis_cos_sin(eta), of the state alone; built
+# for an array eta, it takes and returns arrays.  Its squares are products,
+# which overflow to inf where x ** 2 raises; the float rhs then divides by
+# the square root of that sum twice.  launch_residual(u, v) = h, the
 # launch-angle relation through (u, v), increasing in x = log tan(eta);
 # radial_relation(R, eta) = (f, bound), S_eta along the eta-geodesic minus
 # R in its log radial parameter s and a closed-form bound above its root;
@@ -307,6 +309,17 @@ class InstantonParams(collections.namedtuple(
         return {"family": self.family.value, "M": self.M, "k": self.k}
 
 
+def check_chirality(k) -> float:
+    """k as a float; BadParams unless |k| < 1 (not NaN), GeneralizedTN's bound."""
+    chi = float(k)
+    if not abs(chi) < 1.0:
+        if abs(chi) == 1.0:
+            raise BadParams("k = +-1 is not a GeneralizedTN member; the degeneration "
+                            "is the ExceptionalTN geometry (after rescaling)")
+        raise BadParams(f"chirality must satisfy |k| < 1, got k={k}")
+    return chi
+
+
 class GeneralizedTN(InstantonParams):
     """Donaldson's twisted Taub-NUT: mass M > 0 (default sqrt 2) and
     chirality |k| < 1 (default 0); the limits k -> +-1 leave the family
@@ -328,16 +341,10 @@ class GeneralizedTN(InstantonParams):
     @staticmethod
     def _check_params(M, k):
         mass = SQRT2 if M is None else float(M)
-        chi = 0.0 if k is None else float(k)
         # M / (2 sqrt 2) a normal float and sqrt 2 M a float: about 6.3e-308 <= M <= 1.27e308
         if not (mass / (2.0 * SQRT2) >= 2.0 ** -1022 and SQRT2 * mass < math.inf):
             raise BadParams(f"mass must lie in about [6.3e-308, 1.27e308], got M={M}")
-        if not abs(chi) < 1.0:
-            if abs(chi) == 1.0:
-                raise BadParams(
-                    "k = +-1 is not a GeneralizedTN member; the degeneration "
-                    "is the ExceptionalTN geometry (after rescaling)")
-            raise BadParams(f"chirality must satisfy |k| < 1, got k={k}")
+        chi = check_chirality(0.0 if k is None else k)
         l2_ricci = 4.0 * math.pi ** 2 * chi * chi / (1.0 - chi * chi)
         # sqrt(M / (2 sqrt 2)) converts the reduced radial variable to R;
         # l2_riemann is Gauss-Bonnet for scalar-flat 4-manifolds of Euler

@@ -24,7 +24,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .family import BadParams, Chart, InstantonParams, _is_array, uv_from_almost_polar
+from .family import BadParams, Chart, InstantonParams, _axis_cos_sin, _is_array, uv_from_almost_polar
 from .metrics import conformal_factor
 from .numerics import (NoBracket, check_stencil, fd_gradient, find_root_monotone,
                        find_roots_monotone, ode_solve)
@@ -59,11 +59,8 @@ def eikonal_S(params: InstantonParams, eta: float, u, v):
     ranges over [-pi/2, pi/2]; the quadrant families take eta in [0, pi/2].
     BadParams for eta outside the family's ``eta_range``.
     """
-    params.check_eta(eta)
-    c, s = math.cos(eta), math.sin(eta)   # |cos| >= 6e-17 on the eta range
-    if abs(s) < 1e-300:
-        s = 0.0
-    return params.eikonal_S(c, s, u, v)
+    params.check_eta(eta)   # the float's own cosine, |cos| >= 6e-17 on the eta range
+    return params.eikonal_S(math.cos(eta), _axis_cos_sin(eta)[1], u, v)
 
 
 def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
@@ -114,10 +111,10 @@ def _unparam_residuals(params, eta, c, s, us, vs) -> list[float]:
     """Residuals of the unparametrized geodesic equation at the points (us, vs),
     (c, s) = (cos eta, sin eta), in logarithmic form (asinh(U)/sqrt(1+k) -
     asinh(V)/sqrt(1-k) for the generalized family, U, V the eta-normalized
-    coordinates): zero exactly on the eta-geodesic, and at the axis angles the
-    distance from the axis.  BadParams where one is beyond the float range."""
-    if eta == 0.0 or abs(eta) == math.pi / 2:   # the distance from the axis
-        rs = list(map(abs, vs if eta == 0.0 else us))
+    coordinates): zero exactly on the eta-geodesic, and on an axis, s = 0 or
+    |eta| = pi/2, the distance from it.  BadParams past the float range."""
+    if s == 0.0 or abs(eta) == math.pi / 2:   # the distance from the axis
+        rs = list(map(abs, vs if s == 0.0 else us))
     else:
         rs = list(map(functools.partial(params.unparam_residual, c, s), us, vs))
     if not all(map(math.isfinite, rs)):   # a ratio overflows to inf without raising
@@ -158,6 +155,9 @@ def _solve_radial(relation):
     return find_root_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * (hi if hi > 1.0 else 1.0))
 
 
+_check_polar = _within_float_range(lambda params, R, eta: None)   # the check alone
+
+
 @_within_float_range
 def solve_F(params: InstantonParams, R: float, eta: float) -> float:
     """Unique F >= 1 at distance R along the eta-geodesic: F = e^s at the
@@ -196,12 +196,9 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
     the whole call where point_from_polar raises it for some element."""
     import numpy as np
     R, eta = np.broadcast_arrays(np.asarray(R, dtype=float), np.asarray(eta, dtype=float))
-    bad_R = ~((0.0 <= R) & (R < math.inf))
-    if bad_R.any():
-        raise BadParams(f"distance must be finite and >= 0, got R={R[bad_R][0]}")
     lo, hi = params.eta_range
-    params.check_eta(eta.min(initial=hi))   # min and max carry a NaN through
-    params.check_eta(eta.max(initial=lo))
+    _check_polar(params, R.min(initial=0.0), eta.min(initial=hi))   # min and max carry a NaN
+    _check_polar(params, R.max(initial=0.0), eta.max(initial=lo))
     try:
         with np.errstate(over="ignore"):   # products overflow to inf, as floats do
             u, v = params.polar_point(R, eta, _solve_radial)
@@ -309,8 +306,8 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     if rhs(sol.ys[-1]) == (0.0, 0.0):   # a unit-speed geodesic never stops
         raise BadParams(f"eta = {eta}: the shoot stalled at {sol.ys[-1]}, beyond the float range")
     us, vs = map(list, zip(*sol.ys))
-    c, s = math.cos(eta), math.sin(eta)
-    dists = list(map(functools.partial(params.eikonal_S, c, 0.0 if abs(s) < 1e-300 else s), us, vs))
+    c, s = math.cos(eta), _axis_cos_sin(eta)[1]   # as eikonal_S; s is the velocity's sine
+    dists = list(map(functools.partial(params.eikonal_S, c, s), us, vs))
     if not all(map(math.isfinite, dists)):   # a product overflows to inf without raising
         raise BadParams(f"eta = {eta}: S_eta at a sample is beyond the float range")
     return Trajectory(ts=ts, us=us, vs=vs, distances=dists, nfev=sol.nfev,

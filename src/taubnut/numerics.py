@@ -323,14 +323,13 @@ def integrate_2d_improper(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
     T = T0
     while True:
         try:
-            budget = 1e-12 + 1e-9 * (abs(rough) + tail_bound_at(T))
+            tail = tail_bound_at(T)
             break
         except SlowDecay:
             if 2.0 * T > 1e7:
                 raise
             T *= 2.0
-
-    tail = tail_bound_at(T)
+    budget = 1e-12 + 1e-9 * (abs(rough) + tail)
     while tail > 0.25 * budget:
         T *= 2.0
         if T > 1e7:

@@ -62,7 +62,16 @@ GEODESIC = ([["geodesic", "--family", family, f"--eta={eta}", "--R", "5", "--sam
                ["geodesic", "--family", "exceptional", "--eta", "0.7", "--R", "1e308"],
                ["geodesic", "--family", "halfplane", "--eta", "0.7", "--R", "1e308"],
                ["geodesic", "--eta", "0.7", "--R", "1.7e308"]])
-ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME + GEODESIC
+#: the u-axis at a launch angle whose sine is below 1e-300, and the float
+#: pi/2 at k = 0.9, which the shoot takes as the v-axis and the polar chart
+#: at math.cos's 6e-17
+AXES = ([["geodesic", "--family", family, f"--eta={eta}", "--R", R, "--samples", "50"]
+         for family in ("generalized", "exceptional", "halfplane", "flat")
+         for eta, R in (("1e-320", "7"), ("5e-324", "5"))]
+        + [["geodesic", "--family", "halfplane", "--eta=-1e-320", "--R", "7", "--samples", "50"],
+           ["geodesic", "--k", "0.9", f"--eta={math.pi / 2!r}", "--R", "1e10"],
+           ["eval", "--k", "0.9", "--chart", "polar", f"--point=1e10,{math.pi / 2!r}"]])
+ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME + GEODESIC + AXES
 
 
 def run(src: Path, argv: list[str]) -> tuple[int, str]:

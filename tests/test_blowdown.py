@@ -25,7 +25,7 @@ from taubnut.blowdown import (CONIFOLD_FIBER_LIMIT_FACTOR, FINITE_FIBER_TOPOLOGY
                               second_blowdown_limit_residual,
                               second_blowdown_metric,
                               second_blowdown_moment_residual)
-from taubnut.family import BadParams
+from taubnut.family import BadParams, InstantonParams
 
 SQRT2 = math.sqrt(2.0)
 
@@ -45,6 +45,25 @@ def test_conifold_metric_forms():
         conifold_curvatures(k, 0.0, 0.0)
     with pytest.raises(BadParams, match=r"\|k\| < 1"):
         conifold_metric(1.5, 1.0, 1.0)
+
+
+#: every function of k, with the arguments after k
+FUNCTIONS_OF_K = [(fn, (1.0, 1.0)) for fn in (
+    conifold_metric, conifold_curvatures, conifold_ricci_fd, conifold_polytope_curvature_fd,
+    blowdown_distance, blowdown_distance_gradient_deficit, second_blowdown_metric,
+    second_blowdown_moment_residual, second_blowdown_conformal_xy)] + [
+    (conifold_limit_residual, (1.0, 1.0, 1e3)), (second_blowdown_limit_residual, (1.0, 1.0, 1e3))]
+
+
+@pytest.mark.parametrize("k", [-1.0, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize("fn,args", FUNCTIONS_OF_K, ids=[fn.__name__ for fn, _ in FUNCTIONS_OF_K])
+def test_every_limit_of_k_has_the_family_bound(fn, args, k):
+    # one bound, |k| < 1, with GeneralizedTN's message
+    with pytest.raises(BadParams) as family:
+        InstantonParams(k=k)
+    with pytest.raises(BadParams) as limit:
+        fn(k, *args)
+    assert str(limit.value) == str(family.value)
 
 
 @pytest.mark.parametrize("residual", [conifold_limit_residual, second_blowdown_limit_residual])

@@ -466,7 +466,7 @@ def test_eval_volume_and_blowdown_run_without_numpy():
                 + [["geodesic", "--eta", "0.7", "--R", "5", "--samples", n]
                    for n in ("1", "2", "200")])
     argvs = [argv for argv in same_bytes.EVAL + same_bytes.README + same_bytes.VOLUME
-             + same_bytes.BLOWDOWN + same_bytes.GEODESIC + geodesic
+             + same_bytes.BLOWDOWN + same_bytes.GEODESIC + same_bytes.AXES + geodesic
              if argv[0] in ("eval", "volume", "blowdown", "geodesic")]
     child = subprocess.Popen([sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(argvs)],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -537,6 +537,25 @@ def test_geodesic_at_the_float_range(args):
     # child process
     _assert_certified(_geodesic_rows("--eta", "0.7", *args), args[1],
                       args[args.index("--R") + 1])
+
+
+@pytest.mark.parametrize("family,eta", [
+    *((family, eta) for family in ("generalized", "exceptional", "halfplane", "flat")
+      for eta in ("1e-320", "5e-324")),
+    ("halfplane", "-1e-320"), ("generalized", "1e-305")])
+def test_geodesic_follows_the_u_axis_below_sine_1e_300(family, eta):
+    # S_eta takes sin(eta) = 0 there, but the velocity kept the subnormal
+    # sine, so the samples left the axis by subnormal v and the certificate
+    # divided by sin(eta): unparam_residual up to 3.4e-3 (generalized) at
+    # R = 7.  The shoot is now the eta = 0 one, bit for bit.  At 50 samples
+    # interior ones miss the 1e-12 R distance bound off the axis too
+    # (1.2e-11 at eta = 0.7), so the certificate is checked at 3, as the
+    # extreme-input sweep runs it
+    rows = _geodesic_rows("--family", family, f"--eta={eta}", "--R", "7", "--samples", "50")
+    assert (rows[:, 2] == 0.0).all() and (rows[:, 5] == 0.0).all()
+    assert (rows == _geodesic_rows("--family", family, "--eta=0", "--R", "7", "--samples", "50")).all()
+    _assert_certified(_geodesic_rows("--family", family, f"--eta={eta}", "--R", "7", "--samples", "3"),
+                      family, "7")
 
 
 @pytest.mark.parametrize("family,eta", [("exceptional", math.pi / 2),
@@ -731,6 +750,16 @@ def test_blowdown_residuals_monotone(construction):
     assert cp.returncode == 0, cp.stderr
     doc = json.loads(cp.stdout)
     assert doc["residuals_monotone"] is True
+
+
+@pytest.mark.parametrize("k", ["-1", "1", "1.5", "nan"])
+@pytest.mark.parametrize("construction", ["conifold", "second", "exceptional", "pointed"])
+def test_blowdown_rejects_k_as_the_family_does(construction, k):
+    # the bound |k| < 1 is GeneralizedTN's, and so is the error line
+    family = run_cli("eval", f"--k={k}", "--point", "1,1")
+    cp = run_cli("blowdown", "--construction", construction, f"--k={k}")
+    assert cp.returncode == family.returncode == 2
+    assert cp.stdout == "" and cp.stderr == family.stderr and cp.stderr.startswith("error: ")
 
 
 def test_blowdown_csv():
