@@ -58,11 +58,13 @@ def almost_ball_volume(params: InstantonParams, R: float) -> float:
     return params.almost_ball_volume(R)
 
 
+@finite_or_bad_params
 def almost_ball_volume_quadrature(params: InstantonParams, R: float) -> QuadratureResult:
     """Independent route: adaptive quadrature of the volume density over the
     almost-ball region, the quadrant part under the boundary graph
     v = almost_ball_v_max(R, u), 0 <= u <= almost_ball_u_max(R).  Used to
-    validate the closed forms."""
+    validate the closed forms.  BadParams for R <= 0, or a number that is
+    not finite."""
     if R <= 0.0:
         raise BadParams(f"almost-ball radius must be positive, got {R}")
     return integrate_2d_region(
@@ -87,11 +89,8 @@ def measured_epsilon_bar(params: InstantonParams, R: float) -> float:
     """
     if R <= 0.0:
         raise BadParams(f"radius must be positive, got {R}")
-    worst = 0.0
-    for eta in EPSILON_GRID:
-        rt = params.almost_distance(*point_from_polar(params, R, eta))
-        worst = max(worst, abs(rt / R - 1.0))
-    return worst
+    return max(0.0, *(abs(params.almost_distance(*point_from_polar(params, R, eta)) / R - 1.0)
+                      for eta in EPSILON_GRID))
 
 
 def ball_volume_bracket(params: InstantonParams, R: float) -> tuple[float, float]:

@@ -46,7 +46,7 @@ from .family import (HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonPa
 from .numerics import check_stencil, fd_conformal_curvature, fd_curvature, fd_gradient
 
 
-class SingularAxis(Exception):
+class SingularAxis(BadParams):
     """Evaluation on the curvature-singular axis of a blowdown limit."""
 
 

@@ -359,22 +359,16 @@ def _monotone(table):
 
 @check("blowdown.conifold-residuals")
 def conifold_residuals():
-    leaf = []
-    fib = []
-    for M in (1e2, 1e3, 1e4, 1e5):
-        l, f = blowdown.conifold_limit_residual(0.5, 1.0, 1.3, M)
-        leaf.append(l)
-        fib.append(f)
+    leaf, fib = zip(*(blowdown.conifold_limit_residual(0.5, 1.0, 1.3, M)
+                      for M in (1e2, 1e3, 1e4, 1e5)))
     expect(_monotone(leaf) and _monotone(fib), "residuals not monotone")
     return f"leaf {leaf[0]:.1e} -> {leaf[-1]:.1e}, fiber {fib[0]:.1e} -> {fib[-1]:.1e}"
 
 
 @check("blowdown.second-residuals")
 def second_residuals():
-    fib = []
-    for M in (1e2, 1e3, 1e4, 1e5):
-        _, f = blowdown.second_blowdown_limit_residual(0.5, 1.0, 1.3, M)
-        fib.append(f)
+    fib = [blowdown.second_blowdown_limit_residual(0.5, 1.0, 1.3, M)[1]
+           for M in (1e2, 1e3, 1e4, 1e5)]
     expect(_monotone(fib), "residuals not monotone")
     conformal, fiber, _ = blowdown.second_blowdown_metric(0.5, 1.1, 0.7)
     det_res = abs(fiber[0][0] * fiber[1][1] - fiber[0][1] * fiber[1][0] - 1.1 ** 2 * 0.7 ** 2)
@@ -389,10 +383,7 @@ def second_residuals():
 
 @check("blowdown.exceptional-residuals")
 def exceptional_residuals():
-    fib = []
-    for M in (1e1, 1e2, 1e3):
-        _, f = blowdown.exceptional_blowdown_limit_residual(0.8, 1.1, M)
-        fib.append(f)
+    fib = [blowdown.exceptional_blowdown_limit_residual(0.8, 1.1, M)[1] for M in (1e1, 1e2, 1e3)]
     expect(_monotone(fib), "residuals not monotone")
     kfd = blowdown.exceptional_blowdown_curvature_fd(1.3)
     kcl = blowdown.exceptional_blowdown_curvature(1.3)

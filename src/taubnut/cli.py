@@ -26,7 +26,6 @@ import math
 import sys
 
 from . import __version__
-from . import asymptotics, blowdown, checks, curvature, geodesics, metrics
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily, check_chirality
 from .numerics import InsufficientSamples, SlowDecay, StepUnderflow, find_roots_monotone
 
@@ -109,6 +108,7 @@ def _parse_point(text: str) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
+    from . import geodesics, metrics
     params = _params(args)
     c1, c2 = _parse_point(args.point)
     chart = Chart(args.chart)
@@ -161,6 +161,7 @@ def _cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_geodesic(args) -> int:
+    from . import geodesics
     params = _params(args)
     if not 0.0 < args.R < math.inf:
         raise UsageError(f"--R must be finite and positive, got {args.R}")
@@ -185,6 +186,7 @@ def _trace_level(params, eta, level, cp, sp, r0):
     unit-speed eta-geodesic: velocity((u, v)), the right-hand side from
     shoot_rhs, which returns a pair of arrays when built for an array eta."""
     import numpy as np
+    from . import geodesics, metrics
     velocity = params.shoot_rhs(np.asarray(eta))
 
     def f(r):
@@ -199,6 +201,7 @@ def _trace_level(params, eta, level, cp, sp, r0):
 
 def _cmd_contour(args) -> int:
     import numpy as np
+    from . import geodesics
     params = _params(args)
     # rays and launch angles both sweep the chart domain
     eta_lo, eta_hi = params.eta_range
@@ -274,6 +277,7 @@ def _render_svg(rows) -> str:
 # --------------------------------------------------------------------------
 
 def _cmd_energy(args) -> int:
+    from . import curvature
     params = _params(args)
     rep = curvature.l2_ricci(params)
     doc = {
@@ -290,16 +294,13 @@ def _cmd_energy(args) -> int:
     except WrongFamily:
         pass
     if args.format == "csv":
-        rows = [["l2_ricci_closed", doc["l2_ricci_closed"]],
-                ["l2_ricci_quadrature",
-                 "" if doc["l2_ricci_quadrature"] is None else doc["l2_ricci_quadrature"]],
-                ["rel_error", doc["rel_error"]]]
-        if doc["growth_exponent"] is not None:
-            rows.append(["growth_exponent", doc["growth_exponent"]])
-        for R, val in doc["growth_samples"]:
-            rows.append([f"partial_energy_R={_fmt(R)}", val])
-        if "l2_riemann" in doc:
-            rows.append(["l2_riemann", doc["l2_riemann"]])
+        rows = [["l2_ricci_closed", rep.closed_form],
+                ["l2_ricci_quadrature", "" if rep.quadrature is None else rep.quadrature.value],
+                ["rel_error", rep.rel_error],
+                *([["growth_exponent", rep.growth_exponent]]
+                  if rep.growth_exponent is not None else []),
+                *([f"partial_energy_R={_fmt(R)}", val] for R, val in rep.growth_samples),
+                *([["l2_riemann", doc["l2_riemann"]]] if "l2_riemann" in doc else [])]
         _write_out(_csv(["quantity", "value"], rows), args.out)
     else:
         _write_out(_dump_json(doc), args.out)
@@ -307,6 +308,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_volume(args) -> int:
+    from . import asymptotics
     params = _params(args)
     try:
         radii = [float(x) for x in args.R.split(",")]
@@ -314,17 +316,14 @@ def _cmd_volume(args) -> int:
         raise UsageError(f"--R expects comma-separated radii, got {args.R!r}")
     if not radii or any(r <= 0 for r in radii):
         raise UsageError("--R radii must be positive")
-    rows = []
-    brackets = []
+    rows, brackets = [], []
     for R in radii:
         vol = asymptotics.almost_ball_volume(params, R)
         try:
-            lo, hi = asymptotics.ball_volume_bracket(params, R)
-            rows.append([R, vol, lo, hi])
-            brackets.append([lo, hi])
+            brackets.append(list(asymptotics.ball_volume_bracket(params, R)))
         except asymptotics.SmallRadius:
-            rows.append([R, vol, "", ""])
             brackets.append(None)
+        rows.append([R, vol, *(brackets[-1] or ["", ""])])
     exponent = (asymptotics.volume_growth_exponent(params, radii)
                 if len(radii) >= 4 else None)
     if args.format == "json":
@@ -346,40 +345,35 @@ def _cmd_volume(args) -> int:
 # blowdown
 # --------------------------------------------------------------------------
 
-#: per construction: the scaling parameters of the residual table, and the
-#: (leaf, fiber) residuals at (k, u, v, parameter)
-_LIMITS = {
-    "conifold": ([1e2, 1e3, 1e4, 1e5, 1e6], blowdown.conifold_limit_residual),
-    "second": ([1e2, 1e3, 1e4, 1e5, 1e6], blowdown.second_blowdown_limit_residual),
-    "exceptional": ([1e1, 1e2, 1e3, 1e4],
-                    lambda k, u, v, M: blowdown.exceptional_blowdown_limit_residual(u, v, M)),
-    "pointed": ([1e1, 1e2, 1e3, 1e4],
-                lambda k, u, v, A: (0.0, blowdown.pointed_limit_halfplane(A, u, v).residual)),
-}
-
-
 def _cmd_blowdown(args) -> int:
+    from . import blowdown
     u, v = _parse_point(args.point)
     check_chirality(args.k)   # also where the limit does not depend on k
-    scales, residual = _LIMITS[args.construction]
-    rows = [[p, *residual(args.k, u, v, p)] for p in scales]
+    # each construction's residual table: (parameter, leaf residual, fiber
+    # residual) over the decades of its scaling parameter
+    scales = ([1e2, 1e3, 1e4, 1e5, 1e6] if args.construction in ("conifold", "second")
+              else [1e1, 1e2, 1e3, 1e4])
     summary = {"version": __version__, "construction": args.construction,
                "k": args.k, "point": [u, v]}
     if args.construction == "conifold":
+        rows = [[M, *blowdown.conifold_limit_residual(args.k, u, v, M)] for M in scales]
         conformal, fiber_scalar = blowdown.conifold_metric(args.k, u, v)
         c = blowdown.conifold_curvatures(args.k, u, v)
         summary.update(conformal=conformal, fiber_scalar=fiber_scalar,
                        k_sigma=c.k_sigma, scalar3=c.scalar3)
     elif args.construction == "second":
+        rows = [[M, *blowdown.second_blowdown_limit_residual(args.k, u, v, M)] for M in scales]
         conformal, fiber, moments = blowdown.second_blowdown_metric(args.k, u, v)
         (e11, e12), (_, e22) = fiber
         summary.update(conformal=conformal, fiber=[list(r) for r in fiber],
                        fiber_det=e11 * e22 - e12 * e12, moments=list(moments))
     elif args.construction == "exceptional":
+        rows = [[M, *blowdown.exceptional_blowdown_limit_residual(u, v, M)] for M in scales]
         conformal, fiber = blowdown.exceptional_blowdown_metric(u, v)
         summary.update(conformal=conformal, fiber=[list(r) for r in fiber],
                        k_sigma=blowdown.exceptional_blowdown_curvature(u))
     else:   # pointed, summarized by its sample at the last A of the table
+        rows = [[A, 0.0, blowdown.pointed_limit_halfplane(A, u, v).residual] for A in scales]
         s = blowdown.pointed_limit_halfplane(scales[-1], u, v)
         summary.update(conformal=s.conformal,
                        limit_fiber=[list(r) for r in s.limit_fiber],
@@ -402,8 +396,8 @@ def _cmd_blowdown(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    lines = []
-    failures = 0
+    from . import checks
+    lines, failures = [], 0
     for ident, fn in checks.CHECKS:
         if args.suite not in ("all", ident.split(".")[0]):
             continue
@@ -484,16 +478,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blowdown", parents=[out],
                        help="limit residual tables")
     p.add_argument("--k", type=float, default=0.0, help="twisting parameter, |k| < 1")
-    p.add_argument("--construction", choices=list(_LIMITS), default="conifold")
+    p.add_argument("--construction", default="conifold",
+                   choices=["conifold", "second", "exceptional", "pointed"])
     p.add_argument("--point", default="1,1", help="blowdown chart point 'u,v'")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=_cmd_blowdown)
 
     p = sub.add_parser("verify", parents=[out],
                        help="run the invariant suites")
-    p.add_argument("--suite", default="all",
-                   choices=["all", *dict.fromkeys(
-                       ident.split(".")[0] for ident, _ in checks.CHECKS)])
+    # the suites of checks.CHECKS in file order, so that only verify imports checks
+    p.add_argument("--suite", default="all", choices=[
+        "all", "family", "metrics", "geodesics", "curvature", "asymptotics", "blowdown"])
     p.set_defaults(fn=_cmd_verify)
 
     return ap
@@ -505,6 +500,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, BadParams, WrongFamily, SlowDecay, InsufficientSamples,
-            StepUnderflow, blowdown.SingularAxis) as exc:
+            StepUnderflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

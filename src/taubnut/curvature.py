@@ -52,7 +52,6 @@ import math
 from typing import NamedTuple
 
 from .family import BadParams, InstantonParams
-from .geodesics import point_from_polar
 from .metrics import TORUS_VOLUME, conformal_factor, metric4
 from .numerics import (QuadratureResult, check_stencil,
                        fd_conformal_curvature, fd_curvature, fd_jacobian2,
@@ -145,15 +144,19 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     divided by the family's frozen ``ricci_calibration`` factor, so it is
     directly comparable to the family's ricci_norm(u, v); errors are O(step^2).
     The stencil keeps 2*step clear of the chart domain's edges, where the
-    fiber degenerates.
+    fiber degenerates; IllConditioned where g is singular or not finite on
+    the stencil, or cond(g) > 1e12.
     """
     import numpy as np
     check_stencil(u, v, 2 * step, params.bounds)
 
-    g, ginv, riem, ric = fd_curvature(lambda a, b: metric4(params, a, b),
-                                      u, v, step=step)
-    cond = np.linalg.cond(g)
-    if cond > 1e12:
+    try:
+        g, ginv, riem, ric = fd_curvature(lambda a, b: metric4(params, a, b),
+                                          u, v, step=step)
+        cond = np.linalg.cond(g)
+    except np.linalg.LinAlgError:   # a singular or non-finite metric on the stencil
+        cond = math.inf
+    if not cond <= 1e12:
         raise IllConditioned(f"cond(g) = {cond:.2e} at ({u}, {v})")
     scalar = float(np.einsum('ki,ki->', ginv, ric))
     ric_sq = float(np.einsum('ij,kl,ik,jl->', ric, ric, ginv, ginv))
@@ -181,6 +184,7 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
     point_from_polar; Rm_fd nudges points off the chart domain's edges by a
     distance-proportional offset since the FD oracle cannot sit on an axis.
     """
+    from .geodesics import point_from_polar
     if len(R_samples) < 4:
         raise BadParams("need at least 4 radii for a decay fit")
     (u_lo, _), (v_lo, _) = params.bounds

@@ -24,7 +24,8 @@ import functools
 import math
 from typing import NamedTuple
 
-from .family import BadParams, Chart, InstantonParams, _axis_cos_sin, _is_array, uv_from_almost_polar
+from .family import (BadParams, Chart, InstantonParams, _axis_cos_sin, _is_array,
+                     finite_or_bad_params, uv_from_almost_polar)
 from .metrics import conformal_factor
 from .numerics import (NoBracket, check_stencil, fd_gradient, find_root_monotone,
                        find_roots_monotone, ode_solve)
@@ -260,9 +261,10 @@ def polar_metric_coefficient(params: InstantonParams, R: float, eta: float) -> f
     return A2
 
 
+@finite_or_bad_params
 def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -> float:
     """FD oracle for A^2: lambda * |d(u,v)/d(eta)|^2 at fixed R, central
-    differences of step 1e-5, O(step^2)."""
+    differences of step 1e-5, O(step^2); BadParams where it is not finite."""
     params.check_eta(eta)
     step = 1e-5
     p1 = point_from_polar(params, R, eta + step)

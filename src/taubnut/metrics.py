@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .family import InstantonParams
+from .family import InstantonParams, finite_or_bad_params
 
 TORUS_VOLUME = 4.0 * math.pi ** 2  # integral of dtheta1 ^ dtheta2
 
@@ -57,6 +57,7 @@ def metric4(params: InstantonParams, u, v) -> np.ndarray:
                      [0.0, 0.0, e11, e12], [0.0, 0.0, e12, e22]])
 
 
+@finite_or_bad_params
 def collapsing_direction_norms(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
     """Squared fiber norms of the collapsing torus direction and of a
     complementary one.
@@ -64,7 +65,8 @@ def collapsing_direction_norms(params: InstantonParams, u: float, v: float) -> t
     For the generalized family the direction w = ((1 - k), -(1 + k)) in the
     torus lattice stays at bounded length along every ray to infinity (the
     geometry collapses to three dimensions), while the complement
-    ((1 + k), (1 - k)) grows.  Returns (|w|^2, |w_perp|^2).
+    ((1 + k), (1 - k)) grows.  Returns (|w|^2, |w_perp|^2); BadParams where
+    one is not finite.
     """
     e11, e12, e22 = params.fiber(u, v)
     return tuple(a * (a * e11 + b * e12) + b * (a * e12 + b * e22)

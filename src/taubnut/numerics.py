@@ -28,8 +28,6 @@ import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from . import dop853
-
 
 class NoBracket(Exception):
     """The supplied interval does not bracket a sign change."""
@@ -207,10 +205,17 @@ _EPS = sys.float_info.epsilon
 
 
 @functools.cache
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], cached per order."""
+def _gauss_legendre():
+    """Nodes and weights of the GAUSS_ORDER-point Gauss-Legendre rule on
+    [-1, 1], numpy's leggauss(10) without loading numpy.polynomial: it
+    mirrors the negative nodes, written ascending, and their weights."""
     import numpy as np
-    return np.polynomial.legendre.leggauss(n)
+    nodes = (-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+             -0.4333953941292472, -0.14887433898163122)
+    weights = (0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+               0.2692667193099965, 0.2955242247147528)
+    return (np.array([*nodes, *(-x for x in reversed(nodes))]),
+            np.array(weights + weights[::-1]))
 
 
 def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
@@ -230,7 +235,7 @@ def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
     unresolved one adds its whole |value| to the error.
     """
     import numpy as np
-    x, w = _gauss_legendre(GAUSS_ORDER)
+    x, w = _gauss_legendre()
 
     def tensor_rule(boxes):   # the n x n tensor Gauss rule of f over each row
         hu = 0.5 * (boxes[:, 1] - boxes[:, 0])
@@ -418,6 +423,7 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
     ulps of t before t_eval[-1], which in this package invariably means the
     trajectory ran into a coordinate degeneracy, not a stiff problem.
     """
+    from . import dop853
     pending = [float(t) for t in t_eval]
     t, t_end = pending[0], pending[-1]
     y = tuple(map(float, y0))
@@ -470,6 +476,7 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
 def _initial_step(rhs, y, f, span) -> float:
     """First step size from the size of y, y' and an estimate of y''
     (Hairer, Norsett & Wanner, Sec. II.4), one evaluation of rhs."""
+    from . import dop853
     scale = [ODE_TOL + abs(c) * ODE_TOL for c in y]
 
     def rms(x):   # of the pair x / scale

@@ -6,8 +6,9 @@ extracts ``src`` of the revision REV with ``git archive`` into a temporary
 directory, then runs each argv of ``ARGVS`` on that copy and on the
 working tree, each in a fresh ``python -m taubnut``.  It prints every argv
 whose stdout or exit code differs, then their count, and exits 1 if there
-is one.  Stderr is not compared.  Pytest does not collect this file (its
-name has no test_ prefix); a run takes about a minute.
+is one.  Stderr is compared only for the runs of ``PARSER``, the help texts
+and the usage errors, whose message is their output.  Pytest does not
+collect this file (its name has no test_ prefix); a run takes about a minute.
 """
 
 from __future__ import annotations
@@ -71,17 +72,28 @@ AXES = ([["geodesic", "--family", family, f"--eta={eta}", "--R", R, "--samples",
         + [["geodesic", "--family", "halfplane", "--eta=-1e-320", "--R", "7", "--samples", "50"],
            ["geodesic", "--k", "0.9", f"--eta={math.pi / 2!r}", "--R", "1e10"],
            ["eval", "--k", "0.9", "--chart", "polar", f"--point=1e10,{math.pi / 2!r}"]])
-ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME + GEODESIC + AXES
+#: the help of the parser and of each subcommand, and exit-2 paths: a suite
+#: argparse rejects, an error raised by blowdown on a singular axis and by
+#: the chirality check, and a family without an almost-ball volume
+PARSER = ([["--help"]]
+          + [[command, "--help"] for command in
+             ("eval", "geodesic", "contour", "energy", "volume", "blowdown", "verify")]
+          + [["verify", "--suite", "nope"],
+             ["blowdown", "--construction", "conifold", "--point", "0,0"],
+             ["blowdown", "--k", "1.5"],
+             ["volume", "--family", "flat", "--R", "1,2,3,4"]])
+ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME + GEODESIC + AXES + PARSER
 
 
-def run(src: Path, argv: list[str]) -> tuple[int, str]:
-    """(exit code, stdout) of ``python -m taubnut argv`` with src first on
-    the path, started outside any checkout."""
+def run(src: Path, argv: list[str]) -> tuple[int, str, str | None]:
+    """(exit code, stdout, stderr or None) of ``python -m taubnut argv`` with
+    src first on the path, started outside any checkout; stderr only for
+    the runs of PARSER."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     cp = subprocess.run([sys.executable, "-m", "taubnut", *argv], capture_output=True,
                         text=True, env=env, cwd=tempfile.gettempdir())
-    return cp.returncode, cp.stdout
+    return cp.returncode, cp.stdout, cp.stderr if argv in PARSER else None
 
 
 def main(rev: str) -> int:

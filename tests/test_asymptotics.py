@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,15 @@ def test_almost_ball_volume_beyond_the_float_range_is_bad_params(params, R):
     # R ** 3 and R ** 4 leaked an OverflowError; NaN returned NaN
     with pytest.raises(BadParams):
         almost_ball_volume(params, R)
+
+
+@pytest.mark.parametrize("params, R", [(GEN05, 1e150), (EXC, 1e300)])
+def test_almost_ball_quadrature_beyond_the_float_range_is_bad_params(params, R):
+    # the density overflowed: value inf, error nan and two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams):
+            almost_ball_volume_quadrature(params, R)
 
 
 def test_almost_ball_quadrature_rejects_nonpositive_radius():

@@ -1,5 +1,6 @@
 """Every check of ``taubnut verify``, run by pytest under its own id."""
 
+import argparse
 import ast
 import functools
 import importlib
@@ -32,6 +33,15 @@ def test_check_ids_are_unique():
 @pytest.mark.parametrize("fn", [pytest.param(fn, id=ident) for ident, fn in CHECKS])
 def test_check(fn):
     assert isinstance(fn(), str)
+
+
+def test_suite_choices_are_the_check_suites_in_file_order():
+    # the parser writes the suites out, so that it need not import checks
+    from taubnut import cli
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == ["all", *dict.fromkeys(ident.split(".")[0] for ident, _ in CHECKS)]
 
 
 def test_bracket_check_fails_a_bracket_that_takes_a_small_radius(monkeypatch):

@@ -420,6 +420,46 @@ def test_cli_loads_no_dataclasses_inspect_or_numpy_random():
     assert cp.stdout == "[]\nFalse\n"
 
 
+MODULES_SCRIPT = """
+import contextlib, io, sys
+from taubnut import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        assert cli.main(sys.argv[1:]) == 0
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("taubnut."))))
+print("numpy.polynomial" in sys.modules)
+"""
+
+#: the package's modules that each command runs, beyond cli, family and numerics
+COMMAND_MODULES = {
+    "--version": set(),
+    "eval": {"geodesics", "metrics"},
+    "geodesic": {"geodesics", "metrics", "dop853"},
+    "contour": {"geodesics", "metrics"},
+    "volume": {"geodesics", "metrics", "asymptotics"},
+    "energy": {"metrics", "curvature"},
+    "blowdown": {"blowdown"},
+    "verify": {"asymptotics", "blowdown", "checks", "curvature", "dop853", "geodesics",
+               "metrics"},
+}
+
+
+def test_each_command_loads_only_its_modules():
+    # each subcommand imports the modules its _cmd_ function runs, and no
+    # command loads numpy.polynomial (the Gauss rule is written out)
+    argvs = [["--version"], *same_bytes.README]
+    children = [subprocess.Popen([sys.executable, "-c", MODULES_SCRIPT, *argv],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                 env=_child_env()) for argv in argvs]
+    for argv, child in zip(argvs, children):
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        modules = {f"taubnut.{m}" for m in COMMAND_MODULES[argv[0]] | {"cli", "family", "numerics"}}
+        assert out == " ".join(sorted(modules)) + "\nFalse\n", argv
+
+
 LOADS_NUMPY_SCRIPT = """
 import contextlib, io, json, sys
 from taubnut import cli

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +208,17 @@ def test_ill_conditioned_metric_raises():
     # 1e-7 off the axis the fiber's u^2 entry makes cond(g) 2e14
     with pytest.raises(IllConditioned):
         curvature4_fd(GEN, 1e-7, 1.0, step=1e-8)
+
+
+@pytest.mark.parametrize("u", [1e10, 1e200])
+def test_singular_or_overflowing_metric_is_ill_conditioned(u):
+    # the inverse of the metric on the stencil raised numpy's LinAlgError
+    # ("Singular matrix" at 1e10, "SVD did not converge" at 1e200) before
+    # the cond(g) guard ran
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditioned):
+            curvature4_fd(GEN05, u, 1.0)
 
 
 def test_k0_is_ricci_flat():

@@ -833,6 +833,14 @@ def test_polar_coefficient_vs_fd():
             assert A2 == pytest.approx(fd, rel=1e-6, abs=0)
 
 
+def test_polar_coefficient_fd_beyond_the_float_range_is_bad_params():
+    # the FD oracle returned inf where the closed form raises BadParams
+    with pytest.raises(BadParams):
+        polar_metric_coefficient(GEN05, 1e200, 0.7)
+    with pytest.raises(BadParams):
+        polar_metric_coefficient_fd(GEN05, 1e200, 0.7)
+
+
 def test_polar_coefficient_regularity():
     # A ~ R at the origin
     for R in (1e-3, 1e-4):

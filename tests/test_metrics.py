@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.family import Family, InstantonParams, WrongFamily
+from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.metrics import (TORUS_VOLUME, axial_coordinate,
                              collapsing_direction_norms, conformal_factor,
                              fiber_matrix, metric4, volume_density)
@@ -120,6 +120,12 @@ def test_collapsing_dichotomy():
                              for t in (5.0, 10.0, 20.0, 40.0)))
     assert max(bounded) / min(bounded) < 1.3
     assert growing[-1] / growing[-2] == pytest.approx(16.0, rel=0.05, abs=0)
+
+
+def test_collapsing_norms_beyond_the_float_range_are_bad_params():
+    # the fiber products overflowed and returned (nan, inf)
+    with pytest.raises(BadParams):
+        collapsing_direction_norms(GEN05, 1e100, 1e100)
 
 
 def test_collapsing_needs_generalized():

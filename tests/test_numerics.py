@@ -16,7 +16,7 @@ from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples
                               MaxIterExceeded, find_root_monotone,
                               find_roots_monotone, fit_power_law,
                               integrate_2d_improper, integrate_2d_region,
-                              ode_solve)
+                              ode_solve, _gauss_legendre)
 
 
 # ---------------------------------------------------------------- rootfinding
@@ -170,6 +170,14 @@ def test_region_owns_up_to_what_it_cannot_resolve():
     # MAX_BOXES every box closes; the error then covers the miss
     got = integrate_2d_region(lambda u, v: (u + v < 1.0) * 1.0, 2.0, lambda u: 2.0 + 0.0 * u)
     assert abs(got.value - 0.5) <= got.error < 0.01
+
+
+def test_gauss_rule_is_numpys_leggauss_bit_for_bit():
+    # the rule is written out so that the quadratures do not load
+    # numpy.polynomial; every node and weight equals leggauss's exactly
+    x, w = _gauss_legendre()
+    X, W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    assert x.tolist() == X.tolist() and w.tolist() == W.tolist()
 
 
 def test_improper_gaussian():
