@@ -134,8 +134,8 @@ def eikonal():
     worst = 0.0
     for pp in _ALL_PARAMS:
         for eta in [0.3, 0.8, 1.2]:
-            for u in np.linspace(0.3, 2.4, 6):
-                for v in np.linspace(0.3, 2.4, 6):
+            for u in np.linspace(0.3, 2.4, 6).tolist():
+                for v in np.linspace(0.3, 2.4, 6).tolist():
                     worst = max(worst, geodesics.eikonal_residual(pp, eta, u, v))
     expect(worst < 1e-6, f"eikonal residual {worst:.2e}")
     return f"max | |grad S|^2 - 1 | = {worst:.2e}"

@@ -67,20 +67,15 @@ def _dump_json(obj) -> str:
 
 def _write_out(text: str, out: str) -> None:
     if out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header)] + [",".join(
+        cell if isinstance(cell, str) else _fmt(cell) for cell in row) for row in rows]) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -248,12 +243,9 @@ def _render_svg(rows) -> str:
     """Thin rendering of the contour rows, which come curve by curve:
     one polyline per curve."""
     pad, size = 10.0, 640.0
-    us = [r[3] for r in rows]
-    vs = [r[4] for r in rows]
-    u_lo, u_hi = min(us), max(us)
-    v_lo, v_hi = min(vs), max(vs)
-    du = (u_hi - u_lo) or 1.0
-    dv = (v_hi - v_lo) or 1.0
+    us, vs = [r[3] for r in rows], [r[4] for r in rows]
+    u_lo, v_lo = min(us), min(vs)
+    du, dv = (max(us) - u_lo) or 1.0, (max(vs) - v_lo) or 1.0
 
     def sx(u):
         return pad + (u - u_lo) / du * (size - 2 * pad)

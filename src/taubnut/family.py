@@ -174,6 +174,10 @@ def _leg(p, c: float):
     """
     if c == 0.0:
         return 0.5 * p * p
+    if type(p) is float:   # the lines below on a float, without _ops, min and where
+        x = 1e308 if p / c > 1e308 else p / c
+        return 0.5 * p * math.hypot(c, p) + (0.5 * c * p if x < 2.0 ** -1022 else
+                                             0.5 * c * c * math.asinh(x))
     xp = _ops(p)
     x = xp.min(p / c, 1e308)
     return 0.5 * p * xp.hypot(c, p) + xp.where(x < 2.0 ** -1022, 0.5 * c * p,
@@ -188,16 +192,19 @@ def _logsinh(x: float) -> float:
     return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
 
 
-def _launch_residual(au, log_rhs, g, slope):
+def _launch_residual(au, log_rhs, q):
     """x -> (h, h', None) for h = log sin(eta) + g(A) - log_rhs, A = asinh(au / cos eta),
     in x = log tan(eta), where sin(eta) = t / sqrt(1 + t^2), t = e^x: h' is
-    cos^2 + sin^2 slope(A), slope(A) = tanh(A) g'(A), taken as 1 for A <= 1e-8."""
+    cos^2 + sin^2 slope(A), slope(A) = tanh(A) g'(A), taken as 1 for A <= 1e-8.
+    g(A) = log sinh(qA) for q > 0, and its q -> 0 limit less log q, log A, for q = 0."""
     def h(x):
         t = math.exp(x)
         t2 = t * t
         A = math.asinh(au * math.hypot(1.0, t))
-        return (x - 0.5 * math.log1p(t2) + g(A) - log_rhs,
-                (1.0 + t2 * (slope(A) if A > 1e-8 else 1.0)) / (1.0 + t2), None)
+        slope = ((q * math.tanh(A) / math.tanh(q * A) if q else math.tanh(A) / A)
+                 if A > 1e-8 else 1.0)
+        return (x - 0.5 * math.log1p(t2) + (_logsinh(q * A) if q else math.log(A)) - log_rhs,
+                (1.0 + t2 * slope) / (1.0 + t2), None)
     return h
 
 
@@ -229,7 +236,7 @@ def _half_plane_x(phi1):
 # arrays of u.  Written once, radial_relation and polar_point (R and eta
 # broadcast together), and conformal_factor and eikonal_S ((u, v), with
 # (c, s) = (cos eta, sin eta) floats) also take arrays: they call math on
-# floats and numpy on arrays through _ops.
+# floats and numpy on arrays through _ops; _leg takes a float p down its own branch.
 # shoot_rhs(eta) = rhs, the velocity y = (u, v) -> (u', v') of the
 # unit-speed eta-geodesic at _axis_cos_sin(eta), of the state alone; built
 # for an array eta, it takes and returns arrays.  Its squares are products,
@@ -426,10 +433,7 @@ class GeneralizedTN(InstantonParams):
 
     def launch_residual(self, u, v):
         # g(A) = log sinh(qA): min(1, q) <= h' <= max(1, q); h = x - log(v/u) at k = 0
-        q = self.b / self.a
-        return _launch_residual(self.a * u, math.log(self.b) + math.log(v),
-                                lambda A: _logsinh(q * A),
-                                lambda A: q * math.tanh(A) / math.tanh(q * A))
+        return _launch_residual(self.a * u, math.log(self.b) + math.log(v), self.b / self.a)
 
     def unparam_residual(self, c, s, u, v):
         return abs(_asinh_ratio(self.a * u, c) / self.a - _asinh_ratio(self.b * v, s) / self.b)
@@ -574,8 +578,7 @@ class ExceptionalTN(InstantonParams):
         return _leg(u, c) + v * s
 
     def launch_residual(self, u, v):
-        # the q -> 0 limit of GeneralizedTN's, less log q: g(A) = log A
-        return _launch_residual(u, math.log(v), math.log, lambda A: math.tanh(A) / A)
+        return _launch_residual(u, math.log(v), 0.0)
 
     def unparam_residual(self, c, s, u, v):
         return abs(_asinh_ratio(u, c) - v / s)

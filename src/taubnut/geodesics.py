@@ -69,7 +69,8 @@ def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) ->
     step = 1e-4
     params.check_eta(eta)
     check_stencil(u, v, step, params.bounds)
-    su, sv = fd_gradient(lambda a, b: eikonal_S(params, eta, a, b), u, v, step=step)
+    c, s = math.cos(eta), _axis_cos_sin(eta)[1]   # as eikonal_S
+    su, sv = fd_gradient(lambda a, b: params.eikonal_S(c, s, a, b), u, v, step=step)
     lam = conformal_factor(params, u, v)
     return abs((su * su + sv * sv) / lam - 1.0)
 
@@ -215,8 +216,8 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
 def polar_from_point(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
     """(R, eta) of a point: the launch-angle solve followed by S_eta.
     BadParams where R is beyond the float range."""
-    eta = solve_eta(params, u, v)
-    R = eikonal_S(params, eta, u, v)
+    eta = solve_eta(params, u, v)   # in the eta range: eikonal_S's check is not needed
+    R = params.eikonal_S(math.cos(eta), _axis_cos_sin(eta)[1], u, v)
     if not math.isfinite(R):   # a float product overflows to inf without raising
         raise BadParams(f"distance at (u, v) = ({u}, {v}) is beyond the float range")
     return R, eta
@@ -236,11 +237,7 @@ def uv_from_chart(params: InstantonParams, chart: Chart, c1: float, c2: float) -
 
 
 def distance(params: InstantonParams, u: float, v: float) -> float:
-    """Riemannian distance from the origin: S_eta at the solved launch angle.
-
-    S_eta is stationary in eta at that angle, so the angle tolerance enters
-    the distance only to second order.
-    """
+    """Riemannian distance from the origin: S_eta at the solved launch angle."""
     return polar_from_point(params, u, v)[0]
 
 
@@ -264,15 +261,22 @@ def polar_metric_coefficient(params: InstantonParams, R: float, eta: float) -> f
 @finite_or_bad_params
 def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -> float:
     """FD oracle for A^2: lambda * |d(u,v)/d(eta)|^2 at fixed R, central
-    differences of step 1e-5, O(step^2); BadParams where it is not finite."""
+    differences of step 1e-5, O(step^2).  BadParams where it is not finite,
+    or where the differences at step 2e-5, which track its error to about 3x,
+    differ by over 1e-6 relatively: far out (u, v) outgrows d(u,v)/d(eta)."""
     params.check_eta(eta)
-    step = 1e-5
-    p1 = point_from_polar(params, R, eta + step)
-    p0 = point_from_polar(params, R, eta - step)
-    du = (p1.u - p0.u) / (2 * step)
-    dv = (p1.v - p0.v) / (2 * step)
     mid = point_from_polar(params, R, eta)
-    return conformal_factor(params, mid.u, mid.v) * (du * du + dv * dv)
+
+    def coefficient(step):
+        p1 = point_from_polar(params, R, eta + step)
+        p0 = point_from_polar(params, R, eta - step)
+        du = (p1.u - p0.u) / (2 * step)
+        dv = (p1.v - p0.v) / (2 * step)
+        return conformal_factor(params, mid.u, mid.v) * (du * du + dv * dv)
+    A2 = coefficient(1e-5)
+    if abs(coefficient(2e-5) - A2) > 1e-6 * A2:
+        raise BadParams(f"R={R}, eta={eta}: the differences of (u, v) are lost to rounding")
+    return A2
 
 
 # --------------------------------------------------------------------------

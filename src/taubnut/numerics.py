@@ -253,10 +253,9 @@ def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
     value = error = 0.0
     while len(boxes):
         u0, u1, v0, v1 = boxes.T
-        um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
-        quarters = np.stack([np.stack(q, axis=1) for q in (
-            (u0, um, v0, vm), (um, u1, v0, vm), (u0, um, vm, v1), (um, u1, vm, v1))],
-            axis=1).reshape(-1, 4)
+        edges = np.stack((u0, 0.5 * (u0 + u1), u1, v0, 0.5 * (v0 + v1), v1), axis=1)
+        # the quarters (u0, um, v0, vm), (um, u1, v0, vm), (u0, um, vm, v1), (um, u1, vm, v1)
+        quarters = edges[:, [0, 1, 3, 4, 1, 2, 3, 4, 0, 1, 4, 5, 1, 2, 4, 5]].reshape(-1, 4)
         parts = tensor_rule(quarters).reshape(-1, 4)
         evaluations += quarters.shape[0] * GAUSS_ORDER ** 2
         refined = parts.sum(axis=1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import warnings
@@ -643,6 +644,33 @@ def test_distance_frozen_values():
                                                    rel=1e-12, abs=0)
 
 
+def _bits_of(fn, *args) -> str:
+    """float.hex of each float fn returns, or the name of the error it raises."""
+    try:
+        out = fn(*args)
+    except BadParams:
+        return "BadParams"
+    return " ".join(map(float.hex, out if isinstance(out, tuple) else (out,)))
+
+
+def test_scalar_solves_keep_their_bits():
+    # float.hex of distance, solve_eta and point_from_polar at seeded points of
+    # the geodesic-grid benchmark's seven families, from subnormal radii to
+    # 1e300, hashed: the literal is the digest of the formulas before their
+    # scalar paths were streamlined, so a change that moves a last bit fails
+    rng = random.Random(1602)
+    digest = hashlib.sha256()
+    for params in [InstantonParams(k=k) for k in (-0.9, 0.0, 0.5, 0.9)] + [EXC, HP, FLAT]:
+        lo, hi = params.eta_range
+        for scale in (1e-315, 1e-100, 1e-2, 1.0, 1e2, 1e100, 1e300):
+            for _ in range(12):
+                r, phi = scale * 10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(lo, hi)
+                u, v = r * math.cos(phi), r * math.sin(phi)
+                for fn, args in ((distance, (u, v)), (solve_eta, (u, v)), (point_from_polar, (r, phi))):
+                    digest.update(_bits_of(fn, params, *args).encode())
+    assert digest.hexdigest() == "fbe06d5d76be57f29bdb78548048039fec186c747a25f41250b668f8fb2a1e7b"
+
+
 @given(st.floats(min_value=0.05, max_value=20.0),
        st.floats(min_value=0.02, max_value=1.55))
 @settings(max_examples=60, deadline=None)
@@ -839,6 +867,22 @@ def test_polar_coefficient_fd_beyond_the_float_range_is_bad_params():
         polar_metric_coefficient(GEN05, 1e200, 0.7)
     with pytest.raises(BadParams):
         polar_metric_coefficient_fd(GEN05, 1e200, 0.7)
+
+
+@pytest.mark.parametrize("R", [1e40, 1e100])
+def test_polar_coefficient_fd_lost_to_rounding_is_bad_params(R):
+    # u ~ 1e50 against du/deta ~ 2e29 at R = 1e100: the FD oracle returned
+    # float noise (6.6e181 where A^2 = 4.6e158), 0.4 % off already at 1e40
+    with pytest.raises(BadParams, match="lost to rounding"):
+        polar_metric_coefficient_fd(GEN05, R, 0.7)
+
+
+@pytest.mark.parametrize("R, bits", [
+    (0.5, "0x1.1365bd8265555p-2"), (20.0, "0x1.4acd15effc6b4p+9"),
+    (1e10, "0x1.61c9edbe94de2p+55"), (1e20, "0x1.d2579970e78f1p+107")])
+def test_polar_coefficient_fd_keeps_its_step(R, bits):
+    # where the differences hold, the oracle is the step-1e-5 value it always was
+    assert polar_metric_coefficient_fd(GEN05, R, 0.7).hex() == bits
 
 
 def test_polar_coefficient_regularity():
