@@ -158,11 +158,12 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
     return ConifoldCurvature(K, ric_uu, ric_uv, ric_vv, ric_theta, scalar3)
 
 
+@finite_or_bad_params
 def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float, float]:
     """Ricci tensor of the conifold 3-metric by central finite differences
     of step 1e-4 of the Christoffel symbols: entries (uu, uv, vv, theta),
     O(step^2).  The metric derivatives are exact complex steps of
-    conifold_metric."""
+    conifold_metric.  BadParams where the metric on the stencil is not finite."""
     check_chirality(k)
     step = 1e-4
     check_stencil(u, v, 2.0 * step, QUADRANT)   # the axes are degenerate
@@ -177,8 +178,7 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
 
 def conifold_polytope_curvature_fd(k: float, u: float, v: float) -> float:
     """Conformal-oracle K of the polytope factor P (du^2 + dv^2), step 1e-4."""
-    return fd_conformal_curvature(lambda a, b: conifold_metric(k, a, b)[0],
-                                  u, v, step=1e-4)
+    return fd_conformal_curvature(lambda a, b: conifold_metric(k, a, b)[0], u, v, step=1e-4)
 
 
 # --------------------------------------------------------------------------

@@ -53,13 +53,9 @@ from typing import NamedTuple
 
 from .family import BadParams, InstantonParams
 from .metrics import TORUS_VOLUME, conformal_factor, metric4
-from .numerics import (QuadratureResult, check_stencil,
+from .numerics import (IllConditioned, QuadratureResult, check_stencil,
                        fd_conformal_curvature, fd_curvature, fd_jacobian2,
                        fit_power_law, integrate_2d_improper, integrate_2d_region)
-
-
-class IllConditioned(Exception):
-    """The 4-metric is too close to degenerate for FD curvature."""
 
 
 class EnergyReport(NamedTuple):
@@ -86,8 +82,7 @@ def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
     boundary."""
     step = 1e-3
     check_stencil(u, v, 2 * step, params.bounds)
-    return fd_conformal_curvature(lambda a, b: conformal_factor(params, a, b),
-                                  u, v, step=step)
+    return fd_conformal_curvature(lambda a, b: conformal_factor(params, a, b), u, v, step=step)
 
 
 def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> float:
@@ -144,17 +139,19 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     divided by the family's frozen ``ricci_calibration`` factor, so it is
     directly comparable to the family's ricci_norm(u, v); errors are O(step^2).
     The stencil keeps 2*step clear of the chart domain's edges, where the
-    fiber degenerates; IllConditioned where g is singular or not finite on
-    the stencil, or cond(g) > 1e12.
+    fiber degenerates; BadParams unless step is finite and positive;
+    IllConditioned where g or its derivatives are not finite on the
+    stencil, g is singular there, or cond(g) > 1e12.
     """
     import numpy as np
+    if not 0.0 < step < math.inf:
+        raise BadParams(f"FD step {step} is not finite and positive")
     check_stencil(u, v, 2 * step, params.bounds)
 
     try:
-        g, ginv, riem, ric = fd_curvature(lambda a, b: metric4(params, a, b),
-                                          u, v, step=step)
+        g, ginv, riem, ric = fd_curvature(lambda a, b: metric4(params, a, b), u, v, step=step)
         cond = np.linalg.cond(g)
-    except np.linalg.LinAlgError:   # a singular or non-finite metric on the stencil
+    except np.linalg.LinAlgError:   # a singular metric on the stencil
         cond = math.inf
     if not cond <= 1e12:
         raise IllConditioned(f"cond(g) = {cond:.2e} at ({u}, {v})")
@@ -165,11 +162,8 @@ def curvature4_fd(params: InstantonParams, u: float, v: float,
     riem_up = riem_low
     for _ in range(4):
         riem_up = (riem_up.reshape(4, -1).T @ ginv).reshape(riem_low.shape)
-    rm_sq = float(np.vdot(riem_low, riem_up))
-    cal = params.ricci_calibration
-    return Curvature4Sample(scalar=scalar,
-                            ricci_norm=math.sqrt(max(ric_sq, 0.0)) / cal,
-                            rm_norm_sq=rm_sq)
+    return Curvature4Sample(scalar=scalar, rm_norm_sq=float(np.vdot(riem_low, riem_up)),
+                            ricci_norm=math.sqrt(max(ric_sq, 0.0)) / params.ricci_calibration)
 
 
 # --------------------------------------------------------------------------
@@ -197,8 +191,7 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
             q = params.ricci_norm(u, v)
         elif quantity == "Rm_fd":
             u, v = max(u, u_lo + 1e-2 * R), max(v, v_lo + 1e-2 * R)
-            q = math.sqrt(curvature4_fd(params, u, v,
-                                        step=min(1e-3 * R, 1e-2)).rm_norm_sq)
+            q = math.sqrt(curvature4_fd(params, u, v, step=min(1e-3 * R, 1e-2)).rm_norm_sq)
         else:
             raise BadParams(f"unknown quantity {quantity!r}")
         if q < 1e-300:

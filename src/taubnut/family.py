@@ -143,7 +143,7 @@ def _array_ops():
 
 
 def _ops(x):
-    return _array_ops() if _is_array(x) else _FloatOps
+    return _FloatOps if type(x) is float or not _is_array(x) else _array_ops()
 
 
 def _axis_cos_sin(eta):
@@ -439,19 +439,18 @@ class GeneralizedTN(InstantonParams):
         return abs(_asinh_ratio(self.a * u, c) / self.a - _asinh_ratio(self.b * v, s) / self.b)
 
     def radial_relation(self, R, eta):
-        a, b = self.a, self.b
-        xp = _ops(eta)
+        a, b, xp = self.a, self.b, _ops(eta)
         c2, s2 = xp.cos(eta) ** 2, xp.sin(eta) ** 2
         rho = self.mass_root * R
         if xp.any(rho == math.inf):   # an inf - inf in f would be NaN, not an overflow
             raise OverflowError("the reduced distance sqrt(M / (2 sqrt 2)) R overflows")
-        sinh, cosh = xp.sinh, xp.cosh
+        sinh, cosh, a2, b2 = xp.sinh, xp.cosh, 2 * a, 2 * b
+        c2_2a, s2_2b, c2a, s2b = c2 / a2, s2 / b2, c2 * a, s2 * b   # grouped as in f
 
         def f(s):   # lhs(s) - rho, and its first and second s-derivatives
-            sa, sb = sinh(2 * a * s), sinh(2 * b * s)
-            return (c2 / (2 * a) * (0.5 * sa + a * s) + s2 / (2 * b) * (0.5 * sb + b * s) - rho,
-                    c2 * cosh(a * s) ** 2 + s2 * cosh(b * s) ** 2,
-                    c2 * a * sa + s2 * b * sb)
+            sa, sb = sinh(a2 * s), sinh(b2 * s)
+            return (c2_2a * (0.5 * sa + a * s) + s2_2b * (0.5 * sb + b * s) - rho,
+                    c2 * cosh(a * s) ** 2 + s2 * cosh(b * s) ** 2, c2a * sa + s2b * sb)
         # lhs(s) >= s, c2 / (4a) sinh(2as) and s2 / (4b) sinh(2bs): the root
         # lies below each bound, and no sinh up to it exceeds 4 a rho / c2
         return f, xp.min(rho, xp.asinh(4.0 * a * rho / c2) / (2.0 * a),
@@ -587,11 +586,11 @@ class ExceptionalTN(InstantonParams):
         xp = _ops(eta)
         c, s = xp.cos(eta), xp.sin(eta)
         c2, half = c * c, 0.5 * (1.0 + s * s)
-        sinh, cosh = xp.sinh, xp.cosh
+        sinh, cosh, hc2 = xp.sinh, xp.cosh, 0.5 * c2
 
         def f(sig):
             sh, ch = sinh(sig), cosh(sig)
-            return (0.5 * c2 * sh * ch + half * sig - R, c2 * ch ** 2 + half - 0.5 * c2,
+            return (hc2 * sh * ch + half * sig - R, c2 * ch ** 2 + half - hc2,
                     c2 * sinh(2.0 * sig))
         # both terms of the relation are >= 0: sigma <= R / half, and
         # c2 / 4 sinh(2 sigma) <= R

@@ -49,6 +49,10 @@ class BoundaryTooClose(Exception):
     """A finite-difference stencil would poke outside the declared domain."""
 
 
+class IllConditioned(ArithmeticError):
+    """Floats cannot give the FD curvature: the metric is not finite or nearly singular."""
+
+
 class InsufficientSamples(Exception):
     """Not enough (or degenerate) data points for the requested fit."""
 
@@ -543,8 +547,7 @@ def complex_partials(fn: Callable[[complex, complex], object], u: float, v: floa
     """(fn(u, v), d fn/du, d fn/dv) by complex steps, exact to roundoff; fn
     must follow the complex-step contract of the module docstring and may
     return a scalar or an array."""
-    fu = fn(complex(u, COMPLEX_STEP), v)
-    fv = fn(u, complex(v, COMPLEX_STEP))
+    fu, fv = fn(complex(u, COMPLEX_STEP), v), fn(u, complex(v, COMPLEX_STEP))
     return fu.real, fu.imag / COMPLEX_STEP, fv.imag / COMPLEX_STEP
 
 
@@ -553,33 +556,38 @@ def fd_curvature(metric: Callable[[complex, complex], np.ndarray], u: float, v: 
     """Riemann and Ricci tensors of an n-metric that depends on its first two
     coordinates (u, v) only; ``metric(a, b)`` returns the n x n matrix.
 
-    The metric's first derivatives are complex steps (complex_partials), so
-    metric must take complex a, b; they are exact to roundoff.  The
-    Christoffel symbols are differentiated by central differences, O(step^2).
-    Returns (g, g^-1, riem, ric) at (u, v), riem[l, k, i, j] = R^l_{kij}.
+    g and its first derivatives are complex steps (complex_partials), exact to
+    roundoff, at the stencil points (u, v), (u +- step, v) and (u, v +- step),
+    so metric must take complex a, b.  The Christoffel symbols of all five,
+    one stacked inverse and einsum, are differentiated by central differences,
+    O(step^2).  Returns (g, g^-1, riem, ric) at (u, v), riem[l, k, i, j] =
+    R^l_{kij}; IllConditioned where g or a derivative is not finite there.
     """
     import numpy as np
-
-    def christoffel(a, b):
-        g, gu, gv = complex_partials(lambda x, y: np.array(metric(x, y)), a, b)
-        ginv = np.linalg.inv(g)
-        dg = np.zeros((len(g),) * 3)    # dg[m, i, j] = d_m g_ij; zero for m >= 2
-        dg[0] = gu
-        dg[1] = gv
-        # Gamma^l_{ij} = (1/2) g^{lm} (d_i g_mj + d_j g_mi - d_m g_ij)
-        term = np.einsum('imj->mij', dg) + np.einsum('jmi->mij', dg) - dg
-        return 0.5 * np.einsum('lm,mij->lij', ginv, term), g, ginv
-
-    gam0, g, ginv = christoffel(u, v)
-    dgam = np.zeros((len(g),) * 4)      # dgam[m, l, i, j] = d_m Gamma^l_ij
-    dgam[0], dgam[1] = fd_gradient(lambda a, b: christoffel(a, b)[0], u, v, step=step)
+    points = ((u, v), (u + step, v), (u - step, v), (u, v + step), (u, v - step))
+    # the kernels run on Python complex numbers: numpy's complex arithmetic rounds differently
+    stack = np.array([metric(complex(a, COMPLEX_STEP), b) for a, b in points]
+                     + [metric(a, complex(b, COMPLEX_STEP)) for a, b in points], dtype=complex)
+    g = stack[:5].real
+    with np.errstate(over="ignore"):   # an overflow leaves an inf, refused below
+        d = stack.imag / COMPLEX_STEP   # d_u g at the five points, then d_v g
+    if not (np.isfinite(g).all() and np.isfinite(d).all()):
+        raise IllConditioned(f"metric not finite on the stencil of half-width {step} at ({u}, {v})")
+    ginv, n = np.linalg.inv(g), len(g[0])
+    dg = np.zeros((5, n, n, n))   # dg[p, m, i, j] = d_m g_ij at point p; zero for m >= 2
+    dg[:, 0], dg[:, 1] = d[:5], d[5:]
+    # Gamma^l_{ij} = (1/2) g^{lm} (d_i g_mj + d_j g_mi - d_m g_ij)
+    term = np.einsum('pimj->pmij', dg) + np.einsum('pjmi->pmij', dg) - dg
+    gam = 0.5 * np.einsum('plm,pmij->plij', ginv, term)
+    dgam = np.zeros((n,) * 4)      # dgam[m, l, i, j] = d_m Gamma^l_ij; zero for m >= 2
+    dgam[:2] = (gam[1::2] - gam[2::2]) / (2.0 * step)   # points 1, 3 less points 2, 4
 
     # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
     riem = (np.einsum('iljk->lkij', dgam) - np.einsum('jlik->lkij', dgam)
-            + np.einsum('lim,mjk->lkij', gam0, gam0)
-            - np.einsum('ljm,mik->lkij', gam0, gam0))
+            + np.einsum('lim,mjk->lkij', gam[0], gam[0])
+            - np.einsum('ljm,mik->lkij', gam[0], gam[0]))
     ric = np.einsum('lkli->ki', riem)
-    return g, ginv, riem, ric
+    return g[0], ginv[0], riem, ric
 
 
 # --------------------------------------------------------------------------

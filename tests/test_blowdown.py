@@ -147,6 +147,15 @@ def test_conifold_ricci_vs_fd():
         assert abs(c.ric_theta - th) < 1e-4 * max(1.0, abs(c.ric_theta))
 
 
+@pytest.mark.parametrize("u,v", [(1e100, 1.0), (1.0, 1e100), (1e200, 1e200)])
+def test_conifold_ricci_fd_beyond_the_float_range_is_bad_params(u, v):
+    # it returned (nan, nan, nan, nan) without a warning: the metric overflows on the stencil
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="not finite"):
+            conifold_ricci_fd(0.5, u, v)
+
+
 def test_conifold_scalar_is_trace():
     k, u, v = 0.5, 1.1, 0.7
     c = conifold_curvatures(k, u, v)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taubnut.blowdown import conifold_ricci_fd
 from taubnut.curvature import (IllConditioned, curvature4_fd, decay_rate_along_geodesic,
                                l2_ricci, polytope_curvature_fd,
                                ricci_pseudo_jacobian_fd)
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.metrics import metric4, volume_density
-from taubnut.numerics import fd_curvature
+from taubnut.numerics import BoundaryTooClose, fd_curvature
 
 SQRT2 = math.sqrt(2.0)
 
@@ -210,15 +212,64 @@ def test_ill_conditioned_metric_raises():
         curvature4_fd(GEN, 1e-7, 1.0, step=1e-8)
 
 
-@pytest.mark.parametrize("u", [1e10, 1e200])
-def test_singular_or_overflowing_metric_is_ill_conditioned(u):
+@pytest.mark.parametrize("params,u,v", [
+    (GEN05, 1e10, 1.0), (GEN05, 1e200, 1.0),
+    (InstantonParams(M=1e-300), 1e5, 1e5), (GEN, 1e150, 1e150)])
+def test_singular_or_overflowing_metric_is_ill_conditioned(params, u, v, capfd):
     # the inverse of the metric on the stencil raised numpy's LinAlgError
     # ("Singular matrix" at 1e10, "SVD did not converge" at 1e200) before
-    # the cond(g) guard ran
+    # the cond(g) guard ran; at M = 1e-300 and at 1e150 the derivatives of
+    # the metric overflowed with a RuntimeWarning, and LAPACK printed
+    # "On entry to DLASCL parameter number 4 had an illegal value"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditioned):
-            curvature4_fd(GEN05, u, 1.0)
+            curvature4_fd(params, u, v)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+def test_fd_step_must_be_finite_and_positive(step):
+    # step 0 returned a NaN sample with a RuntimeWarning, a negative step a
+    # value, NaN and inf BoundaryTooClose
+    with pytest.raises(BadParams, match="step"):
+        curvature4_fd(GEN, 1.0, 1.0, step=step)
+
+
+def _fd_bits(fn, *args, **kwargs) -> str:
+    """float.hex of each float fn returns, or the name of the error it raises."""
+    try:
+        out = fn(*args, **kwargs)
+    except (BoundaryTooClose, IllConditioned) as exc:
+        return type(exc).__name__
+    return " ".join(map(float.hex, out))
+
+
+def test_fd_curvature_keeps_its_bits():
+    # float.hex of curvature4_fd for every family, GeneralizedTN at three
+    # masses and four chiralities, at three steps, and of conifold_ricci_fd,
+    # at seeded (u, v) log-uniform in [10^-2.5, 10^3], hashed: the literal is
+    # the digest at commit da1edfe, before fd_curvature stacked the
+    # Christoffel symbols of its five stencil points, so a change that moves
+    # a last bit fails
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+
+    def point():
+        return 10.0 ** rng.uniform(-2.5, 3.0), 10.0 ** rng.uniform(-2.5, 3.0)
+    families = [InstantonParams(M=M, k=k) for M in (SQRT2, 1e-3, 1e3)
+                for k in (-0.9, 0.0, 0.5, 0.9)] + [EXC, HP, FLAT]
+    for params in families:
+        for step in (1e-4, 1e-3, 1e-2):
+            for _ in range(10):
+                u, v = point()
+                if params.bounds[1][0] < 0.0 and rng.random() < 0.5:
+                    v = -v   # a half-plane's lower half
+                digest.update(_fd_bits(curvature4_fd, params, u, v, step=step).encode())
+    for k in (-0.9, -0.5, 0.0, 0.5, 0.9):
+        for _ in range(30):
+            digest.update(_fd_bits(conifold_ricci_fd, k, *point()).encode())
+    assert digest.hexdigest() == "0583de683f1a4c787814b75cfffb63f0fc61bf415c796c4622e7bbff0ea1cc20"
 
 
 def test_k0_is_ricci_flat():
