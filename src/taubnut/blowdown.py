@@ -41,9 +41,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .family import (HALF_PLANE, QUADRANT, SQRT2, BadParams, Family, InstantonParams,
+from .family import (HALF_PLANE, SQRT2, BadParams, Family, InstantonParams,
                      check_chirality, finite_or_bad_params)
-from .numerics import check_stencil, fd_conformal_curvature, fd_curvature, fd_gradient
+from .numerics import Jet, check_stencil, fd_conformal_curvature, fd_gradient
 
 
 class SingularAxis(BadParams):
@@ -85,16 +85,17 @@ class ConifoldCurvature(NamedTuple):
 
 def _cone_factor(k, u, v):
     """P = (1+k) u^2 + (1-k) v^2, the leaf factor of the conifold limit, as
-    (1+k) (u u) + (1-k) (v v).  Works for floats and complex numbers."""
+    (1+k) (u u) + (1-k) (v v).  Works for floats and Jets."""
     return (1.0 + k) * (u * u) + (1.0 - k) * (v * v)
 
 
 @finite_or_bad_params
 def conifold_metric(k: float, u: float, v: float) -> tuple[float, float]:
-    """(conformal, fiber_scalar) of g3 = conformal (du^2 + dv^2) + fiber_scalar dtheta^2."""
+    """(conformal, fiber_scalar) of g3 = conformal (du^2 + dv^2) + fiber_scalar dtheta^2;
+    unwrapped, it takes Jets (u, v), whose P it does not compare with 0."""
     check_chirality(k)
     P = _cone_factor(k, u, v)
-    if P == 0.0:
+    if type(P) is not Jet and P == 0.0:
         raise SingularAxis("the conifold metric degenerates at the origin")
     return P, u * u * v * v * (u * u + v * v) / P
 
@@ -160,19 +161,16 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
 
 @finite_or_bad_params
 def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float, float]:
-    """Ricci tensor of the conifold 3-metric by central finite differences
-    of step 1e-4 of the Christoffel symbols: entries (uu, uv, vv, theta),
-    O(step^2).  The metric derivatives are exact complex steps of
-    conifold_metric.  BadParams where the metric on the stencil is not finite."""
-    check_chirality(k)
-    step = 1e-4
-    check_stencil(u, v, 2.0 * step, QUADRANT)   # the axes are degenerate
+    """Ricci tensor of the conifold 3-metric, exact to rounding: entries (uu, uv, vv,
+    theta), by jet_curvature on the jets of conifold_metric.  BadParams where it
+    raises IllConditioned (on the axes, for one); the k = 0 cone is flat."""
+    from .curvature import jet_curvature
 
-    def g3(a, b):   # the unchecked formula: this runs at every FD stencil point
+    def g3(a, b):   # the unchecked formula, on jets
         conformal, fiber_scalar = conifold_metric.__wrapped__(k, a, b)
         return ((conformal, 0.0, 0.0), (0.0, conformal, 0.0), (0.0, 0.0, fiber_scalar))
 
-    ric = fd_curvature(g3, u, v, step=step)[3]
+    ric = jet_curvature(g3, u, v, k == 0.0)[3]
     return float(ric[0, 0]), float(ric[0, 1]), float(ric[1, 1]), float(ric[2, 2])
 
 

@@ -1,7 +1,7 @@
 """Curvature: the family-blind integrals and oracles around the curvature
 closed forms -- the FD Gauss curvature oracle, the FD Jacobian of the Ricci
-potentials, the L^2 Ricci energy by quadrature, a finite-difference
-curvature oracle for the full 4-metric, and decay-rate fits along geodesics.
+potentials, the L^2 Ricci energy by quadrature, the curvature of the full
+4-metric from its jets at one point, and decay-rate fits along geodesics.
 
 The closed forms are methods and attributes of the family's class in
 :mod:`taubnut.family`, called on the parameters directly (``params.<name>``):
@@ -15,7 +15,7 @@ The closed forms are methods and attributes of the family's class in
   k -> 1 degeneration onto the exceptional family) by exactly sqrt(2).
 
 * ``ricci_potentials(u, v)`` is the invariant pair (R1, R2) whose exterior
-  product is the Ricci pseudo-volume form; it accepts complex (u, v).
+  product is the Ricci pseudo-volume form; it accepts Jets (u, v).
   ``ricci_density(u, v)`` is |det d(R1, R2)/d(u, v)| in closed form:
   8 k^2 u v / D^3 (GeneralizedTN), 2 u v / (1+u^2)^3 (ExceptionalTN),
   16 x / (1+x^2)^3 (ExceptionalHalfPlane; the Jacobian cross-check
@@ -39,7 +39,7 @@ The closed forms are methods and attributes of the family's class in
       integral |Rm|^2 = 32 pi^2 + 4 * integral |Ric|^2
                       = 16 pi^2 (2 - k^2) / (1 - k^2).
 
-* The FD oracle's Ricci tensor norm relates to ricci_norm by a frozen
+* curvature4_fd's Ricci tensor norm relates to ricci_norm by a frozen
   per-family calibration factor (``ricci_calibration`` of the family's
   class): 2 for the Taub-NUT-type families, sqrt(2) for the half-plane
   instanton.  It is frozen against symbolic Ricci norms of the three
@@ -52,10 +52,10 @@ import math
 from typing import NamedTuple
 
 from .family import BadParams, InstantonParams
-from .metrics import TORUS_VOLUME, conformal_factor, metric4
-from .numerics import (IllConditioned, QuadratureResult, check_stencil,
-                       fd_conformal_curvature, fd_curvature, fd_jacobian2,
-                       fit_power_law, integrate_2d_improper, integrate_2d_region)
+from .metrics import TORUS_VOLUME, conformal_factor
+from .numerics import (IllConditioned, Jet, QuadratureResult, check_stencil,
+                       fd_conformal_curvature, fd_jacobian2, fit_power_law, integrate_2d_improper,
+                       integrate_2d_region)
 
 
 class EnergyReport(NamedTuple):
@@ -128,42 +128,68 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
 
 
 # --------------------------------------------------------------------------
-# FD curvature of the 4-metric
+# curvature of the 4-metric
 # --------------------------------------------------------------------------
 
-def curvature4_fd(params: InstantonParams, u: float, v: float,
-                  *, step: float = 1e-3) -> Curvature4Sample:
-    """Scalar curvature, |Ric| and |Rm|^2 of the full 4-metric by finite
-    differences (metric4's first derivatives by exact complex steps, central
-    FD of the Christoffel symbols).  The reported ricci_norm is already
-    divided by the family's frozen ``ricci_calibration`` factor, so it is
-    directly comparable to the family's ricci_norm(u, v); errors are O(step^2).
-    The stencil keeps 2*step clear of the chart domain's edges, where the
-    fiber degenerates; BadParams unless step is finite and positive;
-    IllConditioned where g or its derivatives are not finite on the
-    stencil, g is singular there, or cond(g) > 1e12.
-    """
+def jet_curvature(metric, u: float, v: float, flat: bool):
+    """Riemann and Ricci tensors, exact to rounding, of an n-metric of its first two
+    coordinates: ``metric(a, b)``, the matrix as rows of Jets and numbers, called on the
+    jets of u and v.  Returns (g, g^-1, riem, ric, |Rm|^2), riem[l, k, i, j] = R^l_kij =
+    d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik and ric[k, i] = R^l_kli, for
+    G^l_ij = g^lm (d_i g_mj + d_j g_mi - d_m g_ij) / 2 and d_p G = g^-1 (d_p G_low - d_p g G).
+    IllConditioned where g or a derivative is not finite, g is singular, or the rounding
+    bound eps |T| max_i g_ii g^ii, T the sum of the absolute values of R's terms, exceeds
+    1e-6 |Rm|, as near an axis, where the chart's terms dwarf the curvature; a flat
+    metric is zero to within the bound and exempt from it."""
     import numpy as np
-    if not 0.0 < step < math.inf:
-        raise BadParams(f"FD step {step} is not finite and positive")
-    check_stencil(u, v, 2 * step, params.bounds)
-
+    rows = metric(Jet(u, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(v, 0.0, 1.0, 0.0, 0.0, 0.0))
+    n, nn = len(rows), len(rows) ** 2
+    G = np.array([(e.val, e.du, e.dv, e.duu, e.duv, e.dvv) if type(e) is Jet else (e, 0, 0, 0, 0, 0)
+                  for row in rows for e in row]).T.reshape(6, n, n)   # g, d_u g, ..., d_vv g
+    if not np.isfinite(G).all():
+        raise IllConditioned(f"metric or a derivative not finite at ({u}, {v})")
     try:
-        g, ginv, riem, ric = fd_curvature(lambda a, b: metric4(params, a, b), u, v, step=step)
-        cond = np.linalg.cond(g)
-    except np.linalg.LinAlgError:   # a singular metric on the stencil
-        cond = math.inf
-    if not cond <= 1e12:
-        raise IllConditioned(f"cond(g) = {cond:.2e} at ({u}, {v})")
-    scalar = float(np.einsum('ki,ki->', ginv, ric))
-    ric_sq = float(np.einsum('ij,kl,ik,jl->', ric, ric, ginv, ginv))
-    riem_low = np.einsum('lm,mkij->lkij', g, riem)
-    # raise one index per pass and move it last: n^5 work, where one einsum over all 8 takes n^8
-    riem_up = riem_low
-    for _ in range(4):
-        riem_up = (riem_up.reshape(4, -1).T @ ginv).reshape(riem_low.shape)
-    return Curvature4Sample(scalar=scalar, rm_norm_sq=float(np.vdot(riem_low, riem_up)),
-                            ricci_norm=math.sqrt(max(ric_sq, 0.0)) / params.ricci_calibration)
+        g, ginv = G[0], np.linalg.inv(G[0])
+    except np.linalg.LinAlgError:
+        raise IllConditioned(f"metric singular at ({u}, {v})") from None
+    dg = np.zeros((3, n, n, n))   # d_m g_ij, d_m d_u g_ij and d_m d_v g_ij; zero for m >= 2
+    dg[:, :2] = G[[1, 2, 3, 4, 4, 5]].reshape(3, 2, n, n)
+    low = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)   # G_mij, d_p G_mij
+    gam = ginv @ low[0].reshape(n, nn)
+    dgam = np.zeros((n, n, nn))   # dgam[l, i] = d_i G^l, zero for i >= 2
+    dgam[:, :2] = (ginv @ (low[1:].reshape(2, n, nn) - G[1:3] @ gam)).transpose(1, 0, 2)
+    size = abs(gam)   # terms: d_i G^l_jk + G^l_im G^m_jk at [l, i, j, k], and its sizes
+    terms = np.array([dgam.reshape(nn, nn) + gam.reshape(nn, n) @ gam, abs(dgam).reshape(nn, nn)
+                      + size.reshape(nn, n) @ size]).transpose(1, 2, 0).reshape(n, n, n, n, 2)
+    both = terms + terms.transpose(0, 2, 1, 3, 4) * np.array([-1.0, 1.0])   # R^l_kij and T
+    full = both   # l lowered, i, j and k raised, one index a pass, moved last: n^5 work
+    for mat in (g, ginv, ginv, ginv):
+        full = full.reshape(n, -1).T @ mat
+    rm_sq, t_sq = (full.reshape(2, -1) @ both.reshape(-1, 2)).diagonal()
+    bound = math.ulp(1.0) * math.sqrt(t_sq) * float((g.diagonal() * ginv.diagonal()).max())
+    if not (bound <= 1e-6 * math.sqrt(max(rm_sq, 0.0)) or flat and bound < math.inf):
+        raise IllConditioned(f"rounding bound {bound:.2e} of |Rm|^2 = {rm_sq:.2e} at ({u}, {v})")
+    riem = both[..., 0]   # R^l_kij at [l, i, j, k]; Ric_ki = R^l_kli its trace over l and i
+    return g, ginv, riem.transpose(0, 3, 1, 2), riem.trace().T, float(rm_sq)
+
+
+def curvature4_fd(params: InstantonParams, u: float, v: float) -> Curvature4Sample:
+    """Scalar curvature, |Ric| and |Rm|^2 of the full 4-metric by jet_curvature, in the
+    torus basis params.curvature_fiber(u, v) picks.  The ricci_norm is divided by the
+    family's frozen ``ricci_calibration``, so it compares with the family's ricci_norm.
+    BadParams off the chart domain; IllConditioned where g is singular (on an axis) or
+    not finite, or where rounding would leave |Rm| fewer than six digits (near one)."""
+    params.check_point(u, v)
+    fiber = params.curvature_fiber(u, v)
+
+    def metric(a, b):   # in the ordering (u, v), then fiber's torus basis
+        lam, (e11, e12, e22) = params.conformal_factor(a, b), fiber(a, b)
+        return ((lam, 0, 0, 0), (0, lam, 0, 0), (0, 0, e11, e12), (0, 0, e12, e22))
+
+    _, ginv, _, ric, rm_sq = jet_curvature(metric, u, v, params.flat)
+    mixed = ginv @ ric   # scalar = tr(g^-1 Ric), |Ric|^2 = tr((g^-1 Ric)^2)
+    return Curvature4Sample(scalar=float(mixed.trace()), rm_norm_sq=rm_sq, ricci_norm=math.sqrt(
+        max(float((mixed * mixed.T).sum()), 0.0)) / params.ricci_calibration)
 
 
 # --------------------------------------------------------------------------
@@ -174,27 +200,21 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
                               quantity: str, R_samples) -> float:
     """Fitted power-law exponent of |quantity| vs R along the eta-geodesic.
 
-    quantity: "K_sigma" | "Ric" | "Rm_fd".  Samples are taken with
-    point_from_polar; Rm_fd nudges points off the chart domain's edges by a
-    distance-proportional offset since the FD oracle cannot sit on an axis.
+    quantity: "K_sigma" | "Ric" | "Rm_fd" (|Rm| by curvature4_fd, which
+    raises IllConditioned on an axis or where rounding leaves too few digits
+    near one).  Samples are taken with point_from_polar.
     """
     from .geodesics import point_from_polar
     if len(R_samples) < 4:
         raise BadParams("need at least 4 radii for a decay fit")
-    (u_lo, _), (v_lo, _) = params.bounds
+    measure = {"K_sigma": lambda *uv: abs(params.polytope_curvature(*uv)), "Ric": params.ricci_norm,
+               "Rm_fd": lambda *uv: math.sqrt(curvature4_fd(params, *uv).rm_norm_sq)}.get(quantity)
+    if measure is None:
+        raise BadParams(f"unknown quantity {quantity!r}")
     vals = []
     for R in R_samples:
-        u, v = point_from_polar(params, float(R), eta)
-        if quantity == "K_sigma":
-            q = abs(params.polytope_curvature(u, v))
-        elif quantity == "Ric":
-            q = params.ricci_norm(u, v)
-        elif quantity == "Rm_fd":
-            u, v = max(u, u_lo + 1e-2 * R), max(v, v_lo + 1e-2 * R)
-            q = math.sqrt(curvature4_fd(params, u, v, step=min(1e-3 * R, 1e-2)).rm_norm_sq)
-        else:
-            raise BadParams(f"unknown quantity {quantity!r}")
-        if q < 1e-300:
+        q = measure(*point_from_polar(params, float(R), eta))
+        if q < 1e-300 or params.flat:   # flat space's |Rm| is rounding, zero to within its bound
             raise BadParams(f"{quantity} vanishes along this geodesic; "
                             "no power law to fit")
         vals.append(q)

@@ -27,7 +27,6 @@ coordinates need a root solve and live in :mod:`taubnut.geodesics`, as does
 
 from __future__ import annotations
 
-import cmath
 import collections
 import functools
 import math
@@ -57,13 +56,13 @@ def _is_array(x) -> bool:
 
 
 def _finite(x) -> bool:
-    """Whether every number of x -- a float, a complex number, an array, or
-    a tuple or record of them -- is finite."""
+    """Whether every number of x -- a float, an array, or a tuple or record
+    of them -- is finite."""
     if _is_array(x):
         return bool(sys.modules["numpy"].isfinite(x).all())
     if isinstance(x, tuple):
         return all(map(_finite, x))
-    return cmath.isfinite(x)
+    return math.isfinite(x)
 
 
 def finite_or_bad_params(fn):
@@ -103,8 +102,7 @@ class Chart(Enum):
 
 def generalized_D(k, u, v):
     """D = 1 + (1+k) u^2 + (1-k) v^2, the quadratic form every generalized
-    family kernel is built from.  Works for floats, complex numbers and
-    arrays."""
+    family kernel is built from.  Works for floats, Jets and arrays."""
     return 1.0 + (1.0 + k) * u * u + (1.0 - k) * v * v
 
 
@@ -231,8 +229,8 @@ def _half_plane_x(phi1):
 # --------------------------------------------------------------------------
 #
 # Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
-# moment_map and ricci_potentials also take complex (u, v), under the
-# complex-step contract of taubnut.numerics, and almost_ball_v_max takes
+# collapsing_fiber, moment_map and ricci_potentials also take Jets, under
+# the jet contract of taubnut.numerics, and almost_ball_v_max takes
 # arrays of u.  Written once, radial_relation and polar_point (R and eta
 # broadcast together), and conformal_factor and eikonal_S ((u, v), with
 # (c, s) = (cos eta, sin eta) floats) also take arrays: they call math on
@@ -265,6 +263,7 @@ class InstantonParams(collections.namedtuple(
 
     bounds = QUADRANT
     eta_range = (0.0, math.pi / 2)
+    flat = False   # whether every curvature vanishes identically
 
     def __new__(cls, *args, **kwargs):
         family, M, k = super().__new__(cls, *args, **kwargs)   # the fields, defaults filled in
@@ -305,6 +304,10 @@ class InstantonParams(collections.namedtuple(
         """The launch angle through (u, v) in closed form, or None when it
         needs the root solve."""
         return None
+
+    def curvature_fiber(self, u, v):
+        """The fiber kernel curvature4_fd differentiates at (u, v)."""
+        return self.fiber
 
     # -- serialization ----------------------------------------------------
 
@@ -414,16 +417,23 @@ class GeneralizedTN(InstantonParams):
     def fiber(self, u, v):
         k = self.k
         pre = SQRT2 / (self.M * generalized_D(k, u, v))
-        # p * p, not p ** 2, so the complex-step real part is the float
-        # value bit for bit (see taubnut.numerics)
+        # p * p, not p ** 2: a jet has no ** (see taubnut.numerics)
         p, q = 1.0 + (1.0 + k) * u * u, 1.0 + (1.0 - k) * v * v
         return (pre * v * v * (p * p + (1.0 + k) ** 2 * u * u * v * v),
                 pre * u * u * v * v * (2.0 + (1.0 - k * k) * (u * u + v * v)),
                 pre * u * u * (q * q + (1.0 - k) ** 2 * u * u * v * v))
 
-    def collapsing_directions(self):
-        """The torus direction of bounded length and its complement."""
-        return (1.0 - self.k, -(1.0 + self.k)), (1.0 + self.k, 1.0 - self.k)
+    def collapsing_fiber(self, u, v):
+        # T F T^T for T = (w, w_perp) = ((1-k, -(1+k)), (1+k, 1-k)), in forms that do not cancel
+        k, u2, v2, pre = self.k, u * u, v * v, SQRT2 / (self.M * generalized_D(self.k, u, v))
+        c, a2, b2, uv2 = 1.0 + k * k, (1.0 + k) ** 2, (1.0 - k) ** 2, u2 * v2
+        return (pre * (a2 * u2 + b2 * v2), pre * (-4.0 * k * c * uv2 - (1.0 - k * k) * (u2 - v2)),
+                pre * (4.0 * c * uv2 * (c * (u2 + v2) + 2.0) + b2 * u2 + a2 * v2))
+
+    def curvature_fiber(self, u, v):
+        # the basis less correlated here: theta1 and theta2 align far out, w and w_perp near an axis
+        (a, b, c), (p, q, r) = self.fiber(u, v), self.collapsing_fiber(u, v)
+        return self.fiber if b * b * p * r <= q * q * a * c else self.collapsing_fiber
 
     def eikonal_S(self, c, s, u, v):
         # the legs are homogeneous of degree 2: scaled by r = leg_scale, a power of two
@@ -717,6 +727,7 @@ class Flat(_HalfPlane):
     family = Family.FLAT
     ricci_calibration = 2.0
     l2_ricci_closed = 0.0
+    flat = True
 
     def moment_map(self, u, v):
         return u * u / 2.0, v

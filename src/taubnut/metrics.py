@@ -10,9 +10,8 @@ volume density below is the coefficient of du ^ dv ^ dtheta1 ^ dtheta2, i.e.
 lam * x.  Each torus coordinate runs over a circle of circumference 2*pi, so
 fiber integrals carry a factor (2 pi)^2.
 
-conformal_factor, fiber_matrix and metric4 accept complex (u, v), so that
-:func:`taubnut.numerics.fd_curvature` differentiates metric4 by complex
-steps (the contract is in :mod:`taubnut.numerics`).
+The family kernels behind conformal_factor and fiber_matrix also take Jets
+(:mod:`taubnut.numerics`), which curvature4_fd differentiates exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ def conformal_factor(params: InstantonParams, u, v):
 
 
 def fiber_matrix(params: InstantonParams, u, v):
-    """Torus fiber matrix Ginv as a 2x2 array (complex for a complex point)."""
+    """Torus fiber matrix Ginv as a 2x2 array."""
     import numpy as np
     e11, e12, e22 = params.fiber(u, v)
     return np.array([[e11, e12], [e12, e22]])
@@ -47,27 +46,11 @@ def volume_density(params: InstantonParams, u, v):
     return conformal_factor(params, u, v) * axial_coordinate(params, u, v)
 
 
-def metric4(params: InstantonParams, u, v) -> np.ndarray:
-    """Full 4x4 metric in the ordering (u, v, theta1, theta2).  Its dtype
-    comes from every entry: lam may stay real while the fiber is complex."""
-    import numpy as np
-    lam = conformal_factor(params, u, v)
-    e11, e12, e22 = params.fiber(u, v)
-    return np.array([[lam, 0.0, 0.0, 0.0], [0.0, lam, 0.0, 0.0],
-                     [0.0, 0.0, e11, e12], [0.0, 0.0, e12, e22]])
-
-
 @finite_or_bad_params
 def collapsing_direction_norms(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
-    """Squared fiber norms of the collapsing torus direction and of a
-    complementary one.
-
-    For the generalized family the direction w = ((1 - k), -(1 + k)) in the
-    torus lattice stays at bounded length along every ray to infinity (the
-    geometry collapses to three dimensions), while the complement
-    ((1 + k), (1 - k)) grows.  Returns (|w|^2, |w_perp|^2); BadParams where
-    one is not finite.
-    """
-    e11, e12, e22 = params.fiber(u, v)
-    return tuple(a * (a * e11 + b * e12) + b * (a * e12 + b * e22)
-                 for a, b in params.collapsing_directions())
+    """(|w|^2, |w_perp|^2), the diagonal of GeneralizedTN.collapsing_fiber: the
+    lattice direction w = (1 - k, -(1 + k)) stays at bounded length along every ray
+    to infinity (the geometry collapses to three dimensions), while w_perp =
+    (1 + k, 1 - k) grows.  BadParams where one is not finite."""
+    ww, _, wp = params.collapsing_fiber(u, v)
+    return ww, wp

@@ -1,5 +1,5 @@
 """Shared numerical machinery: root finding, quadrature, ODE driving, finite
-differences, complex-step derivatives and log-log fits.
+differences, jets and log-log fits.
 
 Everything here is geometry-agnostic.  The rest of the package layers the
 metric-specific formulas on top of these routines, so the tolerances and
@@ -8,16 +8,12 @@ solve takes one residual callable that returns the value with its
 derivatives; the finite-difference stencils take no domain, which the
 caller that knows it checks once with check_stencil.
 
-Exact first derivatives come from complex steps (Squire & Trapp, SIAM
-Review 40, 1998): for an analytic f, f(x + ih) = f(x) + i h f'(x) + O(h^2).
-With h = COMPLEX_STEP = 2^-600, whose square underflows, Im f(x + ih) / h
-is f'(x) to roundoff, with no truncation error and no cancellation, and
-for f built from +, -, * and / the real part is f(x) bit for bit (float
-``**`` calls pow() where complex ``**`` multiplies, so a kernel that
-must match bit for bit writes p * p).  A kernel on this path takes
-complex u, v without abs(), comparisons or math.* on them: abs() would
-silently give a wrong derivative and the others raise TypeError.  numpy
-ufuncs such as np.sin take complex arguments.
+Exact derivatives come from jets: a kernel called on Jet(u, 1, 0, 0, 0, 0)
+and Jet(v, 0, 1, 0, 0, 0) returns the Jet of its value, gradient and Hessian
+in (u, v) to roundoff, its value the float kernel's bit for bit.  It may use
++, -, * and / on jets and numbers, and no ``**`` (write p * p), abs(),
+comparisons, math.* or numpy on a jet: they raise TypeError, and ``==``
+compares identity.  Jets of mpmath numbers run a kernel at any precision.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ class BoundaryTooClose(Exception):
 
 
 class IllConditioned(ArithmeticError):
-    """Floats cannot give the FD curvature: the metric is not finite or nearly singular."""
+    """The metric is singular or not finite, or rounding leaves its curvature few digits."""
 
 
 class InsufficientSamples(Exception):
@@ -540,54 +536,45 @@ def fd_jacobian2(fpair: Callable[[float, float], tuple[float, float]],
     return np.column_stack(fd_gradient(lambda a, b: np.array(fpair(a, b)), x, y, step=step))
 
 
-COMPLEX_STEP = 2.0 ** -600   # a power of two: Im / h is exact; h^2 underflows
+class Jet:
+    """A value with its gradient and Hessian in (u, v), carried exactly through +, -, *
+    and /: the hyper-dual numbers of Fike & Alonso (AIAA 2011-886) in two variables."""
 
+    __slots__ = ("val", "du", "dv", "duu", "duv", "dvv")
 
-def complex_partials(fn: Callable[[complex, complex], object], u: float, v: float):
-    """(fn(u, v), d fn/du, d fn/dv) by complex steps, exact to roundoff; fn
-    must follow the complex-step contract of the module docstring and may
-    return a scalar or an array."""
-    fu, fv = fn(complex(u, COMPLEX_STEP), v), fn(u, complex(v, COMPLEX_STEP))
-    return fu.real, fu.imag / COMPLEX_STEP, fv.imag / COMPLEX_STEP
+    def __init__(self, val, du, dv, duu, duv, dvv):
+        self.val, self.du, self.dv, self.duu, self.duv, self.dvv = val, du, dv, duu, duv, dvv
 
+    def __add__(self, b):
+        if type(b) is not Jet:
+            return Jet(self.val + b, self.du, self.dv, self.duu, self.duv, self.dvv)
+        return Jet(self.val + b.val, self.du + b.du, self.dv + b.dv,
+                   self.duu + b.duu, self.duv + b.duv, self.dvv + b.dvv)
 
-def fd_curvature(metric: Callable[[complex, complex], np.ndarray], u: float, v: float,
-                 *, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Riemann and Ricci tensors of an n-metric that depends on its first two
-    coordinates (u, v) only; ``metric(a, b)`` returns the n x n matrix.
+    def __mul__(self, b):
+        if type(b) is Jet:
+            a0, au, av, b0, bu, bv = self.val, self.du, self.dv, b.val, b.du, b.dv
+            return Jet(a0 * b0, au * b0 + a0 * bu, av * b0 + a0 * bv,
+                       self.duu * b0 + 2.0 * au * bu + a0 * b.duu,
+                       self.duv * b0 + au * bv + av * bu + a0 * b.duv,
+                       self.dvv * b0 + 2.0 * av * bv + a0 * b.dvv)
+        return Jet(self.val * b, self.du * b, self.dv * b, self.duu * b, self.duv * b, self.dvv * b)
 
-    g and its first derivatives are complex steps (complex_partials), exact to
-    roundoff, at the stencil points (u, v), (u +- step, v) and (u, v +- step),
-    so metric must take complex a, b.  The Christoffel symbols of all five,
-    one stacked inverse and einsum, are differentiated by central differences,
-    O(step^2).  Returns (g, g^-1, riem, ric) at (u, v), riem[l, k, i, j] =
-    R^l_{kij}; IllConditioned where g or a derivative is not finite there.
-    """
-    import numpy as np
-    points = ((u, v), (u + step, v), (u - step, v), (u, v + step), (u, v - step))
-    # the kernels run on Python complex numbers: numpy's complex arithmetic rounds differently
-    stack = np.array([metric(complex(a, COMPLEX_STEP), b) for a, b in points]
-                     + [metric(a, complex(b, COMPLEX_STEP)) for a, b in points], dtype=complex)
-    g = stack[:5].real
-    with np.errstate(over="ignore"):   # an overflow leaves an inf, refused below
-        d = stack.imag / COMPLEX_STEP   # d_u g at the five points, then d_v g
-    if not (np.isfinite(g).all() and np.isfinite(d).all()):
-        raise IllConditioned(f"metric not finite on the stencil of half-width {step} at ({u}, {v})")
-    ginv, n = np.linalg.inv(g), len(g[0])
-    dg = np.zeros((5, n, n, n))   # dg[p, m, i, j] = d_m g_ij at point p; zero for m >= 2
-    dg[:, 0], dg[:, 1] = d[:5], d[5:]
-    # Gamma^l_{ij} = (1/2) g^{lm} (d_i g_mj + d_j g_mi - d_m g_ij)
-    term = np.einsum('pimj->pmij', dg) + np.einsum('pjmi->pmij', dg) - dg
-    gam = 0.5 * np.einsum('plm,pmij->plij', ginv, term)
-    dgam = np.zeros((n,) * 4)      # dgam[m, l, i, j] = d_m Gamma^l_ij; zero for m >= 2
-    dgam[:2] = (gam[1::2] - gam[2::2]) / (2.0 * step)   # points 1, 3 less points 2, 4
+    def __truediv__(self, b):
+        if type(b) is Jet:
+            b0, bu, bv = b.val, b.du, b.dv   # q = a / b: q' = (a' - q b') / b, and so on
+            q = self.val / b0
+            qu, qv = (self.du - q * bu) / b0, (self.dv - q * bv) / b0
+            return Jet(q, qu, qv, (self.duu - 2.0 * qu * bu - q * b.duu) / b0,
+                       (self.duv - qu * bv - qv * bu - q * b.duv) / b0,
+                       (self.dvv - 2.0 * qv * bv - q * b.dvv) / b0)
+        return Jet(self.val / b, self.du / b, self.dv / b, self.duu / b, self.duv / b, self.dvv / b)
 
-    # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
-    riem = (np.einsum('iljk->lkij', dgam) - np.einsum('jlik->lkij', dgam)
-            + np.einsum('lim,mjk->lkij', gam[0], gam[0])
-            - np.einsum('ljm,mik->lkij', gam[0], gam[0]))
-    ric = np.einsum('lkli->ki', riem)
-    return g[0], ginv[0], riem, ric
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__ = lambda self: self * -1.0
+    __sub__ = lambda self, b: self + -b
+    __rsub__ = lambda self, b: -self + b
+    __rtruediv__ = lambda self, a: Jet(a, 0.0, 0.0, 0.0, 0.0, 0.0) / self
 
 
 # --------------------------------------------------------------------------

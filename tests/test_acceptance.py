@@ -32,16 +32,16 @@ def test_1_l2_ricci_energy_closed_form():
 
 
 def test_2_standard_taub_nut_is_ricci_flat():
-    """k=0: pseudo-density == 0, FD Ricci norm <= 1e-4, Rm energy 32 pi^2."""
+    """k=0: pseudo-density == 0, jet Ricci norm <= 4e-15, Rm energy 32 pi^2."""
     worst = 0.0
     for u in np.linspace(0.3, 2.4, 5):
         for v in np.linspace(0.3, 2.4, 5):
             assert GEN.ricci_density(u, v) == 0.0
             worst = max(worst, curvature.curvature4_fd(GEN, u, v).ricci_norm)
-    assert worst <= 1e-4, worst
+    assert worst <= 4e-15, worst
     rm = GEN.l2_riemann
     assert rm == 32.0 * math.pi ** 2       # exact combination at k = 0
-    print(f"PASS 2: k=0 FD |Ric| <= {worst:.2e}, Rm energy exactly 32 pi^2")
+    print(f"PASS 2: k=0 jet |Ric| <= {worst:.2e}, Rm energy exactly 32 pi^2")
 
 
 def test_3_volume_growth_and_quadrature():
@@ -164,7 +164,7 @@ def test_8_oracle_equivalences():
 
 def test_9_blowdown_verification():
     """Every limit metric is a measured limit: monotone residual decay over
-    two decades; limit Ricci matches the FD oracle to 1e-4 (the diagonal
+    two decades; limit Ricci matches the jet oracle to 1e-14 (the diagonal
     shortcut does not: tests/test_blowdown.py pins it as a non-match);
     pointed limit equals the half-plane formulas to 1e-12 under the index
     swap."""
@@ -195,7 +195,7 @@ def test_9_blowdown_verification():
         closed = (c.ric_uu, c.ric_uv, c.ric_vv, c.ric_theta)
         for a, b in zip(closed, fd):
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    assert worst <= 1e-4, worst
+    assert worst <= 1e-14, worst
 
     swap_worst = 0.0
     for uu, vv in ((0.3, -1.0), (1.5, 0.8), (0.9, 0.0)):
@@ -204,5 +204,5 @@ def test_9_blowdown_verification():
         hp = HP.moment_map(uu, vv)
         swap_worst = max(swap_worst, abs(lim[0] - hp[1]), abs(lim[1] - hp[0]))
     assert swap_worst <= 1e-12, swap_worst
-    print(f"PASS 9: monotone blowdown residuals, limit Ricci vs FD "
+    print(f"PASS 9: monotone blowdown residuals, limit Ricci vs jets "
           f"{worst:.2e}, half-plane swap {swap_worst:.2e}")

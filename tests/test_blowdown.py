@@ -141,10 +141,24 @@ def test_conifold_ricci_vs_fd():
         c = conifold_curvatures(k, u, v)
         uu, uv, vv, th = conifold_ricci_fd(k, u, v)
         scale = max(1.0, abs(c.ric_uu), abs(c.ric_vv))
-        assert abs(c.ric_uu - uu) < 1e-4 * scale
-        assert abs(c.ric_uv - uv) < 1e-4 * scale
-        assert abs(c.ric_vv - vv) < 1e-4 * scale
-        assert abs(c.ric_theta - th) < 1e-4 * max(1.0, abs(c.ric_theta))
+        assert abs(c.ric_uu - uu) < 2e-14 * scale
+        assert abs(c.ric_uv - uv) < 2e-14 * scale
+        assert abs(c.ric_vv - vv) < 2e-14 * scale
+        assert abs(c.ric_theta - th) < 2e-14 * max(1.0, abs(c.ric_theta))
+
+
+@pytest.mark.parametrize("t", [1e3, 1e10, 1e12, 1e20])
+def test_conifold_ricci_theta_far_out(t):
+    # on the diagonal the theta entry is -3 k^2 / 4 at every distance; the FD
+    # oracle drifted with t and flipped its sign at 1e12
+    assert conifold_ricci_fd(0.5, t, t)[3] == pytest.approx(-0.1875, rel=1e-13, abs=0)
+
+
+def test_conifold_ricci_on_an_axis_is_bad_params():
+    # the fiber u^2 v^2 (u^2 + v^2) / P vanishes there: the metric is singular
+    for u, v in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+        with pytest.raises(BadParams):
+            conifold_ricci_fd(0.5, u, v)
 
 
 @pytest.mark.parametrize("u,v", [(1e100, 1.0), (1.0, 1e100), (1e200, 1e200)])

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import math
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,12 @@ from hypothesis import strategies as st
 
 from taubnut.blowdown import conifold_ricci_fd
 from taubnut.curvature import (IllConditioned, curvature4_fd, decay_rate_along_geodesic,
-                               l2_ricci, polytope_curvature_fd,
+                               jet_curvature, l2_ricci, polytope_curvature_fd,
                                ricci_pseudo_jacobian_fd)
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
-from taubnut.metrics import metric4, volume_density
-from taubnut.numerics import BoundaryTooClose, fd_curvature
+from taubnut.geodesics import point_from_polar
+from taubnut.metrics import volume_density
+from taubnut.numerics import Jet
 
 SQRT2 = math.sqrt(2.0)
 
@@ -193,34 +197,46 @@ def test_halfplane_energy_growth_linear():
         assert val == pytest.approx(32.0 * math.pi ** 2 * R, rel=1e-6, abs=0)
 
 
-# ------------------------------------------------------------------ 4-metric FD
+# ------------------------------------------------------------------ 4-metric curvature
+
+def _metric4(params, u, v):
+    """The rows of the 4-metric curvature4_fd differentiates at the float point (u, v),
+    as a function of the jets (a, b)."""
+    fiber = params.curvature_fiber(u, v)
+
+    def metric(a, b):
+        lam, (e11, e12, e22) = params.conformal_factor(a, b), fiber(a, b)
+        return ((lam, 0.0, 0.0, 0.0), (0.0, lam, 0.0, 0.0), (0.0, 0.0, e11, e12), (0.0, 0.0, e12, e22))
+    return metric
+
 
 @pytest.mark.parametrize("params", [GEN, GEN05, EXC, HP])
 def test_scalar_flat_and_ricci_calibrated(params):
+    # exact to rounding: at most 9.4e-16 and 3.3e-16 here
     for u, v in ((0.8, 1.1), (1.5, 0.6)):
         if params.family is Family.EXCEPTIONAL_HALF_PLANE:
             v -= 1.5
         sample = curvature4_fd(params, u, v)
-        assert abs(sample.scalar) < 1e-3
+        assert abs(sample.scalar) < 1e-14
         closed = params.ricci_norm(u, v)
-        assert abs(sample.ricci_norm - closed) < 2e-4 * max(1.0, closed)
+        assert abs(sample.ricci_norm - closed) < 2e-15 * max(1.0, closed)
 
 
 def test_ill_conditioned_metric_raises():
-    # 1e-7 off the axis the fiber's u^2 entry makes cond(g) 2e14
+    # 1e-7 off the axis the chart's Christoffel terms are 1e14 times |Rm|:
+    # rounding would leave |Rm|^2 with an error of about 1e-2
     with pytest.raises(IllConditioned):
-        curvature4_fd(GEN, 1e-7, 1.0, step=1e-8)
+        curvature4_fd(GEN, 1e-7, 1.0)
 
 
 @pytest.mark.parametrize("params,u,v", [
     (GEN05, 1e10, 1.0), (GEN05, 1e200, 1.0),
     (InstantonParams(M=1e-300), 1e5, 1e5), (GEN, 1e150, 1e150)])
 def test_singular_or_overflowing_metric_is_ill_conditioned(params, u, v, capfd):
-    # the inverse of the metric on the stencil raised numpy's LinAlgError
-    # ("Singular matrix" at 1e10, "SVD did not converge" at 1e200) before
-    # the cond(g) guard ran; at M = 1e-300 and at 1e150 the derivatives of
-    # the metric overflowed with a RuntimeWarning, and LAPACK printed
-    # "On entry to DLASCL parameter number 4 had an illegal value"
+    # at 1e10 the jets are finite but rounding would leave |Rm|^2 off by half
+    # (the stencil's inverse raised numpy's LinAlgError there); at 1e200, at
+    # M = 1e-300 and at 1e150 the metric or its derivatives overflow, which
+    # once printed a RuntimeWarning and a LAPACK message
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IllConditioned):
@@ -228,30 +244,37 @@ def test_singular_or_overflowing_metric_is_ill_conditioned(params, u, v, capfd):
     assert capfd.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
-def test_fd_step_must_be_finite_and_positive(step):
-    # step 0 returned a NaN sample with a RuntimeWarning, a negative step a
-    # value, NaN and inf BoundaryTooClose
-    with pytest.raises(BadParams, match="step"):
-        curvature4_fd(GEN, 1.0, 1.0, step=step)
+@pytest.mark.parametrize("u,v", [(-1.0, 1.0), (1.0, -1e-9), (math.nan, 1.0), (1.0, math.inf)])
+def test_curvature_off_the_chart_is_bad_params(u, v):
+    # the stencil's clearance used to refuse these; the kernels are even in u
+    # and v, so a mirrored point would give the curvature of another point
+    with pytest.raises(BadParams):
+        curvature4_fd(GEN05, u, v)
 
 
-def _fd_bits(fn, *args, **kwargs) -> str:
+def test_curvature_on_an_axis_is_ill_conditioned():
+    # the fiber is singular on the axes, in either torus basis
+    for params, u, v in ((GEN05, 0.0, 1.0), (GEN05, 1.0, 0.0), (EXC, 0.0, 2.0), (HP, 0.0, -1.0)):
+        with pytest.raises(IllConditioned):
+            curvature4_fd(params, u, v)
+
+
+def _bits(fn, *args) -> str:
     """float.hex of each float fn returns, or the name of the error it raises."""
     try:
-        out = fn(*args, **kwargs)
-    except (BoundaryTooClose, IllConditioned) as exc:
+        out = fn(*args)
+    except (BadParams, IllConditioned) as exc:
         return type(exc).__name__
     return " ".join(map(float.hex, out))
 
 
-def test_fd_curvature_keeps_its_bits():
+def test_jet_curvature_keeps_its_bits():
     # float.hex of curvature4_fd for every family, GeneralizedTN at three
-    # masses and four chiralities, at three steps, and of conifold_ricci_fd,
-    # at seeded (u, v) log-uniform in [10^-2.5, 10^3], hashed: the literal is
-    # the digest at commit da1edfe, before fd_curvature stacked the
-    # Christoffel symbols of its five stencil points, so a change that moves
-    # a last bit fails
+    # masses and four chiralities, and of conifold_ricci_fd, at seeded (u, v)
+    # log-uniform in [10^-2.5, 10^3], hashed: the literal is the digest of the
+    # first jet assembly (450 curvature4_fd samples, 21 of them
+    # IllConditioned, and 150 conifold ones), so a change that moves a last
+    # bit fails
     rng = random.Random(30)
     digest = hashlib.sha256()
 
@@ -260,21 +283,20 @@ def test_fd_curvature_keeps_its_bits():
     families = [InstantonParams(M=M, k=k) for M in (SQRT2, 1e-3, 1e3)
                 for k in (-0.9, 0.0, 0.5, 0.9)] + [EXC, HP, FLAT]
     for params in families:
-        for step in (1e-4, 1e-3, 1e-2):
-            for _ in range(10):
-                u, v = point()
-                if params.bounds[1][0] < 0.0 and rng.random() < 0.5:
-                    v = -v   # a half-plane's lower half
-                digest.update(_fd_bits(curvature4_fd, params, u, v, step=step).encode())
+        for _ in range(30):
+            u, v = point()
+            if params.bounds[1][0] < 0.0 and rng.random() < 0.5:
+                v = -v   # a half-plane's lower half
+            digest.update(_bits(curvature4_fd, params, u, v).encode())
     for k in (-0.9, -0.5, 0.0, 0.5, 0.9):
         for _ in range(30):
-            digest.update(_fd_bits(conifold_ricci_fd, k, *point()).encode())
-    assert digest.hexdigest() == "0583de683f1a4c787814b75cfffb63f0fc61bf415c796c4622e7bbff0ea1cc20"
+            digest.update(_bits(conifold_ricci_fd, k, *point()).encode())
+    assert digest.hexdigest() == "211136f267007aa03ec747dc31a9b3cf75b2308758747d6646533bf8d484809c"
 
 
 def test_k0_is_ricci_flat():
     for u, v in INTERIOR:
-        assert curvature4_fd(GEN, u, v).ricci_norm < 1e-4
+        assert curvature4_fd(GEN, u, v).ricci_norm < 1e-15
 
 
 def test_calibration_table():
@@ -286,8 +308,8 @@ def test_calibration_table():
                                           (EXC, 2.0)], ids=["GEN", "GEN05", "EXC"])
 def test_rm_norm_sq_exact_at_1_1(params, exact):
     # closed values of |Rm|^2 at (u, v) = (1, 1) from a symbolic derivation of
-    # the 4-metric of family.py; the FD errors are 1.3e-7, 5.8e-7 and 3.8e-7
-    assert curvature4_fd(params, 1.0, 1.0).rm_norm_sq == pytest.approx(exact, rel=2e-6, abs=0)
+    # the 4-metric of family.py; the jets are off by 4.4e-16, 4.4e-16 and 0
+    assert curvature4_fd(params, 1.0, 1.0).rm_norm_sq == pytest.approx(exact, rel=1e-15, abs=0)
 
 
 def _exact_ints(a):
@@ -297,19 +319,139 @@ def _exact_ints(a):
 
 
 def test_rm_norm_sq_is_the_full_contraction():
-    # the plain six-operand einsum over fd_curvature's output, summed in exact
-    # arithmetic: in floats its one loop over 4^8 index tuples is itself off
-    # by up to 2.1e-13 relative at these points (k = 0); the index-at-a-time
-    # contraction by 4.1e-15
+    # the plain six-operand einsum over jet_curvature's tensors, summed in
+    # exact arithmetic, against the |Rm|^2 it returns, one index a pass
     rng = random.Random(13)
     for i in range(50):
         params = (GEN, GEN05, EXC, HP)[i % 4]
         u, v = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
-        g, ginv, riem, _ = fd_curvature(lambda a, b: metric4(params, a, b), u, v, step=1e-3)
+        g, ginv, riem, _, rm_sq = jet_curvature(_metric4(params, u, v), u, v, False)
         low, up = _exact_ints(np.einsum('lm,mkij->lkij', g, riem)), _exact_ints(ginv)
         total = np.einsum('abcd,efgh,ae,bf,cg,dh->', low, low, up, up, up, up, optimize=True)
         exact = float(Fraction(int(total), 2 ** (6 * 1074)))
-        assert abs(curvature4_fd(params, u, v).rm_norm_sq / exact - 1.0) <= 1e-13
+        assert abs(rm_sq / exact - 1.0) <= 1e-13
+        assert curvature4_fd(params, u, v).rm_norm_sq == rm_sq
+
+
+def test_near_axis_curvature_is_exact():
+    # the FD oracle returned scalar 33.7, |Ric| 17.06 and |Rm|^2 2,441 at
+    # k = 0.5, (0.01, 1), and raised BoundaryTooClose at (1e-4, 0.3); the
+    # literals are the 60-digit values of the same kernels (see the gate below)
+    # within four times the rounding bound
+    for params, u, v, rm_sq, rel in ((GEN, 0.01, 1.0, 1.499550078739501, 1e-11),
+                                     (GEN, 1e-4, 0.3, 57.24166022948759, 3e-8),
+                                     (GEN05, 0.01, 1.0, 14.73886153105199, 5e-12),
+                                     (GEN05, 1e-4, 0.3, 83.78110279203263, 3e-8)):
+        sample = curvature4_fd(params, u, v)
+        scale = math.sqrt(rm_sq)
+        assert abs(sample.scalar) <= rel * scale
+        assert abs(sample.ricci_norm - params.ricci_norm(u, v)) <= rel * scale
+        assert sample.rm_norm_sq == pytest.approx(rm_sq, rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("params,power,R,exact,rel", [
+    (GEN, 3, 1e5, 3.4645515914956711, 2e-10), (GEN, 3, 1e6, 3.464155069822714, 2e-9),
+    (GEN05, 2, 1e5, 1.8855991748863666, 1e-12), (GEN05, 2, 1e6, 1.8855821547811759, 1e-12)])
+def test_far_out_curvature_is_exact(params, power, R, exact, rel):
+    # R^p |Rm| along eta = 0.7 against the 60-digit value at the same point:
+    # the FD oracle was off by 5e7 (k = 0) and 0.99 (k = 0.5) at R = 1e5, and
+    # raised IllConditioned at 1e6 (k = 0); rel is four times the rounding bound
+    u, v = point_from_polar(params, R, 0.7)
+    value = R ** power * math.sqrt(curvature4_fd(params, u, v).rm_norm_sq)
+    assert value == pytest.approx(exact, rel=rel, abs=0)
+
+
+def _reference(rows):
+    """(scalar, |Ric|^2, |Rm|^2, rounding scale) of a metric of (u, v) given as
+    rows of Jets of mpmath numbers and numbers, by index loops straight from
+    the definitions, apart from jet_curvature's numpy assembly.  The scale is
+    |T| max_i g_ii g^ii, T the sum of the absolute values of the terms of
+    R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik, in the
+    metric's norm: the rounding error of each invariant is of order eps times it."""
+    zero, n = mpmath.mpf(0), len(rows)
+    N = range(n)
+    P = [[(e.val, e.du, e.dv, e.duu, e.duv, e.dvv) if isinstance(e, Jet) else (e,) + (0,) * 5
+          for e in row] for row in rows]
+    g = [[mpmath.mpf(P[i][j][0]) for j in N] for i in N]
+    inverse = mpmath.matrix(g) ** -1
+    ginv = [[inverse[i, j] for j in N] for i in N]
+
+    def d(m, i, j):   # d_m g_ij
+        return P[i][j][1 + m] if m < 2 else zero
+
+    def d2(p, m, i, j):   # d_p d_m g_ij, p < 2
+        return P[i][j][3 + p + m] if m < 2 else zero
+
+    gam = [[[sum(ginv[l][m] * (d(i, m, j) + d(j, m, i) - d(m, i, j)) for m in N) / 2
+             for j in N] for i in N] for l in N]
+    dgam = [[[[sum(ginv[l][m] * ((d2(p, i, m, j) + d2(p, j, m, i) - d2(p, m, i, j)) / 2
+                                - sum(d(p, m, q) * gam[q][i][j] for q in N)) for m in N)
+               for j in N] for i in N] for l in N] for p in (0, 1)]
+    riem, size = {}, {}
+    for l, k, i, j in itertools.product(N, N, N, N):
+        terms = [dgam[i][l][j][k] if i < 2 else zero, -dgam[j][l][i][k] if j < 2 else zero]
+        terms += [gam[l][i][m] * gam[m][j][k] for m in N]
+        terms += [-gam[l][j][m] * gam[m][i][k] for m in N]
+        riem[l, k, i, j], size[l, k, i, j] = sum(terms), sum(map(abs, terms))
+    ric = [[sum(riem[l, k, l, i] for l in N) for i in N] for k in N]
+    nonzero = [[[(j, x) for j, x in enumerate(row) if x] for row in mat] for mat in (g, ginv)]
+
+    def norm_sq(X):   # X_lkij X^lkij, lowering l and raising k, i, j
+        return sum(a * b * c * e * x * X[l2, k2, i2, j2] for (l, k, i, j), x in X.items() if x
+                   for l2, a in nonzero[0][l] for k2, b in nonzero[1][k]
+                   for i2, c in nonzero[1][i] for j2, e in nonzero[1][j])
+    return (sum(ginv[k][i] * ric[k][i] for k in N for i in N),
+            sum(ginv[k][a] * ginv[i][b] * ric[k][i] * ric[a][b]
+                for k, i, a, b in itertools.product(N, N, N, N)),
+            norm_sq(riem), mpmath.sqrt(norm_sq(size)) * max(g[i][i] * ginv[i][i] for i in N))
+
+
+def _gate_points():
+    """Seeded points of every family: GeneralizedTN at k in {0, +-0.5, +-0.9}, on
+    the geodesics of launch angle 1e-3 from either end of the eta range and at
+    0.7 out to R = 1e8, at seeded (R, eta), and within 1e-4 of each axis."""
+    rng = random.Random(31)
+    families = [InstantonParams(k=k) for k in (0.0, 0.5, -0.5, 0.9, -0.9)] + [EXC, HP, FLAT]
+    points = []
+    for params in families:
+        lo, hi = params.eta_range
+        for eta, R in itertools.product((lo + 1e-3, 0.7, hi - 1e-3), (1.0, 1e8)):
+            points.append((params, *point_from_polar(params, R, eta)))
+        for _ in range(3):
+            eta, R = rng.uniform(lo + 1e-3, hi - 1e-3), 10.0 ** rng.uniform(-2.0, 8.0)
+            points.append((params, *point_from_polar(params, R, eta)))
+        near, far = 10.0 ** rng.uniform(-6.0, -4.0), 10.0 ** rng.uniform(-1.0, 1.0)
+        points += [(params, near, far), (params, far, near)]   # the u = 0 and the v = 0 axis
+    return points
+
+
+def test_jet_curvature_matches_60_digits():
+    # the same kernels on jets of 60-digit numbers through the index loops of
+    # _reference: each invariant within 4 eps times the rounding scale (the
+    # worst seen is 2.1), and |Rm|^2 within 4e-6 (curvature4_fd raises where
+    # the scale exceeds 1e-6 |Rm|: it never returns noise) but for flat space,
+    # which is zero to within the scale.  Where it raises, the scale is
+    # beyond 1e-7 |Rm|, in reach of its bound: as along eta = 1e-3 at R = 1e8
+    eps = sys.float_info.epsilon
+    raised = 0
+    with mpmath.workdps(60):
+        for params, u, v in _gate_points():
+            rows = _metric4(params, u, v)(Jet(mpmath.mpf(u), 1.0, 0.0, 0.0, 0.0, 0.0),
+                                          Jet(mpmath.mpf(v), 0.0, 1.0, 0.0, 0.0, 0.0))
+            scalar, ric_sq, rm_sq, scale = _reference(rows)
+            bound, rm = 4.0 * eps * scale, mpmath.sqrt(rm_sq)
+            try:
+                sample = curvature4_fd(params, u, v)
+            except IllConditioned:
+                raised += 1
+                assert eps * scale > 1e-7 * rm, (params, u, v)
+                continue
+            where = (params, u, v)
+            assert abs(sample.scalar - scalar) <= bound, where
+            assert abs(sample.ricci_norm * params.ricci_calibration - mpmath.sqrt(ric_sq)) <= bound, where
+            assert abs(sample.rm_norm_sq - rm_sq) <= bound * (rm + eps * scale), where
+            assert params.family is Family.FLAT or abs(sample.rm_norm_sq / rm_sq - 1) <= 4e-6, where
+    assert 0 < raised < 30
 
 
 # ------------------------------------------------------------------ decay fits
@@ -329,7 +471,8 @@ def test_rm_fd_decay_rate(params, exponent, eta):
     (GEN, "K_sigma", (60.0, 120.0, 240.0), "at least 4 radii"),
     (GEN, "foo", (60.0, 120.0, 240.0, 480.0), "unknown quantity"),
     (FLAT, "K_sigma", (60.0, 120.0, 240.0, 480.0), "vanishes"),
-    (GEN, "Ric", (60.0, 120.0, 240.0, 480.0), "vanishes")])
+    (GEN, "Ric", (60.0, 120.0, 240.0, 480.0), "vanishes"),
+    (FLAT, "Rm_fd", (60.0, 120.0, 240.0, 480.0), "vanishes")])
 def test_decay_rate_rejects_what_it_cannot_fit(params, quantity, radii, message):
     with pytest.raises(BadParams, match=message):
         decay_rate_along_geodesic(params, 0.7, quantity, radii)

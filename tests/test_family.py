@@ -15,7 +15,7 @@ from taubnut.family import (GEOMETRIES, BadParams, Chart, ExceptionalHalfPlane,
                             WrongFamily, almost_polar_from_uv,
                             moment_pde_residual, uv_from_almost_polar)
 from taubnut.geodesics import point_from_polar, uv_from_chart
-from taubnut.numerics import COMPLEX_STEP
+from taubnut.numerics import Jet
 
 SQRT2 = math.sqrt(2.0)
 
@@ -207,32 +207,44 @@ def test_chart_dispatch_roundtrip():
                 == (point["u"], point["v"])
 
 
-# ------------------------------------------------------ complex-step contract
+# --------------------------------------------------------------- jet contract
+
+def _jet_parts(out, name):
+    """The part ``name`` of each Jet the kernel returned; a number is constant."""
+    return np.array([getattr(x, name) if isinstance(x, Jet) else (x if name == "val" else 0.0)
+                     for x in (out if isinstance(out, tuple) else (out,))])
+
 
 @pytest.mark.parametrize("params", [InstantonParams(family) for family in GEOMETRIES]
                          + [GEN05, InstantonParams(M=0.3, k=-0.9)],
                          ids=lambda p: f"{p.family.value}-M{p.M}-k{p.k}")
 @pytest.mark.parametrize("kernel", ["conformal_factor", "fiber", "moment_map",
-                                    "ricci_potentials"])
+                                    "ricci_potentials", "curvature_fiber"])
 @pytest.mark.parametrize("u,v", [(0.7, 1.3), (1.6, 0.4), (23.0, 0.05)])
-def test_kernels_take_complex_steps(params, kernel, u, v):
-    # Re f(u + ih) is the float value bit for bit; Im f(u + ih) / h is the
-    # derivative, checked against a central difference
+def test_kernels_take_jets(params, kernel, u, v):
+    # on the jets of (u, v) the value is the float kernel's bit for bit, the
+    # gradient agrees with central differences of the float kernel, and the
+    # Hessian with central differences of the gradient
     if params.bounds[1][0] < 0.0:   # a half plane: try v < 0
         v = -v
     fn = getattr(params, kernel)
+    if kernel == "curvature_fiber":
+        fn = fn(u, v)   # the fiber, in the torus basis it picks at (u, v)
 
-    def parts(a, b):
-        return np.atleast_1d(np.asarray(fn(a, b)))
+    def jet(a, b, name):
+        return _jet_parts(fn(Jet(a, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(b, 0.0, 1.0, 0.0, 0.0, 0.0)),
+                          name)
 
-    base = parts(u, v)
+    base = np.atleast_1d(np.asarray(fn(u, v)))
+    assert np.array_equal(jet(u, v, "val"), base)
     d = 1e-6 * max(u, abs(v))
-    for shifted in (lambda z: parts(u + z, v), lambda z: parts(u, v + z)):
-        got = shifted(complex(0.0, COMPLEX_STEP))
-        assert np.array_equal(got.real, base)
-        fd = (shifted(d) - shifted(-d)) / (2.0 * d)
-        assert np.allclose(got.imag / COMPLEX_STEP, fd, rtol=1e-6,
-                           atol=1e-6 * np.abs(base).max())
+    for name, shift, part in (("du", (d, 0.0), "val"), ("dv", (0.0, d), "val"),
+                              ("duu", (d, 0.0), "du"), ("duv", (0.0, d), "du"),
+                              ("dvv", (0.0, d), "dv")):
+        ahead, behind = (jet(u + c * shift[0], v + c * shift[1], part) for c in (1.0, -1.0))
+        fd = (ahead - behind) / (2.0 * d)   # of size |value| / max(u, |v|)^order, or less
+        scale = np.abs(base).max() / max(u, abs(v)) ** len(name[1:]) + np.abs(fd).max()
+        assert np.allclose(jet(u, v, name), fd, rtol=1e-5, atol=1e-6 * scale), name
 
 
 # ------------------------------------------------------- root-solve residuals

@@ -1,15 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
+from taubnut.geodesics import point_from_polar
 from taubnut.metrics import (TORUS_VOLUME, axial_coordinate,
                              collapsing_direction_norms, conformal_factor,
-                             fiber_matrix, metric4, volume_density)
-from taubnut.numerics import complex_partials
+                             fiber_matrix, volume_density)
+from taubnut.numerics import Jet
 
 GEN = InstantonParams()
 GEN05 = InstantonParams(k=0.5)
@@ -75,10 +77,9 @@ def test_fiber_vs_moment_gradients(u, v):
         lam = conformal_factor(params, u, v)
         F = fiber_matrix(params, u, v)
         grads = []
-        for i in (0, 1):
-            _, du, dv = complex_partials(
-                lambda a, b, i=i: params.moment_map(a, b)[i], u, v)
-            grads.append((du, dv))
+        for phi in params.moment_map(Jet(u, 1.0, 0.0, 0.0, 0.0, 0.0),
+                                     Jet(v, 0.0, 1.0, 0.0, 0.0, 0.0)):
+            grads.append((phi.du, phi.dv))
         for i in (0, 1):
             for j in (0, 1):
                 oracle = (grads[i][0] * grads[j][0]
@@ -95,20 +96,34 @@ def test_volume_density_is_lambda_x():
                                                                  rel=1e-14, abs=0)
 
 
-def test_metric4_assembly():
-    m = metric4(GEN05, 1.0, 1.0)
-    assert m.shape == (4, 4)
-    assert np.abs(m - m.T).max() == 0.0
-    assert m[0, 0] == m[1, 1] == pytest.approx(6.0, abs=1e-13)
-    assert np.abs(m[:2, 2:]).max() == 0.0
-    assert np.abs(m[2:, 2:] - fiber_matrix(GEN05, 1.0, 1.0)).max() == 0.0
+def _lattice_fiber(params, u, v):
+    """T F T^T of the (theta1, theta2) fiber at (u, v) in 60-digit arithmetic,
+    T = (w, w_perp) = ((1-k, -(1+k)), (1+k, 1-k))."""
+    k = mpmath.mpf(params.k)
+    with mpmath.workdps(60):
+        e11, e12, e22 = params.fiber(mpmath.mpf(u), mpmath.mpf(v))
+        F, T = mpmath.matrix([[e11, e12], [e12, e22]]), mpmath.matrix([[1 - k, -1 - k], [1 + k, 1 - k]])
+        L = T * F * T.T
+        return L[0, 0], L[0, 1], L[1, 1]
 
 
-def test_metric4_positive_definite():
+@pytest.mark.parametrize("k", [0.0, 0.5, -0.9])
+def test_collapsing_fiber_is_the_lattice_change_of_basis(k):
+    params = InstantonParams(k=k)
+    for u, v in ((0.3, 1.7), (1.0, 1.0), (2.5, 0.2), (1e-3, 0.6)):
+        got, want = params.collapsing_fiber(u, v), _lattice_fiber(params, u, v)
+        scale = max(map(abs, want))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15 * scale
+
+
+def test_curvature_fibers_positive_definite():
     for params in ALL:
-        y = -0.4 if params.family is Family.EXCEPTIONAL_HALF_PLANE else 0.7
-        eig = np.linalg.eigvalsh(metric4(params, 1.3, y))
-        assert eig.min() > 0.0
+        for u, y in ((1.3, 0.7), (1e-3, 0.7), (1.3, 1e-3), (1e4, 3e3)):
+            if params.family is Family.EXCEPTIONAL_HALF_PLANE:
+                y = -y
+            e11, e12, e22 = params.curvature_fiber(u, y)(u, y)
+            assert conformal_factor(params, u, y) > 0.0
+            assert np.linalg.eigvalsh(np.array([[e11, e12], [e12, e22]])).min() > 0.0
 
 
 # ------------------------------------------------------- collapsing direction
@@ -120,6 +135,20 @@ def test_collapsing_dichotomy():
                              for t in (5.0, 10.0, 20.0, 40.0)))
     assert max(bounded) / min(bounded) < 1.3
     assert growing[-1] / growing[-2] == pytest.approx(16.0, rel=0.05, abs=0)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5])
+@pytest.mark.parametrize("R", [1e7, 1e9])
+def test_collapsing_norms_far_out_match_60_digits(k, R):
+    # from the (theta1, theta2) fiber |w|^2 read 1.0 at k = 0 and R = 1e7
+    # (60 digits: 0.99999993) and 64.0 at 1e9 (0.99999999929): the entries
+    # of size u^2 v^2 cancelled
+    params = InstantonParams(k=k)
+    u, v = point_from_polar(params, R, 0.7)
+    bounded, growing = collapsing_direction_norms(params, u, v)
+    want = _lattice_fiber(params, u, v)
+    assert bounded == pytest.approx(float(want[0]), rel=1e-15, abs=0)
+    assert growing == pytest.approx(float(want[2]), rel=1e-15, abs=0)
 
 
 def test_collapsing_norms_beyond_the_float_range_are_bad_params():

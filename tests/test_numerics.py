@@ -9,10 +9,10 @@ from taubnut import dop853
 from taubnut.asymptotics import almost_ball_volume
 from taubnut.family import Family, InstantonParams
 from taubnut.metrics import TORUS_VOLUME, volume_density
-from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples,
+from taubnut.curvature import jet_curvature
+from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples, Jet,
                               NoBracket, SlowDecay, StepUnderflow, check_stencil,
-                              complex_partials, fd_curvature, fd_gradient,
-                              fd_jacobian2, fd_laplacian,
+                              fd_gradient, fd_jacobian2, fd_laplacian,
                               MaxIterExceeded, find_root_monotone,
                               find_roots_monotone, fit_power_law,
                               integrate_2d_improper, integrate_2d_region,
@@ -426,20 +426,17 @@ def test_fd_jacobian2():
 
 
 def _round_sphere(a, b):
-    s = np.sin(a)
-    return np.array([[1.0, 0.0], [0.0, s * s]])
+    w = 1.0 + a * a + b * b   # 4 (du^2 + dv^2) / w^2, the unit sphere stereographically
+    return ((4.0 / (w * w), 0.0), (0.0, 4.0 / (w * w)))
 
 
-@pytest.mark.parametrize("u", [0.4, 1.0, 2.5])
-def test_fd_curvature_round_sphere_is_einstein(u):
-    # the unit 2-sphere diag(1, sin^2 u) has Ric = g, with O(step^2) error
-    errs = []
-    for step in (2e-3, 1e-3):
-        g, ginv, _, ric = fd_curvature(_round_sphere, u, 0.7, step=step)
-        assert np.abs(g @ ginv - np.eye(2)).max() < 1e-15
-        errs.append(np.abs(ric - g).max())
-    assert errs[1] < 1e-4
-    assert 3.5 < errs[0] / errs[1] < 4.5
+@pytest.mark.parametrize("u,v", [(0.4, 0.7), (1.0, 0.7), (2.5, -3.0), (0.0, 0.0)])
+def test_jet_curvature_round_sphere_is_einstein(u, v):
+    # the unit 2-sphere has Ric = g, |Rm|^2 = 4 and scalar curvature 2
+    g, ginv, _, ric, rm_sq = jet_curvature(_round_sphere, u, v, False)
+    assert np.abs(g @ ginv - np.eye(2)).max() < 1e-15
+    assert np.abs(ric - g).max() <= 1e-14 * np.abs(g).max()
+    assert rm_sq == pytest.approx(4.0, rel=1e-14, abs=0)
 
 
 # -------------------------------------------------------------------- fitting
@@ -458,26 +455,38 @@ def test_power_law_needs_samples():
         fit_power_law([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
-# ------------------------------------------------------------ complex steps
+# ---------------------------------------------------------------------- jets
 
-def test_complex_partials_match_exact():
-    def f(u, v):
-        return u * u * v + v ** 3
-
-    val, du, dv = complex_partials(f, 1.5, 0.5)
-    assert abs(val - (1.5 ** 2 * 0.5 + 0.125)) < 1e-15
-    assert abs(du - 2.0 * 1.5 * 0.5) < 1e-14
-    assert abs(dv - (1.5 ** 2 + 3 * 0.25)) < 1e-14
+def test_jet_partials_match_exact():
+    u, v = Jet(1.5, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(0.5, 0.0, 1.0, 0.0, 0.0, 0.0)
+    f = (u * u * v + v * v * v - 2.0) / (1.0 + u) - (3.0 - v)
+    b = 2.5   # f = (u^2 v + v^3 - 2) / b + v - 3 at (1.5, 0.5), with b = 1 + u
+    num = 1.5 ** 2 * 0.5 + 0.125 - 2.0
+    assert f.val == num / b + 0.5 - 3.0
+    assert f.du == pytest.approx(2.0 * 1.5 * 0.5 / b - num / b ** 2, abs=1e-15)
+    assert f.dv == pytest.approx((1.5 ** 2 + 3 * 0.25) / b + 1.0, abs=1e-15)
+    assert f.duu == pytest.approx(2.0 * 0.5 / b - 2.0 * 1.5 / b ** 2 + 2.0 * num / b ** 3,
+                                  abs=1e-15)
+    assert f.duv == pytest.approx(2.0 * 1.5 / b - (1.5 ** 2 + 0.75) / b ** 2, abs=1e-15)
+    assert f.dvv == pytest.approx(6.0 * 0.5 / b, abs=1e-15)
+    assert (-u).du == -1.0 and (2.0 - u).val == 0.5 and (3.0 / v).dv == -12.0
 
 
 @given(st.floats(min_value=0.1, max_value=4.0),
        st.floats(min_value=0.1, max_value=4.0))
 @settings(max_examples=40, deadline=None)
-def test_complex_partials_vs_gradient(u, v):
+def test_jet_vs_gradient(u, v):
     def f(a, b):
-        return a ** 2 / (1.0 + b) + b * a
+        return a * a / (1.0 + b) + b * a
 
-    _, du, dv = complex_partials(f, u, v)
+    def jets(a, b):
+        return Jet(a, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(b, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+    jet = f(*jets(u, v))
+    assert jet.val == f(u, v)
     gx, gy = fd_gradient(f, u, v, step=1e-6)
-    assert abs(du - gx) < 1e-6 * max(1.0, abs(du))
-    assert abs(dv - gy) < 1e-6 * max(1.0, abs(dv))
+    assert abs(jet.du - gx) < 1e-6 * max(1.0, abs(jet.du))
+    assert abs(jet.dv - gy) < 1e-6 * max(1.0, abs(jet.dv))
+    hx, hy = fd_gradient(lambda a, b: f(*jets(a, b)).du, u, v, step=1e-5)
+    assert abs(jet.duu - hx) < 1e-5 * max(1.0, abs(jet.duu))
+    assert abs(jet.duv - hy) < 1e-5 * max(1.0, abs(jet.duv))
