@@ -145,8 +145,7 @@ class SandwichSample(NamedTuple):
     c_max: float
 
 
-def sphere_sandwich(params: InstantonParams, r_tilde: float,
-                    *, n: int) -> SandwichSample:
+def sphere_sandwich(params: InstantonParams, r_tilde: float, *, n: int) -> SandwichSample:
     """Sample AS(r_tilde) at n angles and measure Rtilde - distance.
     BadParams unless n is an int >= 2."""
     if r_tilde <= 0.0:

@@ -101,8 +101,7 @@ def conifold_metric(k: float, u: float, v: float) -> tuple[float, float]:
 
 
 @finite_or_bad_params
-def conifold_limit_residual(k: float, u: float, v: float,
-                            M: float) -> tuple[float, float]:
+def conifold_limit_residual(k: float, u: float, v: float, M: float) -> tuple[float, float]:
     """(leaf residual, fiber residual) of the scaled generalized family at
     mass M against the conifold limit.
 
@@ -163,7 +162,9 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
 def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float, float]:
     """Ricci tensor of the conifold 3-metric, exact to rounding: entries (uu, uv, vv,
     theta), by jet_curvature on the jets of conifold_metric.  BadParams where it
-    raises IllConditioned (on the axes, for one); the k = 0 cone is flat."""
+    raises IllConditioned (on the axes, for one) or u, v >= 0 fails; the k = 0 cone is flat."""
+    if not (u >= 0.0 and v >= 0.0):   # else the mirrored point's curvature; the wrapper refuses inf
+        raise BadParams(f"({u}, {v}) is off the quadrant u, v >= 0")
     from .curvature import jet_curvature
 
     def g3(a, b):   # the unchecked formula, on jets

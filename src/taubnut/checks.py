@@ -428,7 +428,6 @@ def distance_eikonal():
     worst = 0.0
     for k in (-0.6, 0.0, 0.5):
         for (u, v) in [(0.5, 1.2), (1.7, 0.8)]:
-            worst = max(worst,
-                        blowdown.blowdown_distance_gradient_deficit(k, u, v))
+            worst = max(worst, blowdown.blowdown_distance_gradient_deficit(k, u, v))
     expect(worst < 1e-6, f"|grad S| deficit {worst:.2e}")
     return f"max | |grad S| - 1 | = {worst:.2e}"

@@ -173,6 +173,16 @@ def jet_curvature(metric, u: float, v: float, flat: bool):
     return g, ginv, riem.transpose(0, 3, 1, 2), riem.trace().T, float(rm_sq)
 
 
+def _metric4(params: InstantonParams, u: float, v: float):
+    """The 4-metric's rows on the jets (a, b): (u, v), then the basis curvature_fiber picks."""
+    fiber = params.curvature_fiber(u, v)
+
+    def metric(a, b):
+        lam, (e11, e12, e22) = params.conformal_factor(a, b), fiber(a, b)
+        return ((lam, 0, 0, 0), (0, lam, 0, 0), (0, 0, e11, e12), (0, 0, e12, e22))
+    return metric
+
+
 def curvature4_fd(params: InstantonParams, u: float, v: float) -> Curvature4Sample:
     """Scalar curvature, |Ric| and |Rm|^2 of the full 4-metric by jet_curvature, in the
     torus basis params.curvature_fiber(u, v) picks.  The ricci_norm is divided by the
@@ -180,13 +190,7 @@ def curvature4_fd(params: InstantonParams, u: float, v: float) -> Curvature4Samp
     BadParams off the chart domain; IllConditioned where g is singular (on an axis) or
     not finite, or where rounding would leave |Rm| fewer than six digits (near one)."""
     params.check_point(u, v)
-    fiber = params.curvature_fiber(u, v)
-
-    def metric(a, b):   # in the ordering (u, v), then fiber's torus basis
-        lam, (e11, e12, e22) = params.conformal_factor(a, b), fiber(a, b)
-        return ((lam, 0, 0, 0), (0, lam, 0, 0), (0, 0, e11, e12), (0, 0, e12, e22))
-
-    _, ginv, _, ric, rm_sq = jet_curvature(metric, u, v, params.flat)
+    _, ginv, _, ric, rm_sq = jet_curvature(_metric4(params, u, v), u, v, params.flat)
     mixed = ginv @ ric   # scalar = tr(g^-1 Ric), |Ric|^2 = tr((g^-1 Ric)^2)
     return Curvature4Sample(scalar=float(mixed.trace()), rm_norm_sq=rm_sq, ricci_norm=math.sqrt(
         max(float((mixed * mixed.T).sum()), 0.0)) / params.ricci_calibration)
@@ -198,12 +202,9 @@ def curvature4_fd(params: InstantonParams, u: float, v: float) -> Curvature4Samp
 
 def decay_rate_along_geodesic(params: InstantonParams, eta: float,
                               quantity: str, R_samples) -> float:
-    """Fitted power-law exponent of |quantity| vs R along the eta-geodesic.
-
-    quantity: "K_sigma" | "Ric" | "Rm_fd" (|Rm| by curvature4_fd, which
-    raises IllConditioned on an axis or where rounding leaves too few digits
-    near one).  Samples are taken with point_from_polar.
-    """
+    """Fitted power-law exponent of |quantity| vs R along the eta-geodesic, sampled by
+    point_from_polar.  quantity: "K_sigma" | "Ric" | "Rm_fd" (|Rm| by curvature4_fd, which
+    raises IllConditioned on an axis or where rounding leaves too few digits near one)."""
     from .geodesics import point_from_polar
     if len(R_samples) < 4:
         raise BadParams("need at least 4 radii for a decay fit")
@@ -211,11 +212,12 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
                "Rm_fd": lambda *uv: math.sqrt(curvature4_fd(params, *uv).rm_norm_sq)}.get(quantity)
     if measure is None:
         raise BadParams(f"unknown quantity {quantity!r}")
+    if params.flat:   # every curvature vanishes; |Rm|'s samples would be rounding
+        raise BadParams(f"{quantity} vanishes on flat space; no power law to fit")
     vals = []
     for R in R_samples:
         q = measure(*point_from_polar(params, float(R), eta))
-        if q < 1e-300 or params.flat:   # flat space's |Rm| is rounding, zero to within its bound
-            raise BadParams(f"{quantity} vanishes along this geodesic; "
-                            "no power law to fit")
+        if q < 1e-300:
+            raise BadParams(f"{quantity} vanishes along this geodesic; no power law to fit")
         vals.append(q)
     return fit_power_law(list(R_samples), vals)

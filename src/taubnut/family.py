@@ -699,8 +699,7 @@ class ExceptionalHalfPlane(_HalfPlane):
 
     def fiber(self, u, v):
         lam = 1.0 + u * u
-        return (u * u / lam, 2.0 * u * u * v / lam,
-                (lam * lam + 4.0 * u * u * v * v) / lam)
+        return (u * u / lam, 2.0 * u * u * v / lam, (lam * lam + 4.0 * u * u * v * v) / lam)
 
     def polar_point(self, R, eta, solve):
         u, v = ExceptionalTN.polar_point(self, R, abs(eta), solve)

@@ -155,8 +155,9 @@ def test_conifold_ricci_theta_far_out(t):
 
 
 def test_conifold_ricci_on_an_axis_is_bad_params():
-    # the fiber u^2 v^2 (u^2 + v^2) / P vanishes there: the metric is singular
-    for u, v in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+    # the fiber u^2 v^2 (u^2 + v^2) / P vanishes there: the metric is singular;
+    # off the quadrant the formula would give a mirrored point's curvature
+    for u, v in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-1.0, 1.0), (1.0, -1e-9)):
         with pytest.raises(BadParams):
             conifold_ricci_fd(0.5, u, v)
 

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubnut.blowdown import conifold_ricci_fd
-from taubnut.curvature import (IllConditioned, curvature4_fd, decay_rate_along_geodesic,
-                               jet_curvature, l2_ricci, polytope_curvature_fd,
-                               ricci_pseudo_jacobian_fd)
+from taubnut.curvature import (IllConditioned, _metric4, curvature4_fd,
+                               decay_rate_along_geodesic, jet_curvature, l2_ricci,
+                               polytope_curvature_fd, ricci_pseudo_jacobian_fd)
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.geodesics import point_from_polar
 from taubnut.metrics import volume_density
@@ -198,17 +198,6 @@ def test_halfplane_energy_growth_linear():
 
 
 # ------------------------------------------------------------------ 4-metric curvature
-
-def _metric4(params, u, v):
-    """The rows of the 4-metric curvature4_fd differentiates at the float point (u, v),
-    as a function of the jets (a, b)."""
-    fiber = params.curvature_fiber(u, v)
-
-    def metric(a, b):
-        lam, (e11, e12, e22) = params.conformal_factor(a, b), fiber(a, b)
-        return ((lam, 0.0, 0.0, 0.0), (0.0, lam, 0.0, 0.0), (0.0, 0.0, e11, e12), (0.0, 0.0, e12, e22))
-    return metric
-
 
 @pytest.mark.parametrize("params", [GEN, GEN05, EXC, HP])
 def test_scalar_flat_and_ricci_calibrated(params):

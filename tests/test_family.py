@@ -242,9 +242,11 @@ def test_kernels_take_jets(params, kernel, u, v):
                               ("duu", (d, 0.0), "du"), ("duv", (0.0, d), "du"),
                               ("dvv", (0.0, d), "dv")):
         ahead, behind = (jet(u + c * shift[0], v + c * shift[1], part) for c in (1.0, -1.0))
-        fd = (ahead - behind) / (2.0 * d)   # of size |value| / max(u, |v|)^order, or less
-        scale = np.abs(base).max() / max(u, abs(v)) ** len(name[1:]) + np.abs(fd).max()
-        assert np.allclose(jet(u, v, name), fd, rtol=1e-5, atol=1e-6 * scale), name
+        fd = (ahead - behind) / (2.0 * d)
+        # the atol of the gradient is 1e-6 |value|; a Hessian entry is of
+        # size |value| / max(u, |v|)^2, or less, and its atol shrinks alike
+        scale = np.abs(base).max() / (1.0 if part == "val" else max(u, abs(v)) ** 2)
+        assert np.allclose(jet(u, v, name), fd, rtol=1e-6, atol=1e-6 * scale), name
 
 
 # ------------------------------------------------------- root-solve residuals
