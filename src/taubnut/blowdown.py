@@ -41,9 +41,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .family import (HALF_PLANE, SQRT2, BadParams, Family, InstantonParams,
-                     check_chirality, finite_or_bad_params)
-from .numerics import Jet, check_stencil, fd_conformal_curvature, fd_gradient
+from .family import SQRT2, BadParams, Family, InstantonParams, check_chirality, finite_or_bad_params
+from .numerics import Jet, conformal_curvature, jets
 
 
 class SingularAxis(BadParams):
@@ -163,8 +162,7 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
     """Ricci tensor of the conifold 3-metric, exact to rounding: entries (uu, uv, vv,
     theta), by jet_curvature on the jets of conifold_metric.  BadParams where it
     raises IllConditioned (on the axes, for one) or u, v >= 0 fails; the k = 0 cone is flat."""
-    if not (u >= 0.0 and v >= 0.0):   # else the mirrored point's curvature; the wrapper refuses inf
-        raise BadParams(f"({u}, {v}) is off the quadrant u, v >= 0")
+    InstantonParams(k=k).check_point(u, v)   # the quadrant: else the mirrored point's value
     from .curvature import jet_curvature
 
     def g3(a, b):   # the unchecked formula, on jets
@@ -175,9 +173,11 @@ def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float
     return float(ric[0, 0]), float(ric[0, 1]), float(ric[1, 1]), float(ric[2, 2])
 
 
+@finite_or_bad_params
 def conifold_polytope_curvature_fd(k: float, u: float, v: float) -> float:
-    """Conformal-oracle K of the polytope factor P (du^2 + dv^2), step 1e-4."""
-    return fd_conformal_curvature(lambda a, b: conifold_metric(k, a, b)[0], u, v, step=1e-4)
+    """K of the polytope factor P (du^2 + dv^2) from the jet of conifold_metric; u, v >= 0."""
+    InstantonParams(k=k).check_point(u, v)
+    return conformal_curvature(lambda a, b: conifold_metric.__wrapped__(k, a, b)[0], u, v)
 
 
 # --------------------------------------------------------------------------
@@ -186,17 +186,16 @@ def conifold_polytope_curvature_fd(k: float, u: float, v: float) -> float:
 
 def blowdown_distance(k: float, u: float, v: float) -> float:
     """S = (1/2) sqrt(1+k) u^2 + (1/2) sqrt(1-k) v^2: distance to the cone
-    point of the blowdown; |grad S| = 1 for the polytope factor exactly."""
+    point of the blowdown; |grad S| = 1 for the polytope factor exactly; takes Jets (u, v)."""
     check_chirality(k)
     return 0.5 * math.sqrt(1.0 + k) * u * u + 0.5 * math.sqrt(1.0 - k) * v * v
 
 
+@finite_or_bad_params
 def blowdown_distance_gradient_deficit(k: float, u: float, v: float) -> float:
-    """| |grad S|_{g_Sigma} - 1 | by central differences of step 1e-6 (the
-    closed-form identity (1+k)u^2 + (1-k)v^2 = P makes this zero up to FD
-    error)."""
-    gx, gy = fd_gradient(lambda a, b: blowdown_distance(k, a, b), u, v, step=1e-6)
-    return abs(math.sqrt((gx * gx + gy * gy) / _cone_factor(k, u, v)) - 1.0)
+    """| |grad S|_{g_Sigma} - 1 | from the jet of S: 0 to rounding, as (1+k)u^2 + (1-k)v^2 = P."""
+    s = blowdown_distance(k, *jets(u, v))
+    return abs(math.sqrt((s.du * s.du + s.dv * s.dv) / _cone_factor(k, u, v)) - 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -305,11 +304,12 @@ def exceptional_blowdown_curvature(u: float) -> float:
     return 1.0 / u ** 4
 
 
+@finite_or_bad_params
 def exceptional_blowdown_curvature_fd(u: float) -> float:
-    """Conformal-oracle K of the polytope factor u^2 (du^2 + dv^2), step 1e-5."""
-    check_stencil(u, 1.0, 1e-5, HALF_PLANE)   # u = 0 is the singular axis
-    return fd_conformal_curvature(lambda a, b: exceptional_blowdown_metric(a, b)[0],
-                                  u, 1.0, step=1e-5)
+    """K of the polytope factor u^2 (du^2 + dv^2) from the jet of exceptional_blowdown_metric."""
+    if not u > 0.0:
+        raise (SingularAxis if u == 0.0 else BadParams)(f"u = {u} is off the blowdown's u > 0")
+    return conformal_curvature(lambda a, b: exceptional_blowdown_metric.__wrapped__(a, b)[0], u, 0.0)
 
 
 @finite_or_bad_params

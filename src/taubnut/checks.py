@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import asymptotics, blowdown, curvature, family, geodesics, metrics
 from .family import SQRT2, Family, InstantonParams
-from .numerics import Jet
+from .numerics import jets
 
 CHECKS: list[tuple[str, Callable[[], str]]] = []
 
@@ -106,8 +106,7 @@ def moment_oracle():
         for (u, v) in [(0.7, 0.9), (1.6, 0.4)]:
             lam = metrics.conformal_factor(pp, u, v)
             F = metrics.fiber_matrix(pp, u, v)
-            phi = pp.moment_map(Jet(u, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(v, 0.0, 1.0, 0.0, 0.0, 0.0))
-            du, dv = np.array([p.du for p in phi]), np.array([p.dv for p in phi])
+            du, dv = np.array([(p.du, p.dv) for p in pp.moment_map(*jets(u, v))]).T
             oracle = (np.outer(du, du) + np.outer(dv, dv)) / lam
             worst = max(worst, float(np.abs(F - oracle).max()))
     expect(worst < 1e-12, f"moment oracle residual {worst:.2e}")
@@ -208,7 +207,7 @@ def gauss_fd():
             K = pp.polytope_curvature(u, v)
             fd = curvature.polytope_curvature_fd(pp, u, v)
             worst = max(worst, abs(K - fd) / max(abs(K), 1e-3))
-    expect(worst < 1e-4, f"Gauss FD {worst:.2e}")
+    expect(worst < 2e-15, f"Gauss FD {worst:.2e}")
     return f"max rel error {worst:.2e}"
 
 
@@ -220,7 +219,7 @@ def pseudo_jacobian():
             worst = max(worst, abs(
                 pp.ricci_density(u, v)
                 - curvature.ricci_pseudo_jacobian_fd(pp, u, v)))
-    expect(worst < 1e-5, f"pseudo-density vs Jacobian {worst:.2e}")
+    expect(worst < 1e-15, f"pseudo-density vs Jacobian {worst:.2e}")
     return f"max abs error {worst:.2e}"
 
 
@@ -387,7 +386,7 @@ def exceptional_residuals():
     expect(_monotone(fib), "residuals not monotone")
     kfd = blowdown.exceptional_blowdown_curvature_fd(1.3)
     kcl = blowdown.exceptional_blowdown_curvature(1.3)
-    expect(abs(kfd - kcl) / abs(kcl) < 1e-4, f"K mismatch {kfd} vs {kcl}")
+    expect(abs(kfd - kcl) / abs(kcl) < 1e-15, f"K mismatch {kfd} vs {kcl}")
     return f"fiber {fib[0]:.1e} -> {fib[-1]:.1e}; K oracle ok (positive sign)"
 
 
@@ -419,7 +418,7 @@ def conifold_ricci_fd():
         k_fd = blowdown.conifold_polytope_curvature_fd(k, u, v)
         worst_k = max(worst_k, abs(k_fd - cc.k_sigma) / max(abs(cc.k_sigma), 1e-3))
     expect(worst < 1e-13, f"Ric3 FD {worst:.2e}")
-    expect(worst_k < 1e-4, f"K_sigma FD {worst_k:.2e}")
+    expect(worst_k < 2e-14, f"K_sigma FD {worst_k:.2e}")
     return f"FD matches closed Ric3 to {worst:.2e}, K_sigma to {worst_k:.2e}"
 
 
@@ -429,5 +428,5 @@ def distance_eikonal():
     for k in (-0.6, 0.0, 0.5):
         for (u, v) in [(0.5, 1.2), (1.7, 0.8)]:
             worst = max(worst, blowdown.blowdown_distance_gradient_deficit(k, u, v))
-    expect(worst < 1e-6, f"|grad S| deficit {worst:.2e}")
+    expect(worst < 5e-16, f"|grad S| deficit {worst:.2e}")
     return f"max | |grad S| - 1 | = {worst:.2e}"

@@ -1,15 +1,15 @@
 """Curvature: the family-blind integrals and oracles around the curvature
-closed forms -- the FD Gauss curvature oracle, the FD Jacobian of the Ricci
-potentials, the L^2 Ricci energy by quadrature, the curvature of the full
-4-metric from its jets at one point, and decay-rate fits along geodesics.
+closed forms -- the oracles of the Gauss curvature and of the Ricci pseudo-
+density and the curvature of the full 4-metric, all from jets at one point,
+the L^2 Ricci energy by quadrature, and decay-rate fits along geodesics.
 
 The closed forms are methods and attributes of the family's class in
 :mod:`taubnut.family`, called on the parameters directly (``params.<name>``):
 
 * ``polytope_curvature(u, v)`` is the genuine Gauss curvature of the leaf
-  metric lambda (du^2 + dv^2), i.e. the value the conformal oracle
+  metric lambda (du^2 + dv^2), i.e. the value of the conformal oracle
   K = -Laplacian(log lambda)/(2 lambda) (:func:`polytope_curvature_fd`)
-  converges to.  For the generalized family this is
+  to rounding.  For the generalized family this is
   (M/sqrt(2)) (-1 + k(1+k)u^2 - k(1-k)v^2) / D^3.  The same formula with
   prefactor M instead of M/sqrt(2) disagrees with the oracle (and with the
   k -> 1 degeneration onto the exceptional family) by exactly sqrt(2).
@@ -51,11 +51,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .family import BadParams, InstantonParams
+from .family import BadParams, InstantonParams, finite_or_bad_params
 from .metrics import TORUS_VOLUME, conformal_factor
-from .numerics import (IllConditioned, Jet, QuadratureResult, check_stencil,
-                       fd_conformal_curvature, fd_jacobian2, fit_power_law, integrate_2d_improper,
-                       integrate_2d_region)
+from .numerics import (IllConditioned, Jet, QuadratureResult, conformal_curvature, fit_power_law,
+                       integrate_2d_improper, integrate_2d_region, jets)
 
 
 class EnergyReport(NamedTuple):
@@ -76,20 +75,19 @@ class Curvature4Sample(NamedTuple):
 # polytope (leaf) sectional curvature and Ricci data
 # --------------------------------------------------------------------------
 
+@finite_or_bad_params
 def polytope_curvature_fd(params: InstantonParams, u: float, v: float) -> float:
-    """Conformal-metric Gauss curvature oracle K = -Lap(log lambda)/(2 lambda)
-    at step 1e-3, O(step^2).  Needs 2*step of clearance from the chart
-    boundary."""
-    step = 1e-3
-    check_stencil(u, v, 2 * step, params.bounds)
-    return fd_conformal_curvature(lambda a, b: conformal_factor(params, a, b), u, v, step=step)
+    """Gauss curvature oracle K = -Lap(log lambda)/(2 lambda) from the jet of conformal_factor."""
+    params.check_point(u, v)
+    return conformal_curvature(lambda a, b: conformal_factor(params, a, b), u, v)
 
 
+@finite_or_bad_params
 def ricci_pseudo_jacobian_fd(params: InstantonParams, u: float, v: float) -> float:
-    """FD oracle for the pseudo-volume density: |det of the potential
-    Jacobian| by central differences of step 1e-4."""
-    jac = fd_jacobian2(params.ricci_potentials, u, v, step=1e-4)
-    return abs(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
+    """Pseudo-volume density oracle |det d(R1, R2)/d(u, v)| from the jets of ricci_potentials."""
+    params.check_point(u, v)
+    r1, r2 = params.ricci_potentials(*jets(u, v))
+    return abs(r1.du * r2.dv - r1.dv * r2.du)
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def jet_curvature(metric, u: float, v: float, flat: bool):
     1e-6 |Rm|, as near an axis, where the chart's terms dwarf the curvature; a flat
     metric is zero to within the bound and exempt from it."""
     import numpy as np
-    rows = metric(Jet(u, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(v, 0.0, 1.0, 0.0, 0.0, 0.0))
+    rows = metric(*jets(u, v))
     n, nn = len(rows), len(rows) ** 2
     G = np.array([(e.val, e.du, e.dv, e.duu, e.duv, e.dvv) if type(e) is Jet else (e, 0, 0, 0, 0, 0)
                   for row in rows for e in row]).T.reshape(6, n, n)   # g, d_u g, ..., d_vv g

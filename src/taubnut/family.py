@@ -758,7 +758,7 @@ class Flat(_HalfPlane):
         return lambda y: (c, s)
 
     def ricci_potentials(self, u, v):
-        return 1.0 / SQRT2, 1.0 / SQRT2
+        return 1.0 / SQRT2 + 0.0 * u, 1.0 / SQRT2 + 0.0 * u
 
     def polytope_curvature(self, u, v):
         return 0.0

@@ -11,7 +11,7 @@ lam * x.  Each torus coordinate runs over a circle of circumference 2*pi, so
 fiber integrals carry a factor (2 pi)^2.
 
 The family kernels behind conformal_factor and fiber_matrix also take Jets
-(:mod:`taubnut.numerics`), which curvature4_fd differentiates exactly.
+(:mod:`taubnut.numerics`), which the curvature oracles differentiate exactly.
 """
 
 from __future__ import annotations

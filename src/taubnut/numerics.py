@@ -5,15 +5,15 @@ Everything here is geometry-agnostic.  The rest of the package layers the
 metric-specific formulas on top of these routines, so the tolerances and
 failure modes of each helper are spelled out in its docstring.  The root
 solve takes one residual callable that returns the value with its
-derivatives; the finite-difference stencils take no domain, which the
-caller that knows it checks once with check_stencil.
+derivatives.  The finite-difference stencils, kept for kernels with asinh,
+hypot or square roots, take no domain; their caller checks it with check_stencil.
 
-Exact derivatives come from jets: a kernel called on Jet(u, 1, 0, 0, 0, 0)
-and Jet(v, 0, 1, 0, 0, 0) returns the Jet of its value, gradient and Hessian
-in (u, v) to roundoff, its value the float kernel's bit for bit.  It may use
-+, -, * and / on jets and numbers, and no ``**`` (write p * p), abs(),
-comparisons, math.* or numpy on a jet: they raise TypeError, and ``==``
-compares identity.  Jets of mpmath numbers run a kernel at any precision.
+Exact derivatives come from jets, which every curvature and Jacobian oracle
+reads: a kernel called on jets(u, v) returns the Jet of its value, gradient
+and Hessian in (u, v) to roundoff, its value the float kernel's bit for bit.
+It may use +, -, * and / on jets and numbers, and no ``**`` (write p * p),
+abs(), comparisons, math.* or numpy on a jet: they raise TypeError, and
+``==`` compares identity.  Jets of mpmath numbers run a kernel at any precision.
 """
 
 from __future__ import annotations
@@ -512,14 +512,6 @@ def fd_laplacian(f: Callable, x: float, y: float, *, step: float):
             - 4.0 * f(x, y)) / (step * step)
 
 
-def fd_conformal_curvature(lam: Callable[[float, float], float], x: float, y: float,
-                           *, step: float) -> float:
-    """Gauss curvature K = -Lap(log lam)/(2 lam) of lam (dx^2 + dy^2) by the
-    five-point Laplacian, O(step^2); callers keep the stencil where lam > 0."""
-    lap = fd_laplacian(lambda a, b: math.log(lam(a, b)), x, y, step=step)
-    return -lap / (2.0 * lam(x, y))
-
-
 def fd_gradient(f: Callable, x: float, y: float, *, step: float) -> tuple:
     """Central-difference gradient (df/dx, df/dy), O(step^2), of a scalar or
     a numpy array valued f."""
@@ -575,6 +567,17 @@ class Jet:
     __sub__ = lambda self, b: self + -b
     __rsub__ = lambda self, b: -self + b
     __rtruediv__ = lambda self, a: Jet(a, 0.0, 0.0, 0.0, 0.0, 0.0) / self
+
+
+def jets(u, v) -> tuple[Jet, Jet]:
+    """The seed jets (Jet(u, 1, 0, 0, 0, 0), Jet(v, 0, 1, 0, 0, 0)) of the point (u, v)."""
+    return Jet(u, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(v, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def conformal_curvature(lam: Callable[[Jet, Jet], Jet], x: float, y: float) -> float:
+    """K = -(lam Lap lam - |grad lam|^2) / (2 lam^3) of lam (dx^2 + dy^2) at (x, y) from its Jet."""
+    f = lam(*jets(x, y))
+    return (f.du * f.du + f.dv * f.dv - f.val * (f.duu + f.dvv)) / (2.0 * f.val ** 3)
 
 
 # --------------------------------------------------------------------------

@@ -132,8 +132,8 @@ def test_7_approximation_margins():
 
 
 def test_8_oracle_equivalences():
-    """Closed forms vs independent numerics: K_Sigma 1e-4, pseudo-density
-    1e-5, det(fiber) = x^2 1e-10, moment PDE O(step^2)."""
+    """Closed forms vs independent numerics: K_Sigma 4e-16, pseudo-density
+    2e-15, det(fiber) = x^2 1e-10, moment PDE O(step^2)."""
     pts = [(0.4, 0.9), (1.0, 1.0), (2.2, 0.5)]
     k_worst = p_worst = d_worst = 0.0
     for params in (GEN, GEN05, GEN09, EXC, HP):
@@ -149,8 +149,8 @@ def test_8_oracle_equivalences():
             x = axial_coordinate(params, u, v)
             det = float(np.linalg.det(np.array(fiber_matrix(params, u, v))))
             d_worst = max(d_worst, abs(det - x * x) / max(1e-300, x * x))
-    assert k_worst <= 1e-4, k_worst
-    assert p_worst <= 1e-5, p_worst
+    assert k_worst <= 4e-16, k_worst
+    assert p_worst <= 2e-15, p_worst
     assert d_worst <= 1e-10, d_worst
     for params in (GEN05, EXC):
         r1 = moment_pde_residual(params, 0.8, 0.4, step=1e-2)

@@ -129,7 +129,7 @@ def test_conifold_k_sigma():
     got = conifold_curvatures(k, u, v).k_sigma
     assert got == pytest.approx(expect, rel=1e-14, abs=0)
     assert got == pytest.approx(conifold_polytope_curvature_fd(k, u, v),
-                                rel=1e-4, abs=0)
+                                rel=5e-16, abs=0)
 
 
 def test_conifold_ricci_vs_fd():
@@ -234,7 +234,7 @@ def test_conifold_diagonal_variant_is_not_the_ricci():
 def test_blowdown_distance_gradient():
     for k in (0.0, 0.5, -0.7):
         for u, v in ((1.0, 1.0), (0.3, 2.0)):
-            assert blowdown_distance_gradient_deficit(k, u, v) < 1e-8
+            assert blowdown_distance_gradient_deficit(k, u, v) < 5e-16
 
 
 def test_blowdown_distance_along_geodesic_monotone():
@@ -342,7 +342,7 @@ def test_exceptional_blowdown_curvature_sign():
         got = exceptional_blowdown_curvature(u)
         assert got == pytest.approx(1.0 / u ** 4, rel=1e-15, abs=0)
         fd = exceptional_blowdown_curvature_fd(u)
-        assert fd == pytest.approx(got, rel=1e-4, abs=0)
+        assert fd == pytest.approx(got, rel=5e-16, abs=0)
         assert abs(-got - fd) > 1.9 * abs(got) * 0.99
     with pytest.raises(SingularAxis):
         exceptional_blowdown_curvature(0.0)

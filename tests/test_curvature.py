@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut.blowdown import conifold_ricci_fd
+from taubnut.blowdown import (SingularAxis, blowdown_distance_gradient_deficit, conifold_curvatures,
+                              conifold_polytope_curvature_fd, conifold_ricci_fd,
+                              exceptional_blowdown_curvature, exceptional_blowdown_curvature_fd)
 from taubnut.curvature import (IllConditioned, _metric4, curvature4_fd,
                                decay_rate_along_geodesic, jet_curvature, l2_ricci,
                                polytope_curvature_fd, ricci_pseudo_jacobian_fd)
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.geodesics import point_from_polar
-from taubnut.metrics import volume_density
-from taubnut.numerics import Jet
+from taubnut.metrics import conformal_factor, volume_density
+from taubnut.numerics import Jet, jets
 
 SQRT2 = math.sqrt(2.0)
 
@@ -60,13 +62,13 @@ def test_k_sigma_exceptional_closed_form():
 
 @pytest.mark.parametrize("params", [GEN, GEN05, GEN09, EXC, HP])
 def test_k_sigma_vs_conformal_oracle(params):
-    # K = -Laplacian(log lambda) / (2 lambda), the defining identity
+    # K = -Laplacian(log lambda) / (2 lambda), the defining identity, to rounding
     for u, v in INTERIOR:
         if params.family is Family.EXCEPTIONAL_HALF_PLANE:
             v -= 1.5
         got = params.polytope_curvature(u, v)
         fd = polytope_curvature_fd(params, u, v)
-        assert abs(got - fd) < 1e-4 * max(1.0, abs(got))
+        assert abs(got - fd) <= 4e-16 * max(1.0, abs(got))
 
 
 def test_flat_is_flat():
@@ -103,21 +105,82 @@ def test_pseudo_density_vanishes_at_k0():
 
 @pytest.mark.parametrize("params", [GEN05, GEN09, EXC, HP])
 def test_pseudo_density_vs_jacobian(params):
-    # d(R1) ^ d(R2) computed by finite differences of the potentials must
-    # reproduce the closed-form density; this is what pins the half-plane
+    # d(R1) ^ d(R2) from the jets of the potentials must reproduce the
+    # closed-form density to rounding; this is what pins the half-plane
     # prefactor at 16, not 8
     for u, v in INTERIOR:
         if params.family is Family.EXCEPTIONAL_HALF_PLANE:
             v -= 1.5
         fd = ricci_pseudo_jacobian_fd(params, u, v)
         closed = params.ricci_density(u, v)
-        assert abs(fd - closed) < 1e-5 * max(1.0, abs(closed))
+        assert abs(fd - closed) <= 1e-15 * max(1.0, abs(closed))
 
 
 def test_halfplane_prefactor_refutes_8():
     x = 0.9
     fd = ricci_pseudo_jacobian_fd(HP, x, 0.3)
     assert abs(fd - 8.0 * x / (1.0 + x * x) ** 3) > 1e-2
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def test_oracles_are_exact_where_the_stencils_were_not():
+    # one jet evaluation against the closed forms, where the stencils were off
+    # silently: K by 1.2e4 relatively at GeneralizedTN k = 0.5, (1e6, 3e5), the
+    # conifold K with the wrong sign at (1e-5, 1e-5), the exceptional blowdown K
+    # by 100 % at u = 1e3 and the pseudo-Jacobian by 6.6 at (1e5, 3e4); at
+    # (1e-4, 0.5) the stencil raised BoundaryTooClose
+    eps = sys.float_info.epsilon
+    assert _rel(polytope_curvature_fd(GEN05, 1e6, 3e5),
+                GEN05.polytope_curvature(1e6, 3e5)) <= 4e-16
+    assert _rel(polytope_curvature_fd(GEN05, 1e-4, 0.5),
+                GEN05.polytope_curvature(1e-4, 0.5)) <= 4e-16
+    assert _rel(exceptional_blowdown_curvature_fd(1e3),
+                exceptional_blowdown_curvature(1e3)) <= 4e-16
+    for k in (0.5, -0.9):
+        for u in [1e-5] + [10.0 ** e for e in range(11)]:
+            v = u if u == 1e-5 else 0.7 * u
+            assert _rel(conifold_polytope_curvature_fd(k, u, v),
+                        conifold_curvatures(k, u, v).k_sigma) <= 8e-16, (k, u)
+    # far out the pseudo-Jacobian loses digits, as its potentials tend to
+    # constants (2.8e-7 at (1e5, 3e4)), within a few eps r^2 relatively; K is
+    # within 2 eps of the size of its terms, which cancel near K's zeros and,
+    # at k = 0, to 1 / r^2 of their size far out
+    assert _rel(ricci_pseudo_jacobian_fd(GEN05, 1e5, 3e4),
+                GEN05.ricci_density(1e5, 3e4)) <= eps * (1e5 ** 2 + 3e4 ** 2)
+    rng = random.Random(32)
+    for params in (GEN, GEN05, InstantonParams(k=-0.9), EXC, HP):
+        for _ in range(200):
+            u = 10.0 ** rng.uniform(-4.0, 6.0)
+            v = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-5.0, 7.0)
+            if params.bounds[1][0] == 0.0:
+                v = abs(v)
+            # K = (|grad lam|^2 - lam Lap lam) / (2 lam^3), and the size of its terms
+            lam = conformal_factor(params, *jets(u, v))
+            terms = lam.du * lam.du + lam.dv * lam.dv + abs(lam.val * (lam.duu + lam.dvv))
+            assert abs(polytope_curvature_fd(params, u, v) - params.polytope_curvature(u, v)) \
+                <= 2.0 * eps * terms / (2.0 * lam.val ** 3), (params, u, v)
+            if params is not GEN:   # whose density is 0
+                assert _rel(ricci_pseudo_jacobian_fd(params, u, v), params.ricci_density(u, v)) \
+                    <= 4.0 * eps * (1.0 + u * u + v * v), (params, u, v)
+
+
+@pytest.mark.parametrize("oracle,args,error", [
+    (ricci_pseudo_jacobian_fd, (GEN05, -1.0, 1.0), BadParams),
+    (ricci_pseudo_jacobian_fd, (GEN05, math.nan, 1.0), BadParams),
+    (polytope_curvature_fd, (InstantonParams(M=1e300), 1e200, 1.0), BadParams),
+    (conifold_polytope_curvature_fd, (0.5, -1.0, 1.0), BadParams),
+    (blowdown_distance_gradient_deficit, (0.5, 1e200, 1e200), BadParams),
+    (exceptional_blowdown_curvature_fd, (-1.0,), BadParams),
+    (exceptional_blowdown_curvature_fd, (0.0,), SingularAxis)],
+    ids=lambda x: getattr(x, "__name__", None))
+def test_oracles_raise_off_their_domain(oracle, args, error):
+    # each checks its domain, then refuses a number that is not finite: a
+    # mirrored point would give another point's value, and 1e200 squared a NaN
+    with pytest.raises(error):
+        oracle(*args)
 
 
 def test_ricci_norm_closed_forms():
@@ -425,8 +488,7 @@ def test_jet_curvature_matches_60_digits():
     raised = 0
     with mpmath.workdps(60):
         for params, u, v in _gate_points():
-            rows = _metric4(params, u, v)(Jet(mpmath.mpf(u), 1.0, 0.0, 0.0, 0.0, 0.0),
-                                          Jet(mpmath.mpf(v), 0.0, 1.0, 0.0, 0.0, 0.0))
+            rows = _metric4(params, u, v)(*jets(mpmath.mpf(u), mpmath.mpf(v)))
             scalar, ric_sq, rm_sq, scale = _reference(rows)
             bound, rm = 4.0 * eps * scale, mpmath.sqrt(rm_sq)
             try:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubnut import cli
+from taubnut.blowdown import blowdown_distance, conifold_metric, exceptional_blowdown_metric
 from taubnut.family import (GEOMETRIES, BadParams, Chart, ExceptionalHalfPlane,
                             ExceptionalTN, Family, Flat, GeneralizedTN, InstantonParams,
                             WrongFamily, almost_polar_from_uv,
                             moment_pde_residual, uv_from_almost_polar)
 from taubnut.geodesics import point_from_polar, uv_from_chart
-from taubnut.numerics import Jet
+from taubnut.numerics import Jet, jets
 
 SQRT2 = math.sqrt(2.0)
 
@@ -209,33 +211,50 @@ def test_chart_dispatch_roundtrip():
 
 # --------------------------------------------------------------- jet contract
 
+def _numbers(out):
+    """The numbers of a kernel's result, nested tuples flattened."""
+    return [x for part in out for x in _numbers(part)] if isinstance(out, tuple) else [out]
+
+
 def _jet_parts(out, name):
     """The part ``name`` of each Jet the kernel returned; a number is constant."""
     return np.array([getattr(x, name) if isinstance(x, Jet) else (x if name == "val" else 0.0)
-                     for x in (out if isinstance(out, tuple) else (out,))])
+                     for x in _numbers(out)])
 
 
-@pytest.mark.parametrize("params", [InstantonParams(family) for family in GEOMETRIES]
-                         + [GEN05, InstantonParams(M=0.3, k=-0.9)],
-                         ids=lambda p: f"{p.family.value}-M{p.M}-k{p.k}")
-@pytest.mark.parametrize("kernel", ["conformal_factor", "fiber", "moment_map",
-                                    "ricci_potentials", "curvature_fiber"])
+#: the blowdown kernels that take Jets, as functions of (u, v)
+BLOWDOWN_KERNELS = {"conifold_metric-k0.5": functools.partial(conifold_metric.__wrapped__, 0.5),
+                    "conifold_metric-k-0.9": functools.partial(conifold_metric.__wrapped__, -0.9),
+                    "exceptional_blowdown_metric": exceptional_blowdown_metric.__wrapped__,
+                    "blowdown_distance": functools.partial(blowdown_distance, 0.5)}
+JET_KERNELS = [(kernel, params) for kernel in ("conformal_factor", "fiber", "moment_map",
+                                               "ricci_potentials", "curvature_fiber")
+               for params in [InstantonParams(family) for family in GEOMETRIES]
+               + [GEN05, InstantonParams(M=0.3, k=-0.9)]]
+JET_KERNELS += [(name, None) for name in BLOWDOWN_KERNELS]
+
+
+@pytest.mark.parametrize("kernel,params", JET_KERNELS, ids=[
+    name if params is None else f"{name}-{params.family.value}-M{params.M}-k{params.k}"
+    for name, params in JET_KERNELS])
 @pytest.mark.parametrize("u,v", [(0.7, 1.3), (1.6, 0.4), (23.0, 0.05)])
-def test_kernels_take_jets(params, kernel, u, v):
+def test_kernels_take_jets(kernel, params, u, v):
     # on the jets of (u, v) the value is the float kernel's bit for bit, the
     # gradient agrees with central differences of the float kernel, and the
     # Hessian with central differences of the gradient
-    if params.bounds[1][0] < 0.0:   # a half plane: try v < 0
-        v = -v
-    fn = getattr(params, kernel)
-    if kernel == "curvature_fiber":
-        fn = fn(u, v)   # the fiber, in the torus basis it picks at (u, v)
+    if params is None:
+        fn = BLOWDOWN_KERNELS[kernel]
+    else:
+        if params.bounds[1][0] < 0.0:   # a half plane: try v < 0
+            v = -v
+        fn = getattr(params, kernel)
+        if kernel == "curvature_fiber":
+            fn = fn(u, v)   # the fiber, in the torus basis it picks at (u, v)
 
     def jet(a, b, name):
-        return _jet_parts(fn(Jet(a, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(b, 0.0, 1.0, 0.0, 0.0, 0.0)),
-                          name)
+        return _jet_parts(fn(*jets(a, b)), name)
 
-    base = np.atleast_1d(np.asarray(fn(u, v)))
+    base = np.array(_numbers(fn(u, v)))
     assert np.array_equal(jet(u, v, "val"), base)
     d = 1e-6 * max(u, abs(v))
     for name, shift, part in (("du", (d, 0.0), "val"), ("dv", (0.0, d), "val"),

@@ -11,7 +11,7 @@ from taubnut.geodesics import point_from_polar
 from taubnut.metrics import (TORUS_VOLUME, axial_coordinate,
                              collapsing_direction_norms, conformal_factor,
                              fiber_matrix, volume_density)
-from taubnut.numerics import Jet
+from taubnut.numerics import jets
 
 GEN = InstantonParams()
 GEN05 = InstantonParams(k=0.5)
@@ -77,8 +77,7 @@ def test_fiber_vs_moment_gradients(u, v):
         lam = conformal_factor(params, u, v)
         F = fiber_matrix(params, u, v)
         grads = []
-        for phi in params.moment_map(Jet(u, 1.0, 0.0, 0.0, 0.0, 0.0),
-                                     Jet(v, 0.0, 1.0, 0.0, 0.0, 0.0)):
+        for phi in params.moment_map(*jets(u, v)):
             grads.append((phi.du, phi.dv))
         for i in (0, 1):
             for j in (0, 1):

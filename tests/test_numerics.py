@@ -10,9 +10,9 @@ from taubnut.asymptotics import almost_ball_volume
 from taubnut.family import Family, InstantonParams
 from taubnut.metrics import TORUS_VOLUME, volume_density
 from taubnut.curvature import jet_curvature
-from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples, Jet,
+from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples,
                               NoBracket, SlowDecay, StepUnderflow, check_stencil,
-                              fd_gradient, fd_jacobian2, fd_laplacian,
+                              conformal_curvature, fd_gradient, fd_jacobian2, fd_laplacian, jets,
                               MaxIterExceeded, find_root_monotone,
                               find_roots_monotone, fit_power_law,
                               integrate_2d_improper, integrate_2d_region,
@@ -458,7 +458,7 @@ def test_power_law_needs_samples():
 # ---------------------------------------------------------------------- jets
 
 def test_jet_partials_match_exact():
-    u, v = Jet(1.5, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(0.5, 0.0, 1.0, 0.0, 0.0, 0.0)
+    u, v = jets(1.5, 0.5)
     f = (u * u * v + v * v * v - 2.0) / (1.0 + u) - (3.0 - v)
     b = 2.5   # f = (u^2 v + v^3 - 2) / b + v - 3 at (1.5, 0.5), with b = 1 + u
     num = 1.5 ** 2 * 0.5 + 0.125 - 2.0
@@ -479,9 +479,6 @@ def test_jet_vs_gradient(u, v):
     def f(a, b):
         return a * a / (1.0 + b) + b * a
 
-    def jets(a, b):
-        return Jet(a, 1.0, 0.0, 0.0, 0.0, 0.0), Jet(b, 0.0, 1.0, 0.0, 0.0, 0.0)
-
     jet = f(*jets(u, v))
     assert jet.val == f(u, v)
     gx, gy = fd_gradient(f, u, v, step=1e-6)
@@ -490,3 +487,19 @@ def test_jet_vs_gradient(u, v):
     hx, hy = fd_gradient(lambda a, b: f(*jets(a, b)).du, u, v, step=1e-5)
     assert abs(jet.duu - hx) < 1e-5 * max(1.0, abs(jet.duu))
     assert abs(jet.duv - hy) < 1e-5 * max(1.0, abs(jet.duv))
+
+
+def test_conformal_curvature_of_model_metrics():
+    # the round sphere 4 (dx^2 + dy^2) / (1 + x^2 + y^2)^2 has K = 1, the
+    # half-plane (dx^2 + dy^2) / y^2 has K = -1, and a constant factor K = 0;
+    # lam Lap lam and |grad lam|^2 cancel where 2 K lam^3 is small against
+    # them, as on the sphere far out, so its points stay near the origin
+    def sphere(a, b):
+        q = 1.0 + a * a + b * b
+        return 4.0 / (q * q)
+    for x, y in ((0.3, -1.7), (0.5, 0.2)):
+        assert conformal_curvature(sphere, x, y) == pytest.approx(1.0, rel=1e-15, abs=0)
+    for x, y in ((0.3, 1.7), (2.0, 5.0), (1e3, 1e-3)):
+        assert conformal_curvature(lambda a, b: 1.0 / (b * b), x, y) == pytest.approx(
+            -1.0, rel=1e-15, abs=0)
+        assert conformal_curvature(lambda a, b: 3.0 + 0.0 * a, x, y) == 0.0
