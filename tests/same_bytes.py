@@ -53,12 +53,17 @@ VOLUME = [["volume", "--family", *family, "--format", "json"]
           for family in (["generalized", "--k", "0"], ["generalized", "--k", "0.5"],
                          ["exceptional"])]
 #: the shoot and its certificate: every family on and near both axes, one
-#: sample and the benchmark's count, and rows at the float range
+#: sample and the benchmark's count, rows at the float range, and the dense
+#: output where most steps carry no sample (R = 1000, 2 samples) and where
+#: one step carries many (R = 0.5, 400 samples)
 ETAS = ["0", "0.7", repr(math.pi / 2 - 0.01)]
 GEODESIC = ([["geodesic", "--family", family, f"--eta={eta}", "--R", "5", "--samples", n]
              for family, etas in (("generalized", ETAS), ("exceptional", ETAS),
                                   ("halfplane", ETAS + ["-0.7"]), ("flat", ETAS))
              for eta in etas for n in ("1", "64")]
+            + [["geodesic", "--family", family, f"--eta={eta}", "--R", R, "--samples", n]
+               for family, eta in (("generalized", "0.7"), ("halfplane", "-0.7"))
+               for R, n in (("1000", "2"), ("0.5", "400"))]
             + [["geodesic", "--eta", "0.7", "--M", "1e300", "--R", "5"],
                ["geodesic", "--family", "exceptional", "--eta", "0.7", "--R", "1e308"],
                ["geodesic", "--family", "halfplane", "--eta", "0.7", "--R", "1e308"],

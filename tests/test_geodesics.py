@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import struct
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from taubnut import geodesics
 from taubnut.curvature import polytope_curvature_fd
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
-from taubnut.numerics import find_root_monotone
+from taubnut.numerics import StepUnderflow, find_root_monotone, ode_solve
 from taubnut.geodesics import (distance, eikonal_S,
                                eikonal_residual, geodesic_shoot,
                                point_from_polar, points_from_polar, polar_from_point,
@@ -715,6 +716,38 @@ def test_geodesic_shoot(params, eta):
     assert traj.us[0] == traj.vs[0] == 0.0
     assert max(traj.unparam_residuals) < 1e-8
     assert max(abs(R - t) for R, t in zip(traj.distances, traj.ts)) < 1e-6
+
+
+def _shoot_bits(*args, **kwargs) -> bytes:
+    """The packed floats of every list geodesic_shoot returns and its nfev, or
+    the name of the error it raises."""
+    try:
+        traj = geodesic_shoot(*args, **kwargs)
+    except (BadParams, StepUnderflow) as exc:
+        return type(exc).__name__.encode()
+    floats = [*traj.ts, *traj.us, *traj.vs, *traj.distances, *traj.unparam_residuals]
+    return struct.pack(f"<{len(floats)}dq", *floats, traj.nfev)
+
+
+def test_shoot_keeps_its_bits():
+    # geodesic_shoot at seeded shots of every family, generalized also at
+    # M != sqrt(2), on both axes and near the u-axis, t_end from 1e-3 to 1e3
+    # and 1e300, 1 to 200 samples, and ode_solve on the stiff system of
+    # test_nfev_counts_every_call, hashed: the literal is the digest of the
+    # shoot before its DOP853 stages moved into locals, so a change that
+    # moves a last bit or an nfev fails
+    rng = random.Random(3301)
+    digest = hashlib.sha256()
+    for params in (GEN05, InstantonParams(M=7.5, k=-0.9), InstantonParams(M=0.1), EXC, HP, FLAT):
+        lo, hi = params.eta_range
+        etas = [0.0, 1e-320, hi] + ([-0.7, -1e-320, lo] if lo < 0.0 else [])
+        shots = [(eta, 10.0 ** rng.uniform(-3.0, 3.0))
+                 for eta in etas + [rng.uniform(lo, hi) for _ in range(2)] for _ in range(2)]
+        for eta, t_end in shots + [(rng.uniform(lo, hi), 1e300)]:
+            digest.update(_shoot_bits(params, eta, t_end, n_samples=rng.choice((1, 2, 64, 200))))
+    sol = ode_solve(lambda y: (-100.0 * y[0], -100.0 * y[1]), [1.0, 1.0], np.linspace(0.0, 1.0, 30))
+    digest.update(struct.pack("<60dq", *(c for y in sol.ys for c in y), sol.nfev))
+    assert digest.hexdigest() == "c298077208b066075b2c4887efc318142c5d42cd685cfcad6491dfbfe9451de4"
 
 
 @pytest.mark.parametrize("t_end,n_samples", [
