@@ -5,18 +5,17 @@ Coefficients of Hairer, Norsett & Wanner, *Solving Ordinary Differential
 Equations I*, 2nd ed., Sec. II.10 (the DOP853 code), as IEEE doubles.  Rows
 are sparse, {column: coefficient}, and summed in column order; stages 12-15
 are the three extra stages of the dense output (stage 12 is the FSAL stage
-f(y_new), its row the 8th-order weights).  The slopes K are a pair of lists
-(K_u, K_v) by stage.  Right-hand sides take (u, v) alone and return (u', v').
-The sums run as straight-line code generated from the rows on first use
-(2-4 ms, which every process would pay at import).
-"""
+f(y_new), its row the 8th-order weights).  Right-hand sides take (u, v)
+alone and return (u', v').  A step and a dense output each run as one
+straight-line function, generated from the rows on first use (1.5-2 ms,
+which every process would pay at import), that keeps the slopes in locals."""
 
 from __future__ import annotations
 
 import functools
 import math
 
-N_STAGES = 12           # stages of one step; K[12] holds f(y_new)
+N_STAGES = 12           # stages of one step; stage 12 is f(y_new)
 N_STAGES_EXTENDED = 16  # plus the three extra stages of the dense output
 ERROR_ORDER = 7         # step control: error_norm ~ h^(ERROR_ORDER + 1)
 
@@ -91,26 +90,32 @@ _DENSE_ROWS = [tuple(row.items()) for row in (
 
 
 @functools.cache
-def kernels() -> dict:
-    """The straight-line functions "step" and "extra", (rhs, y, h, K) -> (the
-    state of the last stage, the sums of the error rows, or of the dense rows
-    highest term first, per component), which fill K with the slopes of the
-    stages 1-12 (y_new their last state) and 13-15 of the step (y, h)."""
-    def row_sum(k, row):   # 0.0 + a0 * k[j0] + a1 * k[j1] + ..., the float a loop gives
-        return " + ".join(["0.0", *(f"{a!r} * {k}[{j}]" for j, a in row)])
-    source = []
-    for name, first, last, rows in (("step", 1, N_STAGES + 1, _ERROR_ROWS),
-                                     ("extra", N_STAGES + 1, N_STAGES_EXTENDED, _DENSE_ROWS[::-1])):
-        source += [f"def {name}(rhs, y, h, K):", "    u, v = y", "    ku, kv = K"]
-        for s in range(first, last):
-            su, sv = (row_sum(k, _STAGE_ROWS[s]) for k in ("ku", "kv"))
-            source += [f"    y_s = (u + ({su}) * h, v + ({sv}) * h)",
-                       f"    ku[{s}], kv[{s}] = rhs(y_s)"]
-        source.append("    return y_s, (" + ", ".join(
-            f"({', '.join(row_sum(k, row) for row in rows)})" for k in ("ku", "kv")) + ")")
-    namespace = {}
-    exec("\n".join(source), namespace)
-    return namespace
+def kernels() -> tuple:
+    """The straight-line functions (step, dense), stage s's slopes in locals
+    ku{s}, kv{s}.  step(rhs, u, v, h, ku0, kv0) returns y_new, the error rows'
+    sums ((e5u, e3u), (e5v, e3v)) and the slopes K = (ku0, ..., ku12, kv0,
+    ..., kv12) of the step of size h; dense(rhs, u, v, u_new, v_new, h, K)
+    adds stages 13-15 and returns the dense output's Horner terms, per component."""
+    def row_sum(c, row):   # 0.0 + a0 * kc_j0 + a1 * kc_j1 + ..., the float a loop gives
+        return " + ".join(["0.0", *(f"{a!r} * k{c}{j}" for j, a in row)])
+
+    def slopes(s, name):   # of stage s at its state, which name := stores
+        state = ", ".join(f"{c} + ({row_sum(c, _STAGE_ROWS[s])}) * h" for c in "uv")
+        return f"    ku{s}, kv{s} = rhs({name}({state}))"
+
+    def terms(c):   # the Horner scheme starts at 0.0; d = c_new - c, the step's change
+        d = f"({c}_new - {c})"
+        low = [f"2.0 * {d} - h * (k{c}{N_STAGES} + k{c}0)", f"h * k{c}0 - {d}", d]
+        return "0.0 + " + ", ".join([f"h * ({row_sum(c, row)})" for row in _DENSE_ROWS[::-1]] + low)
+    K = ", ".join(f"k{c}{s}" for c in "uv" for s in range(N_STAGES + 1))
+    errors = ", ".join(f"({', '.join(row_sum(c, row) for row in _ERROR_ROWS)})" for c in "uv")
+    source = ["def step(rhs, u, v, h, ku0, kv0):", *(slopes(s, "") for s in range(1, N_STAGES)),
+              slopes(N_STAGES, "y_new := "), f"    return y_new, ({errors}), ({K})",
+              "def dense(rhs, u, v, u_new, v_new, h, K):", f"    {K} = K",
+              *(slopes(s, "") for s in range(N_STAGES + 1, N_STAGES_EXTENDED)),
+              f"    return ({terms('u')}), ({terms('v')})"]
+    exec("\n".join(source), namespace := {})
+    return namespace["step"], namespace["dense"]
 
 
 def error_norm(sums, h: float, scale: tuple[float, float]) -> float:
@@ -125,23 +130,3 @@ def error_norm(sums, h: float, scale: tuple[float, float]) -> float:
         return 0.0
     n3 = math.hypot(e3u / su, e3v / sv)
     return abs(h) * n5 * (n5 / math.hypot(n5, 0.1 * n3)) / math.sqrt(2.0)
-
-
-def interpolant(rhs, h: float, y_old: tuple[float, float], y: tuple[float, float],
-                K, x: list[float]) -> list[tuple[float, float]]:
-    """The 7th-order dense output of the step of size h from y_old to y just
-    taken (K[:13] its stages) at the step fractions x in [0, 1], one (u, v)
-    per fraction.  Evaluates the three extra stages into K[13:16]."""
-    terms = []   # per component, the terms of the Horner scheme, highest first
-    for k, high, start, end in zip(K, kernels()["extra"](rhs, y_old, h, K)[1], y_old, y):
-        delta = end - start
-        terms.append([*(h * sum_ for sum_ in high),
-                      2.0 * delta - h * (k[N_STAGES] + k[0]), h * k[0] - delta, delta])
-    out = []
-    for xi in x:
-        u = v = 0.0
-        for tu, tv, m in zip(*terms, (xi, 1.0 - xi) * 4):
-            u = (u + tu) * m
-            v = (v + tv) * m
-        out.append((u + y_old[0], v + y_old[1]))
-    return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -400,6 +401,8 @@ ODE_TOL = 1e-12   # relative and absolute local error tolerance of each ode_solv
 class OdeResult(NamedTuple):
     ys: list[tuple[float, float]]   # (u, v) at each time of t_eval
     nfev: int
+    steps: int      # accepted steps
+    rejected: int   # rejected step attempts
 
 
 def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
@@ -407,69 +410,81 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
     """High-order nonstiff integration of the autonomous planar system
     y' = rhs(y), y = (u, v) a pair of floats, from y(t_eval[0]) = y0 forward
     to t_eval[-1]: the embedded Runge-Kutta 8(5,3) pair of Dormand and
-    Prince (DOP853, :mod:`taubnut.dop853`), stepped in float arithmetic.
+    Prince (DOP853), stepped in float arithmetic by the straight-line
+    kernels of :mod:`taubnut.dop853`.
 
     Each step is accepted when the RMS norm of its error estimate, scaled
     by ODE_TOL (1 + max(|y|, |y_new|)), ODE_TOL = 1e-12, is below 1; the
     next step is h * min(10, 0.9 norm^(-1/8)), and a rejected one shrinks
-    by at least 0.2.  The points of t_eval (increasing) come from the
-    7th-order dense output of the step that covers them.  ``nfev`` counts
-    every call of rhs: two to start (the first slope and the initial-step
-    probe), N_STAGES per attempted step and three per dense-output step.
+    by at least 0.2.  The points of t_eval (non-decreasing, else BadParams)
+    come from the 7th-order dense output of the step that covers them.
+    ``nfev`` counts every call of rhs: two to start (the first slope and the
+    initial-step probe), N_STAGES per attempted step (``steps`` accepted,
+    ``rejected`` not) and three per step that carries samples.
 
-    ``ys`` is a list of (u, v) float pairs.  Raises StepUnderflow when a
-    sample leaves the float range, and when the step would fall below ten
-    ulps of t before t_eval[-1], which in this package invariably means the
-    trajectory ran into a coordinate degeneracy, not a stiff problem.
+    ``ys`` is a list of (u, v) float pairs.  Raises StepUnderflow for an
+    infinite span, when a sample leaves the float range, and when the step
+    would fall below ten ulps of t (or is NaN) before t_eval[-1], which in
+    this package invariably means the trajectory ran into a coordinate
+    degeneracy, not a stiff problem.
     """
-    from . import dop853
+    from . import dop853, family   # family imports this module
     pending = [float(t) for t in t_eval]
+    if not pending or any(map(math.isnan, pending)) or pending != sorted(pending):
+        raise family.BadParams("t_eval must be non-empty, non-decreasing and free of NaN")
     t, t_end = pending[0], pending[-1]
     y = tuple(map(float, y0))
     if t == t_end:   # nothing to integrate
-        return OdeResult(ys=[y] * len(pending), nfev=0)
-    ys = []
-    K = ([0.0] * dop853.N_STAGES_EXTENDED, [0.0] * dop853.N_STAGES_EXTENDED)
+        return OdeResult(ys=[y] * len(pending), nfev=0, steps=0, rejected=0)
+    if math.isinf(t) or math.isinf(t_end):
+        raise StepUnderflow(f"integrator cannot span the times from {t!r} to {t_end!r}")
     f = rhs(y)
     h_abs = _initial_step(rhs, y, f, t_end - t)
-    nfev = 2
+    (u, v), (fu, fv) = y, f
     exponent = -1.0 / (dop853.ERROR_ORDER + 1)
-    first = 0   # index in pending of the next sample time
-    stages = dop853.kernels()["step"]
+    ys, first = [], 0   # the samples, and the index in pending of the next one
+    steps = rejected = dense_steps = 0
+    step, dense = dop853.kernels()
 
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
-        rejected = False
-        K[0][0], K[1][0] = f
+        earlier = rejected   # rejections before this step
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:   # also a NaN step, from a NaN first slope
                 raise StepUnderflow(f"integrator stopped at t = {t!r}: step size "
                                     f"{h_abs!r} fell below the spacing of floats")
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            y_new, errors = stages(rhs, y, h, K)
-            nfev += dop853.N_STAGES
-            scale = tuple(ODE_TOL + max(abs(a), abs(b)) * ODE_TOL for a, b in zip(y, y_new))
-            norm = dop853.error_norm(errors, h, scale)
+            (u_new, v_new), errors, K = step(rhs, u, v, h, fu, fv)
+            norm = dop853.error_norm(errors, h, (ODE_TOL + max(abs(u), abs(u_new)) * ODE_TOL,
+                                                 ODE_TOL + max(abs(v), abs(v_new)) * ODE_TOL))
             if norm < 1.0:
                 factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** exponent)
-                h_abs *= min(1.0, factor) if rejected else factor
+                h_abs *= min(1.0, factor) if rejected > earlier else factor
+                steps += 1
                 break
             h_abs *= max(0.2, 0.9 * norm ** exponent)
-            rejected = True
+            rejected += 1
 
-        last = bisect.bisect_right(pending, t_new, first)
-        if last > first:
-            ys += dop853.interpolant(rhs, h, y, y_new, K,
-                                     [(s - t) / h for s in pending[first:last]])
-            nfev += 3   # the dense output's three extra stages
+        if pending[first] <= t_new:   # the step carries samples: its dense output
+            last = bisect.bisect_right(pending, t_new, first)
+            (a0, a1, a2, a3, a4, a5, a6), (b0, b1, b2, b3, b4, b5, b6) = dense(
+                rhs, u, v, u_new, v_new, h, K)
+            for s in pending[first:last]:
+                x = (s - t) / h   # the step fraction: Horner in x and x1 = 1 - x
+                x1 = 1.0 - x
+                du = ((((((a0 * x + a1) * x1 + a2) * x + a3) * x1 + a4) * x + a5) * x1 + a6) * x
+                dv = ((((((b0 * x + b1) * x1 + b2) * x + b3) * x1 + b4) * x + b5) * x1 + b6) * x
+                ys.append((du + u, dv + v))
+            dense_steps += 1
             first = last
-        t, y, f = t_new, y_new, (K[0][dop853.N_STAGES], K[1][dop853.N_STAGES])
+        t, u, v, fu, fv = t_new, u_new, v_new, K[dop853.N_STAGES], K[-1]
 
-    if not all(math.isfinite(u) and math.isfinite(v) for u, v in ys):
+    if not all(map(math.isfinite, itertools.chain.from_iterable(ys))):
         raise StepUnderflow(f"integrator left the float range before t = {t_end!r}")
-    return OdeResult(ys=ys, nfev=nfev)
+    return OdeResult(ys=ys, nfev=2 + dop853.N_STAGES * (steps + rejected) + 3 * dense_steps,
+                     steps=steps, rejected=rejected)
 
 
 def _initial_step(rhs, y, f, span) -> float:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from taubnut import dop853
 from taubnut.asymptotics import almost_ball_volume
-from taubnut.family import Family, InstantonParams
+from taubnut.family import BadParams, Family, InstantonParams
 from taubnut.metrics import TORUS_VOLUME, volume_density
 from taubnut.curvature import jet_curvature
 from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples,
@@ -367,7 +367,8 @@ def test_ode_geodesic_against_scipy(params, eta):
 
 def test_nfev_counts_every_call(monkeypatch):
     # y' = -100 y, in both components, is stiff enough on [0, 1] for the
-    # step controller to reject steps, and the 30 samples take dense outputs
+    # step controller to reject steps, and the 30 samples take dense outputs:
+    # N_STAGES calls per attempted step, three per step that carries samples
     calls, norms = [], []
     error_norm = dop853.error_norm
 
@@ -381,10 +382,32 @@ def test_nfev_counts_every_call(monkeypatch):
         return -100.0 * y[0], -100.0 * y[1]
     t_eval = np.linspace(0.0, 1.0, 30)
     sol = ode_solve(rhs, [1.0, 1.0], t_eval)
-    assert max(norms) >= 1.0
+    assert max(norms) >= 1.0 and sol.rejected > 0
+    assert len(norms) == sol.steps + sol.rejected
     assert sol.nfev == len(calls)
+    dense_steps, rest = divmod(sol.nfev - 2 - dop853.N_STAGES * (sol.steps + sol.rejected), 3)
+    assert rest == 0 and 1 <= dense_steps <= sol.steps
     for column in zip(*sol.ys):
         assert max(abs(y - math.exp(-100.0 * t)) for y, t in zip(column, t_eval)) < 1e-10
+
+
+@pytest.mark.parametrize("t_eval", [[1.0, 0.0], [0.0, math.nan], [math.nan, 1.0],
+                                    [0.0, 2.0, 1.0], []])
+def test_ode_rejects_malformed_t_eval(t_eval):
+    # these returned no samples, a sample extrapolated past the step that
+    # ends at t = 1, or an IndexError
+    with pytest.raises(BadParams, match="non-decreasing"):
+        ode_solve(lambda y: (1.0, -y[1]), [0.0, 1.0], t_eval)
+
+
+@pytest.mark.parametrize("rhs,t_eval", [
+    (lambda y: (1.0, -y[1]), [0.0, math.inf]), (lambda y: (1.0, -y[1]), [-math.inf, 0.0]),
+    (lambda y: (math.nan, 0.0), [0.0, 1.0])])
+def test_ode_without_a_finite_step_raises(rhs, t_eval):
+    # an infinite span, or a NaN first slope, gave an inf or NaN step size
+    # that a rejection could not shrink: the integrator looped forever
+    with pytest.raises(StepUnderflow):
+        ode_solve(rhs, [1.0, 1.0], t_eval)
 
 
 def test_ode_blowup_raises():
