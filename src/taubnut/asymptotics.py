@@ -27,11 +27,11 @@ from typing import NamedTuple
 from .family import BadParams, InstantonParams, finite_or_bad_params, uv_from_almost_polar
 from .geodesics import distance, point_from_polar
 from .metrics import TORUS_VOLUME, volume_density
-from .numerics import (InsufficientSamples, QuadratureResult, fit_power_law,
+from .numerics import (InsufficientSamples, QuadratureResult, TaubnutError, fit_power_law,
                        integrate_2d_region)
 
 
-class SmallRadius(Exception):
+class SmallRadius(TaubnutError):
     """Radius below the regime where the measured bracket applies."""
 
 

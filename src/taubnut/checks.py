@@ -14,12 +14,12 @@ from typing import Callable
 
 from . import asymptotics, blowdown, curvature, family, geodesics, metrics
 from .family import SQRT2, Family, InstantonParams
-from .numerics import jets
+from .numerics import TaubnutError, jets
 
 CHECKS: list[tuple[str, Callable[[], str]]] = []
 
 
-class CheckFailed(Exception):
+class CheckFailed(TaubnutError):
     """A check's bound does not hold; the message says by how much."""
 
 
@@ -271,19 +271,21 @@ def norm_dichotomy():
     return f"|Ric| -> 2 (exceptional) vs sqrt(8) (half-plane): {e:.4f}, {h:.4f}"
 
 
+# (quantity, params, eta, exponent, tolerance): the fall-off along radial
+# geodesics, |K_Sigma| and |Rm| ~ R^-3 on standard Taub-NUT (k = 0) at every
+# angle, ~ R^-2 at k != 0, and no decay along the exceptional families' v-axis
+DECAY_CASES = [("K_sigma", _GEN0, eta, -3.0, 0.1)
+               for eta in (0.0, math.pi / 8, 0.7, math.pi / 4, 3 * math.pi / 8, math.pi / 2)]
+DECAY_CASES += [(q, _GEN05, 0.7, -2.0, 0.1) for q in ("K_sigma", "Ric")]
+DECAY_CASES += [("K_sigma", pp, math.pi / 2, 0.0, 0.05) for pp in (_EXC, _HP)]
+DECAY_CASES += [("Rm_fd", pp, 0.7, rate, 0.05)
+                for pp, rate in ((_GEN0, -3.0), (_GEN05, -2.0), (_GENM05, -2.0))]
+
+
 @check("curvature.decay-rates")
 def decay_rates():
-    # the fall-off along radial geodesics: |K_Sigma| and |Rm| ~ R^-3 on
-    # standard Taub-NUT (k = 0) at every angle, ~ R^-2 at k != 0, and no
-    # decay along the exceptional families' v-axis
-    cases = [("K_sigma", _GEN0, eta, -3.0, 0.1)
-             for eta in (0.0, math.pi / 8, 0.7, math.pi / 4, 3 * math.pi / 8, math.pi / 2)]
-    cases += [(q, _GEN05, 0.7, -2.0, 0.1) for q in ("K_sigma", "Ric")]
-    cases += [("K_sigma", pp, math.pi / 2, 0.0, 0.05) for pp in (_EXC, _HP)]
-    cases += [("Rm_fd", pp, 0.7, rate, 0.05)
-              for pp, rate in ((_GEN0, -3.0), (_GEN05, -2.0), (_GENM05, -2.0))]
     rates = []
-    for quantity, pp, eta, expected, tol in cases:
+    for quantity, pp, eta, expected, tol in DECAY_CASES:
         rate = curvature.decay_rate_along_geodesic(pp, eta, quantity, (60.0, 120.0, 240.0, 480.0))
         expect(abs(rate - expected) < tol,
                f"{quantity} of {pp.family.value} k={pp.k} at eta={eta:.4f} decays like "

@@ -14,7 +14,8 @@ Subcommands:
 Output is deterministic: floats are printed with 17 significant digits,
 CSV has a fixed header and column order, JSON keys are sorted, and reports
 echo the parameters and library version.  Exit codes: 0 success, 1
-verification failure, 2 bad arguments.
+verification failure, 2 bad arguments and any other error of the package
+(a TaubnutError), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 
 from . import __version__
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily, check_chirality
-from .numerics import InsufficientSamples, SlowDecay, StepUnderflow, find_roots_monotone
+from .numerics import TaubnutError, find_roots_monotone
 
 FAMILY_NAMES = {
     "generalized": Family.GENERALIZED_TN,
@@ -35,10 +36,6 @@ FAMILY_NAMES = {
     "halfplane": Family.EXCEPTIONAL_HALF_PLANE,
     "flat": Family.FLAT,
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(x: float) -> str:
@@ -91,11 +88,11 @@ def _params(args) -> InstantonParams:
 def _parse_point(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"--point expects 'c1,c2', got {text!r}")
+        raise BadParams(f"--point expects 'c1,c2', got {text!r}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise UsageError(f"--point expects two floats, got {text!r}")
+        raise BadParams(f"--point expects two floats, got {text!r}")
 
 
 # --------------------------------------------------------------------------
@@ -115,7 +112,7 @@ def _cmd_eval(args) -> int:
         """Store values() under names, each a float within the float range;
         an overflow is charged to the first name."""
         def beyond(name):
-            return UsageError(f"{name} at (u, v) = ({u}, {v}) is beyond the float range")
+            return BadParams(f"{name} at (u, v) = ({u}, {v}) is beyond the float range")
         try:
             values = [float(x) for x in values()]
         except OverflowError:
@@ -159,9 +156,9 @@ def _cmd_geodesic(args) -> int:
     from . import geodesics
     params = _params(args)
     if not 0.0 < args.R < math.inf:
-        raise UsageError(f"--R must be finite and positive, got {args.R}")
+        raise BadParams(f"--R must be finite and positive, got {args.R}")
     if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+        raise BadParams(f"--samples must be >= 1, got {args.samples}")
     traj = geodesics.geodesic_shoot(params, args.eta, args.R, n_samples=args.samples)
     rows = [[t, u, v, R, abs(R - t), res] for t, u, v, R, res in
             zip(traj.ts, traj.us, traj.vs, traj.distances, traj.unparam_residuals)]
@@ -201,13 +198,13 @@ def _cmd_contour(args) -> int:
     # rays and launch angles both sweep the chart domain
     eta_lo, eta_hi = params.eta_range
     if args.levels < 2:
-        raise UsageError(f"--levels must be >= 2, got {args.levels}")
+        raise BadParams(f"--levels must be >= 2, got {args.levels}")
     if args.phi_samples < 2:
-        raise UsageError(f"--phi-samples must be >= 2, got {args.phi_samples}")
+        raise BadParams(f"--phi-samples must be >= 2, got {args.phi_samples}")
     if not 0.0 <= args.R < math.inf:
-        raise UsageError(f"--R must be finite and >= 0, got {args.R}")
+        raise BadParams(f"--R must be finite and >= 0, got {args.R}")
     if not eta_lo <= args.eta <= eta_hi:
-        raise UsageError(f"--eta must lie in [{eta_lo}, {eta_hi}], got {args.eta}")
+        raise BadParams(f"--eta must lie in [{eta_lo}, {eta_hi}], got {args.eta}")
     phis = np.linspace(eta_lo, eta_hi, args.phi_samples)
     cp, sp = np.cos(phis), np.sin(phis)
 
@@ -305,9 +302,9 @@ def _cmd_volume(args) -> int:
     try:
         radii = [float(x) for x in args.R.split(",")]
     except ValueError:
-        raise UsageError(f"--R expects comma-separated radii, got {args.R!r}")
+        raise BadParams(f"--R expects comma-separated radii, got {args.R!r}")
     if not radii or any(r <= 0 for r in radii):
-        raise UsageError("--R radii must be positive")
+        raise BadParams("--R radii must be positive")
     rows, brackets = [], []
     for R in radii:
         vol = asymptotics.almost_ball_volume(params, R)
@@ -491,7 +488,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, BadParams, WrongFamily, SlowDecay, InsufficientSamples,
-            StepUnderflow) as exc:
+    except TaubnutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

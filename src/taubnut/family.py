@@ -4,8 +4,8 @@ Four families share one toric template: a half-plane (or quadrant) leaf
 carrying a conformal metric lambda (du^2 + dv^2), plus a two-torus fiber.
 Every formula that differs between families lives in that family's class
 here, next to its parameter validation and its chart domain: ``bounds``,
-the (u range, v range) pair :func:`taubnut.numerics.check_stencil` takes,
-and ``eta_range``, the launch angles of the radial geodesics (the closed
+the (u range, v range) pair ``check_point`` holds a point to, and
+``eta_range``, the launch angles of the radial geodesics (the closed
 quadrant with eta in [0, pi/2], or the half-plane u >= 0 with eta in
 [-pi/2, pi/2]).  The classes derive from :class:`InstantonParams`, and
 ``InstantonParams(family, M, k)`` is an instance of the family's class, so
@@ -34,18 +34,14 @@ import sys
 from contextlib import nullcontext
 from enum import Enum
 
-from .numerics import fd_gradient, fd_laplacian
+from .numerics import BadParams, TaubnutError, fd_gradient, fd_laplacian
 
 SQRT2 = math.sqrt(2.0)
 QUADRANT = ((0.0, math.inf), (0.0, math.inf))
 HALF_PLANE = ((0.0, math.inf), (-math.inf, math.inf))
 
 
-class BadParams(Exception):
-    """Parameter combination outside the family's domain."""
-
-
-class WrongFamily(AttributeError):
+class WrongFamily(TaubnutError, AttributeError):
     """The requested quantity is not defined for this family (its class has
     no such attribute)."""
 
@@ -144,11 +140,17 @@ def _ops(x):
     return _FloatOps if type(x) is float or not _is_array(x) else _array_ops()
 
 
-def _axis_cos_sin(eta):
-    """(cos eta, sin eta), with cos 0 on the v-axis |eta| = pi/2, not math.cos's
-    6e-17, and sin 0 on the u-axis |sin eta| < 1e-300, where v / sin overflows."""
+def _eikonal_cos_sin(eta):
+    """(cos eta, sin eta) as S_eta takes them: math.cos's 6e-17 at the float pi/2,
+    and sin 0 on the u-axis |sin eta| < 1e-300, where v / sin overflows."""
     s = math.sin(eta)
-    return 0.0 if abs(eta) == math.pi / 2 else math.cos(eta), s if abs(s) >= 1e-300 else 0.0
+    return math.cos(eta), s if abs(s) >= 1e-300 else 0.0
+
+
+def _axis_cos_sin(eta):
+    """_eikonal_cos_sin(eta), but cos 0 on the v-axis |eta| = pi/2."""
+    c, s = _eikonal_cos_sin(eta)
+    return 0.0 if abs(eta) == math.pi / 2 else c, s
 
 
 def _asinh_ratio(p: float, c: float) -> float:

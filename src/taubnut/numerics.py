@@ -6,7 +6,7 @@ metric-specific formulas on top of these routines, so the tolerances and
 failure modes of each helper are spelled out in its docstring.  The root
 solve takes one residual callable that returns the value with its
 derivatives.  The finite-difference stencils, kept for kernels with asinh,
-hypot or square roots, take no domain; their caller checks it with check_stencil.
+hypot or square roots, take no domain; their caller checks it.
 
 Exact derivatives come from jets, which every curvature and Jacobian oracle
 reads: a kernel called on jets(u, v) returns the Jet of its value, gradient
@@ -26,31 +26,36 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 
-class NoBracket(Exception):
+class TaubnutError(Exception):
+    """An error of this package, the base of all its exceptions (defined in the
+    module every other imports); the CLI reports one with exit code 2."""
+
+
+class BadParams(TaubnutError):
+    """An argument outside its domain: a family's parameters, a point, an angle, a flag."""
+
+
+class NoBracket(TaubnutError):
     """The supplied interval does not bracket a sign change."""
 
 
-class MaxIterExceeded(Exception):
+class MaxIterExceeded(TaubnutError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
-class SlowDecay(Exception):
+class SlowDecay(TaubnutError):
     """Integrand decays too slowly (or not at all) for the truncation bound."""
 
 
-class StepUnderflow(Exception):
+class StepUnderflow(TaubnutError):
     """The ODE integrator stalled; the step size collapsed before t_end."""
 
 
-class BoundaryTooClose(Exception):
-    """A finite-difference stencil would poke outside the declared domain."""
-
-
-class IllConditioned(ArithmeticError):
+class IllConditioned(TaubnutError, ArithmeticError):
     """The metric is singular or not finite, or rounding leaves its curvature few digits."""
 
 
-class InsufficientSamples(Exception):
+class InsufficientSamples(TaubnutError):
     """Not enough (or degenerate) data points for the requested fit."""
 
 
@@ -219,7 +224,7 @@ def _gauss_legendre():
             np.array(weights + weights[::-1]))
 
 
-def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float = 0.0):
+def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float):
     """Integrate f over the union of boxes (u0, u1, v0, v1) by the adaptive
     tensor Gauss rule; returns (value, error, evaluations).
 
@@ -350,7 +355,7 @@ def integrate_2d_improper(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
         pieces += [(lo, hi, 0.0, hi), (0.0, lo, lo, hi)]   # right and top slabs
     # a tenth keeps the quadrature's part of the error below the tail's:
     # boxes closed near their share can all err with one sign
-    value, quad_err, evals = _adaptive_boxes(f, pieces, 0.1 * budget)
+    value, quad_err, evals = _adaptive_boxes(f, pieces, 0.1 * budget, 0.0)
 
     evals += rough_evals + arc_amplitude.cache_info().currsize * angles.size
     return QuadratureResult(value=value, error=quad_err + tail, tail_bound=tail,
@@ -416,8 +421,8 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
     Each step is accepted when the RMS norm of its error estimate, scaled
     by ODE_TOL (1 + max(|y|, |y_new|)), ODE_TOL = 1e-12, is below 1; the
     next step is h * min(10, 0.9 norm^(-1/8)), and a rejected one shrinks
-    by at least 0.2.  The points of t_eval (non-decreasing, else BadParams)
-    come from the 7th-order dense output of the step that covers them.
+    by at least 0.2.  BadParams unless y0 is two numbers and t_eval is non-
+    decreasing; its points come from the 7th-order dense output of their step.
     ``nfev`` counts every call of rhs: two to start (the first slope and the
     initial-step probe), N_STAGES per attempted step (``steps`` accepted,
     ``rejected`` not) and three per step that carries samples.
@@ -428,12 +433,14 @@ def ode_solve(rhs: Callable[[tuple[float, float]], tuple[float, float]],
     this package invariably means the trajectory ran into a coordinate
     degeneracy, not a stiff problem.
     """
-    from . import dop853, family   # family imports this module
+    from . import dop853
     pending = [float(t) for t in t_eval]
     if not pending or any(map(math.isnan, pending)) or pending != sorted(pending):
-        raise family.BadParams("t_eval must be non-empty, non-decreasing and free of NaN")
-    t, t_end = pending[0], pending[-1]
+        raise BadParams("t_eval must be non-empty, non-decreasing and free of NaN")
     y = tuple(map(float, y0))
+    if len(y) != 2:
+        raise BadParams(f"y0 must be a pair (u, v), got {len(y)} numbers")
+    t, t_end = pending[0], pending[-1]
     if t == t_end:   # nothing to integrate
         return OdeResult(ys=[y] * len(pending), nfev=0, steps=0, rejected=0)
     if math.isinf(t) or math.isinf(t_end):
@@ -508,21 +515,9 @@ def _initial_step(rhs, y, f, span) -> float:
 # finite differences
 # --------------------------------------------------------------------------
 
-def check_stencil(x: float, y: float, step: float,
-                   bounds: tuple[tuple[float, float], tuple[float, float]]) -> None:
-    """BoundaryTooClose unless [x - step, x + step] x [y - step, y + step]
-    lies strictly inside bounds = ((x_lo, x_hi), (y_lo, y_hi))."""
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    if not (x_lo < x - step and x + step < x_hi and y_lo < y - step and y + step < y_hi):
-        raise BoundaryTooClose(
-            f"stencil of half-width {step} at ({x}, {y}) leaves the domain "
-            f"x in ({x_lo}, {x_hi}), y in ({y_lo}, {y_hi})"
-        )
-
-
 def fd_laplacian(f: Callable, x: float, y: float, *, step: float):
     """Five-point O(step^2) Laplacian of f, a scalar or a numpy array valued
-    field; the caller keeps the stencil inside f's domain (check_stencil)."""
+    field; the caller keeps the stencil inside f's domain."""
     return (f(x + step, y) + f(x - step, y) + f(x, y + step) + f(x, y - step)
             - 4.0 * f(x, y)) / (step * step)
 

@@ -180,6 +180,25 @@ def test_invalid_geodesic_and_contour_inputs_exit_2(args, named):
     assert cp.stderr.startswith("error: ") and named in cp.stderr
 
 
+@pytest.mark.parametrize("module,name,error,args", [
+    ("metrics", "conformal_factor", "MaxIterExceeded", ("eval", "--point", "1,1")),
+    ("geodesics", "geodesic_shoot", "NoBracket", ("geodesic", "--eta", "0.5")),
+    ("curvature", "l2_ricci", "IllConditioned", ("energy",)),
+])
+def test_a_package_error_inside_a_command_exits_2(module, name, error, args, monkeypatch):
+    # each escaped cli.main as a traceback with exit code 1, the code of a
+    # failed verification
+    import importlib
+    from taubnut import numerics
+
+    def raises(*_args, **_kwargs):
+        raise getattr(numerics, error)(f"{error} inside {args[0]}")
+    monkeypatch.setattr(importlib.import_module(f"taubnut.{module}"), name, raises)
+    cp = run_cli(*args)
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.splitlines() == [f"error: {error} inside {args[0]}"]
+
+
 def test_bad_arguments_exit_2_from_a_process():
     cp = run_process("eval", "--k", "1.5", "--point", "1,1")
     assert cp.returncode == 2 and cp.stdout == ""

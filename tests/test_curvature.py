@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from taubnut.blowdown import (SingularAxis, blowdown_distance_gradient_deficit, conifold_curvatures,
                               conifold_polytope_curvature_fd, conifold_ricci_fd,
                               exceptional_blowdown_curvature, exceptional_blowdown_curvature_fd)
+from taubnut.checks import DECAY_CASES
 from taubnut.curvature import (IllConditioned, _metric4, curvature4_fd,
                                decay_rate_along_geodesic, jet_curvature, l2_ricci,
                                polytope_curvature_fd, ricci_pseudo_jacobian_fd)
@@ -529,22 +530,11 @@ def test_decay_rate_rejects_what_it_cannot_fit(params, quantity, radii, message)
         decay_rate_along_geodesic(params, 0.7, quantity, radii)
 
 
-DECAY_BOUNDS = [   # (quantity, params, eta, exponent, tolerance) of curvature.decay-rates
-    *[("K_sigma", GEN, eta, -3.0, 0.1)
-      for eta in (0.0, math.pi / 8, 0.7, math.pi / 4, 3 * math.pi / 8, math.pi / 2)],
-    ("K_sigma", GEN05, 0.7, -2.0, 0.1),
-    ("Ric", GEN05, 0.7, -2.0, 0.1),
-    ("K_sigma", EXC, math.pi / 2, 0.0, 0.05),
-    ("K_sigma", HP, math.pi / 2, 0.0, 0.05),
-    ("Rm_fd", GEN, 0.7, -3.0, 0.05),
-    ("Rm_fd", GEN05, 0.7, -2.0, 0.05),
-    ("Rm_fd", InstantonParams(k=-0.5), 0.7, -2.0, 0.05),
-]
-DECAY_IDS = [f"{q}-{p.family.value}-k{p.k}-eta{eta:.4f}" for q, p, eta, _, _ in DECAY_BOUNDS]
+DECAY_IDS = [f"{q}-{p.family.value}-k{p.k}-eta{eta:.4f}" for q, p, eta, _, _ in DECAY_CASES]
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["slower", "faster"])
-@pytest.mark.parametrize("quantity,params,eta,exponent,tol", DECAY_BOUNDS, ids=DECAY_IDS)
+@pytest.mark.parametrize("quantity,params,eta,exponent,tol", DECAY_CASES, ids=DECAY_IDS)
 def test_decay_rates_check_holds_each_bound(quantity, params, eta, exponent, tol, sign,
                                             monkeypatch):
     # a fit off by twice its tolerance on either side, at one case only,

@@ -10,8 +10,8 @@ from taubnut.asymptotics import almost_ball_volume
 from taubnut.family import BadParams, Family, InstantonParams
 from taubnut.metrics import TORUS_VOLUME, volume_density
 from taubnut.curvature import jet_curvature
-from taubnut.numerics import (GAUSS_ORDER, BoundaryTooClose, InsufficientSamples,
-                              NoBracket, SlowDecay, StepUnderflow, check_stencil,
+from taubnut.numerics import (GAUSS_ORDER, InsufficientSamples,
+                              NoBracket, SlowDecay, StepUnderflow,
                               conformal_curvature, fd_gradient, fd_jacobian2, fd_laplacian, jets,
                               MaxIterExceeded, find_root_monotone,
                               find_roots_monotone, fit_power_law,
@@ -400,6 +400,15 @@ def test_ode_rejects_malformed_t_eval(t_eval):
         ode_solve(lambda y: (1.0, -y[1]), [0.0, 1.0], t_eval)
 
 
+@pytest.mark.parametrize("t_eval", [[0.0, 1.0], [1.0, 1.0]], ids=["span", "no-span"])
+@pytest.mark.parametrize("y0", [[0.0, 0.0, 0.0], [0.0], []], ids=["three", "one", "none"])
+def test_ode_rejects_a_y0_that_is_not_a_pair(y0, t_eval):
+    # over [0, 1] these leaked a ValueError or an IndexError; over [1, 1]
+    # each returned y0's tuple of the wrong length as its sample
+    with pytest.raises(BadParams, match="y0 must be a pair"):
+        ode_solve(lambda y: (1.0, -y[1]), y0, t_eval)
+
+
 @pytest.mark.parametrize("rhs,t_eval", [
     (lambda y: (1.0, -y[1]), [0.0, math.inf]), (lambda y: (1.0, -y[1]), [-math.inf, 0.0]),
     (lambda y: (math.nan, 0.0), [0.0, 1.0])])
@@ -434,12 +443,6 @@ def test_fd_gradient():
     gx, gy = fd_gradient(lambda x, y: math.sin(x) * y, 0.7, 1.3, step=1e-6)
     assert abs(gx - 1.3 * math.cos(0.7)) < 1e-9
     assert abs(gy - math.sin(0.7)) < 1e-9
-
-
-def test_fd_boundary_guard():
-    # the stencils take no domain: the caller that knows it checks it once
-    with pytest.raises(BoundaryTooClose):
-        check_stencil(1e-9, 1.0, 1e-3, ((0.0, math.inf), (0.0, math.inf)))
 
 
 def test_fd_jacobian2():
