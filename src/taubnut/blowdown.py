@@ -254,12 +254,14 @@ def second_blowdown_limit_residual(k: float, u: float, v: float,
     return math.sqrt(2.0 * SQRT2 / M), max(abs(d11), v2 * d22 / a, d22)
 
 
+@finite_or_bad_params
 def blowdown_xy_from_uv(u: float, v: float) -> tuple[float, float]:
     """Polytope transition of the blowdown chart: (x, y) = (uv, (u^2-v^2)/2),
     the half-square map; dx^2 + dy^2 = (u^2+v^2)(du^2 + dv^2)."""
     return u * v, 0.5 * (u * u - v * v)
 
 
+@finite_or_bad_params
 def second_blowdown_conformal_xy(k: float, x: float, y: float) -> float:
     """Polytope conformal factor in the (x, y) chart: (k y + r) / r with
     r = sqrt(x^2 + y^2).  Consistency with the (u, v) chart:
@@ -346,6 +348,7 @@ FINITE_FIBER_TOPOLOGY = "torus"
 LIMIT_FIBER_TOPOLOGY = "cylinder"
 
 
+@finite_or_bad_params
 def pointed_limit_fiber(u: float, v: float):
     """Closed-form limit fiber: (1/(1+u^2)) [[(1+u^2)^2 + 4u^2v^2, 2u^2v],
     [2u^2v, u^2]].  Equals the half-plane family fiber at (x, y) = (u, v)

@@ -28,7 +28,7 @@ import sys
 
 from . import __version__
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily, check_chirality
-from .numerics import TaubnutError, find_roots_monotone
+from .numerics import TaubnutError
 
 FAMILY_NAMES = {
     "generalized": Family.GENERALIZED_TN,
@@ -170,27 +170,6 @@ def _cmd_geodesic(args) -> int:
 # contour
 # --------------------------------------------------------------------------
 
-def _trace_level(params, eta, level, cp, sp, r0):
-    """Radii r with S_eta(r cp, r sp) = level on the rays of directions
-    (cp, sp): one array Newton solve on r, started at r0.  NaN on a ray along
-    which S_eta stays below the level up to r = 2^29 (it can vanish or go
-    negative near an axis).  grad S_eta is lambda times the velocity of the
-    unit-speed eta-geodesic: velocity((u, v)), the right-hand side from
-    shoot_rhs, which returns a pair of arrays when built for an array eta."""
-    import numpy as np
-    from . import geodesics, metrics
-    velocity = params.shoot_rhs(np.asarray(eta))
-
-    def f(r):
-        u, v = r * cp, r * sp
-        with np.errstate(over="ignore"):   # an overflow to inf sends its ray to bisection
-            du, dv = velocity((u, v))
-            return (geodesics.eikonal_S(params, eta, u, v) - level,
-                    metrics.conformal_factor(params, u, v) * (cp * du + sp * dv), None)
-
-    return find_roots_monotone(f, 0.0, 2.0 ** 29, x0=r0, abs_tol=geodesics.ROOT_TOL)
-
-
 def _cmd_contour(args) -> int:
     import numpy as np
     from . import geodesics
@@ -215,7 +194,7 @@ def _cmd_contour(args) -> int:
             rows.append((f"level-{i}", "level", 0.0, 0.0, 0.0, level))
             continue
         # each ray's solve starts at its radius on the level before, if any
-        r = _trace_level(params, args.eta, level, cp, sp, np.where(np.isnan(r), level, r))
+        r = geodesics.trace_level(params, args.eta, level, cp, sp, np.where(np.isnan(r), level, r))
         on = ~np.isnan(r)
         rows += [(f"level-{i}", "level", phi, u, v, level) for phi, u, v in
                  zip(phis[on].tolist(), (r * cp)[on].tolist(), (r * sp)[on].tolist())]

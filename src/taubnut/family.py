@@ -36,7 +36,7 @@ from enum import Enum
 
 from .numerics import BadParams, TaubnutError, fd_gradient, fd_laplacian
 
-SQRT2 = math.sqrt(2.0)
+SQRT2, HALF_PI = math.sqrt(2.0), math.pi / 2
 QUADRANT = ((0.0, math.inf), (0.0, math.inf))
 HALF_PLANE = ((0.0, math.inf), (-math.inf, math.inf))
 
@@ -107,8 +107,8 @@ class _FloatOps:
     on floats: math's, so that a float stays a float with math's rounding.
     ratio(x, y) is x / y, or inf where y = 0."""
 
-    cos, sin, sinh, cosh, asinh, hypot, copysign, min, any = (
-        math.cos, math.sin, math.sinh, math.cosh, math.asinh, math.hypot, math.copysign, min, bool)
+    sinh, cosh, asinh, hypot, copysign, min, any = (
+        math.sinh, math.cosh, math.asinh, math.hypot, math.copysign, min, bool)
     where = staticmethod(lambda cond, x, y: x if cond else y)
     ratio = staticmethod(lambda x, y: x / y if y else math.inf)
 
@@ -121,8 +121,8 @@ def _array_ops():
     import numpy as np
 
     class _ArrayOps:
-        cos, sin, cosh, asinh, hypot, copysign, where, any = (
-            np.cos, np.sin, np.cosh, np.arcsinh, np.hypot, np.copysign, np.where, np.any)
+        cosh, asinh, hypot, copysign, where, any = (
+            np.cosh, np.arcsinh, np.hypot, np.copysign, np.where, np.any)
         min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
         ratio = staticmethod(lambda x, y: np.divide(
             x, y, out=np.full(np.broadcast(x, y).shape, np.inf), where=y != 0.0))
@@ -140,17 +140,16 @@ def _ops(x):
     return _FloatOps if type(x) is float or not _is_array(x) else _array_ops()
 
 
-def _eikonal_cos_sin(eta):
-    """(cos eta, sin eta) as S_eta takes them: math.cos's 6e-17 at the float pi/2,
+def _launch_cos_sin(eta):
+    """(cos eta, sin eta) of a launch angle, floats or arrays, the one place an angle
+    becomes a direction: cos 0 on the v-axis |eta| = pi/2, where math.cos gives 6e-17,
     and sin 0 on the u-axis |sin eta| < 1e-300, where v / sin overflows."""
-    s = math.sin(eta)
-    return math.cos(eta), s if abs(s) >= 1e-300 else 0.0
-
-
-def _axis_cos_sin(eta):
-    """_eikonal_cos_sin(eta), but cos 0 on the v-axis |eta| = pi/2."""
-    c, s = _eikonal_cos_sin(eta)
-    return 0.0 if abs(eta) == math.pi / 2 else c, s
+    if type(eta) is float or not _is_array(eta):
+        s = math.sin(eta)
+        return 0.0 if abs(eta) == HALF_PI else math.cos(eta), s if abs(s) >= 1e-300 else 0.0
+    np = sys.modules["numpy"]
+    s = np.sin(eta)
+    return np.where(abs(eta) == HALF_PI, 0.0, np.cos(eta)), np.where(abs(s) < 1e-300, 0.0, s)
 
 
 def _asinh_ratio(p: float, c: float) -> float:
@@ -210,7 +209,9 @@ def _launch_residual(au, log_rhs, q):
 
 def _unsquare(x, y, c):
     """(u, v) with y + ix = (u + iv)^2 / (2c), the inverse of the quadrant
-    families' squaring map."""
+    families' squaring map; BadParams off the closed half-plane x >= 0."""
+    if not (0.0 <= x < math.inf and -math.inf < y < math.inf):
+        raise BadParams(f"({x}, {y}) is not a finite point of the xy chart domain x >= 0")
     r = math.hypot(x, y)
     return math.sqrt(c * (r + y)), math.sqrt(c * (r - y))
 
@@ -231,23 +232,23 @@ def _half_plane_x(phi1):
 # --------------------------------------------------------------------------
 #
 # Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
-# collapsing_fiber, moment_map and ricci_potentials also take Jets, under
-# the jet contract of taubnut.numerics, and almost_ball_v_max takes
-# arrays of u.  Written once, radial_relation and polar_point (R and eta
-# broadcast together), and conformal_factor and eikonal_S ((u, v), with
-# (c, s) = (cos eta, sin eta) floats) also take arrays: they call math on
-# floats and numpy on arrays through _ops; _leg takes a float p down its own branch.
-# shoot_rhs(eta) = rhs, the velocity y = (u, v) -> (u', v') of the
-# unit-speed eta-geodesic at _axis_cos_sin(eta), of the state alone; built
-# for an array eta, it takes and returns arrays.  Its squares are products,
-# which overflow to inf where x ** 2 raises; the float rhs then divides by
-# the square root of that sum twice.  launch_residual(u, v) = h, the
+# collapsing_fiber, moment_map and ricci_potentials also take Jets (the jet
+# contract of taubnut.numerics), and almost_ball_v_max arrays of u.  A
+# launch angle reaches a kernel as (c, s) = _launch_cos_sin(eta).  Through
+# _ops, which calls math on floats and numpy on arrays, radial_relation and
+# polar_point (R, c and s broadcast together), conformal_factor and
+# eikonal_S (in (u, v)) also take arrays; _leg takes a float p down its own
+# branch.  shoot_rhs(c, s) = rhs, the velocity (u, v) -> (u', v') of the
+# unit-speed geodesic, of arrays where c is one; its squares are products,
+# which overflow to inf where x ** 2 raises, and the float rhs then divides
+# by the square root of that sum twice.  launch_residual(u, v) = h, the
 # launch-angle relation through (u, v), increasing in x = log tan(eta);
-# radial_relation(R, eta) = (f, bound), S_eta along the eta-geodesic minus
-# R in its log radial parameter s and a closed-form bound above its root;
-# h and f are find_root_monotone residuals (f a find_roots_monotone one on
-# arrays), x -> (value, slope, curvature or None).  polar_point(R, eta,
-# solve) = (u, v) at that root, found by solve.
+# radial_relation(R, c, s) = (f, bound), S_eta along the geodesic minus R
+# in its log radial parameter and a closed-form bound above the root; h
+# and f are find_root_monotone residuals (f a find_roots_monotone one on
+# arrays), x -> (value, slope, curvature or None).  polar_point(R, c, s,
+# solve) = (u, v) at that root, found by solve; polar_coefficient(c, s,
+# root) = A^2 there.
 
 class InstantonParams(collections.namedtuple(
         "InstantonParams", "family M k", defaults=(Family.GENERALIZED_TN, None, None))):
@@ -264,13 +265,16 @@ class InstantonParams(collections.namedtuple(
     for a quantity a family lacks."""
 
     bounds = QUADRANT
-    eta_range = (0.0, math.pi / 2)
+    eta_range = (0.0, HALF_PI)
     flat = False   # whether every curvature vanishes identically
 
     def __new__(cls, *args, **kwargs):
         family, M, k = super().__new__(cls, *args, **kwargs)   # the fields, defaults filled in
-        geometry = GEOMETRIES[family]
-        M, k, derived = geometry._check_params(M, k)
+        try:   # a family that is not a Family member, or an M or k that float() refuses
+            geometry = GEOMETRIES[family]
+            M, k, derived = geometry._check_params(M, k)
+        except (LookupError, TypeError, ValueError, OverflowError):
+            raise BadParams(f"need a Family and real M and k, got {family!r}, {M!r}, {k!r}") from None
         params = super().__new__(geometry, family, M, k)
         params.__dict__.update(derived)
         return params
@@ -450,9 +454,9 @@ class GeneralizedTN(InstantonParams):
     def unparam_residual(self, c, s, u, v):
         return abs(_asinh_ratio(self.a * u, c) / self.a - _asinh_ratio(self.b * v, s) / self.b)
 
-    def radial_relation(self, R, eta):
-        a, b, xp = self.a, self.b, _ops(eta)
-        c2, s2 = xp.cos(eta) ** 2, xp.sin(eta) ** 2
+    def radial_relation(self, R, c, s):
+        a, b, xp = self.a, self.b, _ops(c)
+        c2, s2 = c ** 2, s ** 2
         rho = self.mass_root * R
         if xp.any(rho == math.inf):   # an inf - inf in f would be NaN, not an overflow
             raise OverflowError("the reduced distance sqrt(M / (2 sqrt 2)) R overflows")
@@ -465,26 +469,22 @@ class GeneralizedTN(InstantonParams):
                     c2 * cosh(a * s) ** 2 + s2 * cosh(b * s) ** 2, c2a * sa + s2b * sb)
         # lhs(s) >= s, c2 / (4a) sinh(2as) and s2 / (4b) sinh(2bs): the root
         # lies below each bound, and no sinh up to it exceeds 4 a rho / c2
-        return f, xp.min(rho, xp.asinh(4.0 * a * rho / c2) / (2.0 * a),
+        return f, xp.min(rho, xp.asinh(xp.ratio(4.0 * a * rho, c2)) / (2.0 * a),
                          xp.asinh(xp.ratio(4.0 * b * rho, s2)) / (2.0 * b))
 
-    def polar_point(self, R, eta, solve):
-        xp = _ops(eta)
-        s = solve(self.radial_relation(R, eta))
-        return (xp.cos(eta) * xp.sinh(self.a * s) / self.a,
-                xp.sin(eta) * xp.sinh(self.b * s) / self.b)
+    def polar_point(self, R, c, s, solve):
+        root, sinh = solve(self.radial_relation(R, c, s)), _ops(c).sinh
+        return c * sinh(self.a * root) / self.a, s * sinh(self.b * root) / self.b
 
-    def polar_coefficient(self, eta, s):
-        a, b = self.a, self.b
-        c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
-        w = (s2 * math.sinh(a * s) * math.cosh(b * s) / a
-             + c2 * math.cosh(a * s) * math.sinh(b * s) / b)
+    def polar_coefficient(self, c, s, root):
+        a, b, c2, s2 = self.a, self.b, c ** 2, s ** 2
+        w = (s2 * math.sinh(a * root) * math.cosh(b * root) / a
+             + c2 * math.cosh(a * root) * math.sinh(b * root) / b)
         return 2.0 * SQRT2 / self.M * w * w
 
-    def shoot_rhs(self, eta):
-        c, s = _axis_cos_sin(eta)
+    def shoot_rhs(self, c, s):
         a, b, pre = self.a, self.b, self.mass_root
-        hypot = _ops(eta).hypot
+        hypot = _ops(c).hypot
 
         def rhs(y):
             au, bv = a * y[0], b * y[1]
@@ -594,9 +594,8 @@ class ExceptionalTN(InstantonParams):
     def unparam_residual(self, c, s, u, v):
         return abs(_asinh_ratio(u, c) - v / s)
 
-    def radial_relation(self, R, eta):
-        xp = _ops(eta)
-        c, s = xp.cos(eta), xp.sin(eta)
+    def radial_relation(self, R, c, s):
+        xp = _ops(c)
         c2, half = c * c, 0.5 * (1.0 + s * s)
         sinh, cosh, hc2 = xp.sinh, xp.cosh, 0.5 * c2
 
@@ -606,20 +605,18 @@ class ExceptionalTN(InstantonParams):
                     c2 * sinh(2.0 * sig))
         # both terms of the relation are >= 0: sigma <= R / half, and
         # c2 / 4 sinh(2 sigma) <= R
-        return f, xp.min(R / half, 0.5 * xp.asinh(4.0 * R / c2))
+        return f, xp.min(R / half, 0.5 * xp.asinh(xp.ratio(4.0 * R, c2)))
 
-    def polar_point(self, R, eta, solve):
-        # on the v-axis the point is (0, R); the relation is solved there at
-        # R = 0 (sigma = 0, u = 0), as at R itself its sinh overflows past
-        # R of about 700
-        xp = _ops(eta)
-        axis = eta == math.pi / 2
-        sigma = solve(self.radial_relation(xp.where(axis, 0.0, R), eta))
-        return xp.cos(eta) * xp.sinh(sigma), xp.where(axis, R, xp.sin(eta) * sigma)
+    def polar_point(self, R, c, s, solve):
+        # on the v-axis c = 0 the point is (0, R); the relation is solved there
+        # at R = 0 (sigma = 0), as at R itself its sinh overflows past R ~ 700
+        xp = _ops(c)
+        axis = c == 0.0
+        sigma = solve(self.radial_relation(xp.where(axis, 0.0, R), c, s))
+        return c * xp.sinh(sigma), xp.where(axis, R, s * sigma)
 
-    def shoot_rhs(self, eta):
-        c, s = _axis_cos_sin(eta)
-        hypot = _ops(eta).hypot
+    def shoot_rhs(self, c, s):
+        hypot = _ops(c).hypot
 
         def rhs(y):
             lam = 1.0 + y[0] * y[0]
@@ -661,7 +658,7 @@ class _HalfPlane(InstantonParams):
     chart itself."""
 
     bounds = HALF_PLANE
-    eta_range = (-math.pi / 2, math.pi / 2)
+    eta_range = (-HALF_PI, HALF_PI)
 
     @classmethod
     def _check_params(cls, M, k):
@@ -703,9 +700,9 @@ class ExceptionalHalfPlane(_HalfPlane):
         lam = 1.0 + u * u
         return (u * u / lam, 2.0 * u * u * v / lam, (lam * lam + 4.0 * u * u * v * v) / lam)
 
-    def polar_point(self, R, eta, solve):
-        u, v = ExceptionalTN.polar_point(self, R, abs(eta), solve)
-        return u, _ops(eta).copysign(v, eta)
+    def polar_point(self, R, c, s, solve):
+        u, v = ExceptionalTN.polar_point(self, R, c, abs(s), solve)
+        return u, _ops(c).copysign(v, s)
 
     def ricci_potentials(self, u, v):
         lam = 1.0 + u * u
@@ -751,12 +748,10 @@ class Flat(_HalfPlane):
     def unparam_residual(self, c, s, u, v):
         return abs(u * s - v * c)
 
-    def polar_point(self, R, eta, solve):
-        xp = _ops(eta)
-        return R * xp.cos(eta), R * xp.sin(eta)
+    def polar_point(self, R, c, s, solve):
+        return R * c, R * s
 
-    def shoot_rhs(self, eta):
-        c, s = _axis_cos_sin(eta)
+    def shoot_rhs(self, c, s):
         return lambda y: (c, s)
 
     def ricci_potentials(self, u, v):
@@ -781,8 +776,8 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
     """Residual of the axial harmonicity equation x * (Laplacian phi) = d(phi)/dx
     for both moment maps, evaluated in the (x, y) chart with O(step^2)
     central differences.  Both components -> 0 as step -> 0 at interior points."""
-    if x <= 2.0 * step:
-        raise BadParams(f"x = {x} too close to the axis for step {step}")
+    if not (0.0 < step and 2.0 * step < x < math.inf and math.isfinite(y)):
+        raise BadParams(f"need finite x, y and 0 < 2 step < x, got ({x}, {y}), step {step}")
 
     def residual(i):   # of the moment map phi_i
         def phi(xx: float, yy: float) -> float:
@@ -792,8 +787,9 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
 
 
 def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
-    """(Rtilde, psi) with psi in [0, pi/2]: psi = 0 on the u-axis, pi/2 on the
-    v-axis.  At the origin Rtilde = 0 and psi is fixed to 0 by convention."""
+    """(Rtilde, psi), psi in [0, pi/2]: 0 on the u-axis, pi/2 on the v-axis, and 0 by
+    convention at the origin, where Rtilde = 0.  BadParams off the chart domain."""
+    params.check_point(u, v)
     rt = params.almost_distance(u, v)
     if rt == 0.0:
         return 0.0, 0.0

@@ -24,7 +24,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .family import (BadParams, Chart, InstantonParams, _eikonal_cos_sin, _is_array,
+from .family import (BadParams, Chart, InstantonParams, _is_array, _launch_cos_sin,
                      finite_or_bad_params, uv_from_almost_polar)
 from .metrics import conformal_factor
 from .numerics import (NoBracket, fd_gradient, find_root_monotone, find_roots_monotone,
@@ -60,8 +60,8 @@ def eikonal_S(params: InstantonParams, eta: float, u, v):
     ranges over [-pi/2, pi/2]; the quadrant families take eta in [0, pi/2].
     BadParams for eta outside the family's ``eta_range``.
     """
-    params.check_eta(eta)   # the float's own cosine, |cos| >= 6e-17 on the eta range
-    return params.eikonal_S(*_eikonal_cos_sin(eta), u, v)
+    params.check_eta(eta)
+    return params.eikonal_S(*_launch_cos_sin(eta), u, v)
 
 
 def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
@@ -71,10 +71,29 @@ def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) ->
     params.check_eta(eta)
     params.check_point(u - step, v - step)
     params.check_point(u + step, v + step)
-    c, s = _eikonal_cos_sin(eta)
+    c, s = _launch_cos_sin(eta)
     su, sv = fd_gradient(lambda a, b: params.eikonal_S(c, s, a, b), u, v, step=step)
     lam = conformal_factor(params, u, v)
     return abs((su * su + sv * sv) / lam - 1.0)
+
+
+def trace_level(params: InstantonParams, eta: float, level: float, cp, sp, r0):
+    """Radii r with S_eta(r cp, r sp) = level on the rays of the direction arrays
+    (cp, sp): one array Newton solve on r, started at the array r0.  NaN on a ray
+    along which S_eta stays below the level up to r = 2^29 (it can vanish or go
+    negative near an axis).  grad S_eta is lambda times the velocity of the unit-speed
+    eta-geodesic, from shoot_rhs.  BadParams for eta outside the family's ``eta_range``."""
+    import numpy as np
+    params.check_eta(eta)
+    velocity = params.shoot_rhs(*map(np.asarray, _launch_cos_sin(eta)))
+
+    def f(r):
+        u, v = r * cp, r * sp
+        with np.errstate(over="ignore"):   # an overflow to inf sends its ray to bisection
+            du, dv = velocity((u, v))
+            return (eikonal_S(params, eta, u, v) - level,
+                    conformal_factor(params, u, v) * (cp * du + sp * dv), None)
+    return find_roots_monotone(f, 0.0, 2.0 ** 29, x0=r0, abs_tol=ROOT_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -116,8 +135,8 @@ def _unparam_residuals(params, eta, c, s, us, vs) -> list[float]:
     (c, s) = (cos eta, sin eta), in logarithmic form (asinh(U)/sqrt(1+k) -
     asinh(V)/sqrt(1-k) for the generalized family, U, V the eta-normalized
     coordinates): zero exactly on the eta-geodesic, and on an axis, s = 0 or
-    |eta| = pi/2, the distance from it.  BadParams past the float range."""
-    if s == 0.0 or abs(eta) == math.pi / 2:   # the distance from the axis
+    c = 0, the distance from it.  BadParams past the float range."""
+    if s == 0.0 or c == 0.0:   # the distance from the axis
         rs = list(map(abs, vs if s == 0.0 else us))
     else:
         rs = list(map(functools.partial(params.unparam_residual, c, s), us, vs))
@@ -167,7 +186,7 @@ def solve_F(params: InstantonParams, R: float, eta: float) -> float:
     """Unique F >= 1 at distance R along the eta-geodesic: F = e^s at the
     root s of the family's radial relation (log F for the generalized
     family, sigma for the exceptional ones)."""
-    return math.exp(_solve_radial(params.radial_relation(R, eta)))
+    return math.exp(_solve_radial(params.radial_relation(R, *_launch_cos_sin(eta))))
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +206,8 @@ def point_from_polar(params: InstantonParams, R: float, eta: float) -> GeodesicR
     [-pi/2, pi/2] on the half-plane; BadParams otherwise.  A point with a
     term of its radial relation beyond the float range raises BadParams too.
     """
-    u, v = params.polar_point(R, eta, _solve_radial)
+    c, s = _launch_cos_sin(eta)
+    u, v = params.polar_point(R, c, s, _solve_radial)
     params.check_point(u, v)
     return GeodesicRecord(u, v)
 
@@ -205,7 +225,7 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
     _check_polar(params, R.max(initial=0.0), eta.max(initial=lo))
     try:
         with np.errstate(over="ignore"):   # products overflow to inf, as floats do
-            u, v = params.polar_point(R, eta, _solve_radial)
+            u, v = params.polar_point(R, *_launch_cos_sin(eta), _solve_radial)
     except OverflowError:
         raise BadParams("a term of a radial relation is beyond the float range") from None
     (u_lo, u_hi), (v_lo, v_hi) = params.bounds
@@ -219,7 +239,7 @@ def polar_from_point(params: InstantonParams, u: float, v: float) -> tuple[float
     """(R, eta) of a point: the launch-angle solve followed by S_eta.
     BadParams where R is beyond the float range."""
     eta = solve_eta(params, u, v)   # in the eta range: eikonal_S's check is not needed
-    c, s = _eikonal_cos_sin(eta)   # unpacked: a starred call costs distance 2 %
+    c, s = _launch_cos_sin(eta)   # unpacked: a starred call costs distance 2 %
     R = params.eikonal_S(c, s, u, v)
     if not math.isfinite(R):   # a float product overflows to inf without raising
         raise BadParams(f"distance at (u, v) = ({u}, {v}) is beyond the float range")
@@ -255,7 +275,8 @@ def polar_metric_coefficient(params: InstantonParams, R: float, eta: float) -> f
     demands.  Cross-checked against finite differences of point_from_polar
     by polar_metric_coefficient_fd."""
     coefficient = params.polar_coefficient   # WrongFamily even at R = 0
-    A2 = coefficient(eta, _solve_radial(params.radial_relation(R, eta)))
+    c, s = _launch_cos_sin(eta)
+    A2 = coefficient(c, s, _solve_radial(params.radial_relation(R, c, s)))
     if A2 == math.inf:   # a float product overflows to inf without raising
         raise OverflowError
     return A2
@@ -310,12 +331,12 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     step = t_end / max(n_samples - 1, 1)   # as numpy's linspace, also where it underflows
     ts = [0.0] if n_samples == 1 else [
         i * step if step else i / (n_samples - 1) * t_end for i in range(n_samples - 1)] + [t_end]
-    rhs = params.shoot_rhs(eta)
+    c, s = _launch_cos_sin(eta)
+    rhs = params.shoot_rhs(c, s)
     sol = ode_solve(rhs, (0.0, 0.0), ts)
     if rhs(sol.ys[-1]) == (0.0, 0.0):   # a unit-speed geodesic never stops
         raise BadParams(f"eta = {eta}: the shoot stalled at {sol.ys[-1]}, beyond the float range")
     us, vs = map(list, zip(*sol.ys))
-    c, s = _eikonal_cos_sin(eta)   # s is the velocity's sine
     dists = list(map(functools.partial(params.eikonal_S, c, s), us, vs))
     if not all(map(math.isfinite, dists)):   # a product overflows to inf without raising
         raise BadParams(f"eta = {eta}: S_eta at a sample is beyond the float range")

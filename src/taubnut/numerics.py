@@ -598,13 +598,13 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Exponent m of the least-squares fit of y = C * x^m through log-log
     linear regression.
 
-    Requires at least three strictly positive samples with distinct x values;
+    Requires at least three strictly positive finite samples with distinct x values;
     raises InsufficientSamples otherwise.
     """
     if len(xs) < 3 or len(ys) != len(xs):
         raise InsufficientSamples(f"need >= 3 paired samples, got {len(xs)}")
-    if any(x <= 0.0 for x in [*xs, *ys]):
-        raise InsufficientSamples("power-law fit needs strictly positive data")
+    if not all(0.0 < x < math.inf for x in [*xs, *ys]):
+        raise InsufficientSamples("power-law fit needs strictly positive finite data")
     lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
     if max(lx) == min(lx):
         raise InsufficientSamples("all x values coincide")

@@ -5,15 +5,18 @@
 extracts ``src`` of the revision REV with ``git archive`` into a temporary
 directory, then runs each argv of ``ARGVS`` on that copy and on the
 working tree, each in a fresh ``python -m taubnut``.  It prints every argv
-whose stdout or exit code differs, then their count, and exits 1 if there
-is one.  Stderr is compared only for the runs of ``PARSER``, the help texts
-and the usage errors, whose message is their output.  Pytest does not
+whose stdout or exit code differs, each followed by the first stdout line
+that differs, from the revision and from the tree, and by both exit codes
+where they differ; then their count, and exits 1 if there is one.  Stderr
+is compared only for the runs of ``PARSER``, the help texts and the usage
+errors, whose message is their output.  Pytest does not
 collect this file (its name has no test_ prefix); a run takes about a minute.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 import os
 import subprocess
@@ -69,8 +72,8 @@ GEODESIC = ([["geodesic", "--family", family, f"--eta={eta}", "--R", "5", "--sam
                ["geodesic", "--family", "halfplane", "--eta", "0.7", "--R", "1e308"],
                ["geodesic", "--eta", "0.7", "--R", "1.7e308"]])
 #: the u-axis at a launch angle whose sine is below 1e-300, and the float
-#: pi/2 at k = 0.9, which the shoot takes as the v-axis and the polar chart
-#: at math.cos's 6e-17
+#: pi/2 at k = 0.9, which the shoot and the polar chart both take as the
+#: v-axis (cos 0, not math.cos's 6e-17)
 AXES = ([["geodesic", "--family", family, f"--eta={eta}", "--R", R, "--samples", "50"]
          for family in ("generalized", "exceptional", "halfplane", "flat")
          for eta, R in (("1e-320", "7"), ("5e-324", "5"))]
@@ -107,13 +110,20 @@ def main(rev: str) -> int:
                              capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
 
-        def differs(argv):
-            return run(Path(tmp) / "src", argv) != run(ROOT / "src", argv)
+        def both(argv):
+            return run(Path(tmp) / "src", argv), run(ROOT / "src", argv)
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            differ = [argv for argv, d in zip(ARGVS, pool.map(differs, ARGVS)) if d]
-    for argv in differ:
+            differ = [(argv, *pair) for argv, pair in zip(ARGVS, pool.map(both, ARGVS))
+                      if pair[0] != pair[1]]
+    for argv, (base_code, base, _), (code, out, _) in differ:
         print(" ".join(argv))
+        lines = itertools.zip_longest(base.splitlines(), out.splitlines(), fillvalue="")
+        first = next(((old, new) for old, new in lines if old != new), None)
+        if first:
+            print(f"  {rev}: {first[0]}\n  tree: {first[1]}")
+        if base_code != code:
+            print(f"  exit codes: {rev} {base_code}, tree {code}")
     print(f"{len(differ)} of {len(ARGVS)} runs differ from {rev}")
     return 1 if differ else 0
 

@@ -677,7 +677,7 @@ def _scalar_contour_keys(params, eta, R, n_levels, n_phi):
     from taubnut.numerics import NoBracket, find_root_monotone
 
     lo, hi = params.eta_range
-    velocity = params.shoot_rhs(eta)
+    velocity = params.shoot_rhs(math.cos(eta), math.sin(eta))
     keys = []
     for i in range(n_levels):
         level = R * i / (n_levels - 1)

@@ -17,7 +17,8 @@ from taubnut.family import (GEOMETRIES, BadParams, Chart, ExceptionalHalfPlane,
                             WrongFamily, almost_polar_from_uv,
                             moment_pde_residual, uv_from_almost_polar)
 from taubnut.geodesics import point_from_polar, uv_from_chart
-from taubnut.numerics import Jet, jets
+from taubnut.blowdown import blowdown_xy_from_uv, pointed_limit_fiber, second_blowdown_conformal_xy
+from taubnut.numerics import InsufficientSamples, Jet, fit_power_law, jets
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,6 +54,17 @@ def test_param_validation():
         InstantonParams(family=Family.EXCEPTIONAL_TN, k=0.5)
     with pytest.raises(BadParams):
         InstantonParams(family=Family.FLAT, k=0.1)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    (("GeneralizedTN",), {}), ((5,), {}), (([1],), {}), ((), {"M": "a"}),
+    ((Family.EXCEPTIONAL_TN,), {"k": "x"}), ((), {"k": [1]}), ((), {"M": 1 + 2j})],
+    ids=["family-name", "family-int", "family-list", "M-str", "k-str", "k-list", "M-complex"])
+def test_parameters_of_the_wrong_type_are_bad_params(args, kwargs):
+    # a family that is not a Family member raised KeyError, and an M or k that
+    # is not a real number ValueError or TypeError
+    with pytest.raises(BadParams, match="need a Family and real M and k"):
+        InstantonParams(*args, **kwargs)
 
 
 @pytest.mark.parametrize("M", [5e-324, 1e-323, 2e-323, 6.29e-308, 1.272e308, 1.7e308])
@@ -124,7 +136,7 @@ def test_a_missing_formula_raises_wrong_family():
     with pytest.raises(WrongFamily, match="l2_riemann is not defined for ExceptionalTN"):
         EXC.l2_riemann
     with pytest.raises(WrongFamily):
-        FLAT.polar_coefficient(0.5, 1.0)
+        FLAT.polar_coefficient(0.6, 0.8, 1.0)
     assert not hasattr(HP, "almost_distance")
 
 
@@ -289,7 +301,7 @@ def test_residual_derivatives_match_their_values(params):
         assert slope == pytest.approx((h(x + d)[0] - h(x - d)[0]) / (2.0 * d), rel=1e-6, abs=0)
 
         R, eta = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0.05, 1.5)
-        f, bound = params.radial_relation(R, eta)
+        f, bound = params.radial_relation(R, math.cos(eta), math.sin(eta))
         s, d = bound * rng.uniform(0.2, 1.0), 1e-4
         value, slope, curvature = f(s)
         up, down = f(s + d)[0], f(s - d)[0]
@@ -315,6 +327,46 @@ def test_moment_pde_residual_halves_quadratically():
 def test_moment_pde_rejects_axis():
     with pytest.raises(BadParams):
         moment_pde_residual(GEN05, 1e-4, 0.5, step=1e-3)
+
+
+@pytest.mark.parametrize("params", [GEN05, EXC], ids=["GEN05", "EXC"])
+@pytest.mark.parametrize("x,y", [(-1.0, 1.0), (-1e-300, 0.5), (math.nan, 1.0), (1.0, math.nan),
+                                 (math.inf, 1.0), (1.0, -math.inf)])
+def test_quadrant_xy_chart_is_bad_params_off_its_domain(params, x, y):
+    # the squaring map's inverse took (-1, 1) to the (u, v) of (1, 1), and a
+    # NaN or an infinite coordinate to a point that is not finite
+    with pytest.raises(BadParams, match="xy chart domain"):
+        uv_from_chart(params, Chart.XY, x, y)
+    assert params.uv_from_xy(-0.0, 0.5) == params.uv_from_xy(0.0, 0.5)   # -0.0 is the axis
+
+
+def test_eval_of_a_mirrored_xy_point_exits_2():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["eval", "--chart", "xy", "--point=-1,1"]) == 2
+    assert err.getvalue().startswith("error: (-1.0, 1.0) is not a finite point")
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: fit_power_law([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]), InsufficientSamples),
+    (lambda: fit_power_law([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]), InsufficientSamples),
+    (lambda: moment_pde_residual(GEN05, 1.0, 0.5, step=0.0), BadParams),
+    (lambda: moment_pde_residual(GEN05, math.nan, 0.5, step=1e-3), BadParams),
+    (lambda: moment_pde_residual(GEN05, 1.0, 0.5, step=math.nan), BadParams),
+    (lambda: second_blowdown_conformal_xy(0.5, math.nan, 1.0), BadParams),
+    (lambda: second_blowdown_conformal_xy(0.5, 1.0, math.inf), BadParams),
+    (lambda: blowdown_xy_from_uv(math.nan, 1.0), BadParams),
+    (lambda: pointed_limit_fiber(math.nan, 1.0), BadParams),
+    (lambda: almost_polar_from_uv(GEN05, -1.0, 1.0), BadParams),
+    (lambda: almost_polar_from_uv(GEN05, math.nan, 1.0), BadParams)],
+    ids=["fit-inf", "fit-nan", "pde-step-0", "pde-nan-x", "pde-nan-step", "conformal-xy-nan",
+         "conformal-xy-inf", "blowdown-xy-nan", "pointed-fiber-nan", "almost-polar-off-chart",
+         "almost-polar-nan"])
+def test_public_helpers_refuse_non_finite_or_off_chart_input(call, error):
+    # each leaked a bare exception (the fit's fsum, the stencil's division by
+    # step) or returned NaN, or an angle psi > pi/2 for a point off the chart
+    with pytest.raises(error):
+        call()
 
 
 # --------------------------------------------------------------- almost polar

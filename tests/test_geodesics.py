@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from taubnut import geodesics
 from taubnut.curvature import polytope_curvature_fd
-from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
+from taubnut.family import BadParams, Family, InstantonParams, WrongFamily, _launch_cos_sin
 from taubnut.numerics import StepUnderflow, find_root_monotone, ode_solve
 from taubnut.geodesics import (distance, eikonal_S,
                                eikonal_residual, geodesic_shoot,
@@ -261,8 +261,8 @@ def test_points_from_polar_rejects_a_point_it_solves_off_the_chart(monkeypatch):
     # NaN from the family's polar_point here) is BadParams for the whole call
     polar_point = type(GEN05).polar_point
 
-    def nan_at_2(self, R, eta, solve):
-        u, v = polar_point(self, R, eta, solve)
+    def nan_at_2(self, R, c, s, solve):
+        u, v = polar_point(self, R, c, s, solve)
         return u, np.where(R == 2.0, math.nan, v)
     monkeypatch.setattr(type(GEN05), "polar_point", nan_at_2)
     with pytest.raises(BadParams, match="not a finite point"):
@@ -305,17 +305,19 @@ def test_distance_rejects_off_domain_and_overflowing_points(params):
             distance(params, u, v)
 
 
-def unparam_residual(params, eta, u, v):
-    """The shoot's unparametrized residual at the one point (u, v)."""
-    return geodesics._unparam_residuals(params, eta, math.cos(eta), math.sin(eta), [u], [v])[0]
+def unparam_residual(params, eta, u, v, pair=None):
+    """The shoot's unparametrized residual at the one point (u, v), at the
+    library's (cos eta, sin eta) or at the given pair."""
+    c, s = pair or _launch_cos_sin(eta)
+    return geodesics._unparam_residuals(params, eta, c, s, [u], [v])[0]
 
 
 def _unparam_terms(params, eta, u, v):
     """The two terms whose difference unparam_residual is, in floats."""
-    c, s = math.cos(eta), math.sin(eta)
-    if eta == 0.0:
+    c, s = _launch_cos_sin(eta)
+    if s == 0.0:
         return 0.0, v
-    if abs(eta) == math.pi / 2:
+    if c == 0.0:
         return u, 0.0
     if params.family is Family.FLAT:
         return u * s, v * c
@@ -329,9 +331,9 @@ def _unparam_terms(params, eta, u, v):
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
 def test_array_unparam_residual_agrees_with_the_scalar_one(params):
     # a residual is the difference of two terms, each within an ulp or so of
-    # the terms taken here; 1e-310 and the float below pi/2 take a ratio of
-    # them past the float range, and where a residual is past it too the
-    # call raises BadParams
+    # the terms taken here; the float below pi/2 takes a ratio of them past
+    # the float range (1e-310 is the u-axis), and where a residual is past it
+    # too the call raises BadParams
     rng = random.Random(23)
     lo, hi = params.eta_range
     points = _distance_corpus(params, rng) + [(1e300, 1e300)]
@@ -356,10 +358,12 @@ def test_array_unparam_residual_agrees_with_the_scalar_one(params):
     (GEN, 1e-310, 1e300, 1e300), (GEN09, 1e-310, 3.0, 1e300),
     (EXC, 1.5707963267948963, 1e300, 2.0)])
 def test_unparam_residual_past_the_float_range_of_a_ratio(params, eta, u, v):
-    # a u / cos(eta) or b v / sin(eta) overflowed, and the residual was inf
+    # a u / cos(eta) or b v / sin(eta) overflowed, and the residual was inf;
+    # the pair is math's, as the library's takes 1e-310 as the u-axis
     mp = pytest.importorskip("mpmath").mp.clone()
     mp.dps = 40
-    c, s = mp.mpf(math.cos(eta)), mp.mpf(math.sin(eta))   # as the residual takes them
+    pair = math.cos(eta), math.sin(eta)
+    c, s = map(mp.mpf, pair)   # as the residual takes them
     if params.family is Family.GENERALIZED_TN:
         a, b = mp.mpf(params.a), mp.mpf(params.b)
         terms = mp.asinh(a * u / c) / a, mp.asinh(b * v / s) / b
@@ -368,18 +372,19 @@ def test_unparam_residual_past_the_float_range_of_a_ratio(params, eta, u, v):
     want = abs(terms[0] - terms[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = unparam_residual(params, eta, u, v)
+        got = unparam_residual(params, eta, u, v, pair)
         assert abs(got - want) <= 1e-15 * (abs(terms[0]) + abs(terms[1]))
 
 
 @pytest.mark.parametrize("params,u,v", [(EXC, 1.0, 1.0), (HP, 1.0, -1.0), (EXC, 1e300, 1e300)])
 def test_unparam_residual_beyond_the_float_range_raises(params, u, v):
-    # the exceptional v / sin(eta) term itself is past the float range at eta = 1e-310
+    # the exceptional v / sin(eta) term itself is past the float range at
+    # math's sine of eta = 1e-310 (the library's pair takes it as the u-axis)
     eta = math.copysign(1e-310, v)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadParams, match="beyond the float range"):
-            unparam_residual(params, eta, u, v)
+            unparam_residual(params, eta, u, v, (math.cos(eta), math.sin(eta)))
 
 
 @pytest.mark.parametrize("params", ARRAY_FAMILIES, ids=ARRAY_IDS)
@@ -459,7 +464,9 @@ def test_solve_F_matches_mpmath_as_k_nears_pm1(k, R, eta):
     # errors are below 4e-15 (F reaches 1.6e9 at R = 30)
     params = InstantonParams(k=k)
     mp, a, b, root = _mp50(params)
-    c2, s2, rho = mp.cos(mp.mpf(eta)) ** 2, mp.sin(mp.mpf(eta)) ** 2, root * R
+    # the float pi/2 is the v-axis, as the library's launch-angle pair takes it
+    c2 = 0 if eta == math.pi / 2 else mp.cos(mp.mpf(eta)) ** 2
+    s2, rho = mp.sin(mp.mpf(eta)) ** 2, root * R
     hi = min(mp.asinh(4 * a * rho / c2) / (2 * a) if c2 else rho,
              mp.asinh(4 * b * rho / s2) / (2 * b) if s2 else rho)
     s = mp.findroot(lambda s: _mp_lhs(mp, a, b, c2, s2, s) - rho, (0, hi), solver="anderson")
@@ -766,8 +773,8 @@ def test_shoot_certificate_sees_a_wrong_speed(params, monkeypatch):
     # negative control: a shoot 1e-6 too fast ends 1e-6 t_end past distance t_end
     shoot_rhs = type(params).shoot_rhs
 
-    def fast(self, eta):
-        rhs = shoot_rhs(self, eta)
+    def fast(self, c, s):
+        rhs = shoot_rhs(self, c, s)
         return lambda y: tuple((1.0 + 1e-6) * w for w in rhs(y))
     monkeypatch.setattr(type(params), "shoot_rhs", fast)
     traj = geodesic_shoot(params, 0.7, 5.0)
@@ -778,7 +785,8 @@ def test_shoot_certificate_sees_a_wrong_speed(params, monkeypatch):
 def test_shoot_certificate_sees_a_wrong_angle(params, monkeypatch):
     # negative control: a shoot integrated at eta + 1e-6 and certified at eta
     shoot_rhs = type(params).shoot_rhs
-    monkeypatch.setattr(type(params), "shoot_rhs", lambda self, eta: shoot_rhs(self, eta + 1e-6))
+    monkeypatch.setattr(type(params), "shoot_rhs",
+                        lambda self, c, s: shoot_rhs(self, math.cos(0.7 + 1e-6), math.sin(0.7 + 1e-6)))
     traj = geodesic_shoot(params, 0.7, 5.0)
     assert max(traj.unparam_residuals) > 1e-9
 
@@ -796,6 +804,21 @@ def test_shoot_ends_at_the_polar_point(params, eta, t_end):
     assert miss <= 1e-10 * math.hypot(end.u, end.v)
 
 
+@pytest.mark.parametrize("R", [5.0, 1e10])
+@pytest.mark.parametrize("params,eta", [
+    (params, sign * (math.pi / 2)) for params in (GEN05, GEN09, EXC, HP, FLAT)
+    for sign in ((1.0, -1.0) if params.eta_range[0] < 0.0 else (1.0,))],
+    ids=["GEN05", "GEN09", "EXC", "HP", "HP-neg", "FLAT", "FLAT-neg"])
+def test_the_float_pi_over_2_is_the_v_axis_on_both_routes(params, eta, R):
+    # the polar chart took math.cos's 6e-17 at the float pi/2 and the shoot
+    # cos 0: at k = 0.9 and R = 1e10 they ended at (76710.6, 138099.0) and
+    # at (0, 211474.25).  Both now read one launch-angle pair
+    end = point_from_polar(params, R, eta)
+    traj = geodesic_shoot(params, eta, R, n_samples=2)
+    assert end.u == 0.0 and traj.us[-1] == 0.0
+    assert abs(traj.vs[-1] - end.v) <= 1e-12 * abs(end.v)
+
+
 @pytest.mark.parametrize("params,eta,u,v", [
     (GEN, 0.7, 1.2e154, 1e154), (GEN05, 0.3, 3e307, 1e-3), (GEN, 1.2, 0.0, 1.5e154),
     (EXC, 0.7, 1.4e154, 229.0), (HP, -0.7, 1.4e154, -229.0), (EXC, 0.7, 1e307, 1.0)])
@@ -811,7 +834,7 @@ def test_shoot_rhs_past_the_square_of_the_float_range(params, eta, u, v):
         want = (scale * mp.hypot(c, au), scale * mp.hypot(s, bv))
     else:
         want = (mp.hypot(c, u) / (1 + mp.mpf(u) ** 2), s / (1 + mp.mpf(u) ** 2))
-    got = params.shoot_rhs(eta)((u, v))
+    got = params.shoot_rhs(math.cos(eta), math.sin(eta))((u, v))
     for g, w in zip(got, want):
         assert abs(g - w) <= 4e-16 * abs(w) + 1e-323   # a velocity under the floats is 0
 
@@ -836,7 +859,7 @@ def test_geodesic_shoot_stalls_at_the_float_range(params, t_end, monkeypatch):
     # origin, and the shoot stood still while t ran on.  Such a mass is now
     # BadParams and no valid shoot is known to stall, so the check is reached
     # by a right-hand side that returns zero velocity
-    monkeypatch.setattr(type(params), "shoot_rhs", lambda self, eta: lambda y: (0.0, 0.0))
+    monkeypatch.setattr(type(params), "shoot_rhs", lambda self, c, s: lambda y: (0.0, 0.0))
     with pytest.raises(BadParams, match="stalled"):
         geodesic_shoot(params, 0.7, t_end, n_samples=2)
 

@@ -356,7 +356,7 @@ def test_ode_against_scipy():
     (InstantonParams(Family.EXCEPTIONAL_HALF_PLANE), -0.7), (InstantonParams(Family.FLAT), 0.7)])
 def test_ode_geodesic_against_scipy(params, eta):
     integrate = pytest.importorskip("scipy.integrate")
-    rhs = params.shoot_rhs(eta)
+    rhs = params.shoot_rhs(math.cos(eta), math.sin(eta))
     t_eval = np.linspace(0.0, 20.0, 40)
     sol = ode_solve(rhs, [0.0, 0.0], t_eval)
     ref = integrate.solve_ivp(lambda t, y: rhs(y), (0.0, 20.0), [0.0, 0.0], method="DOP853",
