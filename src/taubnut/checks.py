@@ -239,7 +239,9 @@ def product_identity():
 @check("curvature.l2-ricci")
 def l2_ricci_quadrature():
     rep = curvature.l2_ricci(_GEN05)
-    expect(rep.rel_error < 1e-6, f"L2 Ricci rel error {rep.rel_error:.2e}")
+    miss = abs(rep.quadrature.value - rep.closed_form)
+    expect(miss <= rep.quadrature.error, f"L2 Ricci miss {miss:.2e} over its error estimate")
+    expect(rep.rel_error <= 1e-9, f"L2 Ricci rel error {rep.rel_error:.2e}")
     return f"k=0.5 quadrature matches closed form to {rep.rel_error:.2e}"
 
 

@@ -99,7 +99,8 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
     the pseudo-volume density over the polytope.
 
     GeneralizedTN (|k|<1): finite, closed form 4 pi^2 k^2/(1-k^2), verified
-    by improper quadrature to 1e-9 relative.  The exceptional families
+    by improper quadrature to 1e-9 relative in the axes x = a u, y = b v,
+    where the family's D is isotropic.  The exceptional families
     diverge; the report then carries partial energies over the almost-balls
     (quadratic growth for ExceptionalTN) or strips of height (linear growth
     for the half-plane) of radius 25, 50, 100 and 200, with the fitted
@@ -112,8 +113,9 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
     def f(u, v):
         return TORUS_VOLUME * params.ricci_density(u, v)
 
-    if math.isfinite(closed):
-        quad = integrate_2d_improper(f)
+    if math.isfinite(closed):   # GeneralizedTN: in x = a u, y = b v, D = 1 + x^2 + y^2
+        a, b = params.a, params.b
+        quad = integrate_2d_improper(lambda x, y: f(x / a, y / b) / (a * b))
         return EnergyReport(closed, quad, abs(quad.value - closed) / closed)
 
     samples = []

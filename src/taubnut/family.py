@@ -295,16 +295,16 @@ class InstantonParams(collections.namedtuple(
     def check_point(self, u, v):
         """BadParams unless (u, v) is a finite point of the chart domain."""
         (u_lo, u_hi), (v_lo, v_hi) = self.bounds
-        if not (math.isfinite(u) and math.isfinite(v)
-                and u_lo <= u <= u_hi and v_lo <= v <= v_hi):
-            raise BadParams(f"({u}, {v}) is not a finite point of the chart domain "
+        if not (in_range(u_lo, u, u_hi) and in_range(v_lo, v, v_hi)
+                and math.isfinite(u) and math.isfinite(v)):
+            raise BadParams(f"({u!r}, {v!r}) is not a finite point of the chart domain "
                             f"u in [{u_lo}, {u_hi}], v in [{v_lo}, {v_hi}]")
 
     def check_eta(self, eta):
-        """BadParams unless the launch angle eta lies in eta_range (NaN does not)."""
+        """BadParams unless the launch angle eta is a number in eta_range (NaN is not)."""
         lo, hi = self.eta_range
-        if not lo <= eta <= hi:
-            raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta}")
+        if not in_range(lo, eta, hi):
+            raise BadParams(f"launch angle must lie in [{lo}, {hi}], got {eta!r}")
 
     def exact_launch_angle(self, u, v):
         """The launch angle through (u, v) in closed form, or None when it
@@ -325,9 +325,20 @@ class InstantonParams(collections.namedtuple(
         return {"family": self.family.value, "M": self.M, "k": self.k}
 
 
+def in_range(lo, x, hi) -> bool:
+    """lo <= x <= hi; False for NaN and for what is not a number (a str, a list)."""
+    try:
+        return lo <= x <= hi
+    except TypeError:
+        return False
+
+
 def check_chirality(k) -> float:
-    """k as a float; BadParams unless |k| < 1 (not NaN), GeneralizedTN's bound."""
-    chi = float(k)
+    """k as a float; BadParams unless k is a number and |k| < 1, GeneralizedTN's bound."""
+    try:
+        chi = float(k + 0.0)   # + 0.0 refuses a str or a list, float() a complex
+    except TypeError:
+        raise BadParams(f"chirality must be a real number, got {k!r}") from None
     if not abs(chi) < 1.0:
         if abs(chi) == 1.0:
             raise BadParams("k = +-1 is not a GeneralizedTN member; the degeneration "
@@ -360,7 +371,7 @@ class GeneralizedTN(InstantonParams):
         # M / (2 sqrt 2) a normal float and sqrt 2 M a float: about 6.3e-308 <= M <= 1.27e308
         if not (mass / (2.0 * SQRT2) >= 2.0 ** -1022 and SQRT2 * mass < math.inf):
             raise BadParams(f"mass must lie in about [6.3e-308, 1.27e308], got M={M}")
-        chi = check_chirality(0.0 if k is None else k)
+        chi = check_chirality(0.0 if k is None else float(k))
         l2_ricci = 4.0 * math.pi ** 2 * chi * chi / (1.0 - chi * chi)
         # sqrt(M / (2 sqrt 2)) converts the reduced radial variable to R;
         # l2_riemann is Gauss-Bonnet for scalar-flat 4-manifolds of Euler

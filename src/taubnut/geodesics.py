@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from .family import (BadParams, Chart, InstantonParams, _is_array, _launch_cos_sin,
-                     finite_or_bad_params, uv_from_almost_polar)
+                     finite_or_bad_params, in_range, uv_from_almost_polar)
 from .metrics import conformal_factor
 from .numerics import (NoBracket, fd_gradient, find_root_monotone, find_roots_monotone,
                        ode_solve)
@@ -154,8 +154,8 @@ def _within_float_range(fn):
     ``eta_range``; BadParams otherwise or on overflow."""
     @functools.wraps(fn)
     def wrapped(params: InstantonParams, R: float, eta: float):
-        if not 0.0 <= R < math.inf:
-            raise BadParams(f"distance must be finite and >= 0, got R={R}")
+        if not (in_range(0.0, R, math.inf) and R < math.inf):
+            raise BadParams(f"distance must be finite and >= 0, got R={R!r}")
         params.check_eta(eta)
         try:
             return fn(params, R, eta)
@@ -324,8 +324,8 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
     leaves the float range, or a sample whose S_eta or residual does.
     """
     params.check_eta(eta)
-    if not 0.0 < t_end < math.inf:
-        raise BadParams(f"t_end must be finite and > 0, got {t_end}")
+    if not (in_range(0.0, t_end, math.inf) and 0.0 < t_end < math.inf):
+        raise BadParams(f"t_end must be finite and > 0, got {t_end!r}")
     if not (isinstance(n_samples, int) and n_samples >= 1):
         raise BadParams(f"n_samples must be an int >= 1, got {n_samples!r}")
     step = t_end / max(n_samples - 1, 1)   # as numpy's linspace, also where it underflows

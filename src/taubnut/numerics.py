@@ -44,7 +44,7 @@ class MaxIterExceeded(TaubnutError):
 
 
 class SlowDecay(TaubnutError):
-    """Integrand decays too slowly (or not at all) for the truncation bound."""
+    """The integrand decays too slowly (or is not finite) for the improper quadrature."""
 
 
 class StepUnderflow(TaubnutError):
@@ -199,10 +199,8 @@ def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
 
 class QuadratureResult(NamedTuple):
     value: float
-    error: float              # quadrature error estimate plus tail bound
-    tail_bound: float         # analytic bound on the discarded tail
-    truncation_radius: float  # integration was carried out on [0, T]^2
-    evaluations: int          # integrand points evaluated, arc probes included
+    error: float      # the adaptive rule's error estimate, roundoff included
+    evaluations: int  # integrand points evaluated
 
 
 GAUSS_ORDER = 10   # nodes per axis of the tensor rule on each box
@@ -281,91 +279,37 @@ def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float):
 
 def integrate_2d_improper(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> QuadratureResult:
     """Integrate f over the open first quadrant to 1e-12 absolute plus 1e-9
-    relative, on the promise that ``|f(u, v)| <= A * (1 + u^2 + v^2)^-2`` far
-    out, as for every L2 curvature density of the package.
+    relative, for an f that decays like (1 + u^2 + v^2)^-2 or faster far out,
+    as every L2 curvature density of the package does.
 
-    The amplitude A is measured on sampled arcs, which gives the analytic
-    tail bound
-
-        tail(T) <= A * (pi/4) / (1 + T^2)
-
-    (integrate the envelope in polar coordinates over rho > T).  The
-    envelope may set in only far out, so the tail check starts at the first
-    radius 8 * 2^j whose arcs decay as promised, and the truncation radius T
-    is grown from there until the bound fits inside a quarter of the budget
-    1e-12 + 1e-9 * |value|.  [0, T]^2 is cut into dyadic L-shells, [0, 8]^2
-    and for each edge pair lo < hi the slabs [lo, hi] x [0, hi] and
-    [0, lo] x [lo, hi], and the adaptive tensor Gauss-Legendre rule
-    (GAUSS_ORDER^2 nodes per box) integrates them to a tenth of the budget,
-    each piece its equal share.  ``error`` is the quadrature error estimate
-    plus the tail bound.  f is called on arrays (see above).
-
-    Raises SlowDecay when the sampled arcs show the integrand shrinking
-    slower than promised at every radius up to 1e7 or at a radius past the
-    first one where it did not, or when T would pass 1e7.
+    u = r cos(phi), v = r sin(phi), r = s / (1 - s), of Jacobian r / (1 - s)^2,
+    maps the box (s, phi) in [0, 1] x [0, pi/2] onto the whole quadrant
+    (QUADPACK's QAGI substitution, Piessens et al., 1983, in polar form), and
+    under the promised decay the mapped integrand stays bounded up to s = 1:
+    the adaptive tensor Gauss-Legendre rule integrates it from the two boxes
+    s <= 1/2 and s >= 1/2, and ``error`` is its estimate.  f is called on
+    arrays (see above).  Raises SlowDecay where that estimate misses the
+    tolerance or is NaN, as for (1 + r^2)^-1, whose mapped form grows like 1 / (1 - s).
     """
     import numpy as np
-    angles = np.linspace(1e-3, math.pi / 2 - 1e-3, 33)
 
-    @functools.cache   # tail_bound_at(r) probes 2r, and so does tail_bound_at(2r)
-    def arc_amplitude(radius: float) -> float:
-        u, v = radius * np.cos(angles), radius * np.sin(angles)
-        return float(np.max(np.abs(f(u, v)) * (1.0 + u * u + v * v) ** 2.0))
+    def mapped(s, phi):
+        r = s / (1.0 - s)
+        return f(r * np.cos(phi), r * np.sin(phi)) * (r / ((1.0 - s) * (1.0 - s)))
 
-    def tail_bound_at(radius: float) -> float:
-        # Envelope amplitude measured on two arcs, with a decay sanity check.
-        amp_1 = arc_amplitude(radius)
-        amp_2 = arc_amplitude(2.0 * radius)
-        pred = ((1.0 + 4.0 * radius ** 2) / (1.0 + radius ** 2)) ** -2.0
-        raw_1 = amp_1 * (1.0 + radius ** 2) ** -2.0
-        raw_2 = amp_2 * (1.0 + 4.0 * radius ** 2) ** -2.0
-        # The promised envelope predicts the raw arc maximum to fall by
-        # pred; allow a factor-4 slack before objecting.
-        if raw_1 > 0.0 and raw_2 > 4.0 * pred * raw_1:
-            raise SlowDecay(
-                f"integrand fell only {raw_2 / raw_1:.3g}x between radii {radius} and "
-                f"{2 * radius}; promised envelope predicts {pred:.3g}x"
-            )
-        return max(amp_1, amp_2) * (math.pi / 4.0) / (1.0 + radius ** 2)
-
-    T0 = 8.0
-    rough, _, rough_evals = _adaptive_boxes(f, [(0.0, T0, 0.0, T0)], 1e-6, 1e-6)
-    T = T0
-    while True:
-        try:
-            tail = tail_bound_at(T)
-            break
-        except SlowDecay:
-            if 2.0 * T > 1e7:
-                raise
-            T *= 2.0
-    budget = 1e-12 + 1e-9 * (abs(rough) + tail)
-    while tail > 0.25 * budget:
-        T *= 2.0
-        if T > 1e7:
-            raise SlowDecay(f"tail bound {tail:.3g} still exceeds budget {budget:.3g} "
-                            f"at radius {T / 2:.3g}")
-        tail = tail_bound_at(T)
-
-    edges = [0.0, T0]
-    while edges[-1] < T:
-        edges.append(2.0 * edges[-1])
-    pieces = [(0.0, T0, 0.0, T0)]
-    for lo, hi in zip(edges[1:], edges[2:]):
-        pieces += [(lo, hi, 0.0, hi), (0.0, lo, lo, hi)]   # right and top slabs
-    # a tenth keeps the quadrature's part of the error below the tail's:
-    # boxes closed near their share can all err with one sign
-    value, quad_err, evals = _adaptive_boxes(f, pieces, 0.1 * budget, 0.0)
-
-    evals += rough_evals + arc_amplitude.cache_info().currsize * angles.size
-    return QuadratureResult(value=value, error=quad_err + tail, tail_bound=tail,
-                            truncation_radius=T, evaluations=evals)
+    value, error, evals = _adaptive_boxes(
+        mapped, [(0.0, 0.5, 0.0, math.pi / 2), (0.5, 1.0, 0.0, math.pi / 2)], 1e-12, 1e-9)
+    tol = 1e-12 + 1e-9 * abs(value)
+    if not error <= tol:   # a NaN error fails too
+        raise SlowDecay(f"quadrature error {error:.3g} exceeds {tol:.3g}: the integrand "
+                        f"decays slower than (1 + u^2 + v^2)^-2 or is not finite")
+    return QuadratureResult(value=value, error=error, evaluations=evals)
 
 
 def integrate_2d_region(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max: float,
                         v_max_of_u: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """Integrate f over {0 < u < u_max, 0 < v < v_max_of_u(u)} to 1e-11
-    absolute or 1e-10 relative, whichever is looser; no tail is involved.
+    absolute or 1e-10 relative, whichever is looser.
 
     The outer variable is u = u_max sin(t), t in [0, pi/2], which absorbs a
     square-root end of the region such as the almost-ball boundary
@@ -392,8 +336,7 @@ def integrate_2d_region(f: Callable[[np.ndarray, np.ndarray], np.ndarray], u_max
     ts = [0.0] + [math.asin(c) for c in reversed(cuts)]
     value, err, evals = _adaptive_boxes(
         mapped, [(t0, t1, 0.0, 1.0) for t0, t1 in zip(ts, ts[1:])], 1e-11, 1e-10)
-    return QuadratureResult(value=value, error=err, tail_bound=0.0,
-                            truncation_radius=u_max, evaluations=evals)
+    return QuadratureResult(value=value, error=err, evaluations=evals)
 
 
 # --------------------------------------------------------------------------

@@ -90,7 +90,9 @@ PARSER = ([["--help"]]
              ["blowdown", "--construction", "conifold", "--point", "0,0"],
              ["blowdown", "--k", "1.5"],
              ["volume", "--family", "flat", "--R", "1,2,3,4"]])
-ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME + GEODESIC + AXES + PARSER
+#: the L2 Ricci energy next to the chirality limit, as JSON and as CSV
+ENERGY = [["energy", "--k", "0.9999"], ["energy", "--k", "-0.99", "--format", "csv"]]
+ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME + ENERGY + GEODESIC + AXES + PARSER
 
 
 def run(src: Path, argv: list[str]) -> tuple[int, str, str | None]:

@@ -22,11 +22,11 @@ HP = InstantonParams(family=Family.EXCEPTIONAL_HALF_PLANE)
 
 
 def test_1_l2_ricci_energy_closed_form():
-    """4 pi^2 Int dR1 ^ dR2 = 4 pi^2 k^2/(1-k^2) to 1e-6 relative."""
+    """4 pi^2 Int dR1 ^ dR2 = 4 pi^2 k^2/(1-k^2) to 1e-9 relative."""
     worst = 0.0
     for k in (0.3, 0.5, 1.0 / SQRT2, 0.9):
         rep = curvature.l2_ricci(InstantonParams(k=k))
-        assert rep.rel_error <= 1e-6, (k, rep.rel_error)
+        assert rep.rel_error <= 1e-9, (k, rep.rel_error)
         worst = max(worst, rep.rel_error)
     print(f"PASS 1: L2 Ricci quadrature vs closed form, worst rel {worst:.2e}")
 

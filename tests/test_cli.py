@@ -748,7 +748,7 @@ def test_energy_json():
     doc = json.loads(cp.stdout)
     assert doc["l2_ricci_closed"] == pytest.approx(
         4.0 * math.pi ** 2 * 0.25 / 0.75, rel=1e-12, abs=0)
-    assert doc["rel_error"] < 1e-6
+    assert doc["rel_error"] <= 1e-9
     assert doc["l2_riemann"] == pytest.approx(
         32.0 * math.pi ** 2 + 4.0 * doc["l2_ricci_closed"], rel=1e-12, abs=0)
     table = dict(line.split(",") for line in
@@ -756,18 +756,11 @@ def test_energy_json():
     assert float(table["l2_riemann"]) == doc["l2_riemann"]
 
 
-@pytest.mark.parametrize("k", ["0.99", "-0.99"])
+@pytest.mark.parametrize("k", ["0.99", "-0.99", "0.9999", "-0.9999"])
 def test_energy_near_the_chirality_limit(k):
     cp = run_cli("energy", "--k", k)
     assert cp.returncode == 0, cp.stderr
     assert json.loads(cp.stdout)["rel_error"] <= 1e-9
-
-
-def test_energy_that_cannot_converge_exits_2():
-    # at k = 0.9999 the tail bound still misses its budget at radius 1e7
-    cp = run_cli("energy", "--k", "0.9999")
-    assert cp.returncode == 2 and cp.stdout == ""
-    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
 
 
 def test_energy_divergent_family_csv():

@@ -215,16 +215,29 @@ def test_l2_ricci_closed_vs_quadrature():
         rep = l2_ricci(InstantonParams(k=k))
         assert rep.closed_form == pytest.approx(
             4.0 * math.pi ** 2 * k * k / (1.0 - k * k), rel=1e-15, abs=0)
-        assert rep.rel_error < 1e-6
+        assert rep.rel_error <= 1e-9
 
 
 @pytest.mark.parametrize("k", [0.99, -0.99, 0.999])
 def test_l2_ricci_near_the_chirality_limit(k):
     # D = 1 + (1+k)u^2 + (1-k)v^2 grows along one axis only once
     # (1-|k|) t^2 ~ 1, so the promised r^-4 decay of the density sets in
-    # past the first arcs the quadrature checks it on (radii 8 and 16)
+    # only far out, unless the quadrature works in the axes of D
     rep = l2_ricci(InstantonParams(k=k))
     assert rep.rel_error <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0.1, 0.5, -0.7, 0.9, 0.99, 0.9999, -0.9999])
+def test_l2_ricci_on_the_compact_map(k):
+    # in x = a u, y = b v the density is isotropic at every k, and the first
+    # round of the compact map, two boxes and their eight quarters of
+    # GAUSS_ORDER^2 nodes each, closes every box: a regression of the map
+    # or of the scaling shows in the count
+    rep = l2_ricci(InstantonParams(k=k))
+    quad = rep.quadrature
+    assert quad.error >= abs(quad.value - rep.closed_form)
+    assert rep.rel_error <= 1e-12
+    assert quad.evaluations == 1000
 
 
 def test_l2_ricci_flat_and_k0():

@@ -16,7 +16,7 @@ from taubnut.family import (GEOMETRIES, BadParams, Chart, ExceptionalHalfPlane,
                             ExceptionalTN, Family, Flat, GeneralizedTN, InstantonParams,
                             WrongFamily, almost_polar_from_uv,
                             moment_pde_residual, uv_from_almost_polar)
-from taubnut.geodesics import point_from_polar, uv_from_chart
+from taubnut.geodesics import distance, geodesic_shoot, point_from_polar, uv_from_chart
 from taubnut.blowdown import blowdown_xy_from_uv, pointed_limit_fiber, second_blowdown_conformal_xy
 from taubnut.numerics import InsufficientSamples, Jet, fit_power_law, jets
 
@@ -65,6 +65,18 @@ def test_parameters_of_the_wrong_type_are_bad_params(args, kwargs):
     # is not a real number ValueError or TypeError
     with pytest.raises(BadParams, match="need a Family and real M and k"):
         InstantonParams(*args, **kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conifold_metric("x", 1.0, 1.0), lambda: blowdown_distance([1], 1.0, 1.0),
+    lambda: distance(GEN, "1", 1.0), lambda: point_from_polar(GEN, 1.0, "x"),
+    lambda: point_from_polar(GEN, "x", 1.0), lambda: geodesic_shoot(GEN, "x", 1.0)],
+    ids=["chirality-str", "chirality-list", "point-str", "eta-str", "radius-str", "shoot-eta-str"])
+def test_arguments_of_the_wrong_type_are_bad_params(call):
+    # the chirality's float() raised ValueError or TypeError, and the point,
+    # angle and radius checks' comparisons TypeError
+    with pytest.raises(BadParams):
+        call()
 
 
 @pytest.mark.parametrize("M", [5e-324, 1e-323, 2e-323, 6.29e-308, 1.272e308, 1.7e308])
