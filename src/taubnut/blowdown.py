@@ -41,7 +41,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .family import SQRT2, BadParams, Family, InstantonParams, check_chirality, finite_or_bad_params
+from .family import (SQRT2, BadParams, Family, InstantonParams, check_chirality, finite_or_bad_params,
+                     reals)
 from .numerics import Jet, conformal_curvature, jets
 
 
@@ -131,7 +132,7 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
     off the axes, and a diagonal shortcut fails that check (see
     tests/test_blowdown.py)."""
     check_chirality(k)
-    u2, v2 = u * u, v * v
+    u2, v2 = (x * x for x in reals((u, v), "a point"))
     P = _cone_factor(k, u, v)
     Q = u2 + v2
     if P == 0.0 or Q == 0.0:
@@ -160,17 +161,13 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
 @finite_or_bad_params
 def conifold_ricci_fd(k: float, u: float, v: float) -> tuple[float, float, float, float]:
     """Ricci tensor of the conifold 3-metric, exact to rounding: entries (uu, uv, vv,
-    theta), by jet_curvature on the jets of conifold_metric.  BadParams where it
+    theta), by block_curvature on the jets of conifold_metric.  BadParams where it
     raises IllConditioned (on the axes, for one) or u, v >= 0 fails; the k = 0 cone is flat."""
     InstantonParams(k=k).check_point(u, v)   # the quadrant: else the mirrored point's value
-    from .curvature import jet_curvature
-
-    def g3(a, b):   # the unchecked formula, on jets
-        conformal, fiber_scalar = conifold_metric.__wrapped__(k, a, b)
-        return ((conformal, 0.0, 0.0), (0.0, conformal, 0.0), (0.0, 0.0, fiber_scalar))
-
-    ric = jet_curvature(g3, u, v, k == 0.0)[3]
-    return float(ric[0, 0]), float(ric[0, 1]), float(ric[1, 1]), float(ric[2, 2])
+    from .curvature import block_curvature
+    _, ric, (theta, _, _), _, _ = block_curvature(
+        lambda a, b: conifold_metric.__wrapped__(k, a, b), u, v, k == 0.0)
+    return (*ric, theta)
 
 
 @finite_or_bad_params

@@ -1,7 +1,7 @@
 """Curvature: the family-blind integrals and oracles around the curvature
-closed forms -- the oracles of the Gauss curvature and of the Ricci pseudo-
-density and the curvature of the full 4-metric, all from jets at one point,
-the L^2 Ricci energy by quadrature, and decay-rate fits along geodesics.
+closed forms -- the oracles of the Gauss curvature, of the Ricci pseudo-density
+and of the curvature of toric metrics (block_curvature), all from jets at one
+point, the L^2 Ricci energy by quadrature, and decay-rate fits along geodesics.
 
 The closed forms are methods and attributes of the family's class in
 :mod:`taubnut.family`, called on the parameters directly (``params.<name>``):
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .family import BadParams, InstantonParams, finite_or_bad_params
+from .family import BadParams, InstantonParams, finite_or_bad_params, reals
 from .metrics import TORUS_VOLUME, conformal_factor
 from .numerics import (IllConditioned, Jet, QuadratureResult, conformal_curvature, fit_power_law,
                        integrate_2d_improper, integrate_2d_region, jets)
@@ -128,72 +128,80 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
 
 
 # --------------------------------------------------------------------------
-# curvature of the 4-metric
+# curvature of the toric metrics
 # --------------------------------------------------------------------------
 
-def jet_curvature(metric, u: float, v: float, flat: bool):
-    """Riemann and Ricci tensors, exact to rounding, of an n-metric of its first two
-    coordinates: ``metric(a, b)``, the matrix as rows of Jets and numbers, called on the
-    jets of u and v.  Returns (g, g^-1, riem, ric, |Rm|^2), riem[l, k, i, j] = R^l_kij =
-    d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik and ric[k, i] = R^l_kli, for
-    G^l_ij = g^lm (d_i g_mj + d_j g_mi - d_m g_ij) / 2 and d_p G = g^-1 (d_p G_low - d_p g G).
-    IllConditioned where g or a derivative is not finite, g is singular, or the rounding
-    bound eps |T| max_i g_ii g^ii, T the sum of the absolute values of R's terms, exceeds
-    1e-6 |Rm|, as near an axis, where the chart's terms dwarf the curvature; a flat
-    metric is zero to within the bound and exempt from it."""
-    import numpy as np
-    rows = metric(*jets(u, v))
-    n, nn = len(rows), len(rows) ** 2
-    G = np.array([(e.val, e.du, e.dv, e.duu, e.duv, e.dvv) if type(e) is Jet else (e, 0, 0, 0, 0, 0)
-                  for row in rows for e in row]).T.reshape(6, n, n)   # g, d_u g, ..., d_vv g
-    if not np.isfinite(G).all():
-        raise IllConditioned(f"metric or a derivative not finite at ({u}, {v})")
-    try:
-        g, ginv = G[0], np.linalg.inv(G[0])
-    except np.linalg.LinAlgError:
-        raise IllConditioned(f"metric singular at ({u}, {v})") from None
-    dg = np.zeros((3, n, n, n))   # d_m g_ij, d_m d_u g_ij and d_m d_v g_ij; zero for m >= 2
-    dg[:, :2] = G[[1, 2, 3, 4, 4, 5]].reshape(3, 2, n, n)
-    low = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)   # G_mij, d_p G_mij
-    gam = ginv @ low[0].reshape(n, nn)
-    dgam = np.zeros((n, n, nn))   # dgam[l, i] = d_i G^l, zero for i >= 2
-    dgam[:, :2] = (ginv @ (low[1:].reshape(2, n, nn) - G[1:3] @ gam)).transpose(1, 0, 2)
-    size = abs(gam)   # terms: d_i G^l_jk + G^l_im G^m_jk at [l, i, j, k], and its sizes
-    terms = np.array([dgam.reshape(nn, nn) + gam.reshape(nn, n) @ gam, abs(dgam).reshape(nn, nn)
-                      + size.reshape(nn, n) @ size]).transpose(1, 2, 0).reshape(n, n, n, n, 2)
-    both = terms + terms.transpose(0, 2, 1, 3, 4) * np.array([-1.0, 1.0])   # R^l_kij and T
-    full = both   # l lowered, i, j and k raised, one index a pass, moved last: n^5 work
-    for mat in (g, ginv, ginv, ginv):
-        full = full.reshape(n, -1).T @ mat
-    rm_sq, t_sq = (full.reshape(2, -1) @ both.reshape(-1, 2)).diagonal()
-    bound = math.ulp(1.0) * math.sqrt(t_sq) * float((g.diagonal() * ginv.diagonal()).max())
-    if not (bound <= 1e-6 * math.sqrt(max(rm_sq, 0.0)) or flat and bound < math.inf):
+def _sandwich(x, f, y):
+    """x f y of symmetric 2 x 2 matrices, each (11, 12, 22), as (11, 12, 22, 21)."""
+    (a, b, c), (p, q, r), (s, t, w) = x, f, y
+    f11, f12, f21, f22 = p * s + q * t, p * t + q * w, q * s + r * t, q * t + r * w
+    return a * f11 + b * f21, a * f12 + b * f22, b * f12 + c * f22, b * f11 + c * f21
+
+
+def _dot(x, y):
+    """tr(X Y) of symmetric 2 x 2 matrices, each given by its first entries (11, 12, 22)."""
+    return x[0] * y[0] + 2.0 * x[1] * y[1] + x[2] * y[2]
+
+
+def _blocks(s, parts, fi, det):
+    """(|Rm|^2, R_uvuv, A_uu, A_vv, A_uv's symmetric part, R_1212), A_ab = (R_aibj)_ij, from the
+    parts (value, d_u, d_v, d_uu, d_uv, d_vv) of lam and F's (11, 12, 22), fi = F^-1: values for
+    s = -1; for s = 1, on the parts' absolute values and |F^-1| in products, each component's summed
+    term sizes, as of R_aibj = -d_a d_b F_ij / 2 + (d_b F F^-1 d_a F)_ij / 4 + G^c_ab d_c F_ij / 2
+    (G the base's symbols).  |Rm|^2 raises by 1/lam and F^-1: the A fill 4 of the 16 index
+    patterns, R_abij 2 and, as A_uv's antisymmetric part R_uv12 / 2, 4 more; R_uvuv, R_1212 4 each."""
+    (l, lu, lv, luu, _, lvv), *fiber = parts
+    _, Fu, Fv, Fuu, Fuv, Fvv = zip(*fiber)
+    h, fa = 0.5 / l, fi if s < 0.0 else [*map(abs, fi)]
+    mu, mv, (k11, k12, k22, k21) = _sandwich(Fu, fa, Fu), _sandwich(Fv, fa, Fv), _sandwich(Fv, fa, Fu)
+    A = [[0.5 * (s * a + h * (c * x + d * y)) + 0.25 * m for a, x, y, m in zip(H, Fu, Fv, M)]
+         for H, c, d, M in ((Fuu, lu, s * lv, mu), (Fvv, s * lu, lv, mv),   # G^c_ab = h (c, d)
+                            (Fuv, lv, lu, (k11, 0.5 * (k12 + k21), k22)))]
+    base, beta = (lu * lu + lv * lv) * h + 0.5 * s * (luu + lvv), 0.25 * (k12 + s * k21)
+    fib = 0.5 * h * (Fu[1] * Fu[1] + Fv[1] * Fv[1] + s * (Fu[0] * Fu[2] + Fv[0] * Fv[2]))
+    sq = sum(w * _dot(_sandwich(fi, a, fi), a) for w, a in zip((1.0, 1.0, 2.0), A))   # tr((F^-1 A)^2)
+    b2, f2, mixed = base / (l * l), fib / det, (sq + 3.0 * beta * beta / det) / (l * l)
+    return 4.0 * (b2 * b2 + f2 * f2 + mixed), base, *A, fib
+
+
+def block_curvature(metric, u: float, v: float, flat: bool):
+    """(scalar, (Ric_uu, Ric_uv, Ric_vv), [Ric_11, Ric_12, Ric_22], |Ric|^2, |Rm|^2), exact to
+    rounding, of g = lam (du^2 + dv^2) + F_ij dtheta^i dtheta^j, ``metric(a, b)`` = (lam, F11, F12,
+    F22), or (lam, F11) for a circle fiber, as Jets or numbers on the jets of u and v.  O'Neill's
+    A = 0: R_uvuv = K lam^2 (K the Gauss curvature), R_aibj as in _blocks, R_abij = R_aibj - R_ajbi,
+    R_ijkl = sum_c (d_c F_jk d_c F_il - d_c F_jl d_c F_ik) / (4 lam); components with an odd number
+    of fiber indices vanish (theta -> -theta).  IllConditioned where a part is not finite, lam or
+    det F is not positive, or the rounding bound eps |T| max_i g_ii g^ii (T: term sizes contracted
+    as |Rm|) exceeds 1e-6 |Rm|, as near an axis; a flat metric is exempt (zero to within it)."""
+    entries = metric(*jets(u, v))
+    parts = [(e.val, e.du, e.dv, e.duu, e.duv, e.dvv) if type(e) is Jet else (e,) + (0.0,) * 5
+             for e in (*entries, *((0.0, 1.0) if len(entries) == 2 else ()))]   # a circle: F22 = 1
+    l, p, q, r = (x[0] for x in parts)
+    det = p * r - q * q
+    if not (l > 0.0 and det > 0.0 and all(math.isfinite(x) for part in parts for x in part)):
+        raise IllConditioned(f"metric singular, or it or a derivative not finite, at ({u}, {v})")
+    fi = (r / det, -q / det, p / det)
+    rm_sq, base, Auu, Avv, Auv, fib = _blocks(-1.0, parts, fi, det)
+    bound = (math.ulp(1.0) * max(1.0, p * fi[0])
+             * math.sqrt(_blocks(1.0, [[*map(abs, x)] for x in parts], fi, det)[0]))
+    if not (bound <= 1e-6 * math.sqrt(max(rm_sq, 0.0)) < math.inf or flat and bound < math.inf):
         raise IllConditioned(f"rounding bound {bound:.2e} of |Rm|^2 = {rm_sq:.2e} at ({u}, {v})")
-    riem = both[..., 0]   # R^l_kij at [l, i, j, k]; Ric_ki = R^l_kli its trace over l and i
-    return g, ginv, riem.transpose(0, 3, 1, 2), riem.trace().T, float(rm_sq)
-
-
-def _metric4(params: InstantonParams, u: float, v: float):
-    """The 4-metric's rows on the jets (a, b): (u, v), then the basis curvature_fiber picks."""
-    fiber = params.curvature_fiber(u, v)
-
-    def metric(a, b):
-        lam, (e11, e12, e22) = params.conformal_factor(a, b), fiber(a, b)
-        return ((lam, 0, 0, 0), (0, lam, 0, 0), (0, 0, e11, e12), (0, 0, e12, e22))
-    return metric
+    uu, uv, vv = base / l + _dot(fi, Auu), _dot(fi, Auv), base / l + _dot(fi, Avv)
+    ric = [(a + b) / l + fib / det * f for a, b, f in zip(Auu, Avv, (p, q, r))]
+    return ((uu + vv) / l + _dot(fi, ric), (uu, uv, vv), ric,
+            (uu * uu + 2.0 * uv * uv + vv * vv) / (l * l) + _dot(_sandwich(fi, ric, fi), ric), rm_sq)
 
 
 def curvature4_fd(params: InstantonParams, u: float, v: float) -> Curvature4Sample:
-    """Scalar curvature, |Ric| and |Rm|^2 of the full 4-metric by jet_curvature, in the
-    torus basis params.curvature_fiber(u, v) picks.  The ricci_norm is divided by the
-    family's frozen ``ricci_calibration``, so it compares with the family's ricci_norm.
-    BadParams off the chart domain; IllConditioned where g is singular (on an axis) or
-    not finite, or where rounding would leave |Rm| fewer than six digits (near one)."""
+    """Scalar curvature, |Ric| and |Rm|^2 of the full 4-metric by block_curvature, in the torus
+    basis params.curvature_fiber(u, v) picks; ricci_norm is divided by the family's frozen
+    ``ricci_calibration`` to compare with its ricci_norm.  BadParams off the chart domain;
+    IllConditioned on an axis, where g is not finite, or where |Rm| would keep < 6 digits."""
     params.check_point(u, v)
-    _, ginv, _, ric, rm_sq = jet_curvature(_metric4(params, u, v), u, v, params.flat)
-    mixed = ginv @ ric   # scalar = tr(g^-1 Ric), |Ric|^2 = tr((g^-1 Ric)^2)
-    return Curvature4Sample(scalar=float(mixed.trace()), rm_norm_sq=rm_sq, ricci_norm=math.sqrt(
-        max(float((mixed * mixed.T).sum()), 0.0)) / params.ricci_calibration)
+    fiber = params.curvature_fiber(u, v)
+    scalar, _, _, ric_sq, rm_sq = block_curvature(
+        lambda a, b: (params.conformal_factor(a, b), *fiber(a, b)), u, v, params.flat)
+    return Curvature4Sample(scalar, math.sqrt(max(ric_sq, 0.0)) / params.ricci_calibration, rm_sq)
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +214,8 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
     point_from_polar.  quantity: "K_sigma" | "Ric" | "Rm_fd" (|Rm| by curvature4_fd, which
     raises IllConditioned on an axis or where rounding leaves too few digits near one)."""
     from .geodesics import point_from_polar
-    if len(R_samples) < 4:
+    radii = reals(R_samples, "the radii of a decay fit")
+    if len(radii) < 4:
         raise BadParams("need at least 4 radii for a decay fit")
     measure = {"K_sigma": lambda *uv: abs(params.polytope_curvature(*uv)), "Ric": params.ricci_norm,
                "Rm_fd": lambda *uv: math.sqrt(curvature4_fd(params, *uv).rm_norm_sq)}.get(quantity)
@@ -215,9 +224,9 @@ def decay_rate_along_geodesic(params: InstantonParams, eta: float,
     if params.flat:   # every curvature vanishes; |Rm|'s samples would be rounding
         raise BadParams(f"{quantity} vanishes on flat space; no power law to fit")
     vals = []
-    for R in R_samples:
-        q = measure(*point_from_polar(params, float(R), eta))
+    for R in radii:
+        q = measure(*point_from_polar(params, R, eta))
         if q < 1e-300:
             raise BadParams(f"{quantity} vanishes along this geodesic; no power law to fit")
         vals.append(q)
-    return fit_power_law(list(R_samples), vals)
+    return fit_power_law(radii, vals)

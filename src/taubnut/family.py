@@ -333,12 +333,17 @@ def in_range(lo, x, hi) -> bool:
         return False
 
 
+def reals(xs, what) -> list[float]:
+    """xs as floats; BadParams unless xs is an iterable of real numbers (not a str, not None)."""
+    try:
+        return [float(x + 0.0) for x in xs]   # + 0.0 refuses a str or a list, float() a complex
+    except TypeError:
+        raise BadParams(f"{what} must be real, got {xs!r}") from None
+
+
 def check_chirality(k) -> float:
     """k as a float; BadParams unless k is a number and |k| < 1, GeneralizedTN's bound."""
-    try:
-        chi = float(k + 0.0)   # + 0.0 refuses a str or a list, float() a complex
-    except TypeError:
-        raise BadParams(f"chirality must be a real number, got {k!r}") from None
+    chi, = reals((k,), "the chirality")
     if not abs(chi) < 1.0:
         if abs(chi) == 1.0:
             raise BadParams("k = +-1 is not a GeneralizedTN member; the degeneration "

@@ -52,18 +52,6 @@ class Trajectory(NamedTuple):
 # eikonal potentials
 # --------------------------------------------------------------------------
 
-def eikonal_S(params: InstantonParams, eta: float, u, v):
-    """The separated eikonal solution S_eta with S_eta(origin) = 0, at (u, v)
-    or at arrays of them.
-
-    For the half-plane families the second coordinate may be negative and eta
-    ranges over [-pi/2, pi/2]; the quadrant families take eta in [0, pi/2].
-    BadParams for eta outside the family's ``eta_range``.
-    """
-    params.check_eta(eta)
-    return params.eikonal_S(*_launch_cos_sin(eta), u, v)
-
-
 def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) -> float:
     """|  |grad S_eta|^2 - 1 |  by central differences of step 1e-4; O(step^2).
     BadParams where a corner of the stencil is off the chart domain."""
@@ -85,13 +73,14 @@ def trace_level(params: InstantonParams, eta: float, level: float, cp, sp, r0):
     eta-geodesic, from shoot_rhs.  BadParams for eta outside the family's ``eta_range``."""
     import numpy as np
     params.check_eta(eta)
-    velocity = params.shoot_rhs(*map(np.asarray, _launch_cos_sin(eta)))
+    c, s = _launch_cos_sin(eta)
+    velocity = params.shoot_rhs(np.asarray(c), np.asarray(s))
 
     def f(r):
         u, v = r * cp, r * sp
         with np.errstate(over="ignore"):   # an overflow to inf sends its ray to bisection
             du, dv = velocity((u, v))
-            return (eikonal_S(params, eta, u, v) - level,
+            return (params.eikonal_S(c, s, u, v) - level,
                     conformal_factor(params, u, v) * (cp * du + sp * dv), None)
     return find_roots_monotone(f, 0.0, 2.0 ** 29, x0=r0, abs_tol=ROOT_TOL)
 
@@ -238,7 +227,7 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
 def polar_from_point(params: InstantonParams, u: float, v: float) -> tuple[float, float]:
     """(R, eta) of a point: the launch-angle solve followed by S_eta.
     BadParams where R is beyond the float range."""
-    eta = solve_eta(params, u, v)   # in the eta range: eikonal_S's check is not needed
+    eta = solve_eta(params, u, v)   # in the eta range: no check of it is needed
     c, s = _launch_cos_sin(eta)   # unpacked: a starred call costs distance 2 %
     R = params.eikonal_S(c, s, u, v)
     if not math.isfinite(R):   # a float product overflows to inf without raising

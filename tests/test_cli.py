@@ -15,7 +15,7 @@ import pytest
 import same_bytes
 
 from taubnut import cli
-from taubnut.family import Chart
+from taubnut.family import Chart, _launch_cos_sin
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -651,7 +651,7 @@ def test_geodesic_makes_no_root_solve(tmp_path: Path, monkeypatch):
     rows = out.read_text().strip().splitlines()[1:]
     assert [float(r.split(",")[3]) for r in rows] == list(traj.distances)
     for u, v, R in zip(traj.us, traj.vs, traj.distances):
-        assert abs(R - geodesics.eikonal_S(params, 0.7, u, v)) <= 1e-15 * R
+        assert abs(R - params.eikonal_S(*_launch_cos_sin(0.7), u, v)) <= 1e-15 * R
 
 
 # -------------------------------------------------------------------- contour
@@ -687,7 +687,7 @@ def _scalar_contour_keys(params, eta, R, n_levels, n_phi):
 
             def f(r):
                 du, dv = velocity((r * cp, r * sp))
-                return (geodesics.eikonal_S(params, eta, r * cp, r * sp) - level,
+                return (params.eikonal_S(*_launch_cos_sin(eta), r * cp, r * sp) - level,
                         metrics.conformal_factor(params, r * cp, r * sp) * (cp * du + sp * dv),
                         None)
             try:
@@ -723,7 +723,7 @@ def test_contour_rows_match_the_scalar_solves(args):
     assert [row[:3] for row in rows] == _scalar_contour_keys(params, eta, R, n_levels, 65)
     for _, kind, param, u, v, value in rows:
         if kind == "level":
-            assert abs(geodesics.eikonal_S(params, eta, u, v) - value) <= 1e-12 * max(1.0, value)
+            assert abs(params.eikonal_S(*_launch_cos_sin(eta), u, v) - value) <= 1e-12 * max(1.0, value)
         elif param == 0.0:
             assert u == v == 0.0
         else:

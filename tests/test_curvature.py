@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -17,13 +18,15 @@ from taubnut.blowdown import (SingularAxis, blowdown_distance_gradient_deficit, 
                               conifold_polytope_curvature_fd, conifold_ricci_fd,
                               exceptional_blowdown_curvature, exceptional_blowdown_curvature_fd)
 from taubnut.checks import DECAY_CASES
-from taubnut.curvature import (IllConditioned, _metric4, curvature4_fd,
-                               decay_rate_along_geodesic, jet_curvature, l2_ricci,
+from taubnut.curvature import (IllConditioned, block_curvature, curvature4_fd,
+                               decay_rate_along_geodesic, l2_ricci,
                                polytope_curvature_fd, ricci_pseudo_jacobian_fd)
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.geodesics import point_from_polar
 from taubnut.metrics import conformal_factor, volume_density
 from taubnut.numerics import Jet, jets
+
+from dense_curvature import jet_curvature, metric4, rows as dense_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -325,6 +328,20 @@ def test_curvature_on_an_axis_is_ill_conditioned():
             curvature4_fd(params, u, v)
 
 
+@pytest.mark.parametrize("metric", [
+    lambda a, b: (0.0 * a, a, 0.0, b), lambda a, b: (-1.0 + 0.0 * a, a, 0.0, b),
+    lambda a, b: (1.0 + 0.0 * a, a * a, a * b, b * b), lambda a, b: (1.0, a, 2.0 * a, b),
+    lambda a, b: (Jet(1.0, 0.0, 0.0, 0.0, math.nan, 0.0), a, 0.0, b),
+    lambda a, b: (1.0, a * 1e300 * 1e300, 0.0, b), lambda a, b: (1.0 + 0.0 * a, 0.0 * a)],
+    ids=["lam-zero", "lam-negative", "det-zero", "det-negative", "nan-d_uv", "inf", "circle-zero"])
+def test_block_curvature_of_a_singular_metric_is_ill_conditioned(metric):
+    # lam or det F at or below 0 raised ZeroDivisionError or returned the
+    # curvature of no metric; a part that is not finite, even the d_uv of lam
+    # that no block reads, is refused too
+    with pytest.raises(IllConditioned):
+        block_curvature(metric, 1.0, 2.0, False)
+
+
 def _bits(fn, *args) -> str:
     """float.hex of each float fn returns, or the name of the error it raises."""
     try:
@@ -338,9 +355,8 @@ def test_jet_curvature_keeps_its_bits():
     # float.hex of curvature4_fd for every family, GeneralizedTN at three
     # masses and four chiralities, and of conifold_ricci_fd, at seeded (u, v)
     # log-uniform in [10^-2.5, 10^3], hashed: the literal is the digest of the
-    # first jet assembly (450 curvature4_fd samples, 21 of them
-    # IllConditioned, and 150 conifold ones), so a change that moves a last
-    # bit fails
+    # block assembly (450 curvature4_fd samples, 19 of them IllConditioned,
+    # and 150 conifold ones), so a change that moves a last bit fails
     rng = random.Random(30)
     digest = hashlib.sha256()
 
@@ -357,7 +373,7 @@ def test_jet_curvature_keeps_its_bits():
     for k in (-0.9, -0.5, 0.0, 0.5, 0.9):
         for _ in range(30):
             digest.update(_bits(conifold_ricci_fd, k, *point()).encode())
-    assert digest.hexdigest() == "211136f267007aa03ec747dc31a9b3cf75b2308758747d6646533bf8d484809c"
+    assert digest.hexdigest() == "455a670a64f025c2875ccefa5a56d32444b0bda219528cf0b4831a19d41b510a"
 
 
 def test_k0_is_ricci_flat():
@@ -385,18 +401,81 @@ def _exact_ints(a):
 
 
 def test_rm_norm_sq_is_the_full_contraction():
-    # the plain six-operand einsum over jet_curvature's tensors, summed in
-    # exact arithmetic, against the |Rm|^2 it returns, one index a pass
+    # the plain six-operand einsum over the dense oracle's tensors, summed in
+    # exact arithmetic, against the |Rm|^2 it returns, one index a pass, and
+    # against the block assembly's
     rng = random.Random(13)
     for i in range(50):
         params = (GEN, GEN05, EXC, HP)[i % 4]
         u, v = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
-        g, ginv, riem, _, rm_sq = jet_curvature(_metric4(params, u, v), u, v, False)
+        g, ginv, riem, _, rm_sq = jet_curvature(dense_rows(metric4(params, u, v)), u, v, False)
         low, up = _exact_ints(np.einsum('lm,mkij->lkij', g, riem)), _exact_ints(ginv)
         total = np.einsum('abcd,efgh,ae,bf,cg,dh->', low, low, up, up, up, up, optimize=True)
         exact = float(Fraction(int(total), 2 ** (6 * 1074)))
         assert abs(rm_sq / exact - 1.0) <= 1e-13
-        assert curvature4_fd(params, u, v).rm_norm_sq == rm_sq
+        assert abs(curvature4_fd(params, u, v).rm_norm_sq / exact - 1.0) <= 1e-13
+
+
+def test_block_formulas_are_the_riemann_tensor():
+    # sympy, for undefined functions lam, F11, F12, F22 of (u, v): the
+    # Riemann tensor of the dense 4-metric lam (du^2 + dv^2) + F by its
+    # definition (the convention of the dense oracle), against what _blocks
+    # computes on the functions' derivatives and against the block formulas
+    # of block_curvature's docstring; then the |Rm|^2 contraction of _blocks
+    # against the index loops of _reference, at a seeded point in 60 digits
+    sp = pytest.importorskip("sympy")
+    from taubnut.curvature import _blocks
+    u, v = sp.symbols("u v")
+    lam, F11, F12, F22 = (sp.Function(name)(u, v) for name in ("lam", "F11", "F12", "F22"))
+    g = sp.diag(lam, lam, sp.Matrix([[F11, F12], [F12, F22]]))
+    det = F11 * F22 - F12 * F12
+    ginv = sp.diag(1 / lam, 1 / lam, sp.Matrix([[F22, -F12], [-F12, F11]]) / det)
+    N = range(4)
+
+    def d(e, m):   # d_m e; nothing depends on the fiber's angles
+        return sp.diff(e, (u, v)[m]) if m < 2 else 0
+    gam = [[[sum(ginv[l, m] * (d(g[m, j], i) + d(g[m, i], j) - d(g[i, j], m)) for m in N) / 2
+             for j in N] for i in N] for l in N]
+
+    @functools.lru_cache(maxsize=None)
+    def riemann(a, b, i, j):   # R_abij = g_am R^m_bij, R^m_bij = d_i G^m_jb - d_j G^m_ib + ...
+        return sum(g[a, m] * (d(gam[m][j][b], i) - d(gam[m][i][b], j)
+                              + sum(gam[m][i][k] * gam[k][j][b] for k in N)
+                              - sum(gam[m][j][k] * gam[k][i][b] for k in N)) for m in N)
+
+    def zero(e):
+        e = e.xreplace({x: sp.Rational(x) for x in e.atoms(sp.Float)})   # _blocks' 0.5 and 0.25
+        return sp.expand(sp.numer(sp.together(e))) == 0
+
+    parts = [(f, *(f.diff(*x) for x in ((u,), (v,), (u, u), (u, v), (v, v))))
+             for f in (lam, F11, F12, F22)]
+    _, base, Auu, Avv, Auv, fiber = _blocks(-1, parts, (F22 / det, -F12 / det, F11 / det), det)
+    assert zero(base - riemann(0, 1, 0, 1)) and zero(fiber - riemann(2, 3, 2, 3))
+    for n, (i, j) in enumerate(((2, 2), (2, 3), (3, 3))):
+        assert zero(Auu[n] - riemann(0, i, 0, j)) and zero(Avv[n] - riemann(1, i, 1, j))
+        assert zero(2 * Auv[n] - riemann(0, i, 1, j) - riemann(0, j, 1, i))
+    K = (lam.diff(u) ** 2 + lam.diff(v) ** 2 - lam * (lam.diff(u, u) + lam.diff(v, v))) / 2 / lam ** 3
+    assert zero(riemann(0, 1, 0, 1) - K * lam ** 2)   # the Gauss curvature of lam (du^2 + dv^2)
+    for a, b, i, j in itertools.product((0, 1), (0, 1), (2, 3), (2, 3)):
+        assert zero(riemann(a, b, i, j) - riemann(a, i, b, j) + riemann(a, j, b, i))
+    odd = [(a, b, c, i) for a, b, c in itertools.product((0, 1), repeat=3) for i in (2, 3)]
+    odd += [(i, j, k, a) for i, j, k in itertools.product((2, 3), repeat=3) for a in (0, 1)]
+    assert all(zero(riemann(*x)) for x in odd)   # with one or three fiber indices
+    R_1212 = sum(F12.diff(x) ** 2 - F11.diff(x) * F22.diff(x) for x in (u, v)) / (4 * lam)
+    assert zero(riemann(2, 3, 2, 3) - R_1212)
+
+    rng = random.Random(32)
+    point = {f.diff(*x) if x else f: mpmath.mpf(rng.uniform(-1.0, 1.0))
+             for f in (lam, F11, F12, F22) for x in ((), (u,), (v,), (u, u), (u, v), (v, v))}
+    point.update({lam: mpmath.mpf(2), F11: mpmath.mpf(3), F12: mpmath.mpf(0.5), F22: mpmath.mpf(1)})
+    with mpmath.workdps(60):
+        jet = [Jet(*(point[x] for x in part)) for part in parts]
+        rows = dense_rows(lambda a, b: jet)(None, None)
+        rm_sq = _reference(rows)[2]
+        _, p, q, r = (x.val for x in jet)
+        det = p * r - q * q
+        values = [[point[x] for x in part] for part in parts]
+        assert abs(_blocks(-1, values, (r / det, -q / det, p / det), det)[0] / rm_sq - 1) < 1e-50
 
 
 def test_near_axis_curvature_is_exact():
@@ -427,10 +506,34 @@ def test_far_out_curvature_is_exact(params, power, R, exact, rel):
     assert value == pytest.approx(exact, rel=rel, abs=0)
 
 
+@pytest.mark.parametrize("R,returns", [(1e3, True), (1e4, True), (1e5, False)])
+def test_next_to_the_axis_far_out_at_k0(R, returns):
+    # along eta = 1e-3 at k = 0 the dense assembly raised IllConditioned at
+    # R = 1e4 and 1e5; the block assembly keeps R = 1e4 within the bound of
+    # the 60-digit gate, and still raises at 1e5, where the rounding scale of
+    # this chart is 1e-5 |Rm|: the axis-adapted chart is left to do
+    eps = sys.float_info.epsilon
+    u, v = point_from_polar(GEN, R, 1e-3)
+    with mpmath.workdps(60):
+        scalar, ric_sq, rm_sq, scale = _reference(
+            dense_rows(metric4(GEN, u, v))(*jets(mpmath.mpf(u), mpmath.mpf(v))))
+        bound, rm = 4.0 * eps * scale, mpmath.sqrt(rm_sq)
+        if not returns:
+            assert eps * scale > 1e-6 * rm
+            with pytest.raises(IllConditioned):
+                curvature4_fd(GEN, u, v)
+            return
+        sample = curvature4_fd(GEN, u, v)
+        assert abs(sample.scalar - scalar) <= bound
+        assert abs(sample.ricci_norm * GEN.ricci_calibration - mpmath.sqrt(ric_sq)) <= bound
+        assert abs(sample.rm_norm_sq - rm_sq) <= bound * (rm + eps * scale)
+        assert abs(sample.rm_norm_sq / rm_sq - 1) <= 4e-6
+
+
 def _reference(rows):
     """(scalar, |Ric|^2, |Rm|^2, rounding scale) of a metric of (u, v) given as
     rows of Jets of mpmath numbers and numbers, by index loops straight from
-    the definitions, apart from jet_curvature's numpy assembly.  The scale is
+    the definitions, apart from the dense oracle's numpy assembly.  The scale is
     |T| max_i g_ii g^ii, T the sum of the absolute values of the terms of
     R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik, in the
     metric's norm: the rounding error of each invariant is of order eps times it."""
@@ -502,7 +605,7 @@ def test_jet_curvature_matches_60_digits():
     raised = 0
     with mpmath.workdps(60):
         for params, u, v in _gate_points():
-            rows = _metric4(params, u, v)(*jets(mpmath.mpf(u), mpmath.mpf(v)))
+            rows = dense_rows(metric4(params, u, v))(*jets(mpmath.mpf(u), mpmath.mpf(v)))
             scalar, ric_sq, rm_sq, scale = _reference(rows)
             bound, rm = 4.0 * eps * scale, mpmath.sqrt(rm_sq)
             try:

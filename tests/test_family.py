@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubnut import cli
-from taubnut.blowdown import blowdown_distance, conifold_metric, exceptional_blowdown_metric
+from taubnut.blowdown import (blowdown_distance, conifold_curvatures, conifold_metric,
+                              exceptional_blowdown_metric)
+from taubnut.curvature import decay_rate_along_geodesic
 from taubnut.family import (GEOMETRIES, BadParams, Chart, ExceptionalHalfPlane,
                             ExceptionalTN, Family, Flat, GeneralizedTN, InstantonParams,
                             WrongFamily, almost_polar_from_uv,
@@ -70,11 +72,17 @@ def test_parameters_of_the_wrong_type_are_bad_params(args, kwargs):
 @pytest.mark.parametrize("call", [
     lambda: conifold_metric("x", 1.0, 1.0), lambda: blowdown_distance([1], 1.0, 1.0),
     lambda: distance(GEN, "1", 1.0), lambda: point_from_polar(GEN, 1.0, "x"),
-    lambda: point_from_polar(GEN, "x", 1.0), lambda: geodesic_shoot(GEN, "x", 1.0)],
-    ids=["chirality-str", "chirality-list", "point-str", "eta-str", "radius-str", "shoot-eta-str"])
+    lambda: point_from_polar(GEN, "x", 1.0), lambda: geodesic_shoot(GEN, "x", 1.0),
+    lambda: decay_rate_along_geodesic(GEN, 0.7, "Rm_fd", ("a", "b", "c", "d")),
+    lambda: decay_rate_along_geodesic(GEN, 0.7, "Rm_fd", None),
+    lambda: conifold_curvatures(0.5, "x", 0.5)],
+    ids=["chirality-str", "chirality-list", "point-str", "eta-str", "radius-str", "shoot-eta-str",
+         "decay-radii-str", "decay-radii-none", "conifold-point-str"])
 def test_arguments_of_the_wrong_type_are_bad_params(call):
     # the chirality's float() raised ValueError or TypeError, and the point,
-    # angle and radius checks' comparisons TypeError
+    # angle and radius checks' comparisons TypeError; the decay fit's float()
+    # of a radius raised ValueError and its len(None) TypeError, and the
+    # conifold's u * u TypeError
     with pytest.raises(BadParams):
         call()
 

@@ -13,8 +13,7 @@ from taubnut import geodesics
 from taubnut.curvature import polytope_curvature_fd
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily, _launch_cos_sin
 from taubnut.numerics import StepUnderflow, find_root_monotone, ode_solve
-from taubnut.geodesics import (distance, eikonal_S,
-                               eikonal_residual, geodesic_shoot,
+from taubnut.geodesics import (distance, eikonal_residual, geodesic_shoot,
                                point_from_polar, points_from_polar, polar_from_point,
                                polar_metric_coefficient,
                                polar_metric_coefficient_fd,
@@ -26,6 +25,11 @@ GEN09 = InstantonParams(k=0.9)
 EXC = InstantonParams(family=Family.EXCEPTIONAL_TN)
 HP = InstantonParams(family=Family.EXCEPTIONAL_HALF_PLANE)
 FLAT = InstantonParams(family=Family.FLAT)
+
+
+def eikonal_S(params, eta, u, v):
+    """S_eta at (u, v) or at arrays of them: the family's kernel at eta's launch pair."""
+    return params.eikonal_S(*_launch_cos_sin(eta), u, v)
 
 ETAS = [0.1, 0.4, math.pi / 4, 1.1, 1.45]
 
@@ -603,7 +607,7 @@ K05_CALLS = {   # a launch angle off the quadrant's [0, pi/2] at k = 0.5
     "solve_F": lambda eta: solve_F(GEN05, 3.0, eta),
     "polar_metric_coefficient": lambda eta: polar_metric_coefficient(GEN05, 3.0, eta),
     "point_from_polar": lambda eta: point_from_polar(GEN05, 3.0, eta),
-    "eikonal_S": lambda eta: eikonal_S(GEN05, eta, 1.0, 1.0),
+    "trace_level": lambda eta: geodesics.trace_level(GEN05, eta, 1.0, *np.ones((3, 1))),
     "eikonal_residual": lambda eta: eikonal_residual(GEN05, eta, 1.0, 1.0),
     "geodesic_shoot": lambda eta: geodesic_shoot(GEN05, eta, 2.0),
     "points_from_polar": lambda eta: points_from_polar(GEN05, [1.0, 3.0], [0.5, eta]),
@@ -624,9 +628,9 @@ def _shoot_residual(params, eta, u, v):
     return max(geodesic_shoot(params, eta, math.hypot(u, v), n_samples=2).unparam_residuals)
 
 
-@pytest.mark.parametrize("fn", [eikonal_S, _shoot_residual])
+@pytest.mark.parametrize("fn", [eikonal_residual, _shoot_residual])
 def test_eikonal_and_unparam_residual_check_eta_at_k0(fn):
-    # at k = 0 they returned 1.23 and 2.88
+    # at k = 0 the eikonal S_eta and the shoot returned 1.23 and 2.88
     with pytest.raises(BadParams, match="launch angle"):
         fn(GEN, 5.0, 1.0, 1.0)
     assert math.isfinite(fn(HP, -0.5, 1.0, -1.0))   # the half-plane's range

@@ -9,7 +9,6 @@ from taubnut import dop853
 from taubnut.asymptotics import almost_ball_volume
 from taubnut.family import BadParams, Family, InstantonParams
 from taubnut.metrics import TORUS_VOLUME, volume_density
-from taubnut.curvature import jet_curvature
 from taubnut.numerics import (GAUSS_ORDER, InsufficientSamples,
                               NoBracket, SlowDecay, StepUnderflow,
                               conformal_curvature, fd_gradient, fd_jacobian2, fd_laplacian, jets,
@@ -17,6 +16,8 @@ from taubnut.numerics import (GAUSS_ORDER, InsufficientSamples,
                               find_roots_monotone, fit_power_law,
                               integrate_2d_improper, integrate_2d_region,
                               ode_solve, _gauss_legendre)
+
+from dense_curvature import jet_curvature
 
 
 # ---------------------------------------------------------------- rootfinding
