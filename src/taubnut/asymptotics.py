@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .family import BadParams, InstantonParams, finite_or_bad_params, uv_from_almost_polar
+from .family import (BadParams, InstantonParams, finite_or_bad_params, in_range, reals,
+                     uv_from_almost_polar)
 from .geodesics import distance, point_from_polar
 from .metrics import TORUS_VOLUME, volume_density
 from .numerics import (InsufficientSamples, QuadratureResult, TaubnutError, fit_power_law,
@@ -87,8 +88,8 @@ def measured_epsilon_bar(params: InstantonParams, R: float) -> float:
     Endpoints come from the exact geodesic solver, so this measures the true
     discrepancy of the surrogate, not a modeled bound.
     """
-    if R <= 0.0:
-        raise BadParams(f"radius must be positive, got {R}")
+    if not (in_range(0.0, R, math.inf) and R > 0.0):
+        raise BadParams(f"radius must be positive, got {R!r}")
     return max(0.0, *(abs(params.almost_distance(*point_from_polar(params, R, eta)) / R - 1.0)
                       for eta in EPSILON_GRID))
 
@@ -102,6 +103,7 @@ def ball_volume_bracket(params: InstantonParams, R: float) -> tuple[float, float
 
         Vol AB(R/(1+eps)) <= Vol B(R) <= Vol AB(R(1+eps)).
     """
+    R, = reals((R,), "the radius")
     if R < 10.0:
         raise SmallRadius(
             f"bracket requires R >= 10 (surrogate error is only controlled "
@@ -117,7 +119,7 @@ def volume_growth_exponent(params: InstantonParams, radii) -> float:
     Cubic for the generalized family, quartic for the exceptional one (in
     the large-radius regime; the R^2 term dominates small radii).
     """
-    radii = [float(R) for R in radii]
+    radii = reals(radii, "the radii")
     if len(radii) < 4:
         raise InsufficientSamples(
             f"need at least 4 radii for a growth fit, got {len(radii)}")
@@ -148,8 +150,8 @@ class SandwichSample(NamedTuple):
 def sphere_sandwich(params: InstantonParams, r_tilde: float, *, n: int) -> SandwichSample:
     """Sample AS(r_tilde) at n angles and measure Rtilde - distance.
     BadParams unless n is an int >= 2."""
-    if r_tilde <= 0.0:
-        raise BadParams(f"need a positive radius, got {r_tilde}")
+    if not (in_range(0.0, r_tilde, math.inf) and r_tilde > 0.0):
+        raise BadParams(f"need a positive radius, got {r_tilde!r}")
     if not (isinstance(n, int) and n >= 2):
         raise BadParams(f"n must be an int >= 2, got {n!r}")
     gaps, cs = [], []

@@ -41,8 +41,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .family import (SQRT2, BadParams, Family, InstantonParams, check_chirality, finite_or_bad_params,
-                     reals)
+from .family import SQRT2, BadParams, Family, InstantonParams, check_chirality, finite_or_bad_params
 from .numerics import Jet, conformal_curvature, jets
 
 
@@ -132,7 +131,7 @@ def conifold_curvatures(k: float, u: float, v: float) -> ConifoldCurvature:
     off the axes, and a diagonal shortcut fails that check (see
     tests/test_blowdown.py)."""
     check_chirality(k)
-    u2, v2 = (x * x for x in reals((u, v), "a point"))
+    u2, v2 = u * u, v * v
     P = _cone_factor(k, u, v)
     Q = u2 + v2
     if P == 0.0 or Q == 0.0:

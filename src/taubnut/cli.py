@@ -28,7 +28,7 @@ import sys
 
 from . import __version__
 from .family import BadParams, Chart, Family, InstantonParams, WrongFamily, check_chirality
-from .numerics import TaubnutError
+from .numerics import TaubnutError, linspace
 
 FAMILY_NAMES = {
     "generalized": Family.GENERALIZED_TN,
@@ -171,7 +171,6 @@ def _cmd_geodesic(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_contour(args) -> int:
-    import numpy as np
     from . import geodesics
     params = _params(args)
     # rays and launch angles both sweep the chart domain
@@ -184,28 +183,27 @@ def _cmd_contour(args) -> int:
         raise BadParams(f"--R must be finite and >= 0, got {args.R}")
     if not eta_lo <= args.eta <= eta_hi:
         raise BadParams(f"--eta must lie in [{eta_lo}, {eta_hi}], got {args.eta}")
-    phis = np.linspace(eta_lo, eta_hi, args.phi_samples)
-    cp, sp = np.cos(phis), np.sin(phis)
+    phis = linspace(eta_lo, eta_hi, args.phi_samples)
+    cp, sp = [math.cos(phi) for phi in phis], [math.sin(phi) for phi in phis]
 
-    rows, r = [], np.full(phis.shape, np.nan)
+    rows, r = [], [math.nan] * len(phis)
     levels = [args.R * i / (args.levels - 1) for i in range(args.levels)]
     for i, level in enumerate(levels):
         if level == 0.0:   # the origin, as the root on the ray phi = 0
             rows.append((f"level-{i}", "level", 0.0, 0.0, 0.0, level))
             continue
         # each ray's solve starts at its radius on the level before, if any
-        r = geodesics.trace_level(params, args.eta, level, cp, sp, np.where(np.isnan(r), level, r))
-        on = ~np.isnan(r)
-        rows += [(f"level-{i}", "level", phi, u, v, level) for phi, u, v in
-                 zip(phis[on].tolist(), (r * cp)[on].tolist(), (r * sp)[on].tolist())]
+        r = geodesics.trace_level(params, args.eta, level, cp, sp,
+                                  [level if math.isnan(x) else x for x in r])
+        rows += [(f"level-{i}", "level", phi, x * p, x * q, level)
+                 for phi, x, p, q in zip(phis, r, cp, sp) if not math.isnan(x)]
 
     fan = [e for e in (j * math.pi / 12.0 for j in range(-6, 7)) if e >= eta_lo]
-    ts = np.linspace(0.0, args.R, args.phi_samples)
-    us, vs = geodesics.points_from_polar(params, ts, np.array(fan)[:, None])
-    us[:, ts == 0.0] = vs[:, ts == 0.0] = 0.0   # the origin, unsigned for eta < 0
+    ts = linspace(0.0, args.R, args.phi_samples)
+    us, vs = geodesics.points_from_polar(params, ts, [[e] for e in fan])
     for j, (eta_ray, u_ray, v_ray) in enumerate(zip(fan, us.tolist(), vs.tolist())):
-        rows += [(f"geodesic-{j}", "geodesic", t, u, v, eta_ray)
-                 for t, u, v in zip(ts.tolist(), u_ray, v_ray)]
+        rows += [(f"geodesic-{j}", "geodesic", t, u if t else 0.0, v if t else 0.0, eta_ray)
+                 for t, u, v in zip(ts, u_ray, v_ray)]   # the origin, unsigned for eta < 0
 
     if args.format == "svg":
         _write_out(_render_svg(rows), args.out)

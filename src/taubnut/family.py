@@ -31,7 +31,6 @@ import collections
 import functools
 import math
 import sys
-from contextlib import nullcontext
 from enum import Enum
 
 from .numerics import BadParams, TaubnutError, fd_gradient, fd_laplacian
@@ -52,30 +51,26 @@ def _is_array(x) -> bool:
 
 
 def _finite(x) -> bool:
-    """Whether every number of x -- a float, an array, or a tuple or record
-    of them -- is finite."""
-    if _is_array(x):
-        return bool(sys.modules["numpy"].isfinite(x).all())
+    """Whether every number of x -- a float, or a tuple or record of them -- is finite."""
     if isinstance(x, tuple):
         return all(map(_finite, x))
     return math.isfinite(x)
 
 
 def finite_or_bad_params(fn):
-    """fn, raising BadParams where an argument, or a number fn computes or
-    returns, is not finite: a NaN or infinite argument, an overflow, or a
-    power that underflows to a zero divisor.  fn's own errors come first."""
+    """fn on its number arguments made floats by ``reals``, raising BadParams where one is not
+    a real number or not finite, or where a number fn computes or returns is not finite (an
+    overflow, or a power that underflows to a zero divisor).  fn's own errors come first."""
     @functools.wraps(fn)
     def wrapped(*args):
-        np = sys.modules.get("numpy")   # not loaded: no argument is a numpy number
+        head = args[:1] if args and isinstance(args[0], InstantonParams) else ()
+        numbers = reals(args[len(head):], f"the arguments of {fn.__name__}")
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise") if np else nullcontext():
-                out = fn(*args)
-        except ArithmeticError:   # OverflowError, ZeroDivisionError, FloatingPointError
+            out = fn(*head, *numbers)
+        except ArithmeticError:   # OverflowError, ZeroDivisionError
             out = math.nan
-        numbers = tuple(x for x in args if not isinstance(x, InstantonParams))
-        if not (_finite(numbers) and _finite(out)):
-            raise BadParams(f"{fn.__name__} at {list(numbers)}: a number is not finite "
+        if not (all(map(math.isfinite, numbers)) and _finite(out)):
+            raise BadParams(f"{fn.__name__} at {numbers}: a number is not finite "
                             f"or leaves the float range")
         return out
     return wrapped
@@ -107,8 +102,8 @@ class _FloatOps:
     on floats: math's, so that a float stays a float with math's rounding.
     ratio(x, y) is x / y, or inf where y = 0."""
 
-    sinh, cosh, asinh, hypot, copysign, min, any = (
-        math.sinh, math.cosh, math.asinh, math.hypot, math.copysign, min, bool)
+    sinh, cosh, asinh, copysign, min, any = (
+        math.sinh, math.cosh, math.asinh, math.copysign, min, bool)
     where = staticmethod(lambda cond, x, y: x if cond else y)
     ratio = staticmethod(lambda x, y: x / y if y else math.inf)
 
@@ -121,8 +116,7 @@ def _array_ops():
     import numpy as np
 
     class _ArrayOps:
-        cosh, asinh, hypot, copysign, where, any = (
-            np.cosh, np.arcsinh, np.hypot, np.copysign, np.where, np.any)
+        cosh, asinh, copysign, where, any = np.cosh, np.arcsinh, np.copysign, np.where, np.any
         min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
         ratio = staticmethod(lambda x, y: np.divide(
             x, y, out=np.full(np.broadcast(x, y).shape, np.inf), where=y != 0.0))
@@ -159,9 +153,8 @@ def _asinh_ratio(p: float, c: float) -> float:
     return y if y != math.inf else math.log(math.hypot(p, c)) + (math.log(2.0) - math.log(c))
 
 
-def _leg(p, c: float):
-    """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for p, c >= 0, p a float
-    or an array.
+def _leg(p: float, c: float) -> float:
+    """(1/2)[p sqrt(c^2 + p^2) + c^2 asinh(p/c)] for floats p, c >= 0.
 
     This is the one-variable building block of S_eta, written so the c -> 0
     limit (value p^2/2) needs no special series: the asinh term carries the
@@ -173,14 +166,9 @@ def _leg(p, c: float):
     """
     if c == 0.0:
         return 0.5 * p * p
-    if type(p) is float:   # the lines below on a float, without _ops, min and where
-        x = 1e308 if p / c > 1e308 else p / c
-        return 0.5 * p * math.hypot(c, p) + (0.5 * c * p if x < 2.0 ** -1022 else
-                                             0.5 * c * c * math.asinh(x))
-    xp = _ops(p)
-    x = xp.min(p / c, 1e308)
-    return 0.5 * p * xp.hypot(c, p) + xp.where(x < 2.0 ** -1022, 0.5 * c * p,
-                                               0.5 * c * c * xp.asinh(x))
+    x = 1e308 if p / c > 1e308 else p / c
+    return 0.5 * p * math.hypot(c, p) + (0.5 * c * p if x < 2.0 ** -1022 else
+                                         0.5 * c * c * math.asinh(x))
 
 
 def _logsinh(x: float) -> float:
@@ -233,22 +221,21 @@ def _half_plane_x(phi1):
 #
 # Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
 # collapsing_fiber, moment_map and ricci_potentials also take Jets (the jet
-# contract of taubnut.numerics), and almost_ball_v_max arrays of u.  A
-# launch angle reaches a kernel as (c, s) = _launch_cos_sin(eta).  Through
-# _ops, which calls math on floats and numpy on arrays, radial_relation and
-# polar_point (R, c and s broadcast together), conformal_factor and
-# eikonal_S (in (u, v)) also take arrays; _leg takes a float p down its own
-# branch.  shoot_rhs(c, s) = rhs, the velocity (u, v) -> (u', v') of the
-# unit-speed geodesic, of arrays where c is one; its squares are products,
-# which overflow to inf where x ** 2 raises, and the float rhs then divides
-# by the square root of that sum twice.  launch_residual(u, v) = h, the
-# launch-angle relation through (u, v), increasing in x = log tan(eta);
-# radial_relation(R, c, s) = (f, bound), S_eta along the geodesic minus R
-# in its log radial parameter and a closed-form bound above the root; h
-# and f are find_root_monotone residuals (f a find_roots_monotone one on
-# arrays), x -> (value, slope, curvature or None).  polar_point(R, c, s,
-# solve) = (u, v) at that root, found by solve; polar_coefficient(c, s,
-# root) = A^2 there.
+# contract of taubnut.numerics); ricci_density, almost_ball_v_max and the
+# conformal_factor and xy_from_uv of volume_density also take the quadrature's
+# numpy arrays.  A launch angle reaches a kernel as (c, s) = _launch_cos_sin(eta);
+# radial_relation and polar_point take R, c and s as floats or, for the
+# contour fan, as arrays broadcast together, through _ops (math on floats,
+# numpy on arrays).  Every other kernel of a launch pair takes floats alone.
+# shoot_rhs(c, s) = rhs, the velocity (u, v) -> (u', v') of the unit-speed
+# geodesic; its squares overflow to inf where x ** 2 raises, and rhs then
+# divides by the square root of their sum twice.  launch_residual(u, v) = h,
+# the launch-angle relation through (u, v), increasing in x = log tan(eta);
+# radial_relation(R, c, s) = (f, bound), S_eta along the geodesic minus R in
+# its log radial parameter and a closed-form bound above the root; h and f
+# are find_root_monotone residuals (f a find_roots_monotone one on arrays),
+# x -> (value, slope, curvature or None).  polar_point(R, c, s, solve) =
+# (u, v) at that root, found by solve; polar_coefficient(c, s, root) = A^2 there.
 
 class InstantonParams(collections.namedtuple(
         "InstantonParams", "family M k", defaults=(Family.GENERALIZED_TN, None, None))):
@@ -334,10 +321,10 @@ def in_range(lo, x, hi) -> bool:
 
 
 def reals(xs, what) -> list[float]:
-    """xs as floats; BadParams unless xs is an iterable of real numbers (not a str, not None)."""
-    try:
-        return [float(x + 0.0) for x in xs]   # + 0.0 refuses a str or a list, float() a complex
-    except TypeError:
+    """xs as floats, -0.0 kept; BadParams unless xs is an iterable of reals in the float range."""
+    try:   # - 0.0 refuses a str or a list, float() a complex or a longer array
+        return [float(x - 0.0) for x in xs]
+    except (TypeError, OverflowError):
         raise BadParams(f"{what} must be real, got {xs!r}") from None
 
 
@@ -499,13 +486,12 @@ class GeneralizedTN(InstantonParams):
         return 2.0 * SQRT2 / self.M * w * w
 
     def shoot_rhs(self, c, s):
-        a, b, pre = self.a, self.b, self.mass_root
-        hypot = _ops(c).hypot
+        a, b, pre, hypot = self.a, self.b, self.mass_root, math.hypot
 
         def rhs(y):
             au, bv = a * y[0], b * y[1]
             D = 1.0 + au * au + bv * bv
-            if hypot is math.hypot and D == math.inf:   # a float D - 1 = w^2 past the range
+            if D == math.inf:   # D - 1 = w^2 past the float range
                 w = hypot(au, bv)
                 return pre * (hypot(c, au) / w) / w, pre * (hypot(s, bv) / w) / w
             return pre * hypot(c, au) / D, pre * hypot(s, bv) / D
@@ -632,11 +618,11 @@ class ExceptionalTN(InstantonParams):
         return c * xp.sinh(sigma), xp.where(axis, R, s * sigma)
 
     def shoot_rhs(self, c, s):
-        hypot = _ops(c).hypot
+        hypot = math.hypot
 
         def rhs(y):
             lam = 1.0 + y[0] * y[0]
-            if hypot is math.hypot and lam == math.inf:   # a float lam - 1 = u^2 past the range
+            if lam == math.inf:   # lam - 1 = u^2 past the float range
                 return hypot(c, y[0]) / y[0] / y[0], s / y[0] / y[0]
             return hypot(c, y[0]) / lam, s / lam
         return rhs

@@ -15,7 +15,8 @@ equality on the eta-geodesic: a shoot is certified by S_eta at its own eta.
 The formulas (S_eta, the launch-angle residual, the radial relation in the
 log radial parameter s = log F) are the family's, in :mod:`taubnut.family`;
 the root solves, the ODE shoot and the FD oracles here work for every
-family alike.  ``points_from_polar`` solves many points as one array solve.
+family alike, on floats; ``points_from_polar``, the geodesic fan of ``contour``,
+alone solves many points as one numpy array solve, in a seventh of a loop's time.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import math
 from typing import NamedTuple
 
 from .family import (BadParams, Chart, InstantonParams, _is_array, _launch_cos_sin,
-                     finite_or_bad_params, in_range, uv_from_almost_polar)
+                     finite_or_bad_params, in_range, reals, uv_from_almost_polar)
 from .metrics import conformal_factor
 from .numerics import (NoBracket, fd_gradient, find_root_monotone, find_roots_monotone,
-                       ode_solve)
+                       linspace, ode_solve)
 
 ROOT_TOL = 1e-13   # absolute, of x = log tan(eta) and of s (times max(1, its bound))
 X_LO, X_HI = -750.0, 40.0   # x = log tan(eta) past which eta rounds to 0 or to pi/2
@@ -65,24 +66,27 @@ def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) ->
     return abs((su * su + sv * sv) / lam - 1.0)
 
 
-def trace_level(params: InstantonParams, eta: float, level: float, cp, sp, r0):
-    """Radii r with S_eta(r cp, r sp) = level on the rays of the direction arrays
-    (cp, sp): one array Newton solve on r, started at the array r0.  NaN on a ray
-    along which S_eta stays below the level up to r = 2^29 (it can vanish or go
-    negative near an axis).  grad S_eta is lambda times the velocity of the unit-speed
-    eta-geodesic, from shoot_rhs.  BadParams for eta outside the family's ``eta_range``."""
-    import numpy as np
+def trace_level(params: InstantonParams, eta: float, level: float, cp, sp, r0) -> list[float]:
+    """Radii r with S_eta(r cp, r sp) = level on the rays of the direction lists (cp, sp),
+    one Newton solve on r per ray from its entry of r0 (an array solve is no faster: it
+    evaluates every ray until the slowest stops).  NaN on a ray along which S_eta stays
+    below the level up to r = 2^29 (it can vanish or go negative near an axis).  grad S_eta
+    is lambda times the velocity of the unit-speed eta-geodesic, from shoot_rhs.  BadParams
+    for eta outside the family's ``eta_range``, or a number that is not real."""
     params.check_eta(eta)
+    (level,), cp, sp, r0 = (reals(xs, "a level and its rays") for xs in ((level,), cp, sp, r0))
     c, s = _launch_cos_sin(eta)
-    velocity = params.shoot_rhs(np.asarray(c), np.asarray(s))
-
-    def f(r):
-        u, v = r * cp, r * sp
-        with np.errstate(over="ignore"):   # an overflow to inf sends its ray to bisection
+    velocity, S, lam, radii = params.shoot_rhs(c, s), params.eikonal_S, params.conformal_factor, []
+    for p, q, start in zip(cp, sp, r0):
+        def f(r):
+            u, v = r * p, r * q
             du, dv = velocity((u, v))
-            return (params.eikonal_S(c, s, u, v) - level,
-                    conformal_factor(params, u, v) * (cp * du + sp * dv), None)
-    return find_roots_monotone(f, 0.0, 2.0 ** 29, x0=r0, abs_tol=ROOT_TOL)
+            return S(c, s, u, v) - level, lam(u, v) * (p * du + q * dv), None
+        try:
+            radii.append(find_root_monotone(f, 0.0, 2.0 ** 29, x0=start, abs_tol=ROOT_TOL))
+        except NoBracket:
+            radii.append(math.nan)
+    return radii
 
 
 # --------------------------------------------------------------------------
@@ -317,9 +321,7 @@ def geodesic_shoot(params: InstantonParams, eta: float, t_end: float,
         raise BadParams(f"t_end must be finite and > 0, got {t_end!r}")
     if not (isinstance(n_samples, int) and n_samples >= 1):
         raise BadParams(f"n_samples must be an int >= 1, got {n_samples!r}")
-    step = t_end / max(n_samples - 1, 1)   # as numpy's linspace, also where it underflows
-    ts = [0.0] if n_samples == 1 else [
-        i * step if step else i / (n_samples - 1) * t_end for i in range(n_samples - 1)] + [t_end]
+    ts = linspace(0.0, t_end, n_samples)
     c, s = _launch_cos_sin(eta)
     rhs = params.shoot_rhs(c, s)
     sol = ode_solve(rhs, (0.0, 0.0), ts)

@@ -29,10 +29,9 @@ def conformal_factor(params: InstantonParams, u, v):
 
 
 def fiber_matrix(params: InstantonParams, u, v):
-    """Torus fiber matrix Ginv as a 2x2 array."""
-    import numpy as np
+    """Torus fiber matrix Ginv as its rows ((e11, e12), (e12, e22))."""
     e11, e12, e22 = params.fiber(u, v)
-    return np.array([[e11, e12], [e12, e22]])
+    return (e11, e12), (e12, e22)
 
 
 def axial_coordinate(params: InstantonParams, u, v):

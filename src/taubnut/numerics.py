@@ -14,6 +14,9 @@ and Hessian in (u, v) to roundoff, its value the float kernel's bit for bit.
 It may use +, -, * and / on jets and numbers, and no ``**`` (write p * p),
 abs(), comparisons, math.* or numpy on a jet: they raise TypeError, and
 ``==`` compares identity.  Jets of mpmath numbers run a kernel at any precision.
+
+Everything takes floats but the two array engines, which import numpy on first
+use: the adaptive quadrature and ``find_roots_monotone``, the contour fan's solve.
 """
 
 from __future__ import annotations
@@ -252,28 +255,29 @@ def _adaptive_boxes(f, boxes, abs_tol: float, rel_tol: float):
 
     boxes = np.asarray(boxes, dtype=float)
     share = np.full(len(boxes), 1.0 / len(boxes))
-    whole = tensor_rule(boxes)
-    evaluations = len(boxes) * GAUSS_ORDER ** 2
-    value = error = 0.0
-    while len(boxes):
-        u0, u1, v0, v1 = boxes.T
-        edges = np.stack((u0, 0.5 * (u0 + u1), u1, v0, 0.5 * (v0 + v1), v1), axis=1)
-        # the quarters (u0, um, v0, vm), (um, u1, v0, vm), (u0, um, vm, v1), (um, u1, vm, v1)
-        quarters = edges[:, [0, 1, 3, 4, 1, 2, 3, 4, 0, 1, 4, 5, 1, 2, 4, 5]].reshape(-1, 4)
-        parts = tensor_rule(quarters).reshape(-1, 4)
-        evaluations += quarters.shape[0] * GAUSS_ORDER ** 2
-        refined = parts.sum(axis=1)
-        err = np.abs(refined - whole) + 50.0 * _EPS * np.abs(refined)
-        tol = max(abs_tol, rel_tol * abs(value + refined.sum()))
-        split = err > share * tol
-        if 4 * np.count_nonzero(split) > MAX_BOXES:
-            err[split] += np.abs(refined[split])   # unresolved: own up to all of it
-            split[:] = False
-        value += refined[~split].sum()
-        error += err[~split].sum()
-        boxes = quarters.reshape(-1, 4, 4)[split].reshape(-1, 4)
-        whole = parts[split].ravel()
-        share = np.repeat(share[split] / 4.0, 4)
+    with np.errstate(all="ignore"):   # inf and nan pass into the value, as in floats
+        whole = tensor_rule(boxes)
+        evaluations = len(boxes) * GAUSS_ORDER ** 2
+        value = error = 0.0
+        while len(boxes):
+            u0, u1, v0, v1 = boxes.T
+            edges = np.stack((u0, 0.5 * (u0 + u1), u1, v0, 0.5 * (v0 + v1), v1), axis=1)
+            # the quarters (u0, um, v0, vm), (um, u1, v0, vm), (u0, um, vm, v1), (um, u1, vm, v1)
+            quarters = edges[:, [0, 1, 3, 4, 1, 2, 3, 4, 0, 1, 4, 5, 1, 2, 4, 5]].reshape(-1, 4)
+            parts = tensor_rule(quarters).reshape(-1, 4)
+            evaluations += quarters.shape[0] * GAUSS_ORDER ** 2
+            refined = parts.sum(axis=1)
+            err = np.abs(refined - whole) + 50.0 * _EPS * np.abs(refined)
+            tol = max(abs_tol, rel_tol * abs(value + refined.sum()))
+            split = err > share * tol
+            if 4 * np.count_nonzero(split) > MAX_BOXES:
+                err[split] += np.abs(refined[split])   # unresolved: own up to all of it
+                split[:] = False
+            value += refined[~split].sum()
+            error += err[~split].sum()
+            boxes = quarters.reshape(-1, 4, 4)[split].reshape(-1, 4)
+            whole = parts[split].ravel()
+            share = np.repeat(share[split] / 4.0, 4)
     return float(value), float(error), evaluations
 
 
@@ -534,8 +538,16 @@ def conformal_curvature(lam: Callable[[Jet, Jet], Jet], x: float, y: float) -> f
 
 
 # --------------------------------------------------------------------------
-# power-law fitting
+# grids and power-law fitting
 # --------------------------------------------------------------------------
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy's linspace(lo, hi, n) as floats, bit for bit: lo + i * step, step =
+    (hi - lo) / (n - 1), or lo + i / (n - 1) * (hi - lo) where step underflows to 0."""
+    step = (hi - lo) / max(n - 1, 1)
+    return [lo] if n == 1 else [lo + (i * step if step else i / (n - 1) * (hi - lo))
+                                for i in range(n - 1)] + [hi]
+
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Exponent m of the least-squares fit of y = C * x^m through log-log

@@ -37,11 +37,14 @@ README = [
     ["blowdown", "--construction", "pointed", "--format", "json"],
     ["verify", "--suite", "all"],
 ]
-#: the contour runs of benchmarks/inproc.py, as CSV and as SVG
+#: the contour runs of benchmarks/inproc.py, as CSV and as SVG, and the
+#: other two families as CSV
 CONTOUR = [["contour", "--family", family, "--eta", "0.4", "--levels", "4", "--R", "6",
             *k, "--format", fmt]
            for family, k in (("generalized", ["--k", "0.5"]), ("halfplane", []))
            for fmt in ("csv", "svg")]
+CONTOUR += [["contour", "--family", family, "--eta", "0.4", "--levels", "4", "--R", "6",
+             "--format", "csv"] for family in ("exceptional", "flat")]
 EVAL = [["eval", "--family", family, "--chart", chart, "--point", "1,1"]
         for family in ("generalized", "exceptional", "halfplane", "flat")
         for chart in ("uv", "xy", "moment", "polar", "almostpolar")]

@@ -296,7 +296,7 @@ def test_second_residuals_match_a_300_bit_oracle():
             mk = mpmath.mpf(k)
             for u, v in ((1.0, 1.0), (0.7, 1.3), (2.5, 0.2)):
                 mu, mv = mpmath.mpf(u), mpmath.mpf(v)
-                L = mpmath.matrix(second_blowdown_metric(mk, mu, mv)[1])
+                L = mpmath.matrix(second_blowdown_metric.__wrapped__(mk, mu, mv)[1])
                 for M in (1e2, 1e3, 1e4, 1e5, 1e6):
                     c = (M / (2 * r2)) ** mpmath.mpf(0.25)
                     # k and M as 300-bit numbers, and the float sqrt 2 of the
@@ -514,18 +514,17 @@ def test_a_second_coordinate_beyond_the_float_range_is_bad_params(name, x):
 
 
 def test_numpy_arguments_are_bad_params_beyond_the_float_range():
-    # the float checks hold for numpy scalars and arrays too, and numpy's
-    # float errors become BadParams, not RuntimeWarnings
+    # the float checks hold for numpy scalars, which the guard makes floats, so
+    # numpy's float errors become BadParams, not RuntimeWarnings; an array of
+    # more than one number is not a number argument
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in (np.float64(1e-300), np.asarray(1e-300)):
             with pytest.raises(BadParams):
                 exceptional_blowdown_curvature(x)
-        with pytest.raises(BadParams):
-            pointed_limit_moments_limit(np.array([1.0, 1e200]), 1.0)
-        with pytest.raises(BadParams):
-            pointed_limit_moments_limit(np.array([1.0, np.nan]), 1.0)
-        assert pointed_limit_moments_limit(np.array([0.0, 2.0]), 1.0)[1].tolist() == [0.0, 2.0]
+        for xs in ([1.0, 1e200], [1.0, np.nan], [0.0, 2.0]):
+            with pytest.raises(BadParams, match="must be real"):
+                pointed_limit_moments_limit(np.array(xs), 1.0)
 
 
 def test_a_power_that_underflows_is_bad_params():

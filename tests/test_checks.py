@@ -300,6 +300,39 @@ def test_package_does_not_import_scipy():
     assert found == []
 
 
+#: the functions that may load numpy: the adaptive quadrature with the
+#: almost-ball boundaries it integrates under, and the contour fan's array
+#: solve with the _ops dispatch and the launch pairs of its radial relations;
+#: fd_jacobian2 has no caller in the package and stays for the benchmark's tracer
+ARRAY_ENGINES = {
+    "numerics._gauss_legendre", "numerics._adaptive_boxes", "numerics.integrate_2d_improper",
+    "numerics.integrate_2d_region", "numerics.find_roots_monotone", "numerics.fd_jacobian2",
+    "family.GeneralizedTN.almost_ball_v_max", "family.ExceptionalTN.almost_ball_v_max",
+    "family._is_array", "family._array_ops", "family._launch_cos_sin",
+    "geodesics.points_from_polar"}
+
+
+def test_numpy_only_in_the_array_engines():
+    # every other function takes floats: an import of numpy, or a look for it
+    # in sys.modules, outside the allowlist fails, with its qualified name
+    found = set()
+    for path in sorted(Path(taubnut.__file__).parent.glob("*.py")):
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "numpy" in [str(name).split(".")[0] for name in names] or (
+                    isinstance(node, ast.Attribute) and node.attr == "modules"
+                    and getattr(node.value, "id", None) == "sys"):
+                found.add(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+        visit(_tree(path), path.stem)
+    assert found - ARRAY_ENGINES == set()
+    assert ARRAY_ENGINES - found == set()   # the allowlist holds no stale name
+
+
 def _functions(path):
     return [node for node in _nodes(path)
             if isinstance(node, (ast.FunctionDef, ast.Lambda))]
@@ -361,7 +394,7 @@ def test_src_does_not_grow():
     # the same numbers from less code: lower the cap when the package shrinks
     count = sum(len(path.read_text().splitlines())
                 for path in Path(taubnut.__file__).parent.glob("*.py"))
-    assert count <= 3607
+    assert count <= 3602
 
 
 def _traced_layers():

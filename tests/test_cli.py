@@ -500,6 +500,17 @@ def test_geodesic_and_second_blowdown_load_no_numpy():
     assert cp.stdout == "False\n"
 
 
+def test_verify_suites_without_a_quadrature_load_no_numpy():
+    # the fiber determinant, the moment oracle and the eikonal grid are floats;
+    # only the curvature and asymptotics suites integrate on numpy arrays
+    argvs = [["verify", "--suite", suite]
+             for suite in ("family", "metrics", "geodesics", "blowdown")]
+    cp = subprocess.run([sys.executable, "-c", LOADS_NUMPY_SCRIPT], input=json.dumps(argvs),
+                        capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "False\n"
+
+
 NO_NUMPY_SCRIPT = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None     # any import of numpy now raises ImportError

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut import cli
+from taubnut import asymptotics, blowdown, cli, curvature, geodesics, metrics
+from taubnut.asymptotics import (ball_volume_bracket, measured_epsilon_bar, sphere_sandwich,
+                                 volume_growth_exponent)
 from taubnut.blowdown import (blowdown_distance, conifold_curvatures, conifold_metric,
                               exceptional_blowdown_metric)
 from taubnut.curvature import decay_rate_along_geodesic
@@ -18,7 +21,7 @@ from taubnut.family import (GEOMETRIES, BadParams, Chart, ExceptionalHalfPlane,
                             ExceptionalTN, Family, Flat, GeneralizedTN, InstantonParams,
                             WrongFamily, almost_polar_from_uv,
                             moment_pde_residual, uv_from_almost_polar)
-from taubnut.geodesics import distance, geodesic_shoot, point_from_polar, uv_from_chart
+from taubnut.geodesics import distance, geodesic_shoot, point_from_polar, trace_level, uv_from_chart
 from taubnut.blowdown import blowdown_xy_from_uv, pointed_limit_fiber, second_blowdown_conformal_xy
 from taubnut.numerics import InsufficientSamples, Jet, fit_power_law, jets
 
@@ -69,22 +72,50 @@ def test_parameters_of_the_wrong_type_are_bad_params(args, kwargs):
         InstantonParams(*args, **kwargs)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: conifold_metric("x", 1.0, 1.0), lambda: blowdown_distance([1], 1.0, 1.0),
-    lambda: distance(GEN, "1", 1.0), lambda: point_from_polar(GEN, 1.0, "x"),
-    lambda: point_from_polar(GEN, "x", 1.0), lambda: geodesic_shoot(GEN, "x", 1.0),
-    lambda: decay_rate_along_geodesic(GEN, 0.7, "Rm_fd", ("a", "b", "c", "d")),
-    lambda: decay_rate_along_geodesic(GEN, 0.7, "Rm_fd", None),
-    lambda: conifold_curvatures(0.5, "x", 0.5)],
-    ids=["chirality-str", "chirality-list", "point-str", "eta-str", "radius-str", "shoot-eta-str",
-         "decay-radii-str", "decay-radii-none", "conifold-point-str"])
-def test_arguments_of_the_wrong_type_are_bad_params(call):
+def _with_a_str(fn, slot):
+    """fn with "x" in its number argument slot, 0.5 in the others and GEN05 as params."""
+    names = list(inspect.signature(fn).parameters)
+    args = [GEN05 if name == "params" else "x" if name == slot else 0.5 for name in names]
+    return lambda: fn(*args)
+
+
+#: every guarded function of the package (finite_or_bad_params and
+#: geodesics' float-range check set __wrapped__), with a str in each number slot
+GUARDED = {f"{name}-{slot}": _with_a_str(fn, slot)
+           for module in (asymptotics, blowdown, curvature, geodesics, metrics)
+           for name, fn in vars(module).items()
+           if getattr(fn, "__module__", None) == module.__name__ and hasattr(fn, "__wrapped__")
+           for slot in inspect.signature(fn).parameters if slot != "params"}
+WRONG_TYPE_CALLS = {
+    "chirality-str": lambda: conifold_metric("x", 1.0, 1.0),
+    "chirality-list": lambda: blowdown_distance([1], 1.0, 1.0),
+    "point-str": lambda: distance(GEN, "1", 1.0),
+    "eta-str": lambda: point_from_polar(GEN, 1.0, "x"),
+    "radius-str": lambda: point_from_polar(GEN, "x", 1.0),
+    "shoot-eta-str": lambda: geodesic_shoot(GEN, "x", 1.0),
+    "decay-radii-str": lambda: decay_rate_along_geodesic(GEN, 0.7, "Rm_fd", ("a", "b", "c", "d")),
+    "decay-radii-none": lambda: decay_rate_along_geodesic(GEN, 0.7, "Rm_fd", None),
+    "conifold-point-str": lambda: conifold_curvatures(0.5, "x", 0.5),
+    "level-str": lambda: trace_level(GEN05, 0.5, "x", [1.0], [0.0], [1.0]),
+    "ray-str": lambda: trace_level(GEN05, 0.5, 1.0, "x", [0.0], [1.0]),
+    "epsilon-radius-str": lambda: measured_epsilon_bar(GEN05, "x"),
+    "bracket-radius-str": lambda: ball_volume_bracket(GEN05, "x"),
+    "sandwich-radius-str": lambda: sphere_sandwich(GEN05, "x", n=5),
+    "growth-radii-str": lambda: volume_growth_exponent(GEN05, ["1", "2", "3", "4"]),
+    "growth-radii-none": lambda: volume_growth_exponent(GEN05, None),
+    **GUARDED}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPE_CALLS)
+def test_arguments_of_the_wrong_type_are_bad_params(name):
     # the chirality's float() raised ValueError or TypeError, and the point,
     # angle and radius checks' comparisons TypeError; the decay fit's float()
-    # of a radius raised ValueError and its len(None) TypeError, and the
-    # conifold's u * u TypeError
+    # of a radius raised ValueError and its len(None) TypeError, the conifold's
+    # u * u TypeError; a level, the asymptotics' radii and 34 pairs of a guarded
+    # function and a str argument raised TypeError or ValueError, before the
+    # guard made floats of its number arguments
     with pytest.raises(BadParams):
-        call()
+        WRONG_TYPE_CALLS[name]()
 
 
 @pytest.mark.parametrize("M", [5e-324, 1e-323, 2e-323, 6.29e-308, 1.272e308, 1.7e308])

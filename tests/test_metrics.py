@@ -83,7 +83,7 @@ def test_fiber_vs_moment_gradients(u, v):
             for j in (0, 1):
                 oracle = (grads[i][0] * grads[j][0]
                           + grads[i][1] * grads[j][1]) / lam
-                assert abs(F[i, j] - oracle) < 1e-12 * max(1.0, abs(oracle))
+                assert abs(F[i][j] - oracle) < 1e-12 * max(1.0, abs(oracle))
 
 
 def test_volume_density_is_lambda_x():
