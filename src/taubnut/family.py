@@ -102,8 +102,8 @@ class _FloatOps:
     on floats: math's, so that a float stays a float with math's rounding.
     ratio(x, y) is x / y, or inf where y = 0."""
 
-    sinh, cosh, asinh, copysign, min, any = (
-        math.sinh, math.cosh, math.asinh, math.copysign, min, bool)
+    sinh, cosh, asinh, copysign, min, any, all = (
+        math.sinh, math.cosh, math.asinh, math.copysign, min, bool, bool)
     where = staticmethod(lambda cond, x, y: x if cond else y)
     ratio = staticmethod(lambda x, y: x / y if y else math.inf)
 
@@ -116,7 +116,8 @@ def _array_ops():
     import numpy as np
 
     class _ArrayOps:
-        cosh, asinh, copysign, where, any = np.cosh, np.arcsinh, np.copysign, np.where, np.any
+        cosh, asinh, copysign, where, any, all = (
+            np.cosh, np.arcsinh, np.copysign, np.where, np.any, np.all)
         min = staticmethod(lambda *xs: functools.reduce(np.minimum, xs))
         ratio = staticmethod(lambda x, y: np.divide(
             x, y, out=np.full(np.broadcast(x, y).shape, np.inf), where=y != 0.0))
@@ -180,7 +181,7 @@ def _logsinh(x: float) -> float:
 
 
 def _launch_residual(au, log_rhs, q):
-    """x -> (h, h', None) for h = log sin(eta) + g(A) - log_rhs, A = asinh(au / cos eta),
+    """x -> (h, h') for h = log sin(eta) + g(A) - log_rhs, A = asinh(au / cos eta),
     in x = log tan(eta), where sin(eta) = t / sqrt(1 + t^2), t = e^x: h' is
     cos^2 + sin^2 slope(A), slope(A) = tanh(A) g'(A), taken as 1 for A <= 1e-8.
     g(A) = log sinh(qA) for q > 0, and its q -> 0 limit less log q, log A, for q = 0."""
@@ -191,7 +192,7 @@ def _launch_residual(au, log_rhs, q):
         slope = ((q * math.tanh(A) / math.tanh(q * A) if q else math.tanh(A) / A)
                  if A > 1e-8 else 1.0)
         return (x - 0.5 * math.log1p(t2) + (_logsinh(q * A) if q else math.log(A)) - log_rhs,
-                (1.0 + t2 * slope) / (1.0 + t2), None)
+                (1.0 + t2 * slope) / (1.0 + t2))
     return h
 
 
@@ -230,11 +231,11 @@ def _half_plane_x(phi1):
 # shoot_rhs(c, s) = rhs, the velocity (u, v) -> (u', v') of the unit-speed
 # geodesic; its squares overflow to inf where x ** 2 raises, and rhs then
 # divides by the square root of their sum twice.  launch_residual(u, v) = h,
-# the launch-angle relation through (u, v), increasing in x = log tan(eta);
-# radial_relation(R, c, s) = (f, bound), S_eta along the geodesic minus R in
-# its log radial parameter and a closed-form bound above the root; h and f
-# are find_root_monotone residuals (f a find_roots_monotone one on arrays),
-# x -> (value, slope, curvature or None).  polar_point(R, c, s, solve) =
+# the launch-angle relation through (u, v), increasing in x = log tan(eta), a
+# find_root_monotone residual x -> (value, slope).  radial_relation(R, c, s) =
+# (f, bound): f, s -> (value, slope >= 1, curvature >= 0) of S_eta along the geodesic
+# minus R in its log radial parameter, and a closed-form bound above the root, from
+# which geodesics._solve_radial takes Halley steps.  polar_point(R, c, s, solve) =
 # (u, v) at that root, found by solve; polar_coefficient(c, s, root) = A^2 there.
 
 class InstantonParams(collections.namedtuple(
@@ -351,7 +352,7 @@ class GeneralizedTN(InstantonParams):
         lhs = cos^2(eta)/(2a) [sinh(2as)/2 + as] + sin^2(eta)/(2b) [sinh(2bs)/2 + bs],
 
     whose s-derivative cos^2(eta) cosh^2(as) + sin^2(eta) cosh^2(bs) >= 1
-    keeps Newton on s uniformly well conditioned in eta.
+    keeps the Halley steps on s uniformly well conditioned in eta.
     """
 
     family = Family.GENERALIZED_TN
@@ -778,6 +779,7 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float,
     """Residual of the axial harmonicity equation x * (Laplacian phi) = d(phi)/dx
     for both moment maps, evaluated in the (x, y) chart with O(step^2)
     central differences.  Both components -> 0 as step -> 0 at interior points."""
+    x, y, step = reals((x, y, step), "the point (x, y) and the step")
     if not (0.0 < step and 2.0 * step < x < math.inf and math.isfinite(y)):
         raise BadParams(f"need finite x, y and 0 < 2 step < x, got ({x}, {y}), step {step}")
 
@@ -799,6 +801,7 @@ def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[f
 
 
 def uv_from_almost_polar(params: InstantonParams, rtilde: float, psi: float) -> tuple[float, float]:
+    rtilde, psi = reals((rtilde, psi), "(Rtilde, psi)")
     if not (0.0 <= rtilde < math.inf and math.isfinite(psi)):
         raise BadParams(f"need a finite Rtilde >= 0 and a finite psi, got ({rtilde}, {psi})")
     return params.uv_from_almost_polar(rtilde, psi)

@@ -25,11 +25,11 @@ import functools
 import math
 from typing import NamedTuple
 
-from .family import (BadParams, Chart, InstantonParams, _is_array, _launch_cos_sin,
+from .family import (BadParams, Chart, InstantonParams, _launch_cos_sin, _ops,
                      finite_or_bad_params, in_range, reals, uv_from_almost_polar)
 from .metrics import conformal_factor
-from .numerics import (NoBracket, fd_gradient, find_root_monotone, find_roots_monotone,
-                       linspace, ode_solve)
+from .numerics import (MaxIterExceeded, NoBracket, fd_gradient, find_root_monotone, linspace,
+                       ode_solve)
 
 ROOT_TOL = 1e-13   # absolute, of x = log tan(eta) and of s (times max(1, its bound))
 X_LO, X_HI = -750.0, 40.0   # x = log tan(eta) past which eta rounds to 0 or to pi/2
@@ -58,6 +58,7 @@ def eikonal_residual(params: InstantonParams, eta: float, u: float, v: float) ->
     BadParams where a corner of the stencil is off the chart domain."""
     step = 1e-4
     params.check_eta(eta)
+    u, v = reals((u, v), "a point")
     params.check_point(u - step, v - step)
     params.check_point(u + step, v + step)
     c, s = _launch_cos_sin(eta)
@@ -81,7 +82,7 @@ def trace_level(params: InstantonParams, eta: float, level: float, cp, sp, r0) -
         def f(r):
             u, v = r * p, r * q
             du, dv = velocity((u, v))
-            return S(c, s, u, v) - level, lam(u, v) * (p * du + q * dv), None
+            return S(c, s, u, v) - level, lam(u, v) * (p * du + q * dv)
         try:
             radii.append(find_root_monotone(f, 0.0, 2.0 ** 29, x0=start, abs_tol=ROOT_TOL))
         except NoBracket:
@@ -159,16 +160,26 @@ def _within_float_range(fn):
 
 
 def _solve_radial(relation):
-    """Root s >= 0 of a family's radial relation (f, bound): a safeguarded
-    Halley iteration on [0, bound], started at the bound; one array solve
-    for an array of bounds."""
-    f, bound = relation
-    # padded, relatively and by ~2000 subnormal ulps, so that rounding in f
-    # cannot leave f(hi) < 0
-    hi = bound * (1.0 + 1e-14) + 1e-320
-    if _is_array(hi):   # an element without a bracket is NaN, off the chart
-        return find_roots_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * hi.clip(1.0))
-    return find_root_monotone(f, 0.0, hi, x0=bound, abs_tol=ROOT_TOL * (hi if hi > 1.0 else 1.0))
+    """Root s >= 0 of a family's radial relation (f, bound), floats or arrays:
+    f is increasing (f' >= 1) and convex on s >= 0, so Halley steps from the
+    bound need no bracket.  Each step is clamped at 0 and is Newton's where
+    Halley's divisor 1 - f f'' / (2 f'^2) is not above 1/4; an element stops
+    on a step within ROOT_TOL max(1, hi) + 4e-16 |s|, hi the bound padded
+    by 1e-14 relatively and 1e-320.  MaxIterExceeded after 200 iterations."""
+    f, x = relation
+    xp = _ops(x)
+    hi = x * (1.0 + 1e-14) + 1e-320
+    tol, stopped = ROOT_TOL * xp.where(hi > 1.0, hi, 1.0), False
+    for _ in range(200):
+        value, slope, curvature = f(x)
+        step = value / slope
+        den = 1.0 - 0.5 * step * curvature / slope
+        step = step / xp.where(den > 0.25, den, 1.0)
+        x, stopped = (xp.where(stopped, x, xp.where(x - step > 0.0, x - step, 0.0)),
+                      stopped | (abs(step) <= tol + 4e-16 * abs(x)))
+        if xp.all(stopped):
+            return x
+    raise MaxIterExceeded("the radial solve did not converge in 200 iterations")
 
 
 _check_polar = _within_float_range(lambda params, R, eta: None)   # the check alone
@@ -212,7 +223,8 @@ def points_from_polar(params: InstantonParams, R, eta) -> tuple[np.ndarray, np.n
     can differ from point_from_polar's in the last digits.  BadParams for
     the whole call where point_from_polar raises it for some element."""
     import numpy as np
-    R, eta = np.broadcast_arrays(np.asarray(R, dtype=float), np.asarray(eta, dtype=float))
+    R, eta = np.broadcast_arrays(*(np.reshape(reals(np.ravel(x), "radii and angles"), np.shape(x))
+                                   for x in (R, eta)))
     lo, hi = params.eta_range
     _check_polar(params, R.min(initial=0.0), eta.min(initial=hi))   # min and max carry a NaN
     _check_polar(params, R.max(initial=0.0), eta.max(initial=lo))

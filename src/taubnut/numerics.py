@@ -3,10 +3,11 @@ differences, jets and log-log fits.
 
 Everything here is geometry-agnostic.  The rest of the package layers the
 metric-specific formulas on top of these routines, so the tolerances and
-failure modes of each helper are spelled out in its docstring.  The root
-solve takes one residual callable that returns the value with its
-derivatives.  The finite-difference stencils, kept for kernels with asinh,
-hypot or square roots, take no domain; their caller checks it.
+failure modes of each helper are spelled out in its docstring.  The bracketed
+root solve takes one residual callable that returns the value with its slope
+(the polar chart's radial solve needs no bracket and lives in geodesics).
+The finite-difference stencils, kept for kernels with asinh, hypot or square
+roots, take no domain; their caller checks it.
 
 Exact derivatives come from jets, which every curvature and Jacobian oracle
 reads: a kernel called on jets(u, v) returns the Jet of its value, gradient
@@ -15,8 +16,7 @@ It may use +, -, * and / on jets and numbers, and no ``**`` (write p * p),
 abs(), comparisons, math.* or numpy on a jet: they raise TypeError, and
 ``==`` compares identity.  Jets of mpmath numbers run a kernel at any precision.
 
-Everything takes floats but the two array engines, which import numpy on first
-use: the adaptive quadrature and ``find_roots_monotone``, the contour fan's solve.
+Everything takes floats but the adaptive quadrature, which imports numpy on first use.
 """
 
 from __future__ import annotations
@@ -66,26 +66,25 @@ class InsufficientSamples(TaubnutError):
 # root finding
 # --------------------------------------------------------------------------
 
-def find_root_monotone(f: Callable[[float], tuple[float, float, float | None]],
+def find_root_monotone(f: Callable[[float], tuple[float, float]],
                        lo: float, hi: float, *, x0: float, abs_tol: float) -> float:
     """Solve f = 0 on [lo, hi] for f <= 0 below its one root and >= 0 above.
 
-    ``f(x)`` returns (value, slope, curvature or None): one call per iterate
-    gives f, f' and, where the caller has it, f'', so the residual computes
-    the terms they share once (Numerical Recipes' ``rtsafe`` hands f and f'
-    back from one function).  Newton steps, or Halley steps where a
-    curvature is given, from ``x0`` (clamped to [lo, hi]) are taken whenever
-    they stay inside the current bracket and the step or |f| is at most half
-    its size at the Newton step before the last (``rtsafe`` halves the step;
-    |f| counts too where only the slope changes fast), and bisections
-    otherwise, as at subnormal inputs, where a residual left a few bits can
-    make equal steps.  f is evaluated at an end only when a bisection needs its sign.
+    ``f(x)`` returns (value, slope): one call per iterate gives f and f', so
+    the residual computes the terms they share once (Numerical Recipes'
+    ``rtsafe`` hands f and f' back from one function).  Newton steps from
+    ``x0`` (clamped to [lo, hi]) are taken whenever they stay inside the
+    current bracket and the step or |f| is at most half its size at the
+    Newton step before the last (``rtsafe`` halves the step; |f| counts too
+    where only the slope changes fast), and bisections otherwise, as at
+    subnormal inputs, where a residual left a few bits can make equal steps.
+    f is evaluated at an end only when a bisection needs its sign.
 
-    The solve stops at the first of: a zero of f; a Newton or Halley step no
-    longer than abs_tol + 4e-16 |x| at the iterate x, whose result (kept in
-    the bracket) is returned without evaluating f there (as ``rtsafe``
-    does: a converged Newton iteration cannot shrink the far side of the
-    bracket); a bracket [a, b] with b - a <= abs_tol + 4e-16 max(|a|, |b|).
+    The solve stops at the first of: a zero of f; a Newton step no longer
+    than abs_tol + 4e-16 |x| at the iterate x, whose result (kept in the
+    bracket) is returned without evaluating f there (as ``rtsafe`` does: a
+    converged Newton iteration cannot shrink the far side of the bracket);
+    a bracket [a, b] with b - a <= abs_tol + 4e-16 max(|a|, |b|).
 
     Raises NoBracket if f(lo) > 0 or f(hi) < 0, and MaxIterExceeded if no
     stop fires within 200 iterations.
@@ -97,7 +96,7 @@ def find_root_monotone(f: Callable[[float], tuple[float, float, float | None]],
     x = hi if hi < x else x
 
     for _ in range(200):
-        fx, d, d2 = f(x)
+        fx, d = f(x)
         if fx == 0.0:
             return x
         if (fx > 0.0 and x == lo) or (fx < 0.0 and x == hi):
@@ -110,11 +109,6 @@ def find_root_monotone(f: Callable[[float], tuple[float, float, float | None]],
         step = None
         if d != 0.0 and math.isfinite(d):
             step = fx / d
-            if d2 is not None:
-                denom = 1.0 - 0.5 * step * d2 / d
-                # Halley correction, only when it is well behaved.
-                if math.isfinite(denom) and abs(denom) > 0.25:
-                    step = step / denom
             size = abs(step)
             if size <= abs_tol + 4e-16 * abs(x):
                 x = a if a > x - step else x - step   # min(max(x - step, a), b)
@@ -130,66 +124,6 @@ def find_root_monotone(f: Callable[[float], tuple[float, float, float | None]],
             x = 0.5 * (a + b)
 
     raise MaxIterExceeded(f"no convergence after 200 iterations; bracket [{a}, {b}]")
-
-
-def find_roots_monotone(f, lo, hi, *, x0, abs_tol) -> np.ndarray:
-    """find_root_monotone on arrays: element i solves f = 0 on [lo[i], hi[i]]
-    from x0[i] to abs_tol[i] by the same steps, stops and float arithmetic.
-    ``f(x)`` maps the array of iterates to arrays (value, slope, curvature or
-    None); a stopped element is evaluated again at its last iterate.
-
-    Returns the roots; the root of an element for which the scalar solve
-    raises NoBracket is NaN.  Raises MaxIterExceeded if an element has not
-    stopped within 200 iterations.
-    """
-    import numpy as np
-    shape = np.broadcast(lo, hi, x0, abs_tol).shape
-    a, b = lo, hi
-    has_a = has_b = np.zeros(shape, dtype=bool)   # f known at a, at b (see below)
-    x = np.minimum(np.maximum(x0, lo), hi, out=np.empty(shape))
-    roots, active, at_end = np.full(shape, np.nan), ~has_a, (x == lo) | (x == hi)
-    dx1 = dx2 = f1 = f2 = np.full(shape, np.inf)
-
-    for _ in range(200):
-        fx, d, d2 = f(x)
-        with np.errstate(all="ignore"):   # inf and nan pass as in float arithmetic
-            neg = fx < 0.0
-            a, b = np.where(neg, x, a), np.where(neg, b, x)
-            step = np.where((d != 0.0) & np.isfinite(d), fx / d, np.nan)   # nan: no Newton step
-            if d2 is not None:
-                denom = 1.0 - 0.5 * step * d2 / d
-                step = np.where(np.isfinite(denom) & (np.abs(denom) > 0.25), step / denom, step)
-            size, f_size = np.abs(step), np.abs(fx)
-            converged = size <= abs_tol + 4e-16 * np.abs(x)
-            stepped = x - step
-            inside = (a < stepped) & (stepped < b) & ((size <= 0.5 * dx2) | (f_size <= 0.5 * f2))
-            dx1, dx2 = np.where(inside, size, dx1), np.where(inside, dx1, dx2)
-            f1, f2 = np.where(inside, f_size, f1), np.where(inside, f1, f2)
-            root = np.minimum(np.maximum(stepped, a), b)
-            done = found = converged
-            # most iterations step each active element inside its bracket or stop it on
-            # its step (f = 0 steps by 0), none at an end, where alone f's sign can miss
-            # the bracket; the others update has_a, has_b (a, b off lo, hi were known)
-            if (active & (at_end | ~(inside | converged))).any():
-                has_a, has_b = has_a | neg | (a != lo), has_b | ~neg | (b != hi)
-                zero = fx == 0.0
-                missed = ((fx > 0.0) & (x == lo)) | (neg & (x == hi))
-                narrow = (~inside & has_a & has_b
-                          & (b - a <= abs_tol + 4e-16 * np.maximum(np.abs(a), np.abs(b))))
-                done = zero | missed | converged | narrow   # in the scalar solve's order of stops
-                found = done & ~missed
-                root = np.where(zero, x, np.where(converged, root, 0.5 * (a + b)))
-                stepped = np.where(inside, stepped, np.where(
-                    has_a & has_b, 0.5 * (a + b), np.where(has_a, hi, lo)))
-                at_end = (stepped == lo) | (stepped == hi)
-        roots = np.where(active & found, root, roots)
-        active = active & ~done
-        x = np.where(active, stepped, x)
-        if not active.any():
-            return roots
-
-    raise MaxIterExceeded(f"no convergence after 200 iterations at {np.count_nonzero(active)} "
-                          f"of {active.size} elements")
 
 
 # --------------------------------------------------------------------------

@@ -45,6 +45,15 @@ CONTOUR = [["contour", "--family", family, "--eta", "0.4", "--levels", "4", "--R
            for fmt in ("csv", "svg")]
 CONTOUR += [["contour", "--family", family, "--eta", "0.4", "--levels", "4", "--R", "6",
              "--format", "csv"] for family in ("exceptional", "flat")]
+#: the fan's array radial solve at its extremes: next to both chirality
+#: limits, far out on the exceptional family, at a huge mass and radius,
+#: and at a subnormal radius on the half-plane
+CONTOUR += [["contour", *args, "--levels", "3"] for args in (
+    ["--k", "0.9999", "--eta", "0.4", "--R", "1000"],
+    ["--k", "-0.9999", "--eta", "1.2", "--R", "50"],
+    ["--family", "exceptional", "--eta", "0.4", "--R", "700"],
+    ["--M", "1e300", "--eta", "0.4", "--R", "1e150"],
+    ["--family", "halfplane", "--eta", "-1.5", "--R", "1e-300"])]
 EVAL = [["eval", "--family", family, "--chart", chart, "--point", "1,1"]
         for family in ("generalized", "exceptional", "halfplane", "flat")
         for chart in ("uv", "xy", "moment", "polar", "almostpolar")]

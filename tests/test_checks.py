@@ -302,11 +302,12 @@ def test_package_does_not_import_scipy():
 
 #: the functions that may load numpy: the adaptive quadrature with the
 #: almost-ball boundaries it integrates under, and the contour fan's array
-#: solve with the _ops dispatch and the launch pairs of its radial relations;
+#: points with the _ops dispatch (through which geodesics._solve_radial
+#: solves floats and arrays alike) and the launch pairs of their relations;
 #: fd_jacobian2 has no caller in the package and stays for the benchmark's tracer
 ARRAY_ENGINES = {
     "numerics._gauss_legendre", "numerics._adaptive_boxes", "numerics.integrate_2d_improper",
-    "numerics.integrate_2d_region", "numerics.find_roots_monotone", "numerics.fd_jacobian2",
+    "numerics.integrate_2d_region", "numerics.fd_jacobian2",
     "family.GeneralizedTN.almost_ball_v_max", "family.ExceptionalTN.almost_ball_v_max",
     "family._is_array", "family._array_ops", "family._launch_cos_sin",
     "geodesics.points_from_polar"}
@@ -340,10 +341,10 @@ def _functions(path):
 
 def test_solvers_take_no_tolerance_argument():
     # each solver runs at one fixed accuracy; only the generic routines whose
-    # callers pass different tolerances take them: the scalar and the array
-    # root solve, and the adaptive quadrature
+    # callers pass different tolerances take them: the bracketed root solve
+    # and the adaptive quadrature
     found = []
-    generic = ("find_root_monotone", "find_roots_monotone", "_adaptive_boxes")
+    generic = ("find_root_monotone", "_adaptive_boxes")
     for name in ("geodesics", "asymptotics", "numerics"):
         path = Path(taubnut.__file__).parent / f"{name}.py"
         for fn in _functions(path):
@@ -394,7 +395,7 @@ def test_src_does_not_grow():
     # the same numbers from less code: lower the cap when the package shrinks
     count = sum(len(path.read_text().splitlines())
                 for path in Path(taubnut.__file__).parent.glob("*.py"))
-    assert count <= 3602
+    assert count <= 3551
 
 
 def _traced_layers():

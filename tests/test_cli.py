@@ -641,17 +641,17 @@ def test_geodesic_follows_the_axis_at_pi_2(family, eta):
 
 def test_geodesic_makes_no_root_solve(tmp_path: Path, monkeypatch):
     # each sample is certified by S_eta at the shot's own eta, which needs
-    # no launch-angle solve, scalar or array
+    # no launch-angle solve and no radial solve, scalar or array
     from taubnut import cli, geodesics, numerics
     from taubnut.family import Family, InstantonParams
 
     calls = []
-    for module in (geodesics, numerics):
-        for name in ("find_root_monotone", "find_roots_monotone"):
-            def counted(*args, fn=getattr(module, name), **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+    for module, name in ((geodesics, "find_root_monotone"), (numerics, "find_root_monotone"),
+                         (geodesics, "_solve_radial")):
+        def counted(*args, fn=getattr(module, name), **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     out = tmp_path / "g.csv"
     assert cli.main(["geodesic", "--family", "exceptional", "--eta", "0.7",
                      "--R", "5", "--samples", "50", "--out", str(out)]) == 0
@@ -699,8 +699,7 @@ def _scalar_contour_keys(params, eta, R, n_levels, n_phi):
             def f(r):
                 du, dv = velocity((r * cp, r * sp))
                 return (params.eikonal_S(*_launch_cos_sin(eta), r * cp, r * sp) - level,
-                        metrics.conformal_factor(params, r * cp, r * sp) * (cp * du + sp * dv),
-                        None)
+                        metrics.conformal_factor(params, r * cp, r * sp) * (cp * du + sp * dv))
             try:
                 r = find_root_monotone(f, 0.0, 2.0 ** 29, x0=r, abs_tol=geodesics.ROOT_TOL)
             except NoBracket:

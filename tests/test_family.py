@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +104,15 @@ WRONG_TYPE_CALLS = {
     "sandwich-radius-str": lambda: sphere_sandwich(GEN05, "x", n=5),
     "growth-radii-str": lambda: volume_growth_exponent(GEN05, ["1", "2", "3", "4"]),
     "growth-radii-none": lambda: volume_growth_exponent(GEN05, None),
+    "eikonal-residual-u-str": lambda: geodesics.eikonal_residual(GEN05, 0.5, "x", 0.5),
+    "eikonal-residual-v-str": lambda: geodesics.eikonal_residual(GEN05, 0.5, 0.5, "x"),
+    "polar-array-radius-str": lambda: geodesics.points_from_polar(GEN05, "x", 0.5),
+    "polar-array-eta-str": lambda: geodesics.points_from_polar(GEN05, 0.5, "x"),
+    "moment-pde-x-str": lambda: moment_pde_residual(GEN05, "x", 0.5, step=1e-3),
+    "moment-pde-y-str": lambda: moment_pde_residual(GEN05, 0.5, "x", step=1e-3),
+    "moment-pde-step-str": lambda: moment_pde_residual(GEN05, 0.5, 0.5, step="x"),
+    "almost-polar-rtilde-str": lambda: uv_from_almost_polar(GEN05, "x", 0.5),
+    "almost-polar-psi-str": lambda: uv_from_almost_polar(GEN05, 0.5, "x"),
     **GUARDED}
 
 
@@ -113,7 +123,10 @@ def test_arguments_of_the_wrong_type_are_bad_params(name):
     # of a radius raised ValueError and its len(None) TypeError, the conifold's
     # u * u TypeError; a level, the asymptotics' radii and 34 pairs of a guarded
     # function and a str argument raised TypeError or ValueError, before the
-    # guard made floats of its number arguments
+    # guard made floats of its number arguments; a point of eikonal_residual,
+    # the point or step of moment_pde_residual and the arguments of
+    # uv_from_almost_polar raised TypeError, and an array of points_from_polar
+    # ValueError, before they took ``reals``
     with pytest.raises(BadParams):
         WRONG_TYPE_CALLS[name]()
 
@@ -343,12 +356,12 @@ def test_residual_derivatives_match_their_values(params):
     # bisection safeguard still converges), so check both against central
     # differences of the residual's own value on seeded points
     rng = random.Random(7)
+    relations = []
     for _ in range(40):
         u, v = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0)
         h = params.launch_residual(u, v)
         x, d = rng.uniform(-8.0, 8.0), 1e-5
-        value, slope, curvature = h(x)
-        assert curvature is None
+        value, slope = h(x)
         assert slope == pytest.approx((h(x + d)[0] - h(x - d)[0]) / (2.0 * d), rel=1e-6, abs=0)
 
         R, eta = 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0.05, 1.5)
@@ -359,6 +372,30 @@ def test_residual_derivatives_match_their_values(params):
         assert slope == pytest.approx((up - down) / (2.0 * d), rel=1e-6, abs=0)
         assert curvature == pytest.approx((up - 2.0 * value + down) / (d * d),
                                           rel=1e-5, abs=1e-6 * (1.0 + R))
+        relations.append((R, math.cos(eta), math.sin(eta)))
+
+    # the radial solve takes Halley steps from the bound with no bracket, as
+    # f is increasing (slope >= 1, less an ulp of c^2 + s^2) and convex on
+    # [0, bound]; on the axes the exceptional relations are solved at R = 0,
+    # as polar_point does, since sinh(sigma) overflows up to sigma = R there.
+    # Past R ~ 1e300 an axis term of the generalized relation can overflow,
+    # which the polar chart reports as BadParams
+    exceptional = params.family is not Family.GENERALIZED_TN
+    relations += [(0.0 if exceptional and c == 0.0 else R, c, s)
+                  for R in (1e-300, 1e300) for c, s in ((0.0, 1.0), (1.0, 0.0), (0.6, 0.8))]
+    eps = sys.float_info.epsilon
+    for R, c, s in relations:
+        f, bound = params.radial_relation(R, c, s)
+        try:
+            f(bound)
+        except OverflowError:
+            assert R == 1e300 and c * s == 0.0 and not exceptional
+            continue
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            value, slope, curvature = f(t * bound)
+            assert slope >= 1.0 - 4.0 * eps and curvature >= 0.0, (R, c, s, t)
+        root = geodesics._solve_radial((f, bound))
+        assert 0.0 <= root <= bound * (1.0 + 1e-14) + 1e-320, (R, c, s)
 
 
 # ----------------------------------------------------------------- moment PDE

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from taubnut import geodesics
 from taubnut.curvature import polytope_curvature_fd
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily, _launch_cos_sin
-from taubnut.numerics import StepUnderflow, find_root_monotone, ode_solve
+from taubnut.numerics import MaxIterExceeded, StepUnderflow, find_root_monotone, ode_solve
 from taubnut.geodesics import (distance, eikonal_residual, geodesic_shoot,
                                point_from_polar, points_from_polar, polar_from_point,
                                polar_metric_coefficient,
@@ -481,18 +481,23 @@ ROOT_GRID = [GEN, GEN05, GEN09, InstantonParams(k=-0.9), EXC, HP]
 def test_root_solves_take_few_evaluations(params, monkeypatch):
     # a seeded grid like the benchmark's: the launch-angle solve starts at
     # log(v / u) and the radial solve at its closed-form bound, and both stop
-    # on a converged Newton/Halley step, so neither needs many evaluations
+    # on a converged Newton/Halley step, so neither needs many evaluations:
+    # of the launch-angle residual, then of the radial relation's f
     counts = []
 
-    def counting(f, lo, hi, **kw):
+    def counted(f):
         counts.append(0)
 
         def g(x):
             counts[-1] += 1
             return f(x)
-        return find_root_monotone(g, lo, hi, **kw)
+        return g
 
-    monkeypatch.setattr(geodesics, "find_root_monotone", counting)
+    solve_radial = geodesics._solve_radial
+    monkeypatch.setattr(geodesics, "find_root_monotone",
+                        lambda f, lo, hi, **kw: find_root_monotone(counted(f), lo, hi, **kw))
+    monkeypatch.setattr(geodesics, "_solve_radial",
+                        lambda relation: solve_radial((counted(relation[0]), relation[1])))
     rng = random.Random(11)
     eta_lo = params.eta_range[0]
     for _ in range(200):
@@ -505,6 +510,32 @@ def test_root_solves_take_few_evaluations(params, monkeypatch):
         point_from_polar(params, 10.0 ** rng.uniform(-2.0, math.log10(700.0)),
                          rng.uniform(max(eta_lo, -1.56), 1.56))
     assert sum(counts) / len(counts) <= 6.0
+
+
+def test_radial_solve_on_arrays_repeats_the_float_solve_bit_for_bit():
+    # a relation of +, -, * and / rounds alike on floats and arrays, so each
+    # element of one array solve, frozen once it stops while the others go
+    # on, lands on the bits of its own float solve
+    rhos = [0.0, 1e-300, 0.5, 2.0, 1e3, 1e12]
+
+    def cubic(rho):   # s^3 + s - rho: slope >= 1, convex on s >= 0, root <= rho
+        return lambda s: (s * s * s + s - rho, 3.0 * s * s + 1.0, 6.0 * s)
+    roots = geodesics._solve_radial((cubic(np.array(rhos)), np.array(rhos)))
+    assert roots.tolist() == [geodesics._solve_radial((cubic(rho), rho)) for rho in rhos]
+
+
+def test_radial_solve_runs_out_of_iterations():
+    # a relation whose Halley steps never shrink (a constant value over a
+    # constant slope) cannot converge: past 200 iterations the solve raises,
+    # on floats and on arrays, where one such element is enough
+    with pytest.raises(MaxIterExceeded):
+        geodesics._solve_radial((lambda s: (1.0, 1.0, 0.0), 5.0))
+    converges = np.array([False, True])
+
+    def f(s):
+        return np.where(converges, s, 1.0), 1.0 + 0.0 * s, 0.0 * s
+    with pytest.raises(MaxIterExceeded):
+        geodesics._solve_radial((f, np.array([5.0, 5.0])))
 
 
 def test_solve_eta_axes():

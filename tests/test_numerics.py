@@ -12,8 +12,7 @@ from taubnut.metrics import TORUS_VOLUME, volume_density
 from taubnut.numerics import (GAUSS_ORDER, InsufficientSamples,
                               NoBracket, SlowDecay, StepUnderflow,
                               conformal_curvature, fd_gradient, fd_jacobian2, fd_laplacian, jets,
-                              MaxIterExceeded, find_root_monotone,
-                              find_roots_monotone, fit_power_law,
+                              MaxIterExceeded, find_root_monotone, fit_power_law,
                               integrate_2d_improper, integrate_2d_region,
                               ode_solve, _gauss_legendre)
 
@@ -22,9 +21,9 @@ from dense_curvature import jet_curvature
 
 # ---------------------------------------------------------------- rootfinding
 
-def _newton(value, slope, curvature=None):
-    """The residual find_root_monotone takes, from separate f, f' and f''."""
-    return lambda x: (value(x), slope(x), None if curvature is None else curvature(x))
+def _newton(value, slope):
+    """The residual find_root_monotone takes, from separate f and f'."""
+    return lambda x: (value(x), slope(x))
 
 
 def test_root_cubic():
@@ -34,10 +33,9 @@ def test_root_cubic():
 
 
 def test_root_uses_derivatives():
-    # with slope and curvature supplied the solve should still land on the root
-    r = find_root_monotone(
-        _newton(lambda x: math.sinh(x) - 10.0, math.cosh, math.sinh), 0.0, 50.0,
-        x0=3.0, abs_tol=1e-13)
+    # with the slope supplied the solve should land on the root
+    r = find_root_monotone(_newton(lambda x: math.sinh(x) - 10.0, math.cosh), 0.0, 50.0,
+                           x0=3.0, abs_tol=1e-13)
     assert abs(math.sinh(r) - 10.0) < 1e-11
 
 
@@ -77,85 +75,57 @@ def test_root_affine(c):
     assert abs(r - c) < 1e-11 * max(1.0, abs(c))
 
 
-# Residuals built from +, -, * and / round alike on floats and arrays, so
-# the array solve must repeat the scalar one bit for bit, iterates included.
-# Each row is (f, f', f'' or None, lo, hi, x0): Halley and Newton solves, a
-# root at x0, roots past either end (NoBracket), a slope pointing away from
-# the root (bisection), a bracket end evaluated only when it is needed, and
-# two residuals on which Newton crawled for 200 iterations and now bisects:
-# a plateau where its steps of 1e-6 do not shrink |f|, and a slope 1e5 times
-# too steep, where each step shrinks |f| by a factor of only 1 - 1e-5.
+# Each row is (f, f', lo, hi, x0, root): root None where the solve raises
+# NoBracket.  Newton solves, a root at x0, roots past either end, a slope
+# pointing away from the root (bisection), a zero slope, whose bisections
+# stop on a narrow bracket, a bracket end evaluated only when it is needed, a
+# triple root, and two residuals on which Newton crawled for 200 iterations
+# and now bisects: a plateau where its steps of 1e-6 do not shrink |f|, and a
+# slope 1e5 times too steep, where each step shrinks |f| by a factor of only
+# 1 - 1e-5, and whose converged step stops 1e5 times the tolerance short.
 ROOT_CASES = [
-    (lambda x: x * x * x - 2.0, lambda x: 3.0 * x * x, lambda x: 6.0 * x, 0.0, 4.0, 1.0),
-    (lambda x: x * x * x - 2.0, lambda x: 3.0 * x * x, None, 0.0, 4.0, 3.9),
-    (lambda x: x - 0.25, lambda x: 1.0 + 0.0 * x, None, 0.0, 1.0, 0.25),
-    (lambda x: x + 1.0, lambda x: 1.0 + 0.0 * x, None, 0.0, 1.0, 0.5),
-    (lambda x: x - 2.0, lambda x: 1.0 + 0.0 * x, None, 0.0, 1.0, 0.0),
-    (lambda x: x - 0.3, lambda x: -1.0 + 0.0 * x, None, 0.0, 1.0, 0.9),
-    (lambda x: x * x - 1e-6, lambda x: 0.0 * x, None, 0.0, 3.0, 2.0),
+    (lambda x: x * x * x - 2.0, lambda x: 3.0 * x * x, 0.0, 4.0, 1.0, 2.0 ** (1.0 / 3.0)),
+    (lambda x: x * x * x - 2.0, lambda x: 3.0 * x * x, 0.0, 4.0, 3.9, 2.0 ** (1.0 / 3.0)),
+    (lambda x: x - 0.25, lambda x: 1.0, 0.0, 1.0, 0.25, 0.25),
+    (lambda x: x + 1.0, lambda x: 1.0, 0.0, 1.0, 0.5, None),
+    (lambda x: x - 2.0, lambda x: 1.0, 0.0, 1.0, 0.0, None),
+    (lambda x: x - 0.3, lambda x: -1.0, 0.0, 1.0, 0.9, 0.3),
+    (lambda x: x * x - 1e-6, lambda x: 0.0, 0.0, 3.0, 2.0, 1e-3),
     (lambda x: (x - 1.0) * (x - 1.0) * (x - 1.0), lambda x: 3.0 * (x - 1.0) * (x - 1.0),
-     lambda x: 6.0 * (x - 1.0), -5.0, 7.0, 6.5),
-    (lambda x: max(x - 1.0, -1e-6), lambda x: 1.0 + 0.0 * x, None, 0.0, 2.0, 0.25),
-    (lambda x: 1e-5 * (x - 1.0), lambda x: 1.0 + 0.0 * x, None, 0.0, 2.0, 0.25),
+     -5.0, 7.0, 6.5, 1.0),
+    (lambda x: max(x - 1.0, -1e-6), lambda x: 1.0, 0.0, 2.0, 0.25, 1.0),
+    (lambda x: 1e-5 * (x - 1.0), lambda x: 1.0, 0.0, 2.0, 0.25, 1.0),
 ]
+ZERO_SLOPE, STEEP = ROOT_CASES[6], ROOT_CASES[-1]
 
 
-def _columns(cases, i, x):
-    return np.array([case[i](xj) for case, xj in zip(cases, x)])
-
-
-def test_array_root_solve_repeats_the_scalar_solve_bit_for_bit():
-    scalar, visits = [], []
-    for f, d, d2, lo, hi, x0 in ROOT_CASES:
-        seen = []
-
-        def g(x, f=f, d=d, d2=d2, seen=seen):
-            seen.append(x)
-            return f(x), d(x), None if d2 is None else d2(x)
-        try:
-            scalar.append(find_root_monotone(g, lo, hi, x0=x0, abs_tol=1e-13))
-        except NoBracket:
-            scalar.append(None)
-        visits.append(seen)
-
-    iterates = []
-    # a NaN curvature makes the Halley correction non-finite, so those
-    # elements take Newton steps, as the scalar solve does without one
-    curvatures = [(c[2] or (lambda x: math.nan),) for c in ROOT_CASES]
+@pytest.mark.parametrize("case", ROOT_CASES)
+def test_root_cases_land_on_their_roots_or_raise_no_bracket(case):
+    f, d, lo, hi, x0, root = case
+    seen = []
 
     def g(x):
-        iterates.append(x.copy())
-        return (_columns(ROOT_CASES, 0, x), _columns(ROOT_CASES, 1, x),
-                _columns(curvatures, 0, x))
-    lo, hi, x0 = (np.array([c[k] for c in ROOT_CASES]) for k in (3, 4, 5))
-    roots = find_roots_monotone(g, lo, hi, x0=x0, abs_tol=np.full(len(ROOT_CASES), 1e-13))
-    # a NaN root marks exactly the elements for which the scalar solve
-    # raises NoBracket
-    assert [None if math.isnan(r) else r for r in roots.tolist()] == scalar
-    assert None in scalar
-    for j, seen in enumerate(visits):
-        # the same iterates, then the last one again while others go on
-        assert [float(x[j]) for x in iterates[:len(seen)]] == seen
-        assert all(x[j] == seen[-1] for x in iterates[len(seen):])
+        seen.append((x, f(x)))
+        return seen[-1][1], d(x)
+    if root is None:
+        with pytest.raises(NoBracket):
+            find_root_monotone(g, lo, hi, x0=x0, abs_tol=1e-13)
+        return
+    r = find_root_monotone(g, lo, hi, x0=x0, abs_tol=1e-13)
+    assert abs(r - root) <= (1e-8 if case is STEEP else 1e-12)
+    if case is ZERO_SLOPE:
+        # the stop on a narrow bracket: the midpoint of the closest iterates
+        # on either side of the root, where f was never evaluated
+        below = max(x for x, fx in seen if fx < 0.0)
+        above = min(x for x, fx in seen if fx > 0.0)
+        assert r == 0.5 * (below + above) and r not in [x for x, _ in seen]
 
 
-def test_array_root_solve_without_curvature_takes_newton_steps():
-    def f(x):
-        return x * x * x - 2.0, 3.0 * x * x, None
-    want = find_root_monotone(f, 0.0, 4.0, x0=3.9, abs_tol=1e-13)
-    roots = find_roots_monotone(f, 0.0, 4.0, x0=np.array([3.9, 3.9]), abs_tol=1e-13)
-    assert roots.tolist() == [want, want]
-
-
-def test_array_root_solve_runs_out_of_iterations():
+def test_root_solve_runs_out_of_iterations():
     # the slope points away from the root, so every step bisects, and with
-    # a negative tolerance no bracket is narrow enough to stop at, in the
-    # scalar solve as in the array one
+    # a negative tolerance no bracket is narrow enough to stop at
     with pytest.raises(MaxIterExceeded):
-        find_root_monotone(lambda x: (x * x - 2.0, -1.0, None), 0.0, 2.0, x0=0.5, abs_tol=-1.0)
-    with pytest.raises(MaxIterExceeded):
-        find_roots_monotone(lambda x: (x * x - 2.0, -1.0 + 0.0 * x, None),
-                            0.0, 2.0, x0=np.array([0.5, 1.5]), abs_tol=-1.0)
+        find_root_monotone(lambda x: (x * x - 2.0, -1.0), 0.0, 2.0, x0=0.5, abs_tol=-1.0)
 
 
 # ---------------------------------------------------------------- quadrature
