@@ -220,10 +220,11 @@ def second_blowdown_moment_residual(k: float, u: float, v: float) -> float:
 
     The momentum functions kept here carry the sign phi^2 =
     -(1+k)u^2/2 + (1-k)v^2/2; the opposite sign flips the fiber cross term
-    and is incompatible with the limit matrix."""
+    and is incompatible with the limit matrix.  The gradients are the moments' jets."""
     conformal, fiber, _ = second_blowdown_metric(k, u, v)
-    dphi = ((u * v * v, u * u * v), (-(1.0 + k) * u, (1.0 - k) * v))
-    return _max_distance(fiber, [[(p * r + q * s) / conformal for r, s in dphi] for p, q in dphi])
+    phi = second_blowdown_metric.__wrapped__(k, *jets(u, v))[2]
+    return _max_distance(fiber, [[(p.du * q.du + p.dv * q.dv) / conformal for q in phi]
+                                 for p in phi])
 
 
 @finite_or_bad_params

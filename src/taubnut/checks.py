@@ -46,15 +46,14 @@ _FLAT = InstantonParams(Family.FLAT)
 _ALL_PARAMS = (_GEN0, _GEN05, _EXC, _HP, _FLAT)
 
 
-@check("family.moment-pde-halving")
-def pde_halving():
-    pp = InstantonParams(Family.GENERALIZED_TN, k=0.4)
-    r2 = family.moment_pde_residual(pp, 1.0, 0.5, step=2e-3)
-    r1 = family.moment_pde_residual(pp, 1.0, 0.5, step=1e-3)
-    for a, b in zip(r2, r1):
-        ratio = abs(a) / max(abs(b), 1e-300)
-        expect(3.0 < ratio < 5.3, f"halving ratio {ratio:.2f} not ~4")
-    return f"O(step^2): ratios {abs(r2[0]/r1[0]):.2f}, {abs(r2[1]/r1[1]):.2f}"
+@check("family.moment-pde")
+def moment_pde():
+    worst = 0.0
+    for pp in _ALL_PARAMS:
+        for (x, y) in [(1.0, 0.5), (0.3, -1.7)]:
+            worst = max(worst, *map(abs, family.moment_pde_residual(pp, x, y)))
+    expect(worst < 2e-15, f"moment PDE residual {worst:.2e}")
+    return f"max |x Lap phi - d phi/dx| = {worst:.2e} (jets)"
 
 
 @check("family.chart-roundtrip")
@@ -139,27 +138,15 @@ def eikonal():
 
 @check("geodesics.roundtrip")
 def polar_roundtrip():
-    worst = 0.0
-    etas = [j * math.pi / 12 for j in range(7)]
+    worst_R = worst_eta = 0.0
+    grid = [(R, j * math.pi / 12) for R in (0.1, 1.0, 10.0, 100.0) for j in range(7)]
+    grid += [(R, eta) for R in (0.5, 20.0) for eta in (0.2, 0.7, 1.3)]
     for pp in _ALL_PARAMS:
-        for R in (0.1, 1.0, 10.0, 100.0):
-            for eta in etas:
-                u, v = geodesics.point_from_polar(pp, R, eta)
-                worst = max(worst, abs(geodesics.distance(pp, u, v) / R - 1.0))
-    expect(worst < 1e-8, f"round-trip {worst:.2e}")
-    return f"max |distance/R - 1| = {worst:.2e}"
-
-
-@check("geodesics.eta-recovery")
-def eta_recovery():
-    worst = 0.0
-    for pp in _ALL_PARAMS:
-        for R in (0.5, 20.0):
-            for eta in (0.2, 0.7, 1.3):
-                u, v = geodesics.point_from_polar(pp, R, eta)
-                worst = max(worst, abs(geodesics.solve_eta(pp, u, v) - eta))
-    expect(worst < 1e-10, f"eta recovery {worst:.2e}")
-    return f"max |eta recovered - eta| = {worst:.2e}"
+        for R, eta in grid:
+            R2, eta2 = geodesics.polar_from_point(pp, *geodesics.point_from_polar(pp, R, eta))
+            worst_R, worst_eta = max(worst_R, abs(R2 / R - 1.0)), max(worst_eta, abs(eta2 - eta))
+    expect(worst_R < 1e-14 and worst_eta < 1e-14, f"round-trip {worst_R:.2e}, {worst_eta:.2e}")
+    return f"max |R'/R - 1| = {worst_R:.2e}, |eta' - eta| = {worst_eta:.2e}"
 
 
 @check("geodesics.monotone-F")
@@ -244,11 +231,13 @@ def l2_ricci_quadrature():
 
 @check("curvature.energy-identity")
 def energy_identity():
-    for k in (0.3, 0.8):
-        pp = InstantonParams(Family.GENERALIZED_TN, k=k)
-        gap = pp.l2_riemann - 4.0 * pp.l2_ricci_closed
-        expect(abs(gap - 32.0 * math.pi ** 2) < 1e-9, f"identity gap {gap}")
-    return "l2_riemann - 4 l2_ricci = 32 pi^2 exactly"
+    worst = 0.0
+    for k in (0.0, 0.3, 0.8, -0.99, 0.9999):
+        gauss_bonnet = 16.0 * math.pi ** 2 * (2.0 - k * k) / (1.0 - k * k)
+        gap = InstantonParams(Family.GENERALIZED_TN, k=k).l2_riemann - gauss_bonnet
+        worst = max(worst, abs(gap) / math.ulp(gauss_bonnet))
+    expect(worst <= 4.0, f"l2_riemann misses Gauss-Bonnet by {worst:.0f} ulp")
+    return f"l2_riemann = 16 pi^2 (2 - k^2) / (1 - k^2) to {worst:.0f} ulp"
 
 
 @check("curvature.scalar-flat")

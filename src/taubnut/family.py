@@ -33,7 +33,7 @@ import math
 import sys
 from enum import Enum
 
-from .numerics import BadParams, TaubnutError, fd_gradient, fd_laplacian
+from .numerics import BadParams, TaubnutError, jets
 
 SQRT2, HALF_PI = math.sqrt(2.0), math.pi / 2
 QUADRANT = ((0.0, math.inf), (0.0, math.inf))
@@ -221,7 +221,7 @@ def _half_plane_x(phi1):
 # --------------------------------------------------------------------------
 #
 # Kernels take the family's (u, v) as floats.  conformal_factor, fiber,
-# collapsing_fiber, moment_map and ricci_potentials also take Jets (the jet
+# collapsing_fiber, moment_map, ricci_potentials and xy_from_uv also take Jets (the jet
 # contract of taubnut.numerics); ricci_density, almost_ball_v_max and the
 # conformal_factor and xy_from_uv of volume_density also take the quadrature's
 # numpy arrays.  A launch angle reaches a kernel as (c, s) = _launch_cos_sin(eta);
@@ -258,7 +258,7 @@ class InstantonParams(collections.namedtuple(
 
     def __new__(cls, *args, **kwargs):
         family, M, k = super().__new__(cls, *args, **kwargs)   # the fields, defaults filled in
-        try:   # a family that is not a Family member, or an M or k that float() refuses
+        try:   # a family that is not a Family member, or an M or k that - 0.0 or float() refuses
             geometry = GEOMETRIES[family]
             M, k, derived = geometry._check_params(M, k)
         except (LookupError, TypeError, ValueError, OverflowError):
@@ -360,11 +360,11 @@ class GeneralizedTN(InstantonParams):
 
     @staticmethod
     def _check_params(M, k):
-        mass = SQRT2 if M is None else float(M)
+        mass = SQRT2 if M is None else float(M - 0.0)
         # M / (2 sqrt 2) a normal float and sqrt 2 M a float: about 6.3e-308 <= M <= 1.27e308
         if not (mass / (2.0 * SQRT2) >= 2.0 ** -1022 and SQRT2 * mass < math.inf):
             raise BadParams(f"mass must lie in about [6.3e-308, 1.27e308], got M={M}")
-        chi = check_chirality(0.0 if k is None else float(k))
+        chi = check_chirality(0.0 if k is None else float(k - 0.0))
         l2_ricci = 4.0 * math.pi ** 2 * chi * chi / (1.0 - chi * chi)
         # sqrt(M / (2 sqrt 2)) converts the reduced radial variable to R;
         # l2_riemann is Gauss-Bonnet for scalar-flat 4-manifolds of Euler
@@ -543,7 +543,7 @@ class ExceptionalTN(InstantonParams):
     def _check_params(M, k):
         if M is not None:
             raise BadParams("ExceptionalTN has a fixed normalization; drop M")
-        chi = 1.0 if k is None else float(k)
+        chi = 1.0 if k is None else float(k - 0.0)
         if chi == -1.0:
             raise BadParams(
                 "the k = -1 exceptional geometry is the axis swap u <-> v "
@@ -648,9 +648,8 @@ class ExceptionalTN(InstantonParams):
     def almost_ball_u_max(self, R):
         return math.sqrt(2.0 * R)
 
-    def almost_ball_v_max(self, R, u):
-        import numpy as np
-        return np.maximum(R - 0.5 * u * u, 0.0)
+    def almost_ball_v_max(self, R, u):   # negative past u_max: integrate_2d_region clamps it
+        return R - 0.5 * u * u
 
     def almost_ball_volume(self, R):
         return math.pi ** 2 / 6.0 * (R ** 4 + 2.0 * R ** 3)
@@ -774,20 +773,22 @@ GEOMETRIES = {cls.family: cls for cls in
 # the moment PDE and the charts that need more than one family formula
 # --------------------------------------------------------------------------
 
-def moment_pde_residual(params: InstantonParams, x: float, y: float,
-                        *, step: float) -> tuple[float, float]:
+@finite_or_bad_params
+def moment_pde_residual(params: InstantonParams, x: float, y: float) -> tuple[float, float]:
     """Residual of the axial harmonicity equation x * (Laplacian phi) = d(phi)/dx
-    for both moment maps, evaluated in the (x, y) chart with O(step^2)
-    central differences.  Both components -> 0 as step -> 0 at interior points."""
-    x, y, step = reals((x, y, step), "the point (x, y) and the step")
-    if not (0.0 < step and 2.0 * step < x < math.inf and math.isfinite(y)):
-        raise BadParams(f"need finite x, y and 0 < 2 step < x, got ({x}, {y}), step {step}")
-
-    def residual(i):   # of the moment map phi_i
-        def phi(xx: float, yy: float) -> float:
-            return params.moment_map(*params.uv_from_xy(xx, yy))[i]
-        return x * fd_laplacian(phi, x, y, step=step) - fd_gradient(phi, x, y, step=step)[0]
-    return residual(0), residual(1)
+    for both moment maps at the point (x, y), x > 0, of the xy chart, from the
+    jets of moment_map and of the chart's x at its (u, v): the chart map is
+    conformal, so the xy Laplacian is the uv one over mu = x_u^2 + x_v^2, and
+    d/dx is (x_u d/du + x_v d/dv) / mu.  Both components are 0 to a few
+    rounding errors of their terms where none is subnormal; BadParams where mu
+    underflows to 0, as at a subnormal x on a large mass."""
+    if not x > 0.0:
+        raise BadParams(f"need x > 0, got ({x}, {y})")
+    u, v = jets(*params.uv_from_xy(x, y))
+    X = params.xy_from_uv(u, v)[0]
+    mu = X.du * X.du + X.dv * X.dv
+    return tuple((X.val * (p.duu + p.dvv) - X.du * p.du - X.dv * p.dv) / mu
+                 for p in params.moment_map(u, v))
 
 
 def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[float, float]:

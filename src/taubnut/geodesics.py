@@ -28,10 +28,9 @@ from typing import NamedTuple
 from .family import (BadParams, Chart, InstantonParams, _launch_cos_sin, _ops,
                      finite_or_bad_params, in_range, reals, uv_from_almost_polar)
 from .metrics import conformal_factor
-from .numerics import (MaxIterExceeded, NoBracket, fd_gradient, find_root_monotone, linspace,
-                       ode_solve)
+from .numerics import (ROOT_TOL, MaxIterExceeded, NoBracket, fd_gradient, find_root_monotone,
+                       linspace, ode_solve)
 
-ROOT_TOL = 1e-13   # absolute, of x = log tan(eta) and of s (times max(1, its bound))
 X_LO, X_HI = -750.0, 40.0   # x = log tan(eta) past which eta rounds to 0 or to pi/2
 
 
@@ -84,7 +83,7 @@ def trace_level(params: InstantonParams, eta: float, level: float, cp, sp, r0) -
             du, dv = velocity((u, v))
             return S(c, s, u, v) - level, lam(u, v) * (p * du + q * dv)
         try:
-            radii.append(find_root_monotone(f, 0.0, 2.0 ** 29, x0=start, abs_tol=ROOT_TOL))
+            radii.append(find_root_monotone(f, 0.0, 2.0 ** 29, x0=start))
         except NoBracket:
             radii.append(math.nan)
     return radii
@@ -118,7 +117,7 @@ def solve_eta(params: InstantonParams, u: float, v: float) -> float:
 
     h = params.launch_residual(u, v)
     try:   # x0 = log(v / u), which the solve clamps into [X_LO, X_HI]
-        x = find_root_monotone(h, X_LO, X_HI, x0=math.log(v) - math.log(u), abs_tol=ROOT_TOL)
+        x = find_root_monotone(h, X_LO, X_HI, x0=math.log(v) - math.log(u))
     except NoBracket:   # the root lies past an end, where eta rounds to 0 or pi/2
         return 0.0 if h(X_LO)[0] > 0.0 else math.pi / 2
     return math.atan(math.exp(x))
@@ -294,16 +293,16 @@ def polar_metric_coefficient_fd(params: InstantonParams, R: float, eta: float) -
     or where the differences at step 2e-5, which track its error to about 3x,
     differ by over 1e-6 relatively: far out (u, v) outgrows d(u,v)/d(eta)."""
     params.check_eta(eta)
-    mid = point_from_polar(params, R, eta)
-
-    def coefficient(step):
+    lam = conformal_factor(params, *point_from_polar(params, R, eta))
+    coefficients = []
+    for step in (1e-5, 2e-5):
         p1 = point_from_polar(params, R, eta + step)
         p0 = point_from_polar(params, R, eta - step)
         du = (p1.u - p0.u) / (2 * step)
         dv = (p1.v - p0.v) / (2 * step)
-        return conformal_factor(params, mid.u, mid.v) * (du * du + dv * dv)
-    A2 = coefficient(1e-5)
-    if abs(coefficient(2e-5) - A2) > 1e-6 * A2:
+        coefficients.append(lam * (du * du + dv * dv))
+    A2, wide = coefficients
+    if abs(wide - A2) > 1e-6 * A2:
         raise BadParams(f"R={R}, eta={eta}: the differences of (u, v) are lost to rounding")
     return A2
 

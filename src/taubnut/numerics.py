@@ -6,8 +6,9 @@ metric-specific formulas on top of these routines, so the tolerances and
 failure modes of each helper are spelled out in its docstring.  The bracketed
 root solve takes one residual callable that returns the value with its slope
 (the polar chart's radial solve needs no bracket and lives in geodesics).
-The finite-difference stencils, kept for kernels with asinh, hypot or square
-roots, take no domain; their caller checks it.
+The finite-difference stencils take no domain; their caller checks it.  Only
+eikonal_residual calls one (S_eta's asinh and hypot refuse jets); fd_laplacian
+and fd_jacobian2 have no caller here and serve the benchmark's tracer.
 
 Exact derivatives come from jets, which every curvature and Jacobian oracle
 reads: a kernel called on jets(u, v) returns the Jet of its value, gradient
@@ -66,8 +67,11 @@ class InsufficientSamples(TaubnutError):
 # root finding
 # --------------------------------------------------------------------------
 
+ROOT_TOL = 1e-13   # absolute, of each root solve's unknown (the radial one's times max(1, bound))
+
+
 def find_root_monotone(f: Callable[[float], tuple[float, float]],
-                       lo: float, hi: float, *, x0: float, abs_tol: float) -> float:
+                       lo: float, hi: float, *, x0: float) -> float:
     """Solve f = 0 on [lo, hi] for f <= 0 below its one root and >= 0 above.
 
     ``f(x)`` returns (value, slope): one call per iterate gives f and f', so
@@ -81,10 +85,10 @@ def find_root_monotone(f: Callable[[float], tuple[float, float]],
     f is evaluated at an end only when a bisection needs its sign.
 
     The solve stops at the first of: a zero of f; a Newton step no longer
-    than abs_tol + 4e-16 |x| at the iterate x, whose result (kept in the
+    than ROOT_TOL + 4e-16 |x| at the iterate x, whose result (kept in the
     bracket) is returned without evaluating f there (as ``rtsafe`` does: a
     converged Newton iteration cannot shrink the far side of the bracket);
-    a bracket [a, b] with b - a <= abs_tol + 4e-16 max(|a|, |b|).
+    a bracket [a, b] with b - a <= ROOT_TOL + 4e-16 max(|a|, |b|).
 
     Raises NoBracket if f(lo) > 0 or f(hi) < 0, and MaxIterExceeded if no
     stop fires within 200 iterations.
@@ -110,7 +114,7 @@ def find_root_monotone(f: Callable[[float], tuple[float, float]],
         if d != 0.0 and math.isfinite(d):
             step = fx / d
             size = abs(step)
-            if size <= abs_tol + 4e-16 * abs(x):
+            if size <= ROOT_TOL + 4e-16 * abs(x):
                 x = a if a > x - step else x - step   # min(max(x - step, a), b)
                 return b if b < x else x
 
@@ -118,7 +122,7 @@ def find_root_monotone(f: Callable[[float], tuple[float, float]],
             x, dx1, dx2, f1, f2 = x - step, size, dx1, abs(fx), f1
         elif fa is None or fb is None:   # bisecting needs the sign at both ends
             x = lo if fa is None else hi
-        elif b - a <= abs_tol + 4e-16 * max(abs(a), abs(b)):
+        elif b - a <= ROOT_TOL + 4e-16 * max(abs(a), abs(b)):
             return 0.5 * (a + b)
         else:
             x = 0.5 * (a + b)

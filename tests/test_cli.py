@@ -701,7 +701,7 @@ def _scalar_contour_keys(params, eta, R, n_levels, n_phi):
                 return (params.eikonal_S(*_launch_cos_sin(eta), r * cp, r * sp) - level,
                         metrics.conformal_factor(params, r * cp, r * sp) * (cp * du + sp * dv))
             try:
-                r = find_root_monotone(f, 0.0, 2.0 ** 29, x0=r, abs_tol=geodesics.ROOT_TOL)
+                r = find_root_monotone(f, 0.0, 2.0 ** 29, x0=r)
             except NoBracket:
                 continue
             keys.append((f"level-{i}", "level", phi))
@@ -845,7 +845,7 @@ def test_verify_single_suite():
 def test_verify_all_is_deterministic():
     first = run_process("verify", "--suite", "all")
     assert first.returncode == 0, first.stdout + first.stderr
-    assert "31/31 checks passed" in first.stdout
+    assert "30/30 checks passed" in first.stdout
     assert run_process("verify", "--suite", "all").stdout == first.stdout
 
 

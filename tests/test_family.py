@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubnut import asymptotics, blowdown, cli, curvature, geodesics, metrics
+from taubnut import asymptotics, blowdown, cli, curvature, family, geodesics, metrics
 from taubnut.asymptotics import (ball_volume_bracket, measured_epsilon_bar, sphere_sandwich,
                                  volume_growth_exponent)
 from taubnut.blowdown import (blowdown_distance, conifold_curvatures, conifold_metric,
@@ -64,11 +64,14 @@ def test_param_validation():
 
 @pytest.mark.parametrize("args,kwargs", [
     (("GeneralizedTN",), {}), ((5,), {}), (([1],), {}), ((), {"M": "a"}),
-    ((Family.EXCEPTIONAL_TN,), {"k": "x"}), ((), {"k": [1]}), ((), {"M": 1 + 2j})],
-    ids=["family-name", "family-int", "family-list", "M-str", "k-str", "k-list", "M-complex"])
+    ((Family.EXCEPTIONAL_TN,), {"k": "x"}), ((), {"k": [1]}), ((), {"M": 1 + 2j}),
+    ((), {"k": "0.5"}), ((), {"M": "2", "k": -0.5}), ((Family.EXCEPTIONAL_TN,), {"k": "1"})],
+    ids=["family-name", "family-int", "family-list", "M-str", "k-str", "k-list", "M-complex",
+         "k-numeric-str", "M-numeric-str", "exceptional-k-numeric-str"])
 def test_parameters_of_the_wrong_type_are_bad_params(args, kwargs):
     # a family that is not a Family member raised KeyError, and an M or k that
-    # is not a real number ValueError or TypeError
+    # is not a real number ValueError or TypeError; a numeric str M or k was
+    # accepted through float() before M - 0.0 and k - 0.0 refused it
     with pytest.raises(BadParams, match="need a Family and real M and k"):
         InstantonParams(*args, **kwargs)
 
@@ -108,9 +111,8 @@ WRONG_TYPE_CALLS = {
     "eikonal-residual-v-str": lambda: geodesics.eikonal_residual(GEN05, 0.5, 0.5, "x"),
     "polar-array-radius-str": lambda: geodesics.points_from_polar(GEN05, "x", 0.5),
     "polar-array-eta-str": lambda: geodesics.points_from_polar(GEN05, 0.5, "x"),
-    "moment-pde-x-str": lambda: moment_pde_residual(GEN05, "x", 0.5, step=1e-3),
-    "moment-pde-y-str": lambda: moment_pde_residual(GEN05, 0.5, "x", step=1e-3),
-    "moment-pde-step-str": lambda: moment_pde_residual(GEN05, 0.5, 0.5, step="x"),
+    "moment-pde-x-str": lambda: moment_pde_residual(GEN05, "x", 0.5),
+    "moment-pde-y-str": lambda: moment_pde_residual(GEN05, 0.5, "x"),
     "almost-polar-rtilde-str": lambda: uv_from_almost_polar(GEN05, "x", 0.5),
     "almost-polar-psi-str": lambda: uv_from_almost_polar(GEN05, 0.5, "x"),
     **GUARDED}
@@ -124,7 +126,7 @@ def test_arguments_of_the_wrong_type_are_bad_params(name):
     # u * u TypeError; a level, the asymptotics' radii and 34 pairs of a guarded
     # function and a str argument raised TypeError or ValueError, before the
     # guard made floats of its number arguments; a point of eikonal_residual,
-    # the point or step of moment_pde_residual and the arguments of
+    # the point of moment_pde_residual and the arguments of
     # uv_from_almost_polar raised TypeError, and an array of points_from_polar
     # ValueError, before they took ``reals``
     with pytest.raises(BadParams):
@@ -400,21 +402,45 @@ def test_residual_derivatives_match_their_values(params):
 
 # ----------------------------------------------------------------- moment PDE
 
-def test_moment_pde_residual_halves_quadratically():
-    # O(step^2): quartering the step should shrink the residual ~16x; we
-    # check the ratio per halving lands near 4
-    for params in (GEN05, EXC):
-        r1 = moment_pde_residual(params, 0.8, 0.4, step=1e-2)
-        r2 = moment_pde_residual(params, 0.8, 0.4, step=5e-3)
-        for a, b in zip(r1, r2):
-            if abs(a) < 1e-13:      # component already at roundoff
-                continue
-            assert 3.0 < abs(a) / abs(b) < 5.3
+#: four families, next to both chirality limits and at a large mass
+PDE_PARAMS = [GEN, InstantonParams(k=0.4), InstantonParams(k=0.9999), InstantonParams(k=-0.9999),
+              InstantonParams(M=1e3, k=0.5), EXC, HP, FLAT]
 
 
-def test_moment_pde_rejects_axis():
-    with pytest.raises(BadParams):
-        moment_pde_residual(GEN05, 1e-4, 0.5, step=1e-3)
+def _pde_points(n, seed):
+    """n seeded points (x, y) with x and |y| log-uniform in [1e-3, 1e3]."""
+    rng = random.Random(seed)
+    def size():
+        return 10.0 ** rng.uniform(-3.0, 3.0)
+    return [(size(), rng.choice((-1.0, 1.0)) * size()) for _ in range(n)]
+
+
+def _pde_term_sizes(params, x, y):
+    """The summed sizes of the four terms of each residual of moment_pde_residual."""
+    u, v = jets(*params.uv_from_xy(x, y))
+    X = params.xy_from_uv(u, v)[0]
+    mu = X.du * X.du + X.dv * X.dv
+    return [(abs(X.val * p.duu) + abs(X.val * p.dvv) + abs(X.du * p.du) + abs(X.dv * p.dv)) / mu
+            for p in params.moment_map(u, v)]
+
+
+@pytest.mark.parametrize("params", PDE_PARAMS, ids=lambda p: f"{p.family.value}-{p.M}-{p.k}")
+def test_moment_pde_residual_is_rounding_of_its_terms(params):
+    # the jets give both residuals to rounding: 1.22 eps of the terms at worst
+    # on this grid, where the central differences left 1.3e-7 at (1, 0.5)
+    for x, y in _pde_points(200, 17):
+        for r, size in zip(moment_pde_residual(params, x, y), _pde_term_sizes(params, x, y)):
+            assert abs(r) <= 4.0 * sys.float_info.epsilon * size, (x, y, r, size)
+
+
+@pytest.mark.parametrize("params", PDE_PARAMS, ids=lambda p: f"{p.family.value}-{p.M}-{p.k}")
+def test_moment_pde_residual_vanishes_on_mpmath_jets(params, monkeypatch):
+    # the same float points, their jets at 60 digits: the PDE is an identity
+    import mpmath
+    monkeypatch.setattr(family, "jets", lambda u, v: jets(mpmath.mpf(u), mpmath.mpf(v)))
+    with mpmath.workdps(60):
+        for x, y in _pde_points(20, 18):
+            assert max(map(abs, moment_pde_residual(params, x, y))) < 1e-50, (x, y)
 
 
 @pytest.mark.parametrize("params", [GEN05, EXC], ids=["GEN05", "EXC"])
@@ -438,16 +464,22 @@ def test_eval_of_a_mirrored_xy_point_exits_2():
 @pytest.mark.parametrize("call,error", [
     (lambda: fit_power_law([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]), InsufficientSamples),
     (lambda: fit_power_law([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]), InsufficientSamples),
-    (lambda: moment_pde_residual(GEN05, 1.0, 0.5, step=0.0), BadParams),
-    (lambda: moment_pde_residual(GEN05, math.nan, 0.5, step=1e-3), BadParams),
-    (lambda: moment_pde_residual(GEN05, 1.0, 0.5, step=math.nan), BadParams),
+    (lambda: moment_pde_residual(GEN05, math.nan, 0.5), BadParams),
+    (lambda: moment_pde_residual(GEN05, 0.0, 0.5), BadParams),
+    (lambda: moment_pde_residual(GEN05, -0.0, 0.5), BadParams),
+    (lambda: moment_pde_residual(GEN05, -1.0, 0.5), BadParams),
+    (lambda: moment_pde_residual(GEN05, 1.0, math.nan), BadParams),
+    (lambda: moment_pde_residual(HP, math.inf, 0.5), BadParams),
+    # mu underflows to 0 on a large mass, a ZeroDivisionError
+    (lambda: moment_pde_residual(InstantonParams(M=1e3, k=0.5), 5e-324, 0.0), BadParams),
     (lambda: second_blowdown_conformal_xy(0.5, math.nan, 1.0), BadParams),
     (lambda: second_blowdown_conformal_xy(0.5, 1.0, math.inf), BadParams),
     (lambda: blowdown_xy_from_uv(math.nan, 1.0), BadParams),
     (lambda: pointed_limit_fiber(math.nan, 1.0), BadParams),
     (lambda: almost_polar_from_uv(GEN05, -1.0, 1.0), BadParams),
     (lambda: almost_polar_from_uv(GEN05, math.nan, 1.0), BadParams)],
-    ids=["fit-inf", "fit-nan", "pde-step-0", "pde-nan-x", "pde-nan-step", "conformal-xy-nan",
+    ids=["fit-inf", "fit-nan", "pde-nan-x", "pde-x-0", "pde-x-minus-0", "pde-x-negative",
+         "pde-nan-y", "pde-inf-x", "pde-subnormal-x", "conformal-xy-nan",
          "conformal-xy-inf", "blowdown-xy-nan", "pointed-fiber-nan", "almost-polar-off-chart",
          "almost-polar-nan"])
 def test_public_helpers_refuse_non_finite_or_off_chart_input(call, error):

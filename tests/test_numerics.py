@@ -27,22 +27,19 @@ def _newton(value, slope):
 
 
 def test_root_cubic():
-    r = find_root_monotone(_newton(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x),
-                           0.0, 4.0, x0=1.0, abs_tol=1e-13)
+    r = find_root_monotone(_newton(lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x), 0.0, 4.0, x0=1.0)
     assert abs(r - 2.0 ** (1.0 / 3.0)) < 1e-14
 
 
 def test_root_uses_derivatives():
     # with the slope supplied the solve should land on the root
-    r = find_root_monotone(_newton(lambda x: math.sinh(x) - 10.0, math.cosh), 0.0, 50.0,
-                           x0=3.0, abs_tol=1e-13)
+    r = find_root_monotone(_newton(lambda x: math.sinh(x) - 10.0, math.cosh), 0.0, 50.0, x0=3.0)
     assert abs(math.sinh(r) - 10.0) < 1e-11
 
 
 def test_root_no_bracket():
     with pytest.raises(NoBracket):
-        find_root_monotone(_newton(lambda x: x + 1.0, lambda x: 1.0), 0.0, 1.0,
-                           x0=0.0, abs_tol=1e-13)
+        find_root_monotone(_newton(lambda x: x + 1.0, lambda x: 1.0), 0.0, 1.0, x0=0.0)
 
 
 def test_root_newton_stops_on_a_converged_step():
@@ -53,7 +50,7 @@ def test_root_newton_stops_on_a_converged_step():
     def f(x):
         seen.append(x)
         return math.sinh(x) - 10.0
-    r = find_root_monotone(_newton(f, math.cosh), 0.0, 50.0, x0=3.0, abs_tol=1e-13)
+    r = find_root_monotone(_newton(f, math.cosh), 0.0, 50.0, x0=3.0)
     assert abs(math.sinh(r) - 10.0) < 1e-13
     assert 0.0 not in seen and 50.0 not in seen and len(seen) <= 5
 
@@ -62,16 +59,14 @@ def test_root_newton_stops_on_a_converged_step():
 def test_root_no_bracket_found_by_newton(x0):
     # a Newton step leaving the bracket evaluates the end it needs
     with pytest.raises(NoBracket):
-        find_root_monotone(_newton(lambda x: x + 1.0, lambda x: 1.0), 0.0, 1.0,
-                           x0=x0, abs_tol=1e-13)
+        find_root_monotone(_newton(lambda x: x + 1.0, lambda x: 1.0), 0.0, 1.0, x0=x0)
 
 
 @given(st.floats(min_value=-30.0, max_value=30.0))
 @settings(max_examples=40, deadline=None)
 def test_root_affine(c):
     # f(x) = x - c on a generous bracket
-    r = find_root_monotone(_newton(lambda x: x - c, lambda x: 1.0), -40.0, 40.0,
-                           x0=0.0, abs_tol=1e-13)
+    r = find_root_monotone(_newton(lambda x: x - c, lambda x: 1.0), -40.0, 40.0, x0=0.0)
     assert abs(r - c) < 1e-11 * max(1.0, abs(c))
 
 
@@ -109,9 +104,9 @@ def test_root_cases_land_on_their_roots_or_raise_no_bracket(case):
         return seen[-1][1], d(x)
     if root is None:
         with pytest.raises(NoBracket):
-            find_root_monotone(g, lo, hi, x0=x0, abs_tol=1e-13)
+            find_root_monotone(g, lo, hi, x0=x0)
         return
-    r = find_root_monotone(g, lo, hi, x0=x0, abs_tol=1e-13)
+    r = find_root_monotone(g, lo, hi, x0=x0)
     assert abs(r - root) <= (1e-8 if case is STEEP else 1e-12)
     if case is ZERO_SLOPE:
         # the stop on a narrow bracket: the midpoint of the closest iterates
@@ -122,10 +117,11 @@ def test_root_cases_land_on_their_roots_or_raise_no_bracket(case):
 
 
 def test_root_solve_runs_out_of_iterations():
-    # the slope points away from the root, so every step bisects, and with
-    # a negative tolerance no bracket is narrow enough to stop at
+    # a zero slope takes no Newton step, so every step bisects, and 200
+    # bisections of [0, 1e300] leave a bracket of about 1e240, far wider
+    # than ROOT_TOL: the step function's root 1e-200 is never reached
     with pytest.raises(MaxIterExceeded):
-        find_root_monotone(lambda x: (x * x - 2.0, -1.0), 0.0, 2.0, x0=0.5, abs_tol=-1.0)
+        find_root_monotone(lambda x: (math.copysign(1.0, x - 1e-200), 0.0), -1e300, 1e300, x0=0.0)
 
 
 # ---------------------------------------------------------------- quadrature
