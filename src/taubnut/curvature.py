@@ -1,7 +1,7 @@
 """Curvature: the family-blind integrals and oracles around the curvature
 closed forms -- the oracles of the Gauss curvature, of the Ricci pseudo-density
 and of the curvature of toric metrics (block_curvature), all from jets at one
-point, the L^2 Ricci energy by quadrature, and decay-rate fits along geodesics.
+point, the L^2 Ricci energy, and decay-rate fits along geodesics.
 
 The closed forms are methods and attributes of the family's class in
 :mod:`taubnut.family`, called on the parameters directly (``params.<name>``):
@@ -32,9 +32,9 @@ The closed forms are methods and attributes of the family's class in
 
 * ``l2_ricci_closed`` is the total L^2 Ricci energy without quadrature:
   4 pi^2 k^2/(1-k^2) for GeneralizedTN, 0 for Flat, math.inf for the
-  exceptional families.  ``l2_riemann`` (GeneralizedTN only) is the total
-  L^2 Riemann energy by the Gauss-Bonnet combination for scalar-flat
-  4-manifolds of Euler characteristic 1:
+  exceptional families, with partial energies ``partial_ricci_energy(R)``.
+  ``l2_riemann`` (GeneralizedTN only) is the total L^2 Riemann energy by the
+  Gauss-Bonnet combination for scalar-flat 4-manifolds of Euler characteristic 1:
 
       integral |Rm|^2 = 32 pi^2 + 4 * integral |Ric|^2
                       = 16 pi^2 (2 - k^2) / (1 - k^2).
@@ -54,7 +54,7 @@ from typing import NamedTuple
 from .family import BadParams, InstantonParams, finite_or_bad_params, reals
 from .metrics import TORUS_VOLUME, conformal_factor
 from .numerics import (IllConditioned, Jet, QuadratureResult, conformal_curvature, fit_power_law,
-                       integrate_2d_improper, integrate_2d_region, jets)
+                       integrate_2d_improper, jets)
 
 
 class EnergyReport(NamedTuple):
@@ -98,33 +98,25 @@ def l2_ricci(params: InstantonParams) -> EnergyReport:
     """Total L^2 Ricci energy: the fiber volume 4 pi^2 times the integral of
     the pseudo-volume density over the polytope.
 
-    GeneralizedTN (|k|<1): finite, closed form 4 pi^2 k^2/(1-k^2), verified
-    by improper quadrature to 1e-9 relative in the axes x = a u, y = b v,
-    where the family's D is isotropic.  The exceptional families
-    diverge; the report then carries partial energies over the almost-balls
-    (quadratic growth for ExceptionalTN) or strips of height (linear growth
-    for the half-plane) of radius 25, 50, 100 and 200, with the fitted
-    growth exponent.  Flat space and k = 0 carry no Ricci energy.
+    GeneralizedTN (|k|<1): finite, closed form 4 pi^2 k^2/(1-k^2), verified by improper
+    quadrature to 1e-9 relative in the axes x = a u, y = b v, where the family's D is
+    isotropic.  The exceptional families diverge; the report then carries the closed-form
+    ``partial_ricci_energy(R)`` over the almost-balls (quadratic growth for ExceptionalTN) or
+    the strips |y| <= R (linear for the half-plane) at R = 25, 50, 100 and 200, with the
+    fitted growth exponent; their quadrature oracle is in the tests.  Flat space and k = 0
+    carry no Ricci energy.
     """
     closed = params.l2_ricci_closed
     if closed == 0.0:
         return EnergyReport(0.0, None, 0.0)
-
-    def f(u, v):
-        return TORUS_VOLUME * params.ricci_density(u, v)
-
     if math.isfinite(closed):   # GeneralizedTN: in x = a u, y = b v, D = 1 + x^2 + y^2
         a, b = params.a, params.b
-        quad = integrate_2d_improper(lambda x, y: f(x / a, y / b) / (a * b))
+        quad = integrate_2d_improper(
+            lambda x, y: TORUS_VOLUME * params.ricci_density(x / a, y / b) / (a * b))
         return EnergyReport(closed, quad, abs(quad.value - closed) / closed)
-
-    samples = []
-    for R in (25.0, 50.0, 100.0, 200.0):
-        u_max, v_max, weight = params.energy_region(R)
-        samples.append((R, weight * integrate_2d_region(f, u_max, v_max).value))
-    exponent = fit_power_law([R for R, _ in samples], [e for _, e in samples])
-    return EnergyReport(math.inf, None, math.inf,
-                        growth_samples=tuple(samples), growth_exponent=exponent)
+    samples = tuple((R, params.partial_ricci_energy(R)) for R in (25.0, 50.0, 100.0, 200.0))
+    return EnergyReport(math.inf, None, math.inf, growth_samples=samples,
+                        growth_exponent=fit_power_law(*zip(*samples)))
 
 
 # --------------------------------------------------------------------------

@@ -197,12 +197,14 @@ def _launch_residual(au, log_rhs, q):
 
 
 def _unsquare(x, y, c):
-    """(u, v) with y + ix = (u + iv)^2 / (2c), the inverse of the quadrant
-    families' squaring map; BadParams off the closed half-plane x >= 0."""
+    """(u, v) with y + ix = (u + iv)^2 / (2c), the inverse of the quadrant families' squaring
+    map, the smaller as c x over the larger (u v = c x): no cancellation where |y| >> x.
+    BadParams off the closed half-plane x >= 0."""
     if not (0.0 <= x < math.inf and -math.inf < y < math.inf):
         raise BadParams(f"({x}, {y}) is not a finite point of the xy chart domain x >= 0")
-    r = math.hypot(x, y)
-    return math.sqrt(c * (r + y)), math.sqrt(c * (r - y))
+    big = math.sqrt(c * (math.hypot(x, y) + abs(y)))
+    small = c * x / big if big else 0.0
+    return (big, small) if y >= 0.0 else (small, big)
 
 
 def _check_quadrant_moments(phi1, phi2):
@@ -641,9 +643,10 @@ class ExceptionalTN(InstantonParams):
     def ricci_norm(self, u, v):
         return 2.0 / (1.0 + u * u) ** 2
 
-    def energy_region(self, R):
-        # (u_max, v_max(u), weight) of the region whose Ricci energy is measured
-        return self.almost_ball_u_max(R), lambda u: self.almost_ball_v_max(R, u), 1.0
+    def partial_ricci_energy(self, R):
+        # of the almost-ball u^2/2 + v <= R: a few ulp for R >= 1; the terms cancel
+        # like (4/3) R^3 as R -> 0, losing about eps / R^2 relatively there
+        return math.pi ** 2 * (R * (R - 1.0) + 0.5 * math.log1p(2.0 * R))
 
     def almost_ball_u_max(self, R):
         return math.sqrt(2.0 * R)
@@ -716,9 +719,9 @@ class ExceptionalHalfPlane(_HalfPlane):
     def ricci_norm(self, u, v):
         return math.sqrt(8.0) / (1.0 + u * u) ** 2
 
-    def energy_region(self, R):
-        # the strip |y| <= R, twice its upper half (the density is y-independent)
-        return 1e4, lambda u: R, 2.0
+    def partial_ricci_energy(self, R):
+        # of the strip |y| <= R
+        return 32.0 * math.pi ** 2 * R
 
 
 class Flat(_HalfPlane):
@@ -780,15 +783,19 @@ def moment_pde_residual(params: InstantonParams, x: float, y: float) -> tuple[fl
     jets of moment_map and of the chart's x at its (u, v): the chart map is
     conformal, so the xy Laplacian is the uv one over mu = x_u^2 + x_v^2, and
     d/dx is (x_u d/du + x_v d/dv) / mu.  Both components are 0 to a few
-    rounding errors of their terms where none is subnormal; BadParams where mu
-    underflows to 0, as at a subnormal x on a large mass."""
+    rounding errors of their terms; BadParams where u^2, v^2 (of a nonzero u,
+    v), mu or a nonzero term is subnormal, as at a subnormal x on a large mass."""
     if not x > 0.0:
         raise BadParams(f"need x > 0, got ({x}, {y})")
-    u, v = jets(*params.uv_from_xy(x, y))
-    X = params.xy_from_uv(u, v)[0]
+    u, v = params.uv_from_xy(x, y)
+    U, V = jets(u, v)
+    X = params.xy_from_uv(U, V)[0]
     mu = X.du * X.du + X.dv * X.dv
-    return tuple((X.val * (p.duu + p.dvv) - X.du * p.du - X.dv * p.dv) / mu
-                 for p in params.moment_map(u, v))
+    terms = [(X.val * (p.duu + p.dvv), X.du * p.du, X.dv * p.dv) for p in params.moment_map(U, V)]
+    small = [w * w for w in (u, v) if w] + [abs(t) for ts in terms for t in ts if t]
+    if not min([mu, *small]) >= sys.float_info.min:
+        raise BadParams(f"u^2, v^2, mu or a term of the moment PDE is subnormal at ({x}, {y})")
+    return tuple((a - b - c) / mu for a, b, c in terms)
 
 
 def almost_polar_from_uv(params: InstantonParams, u: float, v: float) -> tuple[float, float]:

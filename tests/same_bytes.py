@@ -102,8 +102,11 @@ PARSER = ([["--help"]]
              ["blowdown", "--construction", "conifold", "--point", "0,0"],
              ["blowdown", "--k", "1.5"],
              ["volume", "--family", "flat", "--R", "1,2,3,4"]])
-#: the L2 Ricci energy next to the chirality limit, as JSON and as CSV
-ENERGY = [["energy", "--k", "0.9999"], ["energy", "--k", "-0.99", "--format", "csv"]]
+#: the L2 Ricci energy next to the chirality limit, and the partial energies
+#: of both exceptional families, as JSON and as CSV
+ENERGY = ([["energy", "--k", "0.9999"], ["energy", "--k", "-0.99", "--format", "csv"]]
+          + [["energy", "--family", family, "--format", fmt]
+             for family in ("exceptional", "halfplane") for fmt in ("json", "csv")])
 ARGVS = README + CONTOUR + EVAL + BLOWDOWN + VOLUME + ENERGY + GEODESIC + AXES + PARSER
 
 

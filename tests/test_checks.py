@@ -395,7 +395,7 @@ def test_src_does_not_grow():
     # the same numbers from less code: lower the cap when the package shrinks
     count = sum(len(path.read_text().splitlines())
                 for path in Path(taubnut.__file__).parent.glob("*.py"))
-    assert count <= 3545
+    assert count <= 3544
 
 
 def _traced_layers():

@@ -525,11 +525,12 @@ print(json.dumps(runs))
 
 
 def test_eval_volume_and_blowdown_run_without_numpy():
-    # eval, volume, every blowdown construction and geodesic compute in
-    # floats: with numpy's import blocked they exit with the same codes and
-    # print the same bytes as with numpy, at the runs of tests/same_bytes.py
-    # (for geodesic, at and next to the axes and at the float range), on
-    # the axes themselves and at 1, 2 and 200 samples
+    # eval, volume, every blowdown construction, geodesic and the exceptional
+    # families' energy (closed-form partial energies) compute in floats: with
+    # numpy's import blocked they exit with the same codes and print the same
+    # bytes as with numpy, at the runs of tests/same_bytes.py (for geodesic,
+    # at and next to the axes and at the float range), on the axes themselves
+    # and at 1, 2 and 200 samples
     geodesic = ([["geodesic", "--family", family, f"--eta={eta}", "--R", "5"]
                  for family in cli.FAMILY_NAMES for eta in ("0", "0.7", "1.5707963267948966")]
                 + [["geodesic", "--family", "halfplane", "--eta=-0.7", "--R", "5"]]
@@ -538,6 +539,7 @@ def test_eval_volume_and_blowdown_run_without_numpy():
     argvs = [argv for argv in same_bytes.EVAL + same_bytes.README + same_bytes.VOLUME
              + same_bytes.BLOWDOWN + same_bytes.GEODESIC + same_bytes.AXES + geodesic
              if argv[0] in ("eval", "volume", "blowdown", "geodesic")]
+    argvs += [argv for argv in same_bytes.ENERGY if "--family" in argv]   # the exceptional ones
     child = subprocess.Popen([sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(argvs)],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                              env=_child_env())

@@ -23,8 +23,8 @@ from taubnut.curvature import (IllConditioned, block_curvature, curvature4_fd,
                                polytope_curvature_fd, ricci_pseudo_jacobian_fd)
 from taubnut.family import BadParams, Family, InstantonParams, WrongFamily
 from taubnut.geodesics import point_from_polar
-from taubnut.metrics import conformal_factor, volume_density
-from taubnut.numerics import Jet, jets
+from taubnut.metrics import TORUS_VOLUME, conformal_factor, volume_density
+from taubnut.numerics import Jet, fit_power_law, integrate_2d_region, jets
 
 from dense_curvature import jet_curvature, metric4, rows as dense_rows
 
@@ -263,18 +263,75 @@ def test_l2_riemann_needs_generalized():
         EXC.l2_riemann
 
 
+GROWTH_RADII = (25.0, 50.0, 100.0, 200.0)
+
+
+def _within_ulps(got, exact, n):
+    return abs(got - exact) <= n * math.ulp(float(exact))
+
+
 def test_exceptional_energy_growth():
+    # the almost-ball energies pi^2 (R (R - 1) + log(1 + 2R) / 2), each within
+    # 2 ulp of 60 digits; the R (R - 1) term bends the fit off 2 by 0.0155
     rep = l2_ricci(EXC)
-    assert rep.closed_form == math.inf
+    assert rep.closed_form == math.inf and rep.quadrature is None
+    assert [R for R, _ in rep.growth_samples] == list(GROWTH_RADII)
+    with mpmath.workdps(60):
+        exact = [mpmath.pi ** 2 * (R * (R - 1) + mpmath.log1p(2 * mpmath.mpf(R)) / 2)
+                 for R in GROWTH_RADII]
+        fit = fit_power_law(GROWTH_RADII, [float(e) for e in exact])
+    for (R, val), e in zip(rep.growth_samples, exact):
+        assert _within_ulps(val, e, 2), (R, val)
+    assert rep.growth_exponent == pytest.approx(fit, abs=1e-14)
     assert rep.growth_exponent == pytest.approx(2.0, abs=0.05)
 
 
 def test_halfplane_energy_growth_linear():
     rep = l2_ricci(HP)
-    assert rep.growth_exponent == pytest.approx(1.0, abs=1e-3)
+    assert rep.growth_exponent == pytest.approx(1.0, abs=4 * sys.float_info.epsilon)
     # E(strip of half-height R) = 32 pi^2 R exactly
-    for R, val in rep.growth_samples:
-        assert val == pytest.approx(32.0 * math.pi ** 2 * R, rel=1e-6, abs=0)
+    assert [R for R, _ in rep.growth_samples] == list(GROWTH_RADII)
+    with mpmath.workdps(30):
+        for R, val in rep.growth_samples:
+            assert _within_ulps(val, 32 * mpmath.pi ** 2 * R, 2), (R, val)
+
+
+def _partial_energy_quadrature(params, R):
+    """The exceptional partial Ricci energies by region quadrature: the
+    almost-ball under v = R - u^2/2 up to u = sqrt(2R), and the strip of
+    half-height R as twice its upper half (the density is y-independent),
+    out to x = 1e4, past which the density's integral is 1e-16 of it."""
+    def f(u, v):
+        return TORUS_VOLUME * params.ricci_density(u, v)
+    if params is EXC:
+        return integrate_2d_region(f, math.sqrt(2.0 * R), lambda u: R - 0.5 * u * u).value
+    return 2.0 * integrate_2d_region(f, 1e4, lambda u: R).value
+
+
+@pytest.mark.parametrize("params", [EXC, HP], ids=["EXC", "HP"])
+@pytest.mark.parametrize("R", [1.0, 25.0, 200.0, 1e4])
+def test_partial_ricci_energy_against_quadrature(params, R):
+    # the oracle of the closed forms: within 6e-16 relatively at these radii
+    assert params.partial_ricci_energy(R) == pytest.approx(
+        _partial_energy_quadrature(params, R), rel=1e-10, abs=0)
+
+
+def test_partial_ricci_energy_derivation():
+    # sympy integrates 4 pi^2 ricci_density over each region exactly; the
+    # float one-liners sit within 2 ulp of the result
+    sp = pytest.importorskip("sympy")
+    u, v, R = sp.symbols("u v R", positive=True)
+
+    def density(params):   # TORUS_VOLUME = 4 pi^2
+        e = 4 * sp.pi ** 2 * params.ricci_density(u, v)
+        return e.xreplace({x: sp.Rational(x) for x in e.atoms(sp.Float)})
+    ball = sp.integrate(density(EXC), (v, 0, R - u ** 2 / 2), (u, 0, sp.sqrt(2 * R)))
+    strip = 2 * sp.integrate(density(HP), (u, 0, sp.oo), (v, 0, R))
+    assert sp.simplify(ball - sp.pi ** 2 * (R * (R - 1) + sp.log(1 + 2 * R) / 2)) == 0
+    assert sp.simplify(strip - 32 * sp.pi ** 2 * R) == 0
+    for r in (1, 25, 200, 10 ** 4):
+        for params, e in ((EXC, ball), (HP, strip)):
+            assert _within_ulps(params.partial_ricci_energy(float(r)), e.subs(R, r).evalf(30), 2)
 
 
 # ------------------------------------------------------------------ 4-metric curvature

@@ -433,6 +433,30 @@ def test_moment_pde_residual_is_rounding_of_its_terms(params):
             assert abs(r) <= 4.0 * sys.float_info.epsilon * size, (x, y, r, size)
 
 
+def test_moment_pde_residual_over_the_float_range():
+    # seeded M, k, x and |y| log-uniform over the float range: each residual
+    # is within 4 eps of its terms or BadParams.  Without the guard, u^2 or
+    # v^2 subnormal (the first two points) or a term subnormal on a large
+    # mass (the third) gave residuals up to the size of the terms
+    for M, k, x, y in ((1e-3, 0.5, 1e-310, 0.0), (1.99e-286, 0.814, 4.0e-38, -5.9e-296),
+                       (1.908046047699867e101, 0.4212768678676293, 6.709173347907827e-209,
+                        -3.2704090067629594e-298)):
+        with pytest.raises(BadParams, match="subnormal"):
+            moment_pde_residual(InstantonParams(M=M, k=k), x, y)
+    rng = random.Random(40)
+    for _ in range(3000):
+        params = rng.choice([InstantonParams(M=10.0 ** rng.uniform(-300.0, 300.0),
+                                             k=rng.uniform(-0.9999, 0.9999)), EXC, HP, FLAT])
+        x = 10.0 ** rng.uniform(-323.0, 308.0)
+        y = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 308.0)
+        try:
+            residuals = moment_pde_residual(params, x, y)
+        except BadParams:
+            continue
+        for r, size in zip(residuals, _pde_term_sizes(params, x, y)):
+            assert not abs(r) > 4.0 * sys.float_info.epsilon * size, (params, x, y, r, size)
+
+
 @pytest.mark.parametrize("params", PDE_PARAMS, ids=lambda p: f"{p.family.value}-{p.M}-{p.k}")
 def test_moment_pde_residual_vanishes_on_mpmath_jets(params, monkeypatch):
     # the same float points, their jets at 60 digits: the PDE is an identity
@@ -452,6 +476,29 @@ def test_quadrant_xy_chart_is_bad_params_off_its_domain(params, x, y):
     with pytest.raises(BadParams, match="xy chart domain"):
         uv_from_chart(params, Chart.XY, x, y)
     assert params.uv_from_xy(-0.0, 0.5) == params.uv_from_xy(0.0, 0.5)   # -0.0 is the axis
+
+
+@pytest.mark.parametrize("params", [GEN, GEN05, InstantonParams(M=1e-3, k=0.5),
+                                    InstantonParams(M=1e3, k=-0.9), EXC],
+                         ids=["GEN", "GEN05", "GEN05-M1e-3", "GEN-0.9-M1e3", "EXC"])
+def test_quadrant_xy_chart_round_trips_next_to_the_axes(params):
+    # u v = c x gives the smaller of u, v without the cancellation of
+    # sqrt(c (r - |y|)), which took x 5.3e-6 off relatively at (1e-3, 1e3)
+    # and put (1e-5, 1e3) on the axis; |y| / x runs from 1e-300 to 1e300.
+    # Where c x or c (r + |y|) overflows, the pair is not finite, and the
+    # chart domain check refuses it
+    c = 2.0 if params.family is Family.EXCEPTIONAL_TN else params.M / math.sqrt(2.0)
+    for x in (1e-150, 1e-20, 1.0, 1e20, 1e150, 1e308):
+        for y in (sign * x * 10.0 ** e for e in range(-300, 301, 5) for sign in (1.0, -1.0)):
+            if math.isinf(y):
+                continue
+            u, v = params.uv_from_xy(x, y)
+            if math.isinf(c * x) or math.isinf(c * (math.hypot(x, y) + abs(y))):
+                assert not (math.isfinite(u) and math.isfinite(v)), (x, y)
+                continue
+            X = params.xy_from_uv(u, v)[0]
+            assert abs(X - x) <= 2.0 * sys.float_info.epsilon * x, (x, y, u, v)
+    assert EXC.uv_from_xy(1e-5, 1e3)[1] == pytest.approx(math.sqrt(1e-13), rel=1e-15)
 
 
 def test_eval_of_a_mirrored_xy_point_exits_2():
